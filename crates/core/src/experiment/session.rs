@@ -535,6 +535,21 @@ mod tests {
     }
 
     #[test]
+    fn cache_key_is_pinned() {
+        // A literal, so a change to the key recipe (or to the digest under
+        // it) cannot pass unnoticed: every entry of every existing cache
+        // directory is addressed by values like this one.
+        let key = cache_key(
+            Digest::of_bytes(b"trace"),
+            &SystemConfig::default(),
+            ProtocolKind::Mesi,
+            100,
+            ENGINE_VERSION,
+        );
+        assert_eq!(key.to_string(), "73655566b013b016bb07a90aea010652");
+    }
+
+    #[test]
     fn cache_stats_arithmetic() {
         let s = CacheStats {
             hits: 3,

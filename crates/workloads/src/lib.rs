@@ -106,4 +106,28 @@ mod tests {
             assert!(build_tiny(kind, 16).is_ok(), "{kind} must generate");
         }
     }
+
+    #[test]
+    fn tiny_content_digests_are_pinned() {
+        // Literals taken from the commit before the trace encoder was
+        // rewritten: the encoder may get faster, its bytes may not move.
+        // A change here invalidates every cached result — bump
+        // `ENGINE_VERSION` instead of editing the expectation.
+        let pinned = [
+            "abba5e7e4e5bc060c53e94637aa423d5", // fluidanimate
+            "eaa5496b2c670dadfc3a4844581317db", // LU
+            "f3c24f450fcc987705898d6dce954073", // FFT
+            "cd62ae6cb001a68d1b6974382e07c496", // radix
+            "5d4ce11c04fdbc487a4daac5d82b5c7c", // barnes
+            "a3837abbaa9711e44c3560da69a24cb7", // kD-tree
+        ];
+        let got: Vec<String> = BenchmarkKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let wl = build_tiny(kind, 16).unwrap();
+                wl.content_digest().unwrap().to_string()
+            })
+            .collect();
+        assert_eq!(got, pinned);
+    }
 }
