@@ -459,8 +459,8 @@ fn plan_show(args: &[String]) -> Result<ExitCode, ExperimentError> {
         ));
     };
     let spec = ExperimentSpec::load(Path::new(path))?;
-    let plan = spec.compile(&WorkloadSet::new())?;
     let session = Session::new();
+    let plan = session.compile(&spec, &WorkloadSet::new())?;
     println!(
         "plan `{}` ({} scale): {} protocols x {} rows = {} cells",
         plan.name,

@@ -9,7 +9,7 @@
 //! reports p50/p95/p99 alongside the averages, and the `metrics` op renders
 //! the full distributions in Prometheus text exposition format.
 
-use denovo_waste::{CacheStats, Json};
+use denovo_waste::{CacheStats, Json, SessionCounters};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use tw_obs::Log2Histogram;
@@ -81,8 +81,14 @@ impl Metrics {
 
     /// Renders the counters as the `stats` response fields. `queue_depth`
     /// and `queue_cap` describe the work queue right now; `workers` is the
-    /// pool size.
-    pub fn snapshot(&self, queue_depth: u64, queue_cap: u64, workers: u64) -> Vec<(String, Json)> {
+    /// pool size; `session` is the shared session's reading.
+    pub fn snapshot(
+        &self,
+        queue_depth: u64,
+        queue_cap: u64,
+        workers: u64,
+        session: &SessionCounters,
+    ) -> Vec<(String, Json)> {
         let completed = self.completed.load(Ordering::Relaxed);
         let cells = self.cells.load(Ordering::Relaxed);
         let hits = self.hits.load(Ordering::Relaxed);
@@ -157,12 +163,34 @@ impl Metrics {
                 Json::Str(format!("{cells_per_sec:.2}")),
             ),
             ("hit_rate".into(), Json::Str(format!("{hit_rate:.4}"))),
+            (
+                "workload_memo_hits_total".into(),
+                Json::UInt(session.memo_hits),
+            ),
+            (
+                "workload_memo_builds_total".into(),
+                Json::UInt(session.memo_builds),
+            ),
+            (
+                "workload_memo_resident_ops".into(),
+                Json::UInt(session.memo_resident_ops),
+            ),
+            (
+                "flight_table_slots".into(),
+                Json::UInt(session.flight_slots),
+            ),
         ]
     }
 
     /// Renders every counter, gauge and histogram in Prometheus text
     /// exposition format — the body of the `metrics` wire op.
-    pub fn render_prometheus(&self, queue_depth: u64, queue_cap: u64, workers: u64) -> String {
+    pub fn render_prometheus(
+        &self,
+        queue_depth: u64,
+        queue_cap: u64,
+        workers: u64,
+        session: &SessionCounters,
+    ) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let mut counter = |name: &str, help: &str, value: u64| {
@@ -205,6 +233,16 @@ impl Metrics {
             "Cells served from the single-flight table",
             self.coalesced.load(Ordering::Relaxed),
         );
+        counter(
+            "tw_daemon_workload_memo_hits_total",
+            "Workload lookups served from the session memo without generating",
+            session.memo_hits,
+        );
+        counter(
+            "tw_daemon_workload_memo_builds_total",
+            "Workload lookups that generated and digested a workload",
+            session.memo_builds,
+        );
         let mut gauge = |name: &str, help: &str, value: u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} gauge");
@@ -222,6 +260,16 @@ impl Metrics {
         );
         gauge("tw_daemon_queue_cap", "Work-queue capacity", queue_cap);
         gauge("tw_daemon_workers", "Worker pool size", workers);
+        gauge(
+            "tw_daemon_workload_memo_resident_ops",
+            "Trace ops held by the session memo's resident workloads",
+            session.memo_resident_ops,
+        );
+        gauge(
+            "tw_daemon_flight_table_slots",
+            "Slots in the session's single-flight table",
+            session.flight_slots,
+        );
         gauge(
             "tw_daemon_uptime_us",
             "Microseconds since daemon start",
@@ -253,6 +301,13 @@ mod tests {
         &snap.iter().find(|(k, _)| k == key).expect(key).1
     }
 
+    const SESSION: SessionCounters = SessionCounters {
+        memo_hits: 6,
+        memo_builds: 12,
+        memo_resident_ops: 5_959_426,
+        flight_slots: 2,
+    };
+
     fn two_submits() -> Metrics {
         let m = Metrics::new();
         m.record_enqueue(3);
@@ -281,7 +336,7 @@ mod tests {
 
     #[test]
     fn snapshot_aggregates_and_rates() {
-        let snap = two_submits().snapshot(2, 64, 4);
+        let snap = two_submits().snapshot(2, 64, 4, &SESSION);
         assert_eq!(field(&snap, "requests").as_u64(), Ok(2));
         assert_eq!(field(&snap, "completed").as_u64(), Ok(2));
         assert_eq!(field(&snap, "failed").as_u64(), Ok(1));
@@ -298,6 +353,13 @@ mod tests {
         assert_eq!(field(&snap, "latency_max_us").as_u64(), Ok(1500));
         // (4 hits + 1 coalesced) / 8 cells = 0.625.
         assert_eq!(field(&snap, "hit_rate").as_str(), Ok("0.6250"));
+        assert_eq!(field(&snap, "workload_memo_hits_total").as_u64(), Ok(6));
+        assert_eq!(field(&snap, "workload_memo_builds_total").as_u64(), Ok(12));
+        assert_eq!(
+            field(&snap, "workload_memo_resident_ops").as_u64(),
+            Ok(5_959_426)
+        );
+        assert_eq!(field(&snap, "flight_table_slots").as_u64(), Ok(2));
         // The whole snapshot must survive the wire's no-float JSON.
         let doc = Json::Obj(snap);
         assert_eq!(Json::parse(&doc.compact()).unwrap(), doc);
@@ -305,7 +367,7 @@ mod tests {
 
     #[test]
     fn snapshot_percentiles_resolve_to_bucket_bounds_clamped_to_max() {
-        let snap = two_submits().snapshot(2, 64, 4);
+        let snap = two_submits().snapshot(2, 64, 4, &SESSION);
         // Queue waits 100 and 300: p50 is the [64,127] bucket bound, the
         // tail percentiles clamp to the observed max.
         assert_eq!(field(&snap, "queue_wait_p50_us").as_u64(), Ok(127));
@@ -319,7 +381,7 @@ mod tests {
 
     #[test]
     fn empty_service_reports_zero_rates() {
-        let snap = Metrics::new().snapshot(0, 8, 1);
+        let snap = Metrics::new().snapshot(0, 8, 1, &SessionCounters::default());
         assert_eq!(field(&snap, "hit_rate").as_str(), Ok("0.0000"));
         assert_eq!(field(&snap, "latency_avg_us").as_u64(), Ok(0));
         assert_eq!(field(&snap, "latency_p99_us").as_u64(), Ok(0));
@@ -327,10 +389,14 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
-        let text = two_submits().render_prometheus(2, 64, 4);
+        let text = two_submits().render_prometheus(2, 64, 4, &SESSION);
         assert!(text.contains("# TYPE tw_daemon_requests_total counter\n"));
         assert!(text.contains("tw_daemon_requests_total 2\n"));
         assert!(text.contains("tw_daemon_cells_total 8\n"));
+        assert!(text.contains("# TYPE tw_daemon_workload_memo_hits_total counter\n"));
+        assert!(text.contains("tw_daemon_workload_memo_builds_total 12\n"));
+        assert!(text.contains("# TYPE tw_daemon_flight_table_slots gauge\n"));
+        assert!(text.contains("tw_daemon_workload_memo_resident_ops 5959426\n"));
         assert!(text.contains("# TYPE tw_daemon_queue_depth gauge\n"));
         assert!(text.contains("# TYPE tw_daemon_latency_us histogram\n"));
         assert!(text.contains("tw_daemon_latency_us_bucket{le=\"+Inf\"} 2\n"));

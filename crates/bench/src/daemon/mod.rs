@@ -247,6 +247,7 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
                     server.queue.len() as u64,
                     server.queue.capacity() as u64,
                     server.workers,
+                    &server.session.counters(),
                 );
                 wire::write_frame(&mut writer, wire::ok_header("stats", fields), None).is_ok()
             }
@@ -258,6 +259,7 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
                     server.queue.len() as u64,
                     server.queue.capacity() as u64,
                     server.workers,
+                    &server.session.counters(),
                 );
                 wire::write_frame(
                     &mut writer,

@@ -1,10 +1,11 @@
 //! The daemon's worker pool: drains the bounded queue and executes plans.
 //!
 //! Every worker shares one [`Session`], so all requests hit one result
-//! cache *and* one in-process single-flight table — two clients submitting
-//! plans that overlap on a cache key never simulate that key twice, whether
-//! they collide in flight (one coalesces onto the other) or arrive in
-//! sequence (the second is a disk hit).
+//! cache, one in-process single-flight table *and* one workload memo — two
+//! clients submitting plans that overlap on a cache key never simulate that
+//! key twice, whether they collide in flight (one coalesces onto the other)
+//! or arrive in sequence (the second is a disk hit), and a benchmark's
+//! workload is generated and digested for the first plan that names it.
 
 use super::metrics::Metrics;
 use super::queue::BoundedQueue;
@@ -94,8 +95,10 @@ fn execute(session: &Session, spec_text: &str, queue_us: u64) -> Result<SubmitOu
     let spec = ExperimentSpec::from_json(spec_text).map_err(|e| format!("bad spec: {e}"))?;
     // Provided workloads have no wire representation: a spec naming one
     // fails compilation here with the usual unknown-workload error.
-    let plan = spec
-        .compile(&WorkloadSet::new())
+    // Compiled through the session, so a repeated spec shares the
+    // workloads the first one generated.
+    let plan = session
+        .compile(&spec, &WorkloadSet::new())
         .map_err(|e| format!("cannot compile plan: {e}"))?;
     let outcome = session
         .execute(&plan)

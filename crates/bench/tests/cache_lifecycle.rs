@@ -7,7 +7,8 @@
 //! cache directory, and two writers racing on one entry.
 
 use denovo_waste::{
-    sweep_temp_files, ExperimentSpec, ScaleProfile, Session, WorkloadSet, WorkloadSpec,
+    sweep_temp_files, ExperimentSpec, ScaleProfile, Session, SystemVariant, WorkloadSet,
+    WorkloadSpec,
 };
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -132,10 +133,49 @@ fn failed_store_cleans_up_its_temp_file() {
         "the failed store must remove its temp file"
     );
 
-    // Unblock the path: the same session recovers on the next execute (the
-    // report is already in the flight table, so this is a coalesced store).
+    // Unblock the path: the same session recovers on the next execute. The
+    // failed store left no slot behind in the flight table, so the cell is
+    // simulated again and this time reaches the disk.
     std::fs::remove_dir(&entry_path).unwrap();
-    session.execute(&plan).unwrap();
+    assert_eq!(session.counters().flight_slots, 0);
+    assert_eq!(session.execute(&plan).unwrap().cache.misses, 1);
+    assert!(entry_path.is_file());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One Tiny FFT x MESI cell whose L2 slice size makes its cache key novel.
+fn novel_spec(l2_kib: u64) -> ExperimentSpec {
+    let mut spec = ExperimentSpec::subset(
+        vec![ProtocolKind::Mesi],
+        vec![tw_workloads::BenchmarkKind::Fft],
+        ScaleProfile::Tiny,
+    );
+    spec.variants = vec![SystemVariant::l2_slice(
+        format!("l2-{l2_kib}k"),
+        l2_kib * 1024,
+    )];
+    spec
+}
+
+#[test]
+fn the_flight_table_holds_nothing_once_entries_are_on_disk() {
+    let dir = fresh_dir("flight-table");
+    let none = WorkloadSet::new();
+    let cached = Session::new().with_cache_dir(&dir);
+    let uncached = Session::new();
+    for (i, l2_kib) in [8, 16, 32, 64].into_iter().enumerate() {
+        let spec = novel_spec(l2_kib);
+        assert_eq!(cached.run(&spec, &none).unwrap().cache.misses, 1);
+        assert_eq!(cached.counters().flight_slots, 0);
+        // Without a cache directory the table is the only result cache, so
+        // every completed slot stays.
+        assert_eq!(uncached.run(&spec, &none).unwrap().cache.misses, 1);
+        assert_eq!(uncached.counters().flight_slots, i as u64 + 1);
+    }
+    // Served again: from the disk and from the table.
+    let again = novel_spec(8);
+    assert_eq!(cached.run(&again, &none).unwrap().cache.hits, 1);
+    assert_eq!(uncached.run(&again, &none).unwrap().cache.coalesced, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -122,6 +122,13 @@ fn submit_is_byte_identical_to_a_direct_run_and_warm_hits() {
     assert_eq!(get("hits"), 4);
     assert_eq!(get("misses"), 4);
     assert_eq!(stats.get("hit_rate").unwrap().as_str().unwrap(), "0.5000");
+    // The second submit regenerated nothing: both of the spec's workloads
+    // came out of the session's memo. The cache directory has every entry,
+    // so the flight table has let go of all four slots.
+    assert_eq!(get("workload_memo_builds_total"), 2);
+    assert_eq!(get("workload_memo_hits_total"), 2);
+    assert!(get("workload_memo_resident_ops") > 0);
+    assert_eq!(get("flight_table_slots"), 0);
 
     daemon.stop();
 }
@@ -204,6 +211,11 @@ fn metrics_exposition_is_well_formed_and_monotone() {
         "the second submit added cells"
     );
     assert_eq!(scrape(&m2, "tw_daemon_latency_us_count"), 2);
+    assert_eq!(scrape(&m1, "tw_daemon_workload_memo_hits_total"), 0);
+    assert_eq!(
+        scrape(&m2, "tw_daemon_workload_memo_hits_total"),
+        scrape(&m2, "tw_daemon_workload_memo_builds_total")
+    );
 
     daemon.stop();
 }

@@ -18,6 +18,7 @@
 
 mod codec;
 pub mod json;
+mod memo;
 pub mod outcome;
 pub mod plan;
 pub mod session;
@@ -29,14 +30,15 @@ pub use plan::{
     WorkloadRef, WorkloadSet, WorkloadSource, WorkloadSpec, SPEC_SCHEMA,
 };
 pub use session::{
-    cache_key, sweep_temp_files, CacheStats, Session, ENGINE_VERSION, TEMP_SWEEP_AGE,
+    cache_key, sweep_temp_files, CacheStats, Session, SessionCounters, ENGINE_VERSION,
+    TEMP_SWEEP_AGE,
 };
 
 use tw_types::SystemConfig;
 use tw_workloads::{build_scaled, build_tiny, BenchmarkKind, Workload};
 
 /// Which input scale to run (see DESIGN.md §7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ScaleProfile {
     /// The paper's input sizes on the Table 4.1 system. Slow; intended for
     /// full reproduction runs.

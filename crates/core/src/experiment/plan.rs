@@ -13,6 +13,7 @@
 //! what kind they carry.
 
 use super::json::Json;
+use super::memo::WorkloadMemo;
 use super::ScaleProfile;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -610,7 +611,22 @@ impl ExperimentSpec {
     /// shared across the protocol axis; their content digests are computed
     /// here, so every cell knows its full identity before anything is
     /// simulated.
+    ///
+    /// Every call generates its benchmark workloads afresh; a
+    /// [`Session`](super::Session) that compiles many specs shares them
+    /// through [`Session::compile`](super::Session::compile), which is this
+    /// function over the session's memo instead of a throwaway one.
     pub fn compile(&self, provided: &WorkloadSet) -> Result<CompiledPlan, ExperimentError> {
+        self.compile_with(provided, &WorkloadMemo::default())
+    }
+
+    /// [`compile`](Self::compile), with generated workloads looked up in (and
+    /// left behind in) `memo`.
+    pub(super) fn compile_with(
+        &self,
+        provided: &WorkloadSet,
+        memo: &WorkloadMemo,
+    ) -> Result<CompiledPlan, ExperimentError> {
         if self.protocols.is_empty() {
             return Err(ExperimentError::InvalidSpec(
                 "the protocol axis is empty".to_string(),
@@ -693,13 +709,13 @@ impl ExperimentSpec {
             })
             .collect::<Result<Vec<_>, ExperimentError>>()?;
 
-        // Build each workload once per distinct core count it is needed at
-        // (generators re-generate; traces and provided workloads have a
-        // fixed core count and error on mismatch). Generation plus content
-        // digesting is the expensive part of compilation — and the whole
-        // cost of a fully-warm cached run — so the distinct builds fan out
-        // on the rayon pool; errors surface in deterministic (workload,
-        // variant) order.
+        // Resolve each workload once per distinct core count it is needed
+        // at (generators generate per core count; traces and provided
+        // workloads have a fixed one and error on mismatch). Generation plus
+        // content digesting is the expensive part of compilation — and the
+        // whole cost of a fully-warm cached run unless `memo` already holds
+        // the workloads — so the distinct builds fan out on the rayon pool;
+        // errors surface in deterministic (workload, variant) order.
         let mut wanted: Vec<(usize, usize, String)> = Vec::new();
         for (wi, _) in self.workloads.iter().enumerate() {
             for (variant_label, sys) in &systems {
@@ -713,29 +729,30 @@ impl ExperimentSpec {
             .par_iter()
             .map(|(wi, tiles, variant_label)| {
                 let w = &self.workloads[*wi];
-                let wl: Arc<Workload> = match &w.source {
-                    WorkloadSource::Bench(kind) => Arc::new(
-                        self.scale
-                            .try_workload(*kind, *tiles)
-                            .map_err(ExperimentError::Workload)?,
-                    ),
+                // A generated workload comes out of the memo with its
+                // digest; a trace file is read every time (it may have been
+                // rewritten) and a provided workload is digested as given.
+                let (wl, memoized) = match &w.source {
+                    WorkloadSource::Bench(kind) => {
+                        let (wl, digest) = memo.get_or_build((*kind, self.scale, *tiles))?;
+                        (wl, Some(digest))
+                    }
                     WorkloadSource::Trace(path) => {
                         let doc = tw_trace::TraceDocument::load(path).map_err(|err| {
                             ExperimentError::Io(format!("cannot read {}: {err}", path.display()))
                         })?;
-                        Arc::new(
-                            Workload::from_trace(doc)
-                                .map_err(|err| ExperimentError::Workload(err.to_string()))?,
-                        )
+                        let wl = Workload::from_trace(doc)
+                            .map_err(|err| ExperimentError::Workload(err.to_string()))?;
+                        (Arc::new(wl), None)
                     }
-                    WorkloadSource::Provided(name) => provided
-                        .get(name)
-                        .ok_or_else(|| {
+                    WorkloadSource::Provided(name) => {
+                        let wl = provided.get(name).ok_or_else(|| {
                             ExperimentError::Workload(format!(
                                 "the plan references provided workload `{name}`, which was not registered"
                             ))
-                        })?
-                        .clone(),
+                        })?;
+                        (Arc::clone(wl), None)
+                    }
                 };
                 if wl.cores() != *tiles {
                     return Err(ExperimentError::CoreCountMismatch {
@@ -745,9 +762,12 @@ impl ExperimentSpec {
                         tiles: *tiles,
                     });
                 }
-                let digest = wl
-                    .content_digest()
-                    .map_err(|e| ExperimentError::Workload(e.to_string()))?;
+                let digest = match memoized {
+                    Some(digest) => digest,
+                    None => wl
+                        .content_digest()
+                        .map_err(|e| ExperimentError::Workload(e.to_string()))?,
+                };
                 Ok(((*wi, *tiles), (wl, digest)))
             })
             .collect();

@@ -19,6 +19,7 @@
 
 use super::codec;
 use super::json::Json;
+use super::memo::WorkloadMemo;
 use super::outcome::PlanOutcome;
 use super::plan::{CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, WorkloadSet};
 use crate::report::SimReport;
@@ -115,28 +116,48 @@ enum CellSource {
 }
 
 /// State shared by every clone of a [`Session`]: the in-process
-/// single-flight table and the once-per-session temp-file sweep marker.
+/// single-flight table, the workload memo and the once-per-session
+/// temp-file sweep marker.
 #[derive(Debug, Default)]
 struct SessionState {
-    /// One slot per cache key currently being (or already) computed by this
-    /// session. Duplicate-key cells — two same-content workloads in one
-    /// plan, or two concurrent daemon requests — wait on the leader's slot
-    /// instead of simulating again. Completed slots are retained, so the
-    /// table doubles as an in-memory result cache for cache-less sessions;
-    /// sessions are per-plan in CLI use and deliberately long-lived (and
-    /// memory-resident) in the daemon.
+    /// One slot per cache key being computed by this session.
+    /// Duplicate-key cells — two same-content workloads in one plan, or two
+    /// concurrent daemon requests — wait on the leader's slot instead of
+    /// simulating again. A session without a cache directory retains its
+    /// completed slots: the table is its only result cache. A session with
+    /// one drops a slot as soon as the leader has stored the entry, so a
+    /// long-lived daemon's table holds only what is in flight.
     inflight: Mutex<BTreeMap<Digest, Arc<OnceLock<SimReport>>>>,
+    /// Generated workloads, shared by every plan this session compiles.
+    memo: WorkloadMemo,
     /// Whether this session already swept stray temp files from its cache
     /// directory (done once, on first execute).
     swept: AtomicBool,
 }
 
+/// What a session holds in memory right now and how often its workload
+/// memo was used, for service metrics. Which request builds a workload two
+/// of them need is a race, so none of this belongs in a recorded span.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionCounters {
+    /// Workload lookups served without generating: a resident memo entry,
+    /// or a build another thread was already running.
+    pub memo_hits: u64,
+    /// Workload lookups that generated and digested a workload.
+    pub memo_builds: u64,
+    /// Trace ops held by the memo's resident workloads.
+    pub memo_resident_ops: u64,
+    /// Slots in the single-flight table.
+    pub flight_slots: u64,
+}
+
 /// Executes experiment plans, optionally through a persistent result cache.
 ///
-/// Clones share one single-flight table, so a session handed to several
-/// threads (the daemon's worker pool) never simulates the same cache key
-/// twice concurrently.
-#[derive(Debug, Clone, Default)]
+/// Clones share one single-flight table and one workload memo, so a session
+/// handed to several threads (the daemon's worker pool) never simulates the
+/// same cache key twice concurrently and generates each benchmark workload
+/// once.
+#[derive(Debug, Clone)]
 pub struct Session {
     cache_dir: Option<PathBuf>,
     barrier_overhead: Cycle,
@@ -146,6 +167,14 @@ pub struct Session {
     /// or off, every simulated number is identical.
     recorder: Option<SpanSink>,
     state: Arc<SessionState>,
+}
+
+impl Default for Session {
+    /// [`Session::new`]: a derived default would zero the barrier overhead
+    /// and so disagree with `new` on every cache key and cycle count.
+    fn default() -> Self {
+        Session::new()
+    }
 }
 
 impl Session {
@@ -178,13 +207,36 @@ impl Session {
         self
     }
 
+    /// Compiles a spec, taking generated workloads from (and leaving them
+    /// in) this session's memo: the second plan over a benchmark shares the
+    /// first one's workload instead of regenerating and re-digesting it.
+    /// The result is what [`ExperimentSpec::compile`] returns.
+    pub fn compile(
+        &self,
+        spec: &ExperimentSpec,
+        provided: &WorkloadSet,
+    ) -> Result<CompiledPlan, ExperimentError> {
+        spec.compile_with(provided, &self.state.memo)
+    }
+
     /// Compiles and executes a spec in one step.
     pub fn run(
         &self,
         spec: &ExperimentSpec,
         provided: &WorkloadSet,
     ) -> Result<PlanOutcome, ExperimentError> {
-        self.execute(&spec.compile(provided)?)
+        self.execute(&self.compile(spec, provided)?)
+    }
+
+    /// A reading of this session's in-memory state (shared by its clones).
+    pub fn counters(&self) -> SessionCounters {
+        let memo = self.state.memo.stats();
+        SessionCounters {
+            memo_hits: memo.hits,
+            memo_builds: memo.builds,
+            memo_resident_ops: memo.resident_ops,
+            flight_slots: self.state.inflight.lock().expect("inflight lock").len() as u64,
+        }
     }
 
     /// Executes a compiled plan.
@@ -260,26 +312,11 @@ impl Session {
         let mut probe_us = 0u64;
         if let Some(path) = &path {
             let t = sink.as_ref().map(|_| Instant::now());
-            let probe = probe_entry(path, key);
+            let hit = probe_entry(path, key);
             probe_us = t.map_or(0, |t| t.elapsed().as_micros() as u64);
-            match probe {
-                DiskProbe::Hit(report) => {
-                    emit_cell_span(&sink, "disk_hit", probe_us, 0, 0);
-                    return Ok((*report, CellSource::DiskHit));
-                }
-                DiskProbe::Absent => {}
-                DiskProbe::Corrupt => {
-                    // The entry exists but cannot be trusted (garbled,
-                    // truncated, wrong engine/key). A *retained* completed
-                    // flight would shadow it forever and the bad bytes would
-                    // never be repaired; drop it so this cell re-simulates
-                    // and overwrites the entry. A flight still in progress
-                    // is left alone — its leader overwrites on store anyway.
-                    let mut inflight = self.state.inflight.lock().expect("inflight lock");
-                    if inflight.get(&key).is_some_and(|f| f.get().is_some()) {
-                        inflight.remove(&key);
-                    }
-                }
+            if let Some(report) = hit {
+                emit_cell_span(&sink, "disk_hit", probe_us, 0, 0);
+                return Ok((report, CellSource::DiskHit));
             }
         }
         // Single-flight: exactly one caller per key simulates; everyone else
@@ -302,7 +339,19 @@ impl Session {
         if leader {
             let t = sink.as_ref().map(|_| Instant::now());
             if let Some(path) = &path {
-                store_entry(path, key, cell, &report)?;
+                let stored = store_entry(path, key, cell, &report);
+                // Whoever coalesced holds the slot already and later
+                // arrivals probe the disk first, so the slot has no reader
+                // left. Dropping it after a failed store as well means the
+                // next request for the key simulates and stores again,
+                // instead of being served from memory while the entry stays
+                // missing (or corrupt) on disk.
+                self.state
+                    .inflight
+                    .lock()
+                    .expect("inflight lock")
+                    .remove(&key);
+                stored?;
             }
             let store_us = t.map_or(0, |t| t.elapsed().as_micros() as u64);
             emit_cell_span(&sink, "simulated", probe_us, sim_us, store_us);
@@ -341,43 +390,19 @@ fn emit_cell_span(
     }
 }
 
-/// Outcome of probing the on-disk cache for one key.
-enum DiskProbe {
-    /// A valid entry decoded for this key (boxed: a report is large and
-    /// the other variants are unit-sized).
-    Hit(Box<SimReport>),
-    /// No entry file exists — the ordinary cold-cache miss.
-    Absent,
-    /// Something *is* at the entry path but it cannot be trusted:
-    /// unreadable, garbled, truncated, or carrying the wrong engine
-    /// version or key. Both are misses, but corruption additionally
-    /// invalidates any retained single-flight result so the entry gets
-    /// recomputed and overwritten instead of shadowed from memory.
-    Corrupt,
-}
-
-/// Probes a cache entry; never errors — every failure mode maps to
-/// [`DiskProbe::Absent`] or [`DiskProbe::Corrupt`].
-fn probe_entry(path: &std::path::Path, key: Digest) -> DiskProbe {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return DiskProbe::Absent,
-        Err(_) => return DiskProbe::Corrupt,
-    };
-    let valid = || -> Option<SimReport> {
-        let doc = Json::parse(&text).ok()?;
-        if doc.get("engine")?.as_str().ok()? != ENGINE_VERSION {
-            return None;
-        }
-        if doc.get("key")?.as_str().ok()? != key.to_string() {
-            return None;
-        }
-        codec::report_from_json(doc.get("report")?).ok()
-    };
-    match valid() {
-        Some(report) => DiskProbe::Hit(Box::new(report)),
-        None => DiskProbe::Corrupt,
+/// Probes a cache entry; never errors. An entry that is absent, unreadable,
+/// garbled, truncated, or carrying the wrong engine version or key is a
+/// miss: the cell is simulated and the entry written over.
+fn probe_entry(path: &std::path::Path, key: Digest) -> Option<SimReport> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let doc = Json::parse(&text).ok()?;
+    if doc.get("engine")?.as_str().ok()? != ENGINE_VERSION {
+        return None;
     }
+    if doc.get("key")?.as_str().ok()? != key.to_string() {
+        return None;
+    }
+    codec::report_from_json(doc.get("report")?).ok()
 }
 
 /// Persists one entry atomically (write to a sibling temp file, then
@@ -547,6 +572,21 @@ mod tests {
             ENGINE_VERSION,
         );
         assert_eq!(key.to_string(), "73655566b013b016bb07a90aea010652");
+    }
+
+    #[test]
+    fn the_default_session_is_the_new_session() {
+        let plan = ExperimentSpec::subset(
+            vec![ProtocolKind::Mesi],
+            vec![tw_workloads::BenchmarkKind::Fft],
+            super::super::ScaleProfile::Tiny,
+        )
+        .compile(&WorkloadSet::new())
+        .unwrap();
+        assert_eq!(
+            Session::default().key_of(&plan.cells[0]),
+            Session::new().key_of(&plan.cells[0])
+        );
     }
 
     #[test]

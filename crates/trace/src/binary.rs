@@ -30,9 +30,9 @@
 //! between two barriers is one phase, and a phase may legally contain zero
 //! memory operations.
 
-use crate::varint::{read_u64, unzigzag, write_u64, zigzag};
+use crate::varint::{encode_u64, read_u64, unzigzag, write_u64, zigzag, MAX_VARINT_BYTES};
 use crate::TraceError;
-use std::io::{Read, Write};
+use std::io::Write;
 use tw_types::{Addr, BypassKind, CommRegion, MemKind, RegionId, RegionInfo, RegionTable, TraceOp};
 
 /// Leading magic of the binary format.
@@ -52,8 +52,19 @@ fn write_string<W: Write>(w: &mut W, s: &str) -> std::io::Result<()> {
     w.write_all(s.as_bytes())
 }
 
-fn read_string<R: Read>(r: &mut R) -> Result<String, TraceError> {
-    let len = read_u64(r)? as usize;
+/// Splits the next `n` bytes off the front of `buf`; running out of input
+/// is the malformation `truncated` names.
+fn take<'a>(buf: &mut &'a [u8], n: usize, truncated: &str) -> Result<&'a [u8], TraceError> {
+    if buf.len() < n {
+        return Err(TraceError::Malformed(truncated.to_string()));
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+fn read_string(buf: &mut &[u8]) -> Result<String, TraceError> {
+    let len = read_u64(buf)? as usize;
     // A length prefix beyond any plausible metadata string means a corrupt
     // or adversarial header; refuse before allocating.
     if len > 1 << 20 {
@@ -61,10 +72,9 @@ fn read_string<R: Read>(r: &mut R) -> Result<String, TraceError> {
             "string length {len} exceeds the 1 MiB header limit"
         )));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)
-        .map_err(|_| TraceError::Malformed("truncated string".to_string()))?;
-    String::from_utf8(buf).map_err(|_| TraceError::Malformed("string is not UTF-8".to_string()))
+    let bytes = take(buf, len, "truncated string")?;
+    String::from_utf8(bytes.to_vec())
+        .map_err(|_| TraceError::Malformed("string is not UTF-8".to_string()))
 }
 
 fn write_region<W: Write>(w: &mut W, r: &RegionInfo) -> std::io::Result<()> {
@@ -89,7 +99,7 @@ fn write_region<W: Write>(w: &mut W, r: &RegionInfo) -> std::io::Result<()> {
     Ok(())
 }
 
-fn read_region<R: Read>(r: &mut R) -> Result<RegionInfo, TraceError> {
+fn read_region(r: &mut &[u8]) -> Result<RegionInfo, TraceError> {
     let id = read_u64(r)?;
     if id > u16::MAX as u64 {
         return Err(TraceError::Malformed(format!("region id {id} exceeds u16")));
@@ -97,10 +107,8 @@ fn read_region<R: Read>(r: &mut R) -> Result<RegionInfo, TraceError> {
     let name = read_string(r)?;
     let base = read_u64(r)?;
     let bytes = read_u64(r)?;
-    let mut two = [0u8; 2];
-    r.read_exact(&mut two)
-        .map_err(|_| TraceError::Malformed("truncated region flags".to_string()))?;
-    let [flags, has_comm] = two;
+    let marks = take(r, 2, "truncated region flags")?;
+    let (flags, has_comm) = (marks[0], marks[1]);
     let bypass = match (flags >> 1) & 0x3 {
         0 => BypassKind::None,
         1 => BypassKind::ReadThenOverwritten,
@@ -139,12 +147,31 @@ fn read_region<R: Read>(r: &mut R) -> Result<RegionInfo, TraceError> {
     })
 }
 
+/// Bytes of encoded stream the writer gathers before it calls its sink.
+const BLOCK_BYTES: usize = 64 * 1024;
+
+/// The longest encoded op: a tag and two full-length varints.
+const MAX_OP_BYTES: usize = 1 + 2 * MAX_VARINT_BYTES;
+
+/// Encodes `v` at `out[at..]` and returns the offset just past it.
+#[inline]
+fn put_varint(out: &mut [u8; MAX_OP_BYTES], at: usize, v: u64) -> usize {
+    let slot = out[at..]
+        .first_chunk_mut()
+        .expect("an op's varints start within its first eleven bytes");
+    at + encode_u64(v, slot)
+}
+
 /// Streaming encoder: header up front, then ops appended one at a time,
-/// core by core. The writer never buffers a stream, so arbitrarily long
-/// captures encode in constant memory.
+/// core by core. Ops are encoded into a block that goes to the sink when it
+/// fills — one call per 64 KiB whatever the sink is, instead of one per
+/// byte — so arbitrarily long captures still encode in constant memory.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     w: W,
+    /// The block being filled; `block[..filled]` is not yet written.
+    block: Box<[u8]>,
+    filled: usize,
     cores_declared: usize,
     cores_done: usize,
     prev_addr: u64,
@@ -159,51 +186,74 @@ impl<W: Write> TraceWriter<W> {
         cores: usize,
         regions: &RegionTable,
     ) -> Result<Self, TraceError> {
-        w.write_all(BINARY_MAGIC)?;
-        w.write_all(&[FORMAT_VERSION])?;
-        write_string(&mut w, benchmark)?;
-        write_string(&mut w, input)?;
-        write_u64(&mut w, cores as u64)?;
-        write_u64(&mut w, regions.len() as u64)?;
+        let mut header = BINARY_MAGIC.to_vec();
+        header.push(FORMAT_VERSION);
+        write_string(&mut header, benchmark)?;
+        write_string(&mut header, input)?;
+        write_u64(&mut header, cores as u64)?;
+        write_u64(&mut header, regions.len() as u64)?;
         for r in regions.iter() {
-            write_region(&mut w, r)?;
+            write_region(&mut header, r)?;
         }
+        w.write_all(&header)?;
         Ok(TraceWriter {
             w,
+            block: vec![0; BLOCK_BYTES].into_boxed_slice(),
+            filled: 0,
             cores_declared: cores,
             cores_done: 0,
             prev_addr: 0,
         })
     }
 
+    /// Hands the gathered bytes to the sink.
+    fn write_block(&mut self) -> std::io::Result<()> {
+        self.w.write_all(&self.block[..self.filled])?;
+        self.filled = 0;
+        Ok(())
+    }
+
+    /// Makes sure `room` more bytes fit in the block.
+    #[inline]
+    fn make_room(&mut self, room: usize) -> std::io::Result<()> {
+        if BLOCK_BYTES - self.filled < room {
+            self.write_block()?;
+        }
+        Ok(())
+    }
+
     /// Appends one op to the current core's stream.
+    #[inline]
     pub fn op(&mut self, op: &TraceOp) -> Result<(), TraceError> {
         if self.cores_done >= self.cores_declared {
             return Err(TraceError::Malformed(
                 "op written after the last declared core stream".to_string(),
             ));
         }
-        match *op {
+        self.make_room(MAX_OP_BYTES)?;
+        let out: &mut [u8; MAX_OP_BYTES] = self.block[self.filled..]
+            .first_chunk_mut()
+            .expect("make_room left room for an op");
+        self.filled += match *op {
             TraceOp::Mem { kind, addr, region } => {
-                let tag = match kind {
+                out[0] = match kind {
                     MemKind::Load => TAG_LOAD,
                     MemKind::Store => TAG_STORE,
                 };
-                self.w.write_all(&[tag])?;
                 let delta = addr.byte().wrapping_sub(self.prev_addr) as i64;
-                write_u64(&mut self.w, zigzag(delta))?;
-                write_u64(&mut self.w, region.0 as u64)?;
                 self.prev_addr = addr.byte();
+                let at = put_varint(out, 1, zigzag(delta));
+                put_varint(out, at, region.0 as u64)
             }
             TraceOp::Compute { cycles } => {
-                self.w.write_all(&[TAG_COMPUTE])?;
-                write_u64(&mut self.w, cycles as u64)?;
+                out[0] = TAG_COMPUTE;
+                put_varint(out, 1, cycles as u64)
             }
             TraceOp::Barrier { id } => {
-                self.w.write_all(&[TAG_BARRIER])?;
-                write_u64(&mut self.w, id as u64)?;
+                out[0] = TAG_BARRIER;
+                put_varint(out, 1, id as u64)
             }
-        }
+        };
         Ok(())
     }
 
@@ -214,13 +264,16 @@ impl<W: Write> TraceWriter<W> {
                 "more streams ended than cores declared".to_string(),
             ));
         }
-        self.w.write_all(&[TAG_END])?;
+        self.make_room(1)?;
+        self.block[self.filled] = TAG_END;
+        self.filled += 1;
         self.cores_done += 1;
         self.prev_addr = 0;
         Ok(())
     }
 
-    /// Flushes and returns the underlying writer.
+    /// Writes out what is gathered, flushes, and returns the underlying
+    /// writer.
     ///
     /// Fails if fewer streams were ended than cores declared in the header —
     /// a truncated file would otherwise be undetectable.
@@ -231,16 +284,17 @@ impl<W: Write> TraceWriter<W> {
                 self.cores_done, self.cores_declared
             )));
         }
+        self.write_block()?;
         self.w.flush()?;
         Ok(self.w)
     }
 }
 
-/// Streaming decoder: parses the header eagerly, then yields one core's
-/// stream at a time.
+/// Decoder over an encoded trace held in memory: parses the header
+/// eagerly, then yields one core's stream at a time.
 #[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    r: R,
+pub struct TraceReader<'a> {
+    rest: &'a [u8],
     benchmark: String,
     input: String,
     cores: usize,
@@ -248,24 +302,19 @@ pub struct TraceReader<R: Read> {
     regions: RegionTable,
 }
 
-impl<R: Read> TraceReader<R> {
+impl<'a> TraceReader<'a> {
     /// Reads and validates the header.
-    pub fn new(mut r: R) -> Result<Self, TraceError> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)
-            .map_err(|_| TraceError::Malformed("file shorter than the magic".to_string()))?;
-        if &magic != BINARY_MAGIC {
+    pub fn new(mut r: &'a [u8]) -> Result<Self, TraceError> {
+        let magic = take(&mut r, 4, "file shorter than the magic")?;
+        if magic != BINARY_MAGIC {
             return Err(TraceError::Malformed(format!(
                 "bad magic {magic:02x?}; expected {BINARY_MAGIC:02x?}"
             )));
         }
-        let mut version = [0u8; 1];
-        r.read_exact(&mut version)
-            .map_err(|_| TraceError::Malformed("missing version byte".to_string()))?;
-        if version[0] != FORMAT_VERSION {
+        let version = take(&mut r, 1, "missing version byte")?[0];
+        if version != FORMAT_VERSION {
             return Err(TraceError::Malformed(format!(
-                "unsupported format version {} (this build reads version {FORMAT_VERSION})",
-                version[0]
+                "unsupported format version {version} (this build reads version {FORMAT_VERSION})"
             )));
         }
         let benchmark = read_string(&mut r)?;
@@ -296,7 +345,7 @@ impl<R: Read> TraceReader<R> {
             regions.insert(info);
         }
         Ok(TraceReader {
-            r,
+            rest: r,
             benchmark,
             input,
             cores,
@@ -330,12 +379,12 @@ impl<R: Read> TraceReader<R> {
     /// not silently parse as the leading document — that would blind the
     /// determinism oracle built on `trace diff`.
     pub fn expect_eof(&mut self) -> Result<(), TraceError> {
-        let mut byte = [0u8; 1];
-        match self.r.read_exact(&mut byte) {
-            Err(_) => Ok(()),
-            Ok(()) => Err(TraceError::Malformed(
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(TraceError::Malformed(
                 "trailing bytes after the last declared core stream".to_string(),
-            )),
+            ))
         }
     }
 
@@ -347,26 +396,29 @@ impl<R: Read> TraceReader<R> {
         }
         let mut ops = Vec::new();
         let mut prev_addr: u64 = 0;
+        // Decoded off a local copy of the cursor, which can live in
+        // registers; an error leaves `self.rest` where the stream began.
+        let mut rest = self.rest;
         loop {
-            let mut tag = [0u8; 1];
-            self.r.read_exact(&mut tag).map_err(|_| {
-                TraceError::Malformed(format!(
+            let Some((&tag, after_tag)) = rest.split_first() else {
+                return Err(TraceError::Malformed(format!(
                     "core {} stream truncated before its end marker",
                     self.cores_read
-                ))
-            })?;
-            match tag[0] {
+                )));
+            };
+            rest = after_tag;
+            match tag {
                 TAG_LOAD | TAG_STORE => {
-                    let delta = unzigzag(read_u64(&mut self.r)?);
+                    let delta = unzigzag(read_u64(&mut rest)?);
                     let addr = prev_addr.wrapping_add(delta as u64);
                     prev_addr = addr;
-                    let region = read_u64(&mut self.r)?;
+                    let region = read_u64(&mut rest)?;
                     if region > u16::MAX as u64 {
                         return Err(TraceError::Malformed(format!(
                             "region id {region} exceeds u16"
                         )));
                     }
-                    let kind = if tag[0] == TAG_LOAD {
+                    let kind = if tag == TAG_LOAD {
                         MemKind::Load
                     } else {
                         MemKind::Store
@@ -378,7 +430,7 @@ impl<R: Read> TraceReader<R> {
                     });
                 }
                 TAG_COMPUTE => {
-                    let cycles = read_u64(&mut self.r)?;
+                    let cycles = read_u64(&mut rest)?;
                     if cycles > u32::MAX as u64 {
                         return Err(TraceError::Malformed(format!(
                             "compute cycles {cycles} exceed u32"
@@ -389,7 +441,7 @@ impl<R: Read> TraceReader<R> {
                     });
                 }
                 TAG_BARRIER => {
-                    let id = read_u64(&mut self.r)?;
+                    let id = read_u64(&mut rest)?;
                     if id > u32::MAX as u64 {
                         return Err(TraceError::Malformed(format!(
                             "barrier id {id} exceeds u32"
@@ -398,6 +450,7 @@ impl<R: Read> TraceReader<R> {
                     ops.push(TraceOp::Barrier { id: id as u32 });
                 }
                 TAG_END => {
+                    self.rest = rest;
                     self.cores_read += 1;
                     return Ok(Some(ops));
                 }
@@ -420,6 +473,183 @@ mod tests {
         let mut t = RegionTable::new();
         t.insert(RegionInfo::plain(RegionId(1), "a", Addr::new(0), 1 << 20));
         t
+    }
+
+    /// The encoder as it was before ops were assembled in a stack array:
+    /// every byte of every varint is pushed on its own. Kept as the
+    /// reference the writer is compared against, byte for byte.
+    mod reference {
+        use super::*;
+
+        fn varint(out: &mut Vec<u8>, mut v: u64) {
+            loop {
+                let byte = (v & 0x7f) as u8;
+                v >>= 7;
+                if v == 0 {
+                    out.push(byte);
+                    return;
+                }
+                out.push(byte | 0x80);
+            }
+        }
+
+        fn string(out: &mut Vec<u8>, s: &str) {
+            varint(out, s.len() as u64);
+            out.extend_from_slice(s.as_bytes());
+        }
+
+        pub fn encode(
+            benchmark: &str,
+            input: &str,
+            regions: &RegionTable,
+            streams: &[Vec<TraceOp>],
+        ) -> Vec<u8> {
+            let mut out = BINARY_MAGIC.to_vec();
+            out.push(FORMAT_VERSION);
+            string(&mut out, benchmark);
+            string(&mut out, input);
+            varint(&mut out, streams.len() as u64);
+            varint(&mut out, regions.len() as u64);
+            for r in regions.iter() {
+                varint(&mut out, r.id.0 as u64);
+                string(&mut out, &r.name);
+                varint(&mut out, r.base.byte());
+                varint(&mut out, r.bytes);
+                let bypass = match r.bypass {
+                    BypassKind::None => 0u8,
+                    BypassKind::ReadThenOverwritten => 1,
+                    BypassKind::StreamingOncePerPhase => 2,
+                };
+                out.push((r.written_in_parallel_phases as u8) | (bypass << 1));
+                out.push(r.comm.is_some() as u8);
+                if let Some(comm) = &r.comm {
+                    varint(&mut out, comm.object_bytes);
+                    varint(&mut out, comm.useful_offsets.len() as u64);
+                    for &off in &comm.useful_offsets {
+                        varint(&mut out, off);
+                    }
+                }
+            }
+            for stream in streams {
+                let mut prev_addr = 0u64;
+                for op in stream {
+                    match *op {
+                        TraceOp::Mem { kind, addr, region } => {
+                            out.push(match kind {
+                                MemKind::Load => TAG_LOAD,
+                                MemKind::Store => TAG_STORE,
+                            });
+                            let delta = addr.byte().wrapping_sub(prev_addr) as i64;
+                            varint(&mut out, zigzag(delta));
+                            varint(&mut out, region.0 as u64);
+                            prev_addr = addr.byte();
+                        }
+                        TraceOp::Compute { cycles } => {
+                            out.push(TAG_COMPUTE);
+                            varint(&mut out, cycles as u64);
+                        }
+                        TraceOp::Barrier { id } => {
+                            out.push(TAG_BARRIER);
+                            varint(&mut out, id as u64);
+                        }
+                    }
+                }
+                out.push(TAG_END);
+            }
+            out
+        }
+    }
+
+    fn written(regions: &RegionTable, streams: &[Vec<TraceOp>]) -> Vec<u8> {
+        let mut w = TraceWriter::new(Vec::new(), "custom", "edge", streams.len(), regions).unwrap();
+        for stream in streams {
+            for op in stream {
+                w.op(op).unwrap();
+            }
+            w.end_stream().unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    #[test]
+    fn writer_matches_the_reference_on_the_edges_of_the_format() {
+        let mut regions = regions_one();
+        let mut comm = RegionInfo::plain(RegionId(u16::MAX), "last", Addr::new(1 << 20), 1 << 20);
+        comm.bypass = BypassKind::ReadThenOverwritten;
+        comm.comm = Some(CommRegion {
+            object_bytes: 96,
+            useful_offsets: vec![0, 8, u64::MAX],
+        });
+        regions.insert(comm);
+        let streams = vec![
+            // Empty stream: nothing but its end marker.
+            vec![],
+            vec![
+                // 0 -> 1<<63 is a delta of i64::MIN, whose zigzag is
+                // u64::MAX: a full 10-byte varint.
+                TraceOp::store(Addr::new(1 << 63), RegionId(u16::MAX)),
+                TraceOp::load(Addr::new(0), RegionId(0)),
+                TraceOp::load(Addr::new(!3), RegionId(1)),
+                TraceOp::compute(u32::MAX),
+                TraceOp::barrier(u32::MAX),
+                TraceOp::compute(0),
+            ],
+            vec![],
+        ];
+        let bytes = written(&regions, &streams);
+        assert_eq!(
+            bytes,
+            reference::encode("custom", "edge", &regions, &streams)
+        );
+        assert!(bytes
+            .windows(10)
+            .any(|w| w == [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]));
+        let mut r = TraceReader::new(&bytes).unwrap();
+        for stream in &streams {
+            assert_eq!(r.next_stream().unwrap().as_ref(), Some(stream));
+        }
+        r.expect_eof().unwrap();
+    }
+
+    proptest::proptest! {
+        /// The writer and the byte-at-a-time reference agree on every byte
+        /// of arbitrary streams: full-range addresses (so deltas of every
+        /// varint length, `i64::MIN` included), every region id, cores
+        /// with no ops at all.
+        #[test]
+        fn writer_matches_the_reference_byte_for_byte(
+            raw in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u8..8, proptest::any::<u64>(), proptest::any::<u16>(), proptest::any::<u32>()),
+                    0..120,
+                ),
+                1..5,
+            ),
+        ) {
+            let streams: Vec<Vec<TraceOp>> = raw
+                .into_iter()
+                .map(|ops| {
+                    ops.into_iter()
+                        .map(|(shape, addr, region, small)| match shape {
+                            0 => TraceOp::load(Addr::new(addr), RegionId(region)),
+                            1 => TraceOp::store(Addr::new(addr), RegionId(region)),
+                            // Short strides, as real reference streams have.
+                            2 => TraceOp::load(Addr::new(addr % 4096), RegionId(region % 4)),
+                            3 => TraceOp::store(Addr::new(1 << 63), RegionId(u16::MAX)),
+                            4 => TraceOp::load(Addr::new(0), RegionId(0)),
+                            5 => TraceOp::compute(small),
+                            6 => TraceOp::barrier(small),
+                            _ => TraceOp::compute(small % 200),
+                        })
+                        .collect()
+                })
+                .collect();
+            let regions = regions_one();
+            proptest::prop_assert_eq!(
+                written(&regions, &streams),
+                reference::encode("custom", "edge", &regions, &streams)
+            );
+        }
     }
 
     #[test]

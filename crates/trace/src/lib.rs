@@ -101,6 +101,37 @@ pub struct TraceDocument {
     pub streams: Vec<Vec<TraceOp>>,
 }
 
+/// Encodes a trace given as its parts, so a caller holding the streams in
+/// another container need not clone them into a [`TraceDocument`] first.
+fn write_binary_parts<W: io::Write>(
+    w: W,
+    benchmark: &str,
+    input: &str,
+    regions: &RegionTable,
+    streams: &[Vec<TraceOp>],
+) -> Result<W, TraceError> {
+    let mut writer = TraceWriter::new(w, benchmark, input, streams.len(), regions)?;
+    for stream in streams {
+        for op in stream {
+            writer.op(op)?;
+        }
+        writer.end_stream()?;
+    }
+    writer.finish()
+}
+
+/// The digest of the binary encoding of a trace given as its parts (see
+/// [`TraceDocument::digest`]), streamed without materializing the bytes.
+pub fn content_digest(
+    benchmark: &str,
+    input: &str,
+    regions: &RegionTable,
+    streams: &[Vec<TraceOp>],
+) -> Result<tw_types::Digest, TraceError> {
+    let sink = tw_types::DigestWriter::new();
+    Ok(write_binary_parts(sink, benchmark, input, regions, streams)?.finish())
+}
+
 impl TraceDocument {
     /// Number of cores the trace was recorded for.
     pub fn cores(&self) -> usize {
@@ -126,21 +157,26 @@ impl TraceDocument {
 
     /// Serializes the document in the binary format.
     pub fn write_binary<W: io::Write>(&self, w: W) -> Result<(), TraceError> {
-        let mut writer =
-            TraceWriter::new(w, &self.benchmark, &self.input, self.cores(), &self.regions)?;
-        for stream in &self.streams {
-            for op in stream {
-                writer.op(op)?;
-            }
-            writer.end_stream()?;
-        }
-        writer.finish()?;
+        write_binary_parts(
+            w,
+            &self.benchmark,
+            &self.input,
+            &self.regions,
+            &self.streams,
+        )?;
         Ok(())
     }
 
-    /// Parses the binary format.
-    pub fn read_binary<R: io::Read>(r: R) -> Result<Self, TraceError> {
-        let mut reader = TraceReader::new(r)?;
+    /// Parses the binary format. The decoder works on bytes in memory, so
+    /// the input is read to its end first.
+    pub fn read_binary<R: io::Read>(mut r: R) -> Result<Self, TraceError> {
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        TraceDocument::decode_binary(&bytes)
+    }
+
+    fn decode_binary(bytes: &[u8]) -> Result<Self, TraceError> {
+        let mut reader = TraceReader::new(bytes)?;
         let mut streams = Vec::with_capacity(reader.cores());
         while let Some(stream) = reader.next_stream()? {
             streams.push(stream);
@@ -168,9 +204,7 @@ impl TraceDocument {
     /// — this is the workload identity the experiment layer's cell identity
     /// and result-cache keys are built from.
     pub fn digest(&self) -> Result<tw_types::Digest, TraceError> {
-        let mut w = tw_types::DigestWriter::new();
-        self.write_binary(&mut w)?;
-        Ok(w.finish())
+        content_digest(&self.benchmark, &self.input, &self.regions, &self.streams)
     }
 
     /// The text encoding as a string.
@@ -186,7 +220,7 @@ impl TraceDocument {
     /// Parses a trace in either encoding, detected by the leading magic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
         if bytes.starts_with(BINARY_MAGIC) {
-            TraceDocument::read_binary(bytes)
+            TraceDocument::decode_binary(bytes)
         } else {
             let s = std::str::from_utf8(bytes).map_err(|_| {
                 TraceError::Malformed("neither the binary magic nor valid UTF-8 text".to_string())

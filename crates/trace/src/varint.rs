@@ -6,46 +6,68 @@
 //! one or two bytes.
 
 use crate::TraceError;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Maximum encoded length of a `u64` varint (10 × 7 bits ≥ 64 bits).
 pub const MAX_VARINT_BYTES: usize = 10;
 
-/// Writes `v` as a LEB128 varint, returning the encoded length.
-pub fn write_u64<W: Write>(w: &mut W, mut v: u64) -> std::io::Result<usize> {
-    let mut n = 0;
-    loop {
-        n += 1;
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            w.write_all(&[byte])?;
-            return Ok(n);
+/// Encodes `v` as a LEB128 varint at the front of `out`, returning the
+/// encoded length.
+#[inline]
+pub fn encode_u64(mut v: u64, out: &mut [u8; MAX_VARINT_BYTES]) -> usize {
+    for (i, byte) in out.iter_mut().enumerate() {
+        if v < 0x80 {
+            *byte = v as u8;
+            return i + 1;
         }
-        w.write_all(&[byte | 0x80])?;
+        *byte = v as u8 | 0x80;
+        v >>= 7;
     }
+    unreachable!("a u64 has at most ten 7-bit groups")
 }
 
-/// Reads one LEB128 varint.
-pub fn read_u64<R: Read>(r: &mut R) -> Result<u64, TraceError> {
+/// Writes `v` as a LEB128 varint, returning the encoded length.
+pub fn write_u64<W: Write>(w: &mut W, v: u64) -> std::io::Result<usize> {
+    let mut buf = [0u8; MAX_VARINT_BYTES];
+    let n = encode_u64(v, &mut buf);
+    w.write_all(&buf[..n])?;
+    Ok(n)
+}
+
+/// Reads one LEB128 varint off the front of `buf`, advancing it past the
+/// encoding.
+#[inline]
+pub fn read_u64(buf: &mut &[u8]) -> Result<u64, TraceError> {
+    // Short strides and small region ids make one byte the common case.
+    if let Some((&byte, rest)) = buf.split_first() {
+        if byte & 0x80 == 0 {
+            *buf = rest;
+            return Ok(byte as u64);
+        }
+    }
+    read_long_u64(buf)
+}
+
+/// [`read_u64`] for everything but a complete one-byte encoding.
+fn read_long_u64(buf: &mut &[u8]) -> Result<u64, TraceError> {
     let mut v: u64 = 0;
-    for i in 0..MAX_VARINT_BYTES {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)
-            .map_err(|_| TraceError::Malformed("truncated varint".to_string()))?;
-        let payload = (byte[0] & 0x7f) as u64;
+    for (i, &byte) in buf.iter().take(MAX_VARINT_BYTES).enumerate() {
+        let payload = (byte & 0x7f) as u64;
         // The 10th byte may only contribute the single remaining bit.
         if i == MAX_VARINT_BYTES - 1 && payload > 1 {
             return Err(TraceError::Malformed("varint overflows u64".to_string()));
         }
         v |= payload << (7 * i);
-        if byte[0] & 0x80 == 0 {
+        if byte & 0x80 == 0 {
+            *buf = &buf[i + 1..];
             return Ok(v);
         }
     }
-    Err(TraceError::Malformed(
-        "varint longer than 10 bytes".to_string(),
-    ))
+    Err(TraceError::Malformed(if buf.len() < MAX_VARINT_BYTES {
+        "truncated varint".to_string()
+    } else {
+        "varint longer than 10 bytes".to_string()
+    }))
 }
 
 /// Maps a signed value to an unsigned one with small magnitudes staying

@@ -198,24 +198,9 @@ impl Workload {
     /// have identical streams, regions and metadata, so every simulation
     /// result derived from them is interchangeable.
     pub fn content_digest(&self) -> Result<tw_types::Digest, TraceError> {
-        // Stream the encoder straight into the digester instead of going
-        // through `to_trace()`, which would clone every per-core stream.
-        let mut sink = tw_types::DigestWriter::new();
-        let mut writer = tw_trace::TraceWriter::new(
-            &mut sink,
-            self.kind.name(),
-            &self.input,
-            self.cores(),
-            &self.regions,
-        )?;
-        for stream in &self.traces {
-            for op in stream {
-                writer.op(op)?;
-            }
-            writer.end_stream()?;
-        }
-        writer.finish()?;
-        Ok(sink.finish())
+        // Digest the streams where they are instead of going through
+        // `to_trace()`, which would clone every per-core stream.
+        tw_trace::content_digest(self.kind.name(), &self.input, &self.regions, &self.traces)
     }
 
     /// Exports this workload as a persistable [`TraceDocument`].
