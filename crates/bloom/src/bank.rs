@@ -197,6 +197,21 @@ mod tests {
     }
 
     #[test]
+    fn default_filter_selection_is_pinned() {
+        // Taken at the parent of the flat-bank rewrite (per-filter banks,
+        // shift-loop H3), for the same four lines `h3.rs` pins.
+        let b = BloomBank::counting(BloomConfig::default());
+        for (byte, filter) in [
+            (0x40u64, 9),
+            (0x4_0000, 12),
+            (0x2000_0040, 23),
+            (0xFFFF_FFFF_FFFF_FFC0, 6),
+        ] {
+            assert_eq!(b.filter_index(LineAddr::from_aligned(byte)), filter);
+        }
+    }
+
+    #[test]
     fn counting_bank_insert_query_remove() {
         let mut b = BloomBank::counting(BloomConfig::default());
         b.insert(line(100));

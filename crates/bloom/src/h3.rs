@@ -43,8 +43,23 @@ impl H3Hash {
         }
     }
 
-    /// Hashes a 64-bit key.
+    /// Hashes a 64-bit key: the XOR of the matrix rows selected by the
+    /// key's set bits, visited lowest first.
+    #[inline]
     pub fn hash(&self, key: u64) -> usize {
+        let mut acc = 0u64;
+        let mut k = key;
+        while k != 0 {
+            acc ^= self.rows[k.trailing_zeros() as usize];
+            k &= k - 1;
+        }
+        (acc & self.mask) as usize
+    }
+
+    /// The shift-and-branch loop `hash` replaced, kept as the reference the
+    /// set-bit walk is tested against.
+    #[cfg(test)]
+    fn hash_reference(&self, key: u64) -> usize {
         let mut acc = 0u64;
         let mut k = key;
         let mut i = 0;
@@ -67,6 +82,7 @@ impl H3Hash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     #[test]
@@ -106,6 +122,38 @@ mod tests {
         // XOR of no rows: H3 maps the all-zero key to index 0 by construction.
         let h = H3Hash::new(9, 3);
         assert_eq!(h.hash(0), 0);
+    }
+
+    #[test]
+    fn default_seed_indices_are_pinned() {
+        // Taken at the parent of the set-bit rewrite: a moved index would
+        // move which lines DBypFull bypasses the L2 for.
+        let h = H3Hash::new(9, 0xB10F);
+        for (key, index) in [
+            (0x40u64, 363),
+            (0x4_0000, 248),
+            (0x2000_0040, 485),
+            (0xFFFF_FFFF_FFFF_FFC0, 143),
+        ] {
+            assert_eq!(h.hash(key), index, "{key:#x}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn set_bit_walk_matches_the_shift_loop(
+            keys in prop::collection::vec(any::<u64>(), 1..64),
+            high in 48u32..64,
+            seed in any::<u64>(),
+        ) {
+            for index_bits in [1, 5, 9, 32] {
+                let h = H3Hash::new(index_bits, seed);
+                let edge = [0, u64::MAX, 1 << 63, u64::MAX << high];
+                for &key in keys.iter().chain(&edge) {
+                    prop_assert_eq!(h.hash(key), h.hash_reference(key));
+                }
+            }
+        }
     }
 
     #[test]

@@ -527,6 +527,30 @@ mod tests {
     }
 
     #[test]
+    fn scheduler_and_ownership_rewrites_leave_reports_pinned() {
+        // Literals taken at the parent of PR 13 (first-minimum scan per
+        // record, enum-array L2 owners, per-filter Bloom banks): the
+        // run-ahead scheduler, the packed owner byte and the flat banks must
+        // reproduce them, captured streams included.
+        for (bench, protocol, cycles, traffic_bits) in [
+            (BenchmarkKind::Radix, ProtocolKind::DBypFull, 89_166u64, 0x40fe_f090_0000_0000u64),
+            (BenchmarkKind::Fft, ProtocolKind::Mesi, 63_536, 0x40e0_9800_0000_0000),
+        ] {
+            let wl = build_tiny(bench, 16).unwrap();
+            let (report, streams) = Simulator::new(SimConfig::new(protocol), &wl).run_captured();
+            assert_eq!(report.total_cycles, cycles, "{bench}/{protocol}");
+            assert_eq!(
+                report.traffic.total().to_bits(),
+                traffic_bits,
+                "{bench}/{protocol}"
+            );
+            assert_eq!(streams.traces, wl.traces, "{bench}/{protocol}");
+            let again = Simulator::new(SimConfig::new(protocol), &wl).run();
+            assert_eq!(again, report, "{bench}/{protocol}: run and run_captured agree");
+        }
+    }
+
+    #[test]
     fn timed_models_move_identical_traffic_and_never_run_faster() {
         // The traffic-identity invariant of DESIGN.md §11, for every
         // non-default network model (flit-level wormhole and snooping bus):
