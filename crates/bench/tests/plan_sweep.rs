@@ -174,6 +174,31 @@ fn provided_workloads_reject_core_count_mismatch() {
     );
 }
 
+#[test]
+fn a_mesh_beyond_64_tiles_is_a_typed_error() {
+    // Sharer sets are one bit per core in a u64: before the ceiling, a 9x9
+    // mesh under MESI or Dragon made core 80 alias core 16 in release
+    // builds. The variant is refused at compile time, before any workload
+    // is generated.
+    let mut spec = ExperimentSpec::subset(
+        vec![ProtocolKind::Mesi, ProtocolKind::Dragon],
+        vec![BenchmarkKind::Fft],
+        ScaleProfile::Tiny,
+    );
+    spec.variants = vec![SystemVariant::base(), SystemVariant::mesh("mesh-9x9", 9, 9)];
+    let err = Session::new().run(&spec, &WorkloadSet::new()).unwrap_err();
+    match err {
+        ExperimentError::InvalidSystem { variant, reason } => {
+            assert_eq!(variant, "mesh-9x9");
+            assert!(reason.contains("at most 64 tiles"), "{reason}");
+        }
+        other => panic!("expected InvalidSystem, got {other}"),
+    }
+    // The ceiling itself is accepted.
+    spec.variants = vec![SystemVariant::mesh("mesh-8x8", 8, 8)];
+    assert_eq!(spec.compile(&WorkloadSet::new()).unwrap().cells.len(), 2);
+}
+
 /// A 16-core workload that performs no memory accesses at all: compute
 /// bursts and barriers only, so every traffic total is exactly zero.
 fn zero_traffic_workload() -> Workload {

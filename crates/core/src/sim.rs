@@ -533,8 +533,18 @@ mod tests {
         // run-ahead scheduler, the packed owner byte and the flat banks must
         // reproduce them, captured streams included.
         for (bench, protocol, cycles, traffic_bits) in [
-            (BenchmarkKind::Radix, ProtocolKind::DBypFull, 89_166u64, 0x40fe_f090_0000_0000u64),
-            (BenchmarkKind::Fft, ProtocolKind::Mesi, 63_536, 0x40e0_9800_0000_0000),
+            (
+                BenchmarkKind::Radix,
+                ProtocolKind::DBypFull,
+                89_166u64,
+                0x40fe_f090_0000_0000u64,
+            ),
+            (
+                BenchmarkKind::Fft,
+                ProtocolKind::Mesi,
+                63_536,
+                0x40e0_9800_0000_0000,
+            ),
         ] {
             let wl = build_tiny(bench, 16).unwrap();
             let (report, streams) = Simulator::new(SimConfig::new(protocol), &wl).run_captured();
@@ -546,7 +556,10 @@ mod tests {
             );
             assert_eq!(streams.traces, wl.traces, "{bench}/{protocol}");
             let again = Simulator::new(SimConfig::new(protocol), &wl).run();
-            assert_eq!(again, report, "{bench}/{protocol}: run and run_captured agree");
+            assert_eq!(
+                again, report,
+                "{bench}/{protocol}: run and run_captured agree"
+            );
         }
     }
 

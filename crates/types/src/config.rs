@@ -4,6 +4,10 @@ use crate::addr::{WORDS_PER_LINE, WORD_BYTES};
 use crate::error::ConfigError;
 use crate::geometry::TileId;
 
+/// Largest mesh [`SystemConfig::validate`] accepts: per-core state is
+/// encoded in 64-bit sharer sets and in one-byte word owners.
+pub const MAX_TILES: usize = 64;
+
 /// Cache geometry parameters for the private L1s and the shared L2 slices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -317,6 +321,12 @@ impl SystemConfig {
         if self.noc.cols < 2 || self.noc.rows < 2 {
             return Err(ConfigError::new("mesh must be at least 2x2"));
         }
+        // Sharer sets are one `u64` bit per core and DeNovo's packed L2
+        // owner byte holds core ids below 64: a larger mesh would alias
+        // cores instead of failing.
+        if self.tiles() > MAX_TILES {
+            return Err(ConfigError::new("mesh must have at most 64 tiles"));
+        }
         if self.noc.link_bytes == 0 || !self.noc.link_bytes.is_multiple_of(WORD_BYTES) {
             return Err(ConfigError::new(
                 "link width must be a multiple of the word size",
@@ -559,6 +569,17 @@ mod tests {
 
         let mut cfg = SystemConfig::default();
         cfg.dram.row_bytes = 32;
+        assert!(cfg.validate().is_err());
+
+        // 8x8 is the largest mesh a 64-bit sharer set can name; 9x9 would
+        // make core 80 share bit 16.
+        let mut cfg = SystemConfig::default();
+        (cfg.noc.cols, cfg.noc.rows) = (8, 8);
+        assert!(cfg.validate().is_ok());
+        (cfg.noc.cols, cfg.noc.rows) = (9, 9);
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("at most 64 tiles"), "{err}");
+        (cfg.noc.cols, cfg.noc.rows) = (13, 5);
         assert!(cfg.validate().is_err());
 
         let mut cfg = SystemConfig::default();

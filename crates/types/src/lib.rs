@@ -37,7 +37,7 @@ pub mod trace;
 
 pub use addr::{Addr, LineAddr, WordIdx, WORDS_PER_LINE, WORD_BYTES};
 pub use config::{
-    CacheConfig, DramConfig, NetworkModelKind, NocConfig, SystemConfig, TimingConfig,
+    CacheConfig, DramConfig, NetworkModelKind, NocConfig, SystemConfig, TimingConfig, MAX_TILES,
 };
 pub use digest::{Digest, DigestWriter, Digester};
 pub use error::ConfigError;
