@@ -1,8 +1,8 @@
 //! Banked Bloom filters: the per-L2-slice array of filters and the per-L1
 //! shadow copies.
 
-use crate::filter::{BloomFilter, CountingBloomFilter};
 use crate::h3::H3Hash;
+use std::sync::Arc;
 use tw_types::LineAddr;
 
 /// Parameters of the Bloom-filter structure (paper §4.4 defaults).
@@ -39,11 +39,67 @@ impl BloomConfig {
     }
 }
 
-/// The variant of filters held in a bank.
+/// The hash functions of a bank: one selecting the filter a line belongs to
+/// and one per filter. They depend only on the [`BloomConfig`], so every bank
+/// of a simulated machine — each slice's counting bank and every L1's shadow
+/// of it — shares one set behind an [`Arc`].
+#[derive(Debug)]
+pub struct BloomHashes {
+    cfg: BloomConfig,
+    select: H3Hash,
+    filters: Vec<H3Hash>,
+}
+
+impl BloomHashes {
+    /// Builds the hash set for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.entries_per_filter` is not a power of two greater
+    /// than 1.
+    pub fn new(cfg: BloomConfig) -> Self {
+        let entries = cfg.entries_per_filter;
+        assert!(entries.is_power_of_two() && entries > 1);
+        BloomHashes {
+            select: H3Hash::new(
+                cfg.filters_per_bank.trailing_zeros().max(1),
+                cfg.seed ^ 0xFEED,
+            ),
+            filters: (0..cfg.filters_per_bank)
+                .map(|i| H3Hash::new(entries.trailing_zeros(), cfg.seed ^ (i as u64) << 32))
+                .collect(),
+            cfg,
+        }
+    }
+
+    /// Index of the filter responsible for `line`.
+    #[inline]
+    fn filter_index(&self, line: LineAddr) -> usize {
+        self.select.hash(line.byte()) % self.cfg.filters_per_bank
+    }
+
+    /// The filter responsible for `line` and the entry `line` hashes to
+    /// inside it.
+    #[inline]
+    fn locate(&self, line: LineAddr) -> (usize, usize) {
+        let filter = self.filter_index(line);
+        (filter, self.filters[filter].hash(line.byte()))
+    }
+}
+
+/// Per-filter flag of a plain bank: the filter was copied from the L2.
+const COPIED: u8 = 1;
+/// Per-filter flag of a plain bank: the filter may hold set bits.
+const WRITTEN: u8 = 2;
+
+/// The storage of a bank, all filters in one allocation.
 #[derive(Debug, Clone)]
-enum BankKind {
-    Counting(Vec<CountingBloomFilter>),
-    Plain(Vec<BloomFilter>),
+enum Cells {
+    /// 8-bit saturating counters, `entries_per_filter` per filter.
+    Counting(Vec<u8>),
+    /// 1-bit entries packed into words, a whole number of words per filter,
+    /// plus the [`COPIED`] / [`WRITTEN`] flags of each filter.
+    Plain { bits: Vec<u64>, flags: Vec<u8> },
 }
 
 /// A bank of Bloom filters indexed by line address, as attached to one L2
@@ -54,100 +110,120 @@ enum BankKind {
 /// description of the structure as "similar to a cache".
 #[derive(Debug, Clone)]
 pub struct BloomBank {
-    cfg: BloomConfig,
-    select: H3Hash,
-    kind: BankKind,
-    /// Which filters have been copied from the L2 (only meaningful for the
-    /// plain/L1 variant).
-    copied: Vec<bool>,
+    hashes: Arc<BloomHashes>,
+    cells: Cells,
 }
 
 impl BloomBank {
-    /// Creates a bank of counting filters (the L2-side structure).
+    /// Creates a bank of counting filters (the L2-side structure) with a
+    /// hash set of its own.
     pub fn counting(cfg: BloomConfig) -> Self {
-        let filters = (0..cfg.filters_per_bank)
-            .map(|i| CountingBloomFilter::new(cfg.entries_per_filter, cfg.seed ^ (i as u64) << 32))
-            .collect();
+        Self::counting_with(Arc::new(BloomHashes::new(cfg)))
+    }
+
+    /// Creates a bank of plain filters (the L1-side shadow of one slice)
+    /// with a hash set of its own.
+    pub fn plain(cfg: BloomConfig) -> Self {
+        Self::plain_with(Arc::new(BloomHashes::new(cfg)))
+    }
+
+    /// Creates a counting bank over a shared hash set.
+    pub fn counting_with(hashes: Arc<BloomHashes>) -> Self {
+        let cfg = hashes.cfg;
         BloomBank {
-            select: H3Hash::new(
-                cfg.filters_per_bank.trailing_zeros().max(1),
-                cfg.seed ^ 0xFEED,
-            ),
-            kind: BankKind::Counting(filters),
-            copied: vec![true; cfg.filters_per_bank],
-            cfg,
+            cells: Cells::Counting(vec![0; cfg.filters_per_bank * cfg.entries_per_filter]),
+            hashes,
         }
     }
 
-    /// Creates a bank of plain filters (the L1-side shadow of one slice).
-    pub fn plain(cfg: BloomConfig) -> Self {
-        let filters = (0..cfg.filters_per_bank)
-            .map(|i| BloomFilter::new(cfg.entries_per_filter, cfg.seed ^ (i as u64) << 32))
-            .collect();
+    /// Creates a plain bank over a shared hash set.
+    pub fn plain_with(hashes: Arc<BloomHashes>) -> Self {
+        let cfg = hashes.cfg;
         BloomBank {
-            select: H3Hash::new(
-                cfg.filters_per_bank.trailing_zeros().max(1),
-                cfg.seed ^ 0xFEED,
-            ),
-            kind: BankKind::Plain(filters),
-            copied: vec![false; cfg.filters_per_bank],
-            cfg,
+            cells: Cells::Plain {
+                bits: vec![0; cfg.filters_per_bank * words_per_filter(&cfg)],
+                flags: vec![0; cfg.filters_per_bank],
+            },
+            hashes,
         }
     }
 
     /// The configuration of this bank.
     pub fn config(&self) -> &BloomConfig {
-        &self.cfg
+        &self.hashes.cfg
     }
 
     /// Index of the filter responsible for `line`.
     pub fn filter_index(&self, line: LineAddr) -> usize {
-        self.select.hash(line.byte()) % self.cfg.filters_per_bank
+        self.hashes.filter_index(line)
     }
 
     /// Inserts a line address.
+    #[inline]
     pub fn insert(&mut self, line: LineAddr) {
-        let idx = self.filter_index(line);
-        match &mut self.kind {
-            BankKind::Counting(f) => f[idx].insert(line.byte()),
-            BankKind::Plain(f) => f[idx].insert(line.byte()),
+        let (filter, entry) = self.hashes.locate(line);
+        let cfg = &self.hashes.cfg;
+        match &mut self.cells {
+            Cells::Counting(counters) => {
+                let c = &mut counters[filter * cfg.entries_per_filter + entry];
+                *c = c.saturating_add(1);
+            }
+            Cells::Plain { bits, flags } => {
+                bits[filter * words_per_filter(cfg) + entry / 64] |= 1 << (entry % 64);
+                flags[filter] |= WRITTEN;
+            }
         }
     }
 
     /// Removes a line address (counting banks only; a no-op for plain banks,
     /// which can only be cleared wholesale).
+    #[inline]
     pub fn remove(&mut self, line: LineAddr) {
-        let idx = self.filter_index(line);
-        if let BankKind::Counting(f) = &mut self.kind {
-            f[idx].remove(line.byte());
+        if let Cells::Counting(counters) = &mut self.cells {
+            let (filter, entry) = self.hashes.locate(line);
+            let c = &mut counters[filter * self.hashes.cfg.entries_per_filter + entry];
+            *c = c.saturating_sub(1);
         }
     }
 
     /// Whether the line may be present (never a false negative).
+    #[inline]
     pub fn may_contain(&self, line: LineAddr) -> bool {
-        let idx = self.filter_index(line);
-        match &self.kind {
-            BankKind::Counting(f) => f[idx].may_contain(line.byte()),
-            BankKind::Plain(f) => f[idx].may_contain(line.byte()),
+        let (filter, entry) = self.hashes.locate(line);
+        let cfg = &self.hashes.cfg;
+        match &self.cells {
+            Cells::Counting(counters) => counters[filter * cfg.entries_per_filter + entry] > 0,
+            Cells::Plain { bits, .. } => {
+                bits[filter * words_per_filter(cfg) + entry / 64] & (1 << (entry % 64)) != 0
+            }
         }
     }
 
     /// Clears every filter and (for plain banks) marks all copies stale.
-    /// Called at barriers for the L1 shadows.
+    /// Called at barriers for the L1 shadows, most of whose filters were
+    /// never written since the last barrier: only flagged ones are zeroed.
     pub fn clear(&mut self) {
-        match &mut self.kind {
-            BankKind::Counting(f) => f.iter_mut().for_each(CountingBloomFilter::clear),
-            BankKind::Plain(f) => f.iter_mut().for_each(BloomFilter::clear),
-        }
-        if matches!(self.kind, BankKind::Plain(_)) {
-            self.copied.iter_mut().for_each(|c| *c = false);
+        match &mut self.cells {
+            Cells::Counting(counters) => counters.fill(0),
+            Cells::Plain { bits, flags } => {
+                let words = words_per_filter(&self.hashes.cfg);
+                for (filter, flag) in flags.iter_mut().enumerate() {
+                    if *flag & WRITTEN != 0 {
+                        bits[filter * words..][..words].fill(0);
+                    }
+                    *flag = 0;
+                }
+            }
         }
     }
 
     /// Whether the filter covering `line` has been copied from the L2 since
     /// the last clear (plain banks; counting banks are always authoritative).
     pub fn has_copy_for(&self, line: LineAddr) -> bool {
-        self.copied[self.filter_index(line)]
+        match &self.cells {
+            Cells::Counting(_) => true,
+            Cells::Plain { flags, .. } => flags[self.filter_index(line)] & COPIED != 0,
+        }
     }
 
     /// Installs the L2's filter image for the filter covering `line` into
@@ -158,26 +234,50 @@ impl BloomBank {
     ///
     /// Panics if `self` is not a plain bank or the configurations differ.
     pub fn install_copy(&mut self, line: LineAddr, l2: &BloomBank) {
-        assert_eq!(self.cfg.filters_per_bank, l2.cfg.filters_per_bank);
-        let idx = self.filter_index(line);
-        let BankKind::Plain(mine) = &mut self.kind else {
+        let (cfg, theirs) = (self.hashes.cfg, l2.hashes.cfg);
+        assert_eq!(cfg.filters_per_bank, theirs.filters_per_bank);
+        let filter = self.filter_index(line);
+        let Cells::Plain { bits, flags } = &mut self.cells else {
             panic!("install_copy requires a plain (L1) bank");
         };
-        match &l2.kind {
-            BankKind::Counting(theirs) => mine[idx].union_from_counting(&theirs[idx]),
-            BankKind::Plain(theirs) => mine[idx].union_from(&theirs[idx]),
+        assert_eq!(cfg.entries_per_filter, theirs.entries_per_filter);
+        let words = words_per_filter(&cfg);
+        let mine = &mut bits[filter * words..][..words];
+        match &l2.cells {
+            Cells::Counting(counters) => {
+                let entries = cfg.entries_per_filter;
+                let image = &counters[filter * entries..][..entries];
+                for (word, chunk) in mine.iter_mut().zip(image.chunks(64)) {
+                    for (bit, &count) in chunk.iter().enumerate() {
+                        *word |= u64::from(count > 0) << bit;
+                    }
+                }
+            }
+            Cells::Plain { bits: theirs, .. } => {
+                for (word, image) in mine.iter_mut().zip(&theirs[filter * words..][..words]) {
+                    *word |= image;
+                }
+            }
         }
-        self.copied[idx] = true;
+        flags[filter] = COPIED | WRITTEN;
     }
 
-    /// Mean occupancy across the bank's filters.
+    /// Mean occupancy across the bank's filters (equal-sized, so the set
+    /// fraction of the whole bank).
     pub fn occupancy(&self) -> f64 {
-        let occ: f64 = match &self.kind {
-            BankKind::Counting(f) => f.iter().map(CountingBloomFilter::occupancy).sum(),
-            BankKind::Plain(f) => f.iter().map(BloomFilter::occupancy).sum(),
+        let cfg = &self.hashes.cfg;
+        let set = match &self.cells {
+            Cells::Counting(counters) => counters.iter().filter(|&&c| c > 0).count(),
+            Cells::Plain { bits, .. } => bits.iter().map(|w| w.count_ones() as usize).sum(),
         };
-        occ / self.cfg.filters_per_bank as f64
+        set as f64 / (cfg.filters_per_bank * cfg.entries_per_filter) as f64
     }
+}
+
+/// Words a plain filter of `cfg` occupies (entries are a power of two, so
+/// either a whole number of words or a part of one).
+fn words_per_filter(cfg: &BloomConfig) -> usize {
+    cfg.entries_per_filter.div_ceil(64)
 }
 
 #[cfg(test)]

@@ -33,6 +33,6 @@ pub mod bank;
 pub mod filter;
 pub mod h3;
 
-pub use bank::{BloomBank, BloomConfig};
+pub use bank::{BloomBank, BloomConfig, BloomHashes};
 pub use filter::{BloomFilter, CountingBloomFilter};
 pub use h3::H3Hash;
