@@ -1,6 +1,7 @@
 //! Per-tile hardware state.
 
-use tw_bloom::{BloomBank, BloomConfig};
+use std::sync::Arc;
+use tw_bloom::{BloomBank, BloomConfig, BloomHashes};
 use tw_dram::MemoryController;
 use tw_mem::{CacheArray, CacheGeometry, WriteCombineTable};
 use tw_protocols::{
@@ -43,11 +44,6 @@ impl L1Meta {
 }
 
 /// Metadata an L2 line carries, depending on the protocol family.
-// A cache array holds one variant uniformly for the whole run (the protocol
-// never changes mid-simulation), so the DeNovo per-word table dominating the
-// enum size costs nothing in practice; boxing it would add a pointer chase to
-// the hottest lookup path.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum L2Meta {
     /// MESI: the directory entry for the (inclusive) line.
@@ -69,11 +65,12 @@ pub struct Tile {
     pub l2: CacheArray<L2Meta>,
     /// The DeNovo write-combining / non-blocking-write table of this core.
     pub write_combine: WriteCombineTable,
-    /// Counting Bloom filters summarizing this L2 slice's dirty lines
-    /// (only consulted by `DBypFull`).
-    pub l2_bloom: BloomBank,
+    /// Counting Bloom filters summarizing this L2 slice's dirty lines.
+    /// Present only under a protocol with L2 request bypass (`DBypFull`),
+    /// the one reader; no other protocol builds or maintains them.
+    pub l2_bloom: Option<BloomBank>,
     /// This core's shadow copies of every slice's Bloom filters, indexed by
-    /// slice tile id (only consulted by `DBypFull`).
+    /// slice tile id (empty unless the protocol has L2 request bypass).
     pub l1_bloom: Vec<BloomBank>,
     /// Memory controller, on corner tiles.
     pub mc: Option<MemoryController>,
@@ -81,18 +78,30 @@ pub struct Tile {
 
 /// Builds the full set of tiles for a system configuration and protocol.
 pub fn build_tiles(cfg: &SystemConfig, protocol: ProtocolKind) -> Vec<Tile> {
-    let _ = protocol;
     let l1_geom = CacheGeometry::new(cfg.cache.l1_bytes, cfg.cache.l1_ways, cfg.cache.line_bytes);
     let l2_geom = CacheGeometry::new(
         cfg.cache.l2_slice_bytes,
         cfg.cache.l2_ways,
         cfg.cache.line_bytes,
     );
-    let bloom_cfg = BloomConfig::default();
+    // One hash set serves every bank of the machine: the functions depend
+    // on the Bloom configuration alone.
+    let bloom = protocol
+        .l2_request_bypass()
+        .then(|| Arc::new(BloomHashes::new(BloomConfig::default())));
     let mc_tiles = cfg.memory_controller_tiles();
     (0..cfg.tiles())
         .map(|t| {
             let id = TileId(t);
+            let (l2_bloom, l1_bloom) = match &bloom {
+                Some(hashes) => (
+                    Some(BloomBank::counting_with(hashes.clone())),
+                    (0..cfg.tiles())
+                        .map(|_| BloomBank::plain_with(hashes.clone()))
+                        .collect(),
+                ),
+                None => (None, Vec::new()),
+            };
             Tile {
                 id,
                 l1: CacheArray::new(l1_geom),
@@ -102,10 +111,8 @@ pub fn build_tiles(cfg: &SystemConfig, protocol: ProtocolKind) -> Vec<Tile> {
                     cfg.cache.write_combine_timeout,
                     cfg.cache.words_per_line(),
                 ),
-                l2_bloom: BloomBank::counting(bloom_cfg),
-                l1_bloom: (0..cfg.tiles())
-                    .map(|_| BloomBank::plain(bloom_cfg))
-                    .collect(),
+                l2_bloom,
+                l1_bloom,
                 mc: if mc_tiles.contains(&id) {
                     Some(MemoryController::new(cfg.dram.clone()))
                 } else {
@@ -131,7 +138,29 @@ mod tests {
         assert_eq!(with_mc, 4, "memory controllers on the four corners");
         assert!(tiles[0].mc.is_some());
         assert!(tiles[1].mc.is_none());
-        assert_eq!(tiles[5].l1_bloom.len(), 16);
+        assert!(tiles
+            .iter()
+            .all(|t| t.l2_bloom.is_none() && t.l1_bloom.is_empty()));
+    }
+
+    #[test]
+    fn bloom_state_exists_exactly_where_it_is_read() {
+        let cfg = SystemConfig::default();
+        for &protocol in &ProtocolKind::ALL {
+            let tiles = build_tiles(&cfg, protocol);
+            let banks = if protocol.l2_request_bypass() { 16 } else { 0 };
+            for tile in &tiles {
+                assert_eq!(tile.l2_bloom.is_some(), banks > 0, "{protocol}");
+                assert_eq!(tile.l1_bloom.len(), banks, "{protocol}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_l2_entry_fits_one_host_cache_line() {
+        // 280 bytes while `DenovoL2Line` was an array of 16-byte enums; every
+        // L2 insert and eviction moves one of these.
+        assert!(std::mem::size_of::<tw_mem::LineEntry<L2Meta>>() <= 64);
     }
 
     #[test]

@@ -88,6 +88,25 @@ enum CoreState {
     Done,
 }
 
+/// The first minimum of `ready` and the first minimum of the rest, each as
+/// `(core, clock)` — the core the scheduler steps and the runner-up it may
+/// run ahead of. Cores that cannot run sit at `u64::MAX` (a clock never
+/// reaches it) and are never returned; a missing entry is
+/// `(usize::MAX, u64::MAX)`.
+fn two_earliest(ready: &[u64]) -> ((usize, u64), (usize, u64)) {
+    let mut first = (usize::MAX, u64::MAX);
+    let mut second = first;
+    for (core, &at) in ready.iter().enumerate() {
+        if at < first.1 {
+            second = first;
+            first = (core, at);
+        } else if at < second.1 {
+            second = (core, at);
+        }
+    }
+    (first, second)
+}
+
 /// The simulator for one (protocol, workload) pair.
 ///
 /// The simulator owns the scheduler state (per-core clocks, program counters
@@ -105,10 +124,8 @@ pub struct Simulator<'wl> {
     pc: Vec<usize>,
     state: Vec<CoreState>,
     /// Scheduler shadow of `clocks`/`state`: the canonical clock of each
-    /// `Running` core, `u64::MAX` otherwise. The per-op "next core" argmin
-    /// scans this flat array instead of filtering on `state` each time;
-    /// ties resolve to the lowest core index, exactly like the
-    /// `min_by_key` it replaces.
+    /// `Running` core, `u64::MAX` otherwise — what [`two_earliest`] scans.
+    /// Ties resolve to the lowest core index.
     ready: Vec<u64>,
     /// Barrier phases released so far (flight-recorder span numbering).
     phases: u64,
@@ -189,25 +206,27 @@ impl<'wl> Simulator<'wl> {
     fn run_loop(&mut self) {
         loop {
             // Canonical-lane ordering: which core runs next must not depend
-            // on the configured network model (see `clocks`). Non-running
-            // cores sit at `u64::MAX` in `ready` (clocks can never reach it),
-            // so a flat first-minimum scan is the old filtered `min_by_key`.
-            let mut core = usize::MAX;
-            let mut best = u64::MAX;
-            for (c, &at) in self.ready.iter().enumerate() {
-                if at < best {
-                    best = at;
-                    core = c;
-                }
-            }
-            if core != usize::MAX {
-                self.step_core(core);
-            } else {
+            // on the configured network model (see `clocks`).
+            let ((core, _), (rival, bound)) = two_earliest(&self.ready);
+            if core == usize::MAX {
                 // Everyone is either done or waiting at a barrier.
                 if self.state.iter().all(|s| *s == CoreState::Done) {
                     break;
                 }
                 self.release_barrier();
+                continue;
+            }
+            // Run ahead: `step_core` changes no `ready` slot but its own
+            // core's, so until this core's clock passes the runner-up's
+            // (ties to the lower index, as in the scan) a fresh scan would
+            // pick it again — the service order is the per-record scan's.
+            loop {
+                self.step_core(core);
+                let at = self.ready[core];
+                let still_first = at < bound || (at == bound && core < rival);
+                if at == u64::MAX || !still_first {
+                    break;
+                }
             }
         }
     }
@@ -254,34 +273,27 @@ impl<'wl> Simulator<'wl> {
 
     /// Releases the barrier every non-finished core is waiting at.
     fn release_barrier(&mut self) {
-        let waiting: Vec<usize> = (0..self.state.len())
-            .filter(|&c| matches!(self.state[c], CoreState::AtBarrier(_)))
-            .collect();
-        assert!(
-            !waiting.is_empty(),
-            "deadlock: no runnable core and no barrier to release"
-        );
-        let ids: Vec<u32> = waiting
-            .iter()
-            .map(|&c| match self.state[c] {
-                CoreState::AtBarrier(id) => id,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert!(
-            ids.windows(2).all(|w| w[0] == w[1]),
-            "cores are waiting at different barriers: {ids:?}"
-        );
         // Finished cores no longer participate; everyone still waiting
         // synchronizes to the latest arrival — on each lane independently,
         // so the canonical release point stays model-invariant while the
         // timed release reflects the configured network's latency.
-        let release = waiting
-            .iter()
-            .map(|&c| self.clocks[c])
-            .fold(Stamp::at(0), Stamp::max)
-            + self.engine.cfg.barrier_overhead;
-        for &c in &waiting {
+        let mut barrier = None;
+        let mut waiting = 0u64;
+        let mut release = Stamp::at(0);
+        for (c, state) in self.state.iter().enumerate() {
+            if let CoreState::AtBarrier(id) = *state {
+                let first = *barrier.get_or_insert(id);
+                assert_eq!(first, id, "cores are waiting at different barriers");
+                waiting += 1;
+                release = release.max(self.clocks[c]);
+            }
+        }
+        let barrier = barrier.expect("deadlock: no runnable core and no barrier to release");
+        let release = release + self.engine.cfg.barrier_overhead;
+        for c in 0..self.state.len() {
+            if !matches!(self.state[c], CoreState::AtBarrier(_)) {
+                continue;
+            }
             let wait = release.since(self.clocks[c]);
             self.engine.time[c].add(TimeClass::Sync, wait);
             self.clocks[c] = release;
@@ -299,8 +311,8 @@ impl<'wl> Simulator<'wl> {
                 sink.emit(
                     Span::event("phase")
                         .attr("phase", self.phases)
-                        .attr("barrier", u64::from(ids[0]))
-                        .attr("cores", waiting.len() as u64)
+                        .attr("barrier", u64::from(barrier))
+                        .attr("cores", waiting)
                         .attr("release", release.canon)
                         .attr("sends", self.engine.net.sends)
                         .attr("queue_hw", self.engine.net.queue_high_water() as u64),
@@ -524,6 +536,41 @@ mod tests {
         // protocol too.
         let other = Simulator::new(SimConfig::new(ProtocolKind::Mesi), &captured).run();
         assert!(other.total_cycles > 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn two_earliest_is_the_first_minimum_scan_applied_twice(
+            // Few distinct values, so ties are the common case; 0 stands for
+            // a core that cannot run.
+            clocks in proptest::collection::vec(0u64..5, 1..20),
+            lone in 0usize..20,
+        ) {
+            let first_min = |ready: &[u64]| {
+                let (mut core, mut best) = (usize::MAX, u64::MAX);
+                for (c, &at) in ready.iter().enumerate() {
+                    if at < best {
+                        (core, best) = (c, at);
+                    }
+                }
+                (core, best)
+            };
+            let holes: Vec<u64> = clocks
+                .iter()
+                .map(|&c| if c == 0 { u64::MAX } else { c })
+                .collect();
+            let mut single = vec![u64::MAX; clocks.len()];
+            single[lone % clocks.len()] = 7;
+            for ready in [holes, single, vec![u64::MAX; clocks.len()]] {
+                let (first, second) = two_earliest(&ready);
+                proptest::prop_assert_eq!(first, first_min(&ready));
+                let mut rest = ready.clone();
+                if first.0 != usize::MAX {
+                    rest[first.0] = u64::MAX;
+                }
+                proptest::prop_assert_eq!(second, first_min(&rest));
+            }
+        }
     }
 
     #[test]

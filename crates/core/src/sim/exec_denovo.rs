@@ -493,7 +493,9 @@ impl Engine<'_> {
             }
             self.l1_prof[prev.0].invalidated(addr);
         }
-        self.tiles[home.0].l2_bloom.insert(line);
+        if let Some(bloom) = &mut self.tiles[home.0].l2_bloom {
+            bloom.insert(line);
+        }
         self.net
             .send(home, me, MessageKind::StoreAck, 0, t_home + 1);
     }
@@ -661,7 +663,9 @@ impl Engine<'_> {
                 e.valid = e.valid.union(registered);
                 e.dirty = e.dirty.union(registered);
             }
-            self.tiles[home.0].l2_bloom.insert(victim.line);
+            if let Some(bloom) = &mut self.tiles[home.0].l2_bloom {
+                bloom.insert(victim.line);
+            }
         }
 
         let line_in_l2 = self.tiles[home.0].l2.contains(victim.line);
@@ -684,11 +688,7 @@ impl Engine<'_> {
         let mut valid = victim.valid;
 
         // Recall registered words from their owners.
-        let owners: Vec<(CoreId, WordMask)> = (0..self.tiles.len())
-            .map(|c| (CoreId(c), dl.registered_to(CoreId(c))))
-            .filter(|(_, m)| !m.is_empty())
-            .collect();
-        for (owner, mask) in owners {
+        for (owner, mask) in dl.registrants() {
             self.net
                 .send(home, owner.tile(), MessageKind::Invalidation, 0, at);
             let wb = self.net.send(
@@ -730,7 +730,9 @@ impl Engine<'_> {
             .evicted_words(victim.line.word_addr(WordIdx(0)), valid);
         self.mem_prof
             .evicted_words(victim.line.word_addr(WordIdx(0)), valid);
-        self.tiles[home.0].l2_bloom.remove(victim.line);
+        if let Some(bloom) = &mut self.tiles[home.0].l2_bloom {
+            bloom.remove(victim.line);
+        }
     }
 
     /// Barrier-time protocol actions: drain the write-combining tables,
@@ -765,10 +767,8 @@ impl Engine<'_> {
             for (line, inv) in invalidated {
                 self.l1_prof[core].invalidated_words(line.word_addr(WordIdx(0)), inv);
             }
-            if self.protocol().l2_request_bypass() {
-                for bank in self.tiles[core].l1_bloom.iter_mut() {
-                    bank.clear();
-                }
+            for bank in self.tiles[core].l1_bloom.iter_mut() {
+                bank.clear();
             }
         }
     }
@@ -776,7 +776,18 @@ impl Engine<'_> {
     /// Copies the home slice's Bloom filter covering `line` into this core's
     /// shadow bank.
     fn install_bloom_copy(&mut self, core: usize, home: usize, line: LineAddr) {
-        let src = self.tiles[home].l2_bloom.clone();
-        self.tiles[core].l1_bloom[home].install_copy(line, &src);
+        let (shadows, slice) = if core == home {
+            let tile = &mut self.tiles[core];
+            (&mut tile.l1_bloom, &tile.l2_bloom)
+        } else {
+            let (low, high) = self.tiles.split_at_mut(core.max(home));
+            if core < home {
+                (&mut low[core].l1_bloom, &high[0].l2_bloom)
+            } else {
+                (&mut high[0].l1_bloom, &low[home].l2_bloom)
+            }
+        };
+        let slice = slice.as_ref().expect("request bypass builds Bloom state");
+        shadows[home].install_copy(line, slice);
     }
 }

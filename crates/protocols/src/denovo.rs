@@ -12,7 +12,7 @@
 //!   invalid.
 
 use std::fmt;
-use tw_types::{CoreId, RegionId, WordIdx, WordMask, WORDS_PER_LINE};
+use tw_types::{CoreId, RegionId, WordIdx, WordMask, MAX_TILES, WORDS_PER_LINE};
 
 /// State of one word in a private L1 under DeNovo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -149,47 +149,76 @@ impl L2WordOwner {
             _ => None,
         }
     }
-}
 
-/// Per-line DeNovo metadata at the shared L2: word ownership plus per-word
-/// dirty bits (set when a registered word's data is written back).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DenovoL2Line {
-    /// Ownership of each word.
-    pub owners: [L2WordOwner; WORDS_PER_LINE],
-}
+    /// Byte encodings: the two data-less states, then one value per core.
+    const INVALID: u8 = 0;
+    const AT_L2: u8 = 1;
+    const FIRST_CORE: u8 = 2;
 
-impl Default for DenovoL2Line {
-    fn default() -> Self {
-        DenovoL2Line {
-            owners: [L2WordOwner::Invalid; WORDS_PER_LINE],
+    /// Packs the owner into one byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a core id of [`MAX_TILES`] or more: `SystemConfig::validate`
+    /// admits no such core, and truncating the id would alias two of them.
+    #[inline]
+    fn pack(self) -> u8 {
+        match self {
+            L2WordOwner::Invalid => Self::INVALID,
+            L2WordOwner::AtL2 => Self::AT_L2,
+            L2WordOwner::RegisteredTo(core) => {
+                assert!(core.0 < MAX_TILES, "core id {} out of range", core.0);
+                Self::FIRST_CORE + core.0 as u8
+            }
+        }
+    }
+
+    /// Inverse of [`L2WordOwner::pack`].
+    #[inline]
+    const fn unpack(byte: u8) -> Self {
+        match byte {
+            Self::INVALID => L2WordOwner::Invalid,
+            Self::AT_L2 => L2WordOwner::AtL2,
+            core => L2WordOwner::RegisteredTo(CoreId((core - Self::FIRST_CORE) as usize)),
         }
     }
 }
 
+/// Per-line DeNovo metadata at the shared L2: the ownership of each word,
+/// one byte a word (see [`L2WordOwner`] for the states). All-zero is the
+/// all-invalid line.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct DenovoL2Line {
+    owners: [u8; WORDS_PER_LINE],
+}
+
 impl DenovoL2Line {
     /// Ownership of one word.
+    #[inline]
     pub fn owner(&self, w: WordIdx) -> L2WordOwner {
-        self.owners[w.index()]
+        L2WordOwner::unpack(self.owners[w.index()])
     }
 
     /// Sets the ownership of one word.
+    #[inline]
     pub fn set_owner(&mut self, w: WordIdx, owner: L2WordOwner) {
-        self.owners[w.index()] = owner;
+        self.owners[w.index()] = owner.pack();
     }
 
     /// Registers `words` to `core`, returning for each word the previous
     /// registrant (if different from `core`) so the caller can send the
     /// invalidation the protocol requires.
     pub fn register(&mut self, words: WordMask, core: CoreId) -> Vec<(WordIdx, CoreId)> {
+        let mine = L2WordOwner::RegisteredTo(core).pack();
         let mut displaced = Vec::new();
         for w in words.iter() {
-            if let L2WordOwner::RegisteredTo(prev) = self.owners[w.index()] {
+            let slot = &mut self.owners[w.index()];
+            if let L2WordOwner::RegisteredTo(prev) = L2WordOwner::unpack(*slot) {
                 if prev != core {
                     displaced.push((w, prev));
                 }
             }
-            self.owners[w.index()] = L2WordOwner::RegisteredTo(core);
+            *slot = mine;
         }
         displaced
     }
@@ -200,10 +229,10 @@ impl DenovoL2Line {
     pub fn accept_writeback(&mut self, words: WordMask, core: CoreId) -> WordMask {
         let mut accepted = WordMask::EMPTY;
         for w in words.iter() {
-            match self.owners[w.index()] {
+            match self.owner(w) {
                 L2WordOwner::RegisteredTo(c) if c != core => {}
                 _ => {
-                    self.owners[w.index()] = L2WordOwner::AtL2;
+                    self.owners[w.index()] = L2WordOwner::AT_L2;
                     accepted.insert(w);
                 }
             }
@@ -211,40 +240,48 @@ impl DenovoL2Line {
         accepted
     }
 
+    /// Mask of the words whose packed owner satisfies `pred`.
+    #[inline]
+    fn mask_where(&self, pred: impl Fn(u8) -> bool) -> WordMask {
+        let mut bits = 0u16;
+        for (i, &o) in self.owners.iter().enumerate() {
+            bits |= u16::from(pred(o)) << i;
+        }
+        WordMask::from_bits(bits)
+    }
+
     /// Mask of words the L2 itself can serve.
     pub fn valid_at_l2(&self) -> WordMask {
-        self.owners
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.servable_by_l2())
-            .map(|(i, _)| WordIdx(i as u8))
-            .collect()
+        self.mask_where(|o| o == L2WordOwner::AT_L2)
     }
 
     /// Mask of words registered to any core.
     pub fn registered_mask(&self) -> WordMask {
-        self.owners
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.registrant().is_some())
-            .map(|(i, _)| WordIdx(i as u8))
-            .collect()
+        self.mask_where(|o| o >= L2WordOwner::FIRST_CORE)
     }
 
-    /// Mask of words registered to a specific core.
-    pub fn registered_to(&self, core: CoreId) -> WordMask {
-        self.owners
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.registrant() == Some(core))
-            .map(|(i, _)| WordIdx(i as u8))
-            .collect()
+    /// The cores holding registered words of this line, each with the mask
+    /// of its words, in ascending core order — one pass over the words.
+    pub fn registrants(&self) -> Vec<(CoreId, WordMask)> {
+        let mut by_core: Vec<(CoreId, WordMask)> = Vec::new();
+        for (i, &o) in self.owners.iter().enumerate() {
+            if let L2WordOwner::RegisteredTo(core) = L2WordOwner::unpack(o) {
+                let w = WordIdx(i as u8);
+                match by_core.iter_mut().find(|(c, _)| *c == core) {
+                    Some((_, mask)) => mask.insert(w),
+                    None => by_core.push((core, WordMask::single(w))),
+                }
+            }
+        }
+        by_core.sort_unstable_by_key(|(core, _)| *core);
+        by_core
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn word_state_predicates() {
@@ -297,8 +334,13 @@ mod tests {
         let displaced = l2.register(WordMask::from_bits(0b0110), CoreId(2));
         assert_eq!(displaced.len(), 2);
         assert!(displaced.iter().all(|(_, c)| *c == CoreId(1)));
-        assert_eq!(l2.registered_to(CoreId(2)).count(), 2);
-        assert_eq!(l2.registered_to(CoreId(1)).count(), 2);
+        assert_eq!(
+            l2.registrants(),
+            vec![
+                (CoreId(1), WordMask::from_bits(0b1001)),
+                (CoreId(2), WordMask::from_bits(0b0110)),
+            ]
+        );
     }
 
     #[test]
@@ -319,6 +361,102 @@ mod tests {
         let accepted = l2.accept_writeback(WordMask::from_bits(0b1), CoreId(1));
         assert!(accepted.is_empty());
         assert_eq!(l2.owner(WordIdx(0)), L2WordOwner::RegisteredTo(CoreId(2)));
+    }
+
+    #[test]
+    fn every_owner_round_trips_through_the_packed_byte() {
+        let mut owners = vec![L2WordOwner::Invalid, L2WordOwner::AtL2];
+        owners.extend((0..MAX_TILES).map(|c| L2WordOwner::RegisteredTo(CoreId(c))));
+        let mut seen = std::collections::HashSet::new();
+        for owner in owners {
+            let byte = owner.pack();
+            assert_eq!(L2WordOwner::unpack(byte), owner);
+            assert!(seen.insert(byte), "{owner:?} shares byte {byte}");
+        }
+        assert_eq!(L2WordOwner::default().pack(), 0, "all-zero is all-invalid");
+        assert_eq!(DenovoL2Line::default().registered_mask(), WordMask::EMPTY);
+        assert_eq!(DenovoL2Line::default().valid_at_l2(), WordMask::EMPTY);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn packing_a_core_beyond_the_mesh_ceiling_panics() {
+        DenovoL2Line::default().set_owner(WordIdx(0), L2WordOwner::RegisteredTo(CoreId(64)));
+    }
+
+    /// The enum-array line the packed one replaced, kept as the reference.
+    #[derive(Default)]
+    struct EnumArrayLine {
+        owners: [L2WordOwner; WORDS_PER_LINE],
+    }
+
+    impl EnumArrayLine {
+        fn register(&mut self, words: WordMask, core: CoreId) -> Vec<(WordIdx, CoreId)> {
+            let mut displaced = Vec::new();
+            for w in words.iter() {
+                if let L2WordOwner::RegisteredTo(prev) = self.owners[w.index()] {
+                    if prev != core {
+                        displaced.push((w, prev));
+                    }
+                }
+                self.owners[w.index()] = L2WordOwner::RegisteredTo(core);
+            }
+            displaced
+        }
+
+        fn accept_writeback(&mut self, words: WordMask, core: CoreId) -> WordMask {
+            let mut accepted = WordMask::EMPTY;
+            for w in words.iter() {
+                match self.owners[w.index()] {
+                    L2WordOwner::RegisteredTo(c) if c != core => {}
+                    _ => {
+                        self.owners[w.index()] = L2WordOwner::AtL2;
+                        accepted.insert(w);
+                    }
+                }
+            }
+            accepted
+        }
+
+        fn registered_to(&self, core: CoreId) -> WordMask {
+            self.owners
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| o.registrant() == Some(core))
+                .map(|(i, _)| WordIdx(i as u8))
+                .collect()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn packed_line_matches_the_enum_array_line(
+            ops in prop::collection::vec((any::<bool>(), any::<u16>(), 0usize..MAX_TILES), 1..40)
+        ) {
+            let mut packed = DenovoL2Line::default();
+            let mut reference = EnumArrayLine::default();
+            for (register, bits, core) in ops {
+                let (words, core) = (WordMask::from_bits(bits), CoreId(core));
+                if register {
+                    // Same displaced (word, core) pairs, in the same order.
+                    prop_assert_eq!(packed.register(words, core), reference.register(words, core));
+                } else {
+                    prop_assert_eq!(
+                        packed.accept_writeback(words, core),
+                        reference.accept_writeback(words, core)
+                    );
+                }
+                for w in WordMask::FULL.iter() {
+                    prop_assert_eq!(packed.owner(w), reference.owners[w.index()]);
+                }
+                // One pass groups what a `registered_to` scan per core found.
+                let scanned: Vec<(CoreId, WordMask)> = (0..MAX_TILES)
+                    .map(|c| (CoreId(c), reference.registered_to(CoreId(c))))
+                    .filter(|(_, m)| !m.is_empty())
+                    .collect();
+                prop_assert_eq!(packed.registrants(), scanned);
+            }
+        }
     }
 
     #[test]
