@@ -13,7 +13,9 @@
 //! that catches regressions in raw per-op dispatch cost, and Radix under
 //! Dragon tracks the write-update design point (same workload as the two
 //! invalidation Radix cells, so the three protocol families stay directly
-//! comparable in the trajectory).
+//! comparable in the trajectory). Radix under DValidateL2 is a DeNovo cell
+//! that never reads a Bloom filter — it pays for none since PR 13 — and FFT
+//! under DBypFull is the bypass-heavy cell of the one protocol that does.
 //!
 //! CI runs `cargo bench -p tw-bench --bench ops_per_sec`, saves the output
 //! next to `BENCH_results.json`, and fails if any cell regresses more than
@@ -27,12 +29,14 @@ use std::hint::black_box;
 use tw_types::ProtocolKind;
 use tw_workloads::{build_scaled, BenchmarkKind};
 
-const CELLS: [(BenchmarkKind, ProtocolKind); 5] = [
+const CELLS: [(BenchmarkKind, ProtocolKind); 7] = [
     (BenchmarkKind::Radix, ProtocolKind::Mesi),
     (BenchmarkKind::KdTree, ProtocolKind::Mesi),
     (BenchmarkKind::Radix, ProtocolKind::DBypFull),
     (BenchmarkKind::Lu, ProtocolKind::Mesi),
     (BenchmarkKind::Radix, ProtocolKind::Dragon),
+    (BenchmarkKind::Radix, ProtocolKind::DValidateL2),
+    (BenchmarkKind::Fft, ProtocolKind::DBypFull),
 ];
 
 fn bench_cells(c: &mut Criterion) {

@@ -1,8 +1,9 @@
 //! Microbenchmarks of the substrate crates: cache arrays, Bloom filters,
-//! mesh routing, DRAM timing, the waste profiler, Flex planning, and the
-//! workload generators.
+//! mesh routing, DRAM timing, the waste profiler, Flex planning, the
+//! workload generators, and simulator construction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use denovo_waste::{SimConfig, Simulator};
 use std::hint::black_box;
 use tw_bloom::{BloomBank, BloomConfig};
 use tw_dram::MemoryController;
@@ -10,7 +11,9 @@ use tw_mem::{CacheArray, CacheGeometry};
 use tw_noc::{Mesh, PacketSize, WormholeMesh};
 use tw_profiler::{CacheLevel, CacheWasteProfiler};
 use tw_protocols::flex_fetch_plan;
-use tw_types::{Addr, DramConfig, LineAddr, MessageClass, NocConfig, SystemConfig, TileId};
+use tw_types::{
+    Addr, DramConfig, LineAddr, MessageClass, NocConfig, ProtocolKind, SystemConfig, TileId,
+};
 use tw_workloads::{build_tiny, BenchmarkKind};
 
 fn bench_cache_array(c: &mut Criterion) {
@@ -143,10 +146,24 @@ fn bench_workload_generation(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_simulator_new(c: &mut Criterion) {
+    // Construction alone: what every cell pays before its first record, and
+    // most of a Tiny cell. MESI builds no Bloom state; DBypFull, the one
+    // protocol that reads it, builds all 272 banks.
+    let workload = build_tiny(BenchmarkKind::Fft, 16).unwrap();
+    let mut group = c.benchmark_group("simulator_new");
+    for protocol in [ProtocolKind::Mesi, ProtocolKind::DBypFull] {
+        group.bench_function(&format!("{protocol:?}"), |b| {
+            b.iter(|| black_box(Simulator::new(SimConfig::new(protocol), &workload).protocol()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = substrates;
     config = Criterion::default().sample_size(20);
     targets = bench_cache_array, bench_bloom, bench_mesh, bench_flit_mesh, bench_dram, bench_profiler,
-              bench_flex_planning, bench_workload_generation
+              bench_flex_planning, bench_workload_generation, bench_simulator_new
 }
 criterion_main!(substrates);

@@ -128,7 +128,7 @@ impl Engine<'_> {
         // the timing attribution.
         let demanded = line;
         let mut demand_service = None;
-        for (pl_line, want) in plan.lines.clone() {
+        for (pl_line, want) in plan.lines {
             let is_demand = pl_line == demanded;
             // The request names only the words this L1 is actually missing;
             // words it already holds (valid or registered) are never
