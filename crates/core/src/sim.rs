@@ -431,6 +431,7 @@ impl<'wl> Simulator<'wl> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tw_workloads::{build_tiny, BenchmarkKind};
 
     fn run(protocol: ProtocolKind, bench: BenchmarkKind) -> SimReport {
@@ -538,12 +539,12 @@ mod tests {
         assert!(other.total_cycles > 0);
     }
 
-    proptest::proptest! {
+    proptest! {
         #[test]
         fn two_earliest_is_the_first_minimum_scan_applied_twice(
             // Few distinct values, so ties are the common case; 0 stands for
             // a core that cannot run.
-            clocks in proptest::collection::vec(0u64..5, 1..20),
+            clocks in prop::collection::vec(0u64..5, 1..20),
             lone in 0usize..20,
         ) {
             let first_min = |ready: &[u64]| {
@@ -563,12 +564,12 @@ mod tests {
             single[lone % clocks.len()] = 7;
             for ready in [holes, single, vec![u64::MAX; clocks.len()]] {
                 let (first, second) = two_earliest(&ready);
-                proptest::prop_assert_eq!(first, first_min(&ready));
+                prop_assert_eq!(first, first_min(&ready));
                 let mut rest = ready.clone();
                 if first.0 != usize::MAX {
                     rest[first.0] = u64::MAX;
                 }
-                proptest::prop_assert_eq!(second, first_min(&rest));
+                prop_assert_eq!(second, first_min(&rest));
             }
         }
     }
