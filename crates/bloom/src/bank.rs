@@ -169,7 +169,8 @@ impl BloomBank {
                 *c = c.saturating_add(1);
             }
             Cells::Plain { bits, flags } => {
-                bits[filter * words_per_filter(cfg) + entry / 64] |= 1 << (entry % 64);
+                let (word, bit) = bit_of(cfg, filter, entry);
+                bits[word] |= bit;
                 flags[filter] |= WRITTEN;
             }
         }
@@ -194,7 +195,8 @@ impl BloomBank {
         match &self.cells {
             Cells::Counting(counters) => counters[filter * cfg.entries_per_filter + entry] > 0,
             Cells::Plain { bits, .. } => {
-                bits[filter * words_per_filter(cfg) + entry / 64] & (1 << (entry % 64)) != 0
+                let (word, bit) = bit_of(cfg, filter, entry);
+                bits[word] & bit != 0
             }
         }
     }
@@ -234,13 +236,13 @@ impl BloomBank {
     ///
     /// Panics if `self` is not a plain bank or the configurations differ.
     pub fn install_copy(&mut self, line: LineAddr, l2: &BloomBank) {
-        let (cfg, theirs) = (self.hashes.cfg, l2.hashes.cfg);
-        assert_eq!(cfg.filters_per_bank, theirs.filters_per_bank);
+        let (cfg, l2_cfg) = (self.hashes.cfg, l2.hashes.cfg);
+        assert_eq!(cfg.filters_per_bank, l2_cfg.filters_per_bank);
         let filter = self.filter_index(line);
         let Cells::Plain { bits, flags } = &mut self.cells else {
             panic!("install_copy requires a plain (L1) bank");
         };
-        assert_eq!(cfg.entries_per_filter, theirs.entries_per_filter);
+        assert_eq!(cfg.entries_per_filter, l2_cfg.entries_per_filter);
         let words = words_per_filter(&cfg);
         let mine = &mut bits[filter * words..][..words];
         match &l2.cells {
@@ -278,6 +280,15 @@ impl BloomBank {
 /// either a whole number of words or a part of one).
 fn words_per_filter(cfg: &BloomConfig) -> usize {
     cfg.entries_per_filter.div_ceil(64)
+}
+
+/// Word index and bit mask of `entry` of `filter` in a plain bank.
+#[inline]
+fn bit_of(cfg: &BloomConfig, filter: usize, entry: usize) -> (usize, u64) {
+    (
+        filter * words_per_filter(cfg) + entry / 64,
+        1 << (entry % 64),
+    )
 }
 
 #[cfg(test)]
