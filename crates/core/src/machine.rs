@@ -4,41 +4,31 @@ use std::sync::Arc;
 use tw_bloom::{BloomBank, BloomConfig, BloomHashes};
 use tw_dram::MemoryController;
 use tw_mem::{CacheArray, CacheGeometry, WriteCombineTable};
-use tw_protocols::{
-    DenovoL1Line, DenovoL2Line, DirectoryEntry, DragonDirectory, DragonState, MesiState,
-};
+use tw_protocols::{DenovoL1Line, DenovoL2Line, Directory, LineState};
 use tw_types::{ProtocolKind, RegionId, SystemConfig, TileId};
 
 /// Metadata an L1 line carries, depending on the protocol family.
 #[derive(Debug, Clone)]
 pub enum L1Meta {
-    /// MESI: line state plus the region of the data (regions are only used
-    /// for reporting under MESI).
-    Mesi {
-        /// MESI stable state.
-        state: MesiState,
+    /// The inclusive-directory protocols (MESI, MMemL1, Dragon): line state
+    /// plus the region of the data (regions are only used for reporting
+    /// under these protocols).
+    Directory {
+        /// Stable line state.
+        state: LineState,
         /// Software region of the line.
         region: RegionId,
     },
     /// DeNovo: per-word states plus the region (drives self-invalidation).
     Denovo(DenovoL1Line),
-    /// Dragon: write-update line state plus the region (reporting only, as
-    /// under MESI).
-    Dragon {
-        /// Dragon stable state.
-        state: DragonState,
-        /// Software region of the line.
-        region: RegionId,
-    },
 }
 
 impl L1Meta {
     /// The software region the line belongs to.
     pub fn region(&self) -> RegionId {
         match self {
-            L1Meta::Mesi { region, .. } => *region,
+            L1Meta::Directory { region, .. } => *region,
             L1Meta::Denovo(l) => l.region,
-            L1Meta::Dragon { region, .. } => *region,
         }
     }
 }
@@ -46,12 +36,10 @@ impl L1Meta {
 /// Metadata an L2 line carries, depending on the protocol family.
 #[derive(Debug, Clone)]
 pub enum L2Meta {
-    /// MESI: the directory entry for the (inclusive) line.
-    Mesi(DirectoryEntry),
+    /// The inclusive-directory protocols: owner and sharer set of the line.
+    Directory(Directory),
     /// DeNovo: per-word ownership (registration) state.
     Denovo(DenovoL2Line),
-    /// Dragon: sharer set and dirty owner for the (inclusive) line.
-    Dragon(DragonDirectory),
 }
 
 /// One tile: private L1, L2 slice, and (on corner tiles) a memory controller.
@@ -165,17 +153,12 @@ mod tests {
 
     #[test]
     fn l1_meta_region_accessor() {
-        let m = L1Meta::Mesi {
-            state: MesiState::Shared,
+        let m = L1Meta::Directory {
+            state: LineState::Shared,
             region: RegionId(7),
         };
         assert_eq!(m.region(), RegionId(7));
         let d = L1Meta::Denovo(DenovoL1Line::new(RegionId(3)));
         assert_eq!(d.region(), RegionId(3));
-        let g = L1Meta::Dragon {
-            state: DragonState::SharedClean,
-            region: RegionId(5),
-        };
-        assert_eq!(g.region(), RegionId(5));
     }
 }

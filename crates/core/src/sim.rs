@@ -21,6 +21,7 @@ pub(crate) mod engine;
 mod exec_denovo;
 mod exec_dragon;
 mod exec_mesi;
+mod home;
 
 use crate::machine::build_tiles;
 use crate::report::SimReport;

@@ -404,9 +404,8 @@ impl<'wl> Engine<'wl> {
         self.tiles[core]
             .l1
             .get_where(line, |entry| match &entry.meta {
-                L1Meta::Mesi { state, .. } => state.can_read() && entry.valid.contains(w),
+                L1Meta::Directory { state, .. } => state.can_read() && entry.valid.contains(w),
                 L1Meta::Denovo(l) => l.word(w).can_read(),
-                L1Meta::Dragon { state, .. } => state.can_read() && entry.valid.contains(w),
             })
             .is_some()
     }

@@ -1,10 +1,12 @@
 //! Dragon write-update transaction execution, behind the
 //! [`ProtocolExecutor`] trait. All machine state lives in the shared
-//! [`Engine`]; this file contains only the Dragon transaction logic.
+//! [`Engine`]; this file contains only what a read or a write *means* under
+//! Dragon: supply-and-demote, the update transaction and `push_update`.
 //!
-//! Dragon runs on the same inclusive-L2 directory substrate as MESI — the
-//! home slice serializes transactions and tracks copies — but a store to a
-//! shared line *updates* the sharers instead of invalidating them: the
+//! Dragon runs on the same inclusive-L2 directory substrate as MESI
+//! (`home.rs`) — the home slice serializes transactions and tracks copies —
+//! but a store to a shared line *updates* the sharers instead of
+//! invalidating them: the
 //! written word is announced to the home ([`MessageKind::UpdateReq`],
 //! control-only; at word granularity the value rides the request flit, like
 //! an upgrade), and the home multicasts it to every other sharer as an
@@ -18,17 +20,16 @@
 //! Dirty-ownership choreography: the last writer holds the line in `Sm`/`M`
 //! and owes the writeback. When ownership transfers (another core writes, or
 //! another core's miss is serviced while an owner exists), the previous
-//! owner first flushes its dirty words to the home L2 — the same
-//! downgrade-flush MESI performs — so exactly one L1 copy is ever dirty and
-//! eviction accounting stays identical in shape to MESI's.
+//! owner first flushes its dirty words to the home L2 — `flush_owner`, the
+//! very downgrade-flush MESI performs on a forwarded read — so exactly one L1
+//! copy is ever dirty.
 
 use super::engine::{Engine, ProtocolExecutor};
-use crate::machine::{L1Meta, L2Meta};
+use crate::machine::L1Meta;
 use crate::timing::TimeClass;
-use tw_mem::LineEntry;
-use tw_protocols::{DragonDirectory, DragonState};
+use tw_protocols::{dragon, Directory, LineState};
 use tw_types::{
-    Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
+    Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordMask,
 };
 
 /// Executor for the Dragon write-update protocol.
@@ -47,7 +48,10 @@ impl ProtocolExecutor for DragonExecutor {
         region: RegionId,
         now: Stamp,
     ) -> Stamp {
-        eng.dragon_load(core, addr, region, now)
+        let done = eng.dragon_load(core, addr, region, now);
+        #[cfg(debug_assertions)]
+        eng.assert_directory_matches_l1s(addr);
+        done
     }
 
     fn store(
@@ -58,7 +62,10 @@ impl ProtocolExecutor for DragonExecutor {
         region: RegionId,
         now: Stamp,
     ) -> Stamp {
-        eng.dragon_store(core, addr, region, now)
+        let done = eng.dragon_store(core, addr, region, now);
+        #[cfg(debug_assertions)]
+        eng.assert_directory_matches_l1s(addr);
+        done
     }
 
     // Like MESI, Dragon has no barrier-time or end-of-run protocol actions:
@@ -67,31 +74,10 @@ impl ProtocolExecutor for DragonExecutor {
 }
 
 impl Engine<'_> {
-    fn dragon_dir(&self, home: TileId, line: LineAddr) -> DragonDirectory {
-        match self.tiles[home.0].l2.peek(line).map(|e| &e.meta) {
-            Some(L2Meta::Dragon(d)) => *d,
-            _ => DragonDirectory::default(),
-        }
-    }
-
-    fn set_dragon_dir(&mut self, home: TileId, line: LineAddr, dir: DragonDirectory) {
-        if let Some(e) = self.tiles[home.0].l2.get(line) {
-            e.meta = L2Meta::Dragon(dir);
-        }
-    }
-
-    fn dragon_l1_state(&self, core: usize, line: LineAddr) -> DragonState {
-        match self.tiles[core].l1.peek(line).map(|e| &e.meta) {
-            Some(L1Meta::Dragon { state, .. }) => *state,
-            _ => DragonState::Invalid,
-        }
-    }
-
     /// Executes a load under Dragon, returning the cycle at which the core
     /// may proceed.
     fn dragon_load(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
-        let lb = self.line_bytes();
-        let line = LineAddr::containing(addr, lb);
+        let line = LineAddr::containing(addr, self.line_bytes());
         let l1_hit_cycles = self.system().timing.l1_hit_cycles;
 
         if self.l1_load_hit(core, addr) {
@@ -109,17 +95,11 @@ impl Engine<'_> {
         let req = self.net.send(me, home, MessageKind::LoadReq, 0, now);
         let t_home = req.arrival + occupancy;
 
-        let l2_has_data = self.tiles[home.0]
-            .l2
-            .peek(line)
-            .map(|e| !e.valid.is_empty())
-            .unwrap_or(false);
-
-        if l2_has_data {
+        if self.l2_has_data(home, line) {
             // ---- served on chip -------------------------------------------
-            let mut dir = self.dragon_dir(home, line);
-            let exclusive = dir.grants_exclusive(CoreId(core));
-            let supplier = dir.record_read(CoreId(core));
+            let mut dir = self.dir(home, line);
+            let exclusive = dragon::grants_exclusive(&dir, CoreId(core));
+            let supplier = dragon::record_read(&mut dir, CoreId(core));
 
             let delivery = if let Some(owner) = supplier {
                 // Forward the read to the dirty holder; it supplies the line
@@ -131,32 +111,27 @@ impl Engine<'_> {
                     .send(home, owner.tile(), MessageKind::LoadReq, 0, t_home);
                 let t_owner = fwd.arrival + 1;
                 if let Some(e) = self.tiles[owner.0].l1.get(line) {
-                    if let L1Meta::Dragon { state, .. } = &mut e.meta {
-                        if *state == DragonState::Modified {
-                            *state = DragonState::SharedModified;
+                    if let L1Meta::Directory { state, .. } = &mut e.meta {
+                        if *state == LineState::Modified {
+                            *state = LineState::SharedModified;
                         }
                     }
                 }
                 self.net
                     .send(owner.tile(), me, MessageKind::DataToL1, self.wpl(), t_owner)
             } else {
-                // Serve straight from the L2 slice.
-                self.l2_prof
-                    .loaded_words(line.word_addr(WordIdx(0)), self.line_words_mask());
-                self.tiles[home.0].l2.get(line); // refresh LRU
-                self.net
-                    .send(home, me, MessageKind::DataToL1, self.wpl(), t_home + l2_hit)
+                self.serve_from_l2(home, me, line, t_home + l2_hit)
             };
 
-            self.set_dragon_dir(home, line, dir);
+            self.set_dir(home, line, dir);
             self.net
                 .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
 
-            self.dragon_fill_l1(
+            self.fill_l1(
                 core,
                 line,
                 region,
-                DragonState::fill_for_read(exclusive),
+                LineState::fill_for_read(exclusive),
                 MessageClass::Load,
                 delivery.per_word_hops,
                 delivery.arrival,
@@ -167,51 +142,26 @@ impl Engine<'_> {
             delivery.arrival
         } else {
             // ---- L2 miss: fetch from memory --------------------------------
-            let mc = self.mc_of(line);
-            let wpl = self.wpl();
-            let to_mc = self.net.send(home, mc, MessageKind::MemReadReq, 0, t_home);
-            let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
+            let fetch = self.fetch_through_l2(home, me, line, MessageClass::Load, t_home, l2_hit);
 
-            let d2 = self
-                .net
-                .send(mc, home, MessageKind::DataToL2, wpl, dram_done);
-            let lw = self.line_words_mask();
-            self.mem_prof
-                .fetched_words(line.word_addr(WordIdx(0)), lw, false, d2.per_word_hops);
-            self.l2_prof.arrive_words(
-                line.word_addr(WordIdx(0)),
-                lw,
-                WordMask::EMPTY,
-                d2.per_word_hops,
-                MessageClass::Load,
-            );
-            let d1 = self
-                .net
-                .send(home, me, MessageKind::DataToL1, wpl, d2.arrival + l2_hit);
-            self.net
-                .send(me, home, MessageKind::DirUnblock, 0, d1.arrival);
+            let mut dir = Directory::default();
+            let exclusive = dragon::grants_exclusive(&dir, CoreId(core));
+            dragon::record_read(&mut dir, CoreId(core));
+            self.allocate_l2(home, line, dir, WordMask::FULL, now);
 
-            let mut dir = DragonDirectory::default();
-            let exclusive = dir.grants_exclusive(CoreId(core));
-            dir.record_read(CoreId(core));
-            self.dragon_allocate_l2(home, line, dir, WordMask::FULL, now);
-
-            self.dragon_fill_l1(
+            self.fill_l1(
                 core,
                 line,
                 region,
-                DragonState::fill_for_read(exclusive),
+                LineState::fill_for_read(exclusive),
                 MessageClass::Load,
-                d1.per_word_hops,
-                d1.arrival,
+                fetch.delivery.per_word_hops,
+                fetch.delivery.arrival,
             );
             self.l1_prof[core].loaded(addr);
             self.mem_prof.loaded(addr);
-
-            self.time[core].add(TimeClass::ToMc, to_mc.arrival.since(now));
-            self.time[core].add(TimeClass::Mem, dram_done.since(to_mc.arrival));
-            self.time[core].add(TimeClass::FromMc, d1.arrival.since(dram_done));
-            d1.arrival
+            self.charge_memory_stall(core, now, &fetch);
+            fetch.delivery.arrival
         }
     }
 
@@ -224,162 +174,92 @@ impl Engine<'_> {
         let me = TileId(core);
         let home = self.home_of(line);
         let occupancy = self.system().timing.l2_occupancy_cycles;
-        let wpl = self.wpl();
-        let busy = now + 1;
         self.time[core].add(TimeClass::Compute, 1);
 
-        match self.dragon_l1_state(core, line) {
-            DragonState::Modified | DragonState::Exclusive => {
-                // Sole copy: silent E→M upgrade, exactly as under MESI.
-                if let Some(e) = self.tiles[core].l1.get(line) {
-                    if let L1Meta::Dragon { state, .. } = &mut e.meta {
-                        *state = DragonState::Modified;
-                    }
-                    e.dirty.insert(w);
-                    e.valid.insert(w);
-                }
-                self.l1_prof[core].stored(addr);
-                self.mem_prof.stored(addr);
-                busy
+        let state = self.l1_state(core, line);
+        // Sole copy: silent E→M upgrade, exactly as under MESI.
+        let mut written = LineState::Modified;
+        if state.is_shared() {
+            // The update transaction — where Dragon diverges from MESI's
+            // invalidating upgrade. Announce the write to the home; the
+            // home pushes the written word to every other sharer.
+            let req = self.net.send(me, home, MessageKind::UpdateReq, 0, now);
+            let t_home = req.arrival + occupancy;
+            let mut dir = self.dir(home, line);
+            let (prev_owner, updated) = dragon::record_write(&mut dir, CoreId(core));
+            if let Some(o) = prev_owner {
+                self.flush_owner(o, line, t_home);
             }
-            DragonState::SharedClean | DragonState::SharedModified => {
-                // The update transaction — where Dragon diverges from MESI's
-                // invalidating upgrade. Announce the write to the home; the
-                // home pushes the written word to every other sharer.
-                let req = self.net.send(me, home, MessageKind::UpdateReq, 0, now);
-                let t_home = req.arrival + occupancy;
-                let mut dir = self.dragon_dir(home, line);
-                let (prev_owner, updated) = dir.record_write(CoreId(core));
-                if let Some(o) = prev_owner {
-                    self.dragon_flush_owner(o, line, t_home);
-                }
-                self.dragon_push_update(home, line, addr, &updated, t_home + 1);
-                // The home's inclusive copy absorbs the word too (the writer
-                // still owes the writeback; the L2 copy stays clean).
+            self.dragon_push_update(home, line, addr, &updated, t_home + 1);
+            // The home's inclusive copy absorbs the word too (the writer
+            // still owes the writeback; the L2 copy stays clean).
+            if let Some(le) = self.tiles[home.0].l2.get(line) {
+                le.valid.insert(w);
+            }
+            self.set_dir(home, line, dir);
+            self.net
+                .send(home, me, MessageKind::StoreAck, 0, t_home + 1);
+            self.net
+                .send(me, home, MessageKind::DirUnblock, 0, t_home + 2);
+            written = dragon::after_local_write(!updated.is_empty());
+        } else if !state.can_write_silently() {
+            // Write miss: fetch the line (fetch-on-write, like MESI) — but
+            // existing sharers are updated, never invalidated.
+            let req = self.net.send(me, home, MessageKind::StoreReq, 0, now);
+            let t_home = req.arrival + occupancy;
+
+            let delivery = if self.l2_has_data(home, line) {
+                let mut dir = self.dir(home, line);
+                let (prev_owner, updated) = dragon::record_write(&mut dir, CoreId(core));
+
+                let delivery = if let Some(owner) = prev_owner {
+                    // The dirty holder flushes to the L2 (ownership is
+                    // transferring) and supplies the line cache-to-cache;
+                    // it keeps its copy as a sharer.
+                    let fwd = self
+                        .net
+                        .send(home, owner.tile(), MessageKind::StoreReq, 0, t_home);
+                    let t_owner = fwd.arrival + 1;
+                    self.flush_owner(owner, line, t_owner);
+                    self.net
+                        .send(owner.tile(), me, MessageKind::DataToL1, self.wpl(), t_owner)
+                } else {
+                    self.serve_from_l2(home, me, line, t_home + 1)
+                };
+                self.dragon_push_update(home, line, addr, &updated, delivery.arrival);
                 if let Some(le) = self.tiles[home.0].l2.get(line) {
                     le.valid.insert(w);
                 }
-                self.set_dragon_dir(home, line, dir);
+                self.set_dir(home, line, dir);
                 self.net
-                    .send(home, me, MessageKind::StoreAck, 0, t_home + 1);
-                self.net
-                    .send(me, home, MessageKind::DirUnblock, 0, t_home + 2);
-                if let Some(e) = self.tiles[core].l1.get(line) {
-                    if let L1Meta::Dragon { state, .. } = &mut e.meta {
-                        *state = DragonState::after_local_write(!updated.is_empty());
-                    }
-                    e.dirty.insert(w);
-                    e.valid.insert(w);
-                }
-                self.l1_prof[core].stored(addr);
-                self.mem_prof.stored(addr);
-                busy
-            }
-            DragonState::Invalid => {
-                // Write miss: fetch the line (fetch-on-write, like MESI) —
-                // but existing sharers are updated, never invalidated.
-                let req = self.net.send(me, home, MessageKind::StoreReq, 0, now);
-                let t_home = req.arrival + occupancy;
-                let l2_has_data = self.tiles[home.0]
-                    .l2
-                    .peek(line)
-                    .map(|e| !e.valid.is_empty())
-                    .unwrap_or(false);
-
-                if l2_has_data {
-                    let mut dir = self.dragon_dir(home, line);
-                    let (prev_owner, updated) = dir.record_write(CoreId(core));
-
-                    let delivery = if let Some(owner) = prev_owner {
-                        // The dirty holder flushes to the L2 (ownership is
-                        // transferring) and supplies the line cache-to-cache;
-                        // it keeps its copy as a sharer.
-                        let fwd =
-                            self.net
-                                .send(home, owner.tile(), MessageKind::StoreReq, 0, t_home);
-                        let t_owner = fwd.arrival + 1;
-                        self.dragon_flush_owner(owner, line, t_owner);
-                        self.net
-                            .send(owner.tile(), me, MessageKind::DataToL1, wpl, t_owner)
-                    } else {
-                        self.l2_prof
-                            .loaded_words(line.word_addr(WordIdx(0)), self.line_words_mask());
-                        self.tiles[home.0].l2.get(line);
-                        self.net
-                            .send(home, me, MessageKind::DataToL1, wpl, t_home + 1)
-                    };
-                    self.dragon_push_update(home, line, addr, &updated, delivery.arrival);
-                    if let Some(le) = self.tiles[home.0].l2.get(line) {
-                        le.valid.insert(w);
-                    }
-                    self.set_dragon_dir(home, line, dir);
-                    self.net
-                        .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
-                    self.dragon_fill_l1(
-                        core,
-                        line,
-                        region,
-                        DragonState::after_local_write(!updated.is_empty()),
-                        MessageClass::Store,
-                        delivery.per_word_hops,
-                        delivery.arrival,
-                    );
-                } else {
-                    // Write miss that also misses the L2: nobody shares the
-                    // line, so this is exactly MESI's memory-fetch path.
-                    let mc = self.mc_of(line);
-                    let to_mc = self.net.send(home, mc, MessageKind::MemReadReq, 0, t_home);
-                    let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
-                    let mut dir = DragonDirectory::default();
-                    dir.record_write(CoreId(core));
-
-                    let d2 = self
-                        .net
-                        .send(mc, home, MessageKind::DataToL2, wpl, dram_done);
-                    let lw = self.line_words_mask();
-                    self.mem_prof.fetched_words(
-                        line.word_addr(WordIdx(0)),
-                        lw,
-                        false,
-                        d2.per_word_hops,
-                    );
-                    self.l2_prof.arrive_words(
-                        line.word_addr(WordIdx(0)),
-                        lw,
-                        WordMask::EMPTY,
-                        d2.per_word_hops,
-                        MessageClass::Store,
-                    );
-                    let d1 = self
-                        .net
-                        .send(home, me, MessageKind::DataToL1, wpl, d2.arrival + 1);
-                    self.net
-                        .send(me, home, MessageKind::DirUnblock, 0, d1.arrival);
-                    self.dragon_allocate_l2(home, line, dir, WordMask::FULL, now);
-                    self.dragon_fill_l1(
-                        core,
-                        line,
-                        region,
-                        DragonState::Modified,
-                        MessageClass::Store,
-                        d1.per_word_hops,
-                        d1.arrival,
-                    );
-                }
-
-                if let Some(e) = self.tiles[core].l1.get(line) {
-                    e.dirty.insert(w);
-                    e.valid.insert(w);
-                }
-                self.l1_prof[core].stored(addr);
-                self.mem_prof.stored(addr);
-                busy
-            }
+                    .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
+                written = dragon::after_local_write(!updated.is_empty());
+                delivery
+            } else {
+                // Write miss that also misses the L2: nobody shares the
+                // line, so this is exactly MESI's memory-fetch path.
+                let mut dir = Directory::default();
+                dragon::record_write(&mut dir, CoreId(core));
+                let fetch = self.fetch_through_l2(home, me, line, MessageClass::Store, t_home, 1);
+                self.allocate_l2(home, line, dir, WordMask::FULL, now);
+                fetch.delivery
+            };
+            self.fill_l1(
+                core,
+                line,
+                region,
+                written,
+                MessageClass::Store,
+                delivery.per_word_hops,
+                delivery.arrival,
+            );
         }
+        self.retire_store(core, addr, written);
+        now + 1
     }
 
     /// Multicasts the written word at `addr` to `sharers` as `UpdateData`
-    /// messages, applying it to their L1 copies (state demotion to `Sc`,
+    /// messages, applying it to their L1 copies (state demotion to `S`,
     /// word valid and clean) and booking the pushed word with each sharer's
     /// waste profiler as *update-born*.
     fn dragon_push_update(
@@ -397,178 +277,13 @@ impl Engine<'_> {
                 .net
                 .send(home, s.tile(), MessageKind::UpdateData, 1, at);
             if let Some(e) = self.tiles[s.0].l1.get(line) {
-                if let L1Meta::Dragon { state, .. } = &mut e.meta {
-                    *state = state.after_remote_update();
+                if let L1Meta::Directory { state, .. } = &mut e.meta {
+                    *state = dragon::after_remote_update(*state);
                 }
                 e.valid.insert(w);
                 e.dirty.remove(w);
                 self.l1_prof[s.0].updated(addr, d.per_word_hops);
             }
         }
-    }
-
-    /// Flushes a dirty owner's words to the home L2 as part of a
-    /// dirty-ownership transfer (another core's write or write-miss). The
-    /// owner keeps its copy and demotes to `Sc`; the L2 absorbs the dirty
-    /// words, mirroring MESI's downgrade-flush accounting.
-    fn dragon_flush_owner(&mut self, owner: CoreId, line: LineAddr, at: Stamp) {
-        let home = self.home_of(line);
-        let wpl = self.wpl();
-        let dirty = self.tiles[owner.0]
-            .l1
-            .peek(line)
-            .map(|e| e.dirty)
-            .unwrap_or(WordMask::EMPTY);
-        if let Some(e) = self.tiles[owner.0].l1.get(line) {
-            if let L1Meta::Dragon { state, .. } = &mut e.meta {
-                *state = DragonState::SharedClean;
-            }
-            e.dirty = WordMask::EMPTY;
-        }
-        if !dirty.is_empty() {
-            let wb = self
-                .net
-                .send(owner.tile(), home, MessageKind::L1Writeback, wpl, at);
-            self.charge_writeback_data(wb.per_word_hops, dirty.count(), wpl, false);
-            if let Some(le) = self.tiles[home.0].l2.get(line) {
-                le.dirty = le.dirty.union(dirty);
-                le.valid = WordMask::FULL;
-            }
-        }
-    }
-
-    /// Installs a full line into an L1, handling the eviction of the victim.
-    #[allow(clippy::too_many_arguments)]
-    fn dragon_fill_l1(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        region: RegionId,
-        state: DragonState,
-        class: MessageClass,
-        per_word_hops: f64,
-        at: Stamp,
-    ) {
-        let line_words = self.line_words_mask();
-        let already = self.tiles[core]
-            .l1
-            .peek(line)
-            .filter(|e| matches!(&e.meta, L1Meta::Dragon { state, .. } if state.can_read()))
-            .map(|e| e.valid)
-            .unwrap_or(WordMask::EMPTY);
-
-        let meta = L1Meta::Dragon { state, region };
-        let victim = self.tiles[core].l1.insert(line, meta).1;
-        if let Some(v) = victim {
-            self.dragon_evict_l1(core, v, at);
-        }
-        if let Some(e) = self.tiles[core].l1.get(line) {
-            e.meta = L1Meta::Dragon { state, region };
-            e.valid = WordMask::FULL;
-        }
-        self.l1_prof[core].arrive_words(
-            line.word_addr(WordIdx(0)),
-            line_words,
-            already,
-            per_word_hops,
-            class,
-        );
-    }
-
-    /// Handles the eviction of an L1 line: dirty states (`M`, `Sm`) write
-    /// back data, clean states notify the directory with a control message.
-    fn dragon_evict_l1(&mut self, core: usize, victim: LineEntry<L1Meta>, at: Stamp) {
-        let L1Meta::Dragon { state, .. } = victim.meta else {
-            return;
-        };
-        let me = TileId(core);
-        let home = self.home_of(victim.line);
-        let wpl = self.wpl();
-
-        match state {
-            DragonState::Modified | DragonState::SharedModified => {
-                let wb = self.net.send(me, home, MessageKind::L1Writeback, wpl, at);
-                self.charge_writeback_data(wb.per_word_hops, victim.dirty.count(), wpl, false);
-                if let Some(le) = self.tiles[home.0].l2.get(victim.line) {
-                    le.dirty = le.dirty.union(victim.dirty);
-                    le.valid = WordMask::FULL;
-                }
-            }
-            DragonState::Exclusive | DragonState::SharedClean => {
-                self.net
-                    .send(me, home, MessageKind::CleanWritebackCtl, 0, at);
-            }
-            DragonState::Invalid => {}
-        }
-        let mut dir = self.dragon_dir(home, victim.line);
-        dir.record_eviction(CoreId(core));
-        self.set_dragon_dir(home, victim.line, dir);
-
-        self.l1_prof[core].evicted_words(victim.line.word_addr(WordIdx(0)), victim.valid);
-    }
-
-    /// Ensures an L2 entry exists for `line`, evicting (and recalling) a
-    /// victim if needed.
-    fn dragon_allocate_l2(
-        &mut self,
-        home: TileId,
-        line: LineAddr,
-        dir: DragonDirectory,
-        valid: WordMask,
-        at: Stamp,
-    ) {
-        if !self.tiles[home.0].l2.contains(line) {
-            let victim = self.tiles[home.0].l2.insert(line, L2Meta::Dragon(dir)).1;
-            if let Some(v) = victim {
-                self.dragon_evict_l2(home, v, at);
-            }
-        }
-        if let Some(e) = self.tiles[home.0].l2.get(line) {
-            e.meta = L2Meta::Dragon(dir);
-            e.valid = e.valid.union(valid);
-        }
-    }
-
-    /// Evicts an L2 line: recalls every L1 copy (inclusive hierarchy — the
-    /// one place Dragon *does* invalidate) and writes dirty data back to
-    /// memory.
-    fn dragon_evict_l2(&mut self, home: TileId, victim: LineEntry<L2Meta>, at: Stamp) {
-        let L2Meta::Dragon(dir) = victim.meta else {
-            return;
-        };
-        let wpl = self.wpl();
-        let mut dirty = victim.dirty;
-
-        for holder in dir.holders() {
-            self.net
-                .send(home, holder.tile(), MessageKind::Invalidation, 0, at);
-            self.net
-                .send(holder.tile(), home, MessageKind::InvAck, 0, at + 1);
-            if let Some(l1v) = self.tiles[holder.0].l1.remove(victim.line) {
-                self.l1_prof[holder.0]
-                    .invalidated_words(victim.line.word_addr(WordIdx(0)), l1v.valid);
-                if !l1v.dirty.is_empty() {
-                    let wb =
-                        self.net
-                            .send(holder.tile(), home, MessageKind::L1Writeback, wpl, at + 1);
-                    self.charge_writeback_data(wb.per_word_hops, l1v.dirty.count(), wpl, false);
-                    dirty = dirty.union(l1v.dirty);
-                }
-            }
-        }
-
-        if !dirty.is_empty() {
-            let mc = self.mc_of(victim.line);
-            let wb = self
-                .net
-                .send(home, mc, MessageKind::MemWriteback, wpl, at + 2);
-            self.charge_writeback_data(wb.per_word_hops, dirty.count(), wpl, true);
-            self.dram_access(mc, victim.line, true, wb.arrival);
-        }
-
-        self.l2_prof
-            .evicted_words(victim.line.word_addr(WordIdx(0)), victim.valid);
-        self.mem_prof
-            .evicted_words(victim.line.word_addr(WordIdx(0)), victim.valid);
     }
 }

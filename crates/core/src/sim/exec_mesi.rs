@@ -1,12 +1,14 @@
 //! MESI transaction execution (baseline MESI and MMemL1), behind the
 //! [`ProtocolExecutor`] trait. All machine state lives in the shared
-//! [`Engine`]; this file contains only the MESI-family transaction logic.
+//! [`Engine`] and every home-side step that does not depend on
+//! invalidate-vs-update in `home.rs`; this file contains only what a read or
+//! a write *means* under MESI: forward-and-downgrade, the invalidating
+//! upgrade, owner transfer, and MMemL1's two memory-to-L1 paths.
 
 use super::engine::{Engine, ProtocolExecutor};
-use crate::machine::{L1Meta, L2Meta};
+use super::home::MemFetch;
 use crate::timing::TimeClass;
-use tw_mem::LineEntry;
-use tw_protocols::{DirectoryEntry, MesiState};
+use tw_protocols::{mesi, Directory, LineState};
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
 };
@@ -27,7 +29,10 @@ impl ProtocolExecutor for MesiExecutor {
         region: RegionId,
         now: Stamp,
     ) -> Stamp {
-        eng.mesi_load(core, addr, region, now)
+        let done = eng.mesi_load(core, addr, region, now);
+        #[cfg(debug_assertions)]
+        eng.assert_directory_matches_l1s(addr);
+        done
     }
 
     fn store(
@@ -38,7 +43,10 @@ impl ProtocolExecutor for MesiExecutor {
         region: RegionId,
         now: Stamp,
     ) -> Stamp {
-        eng.mesi_store(core, addr, region, now)
+        let done = eng.mesi_store(core, addr, region, now);
+        #[cfg(debug_assertions)]
+        eng.assert_directory_matches_l1s(addr);
+        done
     }
 
     // MESI has no barrier-time or end-of-run protocol actions: the directory
@@ -46,31 +54,10 @@ impl ProtocolExecutor for MesiExecutor {
 }
 
 impl Engine<'_> {
-    fn mesi_dir(&self, home: TileId, line: LineAddr) -> DirectoryEntry {
-        match self.tiles[home.0].l2.peek(line).map(|e| &e.meta) {
-            Some(L2Meta::Mesi(d)) => *d,
-            _ => DirectoryEntry::default(),
-        }
-    }
-
-    fn set_mesi_dir(&mut self, home: TileId, line: LineAddr, dir: DirectoryEntry) {
-        if let Some(e) = self.tiles[home.0].l2.get(line) {
-            e.meta = L2Meta::Mesi(dir);
-        }
-    }
-
-    fn l1_state(&self, core: usize, line: LineAddr) -> MesiState {
-        match self.tiles[core].l1.peek(line).map(|e| &e.meta) {
-            Some(L1Meta::Mesi { state, .. }) => *state,
-            _ => MesiState::Invalid,
-        }
-    }
-
     /// Executes a load under MESI/MMemL1, returning the cycle at which the
     /// core may proceed.
     fn mesi_load(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
-        let lb = self.line_bytes();
-        let line = LineAddr::containing(addr, lb);
+        let line = LineAddr::containing(addr, self.line_bytes());
         let l1_hit_cycles = self.system().timing.l1_hit_cycles;
 
         if self.l1_load_hit(core, addr) {
@@ -88,17 +75,11 @@ impl Engine<'_> {
         let req = self.net.send(me, home, MessageKind::LoadReq, 0, now);
         let t_home = req.arrival + occupancy;
 
-        let l2_has_data = self.tiles[home.0]
-            .l2
-            .peek(line)
-            .map(|e| !e.valid.is_empty())
-            .unwrap_or(false);
-
-        if l2_has_data {
+        if self.l2_has_data(home, line) {
             // ---- served on chip -------------------------------------------
-            let mut dir = self.mesi_dir(home, line);
-            let exclusive = dir.grants_exclusive(CoreId(core));
-            let prev_owner = dir.record_read(CoreId(core));
+            let mut dir = self.dir(home, line);
+            let exclusive = mesi::grants_exclusive(&dir, CoreId(core));
+            let prev_owner = mesi::record_read(&mut dir, CoreId(core));
 
             let delivery = if let Some(owner) = prev_owner {
                 // Forward to the exclusive owner; it supplies the data and, if
@@ -107,53 +88,22 @@ impl Engine<'_> {
                     .net
                     .send(home, owner.tile(), MessageKind::Invalidation, 0, t_home);
                 let t_owner = fwd.arrival + 1;
-                let dirty = self.tiles[owner.0]
-                    .l1
-                    .peek(line)
-                    .map(|e| e.dirty)
-                    .unwrap_or(WordMask::EMPTY);
-                if let Some(e) = self.tiles[owner.0].l1.get(line) {
-                    if let L1Meta::Mesi { state, .. } = &mut e.meta {
-                        *state = MesiState::Shared;
-                    }
-                    e.dirty = WordMask::EMPTY;
-                }
-                if !dirty.is_empty() {
-                    let wpl = self.wpl();
-                    let wb =
-                        self.net
-                            .send(owner.tile(), home, MessageKind::L1Writeback, wpl, t_owner);
-                    self.charge_writeback_data(wb.per_word_hops, dirty.count(), wpl, false);
-                    if let Some(le) = self.tiles[home.0].l2.get(line) {
-                        le.dirty = le.dirty.union(dirty);
-                        le.valid = WordMask::FULL;
-                    }
-                }
+                self.flush_owner(owner, line, t_owner);
                 self.net
                     .send(owner.tile(), me, MessageKind::DataToL1, self.wpl(), t_owner)
             } else {
-                // Serve straight from the L2 slice.
-                self.l2_prof
-                    .loaded_words(line.word_addr(WordIdx(0)), self.line_words_mask());
-                self.tiles[home.0].l2.get(line); // refresh LRU
-                self.net
-                    .send(home, me, MessageKind::DataToL1, self.wpl(), t_home + l2_hit)
+                self.serve_from_l2(home, me, line, t_home + l2_hit)
             };
 
-            self.set_mesi_dir(home, line, dir);
+            self.set_dir(home, line, dir);
             self.net
                 .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
 
-            let state = if exclusive {
-                MesiState::Exclusive
-            } else {
-                MesiState::Shared
-            };
-            self.mesi_fill_l1(
+            self.fill_l1(
                 core,
                 line,
                 region,
-                state,
+                LineState::fill_for_read(exclusive),
                 MessageClass::Load,
                 delivery.per_word_hops,
                 delivery.arrival,
@@ -164,18 +114,17 @@ impl Engine<'_> {
             delivery.arrival
         } else {
             // ---- L2 miss: fetch from memory --------------------------------
-            let mc = self.mc_of(line);
-            let wpl = self.wpl();
-            let to_mc = self.net.send(home, mc, MessageKind::MemReadReq, 0, t_home);
-            let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
-
-            let (arrival, per_word_to_l1) = if self.protocol().mem_to_l1() {
+            let fetch = if self.protocol().mem_to_l1() {
                 // MMemL1: data goes straight to the L1, which forwards it to
                 // the (inclusive) L2 as an unblock+data message.
+                let mc = self.mc_of(line);
+                let wpl = self.wpl();
+                let lw = self.line_words_mask();
+                let to_mc = self.net.send(home, mc, MessageKind::MemReadReq, 0, t_home);
+                let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
                 let d = self
                     .net
                     .send(mc, me, MessageKind::MemDataToL1, wpl, dram_done);
-                let lw = self.line_words_mask();
                 self.mem_prof
                     .fetched_words(line.word_addr(WordIdx(0)), lw, false, d.per_word_hops);
                 let ub = self
@@ -183,242 +132,139 @@ impl Engine<'_> {
                     .send(me, home, MessageKind::DirUnblockWithData, wpl, d.arrival);
                 self.l2_prof.arrive_words(
                     line.word_addr(WordIdx(0)),
-                    self.line_words_mask(),
+                    lw,
                     WordMask::EMPTY,
                     ub.per_word_hops,
                     MessageClass::Load,
                 );
-                (d.arrival, d.per_word_hops)
+                MemFetch {
+                    at_mc: to_mc.arrival,
+                    dram_done,
+                    delivery: d,
+                }
             } else {
-                let d2 = self
-                    .net
-                    .send(mc, home, MessageKind::DataToL2, wpl, dram_done);
-                let lw = self.line_words_mask();
-                self.mem_prof.fetched_words(
-                    line.word_addr(WordIdx(0)),
-                    lw,
-                    false,
-                    d2.per_word_hops,
-                );
-                self.l2_prof.arrive_words(
-                    line.word_addr(WordIdx(0)),
-                    self.line_words_mask(),
-                    WordMask::EMPTY,
-                    d2.per_word_hops,
-                    MessageClass::Load,
-                );
-                let d1 = self
-                    .net
-                    .send(home, me, MessageKind::DataToL1, wpl, d2.arrival + l2_hit);
-                self.net
-                    .send(me, home, MessageKind::DirUnblock, 0, d1.arrival);
-                (d1.arrival, d1.per_word_hops)
+                self.fetch_through_l2(home, me, line, MessageClass::Load, t_home, l2_hit)
             };
 
-            let mut dir = DirectoryEntry::default();
-            let exclusive = dir.grants_exclusive(CoreId(core));
-            dir.record_read(CoreId(core));
-            self.mesi_allocate_l2(home, line, dir, WordMask::FULL, now);
+            let mut dir = Directory::default();
+            let exclusive = mesi::grants_exclusive(&dir, CoreId(core));
+            mesi::record_read(&mut dir, CoreId(core));
+            self.allocate_l2(home, line, dir, WordMask::FULL, now);
 
-            let state = if exclusive {
-                MesiState::Exclusive
-            } else {
-                MesiState::Shared
-            };
-            self.mesi_fill_l1(
+            self.fill_l1(
                 core,
                 line,
                 region,
-                state,
+                LineState::fill_for_read(exclusive),
                 MessageClass::Load,
-                per_word_to_l1,
-                arrival,
+                fetch.delivery.per_word_hops,
+                fetch.delivery.arrival,
             );
             self.l1_prof[core].loaded(addr);
             self.mem_prof.loaded(addr);
-
-            self.time[core].add(TimeClass::ToMc, to_mc.arrival.since(now));
-            self.time[core].add(TimeClass::Mem, dram_done.since(to_mc.arrival));
-            self.time[core].add(TimeClass::FromMc, arrival.since(dram_done));
-            arrival
+            self.charge_memory_stall(core, now, &fetch);
+            fetch.delivery.arrival
         }
     }
 
     /// Executes a store under MESI/MMemL1. Stores retire into the
     /// non-blocking write buffer, so the core is charged only one busy cycle.
     fn mesi_store(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
-        let lb = self.line_bytes();
-        let line = LineAddr::containing(addr, lb);
-        let w = addr.word_in_line(lb);
+        let line = LineAddr::containing(addr, self.line_bytes());
         let me = TileId(core);
         let home = self.home_of(line);
         let occupancy = self.system().timing.l2_occupancy_cycles;
         let wpl = self.wpl();
-        let busy = now + 1;
         self.time[core].add(TimeClass::Compute, 1);
 
-        match self.l1_state(core, line) {
-            MesiState::Modified | MesiState::Exclusive => {
-                if let Some(e) = self.tiles[core].l1.get(line) {
-                    if let L1Meta::Mesi { state, .. } = &mut e.meta {
-                        *state = MesiState::Modified;
-                    }
-                    e.dirty.insert(w);
-                    e.valid.insert(w);
-                }
-                self.l1_prof[core].stored(addr);
-                self.mem_prof.stored(addr);
-                busy
-            }
-            MesiState::Shared => {
-                // Upgrade: invalidate the other sharers, no data transfer.
-                let req = self.net.send(me, home, MessageKind::UpgradeReq, 0, now);
-                let t_home = req.arrival + occupancy;
-                let mut dir = self.mesi_dir(home, line);
-                let (_prev_owner, invalidated) = dir.record_write(CoreId(core));
+        let state = self.l1_state(core, line);
+        if state.is_shared() {
+            // Upgrade: invalidate the other sharers, no data transfer.
+            let req = self.net.send(me, home, MessageKind::UpgradeReq, 0, now);
+            let t_home = req.arrival + occupancy;
+            let mut dir = self.dir(home, line);
+            let (_prev_owner, invalidated) = mesi::record_write(&mut dir, CoreId(core));
+            self.mesi_invalidate_sharers(home, line, &invalidated, t_home);
+            self.set_dir(home, line, dir);
+            self.net
+                .send(home, me, MessageKind::StoreAck, 0, t_home + 1);
+            self.net
+                .send(me, home, MessageKind::DirUnblock, 0, t_home + 2);
+        } else if !state.can_write_silently() {
+            // GetM with a full-line data response (fetch-on-write).
+            let req = self.net.send(me, home, MessageKind::StoreReq, 0, now);
+            let t_home = req.arrival + occupancy;
+
+            let delivery = if self.l2_has_data(home, line) {
+                let mut dir = self.dir(home, line);
+                let (prev_owner, invalidated) = mesi::record_write(&mut dir, CoreId(core));
                 self.mesi_invalidate_sharers(home, line, &invalidated, t_home);
-                self.set_mesi_dir(home, line, dir);
-                self.net
-                    .send(home, me, MessageKind::StoreAck, 0, t_home + 1);
-                self.net
-                    .send(me, home, MessageKind::DirUnblock, 0, t_home + 2);
-                if let Some(e) = self.tiles[core].l1.get(line) {
-                    if let L1Meta::Mesi { state, .. } = &mut e.meta {
-                        *state = MesiState::Modified;
+
+                let delivery = if let Some(owner) = prev_owner {
+                    // Owner transfers the (possibly dirty) line directly.
+                    let fwd =
+                        self.net
+                            .send(home, owner.tile(), MessageKind::Invalidation, 0, t_home);
+                    let t_owner = fwd.arrival + 1;
+                    if let Some(victim) = self.tiles[owner.0].l1.remove(line) {
+                        self.l1_prof[owner.0]
+                            .invalidated_words(line.word_addr(WordIdx(0)), victim.valid);
                     }
-                    e.dirty.insert(w);
-                    e.valid.insert(w);
-                }
-                self.l1_prof[core].stored(addr);
-                self.mem_prof.stored(addr);
-                busy
-            }
-            MesiState::Invalid => {
-                // GetM with a full-line data response (fetch-on-write).
-                let req = self.net.send(me, home, MessageKind::StoreReq, 0, now);
-                let t_home = req.arrival + occupancy;
-                let l2_has_data = self.tiles[home.0]
-                    .l2
-                    .peek(line)
-                    .map(|e| !e.valid.is_empty())
-                    .unwrap_or(false);
-
-                if l2_has_data {
-                    let mut dir = self.mesi_dir(home, line);
-                    let (prev_owner, invalidated) = dir.record_write(CoreId(core));
-                    self.mesi_invalidate_sharers(home, line, &invalidated, t_home);
-
-                    let delivery = if let Some(owner) = prev_owner {
-                        // Owner transfers the (possibly dirty) line directly.
-                        let fwd =
-                            self.net
-                                .send(home, owner.tile(), MessageKind::Invalidation, 0, t_home);
-                        let t_owner = fwd.arrival + 1;
-                        let removed = self.tiles[owner.0].l1.remove(line);
-                        if let Some(victim) = &removed {
-                            self.l1_prof[owner.0]
-                                .invalidated_words(line.word_addr(WordIdx(0)), victim.valid);
-                        }
-                        self.net
-                            .send(owner.tile(), me, MessageKind::DataToL1, wpl, t_owner)
-                    } else {
-                        self.l2_prof
-                            .loaded_words(line.word_addr(WordIdx(0)), self.line_words_mask());
-                        self.tiles[home.0].l2.get(line);
-                        self.net
-                            .send(home, me, MessageKind::DataToL1, wpl, t_home + 1)
-                    };
-                    self.set_mesi_dir(home, line, dir);
                     self.net
-                        .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
-                    self.mesi_fill_l1(
-                        core,
-                        line,
-                        region,
-                        MesiState::Modified,
-                        MessageClass::Store,
-                        delivery.per_word_hops,
-                        delivery.arrival,
-                    );
+                        .send(owner.tile(), me, MessageKind::DataToL1, wpl, t_owner)
                 } else {
-                    // Write miss that also misses the L2.
+                    self.serve_from_l2(home, me, line, t_home + 1)
+                };
+                self.set_dir(home, line, dir);
+                self.net
+                    .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
+                delivery
+            } else {
+                // Write miss that also misses the L2.
+                let mut dir = Directory::default();
+                mesi::record_write(&mut dir, CoreId(core));
+                if self.protocol().mem_to_l1() {
+                    // MMemL1: the line goes only to the L1 — the eventual
+                    // writeback will overwrite whatever the L2 would have
+                    // cached, so nothing is forwarded there.
                     let mc = self.mc_of(line);
                     let to_mc = self.net.send(home, mc, MessageKind::MemReadReq, 0, t_home);
                     let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
-                    let mut dir = DirectoryEntry::default();
-                    dir.record_write(CoreId(core));
-
-                    if self.protocol().mem_to_l1() {
-                        // MMemL1: the line goes only to the L1 — the eventual
-                        // writeback will overwrite whatever the L2 would have
-                        // cached, so nothing is forwarded there.
-                        let d = self
-                            .net
-                            .send(mc, me, MessageKind::MemDataToL1, wpl, dram_done);
-                        let lw = self.line_words_mask();
-                        self.mem_prof.fetched_words(
-                            line.word_addr(WordIdx(0)),
-                            lw,
-                            false,
-                            d.per_word_hops,
-                        );
-                        self.net
-                            .send(me, home, MessageKind::DirUnblock, 0, d.arrival);
-                        self.mesi_allocate_l2(home, line, dir, WordMask::EMPTY, now);
-                        self.mesi_fill_l1(
-                            core,
-                            line,
-                            region,
-                            MesiState::Modified,
-                            MessageClass::Store,
-                            d.per_word_hops,
-                            d.arrival,
-                        );
-                    } else {
-                        let d2 = self
-                            .net
-                            .send(mc, home, MessageKind::DataToL2, wpl, dram_done);
-                        let lw = self.line_words_mask();
-                        self.mem_prof.fetched_words(
-                            line.word_addr(WordIdx(0)),
-                            lw,
-                            false,
-                            d2.per_word_hops,
-                        );
-                        self.l2_prof.arrive_words(
-                            line.word_addr(WordIdx(0)),
-                            self.line_words_mask(),
-                            WordMask::EMPTY,
-                            d2.per_word_hops,
-                            MessageClass::Store,
-                        );
-                        let d1 =
-                            self.net
-                                .send(home, me, MessageKind::DataToL1, wpl, d2.arrival + 1);
-                        self.net
-                            .send(me, home, MessageKind::DirUnblock, 0, d1.arrival);
-                        self.mesi_allocate_l2(home, line, dir, WordMask::FULL, now);
-                        self.mesi_fill_l1(
-                            core,
-                            line,
-                            region,
-                            MesiState::Modified,
-                            MessageClass::Store,
-                            d1.per_word_hops,
-                            d1.arrival,
-                        );
-                    }
+                    let d = self
+                        .net
+                        .send(mc, me, MessageKind::MemDataToL1, wpl, dram_done);
+                    let lw = self.line_words_mask();
+                    self.mem_prof.fetched_words(
+                        line.word_addr(WordIdx(0)),
+                        lw,
+                        false,
+                        d.per_word_hops,
+                    );
+                    self.net
+                        .send(me, home, MessageKind::DirUnblock, 0, d.arrival);
+                    self.allocate_l2(home, line, dir, WordMask::EMPTY, now);
+                    d
+                } else {
+                    let fetch =
+                        self.fetch_through_l2(home, me, line, MessageClass::Store, t_home, 1);
+                    self.allocate_l2(home, line, dir, WordMask::FULL, now);
+                    fetch.delivery
                 }
-
-                if let Some(e) = self.tiles[core].l1.get(line) {
-                    e.dirty.insert(w);
-                    e.valid.insert(w);
-                }
-                self.l1_prof[core].stored(addr);
-                self.mem_prof.stored(addr);
-                busy
-            }
+            };
+            self.fill_l1(
+                core,
+                line,
+                region,
+                LineState::Modified,
+                MessageClass::Store,
+                delivery.per_word_hops,
+                delivery.arrival,
+            );
         }
+        // Every path — silent E/M hit, upgrade, miss — leaves the line
+        // Modified with the written word dirty.
+        self.retire_store(core, addr, LineState::Modified);
+        now + 1
     }
 
     /// Sends invalidations (and collects acks) for a set of sharers, removing
@@ -439,139 +285,5 @@ impl Engine<'_> {
                 self.l1_prof[s.0].invalidated_words(line.word_addr(WordIdx(0)), victim.valid);
             }
         }
-    }
-
-    /// Installs a full line into an L1, handling the eviction of the victim.
-    #[allow(clippy::too_many_arguments)]
-    fn mesi_fill_l1(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        region: RegionId,
-        state: MesiState,
-        class: MessageClass,
-        per_word_hops: f64,
-        at: Stamp,
-    ) {
-        let line_words = self.line_words_mask();
-        let already = self.tiles[core]
-            .l1
-            .peek(line)
-            .filter(|e| matches!(&e.meta, L1Meta::Mesi { state, .. } if state.can_read()))
-            .map(|e| e.valid)
-            .unwrap_or(WordMask::EMPTY);
-
-        let meta = L1Meta::Mesi { state, region };
-        let victim = self.tiles[core].l1.insert(line, meta).1;
-        if let Some(v) = victim {
-            self.mesi_evict_l1(core, v, at);
-        }
-        if let Some(e) = self.tiles[core].l1.get(line) {
-            e.meta = L1Meta::Mesi { state, region };
-            e.valid = WordMask::FULL;
-        }
-        self.l1_prof[core].arrive_words(
-            line.word_addr(WordIdx(0)),
-            line_words,
-            already,
-            per_word_hops,
-            class,
-        );
-    }
-
-    /// Handles the eviction of an L1 line: dirty lines write back data, clean
-    /// lines notify the directory with a control message.
-    fn mesi_evict_l1(&mut self, core: usize, victim: LineEntry<L1Meta>, at: Stamp) {
-        let L1Meta::Mesi { state, .. } = victim.meta else {
-            return;
-        };
-        let me = TileId(core);
-        let home = self.home_of(victim.line);
-        let wpl = self.wpl();
-
-        match state {
-            MesiState::Modified => {
-                let wb = self.net.send(me, home, MessageKind::L1Writeback, wpl, at);
-                self.charge_writeback_data(wb.per_word_hops, victim.dirty.count(), wpl, false);
-                if let Some(le) = self.tiles[home.0].l2.get(victim.line) {
-                    le.dirty = le.dirty.union(victim.dirty);
-                    le.valid = WordMask::FULL;
-                }
-            }
-            MesiState::Exclusive | MesiState::Shared => {
-                self.net
-                    .send(me, home, MessageKind::CleanWritebackCtl, 0, at);
-            }
-            MesiState::Invalid => {}
-        }
-        let mut dir = self.mesi_dir(home, victim.line);
-        dir.record_eviction(CoreId(core));
-        self.set_mesi_dir(home, victim.line, dir);
-
-        self.l1_prof[core].evicted_words(victim.line.word_addr(WordIdx(0)), victim.valid);
-    }
-
-    /// Ensures an L2 entry exists for `line`, evicting (and recalling) a
-    /// victim if needed.
-    fn mesi_allocate_l2(
-        &mut self,
-        home: TileId,
-        line: LineAddr,
-        dir: DirectoryEntry,
-        valid: WordMask,
-        at: Stamp,
-    ) {
-        if !self.tiles[home.0].l2.contains(line) {
-            let victim = self.tiles[home.0].l2.insert(line, L2Meta::Mesi(dir)).1;
-            if let Some(v) = victim {
-                self.mesi_evict_l2(home, v, at);
-            }
-        }
-        if let Some(e) = self.tiles[home.0].l2.get(line) {
-            e.meta = L2Meta::Mesi(dir);
-            e.valid = e.valid.union(valid);
-        }
-    }
-
-    /// Evicts an L2 line: recalls every L1 copy (inclusive hierarchy) and
-    /// writes dirty data back to memory.
-    fn mesi_evict_l2(&mut self, home: TileId, victim: LineEntry<L2Meta>, at: Stamp) {
-        let L2Meta::Mesi(dir) = victim.meta else {
-            return;
-        };
-        let wpl = self.wpl();
-        let mut dirty = victim.dirty;
-
-        for holder in dir.holders() {
-            self.net
-                .send(home, holder.tile(), MessageKind::Invalidation, 0, at);
-            self.net
-                .send(holder.tile(), home, MessageKind::InvAck, 0, at + 1);
-            if let Some(l1v) = self.tiles[holder.0].l1.remove(victim.line) {
-                self.l1_prof[holder.0]
-                    .invalidated_words(victim.line.word_addr(WordIdx(0)), l1v.valid);
-                if !l1v.dirty.is_empty() {
-                    let wb =
-                        self.net
-                            .send(holder.tile(), home, MessageKind::L1Writeback, wpl, at + 1);
-                    self.charge_writeback_data(wb.per_word_hops, l1v.dirty.count(), wpl, false);
-                    dirty = dirty.union(l1v.dirty);
-                }
-            }
-        }
-
-        if !dirty.is_empty() {
-            let mc = self.mc_of(victim.line);
-            let wb = self
-                .net
-                .send(home, mc, MessageKind::MemWriteback, wpl, at + 2);
-            self.charge_writeback_data(wb.per_word_hops, dirty.count(), wpl, true);
-            self.dram_access(mc, victim.line, true, wb.arrival);
-        }
-
-        self.l2_prof
-            .evicted_words(victim.line.word_addr(WordIdx(0)), victim.valid);
-        self.mem_prof
-            .evicted_words(victim.line.word_addr(WordIdx(0)), victim.valid);
     }
 }

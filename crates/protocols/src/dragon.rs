@@ -1,184 +1,70 @@
-//! Dragon write-update line states and the sharer directory at the home L2.
+//! Dragon's directory policy: the write-*update* design point over the
+//! shared substrate in [`crate::directory`].
 //!
-//! Dragon is the classic write-*update* design point: a store to a line with
-//! other sharers broadcasts the written words to them instead of invalidating
-//! their copies, so readers never re-fetch. The four valid states split on
-//! two axes — sole copy vs. shared, clean vs. dirty:
+//! A store to a line with other sharers broadcasts the written words to them
+//! instead of invalidating their copies, so readers never re-fetch. Exactly
+//! one sharer holds [`LineState::SharedModified`] at a time (the last
+//! writer); it owns the eventual writeback. The original Dragon snooped a
+//! bus; here the home L2 slice tracks the sharer set and the dirty owner, and
+//! "broadcast" becomes a home-fanned multicast of
+//! [`tw_types::MessageKind::UpdateData`] messages.
 //!
-//! |           | clean          | dirty                |
-//! |-----------|----------------|----------------------|
-//! | sole copy | `Exclusive`    | `Modified`           |
-//! | shared    | `SharedClean`  | `SharedModified`     |
-//!
-//! Exactly one sharer holds `SharedModified` at a time (the last writer); it
-//! owns the eventual writeback. The original Dragon snooped a bus; here the
-//! same protocol runs over the directory substrate used for MESI — the home
-//! L2 slice tracks the sharer set and the dirty owner, and "broadcast"
-//! becomes a home-fanned multicast of [`tw_types::MessageKind::UpdateData`]
-//! messages. As with MESI, transient states are not enumerated: transactions
-//! serialize at the home node.
+//! Unlike MESI's partition, `sharers` holds *every* core with a copy,
+//! including the dirty `owner` — Dragon never shrinks the sharer set on a
+//! write.
 
-use crate::mesi::SharerSet;
-use std::fmt;
+use crate::directory::{Directory, LineState};
 use tw_types::CoreId;
 
-/// Stable Dragon states of a line in a private L1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
-pub enum DragonState {
-    /// Invalid — the L1 holds no data for the line. (Dragon papers omit `I`
-    /// from the state list because updates never invalidate; lines still
-    /// start cold and get evicted.)
-    #[default]
-    Invalid,
-    /// Exclusive — the only copy on chip, clean; a store may upgrade to
-    /// Modified silently.
-    Exclusive,
-    /// Shared-Clean — other caches may hold copies; memory (or the
-    /// Shared-Modified owner) is responsible for the data.
-    SharedClean,
-    /// Shared-Modified — other caches hold copies, this one is dirty and owns
-    /// the eventual writeback. At most one sharer is in this state.
-    SharedModified,
-    /// Modified — the only copy on chip and it is dirty.
-    Modified,
-}
-
-impl DragonState {
-    /// Whether a load hits in this state.
-    pub const fn can_read(self) -> bool {
-        !matches!(self, DragonState::Invalid)
-    }
-
-    /// Whether a store hits without any network traffic (sole-copy states;
-    /// the silent E→M upgrade, as in MESI).
-    pub const fn can_write_silently(self) -> bool {
-        matches!(self, DragonState::Exclusive | DragonState::Modified)
-    }
-
-    /// Whether the line must be written back when evicted.
-    pub const fn is_dirty(self) -> bool {
-        matches!(self, DragonState::SharedModified | DragonState::Modified)
-    }
-
-    /// Whether other caches may hold copies (a store in these states must
-    /// broadcast an update instead of writing silently).
-    pub const fn is_shared(self) -> bool {
-        matches!(self, DragonState::SharedClean | DragonState::SharedModified)
-    }
-
-    /// State granted to a read-miss fill: `Exclusive` when the directory saw
-    /// no other copy, `SharedClean` otherwise.
-    pub const fn fill_for_read(exclusive: bool) -> DragonState {
-        if exclusive {
-            DragonState::Exclusive
-        } else {
-            DragonState::SharedClean
-        }
-    }
-
-    /// State after this core wins a write: `SharedModified` while other
-    /// copies exist (they were just updated, not invalidated), `Modified`
-    /// when the copy is sole.
-    pub const fn after_local_write(others_share: bool) -> DragonState {
-        if others_share {
-            DragonState::SharedModified
-        } else {
-            DragonState::Modified
-        }
-    }
-
-    /// State after an update broadcast from another core lands in this copy:
-    /// the writer took over dirty ownership, so a `SharedModified` holder
-    /// demotes to `SharedClean`; `SharedClean` stays put.
-    pub const fn after_remote_update(self) -> DragonState {
-        match self {
-            DragonState::SharedModified | DragonState::SharedClean => DragonState::SharedClean,
-            // Sole-copy and Invalid states never receive updates (the
-            // directory only multicasts to recorded sharers); identity keeps
-            // the function total.
-            other => other,
-        }
+/// State after this core wins a write: `SharedModified` while other copies
+/// exist (they were just updated, not invalidated), `Modified` when the copy
+/// is sole.
+pub const fn after_local_write(others_share: bool) -> LineState {
+    if others_share {
+        LineState::SharedModified
+    } else {
+        LineState::Modified
     }
 }
 
-impl fmt::Display for DragonState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let c = match self {
-            DragonState::Invalid => "I",
-            DragonState::Exclusive => "E",
-            DragonState::SharedClean => "Sc",
-            DragonState::SharedModified => "Sm",
-            DragonState::Modified => "M",
-        };
-        f.write_str(c)
+/// State after an update broadcast from another core lands in a copy in
+/// `state`: the writer took over dirty ownership, so a `SharedModified`
+/// holder demotes to `Shared`; `Shared` stays put.
+pub const fn after_remote_update(state: LineState) -> LineState {
+    match state {
+        LineState::SharedModified | LineState::Shared => LineState::Shared,
+        // Sole-copy and Invalid states never receive updates (the directory
+        // only multicasts to recorded sharers); identity keeps the function
+        // total.
+        other => other,
     }
 }
 
-/// Directory state for one line, kept alongside the inclusive L2 at the home
-/// slice.
-///
-/// Unlike the MESI [`crate::mesi::DirectoryEntry`], `sharers` holds *every*
-/// core with a copy, including the dirty owner — Dragon never shrinks the
-/// sharer set on a write, so there is no owner/sharer partition to maintain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DragonDirectory {
-    /// Every core holding a copy (any non-Invalid state).
-    pub sharers: SharerSet,
-    /// The core whose copy is dirty (`Sm` or `M`), if any: the one a read
-    /// miss must fetch from and the one that owes the writeback.
-    pub owner: Option<CoreId>,
+/// Whether a read-miss response may grant `Exclusive` (no other copy on
+/// chip).
+pub fn grants_exclusive(dir: &Directory, core: CoreId) -> bool {
+    dir.sharers.is_empty() || (dir.sharers.count() == 1 && dir.sharers.contains(core))
 }
 
-impl DragonDirectory {
-    /// Whether no L1 holds the line.
-    pub fn is_idle(&self) -> bool {
-        self.sharers.is_empty()
-    }
+/// Records a read by `core`. Returns the dirty holder that must supply the
+/// data (its entry is untouched — in Dragon a snooped read leaves the owner
+/// dirty, `M` holders demote to `Sm` in their own L1).
+pub fn record_read(dir: &mut Directory, core: CoreId) -> Option<CoreId> {
+    dir.sharers.insert(core);
+    dir.owner.filter(|o| *o != core)
+}
 
-    /// Whether a read-miss response may grant `Exclusive` (no other copy on
-    /// chip).
-    pub fn grants_exclusive(&self, core: CoreId) -> bool {
-        self.sharers.is_empty() || (self.sharers.count() == 1 && self.sharers.contains(core))
-    }
-
-    /// Records a read by `core`. Returns the dirty holder that must supply
-    /// the data (its state is untouched — in Dragon a snooped read leaves the
-    /// owner dirty, `M` holders demote to `Sm` in their own L1).
-    pub fn record_read(&mut self, core: CoreId) -> Option<CoreId> {
-        self.sharers.insert(core);
-        self.owner.filter(|o| *o != core)
-    }
-
-    /// Records a write by `core`. Returns `(previous dirty holder, sharers
-    /// to update)`: on a write miss the previous holder supplies the line;
-    /// every other sharer receives the written words as an update and *keeps*
-    /// its copy — the defining difference from
-    /// [`crate::mesi::DirectoryEntry::record_write`], which invalidates them.
-    pub fn record_write(&mut self, core: CoreId) -> (Option<CoreId>, Vec<CoreId>) {
-        let prev_owner = self.owner.filter(|o| *o != core);
-        self.sharers.insert(core);
-        let updated: Vec<CoreId> = self.sharers.iter().filter(|c| *c != core).collect();
-        self.owner = Some(core);
-        (prev_owner, updated)
-    }
-
-    /// Records that `core` dropped or wrote back its copy.
-    pub fn record_eviction(&mut self, core: CoreId) {
-        self.sharers.remove(core);
-        if self.owner == Some(core) {
-            self.owner = None;
-        }
-    }
-
-    /// Every core with a copy (dirty owner first, then the rest ascending).
-    pub fn holders(&self) -> Vec<CoreId> {
-        let mut v = Vec::new();
-        if let Some(o) = self.owner {
-            v.push(o);
-        }
-        v.extend(self.sharers.iter().filter(|c| Some(*c) != self.owner));
-        v
-    }
+/// Records a write by `core`. Returns `(previous dirty holder, sharers to
+/// update)`: on a write miss the previous holder supplies the line; every
+/// other sharer receives the written words as an update and *keeps* its copy
+/// — the defining difference from [`crate::mesi::record_write`], which
+/// invalidates them.
+pub fn record_write(dir: &mut Directory, core: CoreId) -> (Option<CoreId>, Vec<CoreId>) {
+    let prev_owner = dir.owner.filter(|o| *o != core);
+    dir.sharers.insert(core);
+    let updated: Vec<CoreId> = dir.sharers.iter().filter(|c| *c != core).collect();
+    dir.owner = Some(core);
+    (prev_owner, updated)
 }
 
 #[cfg(test)]
@@ -187,58 +73,52 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        assert!(!DragonState::Invalid.can_read());
-        assert!(DragonState::SharedClean.can_read());
-        assert!(DragonState::Exclusive.can_write_silently());
-        assert!(DragonState::Modified.can_write_silently());
-        assert!(!DragonState::SharedClean.can_write_silently());
-        assert!(!DragonState::SharedModified.can_write_silently());
-        assert!(DragonState::SharedModified.is_dirty());
-        assert!(DragonState::Modified.is_dirty());
-        assert!(!DragonState::SharedClean.is_dirty());
-        assert!(DragonState::SharedClean.is_shared());
-        assert!(DragonState::SharedModified.is_shared());
-        assert!(!DragonState::Exclusive.is_shared());
-        assert_eq!(DragonState::SharedModified.to_string(), "Sm");
+        assert!(!LineState::Invalid.can_read());
+        assert!(LineState::Shared.can_read());
+        assert!(LineState::Exclusive.can_write_silently());
+        assert!(LineState::Modified.can_write_silently());
+        assert!(!LineState::Shared.can_write_silently());
+        assert!(!LineState::SharedModified.can_write_silently());
+        assert!(LineState::SharedModified.is_dirty());
+        assert!(LineState::Modified.is_dirty());
+        assert!(!LineState::Shared.is_dirty());
+        assert!(LineState::Shared.is_shared());
+        assert!(LineState::SharedModified.is_shared());
+        assert!(!LineState::Exclusive.is_shared());
+        assert_eq!(LineState::SharedModified.to_string(), "Sm");
     }
 
     #[test]
     fn fill_and_write_transitions() {
-        assert_eq!(DragonState::fill_for_read(true), DragonState::Exclusive);
-        assert_eq!(DragonState::fill_for_read(false), DragonState::SharedClean);
+        assert_eq!(LineState::fill_for_read(true), LineState::Exclusive);
+        assert_eq!(LineState::fill_for_read(false), LineState::Shared);
+        assert_eq!(after_local_write(true), LineState::SharedModified);
+        assert_eq!(after_local_write(false), LineState::Modified);
         assert_eq!(
-            DragonState::after_local_write(true),
-            DragonState::SharedModified
+            after_remote_update(LineState::SharedModified),
+            LineState::Shared
         );
-        assert_eq!(DragonState::after_local_write(false), DragonState::Modified);
-        assert_eq!(
-            DragonState::SharedModified.after_remote_update(),
-            DragonState::SharedClean
-        );
-        assert_eq!(
-            DragonState::SharedClean.after_remote_update(),
-            DragonState::SharedClean
-        );
+        assert_eq!(after_remote_update(LineState::Shared), LineState::Shared);
     }
 
     #[test]
     fn first_reader_gets_exclusive() {
-        let mut d = DragonDirectory::default();
+        let mut d = Directory::default();
         assert!(d.is_idle());
-        assert!(d.grants_exclusive(CoreId(0)));
-        assert_eq!(d.record_read(CoreId(0)), None);
+        assert!(grants_exclusive(&d, CoreId(0)));
+        assert_eq!(record_read(&mut d, CoreId(0)), None);
         assert!(
-            d.grants_exclusive(CoreId(0)),
+            grants_exclusive(&d, CoreId(0)),
             "sole sharer re-reads as sole"
         );
-        assert!(!d.grants_exclusive(CoreId(1)));
+        assert!(!grants_exclusive(&d, CoreId(1)));
     }
 
     #[test]
     fn read_after_writer_fetches_from_dirty_holder() {
-        let mut d = DragonDirectory::default();
-        d.record_write(CoreId(2));
-        let supplier = d.record_read(CoreId(5));
+        let mut d = Directory::default();
+        record_write(&mut d, CoreId(2));
+        let supplier = record_read(&mut d, CoreId(5));
         assert_eq!(supplier, Some(CoreId(2)));
         // The dirty holder keeps ownership (M demotes to Sm in its L1, still
         // dirty) — a later eviction must still write back.
@@ -248,11 +128,11 @@ mod tests {
 
     #[test]
     fn write_updates_sharers_instead_of_invalidating() {
-        let mut d = DragonDirectory::default();
-        d.record_read(CoreId(0));
-        d.record_read(CoreId(1));
-        d.record_read(CoreId(2));
-        let (prev_owner, updated) = d.record_write(CoreId(1));
+        let mut d = Directory::default();
+        record_read(&mut d, CoreId(0));
+        record_read(&mut d, CoreId(1));
+        record_read(&mut d, CoreId(2));
+        let (prev_owner, updated) = record_write(&mut d, CoreId(1));
         assert_eq!(prev_owner, None);
         let mut upd: Vec<usize> = updated.iter().map(|c| c.0).collect();
         upd.sort_unstable();
@@ -265,10 +145,10 @@ mod tests {
 
     #[test]
     fn dirty_ownership_transfers_between_writers() {
-        let mut d = DragonDirectory::default();
-        d.record_write(CoreId(4));
-        d.record_read(CoreId(9));
-        let (prev_owner, updated) = d.record_write(CoreId(9));
+        let mut d = Directory::default();
+        record_write(&mut d, CoreId(4));
+        record_read(&mut d, CoreId(9));
+        let (prev_owner, updated) = record_write(&mut d, CoreId(9));
         assert_eq!(prev_owner, Some(CoreId(4)));
         assert_eq!(updated, vec![CoreId(4)]);
         assert_eq!(d.owner, Some(CoreId(9)));
@@ -277,9 +157,9 @@ mod tests {
 
     #[test]
     fn eviction_clears_holder_state() {
-        let mut d = DragonDirectory::default();
-        d.record_write(CoreId(3));
-        d.record_read(CoreId(1));
+        let mut d = Directory::default();
+        record_write(&mut d, CoreId(3));
+        record_read(&mut d, CoreId(1));
         d.record_eviction(CoreId(3));
         assert_eq!(d.owner, None);
         assert_eq!(d.holders(), vec![CoreId(1)]);
@@ -289,9 +169,9 @@ mod tests {
 
     #[test]
     fn sole_writer_needs_no_updates() {
-        let mut d = DragonDirectory::default();
-        d.record_read(CoreId(6));
-        let (prev_owner, updated) = d.record_write(CoreId(6));
+        let mut d = Directory::default();
+        record_read(&mut d, CoreId(6));
+        let (prev_owner, updated) = record_write(&mut d, CoreId(6));
         assert_eq!(prev_owner, None);
         assert!(updated.is_empty());
     }
