@@ -5,20 +5,20 @@
 //! full matrix takes minutes, not microseconds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use denovo_waste::{RunOutcome, ScaleProfile, SimConfig, Simulator};
+use denovo_waste::{PlanOutcome, SimConfig, Simulator};
 use std::hint::black_box;
 use tw_bench::run_bench_matrix;
 use tw_types::ProtocolKind;
 use tw_workloads::{build_tiny, BenchmarkKind};
 
-fn matrix() -> RunOutcome {
+fn matrix() -> PlanOutcome {
     run_bench_matrix().expect("the bench matrix must run")
 }
 
 fn bench_tables(c: &mut Criterion) {
     let outcome = matrix();
     c.bench_function("table4_1_config", |b| {
-        b.iter(|| black_box(outcome.table_4_1(ScaleProfile::Tiny)))
+        b.iter(|| black_box(outcome.table_4_1()))
     });
     c.bench_function("table4_2_inputs", |b| {
         b.iter(|| black_box(outcome.table_4_2()))

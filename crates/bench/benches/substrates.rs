@@ -8,7 +8,7 @@ use std::hint::black_box;
 use tw_bloom::{BloomBank, BloomConfig};
 use tw_dram::MemoryController;
 use tw_mem::{CacheArray, CacheGeometry};
-use tw_noc::{Mesh, PacketSize, WormholeMesh};
+use tw_noc::{Mesh, NetworkModel, PacketSize, WormholeMesh};
 use tw_profiler::{CacheLevel, CacheWasteProfiler};
 use tw_protocols::flex_fetch_plan;
 use tw_types::{
@@ -78,7 +78,7 @@ fn bench_flit_mesh(c: &mut Criterion) {
                 let dst = TileId(((i * 7) % 16) as usize);
                 black_box(mesh.send(src, dst, size, i));
             }
-            mesh.total_stall_cycles()
+            mesh.total_queueing_cycles()
         })
     });
 }

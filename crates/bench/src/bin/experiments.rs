@@ -57,8 +57,8 @@
 //!   connection errors.
 
 use denovo_waste::{
-    protocol_by_name, ExperimentError, ExperimentMatrix, ExperimentSpec, PlanOutcome, RunOutcome,
-    ScaleProfile, Session, SimConfig, SimReport, Simulator, WorkloadSet,
+    protocol_by_name, ExperimentError, ExperimentSpec, PlanOutcome, ScaleProfile, Session,
+    SimConfig, SimReport, Simulator, WorkloadSet, WorkloadSpec,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -85,7 +85,7 @@ fn write_trace(rec: &FlightRecorder, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn print_headline(outcome: &RunOutcome) -> Result<(), ExperimentError> {
+fn print_headline(outcome: &PlanOutcome) -> Result<(), ExperimentError> {
     let h = outcome.headline()?;
     println!("== Headline cross-benchmark averages (paper value in parentheses) ==");
     println!(
@@ -265,10 +265,7 @@ fn main() -> ExitCode {
     if let Some((_, sink)) = &flight {
         session = session.with_recorder(sink.clone());
     }
-    let outcome = match session
-        .run(&spec, &WorkloadSet::new())
-        .and_then(RunOutcome::from_plan)
-    {
+    let outcome = match session.run(&spec, &WorkloadSet::new()) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -288,7 +285,7 @@ fn main() -> ExitCode {
         matrix_wall
     );
     if cache.is_some() {
-        let s = outcome.plan().cache;
+        let s = outcome.cache;
         eprintln!(
             "cache: {} hits / {} misses ({:.0}% hit rate)",
             s.hits,
@@ -307,7 +304,7 @@ fn main() -> ExitCode {
 }
 
 fn emit_figures(
-    outcome: &RunOutcome,
+    outcome: &PlanOutcome,
     scale: ScaleProfile,
     json: bool,
     wanted: &[String],
@@ -344,7 +341,7 @@ fn emit_figures(
     };
 
     if want("table4_1") {
-        emit(outcome.table_4_1(scale));
+        emit(outcome.table_4_1());
     }
     if want("table4_2") {
         emit(outcome.table_4_2());
@@ -1262,11 +1259,15 @@ fn trace_replay(args: &TraceArgs) -> Result<ExitCode, String> {
             summarize(&Simulator::new(cfg, &workload).run());
         }
         None => {
-            let matrix = ExperimentMatrix::subset(ProtocolKind::ALL.to_vec(), vec![], args.scale);
-            let kind = workload.kind;
-            let outcome = matrix.run_on(vec![workload]).map_err(|e| e.to_string())?;
+            let name = workload.kind.name();
+            let mut spec = ExperimentSpec::subset(ProtocolKind::ALL.to_vec(), vec![], args.scale);
+            spec.workloads = vec![WorkloadSpec::provided(name)];
+            let mut set = WorkloadSet::new();
+            set.insert(name, workload);
+            let outcome = Session::new().run(&spec, &set).map_err(|e| e.to_string())?;
+            let (row, _) = &outcome.rows[0];
             for &p in &ProtocolKind::ALL {
-                summarize(outcome.report(kind, p).map_err(|e| e.to_string())?);
+                summarize(outcome.report(row, p).map_err(|e| e.to_string())?);
             }
         }
     }

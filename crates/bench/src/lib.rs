@@ -14,24 +14,16 @@
 pub mod daemon;
 
 use denovo_waste::{
-    CacheStats, ExperimentError, ExperimentMatrix, FigureTable, PlanOutcome, RunOutcome,
-    ScaleProfile, SimConfig, Simulator,
+    CacheStats, ExperimentError, ExperimentSpec, FigureTable, PlanOutcome, ScaleProfile, Session,
+    SimConfig, Simulator, WorkloadSet,
 };
 use std::fmt::Write as _;
 use std::time::Duration;
+use tw_obs::escaped;
 use tw_profiler::WasteCategory;
 use tw_scenarios::{SharingPattern, SynthConfig};
 use tw_types::ProtocolKind;
 use tw_workloads::BenchmarkKind;
-
-/// Runs the full nine-protocol × six-benchmark matrix at the given scale.
-///
-/// # Errors
-///
-/// Any [`ExperimentError`] from the underlying plan run.
-pub fn run_full_matrix(scale: ScaleProfile) -> Result<RunOutcome, ExperimentError> {
-    ExperimentMatrix::full(scale).run()
-}
 
 /// Runs a reduced matrix used by the per-figure Criterion benches: the five
 /// protocols the headline summary compares, on two benchmarks, at the tiny
@@ -40,8 +32,8 @@ pub fn run_full_matrix(scale: ScaleProfile) -> Result<RunOutcome, ExperimentErro
 /// # Errors
 ///
 /// Any [`ExperimentError`] from the underlying plan run.
-pub fn run_bench_matrix() -> Result<RunOutcome, ExperimentError> {
-    ExperimentMatrix::subset(
+pub fn run_bench_matrix() -> Result<PlanOutcome, ExperimentError> {
+    let spec = ExperimentSpec::subset(
         vec![
             ProtocolKind::Mesi,
             ProtocolKind::MMemL1,
@@ -51,8 +43,8 @@ pub fn run_bench_matrix() -> Result<RunOutcome, ExperimentError> {
         ],
         vec![BenchmarkKind::Fft, BenchmarkKind::Barnes],
         ScaleProfile::Tiny,
-    )
-    .run()
+    );
+    Session::new().run(&spec, &WorkloadSet::new())
 }
 
 /// Seed for the update-vs-invalidate synthesized primitives. Fixed so the
@@ -133,25 +125,6 @@ fn update_ratio_geomean(fig: &FigureTable) -> f64 {
     (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a finite `f64` as JSON (JSON has no NaN/inf; those become null).
 fn json_num(v: f64) -> String {
     if v.is_finite() {
@@ -165,20 +138,20 @@ fn figure_json(fig: &FigureTable, out: &mut String) {
     let _ = write!(
         out,
         "{{\"title\":\"{}\",\"columns\":[",
-        json_escape(fig.title())
+        escaped(fig.title())
     );
     for (i, c) in fig.columns().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\"", json_escape(c));
+        let _ = write!(out, "\"{}\"", escaped(c));
     }
     out.push_str("],\"rows\":[");
     for (i, (label, values)) in fig.rows().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"label\":\"{}\",\"values\":[", json_escape(label));
+        let _ = write!(out, "{{\"label\":\"{}\",\"values\":[", escaped(label));
         for (j, v) in values.iter().enumerate() {
             if j > 0 {
                 out.push(',');
@@ -206,12 +179,12 @@ fn figure_json(fig: &FigureTable, out: &mut String) {
 /// Any [`ExperimentError`] from figure extraction (for example a missing
 /// baseline protocol).
 pub fn results_json(
-    outcome: &RunOutcome,
+    outcome: &PlanOutcome,
     scale: ScaleProfile,
     update: &FigureTable,
 ) -> Result<String, ExperimentError> {
     let h = outcome.headline()?;
-    let figures = outcome.all_figures(scale)?;
+    let figures = outcome.all_figures()?;
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"denovo-waste/bench-results/v1\",\n");
@@ -225,10 +198,11 @@ pub fn results_json(
     }
     out.push_str("],\n");
     let _ = write!(out, "  \"benchmarks\": [");
-    for (i, b) in outcome.benchmarks.iter().enumerate() {
+    for (i, (row, _)) in outcome.rows.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
+        let b = outcome.report(row, outcome.baseline.protocol())?.benchmark;
         let _ = write!(out, "\"{b}\"");
     }
     out.push_str("],\n");
@@ -298,7 +272,7 @@ pub fn plan_figures_json(outcome: &PlanOutcome) -> Result<String, ExperimentErro
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"denovo-waste/plan-results/v1\",\n");
-    let _ = writeln!(out, "  \"plan\": \"{}\",", json_escape(&outcome.name));
+    let _ = writeln!(out, "  \"plan\": \"{}\",", escaped(&outcome.name));
     let _ = write!(out, "  \"protocols\": [");
     for (i, p) in outcome.protocols.iter().enumerate() {
         if i > 0 {
@@ -312,7 +286,7 @@ pub fn plan_figures_json(outcome: &PlanOutcome) -> Result<String, ExperimentErro
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "\"{}\"", json_escape(label));
+        let _ = write!(out, "\"{}\"", escaped(label));
     }
     out.push_str("],\n");
     let _ = writeln!(out, "  \"cells\": {},", outcome.cells());
@@ -334,7 +308,7 @@ pub fn plan_figures_json(outcome: &PlanOutcome) -> Result<String, ExperimentErro
 pub fn cache_stats_json(plan: &str, stats: &CacheStats) -> String {
     format!(
         "{{\n  \"schema\": \"denovo-waste/cache-stats/v1\",\n  \"plan\": \"{}\",\n  \"cells\": {},\n  \"hits\": {},\n  \"misses\": {},\n  \"coalesced\": {},\n  \"hit_rate\": {}\n}}\n",
-        json_escape(plan),
+        escaped(plan),
         stats.total(),
         stats.hits,
         stats.misses,
@@ -348,13 +322,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("line\nbreak"), "line\\nbreak");
-        assert_eq!(json_escape("plain"), "plain");
-    }
-
-    #[test]
     fn json_numbers_are_finite_or_null() {
         assert_eq!(json_num(1.5), "1.5");
         assert_eq!(json_num(f64::NAN), "null");
@@ -363,7 +330,7 @@ mod tests {
 
     #[test]
     fn results_json_is_structurally_sound() {
-        let outcome = ExperimentMatrix::subset(
+        let spec = ExperimentSpec::subset(
             vec![
                 ProtocolKind::Mesi,
                 ProtocolKind::MMemL1,
@@ -373,9 +340,8 @@ mod tests {
             ],
             vec![BenchmarkKind::Fft, BenchmarkKind::Radix],
             ScaleProfile::Tiny,
-        )
-        .run()
-        .unwrap();
+        );
+        let outcome = Session::new().run(&spec, &WorkloadSet::new()).unwrap();
         let update = update_vs_invalidate_figure(ScaleProfile::Tiny);
         let json = results_json(&outcome, ScaleProfile::Tiny, &update).unwrap();
         // Structural sanity without a JSON parser: balanced delimiters and
@@ -402,12 +368,12 @@ mod tests {
 
         // The plan-level document shares the figure payload but carries no
         // wall time (it must be byte-reproducible).
-        let plan_json = plan_figures_json(outcome.plan()).unwrap();
+        let plan_json = plan_figures_json(&outcome).unwrap();
         assert!(plan_json.contains("denovo-waste/plan-results/v1"));
         assert!(plan_json.contains("Figure 5.1a"));
         assert!(!plan_json.contains("matrix_wall_ms"));
 
-        let stats = cache_stats_json(&outcome.plan().name, &outcome.plan().cache);
+        let stats = cache_stats_json(&outcome.name, &outcome.cache);
         assert!(stats.contains("\"hits\": 0"));
         assert!(stats.contains("\"misses\": 10"));
     }

@@ -13,7 +13,7 @@
 //! claim inverts (e.g. DBypFull-vs-MESI traffic would fail at 0.79,
 //! far below 1.0).
 
-use denovo_waste::{ExperimentMatrix, ScaleProfile};
+use denovo_waste::{ExperimentSpec, ScaleProfile, Session, WorkloadSet};
 
 /// Extracts `"name": <number>` from the committed results document without
 /// a JSON parser (the document is generated by `tw_bench::results_json`,
@@ -43,8 +43,11 @@ fn tiny_headline_ratios_track_the_committed_results() {
         "unexpected results schema"
     );
 
-    let outcome = ExperimentMatrix::full(ScaleProfile::Tiny)
-        .run()
+    let outcome = Session::new()
+        .run(
+            &ExperimentSpec::full_matrix(ScaleProfile::Tiny),
+            &WorkloadSet::new(),
+        )
         .expect("the tiny full matrix must run");
     let h = outcome
         .headline()

@@ -1,16 +1,15 @@
-//! Sweeps the old matrix API could not express.
+//! Sweeps a benchmark-keyed matrix cannot express.
 //!
-//! The original `ExperimentMatrix` keyed cells by `BenchmarkKind`, welded
-//! the system to the three `ScaleProfile`s, and panicked on duplicate kinds
-//! — so one matrix could hold at most one synthesized workload and exactly
-//! one system geometry. These tests exercise the plan API on exactly those
-//! shapes: two synthesized workloads in one plan, an L2-slice-size sweep,
-//! and a core-count (mesh) sweep; plus the NaN regression for zero-traffic
-//! baseline cells.
+//! A matrix whose cells are keyed by `BenchmarkKind` and whose system is one
+//! of the three `ScaleProfile`s holds at most one synthesized workload and
+//! exactly one system geometry. These tests exercise the plan API on the
+//! shapes that rules out: two synthesized workloads in one plan, an
+//! L2-slice-size sweep, and a core-count (mesh) sweep; plus the NaN
+//! regression for zero-traffic baseline cells.
 
 use denovo_waste::{
-    ExperimentError, ExperimentMatrix, ExperimentSpec, RowKey, ScaleProfile, Session,
-    SystemVariant, WorkloadSet, WorkloadSpec,
+    ExperimentError, ExperimentSpec, RowKey, ScaleProfile, Session, SystemVariant, WorkloadSet,
+    WorkloadSpec,
 };
 use tw_scenarios::synthesize;
 use tw_types::{Addr, ProtocolKind, RegionId, RegionInfo, RegionTable, TraceOp};
@@ -19,7 +18,7 @@ use tw_workloads::{BenchmarkKind, Workload};
 #[test]
 fn one_plan_mixes_two_synthesized_workloads_across_an_l2_sweep() {
     // Two distinct synthesized workloads — both BenchmarkKind::Synthesized,
-    // which the old run_on aborted on — swept over two L2 slice sizes under
+    // which no benchmark-keyed matrix can hold — swept over two L2 slice sizes under
     // two protocols: 2 x 2 x 2 = 8 cells in one plan.
     let mut spec = ExperimentSpec::subset(
         vec![ProtocolKind::Mesi, ProtocolKind::DBypFull],
@@ -227,17 +226,17 @@ fn zero_traffic_baseline_yields_zero_rows_not_nan() {
     // `null`s in the JSON artifact). The contract is all-zero rows.
     let wl = zero_traffic_workload();
     wl.assert_well_formed();
-    let out = ExperimentMatrix::subset(
+    let mut spec = ExperimentSpec::subset(
         vec![ProtocolKind::Mesi, ProtocolKind::DeNovo],
         vec![],
         ScaleProfile::Tiny,
-    )
-    .run_on(vec![wl])
-    .unwrap();
+    );
+    spec.workloads = vec![WorkloadSpec::provided("custom")];
+    let mut set = WorkloadSet::new();
+    set.insert("custom", wl);
+    let out = Session::new().run(&spec, &set).unwrap();
 
-    let report = out
-        .report(BenchmarkKind::Custom, ProtocolKind::Mesi)
-        .unwrap();
+    let report = out.report(&out.rows[0].0, ProtocolKind::Mesi).unwrap();
     assert_eq!(report.total_flit_hops(), 0.0, "the premise: zero traffic");
     assert!(report.total_cycles > 0);
 
@@ -250,7 +249,7 @@ fn zero_traffic_baseline_yields_zero_rows_not_nan() {
     }
     // Figure 5.2 normalizes by time (non-zero here) but must stay finite on
     // every figure of the set; sweep them all.
-    for fig in out.all_figures(ScaleProfile::Tiny).unwrap() {
+    for fig in out.all_figures().unwrap() {
         for (label, values) in fig.rows() {
             for v in values {
                 assert!(

@@ -10,11 +10,6 @@
 //!   report (trace bytes, system, protocol, engine version);
 //! * [`outcome`] — [`PlanOutcome`] extracts the paper's tables and figures,
 //!   normalized to an explicit [`Baseline`] (MESI by default).
-//!
-//! [`ExperimentMatrix`] and [`RunOutcome`] are thin facades preserving the
-//! original benchmark-keyed API: `ExperimentMatrix::full(scale).run()` still
-//! works (now returning `Result` instead of panicking) and is sugar for a
-//! built-in spec run through an uncached session.
 
 mod codec;
 pub mod json;
@@ -24,7 +19,7 @@ pub mod plan;
 pub mod session;
 
 pub use json::Json;
-pub use outcome::{HeadlineSummary, PlanOutcome, RunOutcome};
+pub use outcome::{HeadlineSummary, PlanOutcome};
 pub use plan::{
     Baseline, CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, RowKey, SystemVariant,
     WorkloadRef, WorkloadSet, WorkloadSource, WorkloadSpec, SPEC_SCHEMA,
@@ -95,7 +90,7 @@ impl ScaleProfile {
     /// Builds the workload for one benchmark at this scale. The trace-only
     /// kinds (`Custom`, `Synthesized`) have no fixed-input generator and are
     /// reported as an error — feed those through a plan's `provided`
-    /// workloads (or the [`ExperimentMatrix::run_on`] facade) instead.
+    /// workloads instead.
     pub fn try_workload(self, bench: BenchmarkKind, cores: usize) -> Result<Workload, String> {
         match self {
             ScaleProfile::Paper => Ok(match bench {
@@ -119,99 +114,13 @@ impl ScaleProfile {
     }
 }
 
-/// A set of (protocol × benchmark) runs — the facade over the plan API that
-/// keeps the original one-liners working.
-#[derive(Debug, Clone)]
-pub struct ExperimentMatrix {
-    /// Protocols to simulate (figure order).
-    pub protocols: Vec<tw_types::ProtocolKind>,
-    /// Benchmarks to simulate (figure order).
-    pub benchmarks: Vec<BenchmarkKind>,
-    /// Input/system scale.
-    pub scale: ScaleProfile,
-}
-
-impl ExperimentMatrix {
-    /// The full matrix of the paper: the nine figure protocols on all six
-    /// benchmarks. Pinned to [`tw_types::ProtocolKind::PAPER`] so the
-    /// committed figure artifacts are unaffected by registry extensions
-    /// (Dragon is exercised by the differential oracle and the explicit
-    /// update-vs-invalidate figure, not the paper matrix).
-    pub fn full(scale: ScaleProfile) -> Self {
-        ExperimentMatrix {
-            protocols: tw_types::ProtocolKind::PAPER.to_vec(),
-            benchmarks: BenchmarkKind::ALL.to_vec(),
-            scale,
-        }
-    }
-
-    /// A reduced matrix (useful for tests): the given protocols on the given
-    /// benchmarks.
-    pub fn subset(
-        protocols: Vec<tw_types::ProtocolKind>,
-        benchmarks: Vec<BenchmarkKind>,
-        scale: ScaleProfile,
-    ) -> Self {
-        ExperimentMatrix {
-            protocols,
-            benchmarks,
-            scale,
-        }
-    }
-
-    /// The equivalent declarative spec (what [`ExperimentMatrix::run`]
-    /// executes).
-    pub fn spec(&self) -> ExperimentSpec {
-        ExperimentSpec::subset(self.protocols.clone(), self.benchmarks.clone(), self.scale)
-    }
-
-    /// Runs every (protocol, benchmark) pair through an uncached
-    /// [`Session`], cells rayon-parallel.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ExperimentError`] from compiling or executing the equivalent
-    /// spec (a workload that cannot be generated, an invalid system, ...).
-    pub fn run(&self) -> Result<RunOutcome, ExperimentError> {
-        RunOutcome::from_plan(Session::new().run(&self.spec(), &WorkloadSet::new())?)
-    }
-
-    /// Runs every protocol of the matrix over externally supplied workloads
-    /// (replayed traces, synthesized scenarios) instead of the generated
-    /// benchmarks. The `benchmarks` field is ignored; each workload becomes
-    /// a plan row named by its [`BenchmarkKind`], so baseline-normalized
-    /// figures work as long as the protocol list includes the baseline.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::DuplicateWorkload`] if two workloads share a
-    /// [`BenchmarkKind`] (the benchmark-keyed facade cannot represent that —
-    /// give them distinct names in an [`ExperimentSpec`] instead), or
-    /// [`ExperimentError::CoreCountMismatch`] if a workload's core count
-    /// does not match the scale's system.
-    pub fn run_on(&self, workloads: Vec<Workload>) -> Result<RunOutcome, ExperimentError> {
-        let mut spec = self.spec();
-        spec.workloads = Vec::new();
-        let mut set = WorkloadSet::new();
-        for wl in workloads {
-            let name = wl.kind.name().to_string();
-            if spec.workloads.iter().any(|w| w.name == name) {
-                return Err(ExperimentError::DuplicateWorkload(name));
-            }
-            spec.workloads.push(WorkloadSpec::provided(name.clone()));
-            set.insert(name, wl);
-        }
-        RunOutcome::from_plan(Session::new().run(&spec, &set)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tw_types::ProtocolKind;
 
-    fn tiny_outcome() -> RunOutcome {
-        ExperimentMatrix::subset(
+    fn tiny_outcome() -> PlanOutcome {
+        let spec = ExperimentSpec::subset(
             vec![
                 ProtocolKind::Mesi,
                 ProtocolKind::DeNovo,
@@ -219,9 +128,31 @@ mod tests {
             ],
             vec![BenchmarkKind::Fft, BenchmarkKind::Radix],
             ScaleProfile::Tiny,
-        )
-        .run()
-        .unwrap()
+        );
+        Session::new().run(&spec, &WorkloadSet::new()).unwrap()
+    }
+
+    /// The row of a benchmark in a single-variant plan.
+    fn row(bench: BenchmarkKind) -> RowKey {
+        RowKey {
+            workload: bench.name().to_string(),
+            variant: "base".to_string(),
+        }
+    }
+
+    /// Runs `protocols` over externally supplied workloads, each a plan row
+    /// named by its [`BenchmarkKind`].
+    fn run_on(
+        protocols: Vec<ProtocolKind>,
+        workloads: Vec<Workload>,
+    ) -> Result<PlanOutcome, ExperimentError> {
+        let mut spec = ExperimentSpec::subset(protocols, vec![], ScaleProfile::Tiny);
+        let mut set = WorkloadSet::new();
+        for wl in workloads {
+            spec.workloads.push(WorkloadSpec::provided(wl.kind.name()));
+            set.insert(wl.kind.name(), wl);
+        }
+        Session::new().run(&spec, &set)
     }
 
     #[test]
@@ -229,7 +160,7 @@ mod tests {
         let out = tiny_outcome();
         assert_eq!(out.cells(), 6);
         assert!(
-            out.report(BenchmarkKind::Fft, ProtocolKind::Mesi)
+            out.report(&row(BenchmarkKind::Fft), ProtocolKind::Mesi)
                 .unwrap()
                 .total_cycles
                 > 0
@@ -240,7 +171,7 @@ mod tests {
     fn missing_cells_are_errors_not_panics() {
         let out = tiny_outcome();
         let err = out
-            .report(BenchmarkKind::Lu, ProtocolKind::Mesi)
+            .report(&row(BenchmarkKind::Lu), ProtocolKind::Mesi)
             .unwrap_err();
         assert!(matches!(err, ExperimentError::MissingCell { .. }), "{err}");
         let err = out.headline().unwrap_err();
@@ -291,7 +222,7 @@ mod tests {
     #[test]
     fn full_figure_set_has_ten_entries() {
         let out = tiny_outcome();
-        assert_eq!(out.all_figures(ScaleProfile::Tiny).unwrap().len(), 10);
+        assert_eq!(out.all_figures().unwrap().len(), 10);
         assert!(out.table_4_2().rows().len() >= 2);
     }
 
@@ -302,13 +233,11 @@ mod tests {
         // MESI cell.
         let mut wl = build_tiny(BenchmarkKind::Fft, 16).unwrap();
         wl.kind = BenchmarkKind::Custom;
-        let matrix = ExperimentMatrix::subset(
-            vec![ProtocolKind::Mesi, ProtocolKind::DBypFull],
-            vec![],
-            ScaleProfile::Tiny,
+        let out = run_on(vec![ProtocolKind::Mesi, ProtocolKind::DBypFull], vec![wl]).unwrap();
+        assert_eq!(
+            out.rows,
+            vec![(row(BenchmarkKind::Custom), "custom".into())]
         );
-        let out = matrix.run_on(vec![wl]).unwrap();
-        assert_eq!(out.benchmarks, vec![BenchmarkKind::Custom]);
         assert_eq!(out.cells(), 2);
         let fig = out.fig_5_1a().unwrap();
         let mesi = fig.value("custom/MESI", "Total").unwrap();
@@ -319,8 +248,7 @@ mod tests {
     #[test]
     fn run_on_rejects_duplicate_kinds_without_panicking() {
         let wl = build_tiny(BenchmarkKind::Fft, 16).unwrap();
-        let matrix = ExperimentMatrix::subset(vec![ProtocolKind::Mesi], vec![], ScaleProfile::Tiny);
-        let err = matrix.run_on(vec![wl.clone(), wl]).unwrap_err();
+        let err = run_on(vec![ProtocolKind::Mesi], vec![wl.clone(), wl]).unwrap_err();
         assert!(
             matches!(err, ExperimentError::DuplicateWorkload(_)),
             "{err}"
@@ -330,8 +258,7 @@ mod tests {
     #[test]
     fn run_on_rejects_core_count_mismatch_without_panicking() {
         let wl = build_tiny(BenchmarkKind::Fft, 4).unwrap();
-        let matrix = ExperimentMatrix::subset(vec![ProtocolKind::Mesi], vec![], ScaleProfile::Tiny);
-        let err = matrix.run_on(vec![wl]).unwrap_err();
+        let err = run_on(vec![ProtocolKind::Mesi], vec![wl]).unwrap_err();
         assert!(
             matches!(err, ExperimentError::CoreCountMismatch { .. }),
             "{err}"

@@ -6,20 +6,15 @@
 //! plan's [`Baseline`] run of the same row — MESI by default, exactly as the
 //! paper does — and a zero-valued baseline yields `0.0` rows rather than
 //! NaN/inf, so figure output is always finite and JSON-serializable.
-//!
-//! [`RunOutcome`] is the benchmark-keyed facade the original matrix API
-//! exposed; it delegates everything to an inner [`PlanOutcome`].
 
 use super::plan::{Baseline, ExperimentError, RowKey};
 use super::session::CacheStats;
-use super::ScaleProfile;
 use crate::figures::FigureTable;
 use crate::report::SimReport;
 use crate::timing::TimeClass;
 use std::collections::BTreeMap;
 use tw_profiler::WasteCategory;
 use tw_types::{MessageClass, ProtocolKind, SystemConfig, TrafficBucket};
-use tw_workloads::BenchmarkKind;
 
 /// Normalizes `value` to `base`, yielding `0.0` for an empty baseline
 /// instead of NaN/inf (a zero-traffic baseline cell must produce all-zero
@@ -428,149 +423,5 @@ impl PlanOutcome {
             self.fig_5_3b()?,
             self.fig_5_3c()?,
         ])
-    }
-}
-
-/// The benchmark-keyed facade over a [`PlanOutcome`] — the shape the
-/// original `ExperimentMatrix` API exposed. Rows are benchmarks, so it only
-/// represents single-variant plans whose workloads all carry distinct
-/// [`BenchmarkKind`]s.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    inner: PlanOutcome,
-    /// Protocols, in figure order.
-    pub protocols: Vec<ProtocolKind>,
-    /// Benchmarks, in figure order.
-    pub benchmarks: Vec<BenchmarkKind>,
-    bench_rows: BTreeMap<BenchmarkKind, RowKey>,
-}
-
-impl RunOutcome {
-    /// Wraps a plan outcome, deriving the benchmark axis from each row's
-    /// reports.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::DuplicateWorkload`] if two rows carry the same
-    /// [`BenchmarkKind`] — such plans are fine as [`PlanOutcome`]s but have
-    /// no faithful benchmark-keyed view.
-    pub fn from_plan(inner: PlanOutcome) -> Result<Self, ExperimentError> {
-        let mut benchmarks = Vec::new();
-        let mut bench_rows = BTreeMap::new();
-        for (row, _) in &inner.rows {
-            let Some(report) = inner
-                .reports
-                .iter()
-                .find(|((r, _), _)| r == row)
-                .map(|(_, r)| r)
-            else {
-                continue;
-            };
-            let kind = report.benchmark;
-            if bench_rows.insert(kind, row.clone()).is_some() {
-                return Err(ExperimentError::DuplicateWorkload(kind.to_string()));
-            }
-            benchmarks.push(kind);
-        }
-        Ok(RunOutcome {
-            protocols: inner.protocols.clone(),
-            benchmarks,
-            bench_rows,
-            inner,
-        })
-    }
-
-    /// The underlying plan outcome (cell-identity view, cache statistics).
-    pub fn plan(&self) -> &PlanOutcome {
-        &self.inner
-    }
-
-    /// Number of cells executed.
-    pub fn cells(&self) -> usize {
-        self.inner.cells()
-    }
-
-    /// The report for one (benchmark, protocol) pair.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::MissingCell`] if the pair was not part of the
-    /// matrix.
-    pub fn report(
-        &self,
-        bench: BenchmarkKind,
-        protocol: ProtocolKind,
-    ) -> Result<&SimReport, ExperimentError> {
-        let row = self
-            .bench_rows
-            .get(&bench)
-            .ok_or_else(|| ExperimentError::MissingCell {
-                row: bench.to_string(),
-                protocol,
-            })?;
-        self.inner.report(row, protocol)
-    }
-
-    /// Table 4.1 (see [`PlanOutcome::table_4_1`]). The scale argument is
-    /// retained for call-site compatibility; the variant systems recorded in
-    /// the plan are what is rendered.
-    pub fn table_4_1(&self, _scale: ScaleProfile) -> FigureTable {
-        self.inner.table_4_1()
-    }
-
-    /// Table 4.2 (see [`PlanOutcome::table_4_2`]).
-    pub fn table_4_2(&self) -> FigureTable {
-        self.inner.table_4_2()
-    }
-
-    /// Figure 5.1a (see [`PlanOutcome::fig_5_1a`]).
-    pub fn fig_5_1a(&self) -> Result<FigureTable, ExperimentError> {
-        self.inner.fig_5_1a()
-    }
-
-    /// Figure 5.1b (see [`PlanOutcome::fig_5_1b`]).
-    pub fn fig_5_1b(&self) -> Result<FigureTable, ExperimentError> {
-        self.inner.fig_5_1b()
-    }
-
-    /// Figure 5.1c (see [`PlanOutcome::fig_5_1c`]).
-    pub fn fig_5_1c(&self) -> Result<FigureTable, ExperimentError> {
-        self.inner.fig_5_1c()
-    }
-
-    /// Figure 5.1d (see [`PlanOutcome::fig_5_1d`]).
-    pub fn fig_5_1d(&self) -> Result<FigureTable, ExperimentError> {
-        self.inner.fig_5_1d()
-    }
-
-    /// Figure 5.2 (see [`PlanOutcome::fig_5_2`]).
-    pub fn fig_5_2(&self) -> Result<FigureTable, ExperimentError> {
-        self.inner.fig_5_2()
-    }
-
-    /// Figure 5.3a (see [`PlanOutcome::fig_5_3a`]).
-    pub fn fig_5_3a(&self) -> Result<FigureTable, ExperimentError> {
-        self.inner.fig_5_3a()
-    }
-
-    /// Figure 5.3b (see [`PlanOutcome::fig_5_3b`]).
-    pub fn fig_5_3b(&self) -> Result<FigureTable, ExperimentError> {
-        self.inner.fig_5_3b()
-    }
-
-    /// Figure 5.3c (see [`PlanOutcome::fig_5_3c`]).
-    pub fn fig_5_3c(&self) -> Result<FigureTable, ExperimentError> {
-        self.inner.fig_5_3c()
-    }
-
-    /// The headline cross-benchmark averages (see
-    /// [`PlanOutcome::headline`]).
-    pub fn headline(&self) -> Result<HeadlineSummary, ExperimentError> {
-        self.inner.headline()
-    }
-
-    /// Every figure of the evaluation section, in order.
-    pub fn all_figures(&self, _scale: ScaleProfile) -> Result<Vec<FigureTable>, ExperimentError> {
-        self.inner.all_figures()
     }
 }

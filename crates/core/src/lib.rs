@@ -41,9 +41,9 @@ pub mod timing;
 
 pub use experiment::{
     cache_key, sweep_temp_files, Baseline, CacheStats, CompiledPlan, ExperimentError,
-    ExperimentMatrix, ExperimentSpec, HeadlineSummary, Json, PlanOutcome, PlannedCell, RowKey,
-    RunOutcome, ScaleProfile, Session, SessionCounters, SystemVariant, WorkloadRef, WorkloadSet,
-    WorkloadSource, WorkloadSpec, ENGINE_VERSION, SPEC_SCHEMA, TEMP_SWEEP_AGE,
+    ExperimentSpec, HeadlineSummary, Json, PlanOutcome, PlannedCell, RowKey, ScaleProfile, Session,
+    SessionCounters, SystemVariant, WorkloadRef, WorkloadSet, WorkloadSource, WorkloadSpec,
+    ENGINE_VERSION, SPEC_SCHEMA, TEMP_SWEEP_AGE,
 };
 pub use figures::FigureTable;
 pub use report::SimReport;

@@ -17,8 +17,9 @@
 //! waiting, never reroutes.
 
 use crate::mesh::unloaded_latency;
+use crate::model::NetworkModel;
 use crate::packet::PacketSize;
-use tw_types::{Cycle, NocConfig, TileId};
+use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
 
 /// A shared snooping bus: deterministic FCFS arbitration, one transaction
 /// occupying the medium at a time.
@@ -55,13 +56,22 @@ impl SnoopBus {
         src.coord(self.cfg.cols).hops_to(dst.coord(self.cfg.cols))
     }
 
-    /// Sends a transaction, returning the cycle its tail arrives at `dst`.
-    ///
+    /// Total flit-hops accumulated by sends.
+    pub fn total_flit_hops(&self) -> f64 {
+        self.flit_hops
+    }
+}
+
+impl NetworkModel for SnoopBus {
+    fn kind(&self) -> NetworkModelKind {
+        NetworkModelKind::SnoopBus
+    }
+
     /// Arbitration: the transaction wins the bus at `max(now, busy_until)`
     /// (FCFS in call order — the engine's deterministic event order makes
     /// this reproducible), occupies it for the serialization time of its
     /// flits, and reaches `dst` one unloaded propagation delay after winning.
-    pub fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
+    fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
         self.packets += 1;
         let hops = self.hops(src, dst);
         self.flit_hops += (hops * size.total_flits()) as f64;
@@ -71,25 +81,19 @@ impl SnoopBus {
         start + unloaded_latency(&self.cfg, hops, size)
     }
 
-    /// Latency a transaction would see on an idle bus (no arbitration wait):
-    /// identical to the analytic mesh's unloaded latency.
-    pub fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
+    /// An idle bus has no arbitration wait: identical to the analytic
+    /// mesh's unloaded latency.
+    fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
         unloaded_latency(&self.cfg, self.hops(src, dst), size)
     }
 
-    /// Total flit-hops accumulated by [`SnoopBus::send`].
-    pub fn total_flit_hops(&self) -> f64 {
-        self.flit_hops
-    }
-
-    /// Total transactions sent.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
     /// Total cycles transactions spent waiting for the bus.
-    pub fn total_stall_cycles(&self) -> u64 {
+    fn total_queueing_cycles(&self) -> u64 {
         self.stall_cycles
+    }
+
+    fn packets(&self) -> u64 {
+        self.packets
     }
 }
 
@@ -110,7 +114,7 @@ mod tests {
             arrival,
             100 + b.unloaded_latency(TileId(0), TileId(15), size)
         );
-        assert_eq!(b.total_stall_cycles(), 0);
+        assert_eq!(b.total_queueing_cycles(), 0);
     }
 
     #[test]
@@ -122,7 +126,7 @@ mod tests {
         let c = b.send(TileId(14), TileId(15), size, 0);
         assert_eq!(c, 5 + b.unloaded_latency(TileId(14), TileId(15), size));
         assert!(c > a, "second transaction must queue behind the first");
-        assert_eq!(b.total_stall_cycles(), 5);
+        assert_eq!(b.total_queueing_cycles(), 5);
         assert_eq!(b.packets(), 2);
     }
 
@@ -146,9 +150,9 @@ mod tests {
         let size = PacketSize::with_data_words(b.config(), 4); // 2 flits
         b.send(TileId(0), TileId(1), size, 0);
         // By cycle 2 the medium is free again: no stall.
-        let before = b.total_stall_cycles();
+        let before = b.total_queueing_cycles();
         b.send(TileId(2), TileId(3), size, 2);
-        assert_eq!(b.total_stall_cycles(), before);
+        assert_eq!(b.total_queueing_cycles(), before);
     }
 
     #[test]

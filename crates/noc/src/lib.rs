@@ -24,7 +24,7 @@
 //! # Example
 //!
 //! ```
-//! use tw_noc::{model_for, Mesh, PacketSize};
+//! use tw_noc::{model_for, Mesh, NetworkModel, PacketSize};
 //! use tw_types::{NetworkModelKind, NocConfig, TileId};
 //!
 //! let mesh = Mesh::new(NocConfig::default());

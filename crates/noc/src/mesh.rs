@@ -1,8 +1,9 @@
 //! The 2-D mesh: XY routing, flit-hop accounting, and message latency.
 
 use crate::link::{LinkId, LinkState};
+use crate::model::NetworkModel;
 use crate::packet::PacketSize;
-use tw_types::{Cycle, MeshCoord, NocConfig, TileId};
+use tw_types::{Cycle, MeshCoord, NetworkModelKind, NocConfig, TileId};
 
 /// The sequence of links a packet from `src` to `dst` traverses under XY
 /// dimension-order routing (X first, then Y). Empty when `src == dst`.
@@ -108,16 +109,12 @@ impl Mesh {
     }
 
     /// Sends a packet, updating flit-hop totals and per-link occupancy, and
-    /// returns the cycle at which the tail flit arrives at `dst`.
+    /// returns the cycle at which the tail flit arrives at `dst` together
+    /// with the hop count of the route ([`NetworkModel::send`] is this minus
+    /// the count).
     ///
     /// Local delivery (`src == dst`) models the cache controller's internal
     /// path: one router traversal, no link occupancy, no flit-hops.
-    pub fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
-        self.send_counted(src, dst, size, now).0
-    }
-
-    /// [`Mesh::send`] variant that also returns the hop count of the route,
-    /// so callers that need both don't compute the coordinates twice.
     pub fn send_counted(
         &mut self,
         src: TileId,
@@ -187,19 +184,9 @@ impl Mesh {
         (head_time + (flits as Cycle - 1), hops)
     }
 
-    /// Latency a packet would see on an unloaded network (no contention).
-    pub fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
-        unloaded_latency(&self.cfg, self.hops(src, dst), size)
-    }
-
-    /// Total flit-hops accumulated by [`Mesh::send`].
+    /// Total flit-hops accumulated by sends.
     pub fn total_flit_hops(&self) -> f64 {
         self.flit_hops
-    }
-
-    /// Total packets sent.
-    pub fn packets(&self) -> u64 {
-        self.packets
     }
 
     /// Per-link occupancy states for links that carried traffic (for
@@ -228,10 +215,28 @@ impl Mesh {
                 )
             })
     }
+}
 
-    /// Aggregate queueing delay suffered at all links, in cycles.
-    pub fn total_queueing_cycles(&self) -> u64 {
+impl NetworkModel for Mesh {
+    fn kind(&self) -> NetworkModelKind {
+        NetworkModelKind::Analytic
+    }
+
+    fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
+        self.send_counted(src, dst, size, now).0
+    }
+
+    fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
+        unloaded_latency(&self.cfg, self.hops(src, dst), size)
+    }
+
+    /// Aggregate queueing delay suffered at all links.
+    fn total_queueing_cycles(&self) -> u64 {
         self.links.iter().map(|l| l.queueing_cycles).sum()
+    }
+
+    fn packets(&self) -> u64 {
+        self.packets
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! All three fabrics — the analytic [`Mesh`], the flit-level
 //! [`WormholeMesh`], and the snooping [`SnoopBus`] — implement
-//! [`NetworkModel`], and the engine resolves a [`NetworkModelKind`] to a
+//! [`NetworkModel`] next to their state (the trait is their only sending
+//! API), and the engine resolves a [`NetworkModelKind`] to a
 //! boxed model exactly once at construction through [`model_for`], mirroring
 //! the protocol-executor registry (`DESIGN.md` §3/§11). Flit-hop *traffic*
 //! is model-independent (all account `hops × flits` over the same XY
@@ -10,7 +11,7 @@
 //! tail-flit arrival cycle under that model's contention behavior.
 
 use crate::bus::SnoopBus;
-use crate::mesh::{unloaded_latency, xy_route, Mesh};
+use crate::mesh::Mesh;
 use crate::packet::PacketSize;
 use crate::wormhole::WormholeMesh;
 use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
@@ -39,76 +40,6 @@ pub trait NetworkModel: std::fmt::Debug + Send {
     /// models have no queue and report 0 (the default). Observer lane only.
     fn queue_high_water(&self) -> usize {
         0
-    }
-}
-
-impl NetworkModel for Mesh {
-    fn kind(&self) -> NetworkModelKind {
-        NetworkModelKind::Analytic
-    }
-
-    fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
-        Mesh::send(self, src, dst, size, now)
-    }
-
-    fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
-        Mesh::unloaded_latency(self, src, dst, size)
-    }
-
-    fn total_queueing_cycles(&self) -> u64 {
-        Mesh::total_queueing_cycles(self)
-    }
-
-    fn packets(&self) -> u64 {
-        Mesh::packets(self)
-    }
-}
-
-impl NetworkModel for WormholeMesh {
-    fn kind(&self) -> NetworkModelKind {
-        NetworkModelKind::FlitLevel
-    }
-
-    fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
-        WormholeMesh::send(self, src, dst, size, now)
-    }
-
-    fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
-        unloaded_latency(self.config(), xy_route(self.config(), src, dst).len(), size)
-    }
-
-    fn total_queueing_cycles(&self) -> u64 {
-        self.total_stall_cycles()
-    }
-
-    fn packets(&self) -> u64 {
-        WormholeMesh::packets(self)
-    }
-
-    fn queue_high_water(&self) -> usize {
-        self.event_queue_high_water()
-    }
-}
-
-impl NetworkModel for SnoopBus {
-    fn kind(&self) -> NetworkModelKind {
-        NetworkModelKind::SnoopBus
-    }
-
-    fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
-        SnoopBus::send(self, src, dst, size, now)
-    }
-
-    fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
-        SnoopBus::unloaded_latency(self, src, dst, size)
-    }
-
-    fn total_queueing_cycles(&self) -> u64 {
-        self.total_stall_cycles()
-    }
-
-    fn packets(&self) -> u64 {
-        SnoopBus::packets(self)
     }
 }
 

@@ -28,10 +28,11 @@
 use crate::events::EventQueue;
 use crate::link::LinkId;
 use crate::mesh::{unloaded_latency, xy_route};
+use crate::model::NetworkModel;
 use crate::packet::PacketSize;
 use crate::router::OutPort;
 use std::collections::HashMap;
-use tw_types::{Cycle, NocConfig, TileId};
+use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
 
 /// One flit traversal: (hop index on the route, flit index in the packet).
 type FlitHop = (usize, usize);
@@ -61,26 +62,9 @@ impl WormholeMesh {
         &self.cfg
     }
 
-    /// Total packets sent.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
     /// Total flit traversals forwarded by all ports.
     pub fn total_flits_forwarded(&self) -> u64 {
         self.ports.values().map(|p| p.flits).sum()
-    }
-
-    /// Total cycles flits spent stalled on arbitration, channel slots or
-    /// credits, beyond their pipeline-ready times.
-    pub fn total_stall_cycles(&self) -> u64 {
-        self.ports.values().map(|p| p.stall_cycles).sum()
-    }
-
-    /// Peak depth of the flit-event queue across the run — how much
-    /// in-flight work the event loop ever had pending at once.
-    pub fn event_queue_high_water(&self) -> usize {
-        self.events.high_water()
     }
 
     /// Earliest cycle flit `f` may start crossing link `i`, given every
@@ -112,13 +96,18 @@ impl WormholeMesh {
         }
         ready
     }
+}
 
-    /// Sends a packet, simulating every flit through the route, and returns
-    /// the cycle the tail flit arrives at `dst`.
+impl NetworkModel for WormholeMesh {
+    fn kind(&self) -> NetworkModelKind {
+        NetworkModelKind::FlitLevel
+    }
+
+    /// Simulates every flit of the packet through the route.
     ///
     /// Local delivery (`src == dst`) models the cache controller's internal
     /// path: one router traversal, no link occupancy.
-    pub fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
+    fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
         self.packets += 1;
         let route = xy_route(&self.cfg, src, dst);
         if route.is_empty() {
@@ -200,6 +189,26 @@ impl WormholeMesh {
         debug_assert!(arrival >= now + unloaded_latency(&self.cfg, hops, size));
         arrival
     }
+
+    fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
+        unloaded_latency(&self.cfg, xy_route(&self.cfg, src, dst).len(), size)
+    }
+
+    /// Total cycles flits spent stalled on arbitration, channel slots or
+    /// credits, beyond their pipeline-ready times.
+    fn total_queueing_cycles(&self) -> u64 {
+        self.ports.values().map(|p| p.stall_cycles).sum()
+    }
+
+    fn packets(&self) -> u64 {
+        self.packets
+    }
+
+    /// Peak depth of the flit-event queue across the run — how much
+    /// in-flight work the event loop ever had pending at once.
+    fn queue_high_water(&self) -> usize {
+        self.events.high_water()
+    }
 }
 
 #[cfg(test)]
@@ -249,7 +258,7 @@ mod tests {
         let b = m.send(TileId(0), TileId(1), full_line(), 0);
         assert_eq!(a, idle, "the first packet sees an idle wire");
         assert!(b > a, "the second packet queues behind the first's slots");
-        assert!(m.total_stall_cycles() > 0);
+        assert!(m.total_queueing_cycles() > 0);
         assert_eq!(m.total_flits_forwarded(), 10);
     }
 
@@ -317,7 +326,11 @@ mod tests {
                 };
                 arrivals.push(m.send(src, dst, size, i / 3));
             }
-            (arrivals, m.total_stall_cycles(), m.total_flits_forwarded())
+            (
+                arrivals,
+                m.total_queueing_cycles(),
+                m.total_flits_forwarded(),
+            )
         };
         assert_eq!(run(), run());
     }

@@ -1,7 +1,7 @@
 //! Property-based tests of mesh routing and flit-hop accounting.
 
 use proptest::prelude::*;
-use tw_noc::{model_for, Mesh, PacketSize};
+use tw_noc::{model_for, Mesh, NetworkModel, PacketSize};
 use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
 
 fn mesh() -> Mesh {

@@ -46,7 +46,7 @@ pub mod span;
 pub mod trace;
 
 pub use hist::Log2Histogram;
-pub use recorder::{FlightRecorder, NoopRecorder, Recorder, SpanSink};
+pub use recorder::{escape_into, escaped, FlightRecorder, NoopRecorder, Recorder, SpanSink};
 pub use span::{AttrValue, Span};
 pub use trace::{
     diff_traces, strip_timing, stripped_lines, validate_trace, TraceError, TraceSummary,

@@ -107,20 +107,20 @@ fn write_span_line(out: &mut String, seq: u64, span: &Span) {
     let _ = write!(
         out,
         "{{\"seq\":{seq},\"track\":\"{}\",\"name\":\"{}\",\"attrs\":{{",
-        escape(&span.track),
-        escape(&span.name)
+        escaped(&span.track),
+        escaped(&span.name)
     );
     for (i, (key, value)) in span.attrs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":", escape(key));
+        let _ = write!(out, "\"{}\":", escaped(key));
         match value {
             AttrValue::U64(v) => {
                 let _ = write!(out, "{v}");
             }
             AttrValue::Str(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
+                let _ = write!(out, "\"{}\"", escaped(s));
             }
         }
     }
@@ -129,15 +129,16 @@ fn write_span_line(out: &mut String, seq: u64, span: &Span) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{us}", escape(key));
+        let _ = write!(out, "\"{}\":{us}", escaped(key));
     }
     out.push_str("}}\n");
 }
 
-/// JSON string escaping (same rules as the workspace's hand-rolled JSON
-/// emitters: backslash, quote, and control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` escaped for a JSON string literal (backslash,
+/// quote and control characters). The workspace's one escaper: the span
+/// writer here, `denovo_waste::Json` and the `tw-bench` documents all emit
+/// strings through it, so their bytes cannot drift apart.
+pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -151,6 +152,12 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// [`escape_into`] a fresh string, for `format!` arguments.
+pub fn escaped(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
     out
 }
 
@@ -253,6 +260,8 @@ mod tests {
 
     #[test]
     fn escape_covers_quotes_backslashes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(escaped("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(escaped("line\r\tbreak"), "line\\r\\tbreak");
+        assert_eq!(escaped("plain"), "plain");
     }
 }

@@ -28,7 +28,7 @@ use crate::mutate::{detect, Detection};
 use crate::oracle::{golden_execute, OracleReport};
 use crate::synth::is_fully_bypass_streaming;
 use denovo_waste::{
-    ExperimentError, ExperimentSpec, RunOutcome, ScaleProfile, Session, SimConfig, Simulator,
+    ExperimentError, ExperimentSpec, PlanOutcome, ScaleProfile, Session, SimConfig, Simulator,
     WorkloadSet, WorkloadSpec,
 };
 use rayon::prelude::*;
@@ -413,7 +413,7 @@ impl DifferentialRunner {
     ///
     /// Any [`ExperimentError`] from compiling or executing the plan (for
     /// example a core-count mismatch with the scale's system).
-    pub fn matrix_outcome(&self, wl: Workload) -> Result<RunOutcome, ExperimentError> {
+    pub fn matrix_outcome(&self, wl: Workload) -> Result<PlanOutcome, ExperimentError> {
         let name = wl.kind.name().to_string();
         let mut spec = ExperimentSpec::subset(self.protocols.clone(), Vec::new(), self.scale);
         spec.name = format!("differential-{name}");
@@ -421,7 +421,7 @@ impl DifferentialRunner {
         spec.networks = vec![self.network];
         let mut set = WorkloadSet::new();
         set.insert(name, wl);
-        RunOutcome::from_plan(Session::new().run(&spec, &set)?)
+        Session::new().run(&spec, &set)
     }
 }
 
@@ -553,7 +553,8 @@ mod tests {
             recorder: None,
         };
         let out = runner.matrix_outcome(synthesize(4)).unwrap();
-        assert_eq!(out.benchmarks, vec![BenchmarkKind::Synthesized]);
+        assert_eq!(out.rows.len(), 1);
+        assert_eq!(out.rows[0].1, BenchmarkKind::Synthesized.name());
         let fig = out.fig_5_1a().unwrap();
         let mesi = fig.value("synthesized/MESI", "Total").unwrap();
         assert!((mesi - 1.0).abs() < 1e-9, "MESI bar normalizes to 1.0");

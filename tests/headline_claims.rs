@@ -7,14 +7,25 @@
 //! headline claim already holds on miniature inputs, so regressions in the
 //! protocol implementations are caught by `cargo test --workspace`.
 
-use denovo_waste::{ExperimentMatrix, ScaleProfile};
+use denovo_waste::{ExperimentSpec, PlanOutcome, RowKey, ScaleProfile, Session, WorkloadSet};
 use tw_types::{MessageClass, ProtocolKind};
 use tw_workloads::BenchmarkKind;
 
-fn outcome() -> denovo_waste::RunOutcome {
-    ExperimentMatrix::full(ScaleProfile::Tiny)
-        .run()
+fn outcome() -> PlanOutcome {
+    Session::new()
+        .run(
+            &ExperimentSpec::full_matrix(ScaleProfile::Tiny),
+            &WorkloadSet::new(),
+        )
         .expect("the tiny full matrix must run")
+}
+
+/// The row of a benchmark in the (single-variant) full matrix.
+fn row(bench: BenchmarkKind) -> RowKey {
+    RowKey {
+        workload: bench.name().to_string(),
+        variant: "base".to_string(),
+    }
 }
 
 #[test]
@@ -71,8 +82,8 @@ fn mmeml1_removes_store_resp_l2_waste() {
     // served from memory.
     let out = outcome();
     for &b in &[BenchmarkKind::Fft, BenchmarkKind::Radix] {
-        let mesi = out.report(b, ProtocolKind::Mesi).unwrap();
-        let mm = out.report(b, ProtocolKind::MMemL1).unwrap();
+        let mesi = out.report(&row(b), ProtocolKind::Mesi).unwrap();
+        let mm = out.report(&row(b), ProtocolKind::MMemL1).unwrap();
         let bucket =
             |r: &denovo_waste::SimReport, bucket| r.traffic.get(MessageClass::Store, bucket);
         let mesi_l2 = bucket(mesi, tw_types::TrafficBucket::RespL2Used)
@@ -92,7 +103,7 @@ fn write_validate_eliminates_store_data_responses() {
     // fetching data entirely.
     let out = outcome();
     for &b in &[BenchmarkKind::Fft, BenchmarkKind::Fluidanimate] {
-        let validate = out.report(b, ProtocolKind::DValidateL2).unwrap();
+        let validate = out.report(&row(b), ProtocolKind::DValidateL2).unwrap();
         let st_data = validate
             .traffic
             .get(MessageClass::Store, tw_types::TrafficBucket::RespL1Used)
@@ -118,7 +129,7 @@ fn denovo_overhead_is_negligible_without_bloom_filters() {
     // Bloom-filter copies of DBypFull are the one exception.
     let out = outcome();
     for &b in &BenchmarkKind::ALL {
-        let r = out.report(b, ProtocolKind::DFlexL2).unwrap();
+        let r = out.report(&row(b), ProtocolKind::DFlexL2).unwrap();
         let overhead = r.traffic.class_total(MessageClass::Overhead);
         // Registration displacement invalidations are the only residual
         // overhead and they are tiny.
@@ -142,12 +153,12 @@ fn flex_reduces_load_traffic_for_flex_benchmarks_only() {
     let out = outcome();
     // kD-tree: Flex + bypass together cut load traffic sharply.
     let kd_base = out
-        .report(BenchmarkKind::KdTree, ProtocolKind::DeNovo)
+        .report(&row(BenchmarkKind::KdTree), ProtocolKind::DeNovo)
         .unwrap()
         .traffic
         .class_total(MessageClass::Load);
     let kd_opt = out
-        .report(BenchmarkKind::KdTree, ProtocolKind::DBypL2)
+        .report(&row(BenchmarkKind::KdTree), ProtocolKind::DBypL2)
         .unwrap()
         .traffic
         .class_total(MessageClass::Load);
@@ -158,12 +169,12 @@ fn flex_reduces_load_traffic_for_flex_benchmarks_only() {
     // Barnes-Hut: Flex must not inflate load traffic even at the tiny scale
     // (at the scaled profile it is a clear reduction, see EXPERIMENTS.md).
     let ba_base = out
-        .report(BenchmarkKind::Barnes, ProtocolKind::DeNovo)
+        .report(&row(BenchmarkKind::Barnes), ProtocolKind::DeNovo)
         .unwrap()
         .traffic
         .class_total(MessageClass::Load);
     let ba_flex = out
-        .report(BenchmarkKind::Barnes, ProtocolKind::DFlexL2)
+        .report(&row(BenchmarkKind::Barnes), ProtocolKind::DFlexL2)
         .unwrap()
         .traffic
         .class_total(MessageClass::Load);
@@ -172,12 +183,12 @@ fn flex_reduces_load_traffic_for_flex_benchmarks_only() {
         "barnes: Flex should not inflate load traffic ({ba_flex:.0} vs {ba_base:.0})"
     );
     let lu_base = out
-        .report(BenchmarkKind::Lu, ProtocolKind::DeNovo)
+        .report(&row(BenchmarkKind::Lu), ProtocolKind::DeNovo)
         .unwrap()
         .traffic
         .class_total(MessageClass::Load);
     let lu_flex = out
-        .report(BenchmarkKind::Lu, ProtocolKind::DFlexL1)
+        .report(&row(BenchmarkKind::Lu), ProtocolKind::DFlexL1)
         .unwrap()
         .traffic
         .class_total(MessageClass::Load);
