@@ -139,14 +139,23 @@ const FIGURES: [&str; 13] = [
     "headline",
 ];
 
-fn scale_from(args: &[String]) -> ScaleProfile {
-    if args.iter().any(|a| a == "--paper") {
-        ScaleProfile::Paper
-    } else if args.iter().any(|a| a == "--tiny") {
-        ScaleProfile::Tiny
-    } else {
-        ScaleProfile::Scaled
+/// The scale profile `args` ask for (`default` when they name none). Two
+/// different scale flags are rejected, naming both: resolving them silently
+/// could start the multi-minute Paper matrix when `--tiny` was typed last.
+fn scale_from(args: &[String], default: ScaleProfile) -> Result<ScaleProfile, String> {
+    let mut chosen: Option<&str> = None;
+    for a in args.iter().map(String::as_str) {
+        if !matches!(a, "--tiny" | "--scaled" | "--paper") {
+            continue;
+        }
+        if let Some(first) = chosen.filter(|first| *first != a) {
+            return Err(format!(
+                "conflicting scale flags `{first}` and `{a}`: pass at most one scale"
+            ));
+        }
+        chosen = Some(a);
     }
+    chosen.map_or(Ok(default), |flag| ScaleProfile::by_name(&flag[2..]))
 }
 
 /// Extracts the value following a `--flag` from `args`, removing both.
@@ -242,7 +251,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let scale = scale_from(&args);
+    let scale = match scale_from(&args, ScaleProfile::Scaled) {
+        Ok(s) => s,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
+        }
+    };
     let json = args.iter().any(|a| a == "--json");
     let mut wanted: Vec<String> = args.into_iter().filter(|a| !a.starts_with("--")).collect();
     if wanted.is_empty() {
@@ -437,7 +452,8 @@ fn plan_builtin(args: &[String]) -> Result<ExitCode, ExperimentError> {
             )));
         }
     }
-    let mut spec = ExperimentSpec::full_matrix(scale_from(&args));
+    let scale = scale_from(&args, ScaleProfile::Scaled).map_err(ExperimentError::InvalidSpec)?;
+    let mut spec = ExperimentSpec::full_matrix(scale);
     if let Some(networks) = networks {
         spec.networks = networks;
     }
@@ -904,7 +920,7 @@ fn daemon_loadgen(args: &[String]) -> Result<ExitCode, String> {
     };
     let requests = num(take_flag_value(&mut args, "--requests")?, "--requests", 16)?;
     let clients = num(take_flag_value(&mut args, "--clients")?, "--clients", 2)?.max(1);
-    let scale = scale_from(&args);
+    let scale = scale_from(&args, ScaleProfile::Scaled)?;
     args.retain(|a| !matches!(a.as_str(), "--tiny" | "--scaled" | "--paper"));
     reject_unknown(
         &args,
@@ -1112,7 +1128,7 @@ struct TraceArgs {
 fn parse_trace_args(args: &[String]) -> Result<TraceArgs, String> {
     let mut out = TraceArgs {
         positional: Vec::new(),
-        scale: scale_from(args),
+        scale: scale_from(args, ScaleProfile::Scaled)?,
         bench: BenchmarkKind::Fft,
         protocol: None,
         text: false,
@@ -1429,9 +1445,8 @@ fn parse_fuzz_args(args: &[String]) -> Result<FuzzArgs, String> {
         seeds: 20,
         start: 0,
         streaming_every: 5,
-        // Fuzzing wants breadth over fidelity: default to the tiny geometry
-        // (the scale flags below still override).
-        scale: ScaleProfile::Tiny,
+        // Fuzzing wants breadth over fidelity: default to the tiny geometry.
+        scale: scale_from(args, ScaleProfile::Tiny)?,
         network: NetworkModelKind::default(),
         self_test: false,
         record: None,
@@ -1448,9 +1463,7 @@ fn parse_fuzz_args(args: &[String]) -> Result<FuzzArgs, String> {
             "--seeds" => out.seeds = num("--seeds")?,
             "--start" => out.start = num("--start")?,
             "--streaming-every" => out.streaming_every = num("--streaming-every")?,
-            "--tiny" => out.scale = ScaleProfile::Tiny,
-            "--scaled" => out.scale = ScaleProfile::Scaled,
-            "--paper" => out.scale = ScaleProfile::Paper,
+            "--tiny" | "--scaled" | "--paper" => {}
             "--network" => {
                 let name = it.next().ok_or("--network needs a model name")?;
                 out.network = NetworkModelKind::by_name(name)?;

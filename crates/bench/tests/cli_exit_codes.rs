@@ -68,6 +68,36 @@ fn invalid_requests_exit_two() {
         assert_eq!(code, 2, "{args:?} must exit 2; stderr:\n{stderr}");
         assert!(!stderr.trim().is_empty(), "{args:?} must explain itself");
     }
+    // Two different scale flags are refused by every parser that takes
+    // them, naming both — never resolved to whichever profile a parser
+    // happens to prefer (`all --tiny --paper` used to start the Paper
+    // matrix).
+    let conflicts: &[(&[&str], [&str; 2])] = &[
+        (&["all", "--tiny", "--paper"], ["--tiny", "--paper"]),
+        (
+            &["plan", "builtin", "--tiny", "--scaled"],
+            ["--tiny", "--scaled"],
+        ),
+        (
+            &["trace", "roundtrip", "--paper", "--tiny"],
+            ["--paper", "--tiny"],
+        ),
+        (
+            &["fuzz", "--seeds", "1", "--tiny", "--paper"],
+            ["--tiny", "--paper"],
+        ),
+        (
+            &["loadgen", "--socket", "no-such.sock", "--scaled", "--tiny"],
+            ["--scaled", "--tiny"],
+        ),
+    ];
+    for (args, flags) in conflicts {
+        let (code, _, stderr) = run_in(&dir, args);
+        assert_eq!(code, 2, "{args:?} must exit 2; stderr:\n{stderr}");
+        for flag in flags {
+            assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
