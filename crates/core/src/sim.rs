@@ -17,6 +17,8 @@
 //! machine state and accounting they operate on live in `engine.rs` (see
 //! `DESIGN.md` §3).
 
+#[cfg(test)]
+mod directory_defects;
 pub(crate) mod engine;
 mod exec_denovo;
 mod exec_dragon;

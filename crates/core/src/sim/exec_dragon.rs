@@ -6,10 +6,10 @@
 //! Dragon runs on the same inclusive-L2 directory substrate as MESI
 //! (`home.rs`) — the home slice serializes transactions and tracks copies —
 //! but a store to a shared line *updates* the sharers instead of
-//! invalidating them: the
-//! written word is announced to the home ([`MessageKind::UpdateReq`],
-//! control-only; at word granularity the value rides the request flit, like
-//! an upgrade), and the home multicasts it to every other sharer as an
+//! invalidating them: the written word is announced to the home
+//! ([`MessageKind::UpdateReq`], control-only; at word granularity the value
+//! rides the request flit, like an upgrade), and the home multicasts it to
+//! every other sharer as an
 //! [`MessageKind::UpdateData`] message carrying one data word. Sharers keep
 //! their copies forever — the sharer set never shrinks on a write — so
 //! read-after-remote-write never re-fetches, at the price of pushing words
@@ -177,7 +177,9 @@ impl Engine<'_> {
         self.time[core].add(TimeClass::Compute, 1);
 
         let state = self.l1_state(core, line);
-        // Sole copy: silent E→M upgrade, exactly as under MESI.
+        // The state the write leaves this copy in: `Modified` unless other
+        // copies survive it. A sole copy (E/M) takes neither branch below —
+        // the silent E→M upgrade, exactly as under MESI.
         let mut written = LineState::Modified;
         if state.is_shared() {
             // The update transaction — where Dragon diverges from MESI's
