@@ -16,6 +16,10 @@
 //! comparable in the trajectory). Radix under DValidateL2 is a DeNovo cell
 //! that never reads a Bloom filter — it pays for none since PR 13 — and FFT
 //! under DBypFull is the bypass-heavy cell of the one protocol that does.
+//! That last cell runs twice more, on the flit-level wormhole mesh and on
+//! the snooping bus (`_flit` / `_bus` suffix), so the gate covers the timed
+//! network overlays too: same workload and protocol as its analytic twin,
+//! hence the ratio between the three is the network model's cost alone.
 //!
 //! CI runs `cargo bench -p tw-bench --bench ops_per_sec`, saves the output
 //! next to `BENCH_results.json`, and fails if any cell regresses more than
@@ -26,28 +30,43 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use denovo_waste::{SimConfig, Simulator};
 use std::hint::black_box;
-use tw_types::ProtocolKind;
+use tw_types::{NetworkModelKind, ProtocolKind, SystemConfig};
 use tw_workloads::{build_scaled, BenchmarkKind};
 
-const CELLS: [(BenchmarkKind, ProtocolKind); 7] = [
-    (BenchmarkKind::Radix, ProtocolKind::Mesi),
-    (BenchmarkKind::KdTree, ProtocolKind::Mesi),
-    (BenchmarkKind::Radix, ProtocolKind::DBypFull),
-    (BenchmarkKind::Lu, ProtocolKind::Mesi),
-    (BenchmarkKind::Radix, ProtocolKind::Dragon),
-    (BenchmarkKind::Radix, ProtocolKind::DValidateL2),
-    (BenchmarkKind::Fft, ProtocolKind::DBypFull),
+use NetworkModelKind::{Analytic, FlitLevel, SnoopBus};
+
+const CELLS: [(BenchmarkKind, ProtocolKind, NetworkModelKind); 9] = [
+    (BenchmarkKind::Radix, ProtocolKind::Mesi, Analytic),
+    (BenchmarkKind::KdTree, ProtocolKind::Mesi, Analytic),
+    (BenchmarkKind::Radix, ProtocolKind::DBypFull, Analytic),
+    (BenchmarkKind::Lu, ProtocolKind::Mesi, Analytic),
+    (BenchmarkKind::Radix, ProtocolKind::Dragon, Analytic),
+    (BenchmarkKind::Radix, ProtocolKind::DValidateL2, Analytic),
+    (BenchmarkKind::Fft, ProtocolKind::DBypFull, Analytic),
+    (BenchmarkKind::Fft, ProtocolKind::DBypFull, FlitLevel),
+    (BenchmarkKind::Fft, ProtocolKind::DBypFull, SnoopBus),
 ];
 
 fn bench_cells(c: &mut Criterion) {
     let mut group = c.benchmark_group("ops_per_sec");
     group.sample_size(3);
-    for (bench, proto) in CELLS {
+    for (bench, proto, network) in CELLS {
         let workload = build_scaled(bench, 16).expect("scaled workload builds");
         let ops = workload.total_mem_ops() as u64;
         group.throughput(Throughput::Elements(ops));
-        group.bench_function(&format!("{bench:?}_{proto:?}"), |b| {
-            b.iter(|| black_box(Simulator::new(SimConfig::new(proto), &workload).run()))
+        let suffix = match network {
+            Analytic => String::new(),
+            timed => format!("_{}", timed.name()),
+        };
+        let system = SystemConfig {
+            network,
+            ..SystemConfig::default()
+        };
+        group.bench_function(&format!("{bench:?}_{proto:?}{suffix}"), |b| {
+            b.iter(|| {
+                let cfg = SimConfig::new(proto).with_system(system.clone());
+                black_box(Simulator::new(cfg, &workload).run())
+            })
         });
     }
     group.finish();

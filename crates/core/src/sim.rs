@@ -318,7 +318,7 @@ impl<'wl> Simulator<'wl> {
                         .attr("cores", waiting)
                         .attr("release", release.canon)
                         .attr("sends", self.engine.net.sends)
-                        .attr("queue_hw", self.engine.net.queue_high_water() as u64),
+                        .attr("net_stalls", self.engine.net.timed_stall_cycles()),
                 );
             }
         }
@@ -355,7 +355,7 @@ impl<'wl> Simulator<'wl> {
                         .attr("cycles", last.timed)
                         .attr("phases", self.phases)
                         .attr("sends", self.engine.net.sends)
-                        .attr("queue_hw", self.engine.net.queue_high_water() as u64)
+                        .attr("net_stalls", self.engine.net.timed_stall_cycles())
                         .attr("map_probes", probes)
                         .attr("map_resizes", resizes),
                 );

@@ -175,10 +175,11 @@ impl Net {
         self.mesh.total_flit_hops()
     }
 
-    /// Peak event-queue depth of the timed overlay (0 for the analytic
-    /// model, which has no event loop).
-    pub(crate) fn queue_high_water(&self) -> usize {
-        self.timed.as_ref().map_or(0, |m| m.queue_high_water())
+    /// Cycles messages have stalled in the timed overlay beyond their
+    /// unloaded pipelines (0 under the analytic model, which has no
+    /// overlay). Observer lane only.
+    pub(crate) fn timed_stall_cycles(&self) -> u64 {
+        self.timed.as_ref().map_or(0, |m| m.total_queueing_cycles())
     }
 }
 

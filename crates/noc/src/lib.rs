@@ -10,10 +10,11 @@
 //! * [`Mesh`] — the **analytic** model: per-hop pipeline delay plus
 //!   serialization plus a per-link queueing term derived from whole-packet
 //!   link reservations. Fast; the default.
-//! * [`WormholeMesh`] — the **flit-level** model: an event-driven wormhole
-//!   simulation ([`EventQueue`] with a deterministic total event order)
-//!   through routers with per-port virtual channels, round-robin
-//!   arbitration and credit backpressure ([`OutPort`]).
+//! * [`WormholeMesh`] — the **flit-level** model: every flit of a packet is
+//!   walked across every link of its route, through routers with per-port
+//!   virtual channels, round-robin arbitration and credit backpressure
+//!   ([`OutPorts`]). One `send` resolves one packet, so the `flits × hops`
+//!   grid is a double loop over dense per-link state — no event queue.
 //! * [`SnoopBus`] — the **snooping-bus** model: one transaction occupies the
 //!   whole medium at a time, arbitrated FCFS in deterministic request order.
 //!
@@ -46,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod bus;
-pub mod events;
 pub mod link;
 pub mod mesh;
 pub mod model;
@@ -55,10 +55,9 @@ pub mod router;
 pub mod wormhole;
 
 pub use bus::SnoopBus;
-pub use events::EventQueue;
 pub use link::{LinkId, LinkState};
 pub use mesh::{xy_route, Mesh};
 pub use model::{model_for, NetworkModel};
 pub use packet::PacketSize;
-pub use router::OutPort;
+pub use router::OutPorts;
 pub use wormhole::WormholeMesh;

@@ -1,7 +1,7 @@
 //! Mesh links and their occupancy state.
 
 use std::fmt;
-use tw_types::{Cycle, TileId};
+use tw_types::{Cycle, MeshCoord, NocConfig, TileId};
 
 /// A unidirectional link between two adjacent routers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -15,6 +15,61 @@ pub struct LinkId {
 impl fmt::Display for LinkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}->{}", self.from, self.to)
+    }
+}
+
+/// Direction encoding of the dense per-link arrays both mesh models keep:
+/// a mesh has at most four outgoing links per tile, so link state lives at
+/// `tile * 4 + direction` instead of behind a hash map.
+pub(crate) const EAST: usize = 0;
+pub(crate) const WEST: usize = 1;
+pub(crate) const SOUTH: usize = 2;
+pub(crate) const NORTH: usize = 3;
+
+/// Slots in a dense per-link array over the mesh of `cfg`.
+pub(crate) fn dense_links(cfg: &NocConfig) -> usize {
+    cfg.cols * cfg.rows * 4
+}
+
+/// Dense index of the link leaving `from` in direction `dir`.
+#[inline(always)]
+pub(crate) fn link_index(cols: usize, from: MeshCoord, dir: usize) -> usize {
+    (from.y * cols + from.x) * 4 + dir
+}
+
+/// The link the dense index `idx` names — the inverse of [`link_index`].
+pub(crate) fn link_at(cols: usize, idx: usize) -> LinkId {
+    let from = TileId(idx / 4);
+    let MeshCoord { x, y } = from.coord(cols);
+    let to = match idx % 4 {
+        EAST => MeshCoord { x: x + 1, y },
+        WEST => MeshCoord { x: x - 1, y },
+        SOUTH => MeshCoord { x, y: y + 1 },
+        _ => MeshCoord { x, y: y - 1 },
+    };
+    LinkId {
+        from,
+        to: to.tile(cols),
+    }
+}
+
+/// One step of XY dimension-order routing from `cur` towards `goal` (X
+/// first, then Y): the direction taken and the router reached. Both mesh
+/// models walk their routes through this, so they agree hop for hop.
+/// `cur != goal`.
+#[inline(always)]
+pub(crate) fn xy_step(cur: MeshCoord, goal: MeshCoord) -> (usize, MeshCoord) {
+    let MeshCoord { x, y } = cur;
+    if x != goal.x {
+        if goal.x > x {
+            (EAST, MeshCoord { x: x + 1, y })
+        } else {
+            (WEST, MeshCoord { x: x - 1, y })
+        }
+    } else if goal.y > y {
+        (SOUTH, MeshCoord { x, y: y + 1 })
+    } else {
+        (NORTH, MeshCoord { x, y: y - 1 })
     }
 }
 
@@ -87,6 +142,21 @@ mod tests {
         l.reserve(0, 50);
         assert!((l.utilization(100) - 0.5).abs() < 1e-12);
         assert_eq!(LinkState::default().utilization(0), 0.0);
+    }
+
+    #[test]
+    fn dense_index_round_trips_along_an_xy_walk() {
+        let cols = 4;
+        let (mut cur, goal) = (TileId(1).coord(cols), TileId(14).coord(cols));
+        let mut dirs = Vec::new();
+        while cur != goal {
+            let (dir, next) = xy_step(cur, goal);
+            let link = link_at(cols, link_index(cols, cur, dir));
+            assert_eq!((link.from, link.to), (cur.tile(cols), next.tile(cols)));
+            dirs.push(dir);
+            cur = next;
+        }
+        assert_eq!(dirs, [EAST, SOUTH, SOUTH, SOUTH], "X first, then Y");
     }
 
     #[test]

@@ -1,33 +1,23 @@
 //! The 2-D mesh: XY routing, flit-hop accounting, and message latency.
 
-use crate::link::{LinkId, LinkState};
+use crate::link::{dense_links, link_at, link_index, xy_step, LinkId, LinkState};
 use crate::model::NetworkModel;
 use crate::packet::PacketSize;
-use tw_types::{Cycle, MeshCoord, NetworkModelKind, NocConfig, TileId};
+use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
 
 /// The sequence of links a packet from `src` to `dst` traverses under XY
 /// dimension-order routing (X first, then Y). Empty when `src == dst`.
 ///
-/// Both network models route through this one function, which is what makes
-/// flit-hop traffic — `hops × flits`, independent of timing — identical
-/// across them by construction.
+/// Every network model walks its routes through the same `link::xy_step`,
+/// which is what makes flit-hop traffic — `hops × flits`, independent of timing —
+/// identical across them by construction.
 pub fn xy_route(cfg: &NocConfig, src: TileId, dst: TileId) -> Vec<LinkId> {
     let cols = cfg.cols;
     let mut cur = src.coord(cols);
     let goal = dst.coord(cols);
     let mut links = Vec::with_capacity(cur.hops_to(goal));
-    while cur.x != goal.x {
-        let mut next = cur;
-        next.x = if goal.x > cur.x { cur.x + 1 } else { cur.x - 1 };
-        links.push(LinkId {
-            from: cur.tile(cols),
-            to: next.tile(cols),
-        });
-        cur = next;
-    }
-    while cur.y != goal.y {
-        let mut next = cur;
-        next.y = if goal.y > cur.y { cur.y + 1 } else { cur.y - 1 };
+    while cur != goal {
+        let (_, next) = xy_step(cur, goal);
         links.push(LinkId {
             from: cur.tile(cols),
             to: next.tile(cols),
@@ -55,34 +45,22 @@ pub fn unloaded_latency(cfg: &NocConfig, hops: usize, size: PacketSize) -> Cycle
 #[derive(Debug, Clone)]
 pub struct Mesh {
     cfg: NocConfig,
-    /// Per-link occupancy in a dense array indexed `tile * 4 + direction`
-    /// (0 = +x, 1 = −x, 2 = +y, 3 = −y); a mesh has at most four outgoing
-    /// links per tile, so this replaces a hash map on the per-message path.
+    /// Per-link occupancy in a dense array indexed by `link::link_index`
+    /// (`tile * 4 + direction`).
     links: Vec<LinkState>,
     flit_hops: f64,
     packets: u64,
 }
 
-/// Direction encoding for the dense link array.
-const EAST: usize = 0;
-const WEST: usize = 1;
-const SOUTH: usize = 2;
-const NORTH: usize = 3;
-
 impl Mesh {
     /// Creates a mesh for the given network configuration.
     pub fn new(cfg: NocConfig) -> Self {
         Mesh {
-            links: vec![LinkState::default(); cfg.cols * cfg.rows * 4],
+            links: vec![LinkState::default(); dense_links(&cfg)],
             cfg,
             flit_hops: 0.0,
             packets: 0,
         }
-    }
-
-    #[inline(always)]
-    fn link_index(&self, from: MeshCoord, dir: usize) -> usize {
-        (from.y * self.cfg.cols + from.x) * 4 + dir
     }
 
     /// The network configuration.
@@ -138,42 +116,8 @@ impl Mesh {
 
         let mut head_time = now;
         while cur != goal {
-            let (dir, next) = if cur.x != goal.x {
-                if goal.x > cur.x {
-                    (
-                        EAST,
-                        MeshCoord {
-                            x: cur.x + 1,
-                            ..cur
-                        },
-                    )
-                } else {
-                    (
-                        WEST,
-                        MeshCoord {
-                            x: cur.x - 1,
-                            ..cur
-                        },
-                    )
-                }
-            } else if goal.y > cur.y {
-                (
-                    SOUTH,
-                    MeshCoord {
-                        y: cur.y + 1,
-                        ..cur
-                    },
-                )
-            } else {
-                (
-                    NORTH,
-                    MeshCoord {
-                        y: cur.y - 1,
-                        ..cur
-                    },
-                )
-            };
-            let idx = self.link_index(cur, dir);
+            let (dir, next) = xy_step(cur, goal);
+            let idx = link_index(cols, cur, dir);
             let (start, _wait) = self.links[idx].reserve(head_time, flits);
             // Head flit leaves this router `router_latency` after winning the
             // link, and spends `link_latency` on the wire.
@@ -197,23 +141,7 @@ impl Mesh {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.flits > 0)
-            .map(move |(i, s)| {
-                let from = TileId(i / 4);
-                let c = from.coord(cols);
-                let to = match i % 4 {
-                    EAST => MeshCoord { x: c.x + 1, ..c },
-                    WEST => MeshCoord { x: c.x - 1, ..c },
-                    SOUTH => MeshCoord { y: c.y + 1, ..c },
-                    _ => MeshCoord { y: c.y - 1, ..c },
-                };
-                (
-                    LinkId {
-                        from,
-                        to: to.tile(cols),
-                    },
-                    s,
-                )
-            })
+            .map(move |(i, s)| (link_at(cols, i), s))
     }
 }
 

@@ -36,8 +36,10 @@ pub trait NetworkModel: std::fmt::Debug + Send {
     /// Total packets sent.
     fn packets(&self) -> u64;
 
-    /// Peak event-queue depth, for models that run an event loop. Analytic
-    /// models have no queue and report 0 (the default). Observer lane only.
+    /// Peak amount of work a single send ever had outstanding, for models
+    /// that resolve a send in more than one step (the flit-level mesh: its
+    /// largest `flits × hops` grid). Closed-form models report 0 (the
+    /// default). Observer lane only.
     fn queue_high_water(&self) -> usize {
         0
     }

@@ -1,9 +1,8 @@
-//! Event-driven flit-level wormhole simulation.
+//! Flit-level wormhole simulation.
 //!
 //! [`WormholeMesh`] pushes every flit of a packet through the XY route one
-//! link at a time. Each flit traversal is a discrete event processed in
-//! global `(time, seq)` order through the [`EventQueue`], subject to four
-//! constraints:
+//! link at a time. A traversal `(i, f)` — flit `f` starting to cross link
+//! `i` of the route — is subject to four constraints:
 //!
 //! 1. **pipeline** — a flit reaches router `i` one link latency after it
 //!    crossed link `i-1`, then spends the router pipeline latency;
@@ -15,7 +14,19 @@
 //! 4. **arbitration** — the head flit must win a virtual channel on every
 //!    link (held until the tail drains downstream), and every flit must win
 //!    a one-cycle channel slot against all other traffic on that link
-//!    ([`OutPort`], deterministic round-robin).
+//!    ([`OutPorts`], deterministic round-robin).
+//!
+//! One [`send`](NetworkModel::send) runs one packet to completion, so no
+//! two packets are ever in flight together and there is nothing for a
+//! global event queue to order: the packet's `flits × hops` grid is resolved
+//! by a plain double loop, flit-outer and hop-inner. Constraints 1–3 make
+//! `(i, f)` depend on `(i-1, f)`, `(i, f-1)` and `(i+1, f-depth)` only, all
+//! of which that loop order has already resolved (`depth ≥ 1`), and an XY
+//! route never crosses a link twice, so each port sees its head's VC grant
+//! and then its slot claims in flit order under *any* order that respects
+//! those dependencies — the results cannot depend on which one is used
+//! (`DESIGN.md` §11; `tests/prop_wormhole.rs` checks it against the
+//! event-driven formulation send by send).
 //!
 //! On an idle mesh the four constraints collapse to exactly the analytic
 //! unloaded latency (`hops × (router + link) + flits − 1`); under load, VC
@@ -25,35 +36,46 @@
 //! state updates are deterministic, so two runs over the same send sequence
 //! are byte-identical.
 
-use crate::events::EventQueue;
-use crate::link::LinkId;
-use crate::mesh::{unloaded_latency, xy_route};
+use crate::link::{dense_links, link_index, xy_step};
+use crate::mesh::unloaded_latency;
 use crate::model::NetworkModel;
 use crate::packet::PacketSize;
-use crate::router::OutPort;
-use std::collections::HashMap;
+use crate::router::OutPorts;
 use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
-
-/// One flit traversal: (hop index on the route, flit index in the packet).
-type FlitHop = (usize, usize);
 
 /// The flit-level wormhole-routed mesh.
 #[derive(Debug, Clone)]
 pub struct WormholeMesh {
     cfg: NocConfig,
-    ports: HashMap<LinkId, OutPort>,
-    events: EventQueue<FlitHop>,
+    /// One output port per link, indexed by `link::link_index` exactly as
+    /// the analytic mesh's link array is.
+    ports: OutPorts,
     packets: u64,
+    /// Per-send scratch, kept so a send allocates nothing once the longest
+    /// route and largest packet have been seen. Port index and granted VC
+    /// of each hop of the current route.
+    route: Vec<(usize, usize)>,
+    /// `cross[f * hops + i]`: cycle flit `f` starts crossing link `i`.
+    /// Grow-only: its length is the largest `flits × hops` grid resolved so
+    /// far, and a send writes every cell it reads before reading it.
+    cross: Vec<Cycle>,
 }
 
 impl WormholeMesh {
     /// Creates an idle wormhole mesh for the given network configuration.
     pub fn new(cfg: NocConfig) -> Self {
+        // The credit constraint reaches `depth` flits back; at zero a flit
+        // would wait on itself.
+        assert!(
+            cfg.vc_buffer_flits > 0,
+            "a VC buffer holds at least one flit"
+        );
         WormholeMesh {
+            ports: OutPorts::new(dense_links(&cfg), cfg.vcs_per_port),
             cfg,
-            ports: HashMap::new(),
-            events: EventQueue::new(),
             packets: 0,
+            route: Vec::new(),
+            cross: Vec::new(),
         }
     }
 
@@ -64,37 +86,7 @@ impl WormholeMesh {
 
     /// Total flit traversals forwarded by all ports.
     pub fn total_flits_forwarded(&self) -> u64 {
-        self.ports.values().map(|p| p.flits).sum()
-    }
-
-    /// Earliest cycle flit `f` may start crossing link `i`, given every
-    /// already-resolved traversal of this packet (constraints 1–3; the
-    /// resource constraints are applied by the port when the event pops).
-    fn ready_time(
-        &self,
-        cross: &[Vec<Cycle>],
-        inject: Cycle,
-        i: usize,
-        f: usize,
-        hops: usize,
-    ) -> Cycle {
-        let (r, l) = (self.cfg.router_latency, self.cfg.link_latency);
-        let depth = self.cfg.vc_buffer_flits;
-        let mut ready = if i == 0 {
-            inject + r
-        } else {
-            cross[i - 1][f] + l + r
-        };
-        if f > 0 {
-            ready = ready.max(cross[i][f - 1] + 1);
-        }
-        if f >= depth && i + 1 < hops {
-            // The downstream buffer slot frees when flit f-depth leaves
-            // router i+1; this flit lands there one link latency after it
-            // starts crossing, hence the rebase by `l`.
-            ready = ready.max((cross[i + 1][f - depth] + 1).saturating_sub(l));
-        }
-        ready
+        self.ports.flits_forwarded()
     }
 }
 
@@ -109,111 +101,105 @@ impl NetworkModel for WormholeMesh {
     /// path: one router traversal, no link occupancy.
     fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
         self.packets += 1;
-        let route = xy_route(&self.cfg, src, dst);
-        if route.is_empty() {
-            return now + self.cfg.router_latency;
+        let Self {
+            cfg,
+            ports,
+            route,
+            cross,
+            ..
+        } = self;
+        let (r, l) = (cfg.router_latency, cfg.link_latency);
+        let depth = cfg.vc_buffer_flits;
+
+        let mut cur = src.coord(cfg.cols);
+        let goal = dst.coord(cfg.cols);
+        if cur == goal {
+            return now + r;
+        }
+        route.clear();
+        while cur != goal {
+            let (dir, next) = xy_step(cur, goal);
+            route.push((link_index(cfg.cols, cur, dir), 0));
+            cur = next;
         }
         let hops = route.len();
         let flits = size.total_flits();
-        let depth = self.cfg.vc_buffer_flits;
-        let l = self.cfg.link_latency;
+        if cross.len() < flits * hops {
+            cross.resize(flits * hops, 0);
+        }
 
-        // cross[i][f]: cycle flit f starts crossing link i, once resolved.
-        let mut cross = vec![vec![0 as Cycle; flits]; hops];
-        let mut resolved = vec![vec![false; flits]; hops];
-        let mut vc_of = vec![0usize; hops];
-        // Unresolved-predecessor counts per traversal; an event is scheduled
-        // exactly when its count reaches zero, so every pop has its ready
-        // time fully determined.
-        let mut pending: Vec<Vec<usize>> = (0..hops)
-            .map(|i| {
-                (0..flits)
-                    .map(|f| {
-                        usize::from(i > 0)
-                            + usize::from(f > 0)
-                            + usize::from(f >= depth && i + 1 < hops)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        self.events.push(now + self.cfg.router_latency, (0, 0));
-        while let Some((_, (i, f))) = self.events.pop() {
-            let ready = self.ready_time(&cross, now, i, f, hops);
-            let port = self
-                .ports
-                .entry(route[i])
-                .or_insert_with(|| OutPort::new(self.cfg.vcs_per_port));
-            let start = if f == 0 {
-                let (vc, grant) = port.alloc_vc(ready);
-                vc_of[i] = vc;
-                port.claim_slot(grant)
-            } else {
-                port.claim_slot(ready)
-            };
-            cross[i][f] = start;
-            resolved[i][f] = true;
-
-            // Wake the traversals this one was the last unresolved
-            // predecessor of.
-            let dependents = [
-                (i + 1 < hops).then(|| (i + 1, f)),
-                (f + 1 < flits).then(|| (i, f + 1)),
-                (i >= 1 && f + depth < flits).then(|| (i - 1, f + depth)),
-            ];
-            for (di, df) in dependents.into_iter().flatten() {
-                pending[di][df] -= 1;
-                if pending[di][df] == 0 {
-                    self.events
-                        .push(self.ready_time(&cross, now, di, df, hops), (di, df));
+        for f in 0..flits {
+            let row = f * hops;
+            // Start of this flit's crossing of the previous link.
+            let mut upstream = 0;
+            for i in 0..hops {
+                // Earliest start under constraints 1–3; every traversal read
+                // here was resolved earlier in this loop order.
+                let mut ready = if i == 0 { now + r } else { upstream + l + r };
+                if f > 0 {
+                    ready = ready.max(cross[row - hops + i] + 1);
                 }
+                if f >= depth && i + 1 < hops {
+                    // The downstream buffer slot frees when flit f-depth
+                    // leaves router i+1; this flit lands there one link
+                    // latency after it starts crossing, hence the rebase by
+                    // `l`.
+                    ready = ready.max((cross[(f - depth) * hops + i + 1] + 1).saturating_sub(l));
+                }
+                let (port, vc) = &mut route[i];
+                if f == 0 {
+                    (*vc, ready) = ports.alloc_vc(*port, ready);
+                }
+                upstream = ports.claim_slot(*port, ready);
+                cross[row + i] = upstream;
             }
         }
-        debug_assert!(resolved.iter().flatten().all(|&r| r), "a flit never moved");
 
         // A VC is held from head grant until the tail drains out of the
         // downstream input buffer (crosses the next link, or ejects at dst).
-        for i in 0..hops {
+        let tail = &cross[(flits - 1) * hops..];
+        let arrival = tail[hops - 1] + l;
+        for (i, &(port, vc)) in route.iter().enumerate() {
             let freed = if i + 1 < hops {
-                cross[i + 1][flits - 1] + 1
+                tail[i + 1] + 1
             } else {
-                cross[hops - 1][flits - 1] + l
+                arrival
             };
-            self.ports
-                .get_mut(&route[i])
-                .expect("every route link has a port by now")
-                .release_vc(vc_of[i], freed);
+            ports.release_vc(port, vc, freed);
         }
 
-        let arrival = cross[hops - 1][flits - 1] + l;
-        debug_assert!(arrival >= now + unloaded_latency(&self.cfg, hops, size));
+        debug_assert!(arrival >= now + unloaded_latency(cfg, hops, size));
         arrival
     }
 
     fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
-        unloaded_latency(&self.cfg, xy_route(&self.cfg, src, dst).len(), size)
+        let cols = self.cfg.cols;
+        unloaded_latency(&self.cfg, src.coord(cols).hops_to(dst.coord(cols)), size)
     }
 
     /// Total cycles flits spent stalled on arbitration, channel slots or
     /// credits, beyond their pipeline-ready times.
     fn total_queueing_cycles(&self) -> u64 {
-        self.ports.values().map(|p| p.stall_cycles).sum()
+        self.ports.stall_cycles()
     }
 
     fn packets(&self) -> u64 {
         self.packets
     }
 
-    /// Peak depth of the flit-event queue across the run — how much
-    /// in-flight work the event loop ever had pending at once.
+    /// The largest `flits × hops` grid any send has resolved: the most
+    /// traversals one packet ever had outstanding, which is what the event
+    /// queue's backlog measured when there was one — and the size the
+    /// scratch stops growing at.
     fn queue_high_water(&self) -> usize {
-        self.events.high_water()
+        self.cross.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::xy_route;
 
     fn mesh() -> WormholeMesh {
         WormholeMesh::new(NocConfig::default())
@@ -333,6 +319,30 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn scratch_stops_growing_at_the_largest_grid() {
+        let mut m = mesh();
+        assert_eq!(m.queue_high_water(), 0);
+        m.send(TileId(0), TileId(1), PacketSize::control_only(), 0);
+        assert_eq!(m.queue_high_water(), 1);
+        // Corner to corner with a full line: 6 hops x 5 flits.
+        m.send(TileId(0), TileId(15), full_line(), 0);
+        assert_eq!(m.queue_high_water(), 30);
+        for t in 0..16 {
+            m.send(TileId(t), TileId(15 - t), full_line(), 0);
+        }
+        assert_eq!(m.queue_high_water(), 30, "no send needs more than that");
+    }
+
+    #[test]
+    #[should_panic(expected = "a VC buffer holds at least one flit")]
+    fn zero_depth_vc_buffers_are_refused_at_construction() {
+        WormholeMesh::new(NocConfig {
+            vc_buffer_flits: 0,
+            ..NocConfig::default()
+        });
     }
 
     #[test]
