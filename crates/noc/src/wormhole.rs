@@ -51,9 +51,9 @@ pub struct WormholeMesh {
     /// the analytic mesh's link array is.
     ports: OutPorts,
     packets: u64,
-    /// Per-send scratch, kept so a send allocates nothing once the longest
-    /// route and largest packet have been seen. Port index and granted VC
-    /// of each hop of the current route.
+    /// Per-send scratch: `(port, granted VC)` of each hop of the current
+    /// route. Kept, like `cross`, so a send allocates nothing once the
+    /// longest route has carried the largest packet.
     route: Vec<(usize, usize)>,
     /// `cross[f * hops + i]`: cycle flit `f` starts crossing link `i`.
     /// Grow-only: its length is the largest `flits × hops` grid resolved so
@@ -188,9 +188,8 @@ impl NetworkModel for WormholeMesh {
     }
 
     /// The largest `flits × hops` grid any send has resolved: the most
-    /// traversals one packet ever had outstanding, which is what the event
-    /// queue's backlog measured when there was one — and the size the
-    /// scratch stops growing at.
+    /// traversals one packet ever had outstanding, and the size the scratch
+    /// stops growing at.
     fn queue_high_water(&self) -> usize {
         self.cross.len()
     }
