@@ -1,0 +1,149 @@
+//! The figure runner: the command with the empty path.
+
+use crate::cli::Args;
+use crate::{cache_line, run_plan};
+use denovo_waste::{ExperimentError, ExperimentSpec, FigureTable, PlanOutcome, WorkloadSet};
+use std::process::ExitCode;
+use tw_types::NetworkModelKind;
+
+fn print_headline(outcome: &PlanOutcome) -> Result<(), ExperimentError> {
+    let h = outcome.headline()?;
+    println!("== Headline cross-benchmark averages (paper value in parentheses) ==");
+    println!(
+        "DBypFull traffic vs MESI:    {:.3}  (paper ~0.605, i.e. a 39.5% reduction)",
+        h.dbypfull_traffic_vs_mesi
+    );
+    println!(
+        "DBypFull traffic vs MMemL1:  {:.3}  (paper ~0.648, i.e. a 35.2% reduction)",
+        h.dbypfull_traffic_vs_mmeml1
+    );
+    println!(
+        "DBypFull traffic vs DFlexL1: {:.3}  (paper ~0.811, i.e. an 18.9% reduction)",
+        h.dbypfull_traffic_vs_dflexl1
+    );
+    println!(
+        "DeNovo traffic vs MESI:      {:.3}  (paper ~0.861, i.e. a 13.9% reduction)",
+        h.denovo_traffic_vs_mesi
+    );
+    println!(
+        "DBypFull time vs MESI:       {:.3}  (paper ~0.895, i.e. a 10.5% reduction)",
+        h.dbypfull_time_vs_mesi
+    );
+    println!(
+        "MMemL1 time vs MESI:         {:.3}  (paper ~0.962, i.e. a 3.8% reduction)",
+        h.mmeml1_time_vs_mesi
+    );
+    println!(
+        "DBypFull residual waste:     {:.3}  (paper ~0.088)",
+        h.dbypfull_waste_fraction
+    );
+    println!(
+        "MESI overhead fraction:      {:.3}  (paper ~0.136)",
+        h.mesi_overhead_fraction
+    );
+    Ok(())
+}
+
+type Render = fn(&PlanOutcome) -> Result<FigureTable, ExperimentError>;
+
+/// The figures rendered straight from a plan outcome, in print order.
+const PLAN_FIGURES: [(&str, Render); 10] = [
+    ("table4_1", |o| Ok(o.table_4_1())),
+    ("table4_2", |o| Ok(o.table_4_2())),
+    ("fig5_1a", PlanOutcome::fig_5_1a),
+    ("fig5_1b", PlanOutcome::fig_5_1b),
+    ("fig5_1c", PlanOutcome::fig_5_1c),
+    ("fig5_1d", PlanOutcome::fig_5_1d),
+    ("fig5_2", PlanOutcome::fig_5_2),
+    ("fig5_3a", PlanOutcome::fig_5_3a),
+    ("fig5_3b", PlanOutcome::fig_5_3b),
+    ("fig5_3c", PlanOutcome::fig_5_3c),
+];
+
+/// Every name the figure runner accepts, in print order.
+pub fn figure_names() -> Vec<&'static str> {
+    let plan = PLAN_FIGURES.iter().map(|(name, _)| *name);
+    std::iter::once("all")
+        .chain(plan)
+        .chain(["figupdate", "headline"])
+        .collect()
+}
+
+/// The figure commands are sugar over the built-in full-matrix spec run
+/// through a (optionally cached) session. They run one network model (the
+/// benchmark-keyed figure rows can't represent two models per benchmark); a
+/// multi-model sweep is a plan (`plan builtin --network analytic,flit`).
+pub fn run(args: &Args) -> Result<ExitCode, String> {
+    // A typo'd figure name must not silently cost a multi-minute matrix run.
+    let mut wanted: Vec<&str> = args.operands().iter().map(String::as_str).collect();
+    let names = figure_names();
+    if let Some(bad) = wanted.iter().find(|w| !names.contains(w)) {
+        return Err(format!(
+            "unknown figure `{bad}`; expected one of: {} (or a subcommand: see `experiments help`)",
+            names.join(" ")
+        ));
+    }
+    if wanted.is_empty() {
+        wanted.push("all");
+    }
+    let mut spec = ExperimentSpec::full_matrix(args.scale());
+    if let Some(name) = args.value("--network") {
+        spec.networks = vec![NetworkModelKind::by_name(name)?];
+    }
+    let cache = args.value("--cache");
+    let record = args.value("--record").map(|out| ("cli", Some(out)));
+    let (outcome, wall, _) = run_plan(&spec, &WorkloadSet::new(), cache, record)?;
+    if cache.is_some() {
+        eprintln!("{}", cache_line(&outcome.cache));
+    }
+
+    let (scale, json) = (args.scale(), args.has("--json"));
+    let want = |name: &str| wanted.contains(&"all") || wanted.contains(&name);
+    // Computed once: both the JSON document and the printed figure use it.
+    let update_fig =
+        (json || want("figupdate")).then(|| tw_bench::update_vs_invalidate_figure(scale));
+
+    if json {
+        let path = "BENCH_results.json";
+        let update = update_fig.as_ref().expect("computed when json is set");
+        let doc = tw_bench::results_json(&outcome, scale, update)?;
+        std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("wrote {path}");
+        // Wall clock lives in a sidecar so the results document itself
+        // byte-diffs across reruns (CI compares the whole file).
+        let timing_path = "BENCH_results.timing.json";
+        std::fs::write(timing_path, tw_bench::bench_timing_json(wall))
+            .map_err(|e| format!("cannot write {timing_path}: {e}"))?;
+        println!("wrote {timing_path}");
+    }
+
+    // Every requested figure must contribute at least one cell; a run that
+    // prints nothing exits nonzero so scripts and CI can rely on it.
+    let mut emitted_cells = 0usize;
+    let mut emit = |fig: FigureTable| {
+        emitted_cells += fig.rows().len();
+        println!("{fig}");
+    };
+
+    for (name, render) in PLAN_FIGURES {
+        if want(name) {
+            emit(render(&outcome)?);
+        }
+    }
+    if want("figupdate") {
+        emit(update_fig.expect("computed when figupdate is wanted"));
+    }
+    if want("headline") {
+        print_headline(&outcome)?;
+        emitted_cells += outcome.cells();
+    }
+    if emitted_cells == 0 {
+        // An invalid request (exit 2, like every other malformed input),
+        // not a failed check (exit 1).
+        return Err(format!(
+            "requested output ({}) produced no cells",
+            wanted.join(" ")
+        ));
+    }
+    Ok(ExitCode::SUCCESS)
+}

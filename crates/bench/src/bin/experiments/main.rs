@@ -1,0 +1,112 @@
+//! Regenerates every table and figure of the paper's evaluation section,
+//! runs declarative experiment plans, records/replays trace files, fuzzes
+//! the protocol registry and serves plans as traffic.
+//!
+//! ```text
+//! cargo run -p tw-bench --release --bin experiments -- help
+//! ```
+//!
+//! prints every command with its operands and flags, rendered from the one
+//! command table in `cli.rs` that the parser also reads (`<command> --help`
+//! prints a single command's line). With no arguments, `all` at the scaled
+//! profile is assumed (the figure commands are sugar over the built-in
+//! full-matrix spec, run through a `Session`). See EXPERIMENTS.md for the
+//! `plan`, `trace` and daemon walkthroughs, and DESIGN.md §13 for the wire
+//! protocol.
+//!
+//! Exit codes (uniform across every subcommand; `experiments help` prints
+//! the same contract):
+//!
+//! * **0** — success;
+//! * **1** — a *check* failed: `trace diff` divergence, a `trace roundtrip`
+//!   mismatch, fuzz invariant violations, a failed fuzz self-test;
+//! * **2** — the *request* was invalid or could not be carried out: unknown
+//!   flags/figures/subcommands, unreadable or malformed inputs, specs that
+//!   do not compile, runs that fail, output that produces no cells, daemon
+//!   connection errors.
+//!
+//! Every command's `run` returns `Ok(code)` for the first two and `Err` for
+//! the third; `main` is the only place an `Err` becomes exit 2.
+
+mod cli;
+mod daemon;
+mod figures;
+mod fuzz;
+mod plan;
+mod profile;
+mod trace;
+
+use denovo_waste::{CacheStats, ExperimentSpec, PlanOutcome, Session, WorkloadSet};
+use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use tw_obs::{FlightRecorder, SpanSink};
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = cli::parse(&argv).and_then(|parsed| match parsed {
+        cli::Parsed::Help(text) => {
+            println!("{text}");
+            Ok(ExitCode::SUCCESS)
+        }
+        cli::Parsed::Run(args) => (args.command.run)(&args),
+    });
+    result.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        ExitCode::from(2)
+    })
+}
+
+/// A fresh flight recorder plus a sink rooted at `track`.
+fn armed_recorder(track: &str) -> (Arc<FlightRecorder>, SpanSink) {
+    let rec = Arc::new(FlightRecorder::new());
+    let sink = SpanSink::new(Arc::clone(&rec) as _, track);
+    (rec, sink)
+}
+
+/// Writes an output file and says so on stderr.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// The one way a command executes a plan: a fresh [`Session`], routed
+/// through the result cache when `cache` names a directory. `record` is
+/// `(track, out)`: it arms a flight recorder rooted at `track` (returned, for
+/// callers that report from it) whose trace is written to `out` when given.
+fn run_plan(
+    spec: &ExperimentSpec,
+    provided: &WorkloadSet,
+    cache: Option<&str>,
+    record: Option<(&str, Option<&str>)>,
+) -> Result<(PlanOutcome, Duration, Option<Arc<FlightRecorder>>), String> {
+    let mut session = Session::new();
+    if let Some(dir) = cache {
+        session = session.with_cache_dir(dir);
+    }
+    let flight = record.map(|(track, _)| armed_recorder(track));
+    if let Some((_, sink)) = &flight {
+        session = session.with_recorder(sink.clone());
+    }
+    eprintln!("running plan `{}` ({:?} scale)...", spec.name, spec.scale);
+    let started = Instant::now();
+    let outcome = session.run(spec, provided)?;
+    let wall = started.elapsed();
+    eprintln!("plan of {} cells finished in {wall:.2?}", outcome.cells());
+    let rec = flight.map(|(rec, _)| rec);
+    if let (Some(rec), Some((_, Some(out)))) = (&rec, record) {
+        write_file(out, rec.to_jsonl())?;
+    }
+    Ok((outcome, wall, rec))
+}
+
+/// The cache-statistics line the figure runner and `plan run` print.
+fn cache_line(s: &CacheStats) -> String {
+    format!(
+        "cache: {} hits / {} misses ({:.0}% hit rate)",
+        s.hits,
+        s.misses,
+        100.0 * s.hit_rate()
+    )
+}

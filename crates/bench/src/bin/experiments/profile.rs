@@ -1,0 +1,96 @@
+//! The `profile` family: run a plan with the flight recorder armed and
+//! report where the time went; diff two trace files modulo timing (one-line
+//! summaries: `cli.rs`).
+
+use crate::cli::Args;
+use crate::run_plan;
+use denovo_waste::{ExperimentSpec, WorkloadSet};
+use std::path::Path;
+use std::process::ExitCode;
+use tw_obs::FlightRecorder;
+
+pub fn run(args: &Args) -> Result<ExitCode, String> {
+    let top = args.number("--top", 10usize)?;
+    let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
+    let record = Some(("profile", args.value("--trace")));
+    let (outcome, wall, rec) = run_plan(&spec, &WorkloadSet::new(), args.value("--cache"), record)?;
+    let rec = rec.expect("run_plan arms a recorder when `record` is set");
+    print_profile(&rec, outcome.cells(), wall, top);
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Prints the hot-spot report out of a recorded run: wall throughput, the
+/// per-outcome-class time budget, and the top-N hottest cells by recorded
+/// wall time (probe + simulate + store).
+fn print_profile(rec: &FlightRecorder, cells: usize, wall: std::time::Duration, top: usize) {
+    let spans = rec.spans();
+    let mut cell_rows: Vec<(String, String, u64)> = Vec::new();
+    let mut classes = std::collections::BTreeMap::<String, (u64, u64)>::new();
+    for s in spans.iter().filter(|s| s.name == "cell") {
+        let outcome = s
+            .attrs
+            .iter()
+            .find(|(k, _)| k == "outcome")
+            .map(|(_, v)| match v {
+                tw_obs::AttrValue::Str(s) => s.clone(),
+                tw_obs::AttrValue::U64(n) => n.to_string(),
+            })
+            .unwrap_or_else(|| "?".to_string());
+        let us: u64 = s.timing.iter().map(|(_, v)| v).sum();
+        let class = classes.entry(outcome.clone()).or_default();
+        class.0 += 1;
+        class.1 += us;
+        cell_rows.push((s.track.clone(), outcome, us));
+    }
+    let secs = wall.as_secs_f64().max(1e-9);
+    println!(
+        "profile: {} cells in {:.2?} — {:.1} cells/sec, {} spans recorded",
+        cells,
+        wall,
+        cells as f64 / secs,
+        rec.len(),
+    );
+    println!("time per outcome class:");
+    for (class, (count, us)) in &classes {
+        println!(
+            "  {:<10} {:>5} cells  {:>10.1} ms total  {:>8.1} ms avg",
+            class,
+            count,
+            *us as f64 / 1e3,
+            *us as f64 / 1e3 / (*count).max(1) as f64,
+        );
+    }
+    // Ties break by track so the listing order is reproducible.
+    cell_rows.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
+    println!(
+        "hottest cells (top {} of {} by recorded time):",
+        top.min(cell_rows.len()),
+        cell_rows.len(),
+    );
+    for (i, (track, outcome, us)) in cell_rows.iter().take(top).enumerate() {
+        println!(
+            "  {:>2}. {:<44} {:>10.1} ms  ({outcome})",
+            i + 1,
+            track,
+            *us as f64 / 1e3,
+        );
+    }
+}
+
+/// Exit 0 when identical modulo the quarantined `timing` sub-objects, 1 at
+/// the first divergence, 2 when either file is corrupt/truncated.
+pub fn diff(args: &Args) -> Result<ExitCode, String> {
+    let (a, b) = (&args.operands()[0], &args.operands()[1]);
+    let ta = std::fs::read_to_string(a).map_err(|e| format!("cannot read {a}: {e}"))?;
+    let tb = std::fs::read_to_string(b).map_err(|e| format!("cannot read {b}: {e}"))?;
+    match tw_obs::diff_traces(&ta, &tb).map_err(|e| format!("invalid trace: {e}"))? {
+        None => {
+            println!("identical modulo timing: {a} == {b}");
+            Ok(ExitCode::SUCCESS)
+        }
+        Some(divergence) => {
+            println!("traces diverge: {divergence}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}

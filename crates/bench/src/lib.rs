@@ -5,7 +5,7 @@
 //! -- all`, or `-- all --json` for a machine-readable `BENCH_results.json`)
 //! and runs arbitrary declarative plans (`experiments plan run spec.json`);
 //! the Criterion benches under `benches/` cover the same figures at a reduced
-//! scale plus microbenchmarks of every substrate crate. The experiment index
+//! scale plus the gated engine-throughput cells. The experiment index
 //! and recorded full-scale numbers live in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]

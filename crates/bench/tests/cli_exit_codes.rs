@@ -34,6 +34,48 @@ fn help_exits_zero_and_documents_the_contract() {
         assert!(stdout.contains("exit codes"), "{args:?} must document them");
         assert!(stdout.contains("serve --socket"), "daemon commands listed");
     }
+    // `--help` after any command path prints that command's usage line —
+    // naming every flag it takes — and exits 0, whatever the command would
+    // otherwise require (`serve` needs `--socket`, `plan show` an operand).
+    let per_command: &[(&str, &str)] = &[
+        ("plan builtin", "--network --tiny|--scaled|--paper"),
+        ("plan show", "<spec.json>"),
+        ("plan run", "<spec.json> --cache --json --stats --record"),
+        ("profile", "<spec.json> --cache --top --trace"),
+        ("profile diff", "<a.jsonl> <b.jsonl>"),
+        ("trace record", "--bench --protocol --text --tiny"),
+        ("trace replay", "--protocol --tiny"),
+        ("trace info", "<in.trace>"),
+        ("trace diff", "<a.trace> <b.trace>"),
+        ("trace roundtrip", "--bench --protocol --tiny"),
+        (
+            "fuzz",
+            "--seeds --start --streaming-every --network --record --self-test --tiny",
+        ),
+        (
+            "serve",
+            "--socket --cache --no-cache --workers --queue --record",
+        ),
+        ("submit", "<spec.json> --socket --json"),
+        ("stats", "--socket"),
+        ("metrics", "--socket"),
+        (
+            "loadgen",
+            "--socket --requests --clients --spec --json --tiny",
+        ),
+        ("shutdown", "--socket"),
+    ];
+    for (path, named) in per_command {
+        for help in ["--help", "-h"] {
+            let args: Vec<&str> = path.split(' ').chain([help]).collect();
+            let (code, stdout, stderr) = run_in(&dir, &args);
+            assert_eq!(code, 0, "{args:?} must exit 0; stderr:\n{stderr}");
+            assert!(stdout.contains(path), "{args:?}: {stdout}");
+            for name in named.split(' ') {
+                assert!(stdout.contains(name), "{args:?} must name {name}: {stdout}");
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -62,16 +104,19 @@ fn invalid_requests_exit_two() {
         &["submit", "no-such-spec.json", "--socket", "no-such.sock"],
         &["shutdown", "--socket", "no-such.sock"],
         &["serve"], // --socket is required
+        // A repeated flag is refused, not resolved to the last value.
+        &["fuzz", "--seeds", "1", "--seeds", "2", "--tiny"],
     ];
     for args in cases {
         let (code, _, stderr) = run_in(&dir, args);
         assert_eq!(code, 2, "{args:?} must exit 2; stderr:\n{stderr}");
         assert!(!stderr.trim().is_empty(), "{args:?} must explain itself");
     }
-    // Two different scale flags are refused by every parser that takes
+    // Two different scale flags are refused by every command that takes
     // them, naming both — never resolved to whichever profile a parser
     // happens to prefer (`all --tiny --paper` used to start the Paper
-    // matrix).
+    // matrix). The rows after them pin what the one grammar says about a
+    // value that looks like a flag, a repeated flag and a surplus operand.
     let conflicts: &[(&[&str], [&str; 2])] = &[
         (&["all", "--tiny", "--paper"], ["--tiny", "--paper"]),
         (
@@ -90,6 +135,18 @@ fn invalid_requests_exit_two() {
             &["loadgen", "--socket", "no-such.sock", "--scaled", "--tiny"],
             ["--scaled", "--tiny"],
         ),
+        (
+            &["fuzz", "--seeds", "1", "--tiny", "--record", "--tiny"],
+            ["`--record`", "needs a value"],
+        ),
+        (
+            &["--cache", "a", "--cache", "b", "--tiny"],
+            ["`--cache`", "more than once"],
+        ),
+        (
+            &["plan", "builtin", "extra"],
+            ["unexpected operand", "`extra`"],
+        ),
     ];
     for (args, flags) in conflicts {
         let (code, _, stderr) = run_in(&dir, args);
@@ -97,7 +154,11 @@ fn invalid_requests_exit_two() {
         for flag in flags {
             assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
         }
+        assert!(!stderr.contains("unknown flag"), "{args:?}: {stderr}");
     }
+    // `--record --tiny` used to run the sweep and write a trace file
+    // literally named `--tiny`.
+    assert!(!dir.join("--tiny").exists(), "no file named --tiny");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -132,6 +193,19 @@ fn trace_diff_separates_check_failure_from_bad_request() {
         code, 2,
         "an unreadable operand is a bad request, not a diff"
     );
+    // A flag the command never reads is refused by name, not swallowed.
+    let unread: &[(&[&str], &str)] = &[
+        (&["trace", "info", "a.trace", "--text"], "`--text`"),
+        (
+            &["trace", "diff", "a.trace", "a.trace", "--bench", "LU"],
+            "`--bench`",
+        ),
+    ];
+    for (args, flag) in unread {
+        let (code, _, stderr) = run_in(&dir, args);
+        assert_eq!(code, 2, "{args:?} must exit 2; stderr:\n{stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

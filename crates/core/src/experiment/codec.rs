@@ -181,9 +181,7 @@ pub(crate) fn report_from_json(v: &Json) -> Result<SimReport, String> {
             "unknown report schema `{schema}` (expected `{REPORT_SCHEMA}`)"
         ));
     }
-    let protocol_name = v.require("protocol")?.as_str()?;
-    let protocol: ProtocolKind = crate::sim::protocol_by_name(protocol_name)
-        .ok_or_else(|| format!("unknown protocol `{protocol_name}`"))?;
+    let protocol = ProtocolKind::by_name(v.require("protocol")?.as_str()?)?;
     let benchmark = BenchmarkKind::by_name(v.require("benchmark")?.as_str()?)?;
     let time = ExecutionBreakdown::from_entries(
         v.require("time")?

@@ -102,6 +102,14 @@ impl fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
+/// Lets callers whose error type is a plain message (the `experiments`
+/// binary) apply `?` to an [`ExperimentError`].
+impl From<ExperimentError> for String {
+    fn from(e: ExperimentError) -> String {
+        e.to_string()
+    }
+}
+
 /// First-class workload identity: a human-chosen label plus the content
 /// digest of the workload's canonical trace encoding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -441,8 +449,7 @@ impl ExperimentSpec {
             Some(v) => {
                 let pname = v.as_str().map_err(bad)?;
                 Baseline::Protocol(
-                    crate::sim::protocol_by_name(pname)
-                        .ok_or_else(|| bad(format!("unknown baseline protocol `{pname}`")))?,
+                    ProtocolKind::by_name(pname).map_err(|e| bad(format!("baseline: {e}")))?,
                 )
             }
         };
@@ -457,8 +464,7 @@ impl ExperimentSpec {
                 .iter()
                 .map(|p| {
                     let pname = p.as_str().map_err(bad)?;
-                    crate::sim::protocol_by_name(pname)
-                        .ok_or_else(|| bad(format!("unknown protocol `{pname}`")))
+                    ProtocolKind::by_name(pname).map_err(bad)
                 })
                 .collect::<Result<Vec<_>, _>>()?,
         };

@@ -47,5 +47,5 @@ pub use experiment::{
 };
 pub use figures::FigureTable;
 pub use report::SimReport;
-pub use sim::{protocol_by_name, SimConfig, Simulator};
+pub use sim::{SimConfig, Simulator};
 pub use timing::{ExecutionBreakdown, TimeClass};

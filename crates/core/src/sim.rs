@@ -12,7 +12,7 @@
 //!
 //! This module is protocol-agnostic: every protocol-specific action is
 //! reached through the [`engine::ProtocolExecutor`] trait, resolved once at
-//! construction from the registry in [`engine`]. The executors themselves
+//! construction by `engine::executor_for`. The executors themselves
 //! live in `exec_mesi.rs`, `exec_denovo.rs` and `exec_dragon.rs`; the shared
 //! machine state and accounting they operate on live in `engine.rs` (see
 //! `DESIGN.md` §3).
@@ -51,12 +51,6 @@ pub struct SimConfig {
     /// branch per barrier, not per memory operation. The recorder is
     /// write-only — nothing simulated may depend on it (DESIGN.md §15).
     pub recorder: Option<SpanSink>,
-}
-
-/// Resolves a protocol configuration from its figure name (case-insensitive),
-/// via the executor registry — the inverse of [`ProtocolKind::name`].
-pub fn protocol_by_name(name: &str) -> Option<ProtocolKind> {
-    engine::kind_by_name(name)
 }
 
 impl SimConfig {
@@ -114,7 +108,7 @@ fn two_earliest(ready: &[u64]) -> ((usize, u64), (usize, u64)) {
 ///
 /// The simulator owns the scheduler state (per-core clocks, program counters
 /// and run states) and an [`Engine`] holding all machine state; protocol
-/// behavior is dispatched through the executor resolved from the registry.
+/// behavior is dispatched through the executor resolved at construction.
 #[derive(Debug)]
 pub struct Simulator<'wl> {
     pub(crate) engine: Engine<'wl>,

@@ -9,7 +9,7 @@
 //! configured [`ProtocolKind`] to an executor through [`executor_for`] once,
 //! then drives every load, store, barrier and end-of-run drain through the
 //! trait without knowing which family it is talking to. Adding a protocol
-//! family means implementing the trait and adding one registry row — the
+//! family means implementing the trait and adding one `match` arm — the
 //! simulator loop does not change.
 
 use crate::machine::{L1Meta, Tile};
@@ -445,10 +445,10 @@ impl<'wl> Engine<'wl> {
 /// Executors are stateless (all mutable state lives in the [`Engine`]), so a
 /// single `&'static` instance serves every concurrent simulation. The
 /// [`ProtocolKind`] carried by the engine's config selects the per-variant
-/// feature predicates inside a family; the registry maps every variant to
-/// its family executor.
+/// feature predicates inside a family; [`executor_for`] maps every variant
+/// to its family executor.
 pub(crate) trait ProtocolExecutor: Sync {
-    /// The family name (stable, used by the registry round-trip).
+    /// The family name (stable; the executor tests identify families by it).
     fn family(&self) -> &'static str;
 
     /// Services one load, returning the timestamp the core may proceed at.
@@ -490,86 +490,19 @@ impl std::fmt::Debug for dyn ProtocolExecutor {
     }
 }
 
-/// One row of the protocol registry.
-pub(crate) struct RegistryEntry {
-    /// The protocol variant.
-    pub(crate) kind: ProtocolKind,
-    /// The executor servicing it.
-    pub(crate) executor: &'static dyn ProtocolExecutor,
-}
-
-static MESI_EXECUTOR: super::exec_mesi::MesiExecutor = super::exec_mesi::MesiExecutor;
-static DENOVO_EXECUTOR: super::exec_denovo::DenovoExecutor = super::exec_denovo::DenovoExecutor;
-static DRAGON_EXECUTOR: super::exec_dragon::DragonExecutor = super::exec_dragon::DragonExecutor;
-
-/// Every registered protocol variant mapped to its executor, in figure
-/// order (the paper's nine plus the Dragon write-update extension). This is
-/// the single place protocol dispatch is decided; `sim.rs` never branches on
-/// the protocol family.
-pub(crate) static REGISTRY: [RegistryEntry; 10] = [
-    RegistryEntry {
-        kind: ProtocolKind::Mesi,
-        executor: &MESI_EXECUTOR,
-    },
-    RegistryEntry {
-        kind: ProtocolKind::MMemL1,
-        executor: &MESI_EXECUTOR,
-    },
-    RegistryEntry {
-        kind: ProtocolKind::DeNovo,
-        executor: &DENOVO_EXECUTOR,
-    },
-    RegistryEntry {
-        kind: ProtocolKind::DFlexL1,
-        executor: &DENOVO_EXECUTOR,
-    },
-    RegistryEntry {
-        kind: ProtocolKind::DValidateL2,
-        executor: &DENOVO_EXECUTOR,
-    },
-    RegistryEntry {
-        kind: ProtocolKind::DMemL1,
-        executor: &DENOVO_EXECUTOR,
-    },
-    RegistryEntry {
-        kind: ProtocolKind::DFlexL2,
-        executor: &DENOVO_EXECUTOR,
-    },
-    RegistryEntry {
-        kind: ProtocolKind::DBypL2,
-        executor: &DENOVO_EXECUTOR,
-    },
-    RegistryEntry {
-        kind: ProtocolKind::DBypFull,
-        executor: &DENOVO_EXECUTOR,
-    },
-    RegistryEntry {
-        kind: ProtocolKind::Dragon,
-        executor: &DRAGON_EXECUTOR,
-    },
-];
-
-/// Resolves a protocol variant to its executor.
-///
-/// # Panics
-///
-/// Panics if `kind` has no registry row — adding a [`ProtocolKind`] variant
-/// without registering an executor is a bug the registry unit test catches.
+/// Resolves a protocol variant to its family's executor. This is the single
+/// place protocol dispatch is decided (`sim.rs` never branches on the
+/// protocol family), and the `match` is exhaustive: a new [`ProtocolKind`]
+/// variant does not compile until it is given an executor here.
 pub(crate) fn executor_for(kind: ProtocolKind) -> &'static dyn ProtocolExecutor {
-    REGISTRY
-        .iter()
-        .find(|e| e.kind == kind)
-        .unwrap_or_else(|| panic!("no executor registered for {kind}"))
-        .executor
-}
-
-/// Resolves a protocol by its figure name (`ProtocolKind::name`), the
-/// inverse direction of the registry.
-pub(crate) fn kind_by_name(name: &str) -> Option<ProtocolKind> {
-    REGISTRY
-        .iter()
-        .map(|e| e.kind)
-        .find(|k| k.name().eq_ignore_ascii_case(name))
+    use ProtocolKind::*;
+    match kind {
+        Mesi | MMemL1 => &super::exec_mesi::MesiExecutor,
+        DeNovo | DFlexL1 | DValidateL2 | DMemL1 | DFlexL2 | DBypL2 | DBypFull => {
+            &super::exec_denovo::DenovoExecutor
+        }
+        Dragon => &super::exec_dragon::DragonExecutor,
+    }
 }
 
 #[cfg(test)]
@@ -595,14 +528,18 @@ mod tests {
     fn registry_round_trips_every_name() {
         for &kind in &ProtocolKind::ALL {
             assert_eq!(
-                kind_by_name(kind.name()),
-                Some(kind),
+                ProtocolKind::by_name(kind.name()),
+                Ok(kind),
                 "{kind} must be recoverable from its name"
             );
             // Case-insensitive, matching the CLI parsers.
-            assert_eq!(kind_by_name(&kind.name().to_lowercase()), Some(kind));
+            assert_eq!(ProtocolKind::by_name(&kind.name().to_lowercase()), Ok(kind));
         }
-        assert_eq!(kind_by_name("NotAProtocol"), None);
+        let err = ProtocolKind::by_name("NotAProtocol").unwrap_err();
+        assert!(err.contains("`NotAProtocol`"), "{err}");
+        for kind in ProtocolKind::ALL {
+            assert!(err.contains(kind.name()), "{err} must list {kind}");
+        }
     }
 
     #[test]
@@ -650,18 +587,6 @@ mod tests {
                     .map(|r| r.written_in_parallel_phases)
                     .unwrap_or(true),
                 "parallel {id:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn registry_covers_all_variants_exactly_once() {
-        assert_eq!(REGISTRY.len(), ProtocolKind::ALL.len());
-        for &kind in &ProtocolKind::ALL {
-            assert_eq!(
-                REGISTRY.iter().filter(|e| e.kind == kind).count(),
-                1,
-                "{kind} must appear exactly once in the registry"
             );
         }
     }

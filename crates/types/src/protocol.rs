@@ -73,6 +73,25 @@ impl ProtocolKind {
         ProtocolKind::DBypFull,
     ];
 
+    /// Resolves a configuration from its figure name (case-insensitive) —
+    /// the inverse of [`Self::name`].
+    ///
+    /// # Errors
+    ///
+    /// Names the rejected name and lists the accepted ones.
+    pub fn by_name(name: &str) -> Result<ProtocolKind, String> {
+        Self::ALL
+            .into_iter()
+            .find(|p| p.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                let names: Vec<&str> = Self::ALL.iter().map(|p| p.name()).collect();
+                format!(
+                    "unknown protocol `{name}`; expected one of: {}",
+                    names.join(" ")
+                )
+            })
+    }
+
     /// Whether this is a DeNovo-family configuration.
     pub const fn is_denovo(self) -> bool {
         matches!(

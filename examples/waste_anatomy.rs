@@ -6,7 +6,7 @@
 //! `cargo run -p denovo-waste --release --example waste_anatomy [protocol]`
 //! where `[protocol]` is one of the nine configurations (default: DBypFull).
 
-use denovo_waste::{protocol_by_name, SimConfig, Simulator};
+use denovo_waste::{SimConfig, Simulator};
 use tw_profiler::{WasteCategory, WasteReport};
 use tw_types::ProtocolKind;
 use tw_workloads::{build_scaled, BenchmarkKind};
@@ -36,7 +36,7 @@ fn print_report(level: &str, report: &WasteReport) {
 fn main() {
     let protocol = std::env::args()
         .nth(1)
-        .and_then(|a| protocol_by_name(&a))
+        .and_then(|a| ProtocolKind::by_name(&a).ok())
         .unwrap_or(ProtocolKind::DBypFull);
     let workload = build_scaled(BenchmarkKind::Fluidanimate, 16).unwrap();
     println!(
