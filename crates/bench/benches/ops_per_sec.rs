@@ -1,10 +1,12 @@
 //! End-to-end engine throughput in memory operations per second.
 //!
 //! Each benchmark runs one full *scaled* simulation cell (the same workload
-//! size the `experiments all` matrix uses) and reports ops/sec via the
-//! group's `Throughput::Elements` annotation — the `thrpt` column is the
+//! size the `experiments all` matrix uses) three times and reports memory
+//! operations per second of the fastest run — the `thrpt` column is the
 //! number every optimization to the engine hot path is judged by (see
-//! PERFORMANCE.md).
+//! PERFORMANCE.md). A plain `main` (`harness = false`): `--test` runs each
+//! cell once, untimed (the CI smoke mode), and any other non-flag argument
+//! keeps only the cells whose label contains it.
 //!
 //! The cells are chosen to cover the regimes that dominate matrix wall time:
 //! Radix and KdTree under MESI are the two slowest cells (directory +
@@ -27,9 +29,9 @@
 //! `tools/compare_throughput.py`). Refresh the baseline from the bench
 //! output when an intentional engine change moves the numbers.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use denovo_waste::{SimConfig, Simulator};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 use tw_types::{NetworkModelKind, ProtocolKind, SystemConfig};
 use tw_workloads::{build_scaled, BenchmarkKind};
 
@@ -47,30 +49,51 @@ const CELLS: [(BenchmarkKind, ProtocolKind, NetworkModelKind); 9] = [
     (BenchmarkKind::Fft, ProtocolKind::DBypFull, SnoopBus),
 ];
 
-fn bench_cells(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ops_per_sec");
-    group.sample_size(3);
+/// Timed runs of each cell; the report line carries their mean and minimum.
+const SAMPLES: u32 = 3;
+
+fn main() {
+    // Cargo passes `--bench`; every other flag but `--test` is ignored.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let test_mode = args.iter().any(|a| a == "--test");
+    let filters: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
+
     for (bench, proto, network) in CELLS {
-        let workload = build_scaled(bench, 16).expect("scaled workload builds");
-        let ops = workload.total_mem_ops() as u64;
-        group.throughput(Throughput::Elements(ops));
         let suffix = match network {
             Analytic => String::new(),
             timed => format!("_{}", timed.name()),
         };
+        let label = format!("ops_per_sec/{bench:?}_{proto:?}{suffix}");
+        if !filters.is_empty() && !filters.iter().any(|f| label.contains(f.as_str())) {
+            continue;
+        }
+        let workload = build_scaled(bench, 16).expect("scaled workload builds");
+        let ops = workload.total_mem_ops() as f64;
         let system = SystemConfig {
             network,
             ..SystemConfig::default()
         };
-        group.bench_function(&format!("{bench:?}_{proto:?}{suffix}"), |b| {
-            b.iter(|| {
-                let cfg = SimConfig::new(proto).with_system(system.clone());
-                black_box(Simulator::new(cfg, &workload).run())
-            })
-        });
+        let run = || {
+            let cfg = SimConfig::new(proto).with_system(system.clone());
+            black_box(Simulator::new(cfg, &workload).run());
+        };
+        if test_mode {
+            run();
+            println!("Testing {label}: ok");
+            continue;
+        }
+        let (mut total, mut min) = (Duration::ZERO, Duration::MAX);
+        for _ in 0..SAMPLES {
+            let started = Instant::now();
+            run();
+            let took = started.elapsed();
+            total += took;
+            min = min.min(took);
+        }
+        let mean = total / SAMPLES;
+        let per_sec = ops / min.as_secs_f64();
+        println!(
+            "{label:<40} mean {mean:>12.2?}   min {min:>12.2?}   thrpt {per_sec:.0} elem/s   ({SAMPLES} samples x 1 iters)"
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_cells);
-criterion_main!(benches);

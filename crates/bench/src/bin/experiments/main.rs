@@ -60,7 +60,7 @@ fn main() -> ExitCode {
 /// A fresh flight recorder plus a sink rooted at `track`.
 fn armed_recorder(track: &str) -> (Arc<FlightRecorder>, SpanSink) {
     let rec = Arc::new(FlightRecorder::new());
-    let sink = SpanSink::new(Arc::clone(&rec) as _, track);
+    let sink = SpanSink::new(Arc::clone(&rec), track);
     (rec, sink)
 }
 

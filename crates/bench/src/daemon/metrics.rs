@@ -79,6 +79,81 @@ impl Metrics {
         self.failed.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The service's own counters and gauges, in `stats` order.
+    fn service_rows(&self, queue_depth: u64, queue_cap: u64, workers: u64) -> [Row; 12] {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let uptime_us = (self.started.elapsed().as_micros()).min(u128::from(u64::MAX)) as u64;
+        [
+            Row::counter(
+                "requests",
+                "tw_daemon_requests_total",
+                "Submit requests accepted off the socket",
+                load(&self.requests),
+            ),
+            Row::counter(
+                "completed",
+                "tw_daemon_completed_total",
+                "Submit requests that produced a figures response",
+                load(&self.completed),
+            ),
+            Row::counter(
+                "failed",
+                "tw_daemon_failed_total",
+                "Submit requests that produced an error response",
+                load(&self.failed),
+            ),
+            Row::counter(
+                "cells",
+                "tw_daemon_cells_total",
+                "Plan cells executed",
+                load(&self.cells),
+            ),
+            Row::counter(
+                "hits",
+                "tw_daemon_cache_hits_total",
+                "Cells served from the on-disk cache",
+                load(&self.hits),
+            ),
+            Row::counter(
+                "misses",
+                "tw_daemon_cache_misses_total",
+                "Cells simulated",
+                load(&self.misses),
+            ),
+            Row::counter(
+                "coalesced",
+                "tw_daemon_cache_coalesced_total",
+                "Cells served from the single-flight table",
+                load(&self.coalesced),
+            ),
+            Row::gauge(
+                "queue_depth",
+                "tw_daemon_queue_depth",
+                "Work-queue depth right now",
+                queue_depth,
+            ),
+            Row::gauge(
+                "queue_peak",
+                "tw_daemon_queue_peak",
+                "Highest queue depth observed at any enqueue",
+                load(&self.queue_peak),
+            ),
+            Row::gauge(
+                "queue_cap",
+                "tw_daemon_queue_cap",
+                "Work-queue capacity",
+                queue_cap,
+            ),
+            Row::gauge("workers", "tw_daemon_workers", "Worker pool size", workers),
+            Row::gauge(
+                "uptime_us",
+                "tw_daemon_uptime_us",
+                "Microseconds since daemon start",
+                uptime_us,
+            ),
+        ]
+    }
+
     /// Renders the counters as the `stats` response fields. `queue_depth`
     /// and `queue_cap` describe the work queue right now; `workers` is the
     /// pool size; `session` is the shared session's reading.
@@ -89,97 +164,42 @@ impl Metrics {
         workers: u64,
         session: &SessionCounters,
     ) -> Vec<(String, Json)> {
-        let completed = self.completed.load(Ordering::Relaxed);
-        let cells = self.cells.load(Ordering::Relaxed);
-        let hits = self.hits.load(Ordering::Relaxed);
-        let misses = self.misses.load(Ordering::Relaxed);
-        let coalesced = self.coalesced.load(Ordering::Relaxed);
-        let uptime_us = (self.started.elapsed().as_micros()).min(u128::from(u64::MAX)) as u64;
+        let service = self.service_rows(queue_depth, queue_cap, workers);
+        let read = |key: &str| service.iter().find(|r| r.key == key).expect(key).value;
+        let (cells, uptime_us) = (read("cells"), read("uptime_us"));
         let cells_per_sec = if uptime_us == 0 {
             0.0
         } else {
             cells as f64 / (uptime_us as f64 / 1e6)
         };
-        let served = hits + coalesced;
         let hit_rate = if cells == 0 {
             0.0
         } else {
-            served as f64 / cells as f64
+            (read("hits") + read("coalesced")) as f64 / cells as f64
         };
-        vec![
-            (
-                "requests".into(),
-                Json::UInt(self.requests.load(Ordering::Relaxed)),
-            ),
-            ("completed".into(), Json::UInt(completed)),
-            (
-                "failed".into(),
-                Json::UInt(self.failed.load(Ordering::Relaxed)),
-            ),
-            ("cells".into(), Json::UInt(cells)),
-            ("hits".into(), Json::UInt(hits)),
-            ("misses".into(), Json::UInt(misses)),
-            ("coalesced".into(), Json::UInt(coalesced)),
-            ("queue_depth".into(), Json::UInt(queue_depth)),
-            (
-                "queue_peak".into(),
-                Json::UInt(self.queue_peak.load(Ordering::Relaxed)),
-            ),
-            ("queue_cap".into(), Json::UInt(queue_cap)),
-            ("workers".into(), Json::UInt(workers)),
-            ("uptime_us".into(), Json::UInt(uptime_us)),
-            (
-                "queue_wait_avg_us".into(),
-                Json::UInt(self.queue_wait_us.avg()),
-            ),
-            (
-                "queue_wait_p50_us".into(),
-                Json::UInt(self.queue_wait_us.percentile(50)),
-            ),
-            (
-                "queue_wait_p95_us".into(),
-                Json::UInt(self.queue_wait_us.percentile(95)),
-            ),
-            (
-                "queue_wait_p99_us".into(),
-                Json::UInt(self.queue_wait_us.percentile(99)),
-            ),
-            ("latency_avg_us".into(), Json::UInt(self.latency_us.avg())),
-            (
-                "latency_p50_us".into(),
-                Json::UInt(self.latency_us.percentile(50)),
-            ),
-            (
-                "latency_p95_us".into(),
-                Json::UInt(self.latency_us.percentile(95)),
-            ),
-            (
-                "latency_p99_us".into(),
-                Json::UInt(self.latency_us.percentile(99)),
-            ),
-            ("latency_max_us".into(), Json::UInt(self.latency_us.max())),
+        let uint = |key: &str, value: u64| (key.to_string(), Json::UInt(value));
+        let (wait, latency) = (&self.queue_wait_us, &self.latency_us);
+        // Key order is the wire order `stats` clients have always read: the
+        // service rows, the latency summary, the session rows.
+        let mut fields: Vec<_> = service.iter().map(|r| uint(r.key, r.value)).collect();
+        fields.extend([
+            uint("queue_wait_avg_us", wait.avg()),
+            uint("queue_wait_p50_us", wait.percentile(50)),
+            uint("queue_wait_p95_us", wait.percentile(95)),
+            uint("queue_wait_p99_us", wait.percentile(99)),
+            uint("latency_avg_us", latency.avg()),
+            uint("latency_p50_us", latency.percentile(50)),
+            uint("latency_p95_us", latency.percentile(95)),
+            uint("latency_p99_us", latency.percentile(99)),
+            uint("latency_max_us", latency.max()),
             (
                 "cells_per_sec".into(),
                 Json::Str(format!("{cells_per_sec:.2}")),
             ),
             ("hit_rate".into(), Json::Str(format!("{hit_rate:.4}"))),
-            (
-                "workload_memo_hits_total".into(),
-                Json::UInt(session.memo_hits),
-            ),
-            (
-                "workload_memo_builds_total".into(),
-                Json::UInt(session.memo_builds),
-            ),
-            (
-                "workload_memo_resident_ops".into(),
-                Json::UInt(session.memo_resident_ops),
-            ),
-            (
-                "flight_table_slots".into(),
-                Json::UInt(session.flight_slots),
-            ),
-        ]
+        ]);
+        fields.extend(session_rows(session).iter().map(|r| uint(r.key, r.value)));
+        fields
     }
 
     /// Renders every counter, gauge and histogram in Prometheus text
@@ -193,88 +213,13 @@ impl Metrics {
     ) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        counter(
-            "tw_daemon_requests_total",
-            "Submit requests accepted off the socket",
-            self.requests.load(Ordering::Relaxed),
-        );
-        counter(
-            "tw_daemon_completed_total",
-            "Submit requests that produced a figures response",
-            self.completed.load(Ordering::Relaxed),
-        );
-        counter(
-            "tw_daemon_failed_total",
-            "Submit requests that produced an error response",
-            self.failed.load(Ordering::Relaxed),
-        );
-        counter(
-            "tw_daemon_cells_total",
-            "Plan cells executed",
-            self.cells.load(Ordering::Relaxed),
-        );
-        counter(
-            "tw_daemon_cache_hits_total",
-            "Cells served from the on-disk cache",
-            self.hits.load(Ordering::Relaxed),
-        );
-        counter(
-            "tw_daemon_cache_misses_total",
-            "Cells simulated",
-            self.misses.load(Ordering::Relaxed),
-        );
-        counter(
-            "tw_daemon_cache_coalesced_total",
-            "Cells served from the single-flight table",
-            self.coalesced.load(Ordering::Relaxed),
-        );
-        counter(
-            "tw_daemon_workload_memo_hits_total",
-            "Workload lookups served from the session memo without generating",
-            session.memo_hits,
-        );
-        counter(
-            "tw_daemon_workload_memo_builds_total",
-            "Workload lookups that generated and digested a workload",
-            session.memo_builds,
-        );
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        gauge(
-            "tw_daemon_queue_depth",
-            "Work-queue depth right now",
-            queue_depth,
-        );
-        gauge(
-            "tw_daemon_queue_peak",
-            "Highest queue depth observed at any enqueue",
-            self.queue_peak.load(Ordering::Relaxed),
-        );
-        gauge("tw_daemon_queue_cap", "Work-queue capacity", queue_cap);
-        gauge("tw_daemon_workers", "Worker pool size", workers);
-        gauge(
-            "tw_daemon_workload_memo_resident_ops",
-            "Trace ops held by the session memo's resident workloads",
-            session.memo_resident_ops,
-        );
-        gauge(
-            "tw_daemon_flight_table_slots",
-            "Slots in the session's single-flight table",
-            session.flight_slots,
-        );
-        gauge(
-            "tw_daemon_uptime_us",
-            "Microseconds since daemon start",
-            (self.started.elapsed().as_micros()).min(u128::from(u64::MAX)) as u64,
-        );
+        let service = self.service_rows(queue_depth, queue_cap, workers);
+        for row in service.iter().chain(&session_rows(session)) {
+            let Row { family, .. } = row;
+            let _ = writeln!(out, "# HELP {family} {}", row.help);
+            let _ = writeln!(out, "# TYPE {family} {}", row.kind);
+            let _ = writeln!(out, "{family} {}", row.value);
+        }
         out.push_str(&self.queue_wait_us.render_prometheus(
             "tw_daemon_queue_wait_us",
             "Time completed submits spent queued (microseconds)",
@@ -285,6 +230,66 @@ impl Metrics {
         ));
         out
     }
+}
+
+/// One counter or gauge, declared once: the key `stats` reports it under,
+/// its exposition family with HELP text and TYPE, and its value now. Both
+/// documents are rendered from these rows.
+struct Row {
+    key: &'static str,
+    family: &'static str,
+    help: &'static str,
+    kind: &'static str,
+    value: u64,
+}
+
+impl Row {
+    fn counter(key: &'static str, family: &'static str, help: &'static str, value: u64) -> Row {
+        Row {
+            key,
+            family,
+            help,
+            kind: "counter",
+            value,
+        }
+    }
+
+    fn gauge(key: &'static str, family: &'static str, help: &'static str, value: u64) -> Row {
+        Row {
+            kind: "gauge",
+            ..Row::counter(key, family, help, value)
+        }
+    }
+}
+
+/// The shared session's reading, in `stats` order.
+fn session_rows(session: &SessionCounters) -> [Row; 4] {
+    [
+        Row::counter(
+            "workload_memo_hits_total",
+            "tw_daemon_workload_memo_hits_total",
+            "Workload lookups served from the session memo without generating",
+            session.memo_hits,
+        ),
+        Row::counter(
+            "workload_memo_builds_total",
+            "tw_daemon_workload_memo_builds_total",
+            "Workload lookups that generated and digested a workload",
+            session.memo_builds,
+        ),
+        Row::gauge(
+            "workload_memo_resident_ops",
+            "tw_daemon_workload_memo_resident_ops",
+            "Trace ops held by the session memo's resident workloads",
+            session.memo_resident_ops,
+        ),
+        Row::gauge(
+            "flight_table_slots",
+            "tw_daemon_flight_table_slots",
+            "Slots in the session's single-flight table",
+            session.flight_slots,
+        ),
+    ]
 }
 
 impl Default for Metrics {
@@ -385,6 +390,43 @@ mod tests {
         assert_eq!(field(&snap, "hit_rate").as_str(), Ok("0.0000"));
         assert_eq!(field(&snap, "latency_avg_us").as_u64(), Ok(0));
         assert_eq!(field(&snap, "latency_p99_us").as_u64(), Ok(0));
+    }
+
+    #[test]
+    fn every_counter_and_gauge_stats_key_has_exactly_one_exposition_family() {
+        let m = two_submits();
+        let snap = m.snapshot(2, 64, 4, &SESSION);
+        let text = m.render_prometheus(2, 64, 4, &SESSION);
+        // Families by TYPE line; the two histograms cover the summary keys.
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter(|l| !l.ends_with(" histogram"))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        let rows: Vec<Row> = (m.service_rows(2, 64, 4).into_iter())
+            .chain(session_rows(&SESSION))
+            .collect();
+        assert_eq!(rows.len(), 16);
+        for row in &rows {
+            assert!(field(&snap, row.key).as_u64().is_ok(), "{}", row.key);
+            let n = families.iter().filter(|f| **f == row.family).count();
+            assert_eq!(n, 1, "{} -> {}", row.key, row.family);
+            assert_eq!(rows.iter().filter(|r| r.key == row.key).count(), 1);
+        }
+        assert_eq!(families.len(), rows.len(), "no family without a stats key");
+        // Every other stats key is a summary of one of the two histograms
+        // or a rate derived from the rows.
+        for (key, _) in &snap {
+            assert!(
+                rows.iter().any(|r| r.key == key)
+                    || key.starts_with("queue_wait_")
+                    || key.starts_with("latency_")
+                    || key == "cells_per_sec"
+                    || key == "hit_rate",
+                "{key} is neither a row nor a summary"
+            );
+        }
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub fn serve(config: &Config) -> Result<(), String> {
         .map(|_| Arc::new(FlightRecorder::new()));
     let mut recorder = None;
     if let Some(rec) = &flight {
-        let sink = SpanSink::new(Arc::clone(rec) as _, "daemon");
+        let sink = SpanSink::new(Arc::clone(rec), "daemon");
         session = session.with_recorder(sink.clone());
         recorder = Some(sink);
     }
@@ -157,7 +157,14 @@ pub fn serve(config: &Config) -> Result<(), String> {
             let server = Arc::clone(&server);
             std::thread::Builder::new()
                 .name(format!("exp-worker-{i}"))
-                .spawn(move || worker_loop(&server))
+                .spawn(move || {
+                    worker::run_worker(
+                        &server.queue,
+                        &server.session,
+                        &server.metrics,
+                        server.recorder.as_ref(),
+                    )
+                })
                 .map_err(|e| format!("cannot spawn worker: {e}"))
         })
         .collect::<Result<_, _>>()?;
@@ -189,18 +196,6 @@ pub fn serve(config: &Config) -> Result<(), String> {
             .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
     }
     Ok(())
-}
-
-fn worker_loop(server: &Server) {
-    // Thin shim so `worker::run_worker` stays independently testable.
-    while let Some(job) = server.queue.pop() {
-        worker::run_one(
-            &server.session,
-            &server.metrics,
-            server.recorder.as_ref(),
-            job,
-        );
-    }
 }
 
 /// Serves one connection: a sequence of request frames, one response each,

@@ -11,7 +11,6 @@ use super::metrics::Metrics;
 use super::queue::BoundedQueue;
 use denovo_waste::{CacheStats, ExperimentSpec, Session, WorkloadSet};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
 use std::time::Instant;
 use tw_obs::{Span, SpanSink};
 
@@ -45,22 +44,27 @@ pub struct Job {
 
 /// Worker loop: pop until the queue closes and drains, execute each job
 /// through the shared session, send the result back to the handler.
-pub fn run_worker(queue: Arc<BoundedQueue<Job>>, session: Session, metrics: Arc<Metrics>) {
+pub fn run_worker(
+    queue: &BoundedQueue<Job>,
+    session: &Session,
+    metrics: &Metrics,
+    recorder: Option<&SpanSink>,
+) {
     while let Some(job) = queue.pop() {
-        run_one(&session, &metrics, None, job);
+        run_one(session, metrics, recorder, job);
     }
 }
 
 /// Executes a single dequeued job: runs the plan, records metrics, emits a
 /// per-request span when the daemon records, sends the result to the job's
 /// handler.
-pub fn run_one(session: &Session, metrics: &Metrics, recorder: Option<&SpanSink>, job: Job) {
+fn run_one(session: &Session, metrics: &Metrics, recorder: Option<&SpanSink>, job: Job) {
     let queue_us = job.enqueued.elapsed().as_micros() as u64;
     let result = execute(session, &job.spec_text, queue_us);
     match &result {
         Ok(out) => {
             metrics.record_completed(&out.stats, queue_us, queue_us + out.exec_us);
-            if let Some(sink) = recorder.filter(|s| s.enabled()) {
+            if let Some(sink) = recorder {
                 sink.with_track(format!("request/{}", out.plan)).emit(
                     Span::event("request")
                         .attr("outcome", "ok")
@@ -75,7 +79,7 @@ pub fn run_one(session: &Session, metrics: &Metrics, recorder: Option<&SpanSink>
         }
         Err(msg) => {
             metrics.record_failed();
-            if let Some(sink) = recorder.filter(|s| s.enabled()) {
+            if let Some(sink) = recorder {
                 sink.with_track("request/error").emit(
                     Span::event("request")
                         .attr("outcome", "error")
@@ -117,7 +121,7 @@ fn execute(session: &Session, spec_text: &str, queue_us: u64) -> Result<SubmitOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
 
     fn tiny_spec_text() -> String {
         use denovo_waste::ScaleProfile;
@@ -134,11 +138,9 @@ mod tests {
     #[test]
     fn workers_execute_jobs_and_exit_on_close() {
         let queue = Arc::new(BoundedQueue::new(4));
-        let metrics = Arc::new(Metrics::new());
         let worker = std::thread::spawn({
             let queue = Arc::clone(&queue);
-            let metrics = Arc::clone(&metrics);
-            move || run_worker(queue, Session::new(), metrics)
+            move || run_worker(&queue, &Session::new(), &Metrics::new(), None)
         });
 
         let (tx, rx) = mpsc::channel();

@@ -4,9 +4,8 @@
 //! evaluation section (run `cargo run -p tw-bench --release --bin experiments
 //! -- all`, or `-- all --json` for a machine-readable `BENCH_results.json`)
 //! and runs arbitrary declarative plans (`experiments plan run spec.json`);
-//! the Criterion benches under `benches/` cover the same figures at a reduced
-//! scale plus the gated engine-throughput cells. The experiment index
-//! and recorded full-scale numbers live in `EXPERIMENTS.md`.
+//! `benches/ops_per_sec.rs` times the gated engine-throughput cells. The
+//! experiment index and recorded full-scale numbers live in `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,8 +13,7 @@
 pub mod daemon;
 
 use denovo_waste::{
-    CacheStats, ExperimentError, ExperimentSpec, FigureTable, PlanOutcome, ScaleProfile, Session,
-    SimConfig, Simulator, WorkloadSet,
+    CacheStats, ExperimentError, FigureTable, PlanOutcome, ScaleProfile, SimConfig, Simulator,
 };
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -23,29 +21,6 @@ use tw_obs::escaped;
 use tw_profiler::WasteCategory;
 use tw_scenarios::{SharingPattern, SynthConfig};
 use tw_types::ProtocolKind;
-use tw_workloads::BenchmarkKind;
-
-/// Runs a reduced matrix used by the per-figure Criterion benches: the five
-/// protocols the headline summary compares, on two benchmarks, at the tiny
-/// scale.
-///
-/// # Errors
-///
-/// Any [`ExperimentError`] from the underlying plan run.
-pub fn run_bench_matrix() -> Result<PlanOutcome, ExperimentError> {
-    let spec = ExperimentSpec::subset(
-        vec![
-            ProtocolKind::Mesi,
-            ProtocolKind::MMemL1,
-            ProtocolKind::DeNovo,
-            ProtocolKind::DFlexL1,
-            ProtocolKind::DBypFull,
-        ],
-        vec![BenchmarkKind::Fft, BenchmarkKind::Barnes],
-        ScaleProfile::Tiny,
-    );
-    Session::new().run(&spec, &WorkloadSet::new())
-}
 
 /// Seed for the update-vs-invalidate synthesized primitives. Fixed so the
 /// committed `BENCH_results.json` numbers and `EXPERIMENTS.md` walkthrough
@@ -320,6 +295,8 @@ pub fn cache_stats_json(plan: &str, stats: &CacheStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use denovo_waste::{ExperimentSpec, Session, WorkloadSet};
+    use tw_workloads::BenchmarkKind;
 
     #[test]
     fn json_numbers_are_finite_or_null() {

@@ -94,19 +94,52 @@ fn duplicate_key_cells_through_a_cache_dir_store_once_and_hit_twice_warm() {
     assert_eq!(entries.len(), 1, "one shared key stores one entry");
     assert!(temp_files_in(&dir).is_empty());
 
-    // Warm, from a *fresh* session (empty flight table): both cells are
-    // disk hits.
+    // Warm, from a *fresh* session (empty flight table): nothing simulates.
+    // The first cell to take the slot reads the entry; its twin reads it too
+    // if it arrives after the slot was dropped, and coalesces if before.
     let warm = Session::new()
         .with_cache_dir(&dir)
         .run(&spec, &set)
         .unwrap();
-    assert_eq!(
-        (warm.cache.hits, warm.cache.misses, warm.cache.coalesced),
-        (2, 0, 0)
-    );
+    assert_eq!(warm.cache.misses, 0);
+    assert!(warm.cache.hits >= 1, "{:?}", warm.cache);
+    assert_eq!(warm.cache.hits + warm.cache.coalesced, 2);
     assert_eq!(warm.reports, cold.reports, "bit-identical across the store");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn racing_duplicate_key_cells_through_a_cache_dir_simulate_once_every_round() {
+    // Two threads of one session execute the same cell at once. The loser
+    // must never simulate: it either waits on the leader's slot or, arriving
+    // after the slot was dropped, leads a fresh one and finds the entry on
+    // disk. The window this closes (a probe that missed *before* the slot
+    // was taken, then a vacant slot) needed the duplicate to be descheduled
+    // for the leader's whole simulate-and-store, so the test cannot be made
+    // to fail on demand: 200 rounds of a sub-millisecond cell (0.3 s in
+    // all) failed against the old order in 3 of 30 runs beside one other
+    // CPU-bound test on two cores, and in 0 of 30 run alone.
+    let (mut spec, set) = duplicate_key_fixture();
+    spec.workloads.truncate(1);
+    let plan = spec.compile(&set).unwrap();
+    for round in 0..200 {
+        let dir = fresh_dir("dup-key-race");
+        let session = Session::new().with_cache_dir(&dir);
+        let start = std::sync::Barrier::new(2);
+        let run = || {
+            start.wait();
+            session.execute(&plan).unwrap().cache
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(run);
+            (run(), other.join().unwrap())
+        });
+        assert_eq!(a.misses + b.misses, 1, "round {round}: {a:?} {b:?}");
+        assert_eq!(a.total() + b.total(), 2);
+        assert_eq!(session.counters().flight_slots, 0, "round {round}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

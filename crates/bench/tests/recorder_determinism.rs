@@ -44,7 +44,7 @@ fn spec_from(proto_mask: u8, bench_mask: u8) -> ExperimentSpec {
 /// so the Debug form is byte-stable).
 fn recorded_run(spec: &ExperimentSpec) -> (String, String) {
     let rec = Arc::new(FlightRecorder::new());
-    let session = Session::new().with_recorder(SpanSink::new(Arc::clone(&rec) as _, "test"));
+    let session = Session::new().with_recorder(SpanSink::new(Arc::clone(&rec), "test"));
     let outcome = session.run(spec, &WorkloadSet::new()).unwrap();
     (rec.to_jsonl(), format!("{outcome:?}"))
 }

@@ -297,51 +297,58 @@ impl Session {
     }
 
     fn run_cell(&self, cell: &PlannedCell) -> Result<(SimReport, CellSource), ExperimentError> {
-        // Timers exist only when a live recorder is attached, so the
-        // unrecorded path pays one Option probe per cell, nothing per op.
+        // Timers exist only when a recorder is attached, so the unrecorded
+        // path pays one Option probe per cell, nothing per op.
         let sink = self
             .recorder
             .as_ref()
-            .filter(|s| s.enabled())
             .map(|s| s.with_track(format!("{}/{}", cell.label, cell.protocol.name())));
+        let timer = || sink.as_ref().map(|_| Instant::now());
+        let micros = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_micros() as u64);
         let key = self.key_of(cell);
         let path = self
             .cache_dir
             .as_ref()
             .map(|d| d.join(format!("{key}.json")));
-        let mut probe_us = 0u64;
-        if let Some(path) = &path {
-            let t = sink.as_ref().map(|_| Instant::now());
-            let hit = probe_entry(path, key);
-            probe_us = t.map_or(0, |t| t.elapsed().as_micros() as u64);
-            if let Some(report) = hit {
-                emit_cell_span(&sink, "disk_hit", probe_us, 0, 0);
-                return Ok((report, CellSource::DiskHit));
-            }
-        }
-        // Single-flight: exactly one caller per key simulates; everyone else
-        // who arrives while (or after) that leader runs shares its report.
+        // Single-flight: the slot is taken before anything is looked up, so
+        // exactly one caller per key — the leader — probes the disk and, on
+        // a miss, simulates; everyone who arrives while it runs shares its
+        // report, and whoever arrives after it dropped the slot leads a
+        // fresh one and finds the entry on disk.
         let flight = {
             let mut inflight = self.state.inflight.lock().expect("inflight lock");
             Arc::clone(inflight.entry(key).or_default())
         };
-        let mut leader = false;
-        let mut sim_us = 0u64;
+        let mut source = CellSource::Coalesced;
+        let (mut probe_us, mut sim_us, mut store_us) = (0u64, 0u64, 0u64);
         let report = flight
             .get_or_init(|| {
-                leader = true;
-                let t = sink.as_ref().map(|_| Instant::now());
+                if let Some(path) = &path {
+                    let t = timer();
+                    let hit = probe_entry(path, key);
+                    probe_us = micros(t);
+                    if let Some(report) = hit {
+                        source = CellSource::DiskHit;
+                        return report;
+                    }
+                }
+                source = CellSource::Simulated;
+                let t = timer();
                 let report = self.simulate(cell, sink.as_ref());
-                sim_us = t.map_or(0, |t| t.elapsed().as_micros() as u64);
+                sim_us = micros(t);
                 report
             })
             .clone();
-        if leader {
-            let t = sink.as_ref().map(|_| Instant::now());
+        if source != CellSource::Coalesced {
             if let Some(path) = &path {
-                let stored = store_entry(path, key, cell, &report);
-                // Whoever coalesced holds the slot already and later
-                // arrivals probe the disk first, so the slot has no reader
+                let t = timer();
+                let stored = match source {
+                    CellSource::Simulated => store_entry(path, key, cell, &report),
+                    _ => Ok(()),
+                };
+                store_us = micros(t);
+                // The entry is on disk, where the next leader finds it, and
+                // whoever coalesced holds the slot already: it has no reader
                 // left. Dropping it after a failed store as well means the
                 // next request for the key simulates and stores again,
                 // instead of being served from memory while the entry stays
@@ -353,13 +360,14 @@ impl Session {
                     .remove(&key);
                 stored?;
             }
-            let store_us = t.map_or(0, |t| t.elapsed().as_micros() as u64);
-            emit_cell_span(&sink, "simulated", probe_us, sim_us, store_us);
-            Ok((report, CellSource::Simulated))
-        } else {
-            emit_cell_span(&sink, "coalesced", probe_us, 0, 0);
-            Ok((report, CellSource::Coalesced))
         }
+        let outcome = match source {
+            CellSource::DiskHit => "disk_hit",
+            CellSource::Simulated => "simulated",
+            CellSource::Coalesced => "coalesced",
+        };
+        emit_cell_span(&sink, outcome, probe_us, sim_us, store_us);
+        Ok((report, source))
     }
 
     fn simulate(&self, cell: &PlannedCell, sink: Option<&SpanSink>) -> SimReport {

@@ -109,21 +109,6 @@ impl FigureTable {
         let col = *self.col_index.get(column)?;
         self.rows[row].1.get(col).copied()
     }
-
-    /// Renders the table as comma-separated values.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.columns.join(","));
-        out.push('\n');
-        for (label, values) in &self.rows {
-            out.push_str(label);
-            for v in values {
-                out.push_str(&format!(",{v:.4}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for FigureTable {
@@ -212,12 +197,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_display_render_all_rows() {
-        let t = sample();
-        let csv = t.to_csv();
-        assert!(csv.starts_with("protocol,LD,ST\n"));
-        assert!(csv.contains("DBypFull,0.6000,0.2500"));
-        let text = t.to_string();
+    fn display_renders_all_rows() {
+        let text = sample().to_string();
         assert!(text.contains("== Figure X =="));
         assert!(text.contains("MESI"));
     }

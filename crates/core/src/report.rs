@@ -69,13 +69,4 @@ impl SimReport {
         }
         self.total_cycles as f64 / baseline.total_cycles as f64
     }
-
-    /// Ratio of this run's words fetched from memory to a baseline run's.
-    pub fn memory_words_relative_to(&self, baseline: &SimReport) -> f64 {
-        let b = baseline.mem_waste.total_words();
-        if b == 0 {
-            return 1.0;
-        }
-        self.mem_waste.total_words() as f64 / b as f64
-    }
 }

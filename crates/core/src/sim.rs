@@ -11,8 +11,9 @@
 //! that NACK traffic is negligible.
 //!
 //! This module is protocol-agnostic: every protocol-specific action is
-//! reached through the [`engine::ProtocolExecutor`] trait, resolved once at
-//! construction by `engine::executor_for`. The executors themselves
+//! reached through the four entry points of [`engine::Engine`] (`load`,
+//! `store`, `barrier_released`, `finish`), each a `match` on the protocol
+//! family resolved once at construction. The transaction choreographies
 //! live in `exec_mesi.rs`, `exec_denovo.rs` and `exec_dragon.rs`; the shared
 //! machine state and accounting they operate on live in `engine.rs` (see
 //! `DESIGN.md` §3).
@@ -25,12 +26,10 @@ mod exec_dragon;
 mod exec_mesi;
 mod home;
 
-use crate::machine::build_tiles;
 use crate::report::SimReport;
 use crate::timing::{ExecutionBreakdown, TimeClass};
-use engine::{executor_for, Engine, GeomCache, Net, ProtocolExecutor, TraceCapture};
+use engine::{Engine, TraceCapture};
 use tw_obs::{Span, SpanSink};
-use tw_profiler::{CacheLevel, CacheWasteProfiler, MemoryWasteProfiler};
 use tw_types::{
     Cycle, MemKind, MessageClass, ProtocolKind, Stamp, SystemConfig, TraceOp, TrafficBucket,
 };
@@ -108,11 +107,10 @@ fn two_earliest(ready: &[u64]) -> ((usize, u64), (usize, u64)) {
 ///
 /// The simulator owns the scheduler state (per-core clocks, program counters
 /// and run states) and an [`Engine`] holding all machine state; protocol
-/// behavior is dispatched through the executor resolved at construction.
+/// behavior is dispatched inside the engine's entry points.
 #[derive(Debug)]
 pub struct Simulator<'wl> {
     pub(crate) engine: Engine<'wl>,
-    exec: &'static dyn ProtocolExecutor,
     /// Per-core clocks. Scheduling and barrier matching consult only the
     /// canonical lane, so the service order — and with it every traffic and
     /// waste number — is identical under every network model; the timed
@@ -143,24 +141,8 @@ impl<'wl> Simulator<'wl> {
             "workload core count must match the machine"
         );
         let cores = cfg.system.tiles();
-        let exec = executor_for(cfg.protocol);
-        let engine = Engine {
-            tiles: build_tiles(&cfg.system, cfg.protocol),
-            net: Net::new(cfg.system.noc.clone(), cfg.system.network),
-            geo: GeomCache::new(&cfg.system, &workload.regions),
-            l1_prof: (0..cores)
-                .map(|_| CacheWasteProfiler::new(CacheLevel::L1))
-                .collect(),
-            l2_prof: CacheWasteProfiler::new(CacheLevel::L2),
-            mem_prof: MemoryWasteProfiler::new(),
-            time: (0..cores).map(|_| ExecutionBreakdown::new()).collect(),
-            capture: None,
-            cfg,
-            workload,
-        };
         Simulator {
-            engine,
-            exec,
+            engine: Engine::new(cfg, workload),
             clocks: vec![Stamp::at(0); cores],
             pc: vec![0; cores],
             state: vec![CoreState::Running; cores],
@@ -256,8 +238,8 @@ impl<'wl> Simulator<'wl> {
             TraceOp::Mem { kind, addr, region } => {
                 let now = self.clocks[core];
                 let done = match kind {
-                    MemKind::Load => self.exec.load(&mut self.engine, core, addr, region, now),
-                    MemKind::Store => self.exec.store(&mut self.engine, core, addr, region, now),
+                    MemKind::Load => self.engine.load(core, addr, region, now),
+                    MemKind::Store => self.engine.store(core, addr, region, now),
                 };
                 debug_assert!(done.not_before(now));
                 self.clocks[core] = done;
@@ -298,23 +280,21 @@ impl<'wl> Simulator<'wl> {
             self.pc[c] += 1;
             self.state[c] = CoreState::Running;
         }
-        self.exec.barrier_released(&mut self.engine, release);
+        self.engine.barrier_released(release);
         self.phases += 1;
         // Observer lane: every attribute below is a pure function of the
         // run's inputs (canonical/timed lanes and all counters are
         // deterministic), so traces byte-diff across reruns.
         if let Some(sink) = &self.engine.cfg.recorder {
-            if sink.enabled() {
-                sink.emit(
-                    Span::event("phase")
-                        .attr("phase", self.phases)
-                        .attr("barrier", u64::from(barrier))
-                        .attr("cores", waiting)
-                        .attr("release", release.canon)
-                        .attr("sends", self.engine.net.sends)
-                        .attr("net_stalls", self.engine.net.timed_stall_cycles()),
-                );
-            }
+            sink.emit(
+                Span::event("phase")
+                    .attr("phase", self.phases)
+                    .attr("barrier", u64::from(barrier))
+                    .attr("cores", waiting)
+                    .attr("release", release.canon)
+                    .attr("sends", self.engine.net.sends)
+                    .attr("net_stalls", self.engine.net.timed_stall_cycles()),
+            );
         }
     }
 
@@ -325,35 +305,33 @@ impl<'wl> Simulator<'wl> {
         // measurement period ends at a barrier, where those tables would
         // have drained anyway.
         let last = self.clocks.iter().copied().fold(Stamp::at(0), Stamp::max);
-        self.exec.finish(&mut self.engine, last);
+        self.engine.finish(last);
         if let Some(sink) = &self.engine.cfg.recorder {
-            if sink.enabled() {
-                let (mut probes, mut resizes) = (0u64, 0u64);
-                for prof in &self.engine.l1_prof {
-                    let (_, p, r) = prof.pending_table_stats();
-                    probes += p;
-                    resizes += r;
-                }
-                for (_, p, r) in [
-                    self.engine.l2_prof.pending_table_stats(),
-                    self.engine.mem_prof.pending_table_stats(),
-                ] {
-                    probes += p;
-                    resizes += r;
-                }
-                sink.emit(
-                    Span::event("run")
-                        .attr("protocol", self.engine.cfg.protocol.name())
-                        .attr("benchmark", self.engine.workload.kind.name())
-                        .attr("network", self.engine.cfg.system.network.name())
-                        .attr("cycles", last.timed)
-                        .attr("phases", self.phases)
-                        .attr("sends", self.engine.net.sends)
-                        .attr("net_stalls", self.engine.net.timed_stall_cycles())
-                        .attr("map_probes", probes)
-                        .attr("map_resizes", resizes),
-                );
+            let (mut probes, mut resizes) = (0u64, 0u64);
+            for prof in &self.engine.l1_prof {
+                let (_, p, r) = prof.pending_table_stats();
+                probes += p;
+                resizes += r;
             }
+            for (_, p, r) in [
+                self.engine.l2_prof.pending_table_stats(),
+                self.engine.mem_prof.pending_table_stats(),
+            ] {
+                probes += p;
+                resizes += r;
+            }
+            sink.emit(
+                Span::event("run")
+                    .attr("protocol", self.engine.cfg.protocol.name())
+                    .attr("benchmark", self.engine.workload.kind.name())
+                    .attr("network", self.engine.cfg.system.network.name())
+                    .attr("cycles", last.timed)
+                    .attr("phases", self.phases)
+                    .attr("sends", self.engine.net.sends)
+                    .attr("net_stalls", self.engine.net.timed_stall_cycles())
+                    .attr("map_probes", probes)
+                    .attr("map_resizes", resizes),
+            );
         }
         let eng = self.engine;
 

@@ -3,20 +3,21 @@
 //! [`Engine`] owns every piece of machine state a coherence transaction
 //! touches — tiles (caches, write-combining tables, Bloom banks, memory
 //! controllers), the mesh with its flit-hop ledger, the waste profilers and
-//! the per-core time attribution — plus the shared accounting helpers both
-//! protocol families use. Protocol behavior lives entirely behind the
-//! [`ProtocolExecutor`] trait: the scheduler in `sim.rs` resolves the
-//! configured [`ProtocolKind`] to an executor through [`executor_for`] once,
-//! then drives every load, store, barrier and end-of-run drain through the
-//! trait without knowing which family it is talking to. Adding a protocol
-//! family means implementing the trait and adding one `match` arm — the
-//! simulator loop does not change.
+//! the per-core time attribution — plus the shared accounting helpers the
+//! protocol families use. The scheduler in `sim.rs` drives every load, store,
+//! barrier and end-of-run drain through four entry points ([`Engine::load`],
+//! [`Engine::store`], [`Engine::barrier_released`], [`Engine::finish`])
+//! without knowing which family it is talking to: [`Engine::new`] resolves
+//! the configured [`ProtocolKind`] to its [`Family`] once, and each entry
+//! point is a `match` on it over the `mesi_*` / `denovo_*` / `dragon_*`
+//! methods of `exec_*.rs`. Adding a protocol family means one more variant
+//! and one more arm in each `match` — the simulator loop does not change.
 
-use crate::machine::{L1Meta, Tile};
+use crate::machine::{build_tiles, L1Meta, Tile};
 use crate::sim::SimConfig;
 use crate::timing::ExecutionBreakdown;
 use tw_noc::{model_for, Mesh, NetworkModel, PacketSize};
-use tw_profiler::{CacheWasteProfiler, MemoryWasteProfiler, TrafficBreakdown};
+use tw_profiler::{CacheLevel, CacheWasteProfiler, MemoryWasteProfiler, TrafficBreakdown};
 use tw_types::{
     Addr, LineAddr, MessageClass, MessageKind, NetworkModelKind, NocConfig, ProtocolKind, RegionId,
     RegionTable, Stamp, SystemConfig, TileId, TraceOp, TrafficBucket, WordMask,
@@ -302,10 +303,11 @@ impl GeomCache {
 ///
 /// The scheduler in `sim.rs` owns the per-core clocks and program counters;
 /// everything a coherence transaction touches lives here so that a
-/// [`ProtocolExecutor`] can be handed one `&mut Engine` and service a memory
-/// reference end to end.
+/// memory reference is serviced end to end by one `&mut Engine` call.
 #[derive(Debug)]
 pub(crate) struct Engine<'wl> {
+    /// Which transaction choreography `cfg.protocol` runs, resolved once.
+    family: Family,
     pub(crate) cfg: SimConfig,
     pub(crate) workload: &'wl Workload,
     pub(crate) tiles: Vec<Tile>,
@@ -321,7 +323,108 @@ pub(crate) struct Engine<'wl> {
     pub(crate) capture: Option<TraceCapture>,
 }
 
+/// The three transaction choreographies. The [`ProtocolKind`] carried by the
+/// engine's config selects the per-variant feature predicates inside one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    Mesi,
+    Denovo,
+    Dragon,
+}
+
+impl Family {
+    /// The single place protocol dispatch is decided. The `match` is
+    /// exhaustive: a new [`ProtocolKind`] variant does not compile until it
+    /// is placed in a family here.
+    fn of(kind: ProtocolKind) -> Family {
+        use ProtocolKind::*;
+        match kind {
+            Mesi | MMemL1 => Family::Mesi,
+            DeNovo | DFlexL1 | DValidateL2 | DMemL1 | DFlexL2 | DBypL2 | DBypFull => Family::Denovo,
+            Dragon => Family::Dragon,
+        }
+    }
+}
+
 impl<'wl> Engine<'wl> {
+    /// The machine of `cfg.system`, cold, about to run `workload` under
+    /// `cfg.protocol`.
+    pub(crate) fn new(cfg: SimConfig, workload: &'wl Workload) -> Self {
+        let cores = cfg.system.tiles();
+        Engine {
+            family: Family::of(cfg.protocol),
+            tiles: build_tiles(&cfg.system, cfg.protocol),
+            net: Net::new(cfg.system.noc.clone(), cfg.system.network),
+            geo: GeomCache::new(&cfg.system, &workload.regions),
+            l1_prof: (0..cores)
+                .map(|_| CacheWasteProfiler::new(CacheLevel::L1))
+                .collect(),
+            l2_prof: CacheWasteProfiler::new(CacheLevel::L2),
+            mem_prof: MemoryWasteProfiler::new(),
+            time: (0..cores).map(|_| ExecutionBreakdown::new()).collect(),
+            capture: None,
+            cfg,
+            workload,
+        }
+    }
+
+    /// Services one load, returning the timestamp the core may proceed at.
+    pub(crate) fn load(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
+        let done = match self.family {
+            Family::Mesi => self.mesi_load(core, addr, region, now),
+            Family::Denovo => self.denovo_load(core, addr, region, now),
+            Family::Dragon => self.dragon_load(core, addr, region, now),
+        };
+        #[cfg(debug_assertions)]
+        self.check_transaction(addr);
+        done
+    }
+
+    /// Services one store, returning the timestamp the core may proceed at.
+    pub(crate) fn store(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
+        let done = match self.family {
+            Family::Mesi => self.mesi_store(core, addr, region, now),
+            Family::Denovo => self.denovo_store(core, addr, region, now),
+            Family::Dragon => self.dragon_store(core, addr, region, now),
+        };
+        #[cfg(debug_assertions)]
+        self.check_transaction(addr);
+        done
+    }
+
+    /// Per-transaction invariants (debug builds), checked after every load
+    /// and store where they can break.
+    #[cfg(debug_assertions)]
+    fn check_transaction(&self, addr: Addr) {
+        match self.family {
+            Family::Mesi | Family::Dragon => self.assert_directory_matches_l1s(addr),
+            // DeNovo's one-registrant-per-word check joins here (ROADMAP
+            // item 2(c)).
+            Family::Denovo => {}
+        }
+    }
+
+    /// Protocol actions at a barrier release.
+    pub(crate) fn barrier_released(&mut self, at: Stamp) {
+        match self.family {
+            Family::Denovo => self.denovo_barrier_actions(at),
+            // The directory families keep coherence transaction by
+            // transaction (Dragon's updates replace the self-invalidations
+            // DeNovo performs here).
+            Family::Mesi | Family::Dragon => {}
+        }
+    }
+
+    /// Protocol actions at the end of the run, before profilers are drained.
+    pub(crate) fn finish(&mut self, at: Stamp) {
+        match self.family {
+            // Still-pending registrations drain exactly as at a barrier, so
+            // their traffic is accounted.
+            Family::Denovo => self.denovo_barrier_actions(at),
+            Family::Mesi | Family::Dragon => {}
+        }
+    }
+
     /// The protocol configuration being simulated.
     pub(crate) fn protocol(&self) -> ProtocolKind {
         self.cfg.protocol
@@ -440,87 +543,28 @@ impl<'wl> Engine<'wl> {
     }
 }
 
-/// One protocol family's transaction behavior.
-///
-/// Executors are stateless (all mutable state lives in the [`Engine`]), so a
-/// single `&'static` instance serves every concurrent simulation. The
-/// [`ProtocolKind`] carried by the engine's config selects the per-variant
-/// feature predicates inside a family; [`executor_for`] maps every variant
-/// to its family executor.
-pub(crate) trait ProtocolExecutor: Sync {
-    /// The family name (stable; the executor tests identify families by it).
-    fn family(&self) -> &'static str;
-
-    /// Services one load, returning the timestamp the core may proceed at.
-    fn load(
-        &self,
-        eng: &mut Engine<'_>,
-        core: usize,
-        addr: Addr,
-        region: RegionId,
-        now: Stamp,
-    ) -> Stamp;
-
-    /// Services one store, returning the timestamp the core may proceed at.
-    fn store(
-        &self,
-        eng: &mut Engine<'_>,
-        core: usize,
-        addr: Addr,
-        region: RegionId,
-        now: Stamp,
-    ) -> Stamp;
-
-    /// Protocol actions at a barrier release (self-invalidation, table
-    /// drains, ...). The default is no action.
-    fn barrier_released(&self, eng: &mut Engine<'_>, at: Stamp) {
-        let _ = (eng, at);
-    }
-
-    /// Protocol actions at the end of the run, before profilers are drained.
-    /// The default is no action.
-    fn finish(&self, eng: &mut Engine<'_>, at: Stamp) {
-        let _ = (eng, at);
-    }
-}
-
-impl std::fmt::Debug for dyn ProtocolExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ProtocolExecutor({})", self.family())
-    }
-}
-
-/// Resolves a protocol variant to its family's executor. This is the single
-/// place protocol dispatch is decided (`sim.rs` never branches on the
-/// protocol family), and the `match` is exhaustive: a new [`ProtocolKind`]
-/// variant does not compile until it is given an executor here.
-pub(crate) fn executor_for(kind: ProtocolKind) -> &'static dyn ProtocolExecutor {
-    use ProtocolKind::*;
-    match kind {
-        Mesi | MMemL1 => &super::exec_mesi::MesiExecutor,
-        DeNovo | DFlexL1 | DValidateL2 | DMemL1 | DFlexL2 | DBypL2 | DBypFull => {
-            &super::exec_denovo::DenovoExecutor
-        }
-        Dragon => &super::exec_dragon::DragonExecutor,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn every_protocol_resolves_to_an_executor() {
-        for &kind in &ProtocolKind::ALL {
-            let exec = executor_for(kind);
-            let family = exec.family();
-            if kind.is_mesi() {
-                assert_eq!(family, "MESI", "{kind} must resolve to the MESI family");
-            } else if kind.is_update_based() {
-                assert_eq!(family, "Dragon", "{kind} must resolve to the Dragon family");
-            } else {
-                assert_eq!(family, "DeNovo", "{kind} must resolve to the DeNovo family");
-            }
+    fn every_protocol_is_pinned_to_its_family() {
+        use ProtocolKind::*;
+        let pinned = [
+            (Mesi, Family::Mesi),
+            (MMemL1, Family::Mesi),
+            (DeNovo, Family::Denovo),
+            (DFlexL1, Family::Denovo),
+            (DValidateL2, Family::Denovo),
+            (DMemL1, Family::Denovo),
+            (DFlexL2, Family::Denovo),
+            (DBypL2, Family::Denovo),
+            (DBypFull, Family::Denovo),
+            (Dragon, Family::Dragon),
+        ];
+        assert_eq!(pinned.map(|(kind, _)| kind), ProtocolKind::ALL);
+        for (kind, family) in pinned {
+            assert_eq!(Family::of(kind), family, "{kind}");
         }
     }
 

@@ -1,8 +1,9 @@
-//! DeNovo transaction execution (all seven DeNovo configurations), behind
-//! the [`ProtocolExecutor`] trait. All machine state lives in the shared
-//! [`Engine`]; this file contains only the DeNovo-family transaction logic.
+//! DeNovo transaction execution (all seven DeNovo configurations), reached
+//! through `Engine`'s four entry points. All machine state lives in the
+//! shared [`Engine`]; this file contains only the DeNovo-family transaction
+//! logic.
 
-use super::engine::{Engine, ProtocolExecutor};
+use super::engine::Engine;
 use crate::machine::{L1Meta, L2Meta};
 use crate::timing::TimeClass;
 use tw_mem::LineEntry;
@@ -10,48 +11,6 @@ use tw_protocols::{flex_fetch_plan, DenovoL1Line, DenovoL2Line, DenovoWordState,
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
 };
-
-/// Executor for the DeNovo protocol family (`DeNovo` through `DBypFull`).
-pub(crate) struct DenovoExecutor;
-
-impl ProtocolExecutor for DenovoExecutor {
-    fn family(&self) -> &'static str {
-        "DeNovo"
-    }
-
-    fn load(
-        &self,
-        eng: &mut Engine<'_>,
-        core: usize,
-        addr: Addr,
-        region: RegionId,
-        now: Stamp,
-    ) -> Stamp {
-        eng.denovo_load(core, addr, region, now)
-    }
-
-    fn store(
-        &self,
-        eng: &mut Engine<'_>,
-        core: usize,
-        addr: Addr,
-        region: RegionId,
-        now: Stamp,
-    ) -> Stamp {
-        eng.denovo_store(core, addr, region, now)
-    }
-
-    fn barrier_released(&self, eng: &mut Engine<'_>, at: Stamp) {
-        eng.denovo_barrier_actions(at);
-    }
-
-    fn finish(&self, eng: &mut Engine<'_>, at: Stamp) {
-        // Flush any still-pending registrations so their traffic is
-        // accounted (the paper's measurement period ends at a barrier, where
-        // the write-combining table would have drained anyway).
-        eng.denovo_barrier_actions(at);
-    }
-}
 
 /// How one cache line of a fetch plan was served.
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +36,13 @@ impl Engine<'_> {
     }
 
     /// Executes a load under any DeNovo configuration.
-    fn denovo_load(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
+    pub(super) fn denovo_load(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        region: RegionId,
+        now: Stamp,
+    ) -> Stamp {
         let lb = self.line_bytes();
         let line = LineAddr::containing(addr, lb);
         let l1_hit_cycles = self.system().timing.l1_hit_cycles;
@@ -406,7 +371,13 @@ impl Engine<'_> {
     /// Executes a store under any DeNovo configuration. Writes are
     /// write-validate at the L1: the word is written locally and a
     /// registration request is coalesced in the write-combining table.
-    fn denovo_store(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
+    pub(super) fn denovo_store(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        region: RegionId,
+        now: Stamp,
+    ) -> Stamp {
         let lb = self.line_bytes();
         let line = LineAddr::containing(addr, lb);
         let w = addr.word_in_line(lb);
@@ -737,7 +708,7 @@ impl Engine<'_> {
 
     /// Barrier-time protocol actions: drain the write-combining tables,
     /// self-invalidate stale valid words, and clear the L1 Bloom shadows.
-    fn denovo_barrier_actions(&mut self, at: Stamp) {
+    pub(super) fn denovo_barrier_actions(&mut self, at: Stamp) {
         let cores = self.tiles.len();
         for core in 0..cores {
             let flushed = self.tiles[core].write_combine.release_all();

@@ -1,5 +1,5 @@
-//! Dragon write-update transaction execution, behind the
-//! [`ProtocolExecutor`] trait. All machine state lives in the shared
+//! Dragon write-update transaction execution, reached through
+//! `Engine::load` / `Engine::store`. All machine state lives in the shared
 //! [`Engine`]; this file contains only what a read or a write *means* under
 //! Dragon: supply-and-demote, the update transaction and `push_update`.
 //!
@@ -24,7 +24,7 @@
 //! very downgrade-flush MESI performs on a forwarded read — so exactly one L1
 //! copy is ever dirty.
 
-use super::engine::{Engine, ProtocolExecutor};
+use super::engine::Engine;
 use crate::machine::L1Meta;
 use crate::timing::TimeClass;
 use tw_protocols::{dragon, Directory, LineState};
@@ -32,51 +32,16 @@ use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordMask,
 };
 
-/// Executor for the Dragon write-update protocol.
-pub(crate) struct DragonExecutor;
-
-impl ProtocolExecutor for DragonExecutor {
-    fn family(&self) -> &'static str {
-        "Dragon"
-    }
-
-    fn load(
-        &self,
-        eng: &mut Engine<'_>,
-        core: usize,
-        addr: Addr,
-        region: RegionId,
-        now: Stamp,
-    ) -> Stamp {
-        let done = eng.dragon_load(core, addr, region, now);
-        #[cfg(debug_assertions)]
-        eng.assert_directory_matches_l1s(addr);
-        done
-    }
-
-    fn store(
-        &self,
-        eng: &mut Engine<'_>,
-        core: usize,
-        addr: Addr,
-        region: RegionId,
-        now: Stamp,
-    ) -> Stamp {
-        let done = eng.dragon_store(core, addr, region, now);
-        #[cfg(debug_assertions)]
-        eng.assert_directory_matches_l1s(addr);
-        done
-    }
-
-    // Like MESI, Dragon has no barrier-time or end-of-run protocol actions:
-    // the directory is kept coherent transaction by transaction (updates
-    // replace the self-invalidations DeNovo performs at barriers).
-}
-
 impl Engine<'_> {
     /// Executes a load under Dragon, returning the cycle at which the core
     /// may proceed.
-    fn dragon_load(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
+    pub(super) fn dragon_load(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        region: RegionId,
+        now: Stamp,
+    ) -> Stamp {
         let line = LineAddr::containing(addr, self.line_bytes());
         let l1_hit_cycles = self.system().timing.l1_hit_cycles;
 
@@ -167,7 +132,13 @@ impl Engine<'_> {
 
     /// Executes a store under Dragon. Stores retire into the non-blocking
     /// write buffer, so the core is charged only one busy cycle.
-    fn dragon_store(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
+    pub(super) fn dragon_store(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        region: RegionId,
+        now: Stamp,
+    ) -> Stamp {
         let lb = self.line_bytes();
         let line = LineAddr::containing(addr, lb);
         let w = addr.word_in_line(lb);

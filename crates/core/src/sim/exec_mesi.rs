@@ -1,11 +1,11 @@
-//! MESI transaction execution (baseline MESI and MMemL1), behind the
-//! [`ProtocolExecutor`] trait. All machine state lives in the shared
+//! MESI transaction execution (baseline MESI and MMemL1), reached through
+//! `Engine::load` / `Engine::store`. All machine state lives in the shared
 //! [`Engine`] and every home-side step that does not depend on
 //! invalidate-vs-update in `home.rs`; this file contains only what a read or
 //! a write *means* under MESI: forward-and-downgrade, the invalidating
 //! upgrade, owner transfer, and MMemL1's two memory-to-L1 paths.
 
-use super::engine::{Engine, ProtocolExecutor};
+use super::engine::Engine;
 use super::home::MemFetch;
 use crate::timing::TimeClass;
 use tw_protocols::{mesi, Directory, LineState};
@@ -13,50 +13,16 @@ use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
 };
 
-/// Executor for the MESI protocol family (`Mesi`, `MMemL1`).
-pub(crate) struct MesiExecutor;
-
-impl ProtocolExecutor for MesiExecutor {
-    fn family(&self) -> &'static str {
-        "MESI"
-    }
-
-    fn load(
-        &self,
-        eng: &mut Engine<'_>,
-        core: usize,
-        addr: Addr,
-        region: RegionId,
-        now: Stamp,
-    ) -> Stamp {
-        let done = eng.mesi_load(core, addr, region, now);
-        #[cfg(debug_assertions)]
-        eng.assert_directory_matches_l1s(addr);
-        done
-    }
-
-    fn store(
-        &self,
-        eng: &mut Engine<'_>,
-        core: usize,
-        addr: Addr,
-        region: RegionId,
-        now: Stamp,
-    ) -> Stamp {
-        let done = eng.mesi_store(core, addr, region, now);
-        #[cfg(debug_assertions)]
-        eng.assert_directory_matches_l1s(addr);
-        done
-    }
-
-    // MESI has no barrier-time or end-of-run protocol actions: the directory
-    // is kept coherent transaction by transaction.
-}
-
 impl Engine<'_> {
     /// Executes a load under MESI/MMemL1, returning the cycle at which the
     /// core may proceed.
-    fn mesi_load(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
+    pub(super) fn mesi_load(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        region: RegionId,
+        now: Stamp,
+    ) -> Stamp {
         let line = LineAddr::containing(addr, self.line_bytes());
         let l1_hit_cycles = self.system().timing.l1_hit_cycles;
 
@@ -169,7 +135,13 @@ impl Engine<'_> {
 
     /// Executes a store under MESI/MMemL1. Stores retire into the
     /// non-blocking write buffer, so the core is charged only one busy cycle.
-    fn mesi_store(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
+    pub(super) fn mesi_store(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        region: RegionId,
+        now: Stamp,
+    ) -> Stamp {
         let line = LineAddr::containing(addr, self.line_bytes());
         let me = TileId(core);
         let home = self.home_of(line);

@@ -78,12 +78,6 @@ impl MemoryController {
         ((line.byte() / self.cfg.row_bytes) as usize) % self.banks.len()
     }
 
-    /// Whether an access to `line` would hit the currently open row.
-    pub fn would_row_hit(&self, line: LineAddr) -> bool {
-        let bank = &self.banks[self.bank_of(line)];
-        bank.open_row == Some(line.dram_row(self.cfg.row_bytes))
-    }
-
     /// Performs an access to `line` issued at cycle `now`.
     ///
     /// Returns the cycle at which the data transfer completes (for reads,
@@ -152,10 +146,7 @@ mod tests {
     fn same_row_access_hits_open_row() {
         let mut m = mc();
         let t1 = m.access(line(0), false, 0);
-        assert!(
-            m.would_row_hit(line(1)),
-            "next line is in the same 8 KB row"
-        );
+        // The next line is in the same 8 KB row.
         let t2 = m.access(line(1), false, t1);
         let cfg = m.config().clone();
         assert_eq!(t2 - t1, cfg.row_hit_cycles + cfg.burst_cycles);
@@ -171,7 +162,6 @@ mod tests {
         m.access(line(0), false, 0);
         // Same bank, different row: row index differs by `banks`.
         let conflicting = line(banks * lines_per_row);
-        assert!(!m.would_row_hit(conflicting));
         m.access(conflicting, false, 0);
         assert_eq!(m.stats().row_misses, 2);
         assert!(

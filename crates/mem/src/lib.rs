@@ -1,5 +1,5 @@
-//! Cache substrate: set-associative arrays with per-word state, MSHRs, and
-//! the DeNovo write-combining (registration-coalescing) table.
+//! Cache substrate: set-associative arrays with per-word state and the
+//! DeNovo write-combining (registration-coalescing) table.
 //!
 //! Both protocol families in the study are built on the same physical cache
 //! structures; what differs is the metadata kept per line and per word. The
@@ -26,9 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod array;
-pub mod mshr;
 pub mod write_combine;
 
 pub use array::{CacheArray, CacheGeometry, LineEntry};
-pub use mshr::{Mshr, MshrAlloc, MshrFile};
 pub use write_combine::{WriteCombineEntry, WriteCombineTable, WriteFlush};

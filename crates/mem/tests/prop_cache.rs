@@ -1,8 +1,8 @@
 //! Property-based tests of the cache-array and write-combining invariants.
 
 use proptest::prelude::*;
-use tw_mem::{CacheArray, CacheGeometry, MshrAlloc, MshrFile, WriteCombineTable};
-use tw_types::{LineAddr, WordIdx, WordMask};
+use tw_mem::{CacheArray, CacheGeometry, WriteCombineTable};
+use tw_types::{LineAddr, WordIdx};
 
 fn small_geometry() -> CacheGeometry {
     // 4 sets x 4 ways of 64-byte lines.
@@ -91,23 +91,5 @@ proptest! {
         // Every flushed word corresponds to at least one recorded write
         // (coalescing can only shrink the count, never invent words).
         prop_assert!(flushed_words + leftover <= recorded);
-    }
-
-    /// The MSHR file merges duplicate lines and never reports more
-    /// outstanding entries than its capacity.
-    #[test]
-    fn mshr_file_merges_and_bounds(lines in prop::collection::vec(0u64..32, 1..200)) {
-        let mut file = MshrFile::new(16);
-        let mut primaries = 0usize;
-        for (i, n) in lines.iter().enumerate() {
-            let line = LineAddr::from_aligned(n * 64);
-            match file.allocate(line, WordMask::FULL, i as u64) {
-                MshrAlloc::Primary => primaries += 1,
-                MshrAlloc::Merged => prop_assert!(file.contains(line)),
-                MshrAlloc::Full => prop_assert_eq!(file.len(), 16),
-            }
-            prop_assert!(file.len() <= 16);
-        }
-        prop_assert_eq!(primaries, file.len());
     }
 }

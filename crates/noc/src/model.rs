@@ -4,8 +4,8 @@
 //! [`WormholeMesh`], and the snooping [`SnoopBus`] — implement
 //! [`NetworkModel`] next to their state (the trait is their only sending
 //! API), and the engine resolves a [`NetworkModelKind`] to a
-//! boxed model exactly once at construction through [`model_for`], mirroring
-//! the protocol-executor registry (`DESIGN.md` §3/§11). Flit-hop *traffic*
+//! boxed model exactly once at construction through [`model_for`]
+//! (`DESIGN.md` §11). Flit-hop *traffic*
 //! is model-independent (all account `hops × flits` over the same XY
 //! geometry), so the trait only abstracts *timing*: `send` returns the
 //! tail-flit arrival cycle under that model's contention behavior.
@@ -45,8 +45,7 @@ pub trait NetworkModel: std::fmt::Debug + Send {
     }
 }
 
-/// Resolves a network-model kind to a fresh model over `cfg` — the network
-/// counterpart of `executor_for` in the protocol registry. This is the
+/// Resolves a network-model kind to a fresh model over `cfg`. This is the
 /// single place model dispatch is decided.
 pub fn model_for(kind: NetworkModelKind, cfg: NocConfig) -> Box<dyn NetworkModel> {
     match kind {

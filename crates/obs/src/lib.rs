@@ -4,10 +4,9 @@
 //! recorded by the engine, the experiment session and the daemon, a
 //! deterministic JSONL trace format to persist them, and fixed-bucket log2
 //! histograms for service latency exposition. Nothing here may influence a
-//! simulated number — recording is wired through [`Recorder`], whose no-op
-//! implementation compiles down to a dead branch, and every consumer treats
-//! the recorder as write-only (see DESIGN.md §15 for the observer-lane
-//! argument).
+//! simulated number — recording is wired through an `Option<`[`SpanSink`]`>`
+//! that is `None` when off, and every consumer treats the recorder as
+//! write-only (see DESIGN.md §15 for the observer-lane argument).
 //!
 //! # Determinism contract
 //!
@@ -27,7 +26,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tw_obs::{AttrValue, FlightRecorder, Recorder, Span, SpanSink};
+//! use tw_obs::{AttrValue, FlightRecorder, Span, SpanSink};
 //!
 //! let rec = Arc::new(FlightRecorder::new());
 //! let sink = SpanSink::new(rec.clone(), "FFT/MESI");
@@ -46,7 +45,7 @@ pub mod span;
 pub mod trace;
 
 pub use hist::Log2Histogram;
-pub use recorder::{escape_into, escaped, FlightRecorder, NoopRecorder, Recorder, SpanSink};
+pub use recorder::{escape_into, escaped, FlightRecorder, SpanSink};
 pub use span::{AttrValue, Span};
 pub use trace::{
     diff_traces, strip_timing, stripped_lines, validate_trace, TraceError, TraceSummary,

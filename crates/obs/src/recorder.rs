@@ -1,41 +1,16 @@
-//! The [`Recorder`] trait and its two implementations.
+//! The flight recorder and the per-track handle emission sites hold.
 //!
-//! Everything that can observe a run takes a recorder handle; the default is
-//! [`NoopRecorder`], whose `enabled()` is a constant `false` so every
-//! emission site reduces to one predictable branch (the ops/sec gate in CI
-//! verifies the hot path does not pay for telemetry it is not producing).
-//! [`FlightRecorder`] buffers spans in memory and serializes them as the
-//! deterministic JSONL trace described in [`crate::trace`].
+//! Everything that can observe a run carries an `Option<SpanSink>`: `None`
+//! is the one way to be off, so an unrecorded emission site is one
+//! predictable branch (the ops/sec gate in CI verifies the hot path does not
+//! pay for telemetry it is not producing), and a present sink always
+//! records. [`FlightRecorder`] buffers spans in memory and serializes them as
+//! the deterministic JSONL trace described in [`crate::trace`].
 
 use crate::span::{AttrValue, Span};
 use crate::trace::TRACE_SCHEMA;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-
-/// A write-only span sink. Implementations must be cheap to probe via
-/// `enabled()` — emission sites guard span *construction* on it, so a
-/// disabled recorder costs one branch, not one allocation.
-pub trait Recorder: Send + Sync + std::fmt::Debug {
-    /// Whether spans are being captured. Sites skip building spans when
-    /// this is `false`.
-    fn enabled(&self) -> bool;
-
-    /// Accepts one span. Must not panic; must not observe or influence the
-    /// caller beyond consuming the span.
-    fn record(&self, span: Span);
-}
-
-/// The compiled-out default: never enabled, drops everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _span: Span) {}
-}
 
 /// An in-memory flight recorder. Spans are appended under a mutex (cells
 /// fan out on rayon; contention is one push per span, not per simulated
@@ -87,16 +62,6 @@ impl FlightRecorder {
             write_span_line(&mut out, seq as u64, span);
         }
         out
-    }
-}
-
-impl Recorder for FlightRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&self, span: Span) {
-        self.spans.lock().expect("flight recorder lock").push(span);
     }
 }
 
@@ -161,29 +126,22 @@ pub fn escaped(s: &str) -> String {
     out
 }
 
-/// A cloneable handle binding a recorder to one track. This is what the
-/// simulator configuration and the differential runner carry: emission
-/// sites call [`SpanSink::emit`] without knowing which recorder (if any)
-/// is behind it.
+/// A cloneable handle binding the flight recorder to one track. This is
+/// what the simulator configuration and the differential runner carry, as an
+/// `Option`: a present sink records, an absent one is how recording is off.
 #[derive(Debug, Clone)]
 pub struct SpanSink {
-    recorder: Arc<dyn Recorder>,
+    recorder: Arc<FlightRecorder>,
     track: String,
 }
 
 impl SpanSink {
     /// A sink writing to `recorder` under `track`.
-    pub fn new(recorder: Arc<dyn Recorder>, track: impl Into<String>) -> SpanSink {
+    pub fn new(recorder: Arc<FlightRecorder>, track: impl Into<String>) -> SpanSink {
         SpanSink {
             recorder,
             track: track.into(),
         }
-    }
-
-    /// Whether the underlying recorder captures spans. Guard span
-    /// construction on this.
-    pub fn enabled(&self) -> bool {
-        self.recorder.enabled()
     }
 
     /// The track this sink emits under.
@@ -202,11 +160,12 @@ impl SpanSink {
 
     /// Emits one span on this sink's track.
     pub fn emit(&self, mut span: Span) {
-        if !self.recorder.enabled() {
-            return;
-        }
         span.track.clone_from(&self.track);
-        self.recorder.record(span);
+        self.recorder
+            .spans
+            .lock()
+            .expect("flight recorder lock")
+            .push(span);
     }
 }
 
@@ -216,17 +175,8 @@ mod tests {
     use crate::trace::{stripped_lines, validate_trace};
 
     #[test]
-    fn noop_recorder_is_disabled_and_silent() {
-        let noop = NoopRecorder;
-        assert!(!noop.enabled());
-        noop.record(Span::event("cell")); // must not panic
-    }
-
-    #[test]
     fn serialization_sorts_by_track_and_numbers_sequentially() {
-        let rec = FlightRecorder::new();
-        SpanSink::new(Arc::new(NoopRecorder), "ignored").emit(Span::event("dropped"));
-        let rec = Arc::new(rec);
+        let rec = Arc::new(FlightRecorder::new());
         // Emit on tracks out of lexicographic order, as parallel cells would.
         SpanSink::new(rec.clone(), "b/cell").emit(Span::event("cell").attr("n", 1u64));
         SpanSink::new(rec.clone(), "a/cell").emit(Span::event("phase").attr("n", 2u64));

@@ -60,21 +60,6 @@ impl FlexPlan {
         }
         packets
     }
-
-    /// Restricts the plan to lines within the same DRAM row as the demanded
-    /// address (the "L2 Flex" rule: only lines in the open row are fetched
-    /// from memory, §3.1).
-    pub fn restrict_to_dram_row(&self, demand: Addr, line_bytes: u64, row_bytes: u64) -> FlexPlan {
-        let row = LineAddr::containing(demand, line_bytes).dram_row(row_bytes);
-        FlexPlan {
-            lines: self
-                .lines
-                .iter()
-                .filter(|(l, _)| l.dram_row(row_bytes) == row)
-                .cloned()
-                .collect(),
-        }
-    }
 }
 
 /// Builds the Flex fetch plan for a demand miss at `addr`.
@@ -178,25 +163,6 @@ mod tests {
         assert_eq!(
             FlexPlan::whole_line(Addr::new(0), 64).packets(&noc),
             vec![16]
-        );
-    }
-
-    #[test]
-    fn dram_row_restriction_drops_far_lines() {
-        let t = table_with_comm(96, vec![0, 8, 16, 80]);
-        let plan = flex_fetch_plan(&t, Addr::new(0x1_0000), 64);
-        // With a huge row everything stays; with a tiny 64-byte "row" only the
-        // demanded line survives.
-        assert_eq!(
-            plan.restrict_to_dram_row(Addr::new(0x1_0000), 64, 8192)
-                .line_count(),
-            2
-        );
-        let restricted = plan.restrict_to_dram_row(Addr::new(0x1_0000), 64, 64);
-        assert_eq!(restricted.line_count(), 1);
-        assert_eq!(
-            restricted.lines[0].0,
-            LineAddr::containing(Addr::new(0x1_0000), 64)
         );
     }
 

@@ -262,7 +262,7 @@ impl DifferentialRunner {
             .par_iter()
             .map(|&protocol| {
                 let mut cfg = SimConfig::new(protocol).with_system(system.clone());
-                if let Some(sink) = self.recorder.as_ref().filter(|s| s.enabled()) {
+                if let Some(sink) = &self.recorder {
                     cfg.recorder =
                         Some(sink.with_track(format!("{}/{}", wl.kind.name(), protocol.name())));
                 }

@@ -167,14 +167,6 @@ impl TraceDocument {
         Ok(())
     }
 
-    /// Parses the binary format. The decoder works on bytes in memory, so
-    /// the input is read to its end first.
-    pub fn read_binary<R: io::Read>(mut r: R) -> Result<Self, TraceError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        TraceDocument::decode_binary(&bytes)
-    }
-
     fn decode_binary(bytes: &[u8]) -> Result<Self, TraceError> {
         let mut reader = TraceReader::new(bytes)?;
         let mut streams = Vec::with_capacity(reader.cores());

@@ -102,11 +102,6 @@ impl Digester {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    /// Folds one `usize` (as `u64`, so 32/64-bit hosts agree).
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
     /// Folds a length-prefixed string.
     pub fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
