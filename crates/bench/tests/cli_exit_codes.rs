@@ -163,6 +163,52 @@ fn invalid_requests_exit_two() {
 }
 
 #[test]
+fn specs_no_machine_can_run_exit_two_and_name_the_culprit() {
+    // Each of these used to pass `validate` and then panic inside the run
+    // (exit 101): a cache of no sets, a line the profilers cannot chunk, a
+    // core count a generator's input does not split among.
+    let dir = scratch("unrunnable");
+    let probes: &[(&str, &[&str])] = &[
+        (
+            r#"{"label":"no-l1","l1_bytes":0}"#,
+            &["`no-l1`", "non-zero"],
+        ),
+        (
+            r#"{"label":"no-l2","l2_slice_bytes":0}"#,
+            &["`no-l2`", "non-zero"],
+        ),
+        (
+            r#"{"label":"half-line","line_bytes":32}"#,
+            &["`half-line`", "`line_bytes`"],
+        ),
+        (
+            r#"{"label":"nine","mesh":[3,3]}"#,
+            &["FFT", "among 9 cores"],
+        ),
+        (
+            r#"{"label":"ten","mesh":[5,2],"network":"bus"}"#,
+            &["FFT", "among 10 cores"],
+        ),
+    ];
+    for (variant, named) in probes {
+        let spec = format!(
+            r#"{{"schema":"denovo-waste/experiment-spec/v1","name":"probe","scale":"tiny","baseline":"MESI","protocols":["MESI"],"workloads":[{{"bench":"FFT"}}],"variants":[{variant}]}}"#
+        );
+        std::fs::write(dir.join("probe.json"), spec).unwrap();
+        let (code, _, stderr) = run_in(&dir, &["plan", "run", "probe.json"]);
+        assert_eq!(code, 2, "{variant} must exit 2; stderr:\n{stderr}");
+        assert!(stderr.contains("error:"), "{variant}: {stderr}");
+        for name in *named {
+            assert!(
+                stderr.contains(name),
+                "{variant} must name {name}: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn trace_diff_separates_check_failure_from_bad_request() {
     let dir = scratch("trace-diff");
     // Two identical recordings: the recorder is deterministic, so diff

@@ -7,7 +7,7 @@
 //! is service semantics: warm hits, coalesced concurrent submits, metrics,
 //! error responses, clean shutdown.
 
-use denovo_waste::{ExperimentSpec, ScaleProfile, Session, WorkloadSet};
+use denovo_waste::{ExperimentSpec, ScaleProfile, Session, SystemVariant, WorkloadSet};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tw_bench::daemon::{client::Client, serve, Config};
@@ -318,9 +318,22 @@ fn bad_requests_get_error_responses_not_a_dead_daemon() {
         "the unknown op is named"
     );
 
+    // Specs no machine can run — a cache of no sets, a core count FFT's
+    // input does not split among — used to pass validation and kill one
+    // worker each; two of them left every later submit hanging.
+    for (variant, named) in [
+        (SystemVariant::l2_slice("no-l2", 0), "`no-l2`"),
+        (SystemVariant::mesh("nine", 3, 3), "among 9 cores"),
+    ] {
+        let mut spec = small_spec();
+        spec.variants = vec![variant];
+        let err = client.submit(&spec.to_json()).unwrap_err();
+        assert!(err.contains(named), "{err}");
+    }
+
     // The connection that produced errors still works...
     let fields = client.stats().unwrap();
-    assert_eq!(fields.get("failed").unwrap().as_u64(), Ok(1));
+    assert_eq!(fields.get("failed").unwrap().as_u64(), Ok(3));
     // ...and so does the daemon as a whole.
     assert!(client.submit(&small_spec().to_json()).is_ok());
 

@@ -329,21 +329,17 @@ fn spec_from_raw(
         .map(|(i, (kind, k))| {
             let label = format!("v{i}");
             let k = u64::from(*k % 6);
-            match kind % 5 {
+            match kind % 4 {
                 0 => SystemVariant::l2_slice(label, 1024 << k),
                 1 => SystemVariant::mesh(label, 2 + k as usize, 2 + (k as usize / 2)),
                 2 => SystemVariant {
                     l1_bytes: Some(4096 << k),
                     ..SystemVariant::base()
                 },
-                3 => SystemVariant::network(
+                _ => SystemVariant::network(
                     label,
                     NetworkModelKind::ALL[k as usize % NetworkModelKind::ALL.len()],
                 ),
-                _ => SystemVariant {
-                    line_bytes: Some(16 << (k % 3)),
-                    ..SystemVariant::base()
-                },
             }
         })
         .enumerate()
@@ -378,7 +374,7 @@ proptest! {
         scale_i in 0usize..3,
         proto_mask in 1u16..1024,
         workload_raw in prop::collection::vec((0u8..3, 0u8..8), 1..6),
-        variant_raw in prop::collection::vec((0u8..5, 0u8..8), 0..5),
+        variant_raw in prop::collection::vec((0u8..4, 0u8..8), 0..5),
         network_mask in 0u8..5,
         baseline_i in 0usize..10,
     ) {

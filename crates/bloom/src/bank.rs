@@ -26,19 +26,6 @@ impl Default for BloomConfig {
     }
 }
 
-impl BloomConfig {
-    /// Storage required at an L1 for shadow copies of `slices` L2 banks, in
-    /// bytes (1 bit per entry).
-    pub fn l1_storage_bytes(&self, slices: usize) -> usize {
-        self.filters_per_bank * self.entries_per_filter * slices / 8
-    }
-
-    /// Storage required at one L2 slice, in bytes (8-bit counters).
-    pub fn l2_storage_bytes(&self) -> usize {
-        self.filters_per_bank * self.entries_per_filter
-    }
-}
-
 /// The hash functions of a bank: one selecting the filter a line belongs to
 /// and one per filter. They depend only on the [`BloomConfig`], so every bank
 /// of a simulated machine — each slice's counting bank and every L1's shadow
@@ -301,10 +288,12 @@ mod tests {
 
     #[test]
     fn paper_storage_figures() {
-        // Paper §4.4: 32 KB per L1 (for all 16 slices) and 16 KB per L2 slice.
+        // Paper §4.4: 16 KB per L2 slice (an 8-bit counter an entry) and
+        // 32 KB per L1 (a bit an entry, shadowing all 16 slices).
         let cfg = BloomConfig::default();
-        assert_eq!(cfg.l1_storage_bytes(16), 32 * 1024);
-        assert_eq!(cfg.l2_storage_bytes(), 16 * 1024);
+        let entries = cfg.filters_per_bank * cfg.entries_per_filter;
+        assert_eq!(entries, 16 * 1024);
+        assert_eq!(entries * 16 / 8, 32 * 1024);
     }
 
     #[test]

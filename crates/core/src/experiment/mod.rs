@@ -98,10 +98,14 @@ impl ScaleProfile {
                     tw_workloads::fluidanimate::FluidanimateConfig::paper().build(cores)
                 }
                 BenchmarkKind::Lu => tw_workloads::lu::LuConfig::paper().build(cores),
-                BenchmarkKind::Fft => tw_workloads::fft::FftConfig::paper().build(cores),
-                BenchmarkKind::Radix => tw_workloads::radix::RadixConfig::paper().build(cores),
-                BenchmarkKind::Barnes => tw_workloads::barnes::BarnesConfig::paper().build(cores),
-                BenchmarkKind::KdTree => tw_workloads::kdtree::KdTreeConfig::paper().build(cores),
+                BenchmarkKind::Fft => tw_workloads::fft::FftConfig::paper().build(cores)?,
+                BenchmarkKind::Radix => tw_workloads::radix::RadixConfig::paper().build(cores)?,
+                BenchmarkKind::Barnes => {
+                    tw_workloads::barnes::BarnesConfig::paper().build(cores)?
+                }
+                BenchmarkKind::KdTree => {
+                    tw_workloads::kdtree::KdTreeConfig::paper().build(cores)?
+                }
                 BenchmarkKind::Custom | BenchmarkKind::Synthesized => {
                     // Route through the scaled builder purely for its error
                     // message, which names the replacement workflow.

@@ -188,8 +188,6 @@ pub struct SystemVariant {
     pub l1_bytes: Option<u64>,
     /// Shared L2 slice size in bytes.
     pub l2_slice_bytes: Option<u64>,
-    /// Cache line size in bytes.
-    pub line_bytes: Option<u64>,
     /// Network timing model (mutually exclusive with the spec-level
     /// `networks` axis, which expands into this field).
     pub network: Option<NetworkModelKind>,
@@ -203,7 +201,6 @@ impl SystemVariant {
             mesh: None,
             l1_bytes: None,
             l2_slice_bytes: None,
-            line_bytes: None,
             network: None,
         }
     }
@@ -252,9 +249,6 @@ impl SystemVariant {
         }
         if let Some(b) = self.l2_slice_bytes {
             sys.cache.l2_slice_bytes = b;
-        }
-        if let Some(b) = self.line_bytes {
-            sys.cache.line_bytes = b;
         }
         if let Some(n) = self.network {
             sys.network = n;
@@ -388,7 +382,6 @@ impl ExperimentSpec {
                 for (key, value) in [
                     ("l1_bytes", v.l1_bytes),
                     ("l2_slice_bytes", v.l2_slice_bytes),
-                    ("line_bytes", v.line_bytes),
                 ] {
                     if let Some(value) = value {
                         fields.push((key.to_string(), Json::UInt(value)));
@@ -525,14 +518,18 @@ impl ExperimentSpec {
                 entries
                     .iter()
                     .map(|entry| {
+                            let label = entry
+                                .require("label")
+                                .and_then(Json::as_str)
+                                .map_err(bad)?
+                                .to_string();
                             for (key, _) in entry.as_obj().map_err(bad)? {
                                 if !matches!(
                                     key.as_str(),
-                                    "label" | "mesh" | "l1_bytes" | "l2_slice_bytes" | "line_bytes"
-                                        | "network"
+                                    "label" | "mesh" | "l1_bytes" | "l2_slice_bytes" | "network"
                                 ) {
                                     return Err(bad(format!(
-                                        "unknown variant field `{key}` (expected label | mesh | l1_bytes | l2_slice_bytes | line_bytes | network)"
+                                        "unknown field `{key}` in variant `{label}` (expected label | mesh | l1_bytes | l2_slice_bytes | network)"
                                     )));
                                 }
                             }
@@ -563,15 +560,10 @@ impl ExperimentSpec {
                                 })
                                 .transpose()?;
                             Ok(SystemVariant {
-                                label: entry
-                                    .require("label")
-                                    .and_then(Json::as_str)
-                                    .map_err(bad)?
-                                    .to_string(),
+                                label,
                                 mesh,
                                 l1_bytes: field("l1_bytes")?,
                                 l2_slice_bytes: field("l2_slice_bytes")?,
-                                line_bytes: field("line_bytes")?,
                                 network,
                             })
                     })

@@ -72,14 +72,6 @@ impl CacheStats {
             (self.hits + self.coalesced) as f64 / self.total() as f64
         }
     }
-
-    /// Folds another stats record into this one (the daemon aggregates
-    /// per-request stats into service totals this way).
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.coalesced += other.coalesced;
-    }
 }
 
 /// Computes the content-addressed cache key for one cell.
@@ -615,15 +607,5 @@ mod tests {
         };
         assert_eq!(c.total(), 4);
         assert!((c.hit_rate() - 0.5).abs() < 1e-12);
-        let mut sum = s;
-        sum.absorb(&c);
-        assert_eq!(
-            sum,
-            CacheStats {
-                hits: 4,
-                misses: 3,
-                coalesced: 1,
-            }
-        );
     }
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use tw_bloom::{BloomBank, BloomConfig, BloomHashes};
 use tw_dram::MemoryController;
 use tw_mem::{CacheArray, CacheGeometry, WriteCombineTable};
-use tw_protocols::{DenovoL1Line, DenovoL2Line, Directory, LineState};
+use tw_protocols::{DenovoL2Line, Directory, LineState};
 use tw_types::{ProtocolKind, RegionId, SystemConfig, TileId};
 
 /// Metadata an L1 line carries, depending on the protocol family.
@@ -19,8 +19,10 @@ pub enum L1Meta {
         /// Software region of the line.
         region: RegionId,
     },
-    /// DeNovo: per-word states plus the region (drives self-invalidation).
-    Denovo(DenovoL1Line),
+    /// DeNovo: the region (drives self-invalidation). The per-word states
+    /// are the entry's own masks: `Invalid` is `!valid`, `Valid` is
+    /// `valid & !dirty`, `Registered` is `dirty`.
+    Denovo(RegionId),
 }
 
 impl L1Meta {
@@ -28,7 +30,7 @@ impl L1Meta {
     pub fn region(&self) -> RegionId {
         match self {
             L1Meta::Directory { region, .. } => *region,
-            L1Meta::Denovo(l) => l.region,
+            L1Meta::Denovo(region) => *region,
         }
     }
 }
@@ -152,13 +154,20 @@ mod tests {
     }
 
     #[test]
+    fn an_l1_entry_is_three_words() {
+        // 40 bytes while a DeNovo line kept a second copy of its word states
+        // beside the `valid`/`dirty` masks.
+        assert!(std::mem::size_of::<tw_mem::LineEntry<L1Meta>>() <= 24);
+    }
+
+    #[test]
     fn l1_meta_region_accessor() {
         let m = L1Meta::Directory {
             state: LineState::Shared,
             region: RegionId(7),
         };
         assert_eq!(m.region(), RegionId(7));
-        let d = L1Meta::Denovo(DenovoL1Line::new(RegionId(3)));
+        let d = L1Meta::Denovo(RegionId(3));
         assert_eq!(d.region(), RegionId(3));
     }
 }

@@ -13,7 +13,7 @@
 //! methods of `exec_*.rs`. Adding a protocol family means one more variant
 //! and one more arm in each `match` — the simulator loop does not change.
 
-use crate::machine::{build_tiles, L1Meta, Tile};
+use crate::machine::{build_tiles, Tile};
 use crate::sim::SimConfig;
 use crate::timing::ExecutionBreakdown;
 use tw_noc::{model_for, Mesh, NetworkModel, PacketSize};
@@ -398,9 +398,7 @@ impl<'wl> Engine<'wl> {
     fn check_transaction(&self, addr: Addr) {
         match self.family {
             Family::Mesi | Family::Dragon => self.assert_directory_matches_l1s(addr),
-            // DeNovo's one-registrant-per-word check joins here (ROADMAP
-            // item 2(c)).
-            Family::Denovo => {}
+            Family::Denovo => self.assert_registrants_hold_their_words(addr),
         }
     }
 
@@ -500,17 +498,18 @@ impl<'wl> Engine<'wl> {
 
     /// Whether the L1 of `core` holds readable data for `addr`, refreshing
     /// the line's LRU position on a hit (single tag scan: equivalent to the
-    /// old presence `peek` followed by a `get` on the hit path).
+    /// old presence `peek` followed by a `get` on the hit path). Under every
+    /// family a readable word is a `valid` one: a DeNovo word is `Valid` or
+    /// `Registered` exactly when its bit is set, and a directory-family line
+    /// is resident only while its state is readable (invalidation removes
+    /// it) and then holds the full line.
     pub(crate) fn l1_load_hit(&mut self, core: usize, addr: Addr) -> bool {
         let lb = self.cfg.system.cache.line_bytes;
         let line = LineAddr::containing(addr, lb);
         let w = addr.word_in_line(lb);
         self.tiles[core]
             .l1
-            .get_where(line, |entry| match &entry.meta {
-                L1Meta::Directory { state, .. } => state.can_read() && entry.valid.contains(w),
-                L1Meta::Denovo(l) => l.word(w).can_read(),
-            })
+            .get_where(line, |entry| entry.valid.contains(w))
             .is_some()
     }
 

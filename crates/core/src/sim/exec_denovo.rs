@@ -7,7 +7,7 @@ use super::engine::Engine;
 use crate::machine::{L1Meta, L2Meta};
 use crate::timing::TimeClass;
 use tw_mem::LineEntry;
-use tw_protocols::{flex_fetch_plan, DenovoL1Line, DenovoL2Line, DenovoWordState, FlexPlan};
+use tw_protocols::{denovo::l1_self_invalidate, flex_fetch_plan, DenovoL2Line, FlexPlan};
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
 };
@@ -21,11 +21,12 @@ struct LineService {
 }
 
 impl Engine<'_> {
-    fn denovo_l1_line(&self, core: usize, line: LineAddr) -> Option<&DenovoL1Line> {
-        match self.tiles[core].l1.peek(line).map(|e| &e.meta) {
-            Some(L1Meta::Denovo(l)) => Some(l),
-            _ => None,
-        }
+    /// The words of `line` the L1 of `core` can read (valid or registered).
+    fn denovo_l1_readable(&self, core: usize, line: LineAddr) -> WordMask {
+        self.tiles[core]
+            .l1
+            .peek(line)
+            .map_or(WordMask::EMPTY, |e| e.valid)
     }
 
     fn denovo_l2_meta(&self, home: TileId, line: LineAddr) -> Option<&DenovoL2Line> {
@@ -98,11 +99,7 @@ impl Engine<'_> {
             // The request names only the words this L1 is actually missing;
             // words it already holds (valid or registered) are never
             // re-fetched.
-            let already = self
-                .denovo_l1_line(core, pl_line)
-                .map(|l| l.readable_mask())
-                .unwrap_or(WordMask::EMPTY);
-            let want = want.difference(already);
+            let want = want.difference(self.denovo_l1_readable(core, pl_line));
             if want.is_empty() {
                 continue;
             }
@@ -384,10 +381,7 @@ impl Engine<'_> {
         self.time[core].add(TimeClass::Compute, 1);
 
         if !self.tiles[core].l1.contains(line) {
-            let victim = self.tiles[core]
-                .l1
-                .insert(line, L1Meta::Denovo(DenovoL1Line::new(region)))
-                .1;
+            let victim = self.tiles[core].l1.insert(line, L1Meta::Denovo(region)).1;
             if let Some(v) = victim {
                 self.denovo_evict_l1(core, v, now);
             }
@@ -400,10 +394,7 @@ impl Engine<'_> {
         // `get` that applies the write (one tick bump, as before).
         let mut was_registered = false;
         if let Some(e) = self.tiles[core].l1.get(line) {
-            if let L1Meta::Denovo(l) = &mut e.meta {
-                was_registered = l.word(w).is_registered();
-                l.set_word(w, DenovoWordState::Registered);
-            }
+            was_registered = e.dirty.contains(w);
             e.valid.insert(w);
             e.dirty.insert(w);
         }
@@ -456,9 +447,6 @@ impl Engine<'_> {
                 .send(home, prev.tile(), MessageKind::Invalidation, 0, t_home);
             let addr = line.word_addr(word);
             if let Some(e) = self.tiles[prev.0].l1.get(line) {
-                if let L1Meta::Denovo(l) = &mut e.meta {
-                    l.set_word(word, DenovoWordState::Invalid);
-                }
                 e.valid.remove(word);
                 e.dirty.remove(word);
             }
@@ -487,19 +475,13 @@ impl Engine<'_> {
             return;
         }
         if !self.tiles[core].l1.contains(line) {
-            let victim = self.tiles[core]
-                .l1
-                .insert(line, L1Meta::Denovo(DenovoL1Line::new(region)))
-                .1;
+            let victim = self.tiles[core].l1.insert(line, L1Meta::Denovo(region)).1;
             if let Some(v) = victim {
                 self.denovo_evict_l1(core, v, at);
             }
         }
         // Record arrivals (with present/absent status) before mutating state.
-        let present = self
-            .denovo_l1_line(core, line)
-            .map(|l| l.readable_mask())
-            .unwrap_or(WordMask::EMPTY);
+        let present = self.denovo_l1_readable(core, line);
         self.l1_prof[core].arrive_words(
             line.word_addr(WordIdx(0)),
             words,
@@ -507,14 +489,9 @@ impl Engine<'_> {
             per_word_hops,
             class,
         );
+        // A registered word that is filled stays registered: `dirty` is
+        // untouched.
         if let Some(e) = self.tiles[core].l1.get(line) {
-            if let L1Meta::Denovo(l) = &mut e.meta {
-                for w in words.iter() {
-                    if !l.word(w).is_registered() {
-                        l.set_word(w, DenovoWordState::Valid);
-                    }
-                }
-            }
             e.valid = e.valid.union(words);
         }
     }
@@ -604,13 +581,10 @@ impl Engine<'_> {
     /// still-pending registrations are folded into the same message); valid
     /// words are dropped silently.
     fn denovo_evict_l1(&mut self, core: usize, victim: LineEntry<L1Meta>, at: Stamp) {
-        let L1Meta::Denovo(dl) = &victim.meta else {
-            return;
-        };
         let me = TileId(core);
         let home = self.home_of(victim.line);
-        let registered = dl.mask_in(DenovoWordState::Registered);
-        let valid = dl.mask_in(DenovoWordState::Valid);
+        let registered = victim.dirty;
+        let valid = victim.valid.difference(registered);
         let pending = self.tiles[core].write_combine.evict_line(victim.line);
 
         if !registered.is_empty() {
@@ -671,11 +645,6 @@ impl Engine<'_> {
             );
             self.charge_writeback_data(wb.per_word_hops, mask.count(), mask.count(), false);
             if let Some(e) = self.tiles[owner.0].l1.get(victim.line) {
-                if let L1Meta::Denovo(l) = &mut e.meta {
-                    for w in mask.iter() {
-                        l.set_word(w, DenovoWordState::Invalid);
-                    }
-                }
                 e.valid = e.valid.difference(mask);
                 e.dirty = e.dirty.difference(mask);
             }
@@ -725,13 +694,10 @@ impl Engine<'_> {
             let mut invalidated: Vec<(LineAddr, WordMask)> = Vec::new();
             let geo = &self.geo;
             for entry in self.tiles[core].l1.iter_mut() {
-                if let L1Meta::Denovo(l) = &mut entry.meta {
-                    if geo.region_parallel(l.region) {
-                        let inv = l.self_invalidate();
-                        entry.valid = entry.valid.difference(inv);
-                        if !inv.is_empty() {
-                            invalidated.push((entry.line, inv));
-                        }
+                if geo.region_parallel(entry.meta.region()) {
+                    let inv = l1_self_invalidate(&mut entry.valid, entry.dirty);
+                    if !inv.is_empty() {
+                        invalidated.push((entry.line, inv));
                     }
                 }
             }
@@ -740,6 +706,28 @@ impl Engine<'_> {
             }
             for bank in self.tiles[core].l1_bloom.iter_mut() {
                 bank.clear();
+            }
+        }
+    }
+
+    /// Per-transaction registry check (debug builds): after a load or store
+    /// to `addr`, every word the home L2 records as registered to a core is
+    /// `Registered` in that core's L1 — the L1 learns of a store before the
+    /// registry does and gives the word up only together with it.
+    #[cfg(debug_assertions)]
+    pub(super) fn assert_registrants_hold_their_words(&self, addr: Addr) {
+        let line = LineAddr::containing(addr, self.line_bytes());
+        let Some(registry) = self.denovo_l2_meta(self.home_of(line), line) else {
+            return;
+        };
+        for (core, words) in registry.registrants() {
+            let (valid, dirty) = self.tiles[core.0]
+                .l1
+                .peek(line)
+                .map_or((WordMask::EMPTY, WordMask::EMPTY), |e| (e.valid, e.dirty));
+            if let Some(w) = words.difference(dirty).iter().next() {
+                let state = tw_protocols::denovo::l1_word_state(valid, dirty, w);
+                panic!("{line}: the L2 registers {w} to {core}, whose L1 holds it {state}");
             }
         }
     }
@@ -760,5 +748,43 @@ impl Engine<'_> {
         };
         let slice = slice.as_ref().expect("request bypass builds Bloom state");
         shadows[home].install_copy(line, slice);
+    }
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use crate::sim::{SimConfig, Simulator};
+    use tw_types::{Addr, LineAddr, ProtocolKind, RegionId, RegionTable, Stamp, TraceOp, WordIdx};
+    use tw_workloads::{BenchmarkKind, Workload};
+
+    #[test]
+    #[should_panic(expected = "the L2 registers w0 to C0, whose L1 holds it V")]
+    fn a_registrant_that_lost_its_dirty_bit_fails_the_next_transaction() {
+        const A: u64 = 0x4000;
+        let word = |w: u64| Addr::new(A + 4 * w);
+        // Two cores register one word each of the same line; the barrier
+        // drains both registrations to the home L2.
+        let mut traces = vec![Vec::new(); 16];
+        for (core, trace) in traces.iter_mut().enumerate().take(2) {
+            *trace = vec![
+                TraceOp::store(word(core as u64), RegionId(0)),
+                TraceOp::barrier(0),
+            ];
+        }
+        let wl = Workload {
+            kind: BenchmarkKind::Custom,
+            input: "two-core registry probe".into(),
+            regions: RegionTable::new(),
+            traces,
+        };
+        let mut sim = Simulator::new(SimConfig::new(ProtocolKind::DeNovo), &wl);
+        sim.run_loop();
+
+        let eng = &mut sim.engine;
+        let line = LineAddr::containing(word(0), eng.line_bytes());
+        let entry = eng.tiles[0].l1.get(line).expect("core 0 holds the line");
+        assert!(entry.dirty.contains(WordIdx(0)));
+        entry.dirty.remove(WordIdx(0));
+        eng.load(1, word(2), RegionId(0), Stamp::at(1_000_000));
     }
 }

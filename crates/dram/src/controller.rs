@@ -19,18 +19,6 @@ pub struct DramStats {
     pub service_cycles: u64,
 }
 
-impl DramStats {
-    /// Row-buffer hit rate over all accesses (0 when idle).
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
     open_row: Option<u64>,
@@ -150,7 +138,7 @@ mod tests {
         let t2 = m.access(line(1), false, t1);
         let cfg = m.config().clone();
         assert_eq!(t2 - t1, cfg.row_hit_cycles + cfg.burst_cycles);
-        assert!((m.stats().row_hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((m.stats().row_hits, m.stats().row_misses), (1, 1));
     }
 
     #[test]
@@ -187,10 +175,5 @@ mod tests {
         let before = m.stats().queueing_cycles;
         m.access(line(100_000), false, t1 + 10_000);
         assert_eq!(m.stats().queueing_cycles, before);
-    }
-
-    #[test]
-    fn row_hit_rate_idle_is_zero() {
-        assert_eq!(DramStats::default().row_hit_rate(), 0.0);
     }
 }

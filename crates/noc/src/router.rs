@@ -101,13 +101,6 @@ impl OutPorts {
         slot
     }
 
-    /// Whether every VC of `port` is currently held.
-    pub fn saturated(&self, port: usize) -> bool {
-        self.vc_free[port * self.vcs..][..self.vcs]
-            .iter()
-            .all(|&f| f == VC_HELD)
-    }
-
     /// Flits forwarded through all ports.
     pub fn flits_forwarded(&self) -> u64 {
         self.ports.iter().map(|p| p.flits).sum()
@@ -143,8 +136,6 @@ mod tests {
         assert_eq!((a, ga), (0, 5));
         let (b, gb) = p.alloc_vc(1, 5);
         assert_eq!((b, gb), (1, 5), "second packet gets the next VC");
-        assert!(p.saturated(1));
-        assert!(!p.saturated(0) && !p.saturated(2));
         p.release_vc(1, 0, 30);
         let (c, gc) = p.alloc_vc(1, 6);
         assert_eq!(

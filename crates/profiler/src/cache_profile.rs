@@ -420,11 +420,6 @@ impl CacheWasteProfiler {
         }
         self.report
     }
-
-    /// Snapshot of the report accumulated so far (pending words excluded).
-    pub fn report_so_far(&self) -> &WasteReport {
-        &self.report
-    }
 }
 
 #[cfg(test)]

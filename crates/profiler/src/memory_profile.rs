@@ -287,11 +287,6 @@ impl MemoryWasteProfiler {
         }
         self.report
     }
-
-    /// Snapshot of the report accumulated so far.
-    pub fn report_so_far(&self) -> &WasteReport {
-        &self.report
-    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   invalid.
 
 use std::fmt;
-use tw_types::{CoreId, RegionId, WordIdx, WordMask, MAX_TILES, WORDS_PER_LINE};
+use tw_types::{CoreId, WordIdx, WordMask, MAX_TILES, WORDS_PER_LINE};
 
 /// State of one word in a private L1 under DeNovo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -26,18 +26,6 @@ pub enum DenovoWordState {
     Registered,
 }
 
-impl DenovoWordState {
-    /// Whether a load hits on this word.
-    pub const fn can_read(self) -> bool {
-        !matches!(self, DenovoWordState::Invalid)
-    }
-
-    /// Whether a store completes locally without a registration request.
-    pub const fn is_registered(self) -> bool {
-        matches!(self, DenovoWordState::Registered)
-    }
-}
-
 impl fmt::Display for DenovoWordState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -49,79 +37,27 @@ impl fmt::Display for DenovoWordState {
     }
 }
 
-/// Per-line DeNovo metadata in an L1: the word states plus the region of the
-/// data (used to make self-invalidation precise).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DenovoL1Line {
-    /// State of each word.
-    pub words: [DenovoWordState; WORDS_PER_LINE],
-    /// Region of the line's data (one region per line is sufficient for the
-    /// generated workloads, whose regions are line-aligned arrays).
-    pub region: RegionId,
-}
-
-impl Default for DenovoL1Line {
-    fn default() -> Self {
-        DenovoL1Line {
-            words: [DenovoWordState::Invalid; WORDS_PER_LINE],
-            region: RegionId::DEFAULT,
-        }
+/// The state of word `w` of an L1 line whose per-word masks are `valid` and
+/// `dirty`. The two masks *are* the L1 state — `Invalid` is `!valid`, `Valid`
+/// is `valid & !dirty`, `Registered` is `dirty` (a registered word is always
+/// valid) — so this is a view for display and checks, never stored.
+pub const fn l1_word_state(valid: WordMask, dirty: WordMask, w: WordIdx) -> DenovoWordState {
+    if dirty.contains(w) {
+        DenovoWordState::Registered
+    } else if valid.contains(w) {
+        DenovoWordState::Valid
+    } else {
+        DenovoWordState::Invalid
     }
 }
 
-impl DenovoL1Line {
-    /// Creates an all-invalid line tagged with `region`.
-    pub fn new(region: RegionId) -> Self {
-        DenovoL1Line {
-            words: [DenovoWordState::Invalid; WORDS_PER_LINE],
-            region,
-        }
-    }
-
-    /// State of one word.
-    pub fn word(&self, w: WordIdx) -> DenovoWordState {
-        self.words[w.index()]
-    }
-
-    /// Sets the state of one word.
-    pub fn set_word(&mut self, w: WordIdx, state: DenovoWordState) {
-        self.words[w.index()] = state;
-    }
-
-    /// Mask of words in a given state.
-    pub fn mask_in(&self, state: DenovoWordState) -> WordMask {
-        self.words
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == state)
-            .map(|(i, _)| WordIdx(i as u8))
-            .collect()
-    }
-
-    /// Mask of words that can satisfy a load (valid or registered).
-    pub fn readable_mask(&self) -> WordMask {
-        self.mask_in(DenovoWordState::Valid)
-            .union(self.mask_in(DenovoWordState::Registered))
-    }
-
-    /// Applies self-invalidation: every `Valid` word becomes `Invalid`,
-    /// `Registered` words are kept (they are the up-to-date copy). Returns
-    /// the mask of words invalidated.
-    pub fn self_invalidate(&mut self) -> WordMask {
-        let mut invalidated = WordMask::EMPTY;
-        for (i, s) in self.words.iter_mut().enumerate() {
-            if *s == DenovoWordState::Valid {
-                *s = DenovoWordState::Invalid;
-                invalidated.insert(WordIdx(i as u8));
-            }
-        }
-        invalidated
-    }
-
-    /// Whether the line holds no readable word and can be dropped.
-    pub fn is_empty(&self) -> bool {
-        self.readable_mask().is_empty()
-    }
+/// Applies self-invalidation to an L1 line: every `Valid` word becomes
+/// `Invalid`, `Registered` words are kept (they are the up-to-date copy).
+/// Returns the mask of words invalidated.
+pub fn l1_self_invalidate(valid: &mut WordMask, dirty: WordMask) -> WordMask {
+    let invalidated = valid.difference(dirty);
+    *valid = valid.intersect(dirty);
+    invalidated
 }
 
 /// Who holds the up-to-date copy of a word, from the L2's point of view.
@@ -137,11 +73,6 @@ pub enum L2WordOwner {
 }
 
 impl L2WordOwner {
-    /// Whether the L2 can serve the word itself.
-    pub const fn servable_by_l2(self) -> bool {
-        matches!(self, L2WordOwner::AtL2)
-    }
-
     /// The registered core, if any.
     pub const fn registrant(self) -> Option<CoreId> {
         match self {
@@ -255,11 +186,6 @@ impl DenovoL2Line {
         self.mask_where(|o| o == L2WordOwner::AT_L2)
     }
 
-    /// Mask of words registered to any core.
-    pub fn registered_mask(&self) -> WordMask {
-        self.mask_where(|o| o >= L2WordOwner::FIRST_CORE)
-    }
-
     /// The cores holding registered words of this line, each with the mask
     /// of its words, in ascending core order — one pass over the words.
     pub fn registrants(&self) -> Vec<(CoreId, WordMask)> {
@@ -285,40 +211,54 @@ mod tests {
 
     #[test]
     fn word_state_predicates() {
-        assert!(!DenovoWordState::Invalid.can_read());
-        assert!(DenovoWordState::Valid.can_read());
-        assert!(DenovoWordState::Registered.can_read());
-        assert!(DenovoWordState::Registered.is_registered());
-        assert!(!DenovoWordState::Valid.is_registered());
-        assert_eq!(DenovoWordState::Registered.to_string(), "R");
+        // A load hits on a `valid` word, a store completes locally on a
+        // `dirty` one; the three states are what the two bits spell.
+        let (valid, dirty) = (WordMask::from_bits(0b110), WordMask::from_bits(0b100));
+        let states = [0, 1, 2].map(|w| l1_word_state(valid, dirty, WordIdx(w)));
+        assert_eq!(
+            states,
+            [
+                DenovoWordState::Invalid,
+                DenovoWordState::Valid,
+                DenovoWordState::Registered
+            ]
+        );
+        assert_eq!(states.map(|s| s.to_string()), ["I", "V", "R"]);
     }
 
     #[test]
     fn l1_line_masks_and_self_invalidation() {
-        let mut line = DenovoL1Line::new(RegionId(4));
-        line.set_word(WordIdx(0), DenovoWordState::Valid);
-        line.set_word(WordIdx(1), DenovoWordState::Registered);
-        line.set_word(WordIdx(2), DenovoWordState::Valid);
-        assert_eq!(line.readable_mask().count(), 3);
-        assert_eq!(line.region, RegionId(4));
+        // Word 0 and 2 valid, word 1 registered.
+        let mut valid = WordMask::from_bits(0b111);
+        let dirty = WordMask::from_bits(0b010);
+        assert_eq!(valid.count(), 3);
 
-        let invalidated = line.self_invalidate();
+        let invalidated = l1_self_invalidate(&mut valid, dirty);
         assert_eq!(invalidated.count(), 2);
         assert!(invalidated.contains(WordIdx(0)));
         assert!(!invalidated.contains(WordIdx(1)));
-        assert_eq!(line.word(WordIdx(1)), DenovoWordState::Registered);
-        assert_eq!(line.word(WordIdx(0)), DenovoWordState::Invalid);
-        assert!(!line.is_empty());
+        assert_eq!(
+            l1_word_state(valid, dirty, WordIdx(1)),
+            DenovoWordState::Registered
+        );
+        assert_eq!(
+            l1_word_state(valid, dirty, WordIdx(0)),
+            DenovoWordState::Invalid
+        );
+        assert!(!valid.is_empty());
     }
 
     #[test]
     fn empty_line_detection() {
-        let mut line = DenovoL1Line::default();
-        assert!(line.is_empty());
-        line.set_word(WordIdx(5), DenovoWordState::Valid);
-        assert!(!line.is_empty());
-        line.self_invalidate();
-        assert!(line.is_empty());
+        let (mut valid, dirty) = (WordMask::EMPTY, WordMask::EMPTY);
+        assert!(valid.is_empty());
+        valid.insert(WordIdx(5));
+        assert_eq!(
+            l1_word_state(valid, dirty, WordIdx(5)),
+            DenovoWordState::Valid
+        );
+        l1_self_invalidate(&mut valid, dirty);
+        assert!(valid.is_empty());
     }
 
     #[test]
@@ -350,7 +290,7 @@ mod tests {
         let accepted = l2.accept_writeback(WordMask::from_bits(0b11), CoreId(3));
         assert_eq!(accepted.count(), 2);
         assert_eq!(l2.valid_at_l2().count(), 2);
-        assert!(l2.registered_mask().is_empty());
+        assert!(l2.registrants().is_empty());
     }
 
     #[test]
@@ -374,7 +314,7 @@ mod tests {
             assert!(seen.insert(byte), "{owner:?} shares byte {byte}");
         }
         assert_eq!(L2WordOwner::default().pack(), 0, "all-zero is all-invalid");
-        assert_eq!(DenovoL2Line::default().registered_mask(), WordMask::EMPTY);
+        assert!(DenovoL2Line::default().registrants().is_empty());
         assert_eq!(DenovoL2Line::default().valid_at_l2(), WordMask::EMPTY);
     }
 
@@ -463,12 +403,14 @@ mod tests {
     fn ownership_queries() {
         let mut l2 = DenovoL2Line::default();
         assert_eq!(l2.owner(WordIdx(0)), L2WordOwner::Invalid);
-        assert!(!L2WordOwner::Invalid.servable_by_l2());
         l2.set_owner(WordIdx(0), L2WordOwner::AtL2);
-        assert!(l2.owner(WordIdx(0)).servable_by_l2());
+        assert_eq!(l2.owner(WordIdx(0)), L2WordOwner::AtL2);
         l2.set_owner(WordIdx(1), L2WordOwner::RegisteredTo(CoreId(9)));
         assert_eq!(l2.owner(WordIdx(1)).registrant(), Some(CoreId(9)));
         assert_eq!(l2.valid_at_l2().count(), 1);
-        assert_eq!(l2.registered_mask().count(), 1);
+        assert_eq!(
+            l2.registrants(),
+            vec![(CoreId(9), WordMask::single(WordIdx(1)))]
+        );
     }
 }

@@ -31,11 +31,6 @@ impl FlexPlan {
         self.lines.iter().map(|(_, m)| m.count()).sum()
     }
 
-    /// Number of distinct cache lines touched.
-    pub fn line_count(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Splits the plan into response packets of at most the network's maximum
     /// data payload, returning the word count of each packet.
     pub fn packets(&self, noc: &NocConfig) -> Vec<usize> {
@@ -118,7 +113,7 @@ mod tests {
     fn plain_region_falls_back_to_whole_line() {
         let t = table_with_comm(96, vec![0, 8]);
         let plan = flex_fetch_plan(&t, Addr::new(0x20_0040), 64);
-        assert_eq!(plan.line_count(), 1);
+        assert_eq!(plan.lines.len(), 1);
         assert_eq!(plan.total_words(), 16);
         assert_eq!(plan, FlexPlan::whole_line(Addr::new(0x20_0040), 64));
     }
@@ -137,7 +132,7 @@ mod tests {
         // Object 0 starts at the region base (0x1_0000, line-aligned).
         let plan = flex_fetch_plan(&t, Addr::new(0x1_0000), 64);
         assert_eq!(plan.total_words(), 4);
-        assert_eq!(plan.line_count(), 2, "offset 80 lands on the second line");
+        assert_eq!(plan.lines.len(), 2, "offset 80 lands on the second line");
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub mod dragon;
 pub mod flex;
 pub mod mesi;
 
-pub use denovo::{DenovoL1Line, DenovoL2Line, DenovoWordState, L2WordOwner};
+pub use denovo::{DenovoL2Line, DenovoWordState, L2WordOwner};
 pub use directory::{Directory, LineState, SharerSet};
 pub use flex::{flex_fetch_plan, FlexPlan};

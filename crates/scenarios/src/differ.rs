@@ -27,10 +27,7 @@
 use crate::mutate::{detect, Detection};
 use crate::oracle::{golden_execute, OracleReport};
 use crate::synth::is_fully_bypass_streaming;
-use denovo_waste::{
-    ExperimentError, ExperimentSpec, PlanOutcome, ScaleProfile, Session, SimConfig, Simulator,
-    WorkloadSet, WorkloadSpec,
-};
+use denovo_waste::{ScaleProfile, SimConfig, Simulator};
 use rayon::prelude::*;
 use std::fmt;
 use tw_obs::SpanSink;
@@ -404,32 +401,12 @@ impl DifferentialRunner {
             violations,
         }
     }
-
-    /// Runs the workload through a [`Session`]-executed plan — synthesized
-    /// workloads are first-class plan rows, so every baseline-normalized
-    /// figure extractor works on them unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ExperimentError`] from compiling or executing the plan (for
-    /// example a core-count mismatch with the scale's system).
-    pub fn matrix_outcome(&self, wl: Workload) -> Result<PlanOutcome, ExperimentError> {
-        let name = wl.kind.name().to_string();
-        let mut spec = ExperimentSpec::subset(self.protocols.clone(), Vec::new(), self.scale);
-        spec.name = format!("differential-{name}");
-        spec.workloads = vec![WorkloadSpec::provided(name.clone())];
-        spec.networks = vec![self.network];
-        let mut set = WorkloadSet::new();
-        set.insert(name, wl);
-        Session::new().run(&spec, &set)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::{synthesize, SynthConfig};
-    use tw_workloads::BenchmarkKind;
 
     #[test]
     fn clean_workloads_pass_every_invariant() {
@@ -542,22 +519,5 @@ mod tests {
             out.violations.as_slice(),
             [Violation::Malformed(_)]
         ));
-    }
-
-    #[test]
-    fn synthesized_workloads_flow_through_the_matrix() {
-        let runner = DifferentialRunner {
-            scale: ScaleProfile::Tiny,
-            network: NetworkModelKind::default(),
-            protocols: vec![ProtocolKind::Mesi, ProtocolKind::DBypFull],
-            recorder: None,
-        };
-        let out = runner.matrix_outcome(synthesize(4)).unwrap();
-        assert_eq!(out.rows.len(), 1);
-        assert_eq!(out.rows[0].1, BenchmarkKind::Synthesized.name());
-        let fig = out.fig_5_1a().unwrap();
-        let mesi = fig.value("synthesized/MESI", "Total").unwrap();
-        assert!((mesi - 1.0).abs() < 1e-9, "MESI bar normalizes to 1.0");
-        assert!(fig.value("synthesized/DBypFull", "Total").unwrap() > 0.0);
     }
 }

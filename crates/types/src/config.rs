@@ -47,16 +47,6 @@ impl CacheConfig {
     pub fn words_per_line(&self) -> usize {
         (self.line_bytes / WORD_BYTES) as usize
     }
-
-    /// Number of sets in an L1.
-    pub fn l1_sets(&self) -> usize {
-        (self.l1_bytes / self.line_bytes) as usize / self.l1_ways
-    }
-
-    /// Number of sets in one L2 slice.
-    pub fn l2_sets(&self) -> usize {
-        (self.l2_slice_bytes / self.line_bytes) as usize / self.l2_ways
-    }
 }
 
 /// How the on-chip network's timing is modeled (see `DESIGN.md` §11).
@@ -289,23 +279,23 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if a parameter is zero, not a power of two
-    /// where required, or inconsistent with another parameter (for example a
-    /// line size that is not a whole number of flits).
+    /// Returns a [`ConfigError`] if a parameter is zero, the line is not the
+    /// 64-byte line the engine is built around, or a parameter is
+    /// inconsistent with another (for example a cache size that is not a
+    /// whole number of ways).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let c = &self.cache;
-        if !c.line_bytes.is_power_of_two() || c.line_bytes < WORD_BYTES {
-            return Err(ConfigError::new(
-                "line_bytes must be a power of two ≥ word size",
-            ));
-        }
-        if c.line_bytes / WORD_BYTES > WORDS_PER_LINE as u64 {
-            return Err(ConfigError::new(
-                "line_bytes larger than the supported 16-word line",
-            ));
+        // `WordMask::FULL` and the waste profilers' chunking are a 16-word
+        // line; any other size indexes out of bounds.
+        if c.line_bytes != WORDS_PER_LINE as u64 * WORD_BYTES {
+            return Err(ConfigError::new("line_bytes must be 64 (a 16-word line)"));
         }
         if c.l1_ways == 0 || c.l2_ways == 0 {
             return Err(ConfigError::new("associativity must be non-zero"));
+        }
+        // Zero is a multiple of every way size, and a cache of no sets.
+        if c.l1_bytes == 0 || c.l2_slice_bytes == 0 {
+            return Err(ConfigError::new("cache sizes must be non-zero"));
         }
         if !c.l1_bytes.is_multiple_of(c.line_bytes * c.l1_ways as u64) {
             return Err(ConfigError::new("L1 size must be a multiple of way size"));
@@ -493,8 +483,6 @@ mod tests {
     fn derived_geometry() {
         let cfg = SystemConfig::default();
         assert_eq!(cfg.cache.words_per_line(), 16);
-        assert_eq!(cfg.cache.l1_sets(), 64);
-        assert_eq!(cfg.cache.l2_sets(), 256);
         assert_eq!(cfg.noc.words_per_flit(), 4);
         assert_eq!(cfg.noc.max_data_words(), 16);
     }
@@ -555,8 +543,21 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
+        // Only the 16-word line runs: the profilers and `WordMask::FULL`
+        // assume it.
+        for line_bytes in [0, 4, 32, 48, 128] {
+            let mut cfg = SystemConfig::default();
+            cfg.cache.line_bytes = line_bytes;
+            let err = cfg.validate().unwrap_err();
+            assert!(err.to_string().contains("line_bytes must be 64"), "{err}");
+        }
+
         let mut cfg = SystemConfig::default();
-        cfg.cache.line_bytes = 48;
+        cfg.cache.l1_bytes = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("non-zero"), "{err}");
+        let mut cfg = SystemConfig::default();
+        cfg.cache.l2_slice_bytes = 0;
         assert!(cfg.validate().is_err());
 
         let mut cfg = SystemConfig::default();

@@ -117,12 +117,6 @@ impl ProtocolKind {
         matches!(self, ProtocolKind::Dragon)
     }
 
-    /// L1 write policy is write-validate (no fetch on L1 write miss).
-    /// True for every DeNovo variant; MESI is fetch-on-write throughout.
-    pub const fn l1_write_validate(self) -> bool {
-        self.is_denovo()
-    }
-
     /// L2 write policy is write-validate (no memory fetch on L2 write miss).
     pub const fn l2_write_validate(self) -> bool {
         matches!(
@@ -138,11 +132,6 @@ impl ProtocolKind {
     /// L2→memory writebacks carry only dirty words.
     pub const fn dirty_words_only_writeback(self) -> bool {
         self.l2_write_validate()
-    }
-
-    /// L1→L2 writebacks carry only dirty words (all DeNovo variants).
-    pub const fn l1_dirty_words_only_writeback(self) -> bool {
-        self.is_denovo()
     }
 
     /// Memory-controller-to-L1 transfer (data sent to L1 and L2 in parallel;
@@ -185,12 +174,6 @@ impl ProtocolKind {
     /// L2 request bypass (Bloom-filter-guarded direct-to-MC requests).
     pub const fn l2_request_bypass(self) -> bool {
         matches!(self, ProtocolKind::DBypFull)
-    }
-
-    /// Whether the shared L2 is inclusive of the L1s (MESI and Dragon, whose
-    /// directories live at the home slice) or non-inclusive (DeNovo).
-    pub const fn inclusive_l2(self) -> bool {
-        self.is_mesi() || self.is_update_based()
     }
 
     /// Short name used in figures and reports.
@@ -251,11 +234,9 @@ mod tests {
         assert!(p.is_update_based());
         assert!(!p.is_mesi());
         assert!(!p.is_denovo());
-        assert!(p.inclusive_l2());
         // Dragon is fetch-on-write with whole-line writebacks, like MESI.
-        assert!(!p.l1_write_validate());
         assert!(!p.l2_write_validate());
-        assert!(!p.l1_dirty_words_only_writeback());
+        assert!(!p.dirty_words_only_writeback());
         assert!(!p.mem_to_l1());
         assert!(!p.flex_on_chip());
         assert!(!p.l2_response_bypass());
@@ -299,17 +280,13 @@ mod tests {
         assert!(ProtocolKind::Mesi.is_mesi());
         assert!(!ProtocolKind::Mesi.mem_to_l1());
         assert!(ProtocolKind::MMemL1.mem_to_l1());
-        assert!(ProtocolKind::Mesi.inclusive_l2());
-        assert!(!ProtocolKind::Mesi.l1_write_validate());
         assert!(!ProtocolKind::MMemL1.flex_on_chip());
     }
 
     #[test]
     fn denovo_baselines() {
         assert!(ProtocolKind::DeNovo.is_denovo());
-        assert!(ProtocolKind::DeNovo.l1_write_validate());
         assert!(!ProtocolKind::DeNovo.l2_write_validate());
-        assert!(!ProtocolKind::DeNovo.inclusive_l2());
         assert!(ProtocolKind::DFlexL1.flex_on_chip());
         assert!(!ProtocolKind::DFlexL1.flex_at_memory());
     }
@@ -317,7 +294,6 @@ mod tests {
     #[test]
     fn fully_optimized_protocol_has_every_feature() {
         let p = ProtocolKind::DBypFull;
-        assert!(p.l1_write_validate());
         assert!(p.l2_write_validate());
         assert!(p.dirty_words_only_writeback());
         assert!(p.mem_to_l1());

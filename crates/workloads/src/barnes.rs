@@ -13,7 +13,7 @@
 //! * the working set is small relative to the L2, so bypassing does not
 //!   apply (§5.3).
 
-use crate::builder::{ArrayLayout, TraceBuilder};
+use crate::builder::{even_share, ArrayLayout, TraceBuilder};
 use crate::workload::{BenchmarkKind, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,14 +70,11 @@ impl BarnesConfig {
 
     /// Builds the workload for `cores` cores.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `bodies` is not divisible by `cores`.
-    pub fn build(&self, cores: usize) -> Workload {
-        assert!(
-            cores > 0 && self.bodies.is_multiple_of(cores),
-            "bodies must divide evenly among cores"
-        );
+    /// Fails if `bodies` is not divisible by `cores`.
+    pub fn build(&self, cores: usize) -> Result<Workload, String> {
+        let per_core = even_share(self.bodies, "Barnes-Hut bodies", cores)?;
         let nbody = self.bodies as u64;
         let ncell = (nbody / 2).max(1);
 
@@ -107,7 +104,6 @@ impl BarnesConfig {
         rc.comm = Some(cell_comm);
         regions.insert(rc);
 
-        let per_core = nbody / cores as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
 
         // Pre-draw every core's traversal so that trace generation is cheap
@@ -173,12 +169,12 @@ impl BarnesConfig {
             traces.push(t.into_ops());
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::Barnes,
             input: format!("{} bodies", self.bodies),
             regions,
             traces,
-        }
+        })
     }
 }
 
@@ -188,7 +184,7 @@ mod tests {
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = BarnesConfig::tiny().build(16);
+        let wl = BarnesConfig::tiny().build(16).unwrap();
         wl.assert_well_formed();
         assert_eq!(wl.barriers(), 3);
         assert_eq!(wl.kind, BenchmarkKind::Barnes);
@@ -202,7 +198,7 @@ mod tests {
 
     #[test]
     fn flex_communication_regions_are_smaller_than_objects() {
-        let wl = BarnesConfig::tiny().build(16);
+        let wl = BarnesConfig::tiny().build(16).unwrap();
         let (info, comm) = wl.regions.comm_region(RegionId(1)).unwrap();
         assert_eq!(info.name, "bodies");
         assert!(comm.useful_words() * 4 < BODY_BYTES as usize);
@@ -212,14 +208,14 @@ mod tests {
 
     #[test]
     fn no_bypass_regions() {
-        let wl = BarnesConfig::tiny().build(16);
+        let wl = BarnesConfig::tiny().build(16).unwrap();
         assert!(!wl.regions.bypasses_l2(RegionId(1)));
         assert!(!wl.regions.bypasses_l2(RegionId(2)));
     }
 
     #[test]
     fn tree_build_happens_only_on_core_zero() {
-        let wl = BarnesConfig::tiny().build(8);
+        let wl = BarnesConfig::tiny().build(8).unwrap();
         let ops_before_first_barrier = |core: usize| {
             wl.traces[core]
                 .iter()
@@ -239,8 +235,8 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let a = BarnesConfig::tiny().build(4);
-        let b = BarnesConfig::tiny().build(4);
+        let a = BarnesConfig::tiny().build(4).unwrap();
+        let b = BarnesConfig::tiny().build(4).unwrap();
         assert_eq!(a.traces, b.traces);
     }
 

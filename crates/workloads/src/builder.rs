@@ -81,6 +81,21 @@ impl TraceBuilder {
     }
 }
 
+/// How many of `items` each of `cores` cores works on.
+///
+/// # Errors
+///
+/// Fails if the items do not divide evenly: the partitioned generators give
+/// every core the same share. `what` names the items ("FFT points").
+pub(crate) fn even_share(items: usize, what: &str, cores: usize) -> Result<u64, String> {
+    if cores == 0 || !items.is_multiple_of(cores) {
+        return Err(format!(
+            "{items} {what} do not divide evenly among {cores} cores"
+        ));
+    }
+    Ok((items / cores) as u64)
+}
+
 /// A typed view of an array laid out at a fixed base address, used by the
 /// generators to turn element indices into word addresses.
 #[derive(Debug, Clone, Copy)]

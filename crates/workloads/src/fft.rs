@@ -12,7 +12,7 @@
 //! * the destination array is then used as the working array of the next
 //!   butterfly phase (§5.2.1, "secondary benefit" discussion).
 
-use crate::builder::{ArrayLayout, TraceBuilder};
+use crate::builder::{even_share, ArrayLayout, TraceBuilder};
 use crate::workload::{BenchmarkKind, Workload};
 use tw_types::{BypassKind, RegionId, RegionInfo, RegionTable};
 
@@ -52,14 +52,11 @@ impl FftConfig {
 
     /// Builds the workload for `cores` cores.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `points` is not divisible by `cores`.
-    pub fn build(&self, cores: usize) -> Workload {
-        assert!(
-            cores > 0 && self.points.is_multiple_of(cores),
-            "points must divide evenly among cores"
-        );
+    /// Fails if `points` is not divisible by `cores`.
+    pub fn build(&self, cores: usize) -> Result<Workload, String> {
+        let per_core = even_share(self.points, "FFT points", cores)?;
         const POINT_BYTES: u64 = 16;
         let n = self.points as u64;
 
@@ -84,7 +81,6 @@ impl FftConfig {
         rr.written_in_parallel_phases = false;
         regions.insert(rr);
 
-        let per_core = n / cores as u64;
         let words_per_point = x.words_per_elem();
         let mut traces = Vec::with_capacity(cores);
         // The transpose treats the data as a sqrt(n) x sqrt(n) matrix of
@@ -133,12 +129,12 @@ impl FftConfig {
             traces.push(t.into_ops());
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::Fft,
             input: format!("{} points", self.points),
             regions,
             traces,
-        }
+        })
     }
 }
 
@@ -149,7 +145,7 @@ mod tests {
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = FftConfig::tiny().build(16);
+        let wl = FftConfig::tiny().build(16).unwrap();
         wl.assert_well_formed();
         assert_eq!(wl.cores(), 16);
         assert_eq!(wl.barriers(), 3);
@@ -158,7 +154,7 @@ mod tests {
 
     #[test]
     fn transpose_destination_is_written_before_read() {
-        let wl = FftConfig::tiny().build(4);
+        let wl = FftConfig::tiny().build(4).unwrap();
         // In phase 1 the first touch of any trans element must be a store.
         let trans_base = 0x2000_0000u64;
         for trace in &wl.traces {
@@ -190,7 +186,7 @@ mod tests {
 
     #[test]
     fn working_array_is_marked_read_then_overwritten() {
-        let wl = FftConfig::tiny().build(16);
+        let wl = FftConfig::tiny().build(16).unwrap();
         assert_eq!(
             wl.regions.get(RegionId(1)).unwrap().bypass,
             BypassKind::ReadThenOverwritten
@@ -201,30 +197,31 @@ mod tests {
 
     #[test]
     fn every_access_is_inside_a_region() {
-        FftConfig::tiny().build(16).assert_well_formed();
+        FftConfig::tiny().build(16).unwrap().assert_well_formed();
     }
 
     #[test]
-    #[should_panic(expected = "divide evenly")]
+    #[should_panic(expected = "1000 FFT points do not divide evenly among 16 cores")]
     fn uneven_core_split_is_rejected() {
         FftConfig {
             points: 1000,
             compute_per_point: 1,
         }
-        .build(16);
+        .build(16)
+        .unwrap();
     }
 
     #[test]
     fn paper_and_scaled_sizes() {
         assert_eq!(FftConfig::paper().points, 262_144);
         assert_eq!(FftConfig::scaled().points, 32_768);
-        let all_loads_stores = FftConfig::tiny().build(16).total_mem_ops();
+        let all_loads_stores = FftConfig::tiny().build(16).unwrap().total_mem_ops();
         assert!(all_loads_stores > 10_000);
     }
 
     #[test]
     fn roots_region_is_read_only_in_parallel_phases() {
-        let wl = FftConfig::tiny().build(16);
+        let wl = FftConfig::tiny().build(16).unwrap();
         assert!(
             !wl.regions
                 .get(RegionId(3))

@@ -14,7 +14,7 @@
 //!   data, which is what produces `Excess` waste at the memory controller
 //!   when Flex is extended to memory (§5.3, "Memory Fetch Waste").
 
-use crate::builder::{ArrayLayout, TraceBuilder};
+use crate::builder::{even_share, ArrayLayout, TraceBuilder};
 use crate::workload::{BenchmarkKind, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,14 +71,11 @@ impl KdTreeConfig {
 
     /// Builds the workload for `cores` cores.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `triangles` is not divisible by `cores`.
-    pub fn build(&self, cores: usize) -> Workload {
-        assert!(
-            cores > 0 && self.triangles.is_multiple_of(cores),
-            "triangles must divide evenly among cores"
-        );
+    /// Fails if `triangles` is not divisible by `cores`.
+    pub fn build(&self, cores: usize) -> Result<Workload, String> {
+        let per_core = even_share(self.triangles, "kD-tree triangles", cores)?;
         let n = self.triangles as u64;
 
         let triangles = ArrayLayout::new(0x1000_0000, TRIANGLE_BYTES, n, RegionId(1));
@@ -115,7 +112,6 @@ impl KdTreeConfig {
             nodes.bytes(),
         ));
 
-        let per_core = n / cores as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut traces = Vec::with_capacity(cores);
 
@@ -157,12 +153,12 @@ impl KdTreeConfig {
             traces.push(t.into_ops());
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::KdTree,
             input: format!("{} triangles, {} levels", self.triangles, self.levels),
             regions,
             traces,
-        }
+        })
     }
 }
 
@@ -172,7 +168,7 @@ mod tests {
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = KdTreeConfig::tiny().build(16);
+        let wl = KdTreeConfig::tiny().build(16).unwrap();
         wl.assert_well_formed();
         assert_eq!(wl.barriers(), 2);
         assert_eq!(wl.kind, BenchmarkKind::KdTree);
@@ -182,7 +178,7 @@ mod tests {
     fn edge_comm_region_spans_more_than_one_packet() {
         // 12 useful words spread over 96 bytes: the span exceeds the 64-byte
         // packet payload, which is what produces Excess waste under L2 Flex.
-        let wl = KdTreeConfig::tiny().build(16);
+        let wl = KdTreeConfig::tiny().build(16).unwrap();
         let (_, comm) = wl.regions.comm_region(RegionId(2)).unwrap();
         assert_eq!(comm.useful_words(), 12);
         assert!(comm.object_bytes > 64);
@@ -193,7 +189,7 @@ mod tests {
 
     #[test]
     fn edges_are_streamed_and_bypassed_triangles_are_not() {
-        let wl = KdTreeConfig::tiny().build(16);
+        let wl = KdTreeConfig::tiny().build(16).unwrap();
         assert!(wl.regions.bypasses_l2(RegionId(2)));
         assert!(!wl.regions.bypasses_l2(RegionId(1)));
         assert!(wl.regions.comm_region(RegionId(1)).is_some());
@@ -201,7 +197,7 @@ mod tests {
 
     #[test]
     fn edge_sweep_is_streaming_in_order() {
-        let wl = KdTreeConfig::tiny().build(4);
+        let wl = KdTreeConfig::tiny().build(4).unwrap();
         // Within the first level, the addresses of edge loads must be
         // non-decreasing for each core (streaming order).
         for trace in &wl.traces {
@@ -223,8 +219,8 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let a = KdTreeConfig::tiny().build(4);
-        let b = KdTreeConfig::tiny().build(4);
+        let a = KdTreeConfig::tiny().build(4).unwrap();
+        let b = KdTreeConfig::tiny().build(4).unwrap();
         assert_eq!(a.traces, b.traces);
     }
 

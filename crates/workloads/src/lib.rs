@@ -17,7 +17,7 @@
 //! ```
 //! use tw_workloads::{fft::FftConfig, Workload};
 //!
-//! let wl: Workload = FftConfig::scaled().build(16);
+//! let wl: Workload = FftConfig::scaled().build(16).expect("32 K points split 16 ways");
 //! assert_eq!(wl.cores(), 16);
 //! assert!(wl.total_mem_ops() > 10_000);
 //! assert!(wl.regions.len() >= 2);
@@ -65,10 +65,10 @@ pub fn build_scaled(kind: BenchmarkKind, cores: usize) -> Result<Workload, Strin
     Ok(match kind {
         BenchmarkKind::Fluidanimate => fluidanimate::FluidanimateConfig::scaled().build(cores),
         BenchmarkKind::Lu => lu::LuConfig::scaled().build(cores),
-        BenchmarkKind::Fft => fft::FftConfig::scaled().build(cores),
-        BenchmarkKind::Radix => radix::RadixConfig::scaled().build(cores),
-        BenchmarkKind::Barnes => barnes::BarnesConfig::scaled().build(cores),
-        BenchmarkKind::KdTree => kdtree::KdTreeConfig::scaled().build(cores),
+        BenchmarkKind::Fft => fft::FftConfig::scaled().build(cores)?,
+        BenchmarkKind::Radix => radix::RadixConfig::scaled().build(cores)?,
+        BenchmarkKind::Barnes => barnes::BarnesConfig::scaled().build(cores)?,
+        BenchmarkKind::KdTree => kdtree::KdTreeConfig::scaled().build(cores)?,
         BenchmarkKind::Custom | BenchmarkKind::Synthesized => return Err(no_generator(kind)),
     })
 }
@@ -83,10 +83,10 @@ pub fn build_tiny(kind: BenchmarkKind, cores: usize) -> Result<Workload, String>
     Ok(match kind {
         BenchmarkKind::Fluidanimate => fluidanimate::FluidanimateConfig::tiny().build(cores),
         BenchmarkKind::Lu => lu::LuConfig::tiny().build(cores),
-        BenchmarkKind::Fft => fft::FftConfig::tiny().build(cores),
-        BenchmarkKind::Radix => radix::RadixConfig::tiny().build(cores),
-        BenchmarkKind::Barnes => barnes::BarnesConfig::tiny().build(cores),
-        BenchmarkKind::KdTree => kdtree::KdTreeConfig::tiny().build(cores),
+        BenchmarkKind::Fft => fft::FftConfig::tiny().build(cores)?,
+        BenchmarkKind::Radix => radix::RadixConfig::tiny().build(cores)?,
+        BenchmarkKind::Barnes => barnes::BarnesConfig::tiny().build(cores)?,
+        BenchmarkKind::KdTree => kdtree::KdTreeConfig::tiny().build(cores)?,
         BenchmarkKind::Custom | BenchmarkKind::Synthesized => return Err(no_generator(kind)),
     })
 }
@@ -104,6 +104,18 @@ mod tests {
         }
         for kind in BenchmarkKind::ALL {
             assert!(build_tiny(kind, 16).is_ok(), "{kind} must generate");
+        }
+    }
+
+    proptest::proptest! {
+        /// A mesh is any size from 2x2 to 64 tiles; a generator whose input
+        /// does not split among that many cores says so, it does not unwind.
+        #[test]
+        fn no_core_count_makes_a_generator_panic(kind_i in 0usize..6, cores in 1usize..=64) {
+            let kind = BenchmarkKind::ALL[kind_i];
+            if let Ok(wl) = build_tiny(kind, cores) {
+                proptest::prop_assert_eq!(wl.cores(), cores);
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 //!   fetch-on-write `Write` waste);
 //! * the destination array becomes the input of the next phase (§5.2.1).
 
-use crate::builder::{ArrayLayout, TraceBuilder};
+use crate::builder::{even_share, ArrayLayout, TraceBuilder};
 use crate::workload::{BenchmarkKind, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,14 +60,11 @@ impl RadixConfig {
 
     /// Builds the workload for `cores` cores.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `keys` is not divisible by `cores`.
-    pub fn build(&self, cores: usize) -> Workload {
-        assert!(
-            cores > 0 && self.keys.is_multiple_of(cores),
-            "keys must divide evenly among cores"
-        );
+    /// Fails if `keys` is not divisible by `cores`.
+    pub fn build(&self, cores: usize) -> Result<Workload, String> {
+        let per_core = even_share(self.keys, "radix keys", cores)?;
         const KEY_BYTES: u64 = 4;
         let n = self.keys as u64;
 
@@ -95,7 +92,6 @@ impl RadixConfig {
             hist.bytes(),
         ));
 
-        let per_core = n / cores as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
         // Pre-draw the bucket of every key so that the histogram and
         // permutation phases agree.
@@ -169,12 +165,12 @@ impl RadixConfig {
             traces.push(t.into_ops());
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::Radix,
             input: format!("{} keys, {} radix", self.keys, self.radix),
             regions,
             traces,
-        }
+        })
     }
 }
 
@@ -185,7 +181,7 @@ mod tests {
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = RadixConfig::tiny().build(16);
+        let wl = RadixConfig::tiny().build(16).unwrap();
         wl.assert_well_formed();
         assert_eq!(wl.barriers(), 4);
         assert_eq!(wl.kind, BenchmarkKind::Radix);
@@ -195,7 +191,7 @@ mod tests {
     fn permutation_writes_touch_many_distinct_lines() {
         // The scattered destination writes must span (far) more lines than an
         // L1 can hold partially-written — the source of radix's Evict waste.
-        let wl = RadixConfig::tiny().build(16);
+        let wl = RadixConfig::tiny().build(16).unwrap();
         let dst_base = 0x2000_0000u64;
         let mut lines = std::collections::HashSet::new();
         for trace in &wl.traces {
@@ -223,7 +219,7 @@ mod tests {
 
     #[test]
     fn source_and_destination_are_streaming_bypass_regions() {
-        let wl = RadixConfig::tiny().build(16);
+        let wl = RadixConfig::tiny().build(16).unwrap();
         assert_eq!(
             wl.regions.get(RegionId(1)).unwrap().bypass,
             BypassKind::StreamingOncePerPhase
@@ -237,8 +233,8 @@ mod tests {
 
     #[test]
     fn deterministic_for_a_fixed_seed() {
-        let a = RadixConfig::tiny().build(4);
-        let b = RadixConfig::tiny().build(4);
+        let a = RadixConfig::tiny().build(4).unwrap();
+        let b = RadixConfig::tiny().build(4).unwrap();
         assert_eq!(a.traces, b.traces);
     }
 
@@ -250,13 +246,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "divide evenly")]
+    #[should_panic(expected = "1000 radix keys do not divide evenly among 16 cores")]
     fn uneven_key_split_is_rejected() {
         RadixConfig {
             keys: 1000,
             radix: 16,
             seed: 0,
         }
-        .build(16);
+        .build(16)
+        .unwrap();
     }
 }
