@@ -101,12 +101,14 @@ fn run_plan(
     Ok((outcome, wall, rec))
 }
 
-/// The cache-statistics line the figure runner and `plan run` print.
+/// The cache-statistics line the figure runner and `plan run` print. The
+/// three counts sum to the cells run; the rate is the share not simulated.
 fn cache_line(s: &CacheStats) -> String {
     format!(
-        "cache: {} hits / {} misses ({:.0}% hit rate)",
+        "cache: {} hits / {} misses / {} coalesced ({:.0}% hit rate)",
         s.hits,
         s.misses,
+        s.coalesced,
         100.0 * s.hit_rate()
     )
 }

@@ -67,9 +67,8 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
     println!("baseline:       {}", spec.baseline.protocol().name());
     for (label, sys) in &plan.variants {
         println!(
-            "variant `{label}`: {} tiles, {} B lines, {} KB L1, {} KB L2/slice, {} network",
+            "variant `{label}`: {} tiles, {} KB L1, {} KB L2/slice, {} network",
             sys.tiles(),
-            sys.cache.line_bytes,
             sys.cache.l1_bytes / 1024,
             sys.cache.l2_slice_bytes / 1024,
             sys.network.name(),

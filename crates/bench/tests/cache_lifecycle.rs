@@ -388,3 +388,39 @@ fn two_processes_racing_on_one_cache_dir_agree_bitwise() {
 
     let _ = std::fs::remove_dir_all(&scratch);
 }
+
+#[test]
+fn the_cli_cache_line_accounts_for_every_cell() {
+    let scratch = fresh_dir("cache-line");
+    std::fs::create_dir_all(&scratch).unwrap();
+    let cli = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .current_dir(&scratch)
+            .args(args)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    // Two workloads replaying one trace file: four cells, two cache keys.
+    cli(&["trace", "record", "fft.trace", "--tiny", "--bench", "FFT"]);
+    let spec = r#"{"schema":"denovo-waste/experiment-spec/v1","name":"dup","scale":"tiny","baseline":"MESI","protocols":["MESI","DeNovo"],"workloads":[{"trace":"fft.trace","name":"a"},{"trace":"fft.trace","name":"b"}]}"#;
+    std::fs::write(scratch.join("spec.json"), spec).unwrap();
+
+    let uncached: &[&str] = &["plan", "run", "spec.json"];
+    let cold: &[&str] = &["plan", "run", "spec.json", "--cache", "c"];
+    for args in [uncached, cold] {
+        let stdout = cli(args);
+        let line = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("cache: "))
+            .expect("plan run prints the cache line");
+        let counts: Vec<u64> = line
+            .split(" / ")
+            .map(|part| part.split(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(counts.len(), 3, "hits, misses and coalesced: {line}");
+        assert_eq!(counts.iter().sum::<u64>(), 4, "{line}");
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+}

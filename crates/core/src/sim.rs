@@ -14,9 +14,10 @@
 //! reached through the four entry points of [`engine::Engine`] (`load`,
 //! `store`, `barrier_released`, `finish`), each a `match` on the protocol
 //! family resolved once at construction. The transaction choreographies
-//! live in `exec_mesi.rs`, `exec_denovo.rs` and `exec_dragon.rs`; the shared
-//! machine state and accounting they operate on live in `engine.rs` (see
-//! `DESIGN.md` §3).
+//! live in `home.rs` (the directory families' read miss and shared steps),
+//! `exec_mesi.rs` / `exec_dragon.rs` (their stores) and `exec_denovo.rs`;
+//! the shared machine state and accounting they operate on, and the L1 load
+//! hit, live in `engine.rs` (see `DESIGN.md` §3).
 
 #[cfg(test)]
 mod directory_defects;

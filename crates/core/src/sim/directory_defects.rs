@@ -2,11 +2,13 @@
 //! light, pinned as two-core regressions. Each fix changes which messages a
 //! run sends, so it moves result bytes and needs an `ENGINE_VERSION` bump;
 //! until then the tests are ignored and must keep *failing* under
-//! `--ignored` (ROADMAP item 4 has one paragraph per defect).
+//! `--ignored` (ROADMAP item 1 has one paragraph per defect; CI checks that
+//! they do). Beside them, two passing tests pin the two policy points the
+//! shared read miss (`home.rs::directory_load`) keeps per protocol.
 
 use super::{SimConfig, Simulator};
 use tw_protocols::LineState;
-use tw_types::{Addr, LineAddr, ProtocolKind, RegionId, RegionTable, TraceOp};
+use tw_types::{Addr, LineAddr, ProtocolKind, RegionId, RegionTable, TraceOp, LINE_BYTES};
 use tw_workloads::{BenchmarkKind, Workload};
 
 const A: u64 = 0x4000;
@@ -31,7 +33,7 @@ fn two_cores(
     let mut sim = Simulator::new(SimConfig::new(protocol), &wl);
     sim.run_loop();
     let eng = &sim.engine;
-    let line = LineAddr::containing(Addr::new(A), eng.line_bytes());
+    let line = LineAddr::containing(Addr::new(A), LINE_BYTES);
     let mut holders = eng.dir(eng.home_of(line), line).holders();
     holders.sort_unstable();
     (
@@ -46,6 +48,24 @@ fn load(word: u64) -> TraceOp {
 
 fn store(word: u64) -> TraceOp {
     TraceOp::store(Addr::new(A + 4 * word), RegionId(0))
+}
+
+/// Core 0 stores, core 1 loads the same line: the read is forwarded to
+/// the dirty holder, which under MESI flushes and downgrades.
+#[test]
+fn mesi_read_downgrades_the_dirty_holder() {
+    let probe = two_cores(ProtocolKind::Mesi, vec![store(0)], vec![load(0)]);
+    let states = [LineState::Shared, LineState::Shared];
+    assert_eq!(probe, (states, vec![0, 1]));
+}
+
+/// The same two references under Dragon: the holder supplies the line and
+/// keeps its dirty copy, `M` demoted to `Sm`.
+#[test]
+fn dragon_read_leaves_the_dirty_holder_shared_modified() {
+    let probe = two_cores(ProtocolKind::Dragon, vec![store(0)], vec![load(0)]);
+    let states = [LineState::SharedModified, LineState::Shared];
+    assert_eq!(probe, (states, vec![0, 1]));
 }
 
 #[test]

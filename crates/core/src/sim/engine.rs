@@ -9,18 +9,22 @@
 //! [`Engine::store`], [`Engine::barrier_released`], [`Engine::finish`])
 //! without knowing which family it is talking to: [`Engine::new`] resolves
 //! the configured [`ProtocolKind`] to its [`Family`] once, and each entry
-//! point is a `match` on it over the `mesi_*` / `denovo_*` / `dragon_*`
-//! methods of `exec_*.rs`. Adding a protocol family means one more variant
-//! and one more arm in each `match` — the simulator loop does not change.
+//! point is a `match` on it. What holds under every protocol is done here,
+//! once — an L1 load hit, and booking the load with the profilers — so the
+//! `match` under [`Engine::load`] dispatches only the *miss*: `directory_load`
+//! (`home.rs`) for MESI, MMemL1 and Dragon, `denovo_load` for the rest.
+//! Stores differ at every step and dispatch whole. Adding a protocol family
+//! means one more variant and one more arm where its choreography differs —
+//! the simulator loop does not change.
 
 use crate::machine::{build_tiles, Tile};
 use crate::sim::SimConfig;
-use crate::timing::ExecutionBreakdown;
+use crate::timing::{ExecutionBreakdown, TimeClass};
 use tw_noc::{model_for, Mesh, NetworkModel, PacketSize};
 use tw_profiler::{CacheLevel, CacheWasteProfiler, MemoryWasteProfiler, TrafficBreakdown};
 use tw_types::{
     Addr, LineAddr, MessageClass, MessageKind, NetworkModelKind, NocConfig, ProtocolKind, RegionId,
-    RegionTable, Stamp, SystemConfig, TileId, TraceOp, TrafficBucket, WordMask,
+    RegionTable, Stamp, SystemConfig, TileId, TraceOp, TrafficBucket, LINE_BYTES,
 };
 use tw_workloads::Workload;
 
@@ -197,8 +201,6 @@ pub(crate) struct GeomCache {
     tiles: usize,
     tiles_pow2: bool,
     tiles_mask: usize,
-    /// `log2(line_bytes)`; line size is validated to be a power of two.
-    line_shift: u32,
     row_bytes: u64,
     row_pow2: bool,
     row_shift: u32,
@@ -206,8 +208,6 @@ pub(crate) struct GeomCache {
     /// order (row index modulo 4 picks the controller, exactly as
     /// `SystemConfig::mc_tile` does).
     mcs: [TileId; 4],
-    /// `cache.words_per_line()`.
-    pub(crate) words_per_line: usize,
     /// Per-region `written_in_parallel_phases`, indexed by `RegionId`
     /// (`true` for ids absent from the table, matching `RegionTable::get`'s
     /// `unwrap_or(true)` call sites).
@@ -246,12 +246,10 @@ impl GeomCache {
             tiles,
             tiles_pow2: tiles.is_power_of_two(),
             tiles_mask: tiles.wrapping_sub(1),
-            line_shift: system.cache.line_bytes.trailing_zeros(),
             row_bytes,
             row_pow2: row_bytes.is_power_of_two(),
             row_shift: row_bytes.trailing_zeros(),
             mcs: [mcs_v[0], mcs_v[1], mcs_v[2], mcs_v[3]],
-            words_per_line: system.cache.words_per_line(),
             region_parallel,
             region_bypass,
         }
@@ -260,7 +258,7 @@ impl GeomCache {
     /// Same mapping as [`SystemConfig::home_tile`].
     #[inline(always)]
     fn home_of(&self, line: LineAddr) -> TileId {
-        let line_no = (line.byte() >> self.line_shift) as usize;
+        let line_no = (line.byte() / LINE_BYTES) as usize;
         TileId(if self.tiles_pow2 {
             line_no & self.tiles_mask
         } else {
@@ -307,7 +305,7 @@ impl GeomCache {
 #[derive(Debug)]
 pub(crate) struct Engine<'wl> {
     /// Which transaction choreography `cfg.protocol` runs, resolved once.
-    family: Family,
+    pub(super) family: Family,
     pub(crate) cfg: SimConfig,
     pub(crate) workload: &'wl Workload,
     pub(crate) tiles: Vec<Tile>,
@@ -326,7 +324,7 @@ pub(crate) struct Engine<'wl> {
 /// The three transaction choreographies. The [`ProtocolKind`] carried by the
 /// engine's config selects the per-variant feature predicates inside one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Family {
+pub(super) enum Family {
     Mesi,
     Denovo,
     Dragon,
@@ -369,12 +367,21 @@ impl<'wl> Engine<'wl> {
     }
 
     /// Services one load, returning the timestamp the core may proceed at.
+    /// A hit in the L1 is the same under every protocol; only the miss is
+    /// dispatched.
     pub(crate) fn load(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
-        let done = match self.family {
-            Family::Mesi => self.mesi_load(core, addr, region, now),
-            Family::Denovo => self.denovo_load(core, addr, region, now),
-            Family::Dragon => self.dragon_load(core, addr, region, now),
+        let done = if self.l1_load_hit(core, addr) {
+            let l1_hit_cycles = self.system().timing.l1_hit_cycles;
+            self.time[core].add(TimeClass::Compute, l1_hit_cycles);
+            now + l1_hit_cycles
+        } else {
+            match self.family {
+                Family::Mesi | Family::Dragon => self.directory_load(core, addr, region, now),
+                Family::Denovo => self.denovo_load(core, addr, region, now),
+            }
         };
+        self.l1_prof[core].loaded(addr);
+        self.mem_prof.loaded(addr);
         #[cfg(debug_assertions)]
         self.check_transaction(addr);
         done
@@ -441,24 +448,6 @@ impl<'wl> Engine<'wl> {
         &self.cfg.system
     }
 
-    /// Cache line size in bytes.
-    pub(crate) fn line_bytes(&self) -> u64 {
-        self.cfg.system.cache.line_bytes
-    }
-
-    /// Words per cache line.
-    #[inline(always)]
-    pub(crate) fn wpl(&self) -> usize {
-        self.geo.words_per_line
-    }
-
-    /// Mask of every word in a line (`first_n(wpl)`), for the batched
-    /// profiler entry points.
-    #[inline(always)]
-    pub(crate) fn line_words_mask(&self) -> WordMask {
-        WordMask::first_n(self.geo.words_per_line)
-    }
-
     /// Home L2 slice of a line (cached [`SystemConfig::home_tile`]).
     #[inline(always)]
     pub(crate) fn home_of(&self, line: LineAddr) -> TileId {
@@ -503,14 +492,21 @@ impl<'wl> Engine<'wl> {
     /// `Registered` exactly when its bit is set, and a directory-family line
     /// is resident only while its state is readable (invalidation removes
     /// it) and then holds the full line.
-    pub(crate) fn l1_load_hit(&mut self, core: usize, addr: Addr) -> bool {
-        let lb = self.cfg.system.cache.line_bytes;
-        let line = LineAddr::containing(addr, lb);
-        let w = addr.word_in_line(lb);
+    fn l1_load_hit(&mut self, core: usize, addr: Addr) -> bool {
+        let line = LineAddr::containing(addr, LINE_BYTES);
+        let w = addr.word_in_line(LINE_BYTES);
         self.tiles[core]
             .l1
             .get_where(line, |entry| entry.valid.contains(w))
             .is_some()
+    }
+
+    /// Whether the home slice can serve `line` on chip.
+    pub(super) fn l2_has_data(&self, home: TileId, line: LineAddr) -> bool {
+        self.tiles[home.0]
+            .l2
+            .peek(line)
+            .is_some_and(|e| !e.valid.is_empty())
     }
 
     /// Charges the data flit-hops of a writeback message: `used` words of the
@@ -596,7 +592,6 @@ mod tests {
             assert_eq!(geo.home_of(line), system.home_tile(line.byte()), "{line}");
             assert_eq!(geo.mc_of(line), system.mc_tile(line.byte()), "{line}");
         }
-        assert_eq!(geo.words_per_line, system.cache.words_per_line());
         // Region defaults for ids the table does not describe.
         assert!(geo.region_parallel(RegionId(3)));
         assert!(!geo.region_bypasses_l2(RegionId(3)));

@@ -10,6 +10,7 @@ use tw_mem::LineEntry;
 use tw_protocols::{denovo::l1_self_invalidate, flex_fetch_plan, DenovoL2Line, FlexPlan};
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
+    LINE_BYTES, WORDS_PER_LINE,
 };
 
 /// How one cache line of a fetch plan was served.
@@ -36,7 +37,8 @@ impl Engine<'_> {
         }
     }
 
-    /// Executes a load under any DeNovo configuration.
+    /// Services a load that missed the L1 of `core` under any DeNovo
+    /// configuration.
     pub(super) fn denovo_load(
         &mut self,
         core: usize,
@@ -44,22 +46,13 @@ impl Engine<'_> {
         region: RegionId,
         now: Stamp,
     ) -> Stamp {
-        let lb = self.line_bytes();
-        let line = LineAddr::containing(addr, lb);
-        let l1_hit_cycles = self.system().timing.l1_hit_cycles;
-
-        if self.l1_load_hit(core, addr) {
-            self.l1_prof[core].loaded(addr);
-            self.mem_prof.loaded(addr);
-            self.time[core].add(TimeClass::Compute, l1_hit_cycles);
-            return now + l1_hit_cycles;
-        }
+        let line = LineAddr::containing(addr, LINE_BYTES);
 
         // Build the fetch plan (Flex or whole-line).
         let plan = if self.protocol().flex_on_chip() {
-            flex_fetch_plan(&self.workload.regions, addr, lb)
+            flex_fetch_plan(&self.workload.regions, addr, LINE_BYTES)
         } else {
-            FlexPlan::whole_line(addr, lb)
+            FlexPlan::whole_line(addr, LINE_BYTES)
         };
         let bypass = self.protocol().l2_response_bypass() && self.geo.region_bypasses_l2(region);
 
@@ -73,12 +66,11 @@ impl Engine<'_> {
                 let rq = self
                     .net
                     .send(TileId(core), home, MessageKind::BloomCopyReq, 0, now);
-                let words = self.wpl();
                 let rs = self.net.send(
                     home,
                     TileId(core),
                     MessageKind::BloomCopyResp,
-                    words,
+                    WORDS_PER_LINE,
                     rq.arrival + 1,
                 );
                 self.install_bloom_copy(core, home.0, line);
@@ -124,9 +116,6 @@ impl Engine<'_> {
             }
         }
         let service = demand_service.expect("plan always contains the demanded line");
-
-        self.l1_prof[core].loaded(addr);
-        self.mem_prof.loaded(addr);
 
         match (service.reached_mc, service.dram_done) {
             (Some(reached), Some(done)) => {
@@ -279,11 +268,7 @@ impl Engine<'_> {
             }
 
             let fill_l2 = !bypass;
-            let l2_present = self.tiles[home.0]
-                .l2
-                .peek(line)
-                .map(|e| !e.valid.is_empty())
-                .unwrap_or(false);
+            let l2_present = self.l2_has_data(home, line);
 
             if mem_to_l1 || direct_to_mc {
                 let d = self
@@ -375,9 +360,8 @@ impl Engine<'_> {
         region: RegionId,
         now: Stamp,
     ) -> Stamp {
-        let lb = self.line_bytes();
-        let line = LineAddr::containing(addr, lb);
-        let w = addr.word_in_line(lb);
+        let line = LineAddr::containing(addr, LINE_BYTES);
+        let w = addr.word_in_line(LINE_BYTES);
         self.time[core].add(TimeClass::Compute, 1);
 
         if !self.tiles[core].l1.contains(line) {
@@ -550,18 +534,21 @@ impl Engine<'_> {
 
         if store_ctx && !self.protocol().l2_write_validate() {
             // Fetch-on-write at the L2: bring the whole line from memory.
-            let lb = self.line_bytes();
-            let wpl = self.wpl();
             let mc = self.mc_of(line);
             let rq = self.net.send(home, mc, MessageKind::MemReadReq, 0, at);
             let done = self.dram_access(mc, line, false, rq.arrival);
-            let d = self.net.send(mc, home, MessageKind::DataToL2, wpl, done);
-            let lw = WordMask::first_n((lb / tw_types::WORD_BYTES) as usize);
-            self.mem_prof
-                .fetched_words(line.word_addr(WordIdx(0)), lw, false, d.per_word_hops);
+            let d = self
+                .net
+                .send(mc, home, MessageKind::DataToL2, WORDS_PER_LINE, done);
+            self.mem_prof.fetched_words(
+                line.word_addr(WordIdx(0)),
+                WordMask::FULL,
+                false,
+                d.per_word_hops,
+            );
             self.l2_prof.arrive_words(
                 line.word_addr(WordIdx(0)),
-                lw,
+                WordMask::FULL,
                 WordMask::EMPTY,
                 d.per_word_hops,
                 MessageClass::Store,
@@ -628,7 +615,6 @@ impl Engine<'_> {
         let L2Meta::Denovo(dl) = &victim.meta else {
             return;
         };
-        let wpl = self.wpl();
         let mut dirty = victim.dirty;
         let mut valid = victim.valid;
 
@@ -656,7 +642,7 @@ impl Engine<'_> {
             let carried = if self.protocol().dirty_words_only_writeback() {
                 dirty.count()
             } else {
-                wpl
+                WORDS_PER_LINE
             };
             let mc = self.mc_of(victim.line);
             let wb = self
@@ -716,7 +702,7 @@ impl Engine<'_> {
     /// registry does and gives the word up only together with it.
     #[cfg(debug_assertions)]
     pub(super) fn assert_registrants_hold_their_words(&self, addr: Addr) {
-        let line = LineAddr::containing(addr, self.line_bytes());
+        let line = LineAddr::containing(addr, LINE_BYTES);
         let Some(registry) = self.denovo_l2_meta(self.home_of(line), line) else {
             return;
         };
@@ -754,7 +740,9 @@ impl Engine<'_> {
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use crate::sim::{SimConfig, Simulator};
-    use tw_types::{Addr, LineAddr, ProtocolKind, RegionId, RegionTable, Stamp, TraceOp, WordIdx};
+    use tw_types::{
+        Addr, LineAddr, ProtocolKind, RegionId, RegionTable, Stamp, TraceOp, WordIdx, LINE_BYTES,
+    };
     use tw_workloads::{BenchmarkKind, Workload};
 
     #[test]
@@ -781,7 +769,7 @@ mod tests {
         sim.run_loop();
 
         let eng = &mut sim.engine;
-        let line = LineAddr::containing(word(0), eng.line_bytes());
+        let line = LineAddr::containing(word(0), LINE_BYTES);
         let entry = eng.tiles[0].l1.get(line).expect("core 0 holds the line");
         assert!(entry.dirty.contains(WordIdx(0)));
         entry.dirty.remove(WordIdx(0));

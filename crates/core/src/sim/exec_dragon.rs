@@ -1,11 +1,13 @@
-//! Dragon write-update transaction execution, reached through
-//! `Engine::load` / `Engine::store`. All machine state lives in the shared
-//! [`Engine`]; this file contains only what a read or a write *means* under
-//! Dragon: supply-and-demote, the update transaction and `push_update`.
+//! Dragon write-update store execution, reached through `Engine::store`.
+//! All machine state lives in the shared [`Engine`]; this file contains only
+//! what a write *means* under Dragon: the update transaction and
+//! `push_update`.
 //!
 //! Dragon runs on the same inclusive-L2 directory substrate as MESI
-//! (`home.rs`) — the home slice serializes transactions and tracks copies —
-//! but a store to a shared line *updates* the sharers instead of
+//! (`home.rs`) — the home slice serializes transactions and tracks copies,
+//! and a read miss is the shared `directory_load`, in which a dirty holder
+//! supplies the line and demotes `M` to `Sm` instead of flushing — but a
+//! store to a shared line *updates* the sharers instead of
 //! invalidating them: the written word is announced to the home
 //! ([`MessageKind::UpdateReq`], control-only; at word granularity the value
 //! rides the request flit, like an upgrade), and the home multicasts it to
@@ -30,106 +32,10 @@ use crate::timing::TimeClass;
 use tw_protocols::{dragon, Directory, LineState};
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordMask,
+    LINE_BYTES, WORDS_PER_LINE,
 };
 
 impl Engine<'_> {
-    /// Executes a load under Dragon, returning the cycle at which the core
-    /// may proceed.
-    pub(super) fn dragon_load(
-        &mut self,
-        core: usize,
-        addr: Addr,
-        region: RegionId,
-        now: Stamp,
-    ) -> Stamp {
-        let line = LineAddr::containing(addr, self.line_bytes());
-        let l1_hit_cycles = self.system().timing.l1_hit_cycles;
-
-        if self.l1_load_hit(core, addr) {
-            self.l1_prof[core].loaded(addr);
-            self.mem_prof.loaded(addr);
-            self.time[core].add(TimeClass::Compute, l1_hit_cycles);
-            return now + l1_hit_cycles;
-        }
-
-        let me = TileId(core);
-        let home = self.home_of(line);
-        let l2_hit = self.system().timing.l2_hit_cycles;
-        let occupancy = self.system().timing.l2_occupancy_cycles;
-
-        let req = self.net.send(me, home, MessageKind::LoadReq, 0, now);
-        let t_home = req.arrival + occupancy;
-
-        if self.l2_has_data(home, line) {
-            // ---- served on chip -------------------------------------------
-            let mut dir = self.dir(home, line);
-            let exclusive = dragon::grants_exclusive(&dir, CoreId(core));
-            let supplier = dragon::record_read(&mut dir, CoreId(core));
-
-            let delivery = if let Some(owner) = supplier {
-                // Forward the read to the dirty holder; it supplies the line
-                // cache-to-cache and *keeps* its dirty copy (M demotes to Sm
-                // — still the owner, still owing the writeback; no flush, no
-                // invalidation).
-                let fwd = self
-                    .net
-                    .send(home, owner.tile(), MessageKind::LoadReq, 0, t_home);
-                let t_owner = fwd.arrival + 1;
-                if let Some(e) = self.tiles[owner.0].l1.get(line) {
-                    if let L1Meta::Directory { state, .. } = &mut e.meta {
-                        if *state == LineState::Modified {
-                            *state = LineState::SharedModified;
-                        }
-                    }
-                }
-                self.net
-                    .send(owner.tile(), me, MessageKind::DataToL1, self.wpl(), t_owner)
-            } else {
-                self.serve_from_l2(home, me, line, t_home + l2_hit)
-            };
-
-            self.set_dir(home, line, dir);
-            self.net
-                .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
-
-            self.fill_l1(
-                core,
-                line,
-                region,
-                LineState::fill_for_read(exclusive),
-                MessageClass::Load,
-                delivery.per_word_hops,
-                delivery.arrival,
-            );
-            self.l1_prof[core].loaded(addr);
-            self.mem_prof.loaded(addr);
-            self.time[core].add(TimeClass::OnChipHit, delivery.arrival.since(now));
-            delivery.arrival
-        } else {
-            // ---- L2 miss: fetch from memory --------------------------------
-            let fetch = self.fetch_through_l2(home, me, line, MessageClass::Load, t_home, l2_hit);
-
-            let mut dir = Directory::default();
-            let exclusive = dragon::grants_exclusive(&dir, CoreId(core));
-            dragon::record_read(&mut dir, CoreId(core));
-            self.allocate_l2(home, line, dir, WordMask::FULL, now);
-
-            self.fill_l1(
-                core,
-                line,
-                region,
-                LineState::fill_for_read(exclusive),
-                MessageClass::Load,
-                fetch.delivery.per_word_hops,
-                fetch.delivery.arrival,
-            );
-            self.l1_prof[core].loaded(addr);
-            self.mem_prof.loaded(addr);
-            self.charge_memory_stall(core, now, &fetch);
-            fetch.delivery.arrival
-        }
-    }
-
     /// Executes a store under Dragon. Stores retire into the non-blocking
     /// write buffer, so the core is charged only one busy cycle.
     pub(super) fn dragon_store(
@@ -139,9 +45,8 @@ impl Engine<'_> {
         region: RegionId,
         now: Stamp,
     ) -> Stamp {
-        let lb = self.line_bytes();
-        let line = LineAddr::containing(addr, lb);
-        let w = addr.word_in_line(lb);
+        let line = LineAddr::containing(addr, LINE_BYTES);
+        let w = addr.word_in_line(LINE_BYTES);
         let me = TileId(core);
         let home = self.home_of(line);
         let occupancy = self.system().timing.l2_occupancy_cycles;
@@ -194,8 +99,13 @@ impl Engine<'_> {
                         .send(home, owner.tile(), MessageKind::StoreReq, 0, t_home);
                     let t_owner = fwd.arrival + 1;
                     self.flush_owner(owner, line, t_owner);
-                    self.net
-                        .send(owner.tile(), me, MessageKind::DataToL1, self.wpl(), t_owner)
+                    self.net.send(
+                        owner.tile(),
+                        me,
+                        MessageKind::DataToL1,
+                        WORDS_PER_LINE,
+                        t_owner,
+                    )
                 } else {
                     self.serve_from_l2(home, me, line, t_home + 1)
                 };
@@ -217,15 +127,7 @@ impl Engine<'_> {
                 self.allocate_l2(home, line, dir, WordMask::FULL, now);
                 fetch.delivery
             };
-            self.fill_l1(
-                core,
-                line,
-                region,
-                written,
-                MessageClass::Store,
-                delivery.per_word_hops,
-                delivery.arrival,
-            );
+            self.fill_l1(core, line, region, written, MessageClass::Store, delivery);
         }
         self.retire_store(core, addr, written);
         now + 1
@@ -243,8 +145,7 @@ impl Engine<'_> {
         sharers: &[CoreId],
         at: Stamp,
     ) {
-        let lb = self.line_bytes();
-        let w = addr.word_in_line(lb);
+        let w = addr.word_in_line(LINE_BYTES);
         for s in sharers {
             let d = self
                 .net

@@ -1,27 +1,34 @@
-//! The inclusive-directory substrate of the engine: every home-side step
-//! MESI, MMemL1 and Dragon perform identically, whatever a write does to the
-//! other copies.
+//! The inclusive-directory substrate of the engine: the whole read miss of
+//! MESI, MMemL1 and Dragon, and every home-side step their writes perform
+//! identically, whatever a write does to the other copies.
 //!
 //! The three protocols share their line states and directory entry
 //! (`tw_protocols::directory`) and, here, the machinery around them: reading
-//! and writing the entry beside an L2 line, serving a line from the slice or
-//! fetching it through the slice from memory, flushing a dirty owner, filling
-//! and evicting L1 lines, allocating and evicting (recalling) L2 lines. What
-//! a read or a write *means* — forward-and-downgrade vs. supply-and-demote,
-//! invalidate vs. update — stays in `exec_mesi.rs` / `exec_dragon.rs`, which
-//! call down into this file and never the other way round.
+//! and writing the entry beside an L2 line, serving a line from the slice,
+//! fetching it from memory through the slice or (MMemL1) straight to the L1,
+//! flushing a dirty owner, filling and evicting L1 lines, allocating and
+//! evicting (recalling) L2 lines. A read is one choreography,
+//! [`Engine::directory_load`]; the protocols differ in it at two policy
+//! points, each one `match` on the family beside it: what the directory
+//! records (`record_read`) and what a dirty holder does when the read is
+//! forwarded to it (`owner_supplies_read`: MESI flushes and downgrades,
+//! Dragon supplies and keeps its dirty copy). What a *write* means —
+//! invalidate vs. update — branches at every step and stays apart in
+//! `exec_mesi.rs` / `exec_dragon.rs`, which call down into this file and
+//! never the other way round.
 //!
 //! The order of `net.send` and profiler calls inside each function is part
 //! of the behaviour: sends reserve links, so reordering two of them moves
 //! result bytes.
 
-use super::engine::{Delivery, Engine};
+use super::engine::{Delivery, Engine, Family};
 use crate::machine::{L1Meta, L2Meta};
 use crate::timing::TimeClass;
 use tw_mem::LineEntry;
-use tw_protocols::{Directory, LineState};
+use tw_protocols::{dragon, mesi, Directory, LineState};
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
+    LINE_BYTES, WORDS_PER_LINE,
 };
 
 /// Timeline of a line fetched from memory on behalf of an L1 miss.
@@ -35,6 +42,134 @@ pub(super) struct MemFetch {
 }
 
 impl Engine<'_> {
+    /// Services a load that missed the L1 of `core` under MESI, MMemL1 and
+    /// Dragon, returning the cycle at which the core may proceed.
+    pub(super) fn directory_load(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        region: RegionId,
+        now: Stamp,
+    ) -> Stamp {
+        let line = LineAddr::containing(addr, LINE_BYTES);
+        let me = TileId(core);
+        let home = self.home_of(line);
+        let l2_hit = self.system().timing.l2_hit_cycles;
+        let occupancy = self.system().timing.l2_occupancy_cycles;
+
+        let req = self.net.send(me, home, MessageKind::LoadReq, 0, now);
+        let t_home = req.arrival + occupancy;
+
+        let (exclusive, delivery) = if self.l2_has_data(home, line) {
+            // ---- served on chip -------------------------------------------
+            let mut dir = self.dir(home, line);
+            let (exclusive, supplier) = self.record_read(&mut dir, CoreId(core));
+            let delivery = match supplier {
+                Some(owner) => self.owner_supplies_read(owner, me, line, t_home),
+                None => self.serve_from_l2(home, me, line, t_home + l2_hit),
+            };
+            self.set_dir(home, line, dir);
+            self.net
+                .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
+            self.time[core].add(TimeClass::OnChipHit, delivery.arrival.since(now));
+            (exclusive, delivery)
+        } else {
+            // ---- L2 miss: fetch from memory --------------------------------
+            let fetch = if self.protocol().mem_to_l1() {
+                // MMemL1: data goes straight to the L1, which forwards it to
+                // the (inclusive) L2 as an unblock+data message.
+                let fetch = self.fetch_to_l1(home, me, line, t_home);
+                let ub = self.net.send(
+                    me,
+                    home,
+                    MessageKind::DirUnblockWithData,
+                    WORDS_PER_LINE,
+                    fetch.delivery.arrival,
+                );
+                self.l2_prof.arrive_words(
+                    line.word_addr(WordIdx(0)),
+                    WordMask::FULL,
+                    WordMask::EMPTY,
+                    ub.per_word_hops,
+                    MessageClass::Load,
+                );
+                fetch
+            } else {
+                self.fetch_through_l2(home, me, line, MessageClass::Load, t_home, l2_hit)
+            };
+            let mut dir = Directory::default();
+            let (exclusive, _) = self.record_read(&mut dir, CoreId(core));
+            self.allocate_l2(home, line, dir, WordMask::FULL, now);
+            // The stall splits at the memory controller and at DRAM completion.
+            let arrival = fetch.delivery.arrival;
+            self.time[core].add(TimeClass::ToMc, fetch.at_mc.since(now));
+            self.time[core].add(TimeClass::Mem, fetch.dram_done.since(fetch.at_mc));
+            self.time[core].add(TimeClass::FromMc, arrival.since(fetch.dram_done));
+            (exclusive, fetch.delivery)
+        };
+
+        let state = LineState::fill_for_read(exclusive);
+        self.fill_l1(core, line, region, state, MessageClass::Load, delivery);
+        delivery.arrival
+    }
+
+    /// Read policy point 1 — what the directory records. Files the read by
+    /// `core` in `dir` and returns whether the response may grant
+    /// `Exclusive`, and the dirty holder the read must be forwarded to.
+    fn record_read(&self, dir: &mut Directory, core: CoreId) -> (bool, Option<CoreId>) {
+        match self.family {
+            Family::Mesi => (
+                mesi::grants_exclusive(dir, core),
+                mesi::record_read(dir, core),
+            ),
+            Family::Dragon => (
+                dragon::grants_exclusive(dir, core),
+                dragon::record_read(dir, core),
+            ),
+            Family::Denovo => unreachable!("DeNovo keeps no directory"),
+        }
+    }
+
+    /// Read policy point 2 — what a dirty holder does when the home forwards
+    /// a read to it. Either way it supplies the line cache-to-cache.
+    fn owner_supplies_read(
+        &mut self,
+        owner: CoreId,
+        me: TileId,
+        line: LineAddr,
+        t_home: Stamp,
+    ) -> Delivery {
+        let (home, holder) = (self.home_of(line), owner.tile());
+        let t_owner = match self.family {
+            // MESI: the owner is invalidated as an exclusive holder — if
+            // dirty it writes back to the L2 — and downgrades to Shared.
+            Family::Mesi => {
+                let fwd = self
+                    .net
+                    .send(home, holder, MessageKind::Invalidation, 0, t_home);
+                self.flush_owner(owner, line, fwd.arrival + 1);
+                fwd.arrival + 1
+            }
+            // Dragon: the owner *keeps* its dirty copy (M demotes to Sm —
+            // still the owner, still owing the writeback; no flush, no
+            // invalidation).
+            Family::Dragon => {
+                let fwd = self.net.send(home, holder, MessageKind::LoadReq, 0, t_home);
+                if let Some(e) = self.tiles[owner.0].l1.get(line) {
+                    if let L1Meta::Directory { state, .. } = &mut e.meta {
+                        if *state == LineState::Modified {
+                            *state = LineState::SharedModified;
+                        }
+                    }
+                }
+                fwd.arrival + 1
+            }
+            Family::Denovo => unreachable!("DeNovo keeps no directory"),
+        };
+        self.net
+            .send(holder, me, MessageKind::DataToL1, WORDS_PER_LINE, t_owner)
+    }
+
     /// The directory entry of `line` at its home slice (idle if the L2 does
     /// not hold the line).
     pub(super) fn dir(&self, home: TileId, line: LineAddr) -> Directory {
@@ -59,14 +194,6 @@ impl Engine<'_> {
         }
     }
 
-    /// Whether the home slice can serve `line` on chip.
-    pub(super) fn l2_has_data(&self, home: TileId, line: LineAddr) -> bool {
-        self.tiles[home.0]
-            .l2
-            .peek(line)
-            .is_some_and(|e| !e.valid.is_empty())
-    }
-
     /// Serves a full line straight from the L2 slice to the L1 of `me`.
     pub(super) fn serve_from_l2(
         &mut self,
@@ -76,10 +203,10 @@ impl Engine<'_> {
         at: Stamp,
     ) -> Delivery {
         self.l2_prof
-            .loaded_words(line.word_addr(WordIdx(0)), self.line_words_mask());
+            .loaded_words(line.word_addr(WordIdx(0)), WordMask::FULL);
         self.tiles[home.0].l2.get(line); // refresh LRU
         self.net
-            .send(home, me, MessageKind::DataToL1, self.wpl(), at)
+            .send(home, me, MessageKind::DataToL1, WORDS_PER_LINE, at)
     }
 
     /// Fetches a line that misses the L2 from memory *through* the slice:
@@ -96,18 +223,20 @@ impl Engine<'_> {
         slice_delay: u64,
     ) -> MemFetch {
         let mc = self.mc_of(line);
-        let wpl = self.wpl();
-        let lw = self.line_words_mask();
         let to_mc = self.net.send(home, mc, MessageKind::MemReadReq, 0, t_home);
         let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
         let d2 = self
             .net
-            .send(mc, home, MessageKind::DataToL2, wpl, dram_done);
-        self.mem_prof
-            .fetched_words(line.word_addr(WordIdx(0)), lw, false, d2.per_word_hops);
+            .send(mc, home, MessageKind::DataToL2, WORDS_PER_LINE, dram_done);
+        self.mem_prof.fetched_words(
+            line.word_addr(WordIdx(0)),
+            WordMask::FULL,
+            false,
+            d2.per_word_hops,
+        );
         self.l2_prof.arrive_words(
             line.word_addr(WordIdx(0)),
-            lw,
+            WordMask::FULL,
             WordMask::EMPTY,
             d2.per_word_hops,
             class,
@@ -116,7 +245,7 @@ impl Engine<'_> {
             home,
             me,
             MessageKind::DataToL1,
-            wpl,
+            WORDS_PER_LINE,
             d2.arrival + slice_delay,
         );
         self.net
@@ -128,13 +257,34 @@ impl Engine<'_> {
         }
     }
 
-    /// Charges the stall of a load served from memory to `core`, split at
-    /// the memory controller and at DRAM completion.
-    pub(super) fn charge_memory_stall(&mut self, core: usize, now: Stamp, fetch: &MemFetch) {
-        let arrival = fetch.delivery.arrival;
-        self.time[core].add(TimeClass::ToMc, fetch.at_mc.since(now));
-        self.time[core].add(TimeClass::Mem, fetch.dram_done.since(fetch.at_mc));
-        self.time[core].add(TimeClass::FromMc, arrival.since(fetch.dram_done));
+    /// MMemL1's fetch of a line that misses the L2: the controller sends the
+    /// data straight to the L1, bypassing the slice. The caller unblocks the
+    /// directory (with the data on a load, without on a store), allocates
+    /// the L2 entry and fills the L1.
+    pub(super) fn fetch_to_l1(
+        &mut self,
+        home: TileId,
+        me: TileId,
+        line: LineAddr,
+        t_home: Stamp,
+    ) -> MemFetch {
+        let mc = self.mc_of(line);
+        let to_mc = self.net.send(home, mc, MessageKind::MemReadReq, 0, t_home);
+        let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
+        let delivery = self
+            .net
+            .send(mc, me, MessageKind::MemDataToL1, WORDS_PER_LINE, dram_done);
+        self.mem_prof.fetched_words(
+            line.word_addr(WordIdx(0)),
+            WordMask::FULL,
+            false,
+            delivery.per_word_hops,
+        );
+        MemFetch {
+            at_mc: to_mc.arrival,
+            dram_done,
+            delivery,
+        }
     }
 
     /// Flushes a dirty owner's words to the home L2 because another core is
@@ -142,8 +292,6 @@ impl Engine<'_> {
     /// owner keeps a clean `Shared` copy; the L2 absorbs the dirty words, so
     /// exactly one L1 copy is ever dirty.
     pub(super) fn flush_owner(&mut self, owner: CoreId, line: LineAddr, at: Stamp) {
-        let home = self.home_of(line);
-        let wpl = self.wpl();
         let dirty = self.tiles[owner.0]
             .l1
             .peek(line)
@@ -156,23 +304,34 @@ impl Engine<'_> {
             e.dirty = WordMask::EMPTY;
         }
         if !dirty.is_empty() {
-            let wb = self
-                .net
-                .send(owner.tile(), home, MessageKind::L1Writeback, wpl, at);
-            self.charge_writeback_data(wb.per_word_hops, dirty.count(), wpl, false);
-            if let Some(le) = self.tiles[home.0].l2.get(line) {
-                le.dirty = le.dirty.union(dirty);
-                le.valid = WordMask::FULL;
-            }
+            self.write_back_l1(owner.tile(), line, dirty, at);
+        }
+    }
+
+    /// Sends the full-line writeback of an L1 copy of `line` carrying
+    /// `dirty` words to the home slice, which absorbs them if it still holds
+    /// the line (the victim of an L2 recall is already gone: its words go on
+    /// to memory).
+    fn write_back_l1(&mut self, from: TileId, line: LineAddr, dirty: WordMask, at: Stamp) {
+        let home = self.home_of(line);
+        let wb = self
+            .net
+            .send(from, home, MessageKind::L1Writeback, WORDS_PER_LINE, at);
+        self.charge_writeback_data(wb.per_word_hops, dirty.count(), WORDS_PER_LINE, false);
+        if let Some(le) = self.tiles[home.0].l2.get(line) {
+            le.dirty = le.dirty.union(dirty);
+            le.valid = WordMask::FULL;
         }
     }
 
     /// Retires the store to `addr` into the L1 copy of `core`, which the
     /// transaction has left in `state`, and books it with the profilers.
     pub(super) fn retire_store(&mut self, core: usize, addr: Addr, state: LineState) {
-        let lb = self.line_bytes();
-        let w = addr.word_in_line(lb);
-        if let Some(e) = self.tiles[core].l1.get(LineAddr::containing(addr, lb)) {
+        let w = addr.word_in_line(LINE_BYTES);
+        if let Some(e) = self.tiles[core]
+            .l1
+            .get(LineAddr::containing(addr, LINE_BYTES))
+        {
             if let L1Meta::Directory { state: s, .. } = &mut e.meta {
                 *s = state;
             }
@@ -183,8 +342,8 @@ impl Engine<'_> {
         self.mem_prof.stored(addr);
     }
 
-    /// Installs a full line into an L1, handling the eviction of the victim.
-    #[allow(clippy::too_many_arguments)]
+    /// Installs the full line `delivery` brought into an L1, handling the
+    /// eviction of the victim.
     pub(super) fn fill_l1(
         &mut self,
         core: usize,
@@ -192,10 +351,8 @@ impl Engine<'_> {
         region: RegionId,
         state: LineState,
         class: MessageClass,
-        per_word_hops: f64,
-        at: Stamp,
+        delivery: Delivery,
     ) {
-        let line_words = self.line_words_mask();
         let already = self.tiles[core]
             .l1
             .peek(line)
@@ -206,7 +363,7 @@ impl Engine<'_> {
         let meta = L1Meta::Directory { state, region };
         let victim = self.tiles[core].l1.insert(line, meta).1;
         if let Some(v) = victim {
-            self.evict_l1(core, v, at);
+            self.evict_l1(core, v, delivery.arrival);
         }
         if let Some(e) = self.tiles[core].l1.get(line) {
             e.meta = L1Meta::Directory { state, region };
@@ -214,9 +371,9 @@ impl Engine<'_> {
         }
         self.l1_prof[core].arrive_words(
             line.word_addr(WordIdx(0)),
-            line_words,
+            WordMask::FULL,
             already,
-            per_word_hops,
+            delivery.per_word_hops,
             class,
         );
     }
@@ -229,15 +386,9 @@ impl Engine<'_> {
         };
         let me = TileId(core);
         let home = self.home_of(victim.line);
-        let wpl = self.wpl();
 
         if state.is_dirty() {
-            let wb = self.net.send(me, home, MessageKind::L1Writeback, wpl, at);
-            self.charge_writeback_data(wb.per_word_hops, victim.dirty.count(), wpl, false);
-            if let Some(le) = self.tiles[home.0].l2.get(victim.line) {
-                le.dirty = le.dirty.union(victim.dirty);
-                le.valid = WordMask::FULL;
-            }
+            self.write_back_l1(me, victim.line, victim.dirty, at);
         } else if state.can_read() {
             self.net
                 .send(me, home, MessageKind::CleanWritebackCtl, 0, at);
@@ -278,7 +429,6 @@ impl Engine<'_> {
         let L2Meta::Directory(dir) = victim.meta else {
             return;
         };
-        let wpl = self.wpl();
         let mut dirty = victim.dirty;
 
         for holder in dir.holders() {
@@ -290,10 +440,7 @@ impl Engine<'_> {
                 self.l1_prof[holder.0]
                     .invalidated_words(victim.line.word_addr(WordIdx(0)), l1v.valid);
                 if !l1v.dirty.is_empty() {
-                    let wb =
-                        self.net
-                            .send(holder.tile(), home, MessageKind::L1Writeback, wpl, at + 1);
-                    self.charge_writeback_data(wb.per_word_hops, l1v.dirty.count(), wpl, false);
+                    self.write_back_l1(holder.tile(), victim.line, l1v.dirty, at + 1);
                     dirty = dirty.union(l1v.dirty);
                 }
             }
@@ -303,8 +450,8 @@ impl Engine<'_> {
             let mc = self.mc_of(victim.line);
             let wb = self
                 .net
-                .send(home, mc, MessageKind::MemWriteback, wpl, at + 2);
-            self.charge_writeback_data(wb.per_word_hops, dirty.count(), wpl, true);
+                .send(home, mc, MessageKind::MemWriteback, WORDS_PER_LINE, at + 2);
+            self.charge_writeback_data(wb.per_word_hops, dirty.count(), WORDS_PER_LINE, true);
             self.dram_access(mc, victim.line, true, wb.arrival);
         }
 
@@ -322,11 +469,11 @@ impl Engine<'_> {
         // Skipped under MMemL1: a store miss there allocates the L2 entry
         // with no valid words, so the next core's miss takes the memory path
         // and `allocate_l2` overwrites the directory, dropping the first
-        // owner (ROADMAP item 4, defect (iii); the fix moves result bytes).
+        // owner (ROADMAP item 1, defect (iii); the fix moves result bytes).
         if self.protocol().mem_to_l1() {
             return;
         }
-        let line = LineAddr::containing(addr, self.line_bytes());
+        let line = LineAddr::containing(addr, LINE_BYTES);
         let home = self.home_of(line);
         let holding: Vec<CoreId> = (0..self.tiles.len())
             .filter(|&c| self.l1_state(c, line).can_read())

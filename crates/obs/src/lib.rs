@@ -40,11 +40,13 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod json;
 pub mod recorder;
 pub mod span;
 pub mod trace;
 
 pub use hist::Log2Histogram;
+pub use json::Json;
 pub use recorder::{escape_into, escaped, FlightRecorder, SpanSink};
 pub use span::{AttrValue, Span};
 pub use trace::{

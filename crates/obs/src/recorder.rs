@@ -7,8 +7,9 @@
 //! records. [`FlightRecorder`] buffers spans in memory and serializes them as
 //! the deterministic JSONL trace described in [`crate::trace`].
 
+use crate::json::Json;
 use crate::span::{AttrValue, Span};
-use crate::trace::TRACE_SCHEMA;
+use crate::trace::header;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -52,57 +53,43 @@ impl FlightRecorder {
     pub fn to_jsonl(&self) -> String {
         let mut spans = self.spans();
         spans.sort_by(|a, b| a.track.cmp(&b.track));
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"schema\":\"{TRACE_SCHEMA}\",\"spans\":{}}}",
-            spans.len()
-        );
+        let mut out = header(spans.len() as u64).compact();
+        out.push('\n');
         for (seq, span) in spans.iter().enumerate() {
-            write_span_line(&mut out, seq as u64, span);
+            out.push_str(&span_json(seq as u64, span).compact());
+            out.push('\n');
         }
         out
     }
 }
 
-/// Serializes one span as a compact single-line JSON object. The `timing`
-/// sub-object is always present and always last, which is what lets
-/// [`crate::strip_timing`] remove it with a linear scan.
-fn write_span_line(out: &mut String, seq: u64, span: &Span) {
-    let _ = write!(
-        out,
-        "{{\"seq\":{seq},\"track\":\"{}\",\"name\":\"{}\",\"attrs\":{{",
-        escaped(&span.track),
-        escaped(&span.name)
-    );
-    for (i, (key, value)) in span.attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":", escaped(key));
-        match value {
-            AttrValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            AttrValue::Str(s) => {
-                let _ = write!(out, "\"{}\"", escaped(s));
-            }
-        }
-    }
-    out.push_str("},\"timing\":{");
-    for (i, (key, us)) in span.timing.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{us}", escaped(key));
-    }
-    out.push_str("}}\n");
+/// One span as the JSON object of its trace line. The `timing` sub-object
+/// is always present and always last.
+fn span_json(seq: u64, span: &Span) -> Json {
+    let attrs = span.attrs.iter().map(|(key, value)| {
+        let value = match value {
+            AttrValue::U64(v) => Json::UInt(*v),
+            AttrValue::Str(s) => Json::str(s.as_str()),
+        };
+        (key.clone(), value)
+    });
+    let timing = span
+        .timing
+        .iter()
+        .map(|(key, us)| (key.clone(), Json::UInt(*us)));
+    Json::Obj(vec![
+        ("seq".to_string(), Json::UInt(seq)),
+        ("track".to_string(), Json::str(span.track.as_str())),
+        ("name".to_string(), Json::str(span.name.as_str())),
+        ("attrs".to_string(), Json::Obj(attrs.collect())),
+        ("timing".to_string(), Json::Obj(timing.collect())),
+    ])
 }
 
 /// Appends `s` to `out` escaped for a JSON string literal (backslash,
-/// quote and control characters). The workspace's one escaper: the span
-/// writer here, `denovo_waste::Json` and the `tw-bench` documents all emit
-/// strings through it, so their bytes cannot drift apart.
+/// quote and control characters). The workspace's one escaper: [`Json`]
+/// (and through it the span writer here) and the hand-formatted `tw-bench`
+/// documents all emit strings through it, so their bytes cannot drift apart.
 pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {

@@ -16,6 +16,8 @@
 //! bad header, out-of-sequence `seq`, a line that is not a span object — is
 //! [`TraceError::Corrupt`] with the offense in the message.
 
+use crate::json::Json;
+
 /// Schema identifier carried by every trace header.
 pub const TRACE_SCHEMA: &str = "denovo-waste/flight/v1";
 
@@ -56,6 +58,15 @@ pub struct TraceSummary {
     pub spans: u64,
 }
 
+/// The header line of a trace of `spans` spans — the one definition of its
+/// shape, emitted by the writer and compared against by the reader.
+pub(crate) fn header(spans: u64) -> Json {
+    Json::Obj(vec![
+        ("schema".to_string(), Json::str(TRACE_SCHEMA)),
+        ("spans".to_string(), Json::UInt(spans)),
+    ])
+}
+
 /// Validates a trace's framing: header schema and span count, one
 /// well-formed span line per promised span, sequence numbers `0..N` in
 /// order, nothing after the last span.
@@ -65,148 +76,71 @@ pub struct TraceSummary {
 /// [`TraceError::Truncated`] when span lines are missing,
 /// [`TraceError::Corrupt`] for any other structural damage.
 pub fn validate_trace(text: &str) -> Result<TraceSummary, TraceError> {
+    let spans = parse_trace(text)?.len() as u64 - 1;
+    Ok(TraceSummary { spans })
+}
+
+/// Parses one line and reads its counter: `spans` of the header, `seq` of a
+/// span.
+fn parse_line(line: &str, counter: &str) -> Result<(Json, u64), String> {
+    let doc = Json::parse(line)?;
+    let n = doc.require(counter)?.as_u64()?;
+    Ok((doc, n))
+}
+
+/// Parses and validates a trace; returns its lines, header first.
+fn parse_trace(text: &str) -> Result<Vec<Json>, TraceError> {
+    let corrupt = TraceError::Corrupt;
     let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| TraceError::Corrupt("empty file".to_string()))?;
-    let expected = parse_header(header)?;
-    let mut found = 0u64;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
+    let first = lines.next().ok_or_else(|| corrupt("empty file".into()))?;
+    let (head, expected) =
+        parse_line(first, "spans").map_err(|e| corrupt(format!("header: {e}")))?;
+    if head != header(expected) {
+        let shape = header(expected).compact();
+        return Err(corrupt(format!("header must be exactly {shape}")));
+    }
+    let mut parsed = vec![head];
+    for line in lines.filter(|l| !l.is_empty()) {
+        let found = parsed.len() as u64 - 1;
         if found >= expected {
-            return Err(TraceError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "{} span lines after the {expected} the header promises",
                 found + 1 - expected
             )));
         }
-        let seq = parse_seq(line)
-            .ok_or_else(|| TraceError::Corrupt(format!("span line {found} is malformed")))?;
+        let (span, seq) = parse_line(line, "seq")
+            .map_err(|e| corrupt(format!("span line {found} is malformed: {e}")))?;
         if seq != found {
-            return Err(TraceError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "span line {found} carries seq {seq}; sequence numbers must be consecutive"
             )));
         }
-        found += 1;
+        parsed.push(span);
     }
+    let found = parsed.len() as u64 - 1;
     if found < expected {
         return Err(TraceError::Truncated { expected, found });
     }
-    Ok(TraceSummary { spans: expected })
+    Ok(parsed)
 }
 
-fn parse_header(header: &str) -> Result<u64, TraceError> {
-    let prefix = format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"spans\":");
-    let rest = header
-        .strip_prefix(prefix.as_str())
-        .ok_or_else(|| TraceError::Corrupt(format!("header must open with {prefix}...")))?;
-    let digits = rest
-        .strip_suffix('}')
-        .ok_or_else(|| TraceError::Corrupt("header must close with `}`".to_string()))?;
-    digits
-        .parse::<u64>()
-        .map_err(|_| TraceError::Corrupt(format!("header span count `{digits}` is not a number")))
-}
-
-/// Extracts the `seq` of a span line, requiring the exact serialized shape
-/// (`{"seq":N,"track":...` with a closing `}`).
-fn parse_seq(line: &str) -> Option<u64> {
-    let rest = line.strip_prefix("{\"seq\":")?;
-    if !line.ends_with('}') {
-        return None;
-    }
-    let end = rest.find(',')?;
-    let seq = rest[..end].parse::<u64>().ok()?;
-    rest[end..].starts_with(",\"track\":").then_some(seq)
-}
-
-/// Removes the `"timing":{...}` sub-object from one serialized span line.
-/// String-literal state is tracked, so attribute values containing the text
-/// `"timing"` are left alone; only the top-level key is stripped. Lines
-/// without a top-level `timing` key (the header) pass through unchanged.
+/// `line` without its top-level `timing` key, re-serialized compactly — for
+/// a line the writer produced, the same bytes minus the timing sub-object.
+/// Only the top-level key is dropped: the line is parsed, so attribute
+/// values containing the text `"timing"` are left alone. Lines without the
+/// key (the header) and lines that do not parse pass through unchanged.
 pub fn strip_timing(line: &str) -> String {
-    let bytes = line.as_bytes();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            i += 1;
-            continue;
-        }
-        match b {
-            b'"' => {
-                if depth == 1 && bytes[i..].starts_with(b"\"timing\":{") {
-                    // Find the matching close brace of the timing object.
-                    let value_start = i + "\"timing\":".len();
-                    if let Some(end) = object_end(bytes, value_start) {
-                        // Swallow the separating comma on whichever side has
-                        // one (the writer puts timing last, so usually the
-                        // preceding comma).
-                        let mut start = i;
-                        let mut stop = end;
-                        if start > 0 && bytes[start - 1] == b',' {
-                            start -= 1;
-                        } else if stop < bytes.len() && bytes[stop] == b',' {
-                            stop += 1;
-                        }
-                        let mut out = String::with_capacity(line.len());
-                        out.push_str(&line[..start]);
-                        out.push_str(&line[stop..]);
-                        return out;
-                    }
-                }
-                in_string = true;
-            }
-            b'{' => depth += 1,
-            b'}' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-        i += 1;
-    }
-    line.to_string()
+    Json::parse(line).map_or_else(|_| line.to_string(), without_timing)
 }
 
-/// Index one past the close brace of the object starting at `start`
-/// (`bytes[start]` must be `{`), honoring string literals.
-fn object_end(bytes: &[u8], start: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate().skip(start) {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
+fn without_timing(line: Json) -> String {
+    match line {
+        Json::Obj(mut fields) => {
+            fields.retain(|(key, _)| key != "timing");
+            Json::Obj(fields).compact()
         }
-        match b {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i + 1);
-                }
-            }
-            _ => {}
-        }
+        other => other.compact(),
     }
-    None
 }
 
 /// Validates a trace and returns its lines with timing stripped (header
@@ -217,12 +151,7 @@ fn object_end(bytes: &[u8], start: usize) -> Option<usize> {
 ///
 /// Any [`TraceError`] from [`validate_trace`].
 pub fn stripped_lines(text: &str) -> Result<Vec<String>, TraceError> {
-    validate_trace(text)?;
-    Ok(text
-        .lines()
-        .filter(|l| !l.is_empty())
-        .map(strip_timing)
-        .collect())
+    Ok(parse_trace(text)?.into_iter().map(without_timing).collect())
 }
 
 /// Diffs two traces modulo timing. `None` means identical; `Some` names the

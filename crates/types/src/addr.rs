@@ -10,8 +10,12 @@ use std::fmt;
 /// Size of a machine word in bytes (the coherence and profiling granularity).
 pub const WORD_BYTES: u64 = 4;
 
-/// Number of words per 64-byte cache line.
-pub const WORDS_PER_LINE: usize = 16;
+/// Size of a cache line in bytes — the one line size
+/// [`crate::SystemConfig::validate`] lets run.
+pub const LINE_BYTES: u64 = 64;
+
+/// Number of words per cache line.
+pub const WORDS_PER_LINE: usize = (LINE_BYTES / WORD_BYTES) as usize;
 
 /// A byte address in the simulated physical address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

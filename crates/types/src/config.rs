@@ -1,6 +1,6 @@
 //! Simulated system configuration (paper Table 4.1) and validation.
 
-use crate::addr::{WORDS_PER_LINE, WORD_BYTES};
+use crate::addr::{LINE_BYTES, WORD_BYTES};
 use crate::error::ConfigError;
 use crate::geometry::TileId;
 
@@ -31,7 +31,7 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            line_bytes: 64,
+            line_bytes: LINE_BYTES,
             l1_bytes: 32 * 1024,
             l1_ways: 8,
             l2_slice_bytes: 256 * 1024,
@@ -287,7 +287,7 @@ impl SystemConfig {
         let c = &self.cache;
         // `WordMask::FULL` and the waste profilers' chunking are a 16-word
         // line; any other size indexes out of bounds.
-        if c.line_bytes != WORDS_PER_LINE as u64 * WORD_BYTES {
+        if c.line_bytes != LINE_BYTES {
             return Err(ConfigError::new("line_bytes must be 64 (a 16-word line)"));
         }
         if c.l1_ways == 0 || c.l2_ways == 0 {

@@ -16,7 +16,7 @@
 //! assert_eq!(cfg.tiles(), 16);
 //! let a = Addr::new(0x1040);
 //! assert_eq!(LineAddr::containing(a, cfg.cache.line_bytes).byte(), 0x1040);
-//! assert!(ProtocolKind::DBypFull.is_denovo());
+//! assert!(ProtocolKind::DBypFull.l2_request_bypass());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,7 +35,7 @@ pub mod region;
 pub mod stats;
 pub mod trace;
 
-pub use addr::{Addr, LineAddr, WordIdx, WORDS_PER_LINE, WORD_BYTES};
+pub use addr::{Addr, LineAddr, WordIdx, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use config::{
     CacheConfig, DramConfig, NetworkModelKind, NocConfig, SystemConfig, TimingConfig, MAX_TILES,
 };

@@ -7,7 +7,7 @@
 //! write-combining table's pending-registration vector. [`WordMask`] is that
 //! set, stored as a `u16`.
 
-use crate::addr::{WordIdx, WORDS_PER_LINE};
+use crate::addr::WordIdx;
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitXor, Not, Sub};
 
@@ -94,15 +94,6 @@ impl WordMask {
     pub const fn difference(self, other: WordMask) -> WordMask {
         WordMask(self.0 & !other.0)
     }
-
-    /// Mask of the first `n` words of the line (`n` clamped to 16).
-    pub fn first_n(n: usize) -> WordMask {
-        if n >= WORDS_PER_LINE {
-            WordMask::FULL
-        } else {
-            WordMask(((1u32 << n) - 1) as u16)
-        }
-    }
 }
 
 impl BitOr for WordMask {
@@ -184,15 +175,8 @@ mod tests {
         assert_eq!((a - b).bits(), 0b0000_0011);
         assert_eq!((a ^ b).bits(), 0b0011_0011);
         assert_eq!((!a).bits(), 0b1111_1111_1111_0000);
-    }
-
-    #[test]
-    fn first_n_and_full() {
-        assert_eq!(WordMask::first_n(0), WordMask::EMPTY);
-        assert_eq!(WordMask::first_n(4).count(), 4);
-        assert_eq!(WordMask::first_n(16), WordMask::FULL);
-        assert_eq!(WordMask::first_n(100), WordMask::FULL);
-        assert!(WordMask::FULL.is_full());
+        assert!((!WordMask::EMPTY).is_full());
+        assert_eq!(WordMask::FULL.count(), crate::addr::WORDS_PER_LINE);
     }
 
     #[test]

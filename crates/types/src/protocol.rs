@@ -92,31 +92,6 @@ impl ProtocolKind {
             })
     }
 
-    /// Whether this is a DeNovo-family configuration.
-    pub const fn is_denovo(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::DeNovo
-                | ProtocolKind::DFlexL1
-                | ProtocolKind::DValidateL2
-                | ProtocolKind::DMemL1
-                | ProtocolKind::DFlexL2
-                | ProtocolKind::DBypL2
-                | ProtocolKind::DBypFull
-        )
-    }
-
-    /// Whether this is a MESI-family configuration.
-    pub const fn is_mesi(self) -> bool {
-        matches!(self, ProtocolKind::Mesi | ProtocolKind::MMemL1)
-    }
-
-    /// Whether this is a write-update (rather than write-invalidate)
-    /// configuration.
-    pub const fn is_update_based(self) -> bool {
-        matches!(self, ProtocolKind::Dragon)
-    }
-
     /// L2 write policy is write-validate (no memory fetch on L2 write miss).
     pub const fn l2_write_validate(self) -> bool {
         matches!(
@@ -213,27 +188,11 @@ mod tests {
         // the same order — the figure matrix depends on that prefix property.
         assert_eq!(ProtocolKind::PAPER.len(), 9);
         assert_eq!(&ProtocolKind::ALL[..9], &ProtocolKind::PAPER[..]);
-        assert!(ProtocolKind::PAPER.iter().all(|p| !p.is_update_based()));
-    }
-
-    #[test]
-    fn family_predicates_partition_the_registry() {
-        for p in ProtocolKind::ALL {
-            let families = [p.is_mesi(), p.is_denovo(), p.is_update_based()];
-            assert_eq!(
-                families.iter().filter(|f| **f).count(),
-                1,
-                "{p} must belong to exactly one family"
-            );
-        }
     }
 
     #[test]
     fn dragon_is_update_based_and_inclusive() {
         let p = ProtocolKind::Dragon;
-        assert!(p.is_update_based());
-        assert!(!p.is_mesi());
-        assert!(!p.is_denovo());
         // Dragon is fetch-on-write with whole-line writebacks, like MESI.
         assert!(!p.l2_write_validate());
         assert!(!p.dirty_words_only_writeback());
@@ -277,7 +236,6 @@ mod tests {
 
     #[test]
     fn mesi_variants() {
-        assert!(ProtocolKind::Mesi.is_mesi());
         assert!(!ProtocolKind::Mesi.mem_to_l1());
         assert!(ProtocolKind::MMemL1.mem_to_l1());
         assert!(!ProtocolKind::MMemL1.flex_on_chip());
@@ -285,7 +243,6 @@ mod tests {
 
     #[test]
     fn denovo_baselines() {
-        assert!(ProtocolKind::DeNovo.is_denovo());
         assert!(!ProtocolKind::DeNovo.l2_write_validate());
         assert!(ProtocolKind::DFlexL1.flex_on_chip());
         assert!(!ProtocolKind::DFlexL1.flex_at_memory());
