@@ -22,7 +22,8 @@ pub fn builtin(args: &Args) -> Result<ExitCode, String> {
 }
 
 /// Every sweep axis of the spec, then the compiled cells with their
-/// identity (workload ref, variant geometry, protocol, cache key).
+/// identity (workload ref, variant geometry, protocol, cache key); a cell
+/// that is the same machine as an earlier one names it instead.
 pub fn show(args: &Args) -> Result<ExitCode, String> {
     let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
     let session = Session::new();
@@ -74,15 +75,21 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
             sys.network.name(),
         );
     }
-    for cell in &plan.cells {
+    let groups = session.groups(&plan);
+    for (i, (cell, (key, leader))) in plan.cells.iter().zip(&groups).enumerate() {
+        let identity = if *leader == i {
+            format!("workload {:<24}", cell.workload_ref.to_string())
+        } else {
+            format!("= {:<31}", plan.cells[*leader].name_from(cell))
+        };
         println!(
-            "  {:<28} {:<10} workload {:<24} key {}",
+            "  {:<28} {:<10} {identity} key {key}",
             cell.label,
             cell.protocol.name(),
-            cell.workload_ref.to_string(),
-            session.key_of(cell),
         );
     }
+    let distinct = groups.iter().enumerate().filter(|(i, g)| g.1 == *i).count();
+    println!("{} cells, {distinct} distinct", plan.cells.len());
     Ok(ExitCode::SUCCESS)
 }
 

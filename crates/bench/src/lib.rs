@@ -318,7 +318,9 @@ mod tests {
             vec![BenchmarkKind::Fft, BenchmarkKind::Radix],
             ScaleProfile::Tiny,
         );
-        let outcome = Session::new().run(&spec, &WorkloadSet::new()).unwrap();
+        let session = Session::new();
+        let plan = session.compile(&spec, &WorkloadSet::new()).unwrap();
+        let outcome = session.execute(&plan).unwrap();
         let update = update_vs_invalidate_figure(ScaleProfile::Tiny);
         let json = results_json(&outcome, ScaleProfile::Tiny, &update).unwrap();
         // Structural sanity without a JSON parser: balanced delimiters and
@@ -352,7 +354,16 @@ mod tests {
 
         let stats = cache_stats_json(&outcome.name, &outcome.cache);
         assert!(stats.contains("\"hits\": 0"));
-        assert!(stats.contains("\"misses\": 10"));
+        // One simulation per distinct machine: neither input has a
+        // communication region, so DFlexL1 is DeNovo's machine on both.
+        let machines: std::collections::BTreeSet<_> = plan
+            .cells
+            .iter()
+            .map(|c| (&c.row, c.protocol.effective_for(&c.workload.regions)))
+            .collect();
+        assert!(machines.len() < 10, "the spec has alias cells");
+        assert!(stats.contains(&format!("\"misses\": {}", machines.len())));
+        assert!(stats.contains(&format!("\"coalesced\": {}", 10 - machines.len())));
     }
 
     #[test]

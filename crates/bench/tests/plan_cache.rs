@@ -24,18 +24,36 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// How many simulations a cold run of `spec` takes: one per distinct
+/// machine, counted by the rule itself — a cell whose protocol adds only
+/// what its workload's annotations cannot exercise is the machine below it.
+fn distinct_machines(spec: &ExperimentSpec) -> u64 {
+    let plan = spec.compile(&WorkloadSet::new()).unwrap();
+    let machines: std::collections::BTreeSet<_> = plan
+        .cells
+        .iter()
+        .map(|c| (&c.row, c.protocol.effective_for(&c.workload.regions)))
+        .collect();
+    machines.len() as u64
+}
+
 #[test]
 fn warm_rerun_of_the_full_tiny_matrix_is_bit_identical_and_10x_faster() {
     let dir = fresh_dir("warm-rerun");
     let spec = ExperimentSpec::full_matrix(ScaleProfile::Tiny);
     let session = Session::new().with_cache_dir(&dir);
     let none = WorkloadSet::new();
+    let machines = distinct_machines(&spec);
+    assert!(machines < 54, "the paper matrix has alias cells");
 
     let cold_started = Instant::now();
     let cold = session.run(&spec, &none).unwrap();
     let cold_elapsed = cold_started.elapsed();
-    assert_eq!(cold.cache.hits, 0);
-    assert_eq!(cold.cache.misses, 54);
+    assert_eq!(
+        (cold.cache.hits, cold.cache.misses, cold.cache.coalesced),
+        (0, machines, 54 - machines)
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count() as u64, machines);
 
     let warm_started = Instant::now();
     let warm = session.run(&spec, &none).unwrap();
@@ -202,7 +220,10 @@ fn warm_flit_level_rerun_is_bit_identical_and_10x_faster() {
     let cold_started = Instant::now();
     let cold = session.run(&spec, &none).unwrap();
     let cold_elapsed = cold_started.elapsed();
-    assert_eq!((cold.cache.hits, cold.cache.misses), (0, 54));
+    assert_eq!(
+        (cold.cache.hits, cold.cache.misses),
+        (0, distinct_machines(&spec))
+    );
 
     let warm_started = Instant::now();
     let warm = session.run(&spec, &none).unwrap();

@@ -108,3 +108,42 @@ fn corrupt_and_truncated_traces_are_rejected_with_named_errors() {
         Err(TraceError::Corrupt(_))
     ));
 }
+
+/// A cell that is the same machine as an earlier one is not simulated, and
+/// its track says so: one `cell` span naming the cell that was, no `phase`
+/// or `run` span. Which cell leads is decided by the plan, not by a race, so
+/// the trace still byte-diffs across reruns.
+#[test]
+fn an_alias_cell_names_its_representative_and_records_no_simulation() {
+    // FFT carries no communication region: DFlexL1 is DeNovo's machine.
+    let spec = ExperimentSpec::subset(
+        vec![ProtocolKind::DeNovo, ProtocolKind::DFlexL1],
+        vec![BenchmarkKind::Fft],
+        ScaleProfile::Tiny,
+    );
+    let (trace, _) = recorded_run(&spec);
+    let lines = stripped_lines(&trace).unwrap();
+    let on_track = |track: &str| -> Vec<&String> {
+        let needle = format!("\"track\":\"{track}\"");
+        lines.iter().filter(|l| l.contains(&needle)).collect()
+    };
+    let alias = on_track("FFT/DFlexL1");
+    assert_eq!(alias.len(), 1, "{alias:?}");
+    assert!(
+        alias[0].ends_with(
+            "\"name\":\"cell\",\"attrs\":{\"outcome\":\"coalesced\",\"alias_of\":\"DeNovo\"}}"
+        ),
+        "{}",
+        alias[0]
+    );
+    let leader = on_track("FFT/DeNovo");
+    assert!(leader.iter().any(|l| l.contains("\"name\":\"run\"")));
+    assert!(leader.iter().any(|l| l.contains("\"name\":\"phase\"")));
+    assert!(leader
+        .last()
+        .unwrap()
+        .ends_with("\"name\":\"cell\",\"attrs\":{\"outcome\":\"simulated\"}}"));
+
+    let (again, _) = recorded_run(&spec);
+    assert_eq!(diff_traces(&trace, &again).unwrap(), None);
+}

@@ -877,6 +877,32 @@ pub struct PlannedCell {
     pub system: SystemConfig,
 }
 
+impl PlannedCell {
+    /// The protocol whose machine this cell simulates: its own, unless the
+    /// workload's region annotations cannot exercise what it adds (see
+    /// [`ProtocolKind::effective_for`]). Cells that agree on it, on the
+    /// workload content and on the system are one simulation.
+    pub fn effective_protocol(&self) -> ProtocolKind {
+        self.protocol.effective_for(&self.workload.regions)
+    }
+
+    /// The cell's flight-recorder track and display name,
+    /// `<label>/<protocol>`.
+    pub fn track(&self) -> String {
+        format!("{}/{}", self.label, self.protocol.name())
+    }
+
+    /// How `other` refers to this cell: by protocol alone within one row,
+    /// by the whole track across rows.
+    pub fn name_from(&self, other: &PlannedCell) -> String {
+        if self.label == other.label {
+            self.protocol.name().to_string()
+        } else {
+            self.track()
+        }
+    }
+}
+
 /// The output of [`ExperimentSpec::compile`]: every cell resolved and ready
 /// to execute.
 #[derive(Debug, Clone)]

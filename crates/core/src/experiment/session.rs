@@ -1,13 +1,16 @@
 //! Plan execution through a content-addressed result cache.
 //!
-//! A [`Session`] turns a compiled plan into a [`PlanOutcome`]. Cells fan out
-//! on the rayon pool exactly like the old matrix runner; the difference is
-//! the cache in front of the simulator. The cache key of a cell digests
-//! **everything that determines its `SimReport`**:
+//! A [`Session`] turns a compiled plan into a [`PlanOutcome`]. The plan's
+//! cells are grouped by cache key, one cell per distinct key fans out on the
+//! rayon pool, and every cell of a group is handed that one report. The
+//! cache key of a cell digests **everything that determines its
+//! `SimReport`** (bar the protocol label the report carries):
 //!
 //! * the workload's canonical trace bytes (via its content digest),
 //! * the fully-resolved [`SystemConfig`] (every result-affecting field),
-//! * the protocol,
+//! * the protocol whose machine the cell simulates
+//!   ([`PlannedCell::effective_protocol`]): a protocol feature the
+//!   workload's annotations cannot exercise does not make a new key,
 //! * the barrier overhead of the run configuration, and
 //! * [`ENGINE_VERSION`] — bumped whenever simulation semantics change, which
 //!   retires every stale entry at once.
@@ -50,10 +53,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Cells simulated (and, when a cache directory is configured, stored).
     pub misses: u64,
-    /// Cells served from the in-process single-flight table instead of
-    /// simulating: the cell's key was already being (or had already been)
-    /// computed by this session, so the duplicate shared the leader's report
-    /// rather than paying a second simulation.
+    /// Cells served from memory instead of simulating: by the first cell of
+    /// the plan with the same key, or by the in-process single-flight table
+    /// (the key was being, or had been, computed for another request of
+    /// this session).
     pub coalesced: u64,
 }
 
@@ -103,8 +106,20 @@ enum CellSource {
     DiskHit,
     /// Simulated by this call (the single-flight leader).
     Simulated,
-    /// Shared from the single-flight table without simulating.
+    /// Shared from the single-flight table, or from the cell's leader in
+    /// the plan, without simulating.
     Coalesced,
+}
+
+impl CellSource {
+    /// The `outcome` attribute of the cell's span.
+    fn name(self) -> &'static str {
+        match self {
+            CellSource::DiskHit => "disk_hit",
+            CellSource::Simulated => "simulated",
+            CellSource::Coalesced => "coalesced",
+        }
+    }
 }
 
 /// State shared by every clone of a [`Session`]: the in-process
@@ -112,10 +127,11 @@ enum CellSource {
 /// temp-file sweep marker.
 #[derive(Debug, Default)]
 struct SessionState {
-    /// One slot per cache key being computed by this session.
-    /// Duplicate-key cells — two same-content workloads in one plan, or two
-    /// concurrent daemon requests — wait on the leader's slot instead of
-    /// simulating again. A session without a cache directory retains its
+    /// One slot per cache key being computed by this session. A cell of a
+    /// concurrent request with the same key — two daemon clients submitting
+    /// overlapping plans — waits on the leader's slot instead of simulating
+    /// again (duplicates within one plan are grouped before they get here).
+    /// A session without a cache directory retains its
     /// completed slots: the table is its only result cache. A session with
     /// one drops a slot as soon as the leader has stored the entry, so a
     /// long-lived daemon's table holds only what is in flight.
@@ -148,7 +164,8 @@ pub struct SessionCounters {
 /// Clones share one single-flight table and one workload memo, so a session
 /// handed to several threads (the daemon's worker pool) never simulates the
 /// same cache key twice concurrently and generates each benchmark workload
-/// once.
+/// once. Within one plan the same holds by construction: `execute` runs one
+/// cell per distinct key.
 #[derive(Debug, Clone)]
 pub struct Session {
     cache_dir: Option<PathBuf>,
@@ -231,7 +248,11 @@ impl Session {
         }
     }
 
-    /// Executes a compiled plan.
+    /// Executes a compiled plan: one run per distinct cache key, every cell
+    /// of a key handed that report under its own protocol's name. How a
+    /// cell is counted depends on the plan and the cache's state, never on
+    /// timing: a group's leader as what it did, the rest of the group as
+    /// `hits` if the leader read the report from disk, else `coalesced`.
     pub fn execute(&self, plan: &CompiledPlan) -> Result<PlanOutcome, ExperimentError> {
         if let Some(dir) = &self.cache_dir {
             std::fs::create_dir_all(dir).map_err(|e| {
@@ -248,21 +269,58 @@ impl Session {
                 let _ = sweep_temp_files(dir, TEMP_SWEEP_AGE);
             }
         }
-        let results: Vec<Result<(SimReport, CellSource), ExperimentError>> = plan
-            .cells
-            .par_iter()
-            .map(|cell| self.run_cell(cell))
+        // Each distinct machine runs once: only the leaders fan out, so a
+        // duplicate never parks a worker on its leader's slot while another
+        // key waits for a core.
+        let groups = self.groups(plan);
+        let leaders: Vec<usize> = (0..plan.cells.len())
+            .filter(|&i| groups[i].1 == i)
             .collect();
+        let results: Vec<Result<(SimReport, CellSource), ExperimentError>> = leaders
+            .par_iter()
+            .map(|&i| self.run_cell(&plan.cells[i], groups[i].0))
+            .collect();
+        let mut led = BTreeMap::new();
+        for (&i, result) in leaders.iter().zip(results) {
+            led.insert(i, result?);
+        }
 
         let mut reports = BTreeMap::new();
         let mut cache = CacheStats::default();
-        for (cell, result) in plan.cells.iter().zip(results) {
-            let (report, source) = result?;
+        // Last to first, so that a leader — the first cell of its group — is
+        // reached after everyone it serves and gives its report away: only
+        // a duplicate costs a copy (PERFORMANCE.md, PR 21, has what copying
+        // every report on this thread did to peak RSS).
+        for (i, cell) in plan.cells.iter().enumerate().rev() {
+            let leader = groups[i].1;
+            let (mut report, led_source) = if leader == i {
+                led.remove(&i).expect("every leader ran")
+            } else {
+                led[&leader].clone()
+            };
+            // The leader counts as what it did; the rest of its group was
+            // served by it — from the disk if that is where it found the
+            // report, from memory otherwise.
+            let source = if leader == i || led_source == CellSource::DiskHit {
+                led_source
+            } else {
+                CellSource::Coalesced
+            };
             match source {
                 CellSource::DiskHit => cache.hits += 1,
                 CellSource::Simulated => cache.misses += 1,
                 CellSource::Coalesced => cache.coalesced += 1,
             }
+            if leader != i {
+                if let Some(sink) = &self.recorder {
+                    sink.with_track(cell.track()).emit(
+                        Span::event("cell")
+                            .attr("outcome", source.name())
+                            .attr("alias_of", plan.cells[leader].name_from(cell)),
+                    );
+                }
+            }
+            report.protocol = cell.protocol;
             reports.insert((cell.row.clone(), cell.protocol), report);
         }
         Ok(PlanOutcome {
@@ -277,27 +335,45 @@ impl Session {
     }
 
     /// The cache key of one planned cell under this session's run
-    /// configuration.
+    /// configuration: the identity of the machine it simulates, so cells
+    /// that differ only in a protocol feature their workload cannot
+    /// exercise share one key and one entry.
     pub fn key_of(&self, cell: &PlannedCell) -> Digest {
         cache_key(
             cell.workload_ref.digest,
             &cell.system,
-            cell.protocol,
+            cell.effective_protocol(),
             self.barrier_overhead,
             ENGINE_VERSION,
         )
     }
 
-    fn run_cell(&self, cell: &PlannedCell) -> Result<(SimReport, CellSource), ExperimentError> {
+    /// Every cell's cache key and the index of its group's leader — the
+    /// first cell of the plan with that key (a leader's index is its own).
+    /// A pure function of the plan: [`Session::execute`] runs the leaders
+    /// and hands their reports to the rest.
+    pub fn groups(&self, plan: &CompiledPlan) -> Vec<(Digest, usize)> {
+        let mut first = BTreeMap::new();
+        plan.cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                let key = self.key_of(cell);
+                (key, *first.entry(key).or_insert(i))
+            })
+            .collect()
+    }
+
+    fn run_cell(
+        &self,
+        cell: &PlannedCell,
+        key: Digest,
+    ) -> Result<(SimReport, CellSource), ExperimentError> {
         // Timers exist only when a recorder is attached, so the unrecorded
         // path pays one Option probe per cell, nothing per op.
-        let sink = self
-            .recorder
-            .as_ref()
-            .map(|s| s.with_track(format!("{}/{}", cell.label, cell.protocol.name())));
+        let sink = self.recorder.as_ref().map(|s| s.with_track(cell.track()));
         let timer = || sink.as_ref().map(|_| Instant::now());
         let micros = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_micros() as u64);
-        let key = self.key_of(cell);
         let path = self
             .cache_dir
             .as_ref()
@@ -353,40 +429,25 @@ impl Session {
                 stored?;
             }
         }
-        let outcome = match source {
-            CellSource::DiskHit => "disk_hit",
-            CellSource::Simulated => "simulated",
-            CellSource::Coalesced => "coalesced",
-        };
-        emit_cell_span(&sink, outcome, probe_us, sim_us, store_us);
+        // The outcome is the deterministic payload; every wall-clock
+        // measurement is quarantined in `timing`.
+        if let Some(sink) = &sink {
+            sink.emit(
+                Span::event("cell")
+                    .attr("outcome", source.name())
+                    .timing_us("probe_us", probe_us)
+                    .timing_us("sim_us", sim_us)
+                    .timing_us("store_us", store_us),
+            );
+        }
         Ok((report, source))
     }
 
     fn simulate(&self, cell: &PlannedCell, sink: Option<&SpanSink>) -> SimReport {
-        let mut cfg = SimConfig::new(cell.protocol).with_system(cell.system.clone());
+        let mut cfg = SimConfig::new(cell.effective_protocol()).with_system(cell.system.clone());
         cfg.barrier_overhead = self.barrier_overhead;
         cfg.recorder = sink.cloned();
         Simulator::new(cfg, &cell.workload).run()
-    }
-}
-
-/// Emits one per-cell span: the coalesce outcome in the deterministic
-/// payload, every wall-clock measurement quarantined in `timing`.
-fn emit_cell_span(
-    sink: &Option<SpanSink>,
-    outcome: &str,
-    probe_us: u64,
-    sim_us: u64,
-    store_us: u64,
-) {
-    if let Some(sink) = sink {
-        sink.emit(
-            Span::event("cell")
-                .attr("outcome", outcome)
-                .timing_us("probe_us", probe_us)
-                .timing_us("sim_us", sim_us)
-                .timing_us("store_us", store_us),
-        );
     }
 }
 
@@ -420,7 +481,10 @@ fn store_entry(
             "workload".to_string(),
             Json::str(cell.workload_ref.to_string()),
         ),
-        ("protocol".to_string(), Json::str(cell.protocol.name())),
+        (
+            "protocol".to_string(),
+            Json::str(cell.effective_protocol().name()),
+        ),
         ("report".to_string(), codec::report_to_json(report)),
     ]);
     // Two cells can legitimately share a key (same content under two

@@ -76,7 +76,7 @@ pub(crate) fn header(spans: u64) -> Json {
 /// [`TraceError::Truncated`] when span lines are missing,
 /// [`TraceError::Corrupt`] for any other structural damage.
 pub fn validate_trace(text: &str) -> Result<TraceSummary, TraceError> {
-    let spans = parse_trace(text)?.len() as u64 - 1;
+    let spans = walk_trace(text, |_| {})?;
     Ok(TraceSummary { spans })
 }
 
@@ -88,8 +88,9 @@ fn parse_line(line: &str, counter: &str) -> Result<(Json, u64), String> {
     Ok((doc, n))
 }
 
-/// Parses and validates a trace; returns its lines, header first.
-fn parse_trace(text: &str) -> Result<Vec<Json>, TraceError> {
+/// Parses and validates a trace, handing each line to `each` as it is
+/// accepted (header first); returns the number of span lines.
+fn walk_trace(text: &str, mut each: impl FnMut(Json)) -> Result<u64, TraceError> {
     let corrupt = TraceError::Corrupt;
     let mut lines = text.lines();
     let first = lines.next().ok_or_else(|| corrupt("empty file".into()))?;
@@ -99,9 +100,9 @@ fn parse_trace(text: &str) -> Result<Vec<Json>, TraceError> {
         let shape = header(expected).compact();
         return Err(corrupt(format!("header must be exactly {shape}")));
     }
-    let mut parsed = vec![head];
+    each(head);
+    let mut found = 0;
     for line in lines.filter(|l| !l.is_empty()) {
-        let found = parsed.len() as u64 - 1;
         if found >= expected {
             return Err(corrupt(format!(
                 "{} span lines after the {expected} the header promises",
@@ -115,13 +116,13 @@ fn parse_trace(text: &str) -> Result<Vec<Json>, TraceError> {
                 "span line {found} carries seq {seq}; sequence numbers must be consecutive"
             )));
         }
-        parsed.push(span);
+        each(span);
+        found += 1;
     }
-    let found = parsed.len() as u64 - 1;
     if found < expected {
         return Err(TraceError::Truncated { expected, found });
     }
-    Ok(parsed)
+    Ok(found)
 }
 
 /// `line` without its top-level `timing` key, re-serialized compactly — for
@@ -151,7 +152,9 @@ fn without_timing(line: Json) -> String {
 ///
 /// Any [`TraceError`] from [`validate_trace`].
 pub fn stripped_lines(text: &str) -> Result<Vec<String>, TraceError> {
-    Ok(parse_trace(text)?.into_iter().map(without_timing).collect())
+    let mut stripped = Vec::new();
+    walk_trace(text, |line| stripped.push(without_timing(line)))?;
+    Ok(stripped)
 }
 
 /// Diffs two traces modulo timing. `None` means identical; `Some` names the

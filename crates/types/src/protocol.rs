@@ -9,6 +9,7 @@
 //! the invalidate-vs-update axis of the coherence design space under the
 //! same waste taxonomy.
 
+use crate::region::RegionTable;
 use std::fmt;
 
 /// One of the protocol configurations in the registry: the nine the paper
@@ -151,6 +152,30 @@ impl ProtocolKind {
         matches!(self, ProtocolKind::DBypFull)
     }
 
+    /// The configuration whose machine this one *is* on an application
+    /// carrying `regions`: a feature that acts only through a software
+    /// annotation no region has cannot be exercised, so the rung collapses
+    /// onto the one below it. `DFlexL1` adds only [`Self::flex_on_chip`] to
+    /// `DeNovo`, and Flex needs a communication region; `DBypL2` and
+    /// `DBypFull` add only [`Self::l2_response_bypass`] and
+    /// [`Self::l2_request_bypass`] to `DFlexL2`, and both act on
+    /// bypass-annotated regions. Everything else is the identity — also the
+    /// pairs that merely happen to report equal numbers on some input: the
+    /// rule reads annotations and predicates, never a result.
+    pub fn effective_for(self, regions: &RegionTable) -> ProtocolKind {
+        match self {
+            ProtocolKind::DFlexL1 if !regions.iter().any(|r| r.comm.is_some()) => {
+                ProtocolKind::DeNovo
+            }
+            ProtocolKind::DBypL2 | ProtocolKind::DBypFull
+                if !regions.iter().any(|r| r.bypass.bypasses_l2()) =>
+            {
+                ProtocolKind::DFlexL2
+            }
+            other => other,
+        }
+    }
+
     /// Short name used in figures and reports.
     pub const fn name(self) -> &'static str {
         match self {
@@ -258,6 +283,44 @@ mod tests {
         assert!(p.flex_at_memory());
         assert!(p.l2_response_bypass());
         assert!(p.l2_request_bypass());
+    }
+
+    #[test]
+    fn an_unexercisable_rung_is_the_rung_below() {
+        use crate::addr::Addr;
+        use crate::region::{BypassKind, CommRegion, RegionId, RegionInfo};
+        let table = |comm: bool, bypass: bool| {
+            let mut info = RegionInfo::plain(RegionId(1), "data", Addr::new(0), 4096);
+            if comm {
+                info.comm = Some(CommRegion::whole_object(64));
+            }
+            if bypass {
+                info.bypass = BypassKind::StreamingOncePerPhase;
+            }
+            let mut regions = RegionTable::new();
+            regions.insert(info);
+            regions
+        };
+        use ProtocolKind::*;
+        for (comm, bypass) in [(false, false), (false, true), (true, false), (true, true)] {
+            let regions = table(comm, bypass);
+            for p in ProtocolKind::ALL {
+                let want = match p {
+                    DFlexL1 if !comm => DeNovo,
+                    DBypL2 | DBypFull if !bypass => DFlexL2,
+                    p => p,
+                };
+                let got = p.effective_for(&regions);
+                assert_eq!(got, want, "{p} with comm={comm} bypass={bypass}");
+                // A representative stands for itself: the rule never chains.
+                assert_eq!(got.effective_for(&regions), got);
+            }
+        }
+        // No annotation at all is the annotation-free case.
+        let empty = RegionTable::new();
+        assert_eq!(DFlexL1.effective_for(&empty), DeNovo);
+        assert_eq!(DBypFull.effective_for(&empty), DFlexL2);
+        assert_eq!(DFlexL2.effective_for(&empty), DFlexL2);
     }
 
     #[test]
