@@ -19,9 +19,47 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Prints, per simulated cell and in total, how much of the waste
+/// profilers' line-granular work the one-mask paths served: memory chunks
+/// that had to leave the uniform representation, and line finalisations one
+/// arrival group held whole. Counts, not timings — the same on every run.
+fn print_fast_path_shares(spans: &[tw_obs::Span]) {
+    const KEYS: [&str; 4] = [
+        "mem_chunks",
+        "mem_chunk_spills",
+        "line_finalizes",
+        "line_finalizes_batched",
+    ];
+    let share = |part: u64, of: u64| 100.0 * part as f64 / of.max(1) as f64;
+    let row = |label: &str, [chunks, spills, finalizes, batched]: [u64; 4]| {
+        println!(
+            "  {label:<44} {chunks:>9} chunks {:>6.2}% spilled  {finalizes:>9} line finalisations {:>6.2}% batched",
+            share(spills, chunks),
+            share(batched, finalizes),
+        );
+    };
+    println!("profiler fast paths per simulated cell:");
+    let mut total = [0u64; 4];
+    let mut spilling = 0;
+    let mut cells = 0;
+    // Cells finish in a racy order; list them by track.
+    let mut runs: Vec<&tw_obs::Span> = spans.iter().filter(|s| s.name == "run").collect();
+    runs.sort_by(|a, b| a.track.cmp(&b.track));
+    for s in runs {
+        let counts = KEYS.map(|k| s.attr_u64(k).unwrap_or(0));
+        row(&s.track, counts);
+        for (t, c) in total.iter_mut().zip(counts) {
+            *t += c;
+        }
+        spilling += usize::from(counts[1] > 0);
+        cells += 1;
+    }
+    row(&format!("total ({spilling} of {cells} cells spill)"), total);
+}
+
 /// Prints the hot-spot report out of a recorded run: wall throughput, the
-/// per-outcome-class time budget, and the top-N hottest cells by recorded
-/// wall time (probe + simulate + store).
+/// per-outcome-class time budget, the top-N hottest cells by recorded wall
+/// time (probe + simulate + store), and the profilers' fast-path shares.
 fn print_profile(rec: &FlightRecorder, cells: usize, wall: std::time::Duration, top: usize) {
     let spans = rec.spans();
     let mut cell_rows: Vec<(String, String, u64)> = Vec::new();
@@ -75,6 +113,7 @@ fn print_profile(rec: &FlightRecorder, cells: usize, wall: std::time::Duration, 
             *us as f64 / 1e3,
         );
     }
+    print_fast_path_shares(&spans);
 }
 
 /// Exit 0 when identical modulo the quarantined `timing` sub-objects, 1 at

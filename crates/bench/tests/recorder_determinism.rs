@@ -147,3 +147,33 @@ fn an_alias_cell_names_its_representative_and_records_no_simulation() {
     let (again, _) = recorded_run(&spec);
     assert_eq!(diff_traces(&trace, &again).unwrap(), None);
 }
+
+/// The work counters of the `run` span are pure functions of the inputs, so
+/// the Tiny matrix's totals are pinned: a change that silently stops a
+/// memory chunk staying uniform, or a line finalisation being served by one
+/// arrival group, moves a count here rather than (maybe) a timing somewhere.
+/// A change that moves them on purpose re-pins them and says why.
+#[test]
+fn the_tiny_matrix_fast_path_counters_are_pinned() {
+    let spec = ExperimentSpec::full_matrix(ScaleProfile::Tiny);
+    let rec = Arc::new(FlightRecorder::new());
+    let session = Session::new().with_recorder(SpanSink::new(Arc::clone(&rec), "test"));
+    session.run(&spec, &WorkloadSet::new()).unwrap();
+    let spans = rec.spans();
+    let runs: Vec<_> = spans.iter().filter(|s| s.name == "run").collect();
+    assert_eq!(runs.len(), 46, "one simulation per distinct machine");
+    let total = |key: &str| -> u64 {
+        runs.iter()
+            .map(|s| s.attr_u64(key).expect("every run span carries it"))
+            .sum()
+    };
+    assert_eq!(
+        [
+            total("mem_chunks"),
+            total("mem_chunk_spills"),
+            total("line_finalizes"),
+            total("line_finalizes_batched"),
+        ],
+        [69_069, 724, 133_793, 122_998]
+    );
+}

@@ -308,19 +308,24 @@ impl<'wl> Simulator<'wl> {
         let last = self.clocks.iter().copied().fold(Stamp::at(0), Stamp::max);
         self.engine.finish(last);
         if let Some(sink) = &self.engine.cfg.recorder {
+            // Work counters of the waste profilers, summed over the cache
+            // levels: what the hash tables cost, and how many line events
+            // and memory chunks the one-mask paths served.
             let (mut probes, mut resizes) = (0u64, 0u64);
-            for prof in &self.engine.l1_prof {
+            let (mut finalizes, mut batched) = (0u64, 0u64);
+            let caches = self.engine.l1_prof.iter().chain([&self.engine.l2_prof]);
+            for prof in caches {
                 let (_, p, r) = prof.pending_table_stats();
+                let (f, b) = prof.finalize_stats();
                 probes += p;
                 resizes += r;
+                finalizes += f;
+                batched += b;
             }
-            for (_, p, r) in [
-                self.engine.l2_prof.pending_table_stats(),
-                self.engine.mem_prof.pending_table_stats(),
-            ] {
-                probes += p;
-                resizes += r;
-            }
+            let (_, p, r) = self.engine.mem_prof.pending_table_stats();
+            probes += p;
+            resizes += r;
+            let (mem_chunks, mem_chunk_spills) = self.engine.mem_prof.chunk_stats();
             sink.emit(
                 Span::event("run")
                     .attr("protocol", self.engine.cfg.protocol.name())
@@ -331,7 +336,11 @@ impl<'wl> Simulator<'wl> {
                     .attr("sends", self.engine.net.sends)
                     .attr("net_stalls", self.engine.net.timed_stall_cycles())
                     .attr("map_probes", probes)
-                    .attr("map_resizes", resizes),
+                    .attr("map_resizes", resizes)
+                    .attr("mem_chunks", mem_chunks)
+                    .attr("mem_chunk_spills", mem_chunk_spills)
+                    .attr("line_finalizes", finalizes)
+                    .attr("line_finalizes_batched", batched),
             );
         }
         let eng = self.engine;

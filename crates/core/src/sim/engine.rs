@@ -74,6 +74,10 @@ pub(crate) struct Net {
     noc: NocConfig,
     /// `noc.words_per_flit()` as an `f64`, cached off the per-message path.
     words_per_flit: f64,
+    /// Per payload size `0..=max_data_words`: the packet, and the flits of it
+    /// charged as control traffic (`control_flits + unfilled_data_flits`).
+    /// Both are functions of the word count and the configuration alone.
+    sizes: Vec<(PacketSize, f64)>,
     /// Messages sent, for flight-recorder spans. Observer lane only.
     pub(crate) sends: u64,
 }
@@ -95,11 +99,24 @@ impl Net {
             NetworkModelKind::Analytic => None,
             kind => Some(model_for(kind, noc.clone())),
         };
+        let sizes = (0..=noc.max_data_words())
+            .map(|words| {
+                let size = match words {
+                    0 => PacketSize::control_only(),
+                    _ => PacketSize::with_data_words(&noc, words),
+                };
+                // Control flit(s) plus the unfilled fraction of the last
+                // data flit.
+                let ctl_flits = size.control_flits as f64 + size.unfilled_data_flits(&noc);
+                (size, ctl_flits)
+            })
+            .collect();
         Net {
             mesh: Mesh::new(noc.clone()),
             timed,
             traffic: TrafficBreakdown::new(),
             words_per_flit: noc.words_per_flit() as f64,
+            sizes,
             noc,
             sends: 0,
         }
@@ -117,16 +134,13 @@ impl Net {
         data_words: usize,
         now: Stamp,
     ) -> Delivery {
-        debug_assert!(
-            data_words <= self.noc.max_data_words(),
-            "oversized payload must be split by the caller"
-        );
         self.sends += 1;
-        let size = if data_words == 0 {
-            PacketSize::control_only()
-        } else {
-            PacketSize::with_data_words(&self.noc, data_words)
-        };
+        if data_words >= self.sizes.len() {
+            // The caller must split the payload: refused with the packet
+            // limit's own message.
+            PacketSize::with_data_words(&self.noc, data_words);
+        }
+        let (size, ctl_flits) = self.sizes[data_words];
         let (canon, hops) = self.mesh.send_counted(from, to, size, now.canon);
         let hops = hops as f64;
         let timed = match &mut self.timed {
@@ -151,9 +165,7 @@ impl Net {
             _ if kind.is_request() => TrafficBucket::ReqCtl,
             _ => TrafficBucket::RespCtl,
         };
-        // Control flit(s) plus the unfilled fraction of the last data flit.
-        let ctl_hops = hops * (size.control_flits as f64 + size.unfilled_data_flits(&self.noc));
-        self.traffic.add(class, ctl_bucket, ctl_hops);
+        self.traffic.add(class, ctl_bucket, hops * ctl_flits);
 
         let per_word_hops = if data_words == 0 {
             0.0
@@ -579,6 +591,34 @@ mod tests {
         for kind in ProtocolKind::ALL {
             assert!(err.contains(kind.name()), "{err} must list {kind}");
         }
+    }
+
+    #[test]
+    fn net_resolves_every_payload_size_once() {
+        let noc = NocConfig::default();
+        let net = Net::new(noc.clone(), NetworkModelKind::Analytic);
+        assert_eq!(net.sizes.len(), noc.max_data_words() + 1);
+        assert_eq!(net.sizes[0], (PacketSize::control_only(), 1.0));
+        for (words, &(size, ctl_flits)) in net.sizes.iter().enumerate().skip(1) {
+            assert_eq!(size, PacketSize::with_data_words(&noc, words));
+            assert_eq!(
+                ctl_flits.to_bits(),
+                (size.control_flits as f64 + size.unfilled_data_flits(&noc)).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 16-word packet limit")]
+    fn net_refuses_an_oversized_payload_in_the_packet_limits_words() {
+        let mut net = Net::new(NocConfig::default(), NetworkModelKind::Analytic);
+        net.send(
+            TileId(0),
+            TileId(1),
+            MessageKind::DataToL1,
+            17,
+            Stamp::at(0),
+        );
     }
 
     #[test]

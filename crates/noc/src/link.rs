@@ -73,6 +73,20 @@ pub(crate) fn xy_step(cur: MeshCoord, goal: MeshCoord) -> (usize, MeshCoord) {
     }
 }
 
+/// The dense link indices of the XY route from `src` to `dst`, from a fresh
+/// coordinate walk: what the mesh's route table is checked against.
+#[cfg(test)]
+pub(crate) fn walk_coordinates(cols: usize, src: TileId, dst: TileId) -> Vec<usize> {
+    let (mut cur, goal) = (src.coord(cols), dst.coord(cols));
+    let mut route = Vec::new();
+    while cur != goal {
+        let (dir, next) = xy_step(cur, goal);
+        route.push(link_index(cols, cur, dir));
+        cur = next;
+    }
+    route
+}
+
 /// Occupancy bookkeeping for one link.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LinkState {

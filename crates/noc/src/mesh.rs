@@ -5,6 +5,23 @@ use crate::model::NetworkModel;
 use crate::packet::PacketSize;
 use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
 
+/// Dense indices (`link::link_index`) of the links a packet from `src` to
+/// `dst` crosses under XY dimension-order routing, in order. The one route
+/// walker of this module: [`Routes`] is built from it and [`xy_route`] names
+/// its links.
+fn xy_links(cols: usize, src: TileId, dst: TileId) -> impl Iterator<Item = usize> {
+    let mut cur = src.coord(cols);
+    let goal = dst.coord(cols);
+    std::iter::from_fn(move || {
+        (cur != goal).then(|| {
+            let (dir, next) = xy_step(cur, goal);
+            let idx = link_index(cols, cur, dir);
+            cur = next;
+            idx
+        })
+    })
+}
+
 /// The sequence of links a packet from `src` to `dst` traverses under XY
 /// dimension-order routing (X first, then Y). Empty when `src == dst`.
 ///
@@ -12,19 +29,9 @@ use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
 /// which is what makes flit-hop traffic — `hops × flits`, independent of timing —
 /// identical across them by construction.
 pub fn xy_route(cfg: &NocConfig, src: TileId, dst: TileId) -> Vec<LinkId> {
-    let cols = cfg.cols;
-    let mut cur = src.coord(cols);
-    let goal = dst.coord(cols);
-    let mut links = Vec::with_capacity(cur.hops_to(goal));
-    while cur != goal {
-        let (_, next) = xy_step(cur, goal);
-        links.push(LinkId {
-            from: cur.tile(cols),
-            to: next.tile(cols),
-        });
-        cur = next;
-    }
-    links
+    xy_links(cfg.cols, src, dst)
+        .map(|idx| link_at(cfg.cols, idx))
+        .collect()
 }
 
 /// Latency of a packet on an unloaded network: one router pipeline and one
@@ -35,6 +42,54 @@ pub fn unloaded_latency(cfg: &NocConfig, hops: usize, size: PacketSize) -> Cycle
         return cfg.router_latency;
     }
     hops as Cycle * (cfg.router_latency + cfg.link_latency) + (size.total_flits() as Cycle - 1)
+}
+
+/// Every XY route of a mesh, resolved when the mesh is built: under
+/// dimension-order routing a route is a function of `(src, dst)` alone, so
+/// a send looks its links up instead of re-deriving coordinates per hop.
+#[derive(Debug, Clone)]
+struct Routes {
+    tiles: usize,
+    /// The dense link indices of every route, back to back.
+    links: Vec<u16>,
+    /// `(offset into links, hops)` of the route of pair `src * tiles + dst`.
+    pairs: Vec<(u32, u16)>,
+}
+
+impl Routes {
+    fn new(cfg: &NocConfig) -> Self {
+        let tiles = cfg.cols * cfg.rows;
+        let mut links = Vec::new();
+        let mut pairs = Vec::with_capacity(tiles * tiles);
+        for src in 0..tiles {
+            for dst in 0..tiles {
+                let offset = links.len();
+                links.extend(
+                    xy_links(cfg.cols, TileId(src), TileId(dst))
+                        .map(|idx| u16::try_from(idx).expect("dense link index fits u16")),
+                );
+                // A route never crosses a link twice, so its length fits the
+                // type its link indices do.
+                pairs.push((
+                    u32::try_from(offset).expect("route table offset fits u32"),
+                    (links.len() - offset) as u16,
+                ));
+            }
+        }
+        Routes {
+            tiles,
+            links,
+            pairs,
+        }
+    }
+
+    /// The dense link indices of the route from `src` to `dst`.
+    #[inline(always)]
+    fn get(&self, src: TileId, dst: TileId) -> &[u16] {
+        debug_assert!(src.0 < self.tiles && dst.0 < self.tiles);
+        let (offset, hops) = self.pairs[src.0 * self.tiles + dst.0];
+        &self.links[offset as usize..offset as usize + hops as usize]
+    }
 }
 
 /// The on-chip mesh interconnect.
@@ -48,6 +103,7 @@ pub struct Mesh {
     /// Per-link occupancy in a dense array indexed by `link::link_index`
     /// (`tile * 4 + direction`).
     links: Vec<LinkState>,
+    routes: Routes,
     flit_hops: f64,
     packets: u64,
 }
@@ -57,6 +113,7 @@ impl Mesh {
     pub fn new(cfg: NocConfig) -> Self {
         Mesh {
             links: vec![LinkState::default(); dense_links(&cfg)],
+            routes: Routes::new(&cfg),
             cfg,
             flit_hops: 0.0,
             packets: 0,
@@ -71,13 +128,17 @@ impl Mesh {
     /// Number of link traversals between two tiles under XY routing
     /// (the Manhattan distance).
     pub fn hops(&self, src: TileId, dst: TileId) -> usize {
-        src.coord(self.cfg.cols).hops_to(dst.coord(self.cfg.cols))
+        self.routes.get(src, dst).len()
     }
 
     /// The sequence of links a packet from `src` to `dst` traverses
     /// (X dimension first, then Y). Empty when `src == dst`.
     pub fn route(&self, src: TileId, dst: TileId) -> Vec<LinkId> {
-        xy_route(&self.cfg, src, dst)
+        self.routes
+            .get(src, dst)
+            .iter()
+            .map(|&idx| link_at(self.cfg.cols, idx as usize))
+            .collect()
     }
 
     /// Flit-hops generated by sending a packet of `size` from `src` to `dst`,
@@ -101,28 +162,21 @@ impl Mesh {
         now: Cycle,
     ) -> (Cycle, usize) {
         self.packets += 1;
-        // Walk the XY route in place — same hop sequence as `xy_route`,
-        // without materializing the link list (this runs once per message).
-        let cols = self.cfg.cols;
-        let mut cur = src.coord(cols);
-        let goal = dst.coord(cols);
+        let route = self.routes.get(src, dst);
         let flits = size.total_flits();
-        let hops = cur.hops_to(goal);
+        let hops = route.len();
         self.flit_hops += (hops * flits) as f64;
 
-        if cur == goal {
+        if hops == 0 {
             return (now + self.cfg.router_latency, 0);
         }
 
         let mut head_time = now;
-        while cur != goal {
-            let (dir, next) = xy_step(cur, goal);
-            let idx = link_index(cols, cur, dir);
-            let (start, _wait) = self.links[idx].reserve(head_time, flits);
+        for &idx in route {
+            let (start, _wait) = self.links[idx as usize].reserve(head_time, flits);
             // Head flit leaves this router `router_latency` after winning the
             // link, and spends `link_latency` on the wire.
             head_time = start + self.cfg.router_latency + self.cfg.link_latency;
-            cur = next;
         }
         // The tail flit follows the head by (flits - 1) cycles of serialization.
         (head_time + (flits as Cycle - 1), hops)
@@ -171,6 +225,7 @@ impl NetworkModel for Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::walk_coordinates;
 
     fn mesh() -> Mesh {
         Mesh::new(NocConfig::default())
@@ -286,5 +341,104 @@ mod tests {
         }
         let (_, state) = m.link_states().next().expect("one link used");
         assert_eq!(state.flits, 10);
+    }
+
+    /// The shapes the route table is checked on: the paper's, both oblong
+    /// orientations, a single column, and the 64-tile ceiling.
+    const SHAPES: [(usize, usize); 5] = [(4, 4), (2, 8), (8, 2), (1, 4), (8, 8)];
+
+    fn shaped(cols: usize, rows: usize) -> NocConfig {
+        NocConfig {
+            cols,
+            rows,
+            ..NocConfig::default()
+        }
+    }
+
+    #[test]
+    fn every_table_route_is_the_coordinate_walk() {
+        for (cols, rows) in SHAPES {
+            let m = Mesh::new(shaped(cols, rows));
+            let tiles = cols * rows;
+            for src in (0..tiles).map(TileId) {
+                for dst in (0..tiles).map(TileId) {
+                    let walked = walk_coordinates(cols, src, dst);
+                    let table: Vec<usize> =
+                        m.routes.get(src, dst).iter().map(|&i| i as usize).collect();
+                    assert_eq!(table, walked, "{cols}x{rows} {src}->{dst}");
+                    assert_eq!(m.hops(src, dst), walked.len());
+                    let named: Vec<LinkId> = walked.iter().map(|&i| link_at(cols, i)).collect();
+                    assert_eq!(m.route(src, dst), named);
+                    assert_eq!(xy_route(m.config(), src, dst), named);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_dense_link_index_fits_the_table_at_the_tile_ceiling() {
+        use tw_types::MAX_TILES;
+        // `SystemConfig::validate` refuses more tiles than this; a row of
+        // them is the shape with the longest routes.
+        for (cols, rows) in [(8, 8), (MAX_TILES, 1), (1, MAX_TILES)] {
+            let cfg = shaped(cols, rows);
+            assert!(dense_links(&cfg) - 1 <= u16::MAX as usize);
+            let m = Mesh::new(cfg);
+            assert_eq!(m.routes.pairs.len(), MAX_TILES * MAX_TILES);
+            assert_eq!(m.hops(TileId(0), TileId(MAX_TILES - 1)), cols + rows - 2);
+        }
+    }
+
+    #[test]
+    fn sends_match_a_reference_that_walks_coordinates() {
+        // Seeded (SplitMix64), so a failure names the same send every run.
+        let mut state = 0x5EED_u64;
+        let mut next = move |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        for (cols, rows) in SHAPES {
+            let cfg = shaped(cols, rows);
+            let (r, l) = (cfg.router_latency, cfg.link_latency);
+            let tiles = cols * rows;
+            let mut m = Mesh::new(cfg.clone());
+            let mut links = vec![LinkState::default(); dense_links(&cfg)];
+            let mut now = 0;
+            for i in 0..10_000 {
+                let (src, dst) = (TileId(next(tiles)), TileId(next(tiles)));
+                let size = match next(cfg.max_data_words() + 1) {
+                    0 => PacketSize::control_only(),
+                    words => PacketSize::with_data_words(&cfg, words),
+                };
+                // Bursts at one cycle, so links are contended.
+                now += next(4) as Cycle;
+                let flits = size.total_flits();
+                let route = walk_coordinates(cols, src, dst);
+                let mut expect = now + r;
+                if !route.is_empty() {
+                    let mut head = now;
+                    for &idx in &route {
+                        head = links[idx].reserve(head, flits).0 + r + l;
+                    }
+                    expect = head + (flits as Cycle - 1);
+                }
+                assert_eq!(
+                    m.send_counted(src, dst, size, now),
+                    (expect, route.len()),
+                    "{cols}x{rows} send {i}: {src}->{dst}"
+                );
+            }
+            assert!(m.total_queueing_cycles() > 0, "{cols}x{rows} never queued");
+            for (idx, (got, want)) in m.links.iter().zip(&links).enumerate() {
+                assert_eq!(
+                    (got.busy_until, got.flits, got.queueing_cycles),
+                    (want.busy_until, want.flits, want.queueing_cycles),
+                    "{cols}x{rows} link {idx}"
+                );
+            }
+        }
     }
 }

@@ -72,6 +72,14 @@ impl Span {
         self
     }
 
+    /// The integer attribute `key`, if the span carries one.
+    pub fn attr_u64(&self, key: &str) -> Option<u64> {
+        self.attrs.iter().find_map(|(k, v)| match v {
+            AttrValue::U64(n) if k == key => Some(*n),
+            _ => None,
+        })
+    }
+
     /// Appends one wall-clock field (microseconds) to the quarantined
     /// `timing` sub-object.
     #[must_use]
@@ -100,5 +108,8 @@ mod tests {
             ]
         );
         assert_eq!(s.timing, vec![("wall_us".to_string(), 17)]);
+        assert_eq!(s.attr_u64("phase"), Some(3));
+        assert_eq!(s.attr_u64("proto"), None, "a string, not an integer");
+        assert_eq!(s.attr_u64("absent"), None);
     }
 }

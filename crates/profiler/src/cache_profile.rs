@@ -125,18 +125,61 @@ impl Chunk {
         }
     }
 
-    /// Removes word `w` (which must be pending) and returns its record.
-    fn take(&mut self, w: usize) -> (f64, MessageClass, bool) {
+    /// Removes word `w` (which must be pending) and returns its group as the
+    /// removal left it: the word's record, and `words == 0` if it was the
+    /// group's last.
+    fn take(&mut self, w: usize) -> Group {
         let bit = 1u16 << w;
         debug_assert!(self.mask & bit != 0);
         self.mask &= !bit;
         for g in self.groups_mut() {
             if g.words & bit != 0 {
                 g.words &= !bit;
-                return (g.flit_hops, g.class, g.update);
+                return *g;
             }
         }
         unreachable!("pending word belongs to a group");
+    }
+
+    /// Removes the pending words `hit` and records each as `category`, in
+    /// ascending word order. When one arrival group holds them all — every
+    /// full-line fill is one group — they share one record and one report
+    /// bucket, so that is one mask operation and one batched record.
+    /// Returns `(batched, emptied)`: whether that path served the call, and
+    /// whether some group lost its last word (the chunk then wants
+    /// [`Chunk::compact`], unless it is empty and about to be removed).
+    fn finalize(
+        &mut self,
+        hit: u16,
+        category: WasteCategory,
+        report: &mut WasteReport,
+    ) -> (bool, bool) {
+        debug_assert!(hit != 0 && self.mask & hit == hit);
+        let holder = self.groups_mut().find(|g| g.words & hit == hit).map(|g| {
+            g.words &= !hit;
+            *g
+        });
+        if let Some(g) = holder {
+            self.mask &= !hit;
+            report.record_n(
+                classify(category, g.update),
+                g.class,
+                g.flit_hops,
+                hit.count_ones(),
+            );
+            return (true, g.words == 0);
+        }
+        // Groups of differing flit-hops can share a report bucket, and its
+        // f64 sum must accumulate in the order the per-word calls would.
+        let (mut left, mut emptied) = (hit, false);
+        while left != 0 {
+            let w = left.trailing_zeros() as usize;
+            left &= left - 1;
+            let g = self.take(w);
+            emptied |= g.words == 0;
+            report.record(classify(category, g.update), g.class, g.flit_hops);
+        }
+        (false, emptied)
     }
 
     fn groups_mut(&mut self) -> impl Iterator<Item = &mut Group> {
@@ -145,7 +188,8 @@ impl Chunk {
             .chain(self.spill.iter_mut())
     }
 
-    /// Drops emptied groups so the scan in [`Chunk::take`] stays short.
+    /// Drops emptied groups so the scan in [`Chunk::take`] stays short. Only
+    /// worth calling when a group just emptied.
     fn compact(&mut self) {
         self.spill.retain(|g| g.words != 0);
         let mut i = 0;
@@ -185,6 +229,10 @@ pub struct CacheWasteProfiler {
     // unclassified), which keeps it hot in the host cache.
     pending: FastMap<Chunk>,
     report: WasteReport,
+    /// Line events that finalized at least one word, and how many of them
+    /// one arrival group served. Observer lane only.
+    line_finalizes: u64,
+    line_finalizes_batched: u64,
 }
 
 impl CacheWasteProfiler {
@@ -194,6 +242,8 @@ impl CacheWasteProfiler {
             level,
             pending: FastMap::new(),
             report: WasteReport::new(),
+            line_finalizes: 0,
+            line_finalizes_batched: 0,
         }
     }
 
@@ -215,6 +265,13 @@ impl CacheWasteProfiler {
     pub fn pending_table_stats(&self) -> (usize, u64, u64) {
         let (probes, resizes) = self.pending.probe_stats();
         (self.pending.len(), probes, resizes)
+    }
+
+    /// `(line events that finalized a word, those one arrival group served
+    /// with one mask operation)` so far, for flight-recorder spans. Observer
+    /// lane only.
+    pub fn finalize_stats(&self) -> (u64, u64) {
+        (self.line_finalizes, self.line_finalizes_batched)
     }
 
     /// A word arrived at the cache in a response of class `class`, having
@@ -289,9 +346,12 @@ impl CacheWasteProfiler {
         // All Fetch records of this call share (class, flit_hops) and land in
         // one report bucket, so recording them after the pending update sums
         // the same addends the interleaved per-word loop would.
-        for _ in 0..fetch_bits.count_ones() {
-            self.report.record(WasteCategory::Fetch, class, flit_hops);
-        }
+        self.report.record_n(
+            WasteCategory::Fetch,
+            class,
+            flit_hops,
+            fetch_bits.count_ones(),
+        );
     }
 
     fn finalize(&mut self, addr: Addr, category: WasteCategory) -> bool {
@@ -302,14 +362,14 @@ impl CacheWasteProfiler {
         if chunk.mask & (1u16 << w) == 0 {
             return false;
         }
-        let (flit_hops, class, update) = chunk.take(w);
+        let g = chunk.take(w);
         if chunk.mask == 0 {
             self.pending.remove(key);
-        } else {
+        } else if g.words == 0 {
             chunk.compact();
         }
         self.report
-            .record(classify(category, update), class, flit_hops);
+            .record(classify(category, g.update), g.class, g.flit_hops);
         true
     }
 
@@ -326,23 +386,16 @@ impl CacheWasteProfiler {
         };
         let line_bits = (words.bits() as u32) << w0;
         debug_assert!(line_bits <= u16::MAX as u32, "line spans a 64-byte chunk");
-        let mut hit = chunk.mask as u32 & line_bits;
+        let hit = (chunk.mask as u32 & line_bits) as u16;
         if hit == 0 {
             return;
         }
-        // Ascending word order, as the per-word loop recorded: a chunk can
-        // hold groups of differing flit-hops in the same report bucket, and
-        // the f64 sums must accumulate in the identical order.
-        while hit != 0 {
-            let w = hit.trailing_zeros() as usize;
-            hit &= hit - 1;
-            let (flit_hops, class, update) = chunk.take(w);
-            self.report
-                .record(classify(category, update), class, flit_hops);
-        }
+        let (batched, emptied) = chunk.finalize(hit, category, &mut self.report);
+        self.line_finalizes += 1;
+        self.line_finalizes_batched += u64::from(batched);
         if chunk.mask == 0 {
             self.pending.remove(key);
-        } else {
+        } else if emptied {
             chunk.compact();
         }
     }
@@ -409,14 +462,7 @@ impl CacheWasteProfiler {
         leftovers.sort_unstable();
         for key in leftovers {
             let chunk = self.pending.get_mut(key).expect("key just listed");
-            let mut rem = chunk.mask;
-            while rem != 0 {
-                let w = rem.trailing_zeros() as usize;
-                rem &= rem - 1;
-                let (flit_hops, class, update) = chunk.take(w);
-                self.report
-                    .record(classify(WasteCategory::Unevicted, update), class, flit_hops);
-            }
+            chunk.finalize(chunk.mask, WasteCategory::Unevicted, &mut self.report);
         }
         self.report
     }
@@ -587,13 +633,53 @@ mod tests {
         b.evicted_words(line.word_addr(WordIdx(0)), evicted);
         b.invalidated_words(line.word_addr(WordIdx(0)), invalidated);
         assert_eq!(a.pending_words(), b.pending_words());
+        assert_eq!(b.finalize_stats(), (3, 3), "one group held every hit");
+
+        // A second line: two load-class groups whose hop counts differ (and
+        // are not dyadic) interleaved word by word, plus an update-born
+        // group. One eviction spans all three, so `Evict`/`Load` takes
+        // addends of both sizes and the per-word order decides its bits.
+        let line = LineAddr::from_aligned(0x2480);
+        let line0 = line.word_addr(WordIdx(0));
+        let near = WordMask::from_bits(0b0000_0101_0101_0101);
+        let far = WordMask::from_bits(0b0000_1010_1010_1010);
+        let pushed = WordMask::from_bits(0b0011_0000_0000_0000);
+        for (words, hops) in [(near, 1.0 / 3.0), (far, 7.0 / 3.0)] {
+            for w in words.iter() {
+                a.arrive(line.word_addr(w), false, hops, MessageClass::Load);
+            }
+            b.arrive_words(line0, words, WordMask::EMPTY, hops, MessageClass::Load);
+        }
+        for w in pushed.iter() {
+            a.updated(line.word_addr(w), 2.0 / 3.0);
+            b.updated(line.word_addr(w), 2.0 / 3.0);
+        }
+        let spanning = WordMask::from_bits(0b0001_0011_1111_1100);
+        for w in spanning.iter() {
+            a.evicted(line.word_addr(w));
+        }
+        b.evicted_words(line0, spanning);
+        assert_eq!(b.finalize_stats(), (4, 3), "no one group held that hit");
+        // What is left of `near` is one group again.
+        b.loaded_words(line0, near);
+        for w in near.iter() {
+            a.loaded(line.word_addr(w));
+        }
+        assert_eq!(b.finalize_stats(), (5, 4));
+        assert_eq!(a.pending_words(), b.pending_words());
+
         let (ra, rb) = (a.finish(), b.finish());
+        assert_eq!(rb.words(WasteCategory::Update), 2, "one evicted, one left");
         for cat in WasteCategory::ALL {
             assert_eq!(ra.words(cat), rb.words(cat), "{cat}");
         }
         for class in [MessageClass::Load, MessageClass::Store] {
             for cat in WasteCategory::ALL {
-                assert_eq!(ra.flit_hops(class, cat), rb.flit_hops(class, cat));
+                assert_eq!(
+                    ra.flit_hops(class, cat).to_bits(),
+                    rb.flit_hops(class, cat).to_bits(),
+                    "{class:?} {cat}"
+                );
             }
         }
     }

@@ -20,6 +20,15 @@ use tw_types::{Addr, FastMap, MessageClass, WordMask, WORD_BYTES};
 const CHUNK_SHIFT: u32 = 6;
 const CHUNK_WORDS: usize = 16;
 
+/// `words` of a line whose first word is word `w0` of its chunk, as bits of
+/// the chunk.
+#[inline(always)]
+fn chunk_bits(words: WordMask, w0: usize) -> u16 {
+    let bits = (words.bits() as u32) << w0;
+    debug_assert!(bits <= u16::MAX as u32, "line spans a 64-byte chunk");
+    bits as u16
+}
+
 /// Chunk key and word-within-chunk index of a word-aligned byte address.
 #[inline(always)]
 fn chunk_of(byte: u64) -> (u64, usize) {
@@ -29,53 +38,98 @@ fn chunk_of(byte: u64) -> (u64, usize) {
     )
 }
 
+/// What a chunk stores once its words stop sharing one record: per word,
+/// the *oldest* pending instance's flit-hops in `oldest` (its presence bit
+/// is in [`Chunk::mask`]) and younger instances of the same word in `spill`,
+/// in arrival order.
+#[derive(Debug, Clone)]
+struct Rest {
+    oldest: [f64; CHUNK_WORDS],
+    spill: Vec<(u8, f64)>,
+}
+
 /// Pending instances of one 64-byte chunk.
 ///
-/// Per word, the *oldest* pending instance's flit-hops live inline in
-/// `oldest` (with its presence bit in `mask`); younger instances of the same
-/// word spill to `spill` in arrival order. Nearly every word has at most one
-/// pending instance, so the spill vector stays empty and allocation-free.
+/// While `rest` is `None` every word of `mask` has exactly one pending
+/// instance and they all carry `uniform` flit-hops — what a line fetched by
+/// one response looks like — so a line event is one mask operation. `rest`
+/// is built the first time that stops being true (a word gets a second
+/// instance, or a response with another hop count lands in the chunk) and
+/// stays until the chunk drains and is removed; which representation a chunk
+/// is in follows from the events it saw and nothing else.
 #[derive(Debug, Clone)]
 struct Chunk {
     mask: u16,
-    oldest: [f64; CHUNK_WORDS],
-    spill: Vec<(u8, f64)>,
+    uniform: f64,
+    rest: Option<Box<Rest>>,
 }
 
 impl Chunk {
     fn empty() -> Self {
         Chunk {
             mask: 0,
-            oldest: [0.0; CHUNK_WORDS],
-            spill: Vec::new(),
+            uniform: 0.0,
+            rest: None,
         }
     }
 
     fn instances(&self) -> usize {
-        self.mask.count_ones() as usize + self.spill.len()
+        self.mask.count_ones() as usize + self.rest.as_ref().map_or(0, |r| r.spill.len())
     }
 
-    fn push(&mut self, w: usize, flit_hops: f64) {
-        let bit = 1u16 << w;
-        if self.mask & bit == 0 {
-            self.mask |= bit;
-            self.oldest[w] = flit_hops;
-        } else {
-            self.spill.push((w as u8, flit_hops));
+    /// Adds one instance of every word of `words`, in ascending word order,
+    /// each carrying `flit_hops`. Returns whether this built `rest`.
+    fn push(&mut self, words: u16, flit_hops: f64) -> bool {
+        if self.rest.is_none() {
+            if self.mask == 0 {
+                self.uniform = flit_hops;
+            }
+            if self.mask & words == 0 && self.uniform.to_bits() == flit_hops.to_bits() {
+                self.mask |= words;
+                return false;
+            }
         }
+        let built = self.rest.is_none();
+        let uniform = self.uniform;
+        // Slots of words outside `mask` are never read.
+        let rest = self.rest.get_or_insert_with(|| {
+            Box::new(Rest {
+                oldest: [uniform; CHUNK_WORDS],
+                spill: Vec::new(),
+            })
+        });
+        let mut left = words;
+        while left != 0 {
+            let w = left.trailing_zeros() as usize;
+            left &= left - 1;
+            let bit = 1u16 << w;
+            if self.mask & bit == 0 {
+                self.mask |= bit;
+                rest.oldest[w] = flit_hops;
+            } else {
+                rest.spill.push((w as u8, flit_hops));
+            }
+        }
+        built
     }
 
     /// Removes and returns the most recent instance of word `w`, if any.
     fn pop_newest(&mut self, w: usize) -> Option<f64> {
-        if let Some(i) = self.spill.iter().rposition(|&(sw, _)| sw as usize == w) {
-            return Some(self.spill.remove(i).1);
-        }
         let bit = 1u16 << w;
-        if self.mask & bit != 0 {
-            self.mask &= !bit;
-            return Some(self.oldest[w]);
+        // A spilled instance is always younger than a pending inline one, so
+        // a clear bit means no instance at all.
+        if self.mask & bit == 0 {
+            return None;
         }
-        None
+        let Some(rest) = &mut self.rest else {
+            self.mask &= !bit;
+            return Some(self.uniform);
+        };
+        if let Some(i) = rest.spill.iter().rposition(|&(sw, _)| sw as usize == w) {
+            return Some(rest.spill.remove(i).1);
+        }
+        self.mask &= !bit;
+        Some(rest.oldest[w])
     }
 
     /// Removes and returns the oldest instance of word `w`, if any.
@@ -84,13 +138,47 @@ impl Chunk {
         if self.mask & bit == 0 {
             return None;
         }
-        let hops = self.oldest[w];
-        if let Some(i) = self.spill.iter().position(|&(sw, _)| sw as usize == w) {
-            self.oldest[w] = self.spill.remove(i).1;
+        let Some(rest) = &mut self.rest else {
+            self.mask &= !bit;
+            return Some(self.uniform);
+        };
+        let hops = rest.oldest[w];
+        if let Some(i) = rest.spill.iter().position(|&(sw, _)| sw as usize == w) {
+            rest.oldest[w] = rest.spill.remove(i).1;
         } else {
             self.mask &= !bit;
         }
         Some(hops)
+    }
+
+    /// Classifies as `category` the oldest instance of each word of `words`
+    /// (every instance when `drain`), in ascending word order. A uniform
+    /// chunk has one instance per word and one record for all of them, so
+    /// there it is one mask operation and one batched record.
+    fn classify_oldest(
+        &mut self,
+        words: u16,
+        drain: bool,
+        category: WasteCategory,
+        report: &mut WasteReport,
+    ) {
+        if self.rest.is_none() {
+            let hit = self.mask & words;
+            self.mask &= !hit;
+            report.record_n(category, MessageClass::Load, self.uniform, hit.count_ones());
+            return;
+        }
+        let mut left = self.mask & words;
+        while left != 0 {
+            let w = left.trailing_zeros() as usize;
+            left &= left - 1;
+            while let Some(hops) = self.pop_oldest(w) {
+                report.record(category, MessageClass::Load, hops);
+                if !drain {
+                    break;
+                }
+            }
+        }
     }
 }
 
@@ -104,6 +192,10 @@ pub struct MemoryWasteProfiler {
     // flight, which keeps it hot in the host cache.
     pending: FastMap<Chunk>,
     report: WasteReport,
+    /// Chunks inserted into `pending`, and how many of them built a `Rest`.
+    /// Observer lane only.
+    chunks: u64,
+    spills: u64,
 }
 
 impl MemoryWasteProfiler {
@@ -124,6 +216,22 @@ impl MemoryWasteProfiler {
         (self.pending.len(), probes, resizes)
     }
 
+    /// `(chunks inserted, chunks that left the uniform representation)` so
+    /// far, for flight-recorder spans: the share of chunks the one-mask
+    /// paths do not serve. Observer lane only.
+    pub fn chunk_stats(&self) -> (u64, u64) {
+        (self.chunks, self.spills)
+    }
+
+    /// Adds one pending instance of each word of `words` (chunk-relative
+    /// bits) of chunk `key`.
+    fn push(&mut self, key: u64, words: u16, flit_hops: f64) {
+        let chunk = self.pending.get_or_insert_with(key, Chunk::empty);
+        // Drained chunks are removed, so an empty one was inserted just now.
+        self.chunks += u64::from(chunk.mask == 0);
+        self.spills += u64::from(chunk.push(words, flit_hops));
+    }
+
     /// A word was sent from memory onto the chip.
     ///
     /// `l2_already_present` is true when the L2 already holds the address, in
@@ -137,9 +245,7 @@ impl MemoryWasteProfiler {
                 .record(WasteCategory::Fetch, MessageClass::Load, flit_hops);
         } else {
             let (key, w) = chunk_of(addr.word_aligned().byte());
-            self.pending
-                .get_or_insert_with(key, Chunk::empty)
-                .push(w, flit_hops);
+            self.push(key, 1 << w, flit_hops);
         }
         id
     }
@@ -159,21 +265,16 @@ impl MemoryWasteProfiler {
         }
         self.next_id += words.count() as u64;
         if l2_already_present {
-            for _ in 0..words.count() {
-                self.report
-                    .record(WasteCategory::Fetch, MessageClass::Load, flit_hops);
-            }
+            self.report.record_n(
+                WasteCategory::Fetch,
+                MessageClass::Load,
+                flit_hops,
+                words.count() as u32,
+            );
             return;
         }
         let (key, w0) = chunk_of(line0.word_aligned().byte());
-        debug_assert!(
-            (words.bits() as u32) << w0 <= u16::MAX as u32,
-            "line spans a 64-byte chunk"
-        );
-        let chunk = self.pending.get_or_insert_with(key, Chunk::empty);
-        for w in words.iter() {
-            chunk.push(w0 + w.index(), flit_hops);
-        }
+        self.push(key, chunk_bits(words, w0), flit_hops);
     }
 
     /// A word was read by DRAM but dropped at the memory controller because
@@ -243,12 +344,12 @@ impl MemoryWasteProfiler {
         let Some(chunk) = self.pending.get_mut(key) else {
             return;
         };
-        for w in words.iter() {
-            if let Some(hops) = chunk.pop_oldest(w0 + w.index()) {
-                self.report
-                    .record(WasteCategory::Evict, MessageClass::Load, hops);
-            }
-        }
+        chunk.classify_oldest(
+            chunk_bits(words, w0),
+            false,
+            WasteCategory::Evict,
+            &mut self.report,
+        );
         if chunk.mask == 0 {
             self.pending.remove(key);
         }
@@ -278,12 +379,7 @@ impl MemoryWasteProfiler {
         keys.sort_unstable();
         for key in keys {
             let chunk = self.pending.get_mut(key).expect("key just listed");
-            for w in 0..CHUNK_WORDS {
-                while let Some(hops) = chunk.pop_oldest(w) {
-                    self.report
-                        .record(WasteCategory::Unevicted, MessageClass::Load, hops);
-                }
-            }
+            chunk.classify_oldest(u16::MAX, true, WasteCategory::Unevicted, &mut self.report);
         }
         self.report
     }
@@ -428,5 +524,227 @@ mod tests {
                 rb.flit_hops(MessageClass::Load, cat)
             );
         }
+    }
+
+    /// Word-granular reference: per address, the pending instances' flit-hops
+    /// in arrival order.
+    #[derive(Default)]
+    struct Reference {
+        pending: std::collections::BTreeMap<u64, std::collections::VecDeque<f64>>,
+        report: WasteReport,
+    }
+
+    impl Reference {
+        fn fetched(&mut self, a: Addr, present: bool, hops: f64) {
+            if present {
+                self.report
+                    .record(WasteCategory::Fetch, MessageClass::Load, hops);
+            } else {
+                self.pending.entry(a.byte()).or_default().push_back(hops);
+            }
+        }
+
+        /// Classifies the newest (`back`) or oldest instance of `a`, or all
+        /// of them oldest first (`drain`).
+        fn classify(&mut self, a: Addr, back: bool, drain: bool, cat: WasteCategory) {
+            let class = if cat == WasteCategory::Write {
+                MessageClass::Store
+            } else {
+                MessageClass::Load
+            };
+            let Some(q) = self.pending.get_mut(&a.byte()) else {
+                return;
+            };
+            while let Some(hops) = if back { q.pop_back() } else { q.pop_front() } {
+                self.report.record(cat, class, hops);
+                if !drain {
+                    break;
+                }
+            }
+        }
+
+        fn instances(&self) -> usize {
+            self.pending.values().map(|q| q.len()).sum()
+        }
+
+        fn finish(mut self) -> WasteReport {
+            for a in self.pending.keys().copied().collect::<Vec<_>>() {
+                self.classify(Addr::new(a), false, true, WasteCategory::Unevicted);
+            }
+            self.report
+        }
+    }
+
+    /// Every entry of a report, flit-hop sums by their bits.
+    fn report_bits(r: &WasteReport) -> Vec<String> {
+        r.words_iter()
+            .map(|(cat, n)| format!("{cat}: {n} words"))
+            .chain(
+                r.flit_hops_iter()
+                    .map(|(class, cat, h)| format!("{class:?} {cat}: {:#018x}", h.to_bits())),
+            )
+            .collect()
+    }
+
+    #[test]
+    fn random_events_match_the_word_granular_reference() {
+        use tw_types::{LineAddr, WordIdx};
+        // The dev profile keeps the suite quick; CI runs this in release.
+        let events = if cfg!(debug_assertions) {
+            100_000
+        } else {
+            1_000_000
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let mut p = MemoryWasteProfiler::new();
+        let mut r = Reference::default();
+        for i in 1..=events {
+            let line_no = next(192);
+            let line = LineAddr::from_aligned(0x8000 + line_no * 64);
+            let word = line.word_addr(WordIdx(next(16) as u8));
+            // Thirds are not dyadic, so a sum depends on the order and the
+            // number of its additions. Most responses to a line travel the
+            // same distance (uniform chunks); one in eight does not.
+            let k = if next(8) == 0 {
+                next(7)
+            } else {
+                line_no % 5 + 1
+            };
+            let hops = k as f64 / 3.0;
+            match next(16) {
+                0..=2 => {
+                    // A full line, a half line at word 0 or at word 8, or a
+                    // sparse set of words, in one response.
+                    let (w0, words) = match next(4) {
+                        0 => (0, 0xFFFF),
+                        1 => (0, 0x00FF),
+                        2 => (8, 0x00FF),
+                        _ => (0, next(1 << 16) as u16),
+                    };
+                    let (line0, words) = (line.word_addr(WordIdx(w0)), WordMask::from_bits(words));
+                    let present = next(10) == 0;
+                    p.fetched_words(line0, words, present, hops);
+                    for w in words.iter() {
+                        r.fetched(line.word_addr(WordIdx(w0 + w.0)), present, hops);
+                    }
+                }
+                3 => {
+                    let present = next(10) == 0;
+                    p.fetched(word, present, hops);
+                    r.fetched(word, present, hops);
+                }
+                4..=7 => {
+                    p.loaded(word);
+                    r.classify(word, true, false, WasteCategory::Used);
+                }
+                8..=9 => {
+                    p.stored(word);
+                    r.classify(word, false, true, WasteCategory::Write);
+                }
+                10 => {
+                    p.invalidated(word);
+                    r.classify(word, true, false, WasteCategory::Invalidate);
+                }
+                11 => {
+                    p.evicted(word);
+                    r.classify(word, false, false, WasteCategory::Evict);
+                }
+                _ => {
+                    let words = WordMask::from_bits(if next(2) == 0 {
+                        0xFFFF
+                    } else {
+                        next(1 << 16) as u16
+                    });
+                    p.evicted_words(line.word_addr(WordIdx(0)), words);
+                    for w in words.iter() {
+                        r.classify(line.word_addr(w), false, false, WasteCategory::Evict);
+                    }
+                }
+            }
+            if i % 1000 == 0 {
+                assert_eq!(p.pending_instances(), r.instances(), "after {i} events");
+            }
+        }
+        // Both representations were driven, neither one only.
+        let (chunks, spills) = p.chunk_stats();
+        assert!(
+            spills > chunks / 10 && spills < chunks * 9 / 10,
+            "{spills} of {chunks}"
+        );
+        assert_eq!(report_bits(&p.finish()), report_bits(&r.finish()));
+    }
+
+    #[test]
+    fn a_chunk_is_uniform_until_its_words_differ_and_again_once_reinserted() {
+        use tw_types::{LineAddr, WordIdx};
+        let line = LineAddr::from_aligned(0x5000);
+        let line0 = line.word_addr(WordIdx(0));
+        let key = chunk_of(line0.byte()).0;
+        let mut p = MemoryWasteProfiler::new();
+        let mut r = Reference::default();
+        let fetch = |p: &mut MemoryWasteProfiler, r: &mut Reference, bits: u16, hops: f64| {
+            let words = WordMask::from_bits(bits);
+            p.fetched_words(line0, words, false, hops);
+            for w in words.iter() {
+                r.fetched(line.word_addr(w), false, hops);
+            }
+        };
+        let third = 1.0 / 3.0;
+        // What every fetched line writes into the table, and later moves.
+        assert_eq!(std::mem::size_of::<Chunk>(), 24);
+        // Two responses of one hop count to disjoint words: still uniform.
+        fetch(&mut p, &mut r, 0x00FF, third);
+        fetch(&mut p, &mut r, 0x0F00, third);
+        assert!(p.pending.get(key).unwrap().rest.is_none());
+        assert_eq!(p.chunk_stats(), (1, 0));
+        // A second instance of pending words, from further away: spilled.
+        fetch(&mut p, &mut r, 0x000F, 2.0 * third);
+        assert_eq!(
+            p.pending
+                .get(key)
+                .unwrap()
+                .rest
+                .as_ref()
+                .unwrap()
+                .spill
+                .len(),
+            4
+        );
+        assert_eq!(p.chunk_stats(), (1, 1));
+        assert_eq!(p.pending_instances(), 16);
+        // Newest first for a load, oldest first for an eviction.
+        p.loaded(line0);
+        r.classify(line0, true, false, WasteCategory::Used);
+        p.evicted_words(line0, WordMask::from_bits(0xFFFF));
+        for w in WordMask::from_bits(0xFFFF).iter() {
+            r.classify(line.word_addr(w), false, false, WasteCategory::Evict);
+        }
+        assert_eq!(p.pending_instances(), 3);
+        // Drained: the chunk is gone, and its successor starts uniform.
+        p.evicted_words(line0, WordMask::from_bits(0xFFFF));
+        for w in WordMask::from_bits(0xFFFF).iter() {
+            r.classify(line.word_addr(w), false, false, WasteCategory::Evict);
+        }
+        assert!(p.pending.get(key).is_none());
+        fetch(&mut p, &mut r, 0xFFFF, 5.0 * third);
+        assert!(p.pending.get(key).unwrap().rest.is_none());
+        assert_eq!(p.chunk_stats(), (2, 1));
+        // A different hop count on *fresh* words spills too.
+        p.evicted_words(line0, WordMask::from_bits(0xFF00));
+        for w in WordMask::from_bits(0xFF00).iter() {
+            r.classify(line.word_addr(w), false, false, WasteCategory::Evict);
+        }
+        fetch(&mut p, &mut r, 0x0100, third);
+        assert_eq!(p.chunk_stats(), (2, 2));
+        assert_eq!(p.pending_instances(), r.instances());
+        assert_eq!(report_bits(&p.finish()), report_bits(&r.finish()));
     }
 }
