@@ -417,7 +417,10 @@ impl<'wl> Engine<'wl> {
     fn check_transaction(&self, addr: Addr) {
         match self.family {
             Family::Mesi | Family::Dragon => self.assert_directory_matches_l1s(addr),
-            Family::Denovo => self.assert_registrants_hold_their_words(addr),
+            Family::Denovo => {
+                self.assert_registrants_hold_their_words(addr);
+                self.assert_one_registered_copy(addr);
+            }
         }
     }
 

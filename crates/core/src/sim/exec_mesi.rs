@@ -6,6 +6,7 @@
 //! MMemL1's write miss that fills the L1 alone.
 
 use super::engine::Engine;
+use super::home::MemPeer;
 use crate::timing::TimeClass;
 use tw_protocols::{mesi, Directory, LineState};
 use tw_types::{
@@ -84,7 +85,9 @@ impl Engine<'_> {
                     // MMemL1: the line goes only to the L1 — the eventual
                     // writeback will overwrite whatever the L2 would have
                     // cached, so nothing is forwarded there.
-                    let d = self.fetch_to_l1(home, me, line, t_home).delivery;
+                    let d = self
+                        .read_memory(line, WordMask::FULL, MemPeer::Home, MemPeer::L1(me), t_home)
+                        .delivery;
                     self.net
                         .send(me, home, MessageKind::DirUnblock, 0, d.arrival);
                     self.allocate_l2(home, line, dir, WordMask::EMPTY, now);

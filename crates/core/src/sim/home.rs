@@ -7,7 +7,12 @@
 //! and writing the entry beside an L2 line, serving a line from the slice,
 //! fetching it from memory through the slice or (MMemL1) straight to the L1,
 //! flushing a dirty owner, filling and evicting L1 lines, allocating and
-//! evicting (recalling) L2 lines. A read is one choreography,
+//! evicting (recalling) L2 lines. Two steps are shared with DeNovo as well:
+//! [`Engine::read_memory`], the one memory-read leg of the engine (request
+//! to the controller, DRAM, first data message, memory-profiler booking —
+//! the only sender of `MemReadReq` and `LoadReqToMc`), and
+//! [`Engine::book_miss_stall`], which splits a miss's stall at the
+//! controller and at DRAM completion. A read is one choreography,
 //! [`Engine::directory_load`]; the protocols differ in it at two policy
 //! points, each one `match` on the family beside it: what the directory
 //! records (`record_read`) and what a dirty holder does when the read is
@@ -30,6 +35,16 @@ use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
     LINE_BYTES, WORDS_PER_LINE,
 };
+
+/// An end of the memory-read leg: who asks the controller, or whom its
+/// first data message goes to.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum MemPeer {
+    /// The home L2 slice of the line.
+    Home,
+    /// The L1 of this tile.
+    L1(TileId),
+}
 
 /// Timeline of a line fetched from memory on behalf of an L1 miss.
 pub(super) struct MemFetch {
@@ -71,14 +86,15 @@ impl Engine<'_> {
             self.set_dir(home, line, dir);
             self.net
                 .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
-            self.time[core].add(TimeClass::OnChipHit, delivery.arrival.since(now));
+            self.book_miss_stall(core, now, delivery.arrival, None);
             (exclusive, delivery)
         } else {
             // ---- L2 miss: fetch from memory --------------------------------
             let fetch = if self.protocol().mem_to_l1() {
                 // MMemL1: data goes straight to the L1, which forwards it to
                 // the (inclusive) L2 as an unblock+data message.
-                let fetch = self.fetch_to_l1(home, me, line, t_home);
+                let fetch =
+                    self.read_memory(line, WordMask::FULL, MemPeer::Home, MemPeer::L1(me), t_home);
                 let ub = self.net.send(
                     me,
                     home,
@@ -100,17 +116,34 @@ impl Engine<'_> {
             let mut dir = Directory::default();
             let (exclusive, _) = self.record_read(&mut dir, CoreId(core));
             self.allocate_l2(home, line, dir, WordMask::FULL, now);
-            // The stall splits at the memory controller and at DRAM completion.
-            let arrival = fetch.delivery.arrival;
-            self.time[core].add(TimeClass::ToMc, fetch.at_mc.since(now));
-            self.time[core].add(TimeClass::Mem, fetch.dram_done.since(fetch.at_mc));
-            self.time[core].add(TimeClass::FromMc, arrival.since(fetch.dram_done));
+            self.book_miss_stall(core, now, fetch.delivery.arrival, Some(&fetch));
             (exclusive, fetch.delivery)
         };
 
         let state = LineState::fill_for_read(exclusive);
         self.fill_l1(core, line, region, state, MessageClass::Load, delivery);
         delivery.arrival
+    }
+
+    /// Books the stall of a load miss `core` issued at `now` whose last word
+    /// arrived at `arrival`: on-chip time, or — when memory supplied data —
+    /// split at the memory controller and at DRAM completion.
+    pub(super) fn book_miss_stall(
+        &mut self,
+        core: usize,
+        now: Stamp,
+        arrival: Stamp,
+        from_memory: Option<&MemFetch>,
+    ) {
+        let time = &mut self.time[core];
+        match from_memory {
+            Some(mem) => {
+                time.add(TimeClass::ToMc, mem.at_mc.since(now));
+                time.add(TimeClass::Mem, mem.dram_done.since(mem.at_mc));
+                time.add(TimeClass::FromMc, arrival.since(mem.dram_done));
+            }
+            None => time.add(TimeClass::OnChipHit, arrival.since(now)),
+        }
     }
 
     /// Read policy point 1 — what the directory records. Files the read by
@@ -222,18 +255,8 @@ impl Engine<'_> {
         t_home: Stamp,
         slice_delay: u64,
     ) -> MemFetch {
-        let mc = self.mc_of(line);
-        let to_mc = self.net.send(home, mc, MessageKind::MemReadReq, 0, t_home);
-        let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
-        let d2 = self
-            .net
-            .send(mc, home, MessageKind::DataToL2, WORDS_PER_LINE, dram_done);
-        self.mem_prof.fetched_words(
-            line.word_addr(WordIdx(0)),
-            WordMask::FULL,
-            false,
-            d2.per_word_hops,
-        );
+        let leg = self.read_memory(line, WordMask::FULL, MemPeer::Home, MemPeer::Home, t_home);
+        let d2 = leg.delivery;
         self.l2_prof.arrive_words(
             line.word_addr(WordIdx(0)),
             WordMask::FULL,
@@ -250,34 +273,43 @@ impl Engine<'_> {
         );
         self.net
             .send(me, home, MessageKind::DirUnblock, 0, delivery.arrival);
-        MemFetch {
-            at_mc: to_mc.arrival,
-            dram_done,
-            delivery,
-        }
+        MemFetch { delivery, ..leg }
     }
 
-    /// MMemL1's fetch of a line that misses the L2: the controller sends the
-    /// data straight to the L1, bypassing the slice. The caller unblocks the
-    /// directory (with the data on a load, without on a store), allocates
-    /// the L2 entry and fills the L1.
-    pub(super) fn fetch_to_l1(
+    /// The one memory-read leg of all three families. `from` asks the
+    /// controller of `line` (`MemReadReq` from the home slice, `LoadReqToMc`
+    /// from an L1), DRAM produces the line, and the controller sends `words`
+    /// of it to `to` (`DataToL2` / `MemDataToL1`) — the words it does not
+    /// send are dropped there — which the memory profiler books. Everything
+    /// on the L2 side (allocation, `l2_prof`, the slice's forward to the L1,
+    /// the unblock) interleaves with eviction and stays with the caller.
+    pub(super) fn read_memory(
         &mut self,
-        home: TileId,
-        me: TileId,
         line: LineAddr,
-        t_home: Stamp,
+        words: WordMask,
+        from: MemPeer,
+        to: MemPeer,
+        at: Stamp,
     ) -> MemFetch {
-        let mc = self.mc_of(line);
-        let to_mc = self.net.send(home, mc, MessageKind::MemReadReq, 0, t_home);
+        let (home, mc) = (self.home_of(line), self.mc_of(line));
+        let to_mc = match from {
+            MemPeer::Home => self.net.send(home, mc, MessageKind::MemReadReq, 0, at),
+            MemPeer::L1(me) => self.net.send(me, mc, MessageKind::LoadReqToMc, 0, at),
+        };
         let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
-        let delivery = self
-            .net
-            .send(mc, me, MessageKind::MemDataToL1, WORDS_PER_LINE, dram_done);
+        for w in WordMask::FULL.difference(words).iter() {
+            self.mem_prof.dropped_at_controller(line.word_addr(w));
+        }
+        let l2_present = self.l2_has_data(home, line);
+        let (dest, kind) = match to {
+            MemPeer::Home => (home, MessageKind::DataToL2),
+            MemPeer::L1(me) => (me, MessageKind::MemDataToL1),
+        };
+        let delivery = self.net.send(mc, dest, kind, words.count(), dram_done);
         self.mem_prof.fetched_words(
             line.word_addr(WordIdx(0)),
-            WordMask::FULL,
-            false,
+            words,
+            l2_present,
             delivery.per_word_hops,
         );
         MemFetch {

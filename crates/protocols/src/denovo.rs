@@ -130,9 +130,10 @@ impl DenovoL2Line {
         L2WordOwner::unpack(self.owners[w.index()])
     }
 
-    /// Sets the ownership of one word.
-    #[inline]
-    pub fn set_owner(&mut self, w: WordIdx, owner: L2WordOwner) {
+    /// Sets the ownership of one word (the tests build lines word by word;
+    /// the engine changes ownership a mask at a time).
+    #[cfg(test)]
+    fn set_owner(&mut self, w: WordIdx, owner: L2WordOwner) {
         self.owners[w.index()] = owner.pack();
     }
 
@@ -171,6 +172,17 @@ impl DenovoL2Line {
         accepted
     }
 
+    /// Marks the words of `words` that are not registered to a core valid at
+    /// the L2: data arriving from memory never displaces a registration.
+    pub fn fill_at_l2(&mut self, words: WordMask) {
+        for w in words.iter() {
+            let slot = &mut self.owners[w.index()];
+            if *slot < L2WordOwner::FIRST_CORE {
+                *slot = L2WordOwner::AT_L2;
+            }
+        }
+    }
+
     /// Mask of the words whose packed owner satisfies `pred`.
     #[inline]
     fn mask_where(&self, pred: impl Fn(u8) -> bool) -> WordMask {
@@ -184,6 +196,17 @@ impl DenovoL2Line {
     /// Mask of words the L2 itself can serve.
     pub fn valid_at_l2(&self) -> WordMask {
         self.mask_where(|o| o == L2WordOwner::AT_L2)
+    }
+
+    /// Mask of the words registered to any core.
+    pub fn registered(&self) -> WordMask {
+        self.mask_where(|o| o >= L2WordOwner::FIRST_CORE)
+    }
+
+    /// Mask of the words registered to `core`.
+    pub fn registered_to(&self, core: CoreId) -> WordMask {
+        let mine = L2WordOwner::RegisteredTo(core).pack();
+        self.mask_where(|o| o == mine)
     }
 
     /// The cores holding registered words of this line, each with the mask
@@ -202,6 +225,51 @@ impl DenovoL2Line {
         by_core.sort_unstable_by_key(|(core, _)| *core);
         by_core
     }
+}
+
+/// The registrants a read is forwarded to, each with its words of the
+/// request, in order of each one's lowest such word — the order the forwards
+/// are sent in ([`DenovoL2Line::registrants`] is in core order instead).
+#[derive(Debug, Clone, Default)]
+pub struct ByOwner {
+    registry: DenovoL2Line,
+    rest: WordMask,
+}
+
+impl Iterator for ByOwner {
+    type Item = (CoreId, WordMask);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let owner = self.registry.owner(self.rest.iter().next()?).registrant()?;
+        let words = self.rest.intersect(self.registry.registered_to(owner));
+        self.rest = self.rest.difference(words);
+        Some((owner, words))
+    }
+}
+
+/// Splits the words core `me` `want`s of a line by who can supply them,
+/// given the home L2's `registry` of the line (`None` when the L2 does not
+/// hold it, or the request does not go there): the words the L2 itself
+/// holds, those registered to other cores, and those only memory has. A
+/// wanted word registered to `me` falls to memory; a correct engine never
+/// asks for one.
+pub fn split_by_supplier(
+    registry: Option<&DenovoL2Line>,
+    want: WordMask,
+    me: CoreId,
+) -> (WordMask, ByOwner, WordMask) {
+    let Some(registry) = registry else {
+        return (WordMask::EMPTY, ByOwner::default(), want);
+    };
+    let at_l2 = want.intersect(registry.valid_at_l2());
+    let owned = want
+        .intersect(registry.registered())
+        .difference(registry.registered_to(me));
+    let by_owner = ByOwner {
+        registry: registry.clone(),
+        rest: owned,
+    };
+    (at_l2, by_owner, want.difference(at_l2).difference(owned))
 }
 
 #[cfg(test)]
@@ -358,6 +426,14 @@ mod tests {
             accepted
         }
 
+        fn fill_at_l2(&mut self, words: WordMask) {
+            for w in words.iter() {
+                if self.owners[w.index()].registrant().is_none() {
+                    self.owners[w.index()] = L2WordOwner::AtL2;
+                }
+            }
+        }
+
         fn registered_to(&self, core: CoreId) -> WordMask {
             self.owners
                 .iter()
@@ -371,20 +447,26 @@ mod tests {
     proptest! {
         #[test]
         fn packed_line_matches_the_enum_array_line(
-            ops in prop::collection::vec((any::<bool>(), any::<u16>(), 0usize..MAX_TILES), 1..40)
+            ops in prop::collection::vec((0u8..3, any::<u16>(), 0usize..MAX_TILES), 1..40)
         ) {
             let mut packed = DenovoL2Line::default();
             let mut reference = EnumArrayLine::default();
-            for (register, bits, core) in ops {
+            for (op, bits, core) in ops {
                 let (words, core) = (WordMask::from_bits(bits), CoreId(core));
-                if register {
+                match op {
                     // Same displaced (word, core) pairs, in the same order.
-                    prop_assert_eq!(packed.register(words, core), reference.register(words, core));
-                } else {
-                    prop_assert_eq!(
+                    0 => prop_assert_eq!(
+                        packed.register(words, core),
+                        reference.register(words, core)
+                    ),
+                    1 => prop_assert_eq!(
                         packed.accept_writeback(words, core),
                         reference.accept_writeback(words, core)
-                    );
+                    ),
+                    _ => {
+                        packed.fill_at_l2(words);
+                        reference.fill_at_l2(words);
+                    }
                 }
                 for w in WordMask::FULL.iter() {
                     prop_assert_eq!(packed.owner(w), reference.owners[w.index()]);
@@ -394,8 +476,96 @@ mod tests {
                     .map(|c| (CoreId(c), reference.registered_to(CoreId(c))))
                     .filter(|(_, m)| !m.is_empty())
                     .collect();
+                for &(c, mask) in &scanned {
+                    prop_assert_eq!(packed.registered_to(c), mask);
+                }
+                let registered = scanned.iter().fold(WordMask::EMPTY, |all, (_, m)| all.union(*m));
+                prop_assert_eq!(packed.registered(), registered);
                 prop_assert_eq!(packed.registrants(), scanned);
             }
+        }
+    }
+
+    /// The word-by-word loop (and its per-miss `Vec`) that `split_by_supplier`
+    /// replaced in the engine, kept as the reference.
+    fn split_word_by_word(
+        meta: &DenovoL2Line,
+        want: WordMask,
+        me: CoreId,
+    ) -> (WordMask, Vec<(CoreId, WordMask)>, WordMask) {
+        let at_l2 = want.intersect(meta.valid_at_l2());
+        let mut by_owner: Vec<(CoreId, WordMask)> = Vec::new();
+        for w in want.difference(at_l2).iter() {
+            if let Some(owner) = meta.owner(w).registrant() {
+                if owner == me {
+                    continue;
+                }
+                match by_owner.iter_mut().find(|(c, _)| *c == owner) {
+                    Some((_, m)) => m.insert(w),
+                    None => by_owner.push((owner, WordMask::single(w))),
+                }
+            }
+        }
+        let owned = by_owner
+            .iter()
+            .fold(WordMask::EMPTY, |acc, (_, m)| acc.union(*m));
+        (at_l2, by_owner, want.difference(at_l2).difference(owned))
+    }
+
+    #[test]
+    fn registrants_are_forwarded_to_in_order_of_their_lowest_wanted_word() {
+        // Words 0 and 2 are registered to C5, word 1 to C2, word 3 is at the
+        // L2 and word 4 nowhere on chip.
+        let mut l2 = DenovoL2Line::default();
+        l2.register(WordMask::from_bits(0b00101), CoreId(5));
+        l2.register(WordMask::from_bits(0b00010), CoreId(2));
+        l2.fill_at_l2(WordMask::from_bits(0b01000));
+        let split = |want| {
+            let (at_l2, by_owner, missing) =
+                split_by_supplier(Some(&l2), WordMask::from_bits(want), CoreId(0));
+            let by_owner: Vec<(usize, u16)> = by_owner.map(|(c, m)| (c.0, m.bits())).collect();
+            (at_l2.bits(), by_owner, missing.bits())
+        };
+        // C5 before C2: not the core order `registrants()` reports.
+        assert_eq!(
+            split(0b11111),
+            (0b01000, vec![(5, 0b00101), (2, 0b00010)], 0b10000)
+        );
+        assert_eq!(l2.registrants()[0].0, CoreId(2));
+        // Without word 0, C2's word 1 is the lower one.
+        assert_eq!(split(0b00110), (0, vec![(2, 0b00010), (5, 0b00100)], 0));
+    }
+
+    proptest! {
+        #[test]
+        fn split_by_supplier_partitions_want_as_the_word_by_word_loop_did(
+            owners in prop::collection::vec(0u8..6, WORDS_PER_LINE),
+            want in any::<u16>(),
+            me in 0usize..4,
+        ) {
+            // Per word: invalid, at the L2, or registered to one of C0..C3.
+            let mut l2 = DenovoL2Line::default();
+            for (i, &o) in owners.iter().enumerate() {
+                l2.set_owner(WordIdx(i as u8), L2WordOwner::unpack(o));
+            }
+            let (want, me) = (WordMask::from_bits(want), CoreId(me));
+            let (at_l2, by_owner, missing) = split_by_supplier(Some(&l2), want, me);
+            let by_owner: Vec<(CoreId, WordMask)> = by_owner.collect();
+            prop_assert_eq!(
+                (at_l2, by_owner.clone(), missing),
+                split_word_by_word(&l2, want, me)
+            );
+            // The parts are disjoint and make up `want`; the L2 part is there.
+            let owned = by_owner.iter().fold(WordMask::EMPTY, |acc, (_, m)| acc.union(*m));
+            let sizes: usize = by_owner.iter().map(|(_, m)| m.count()).sum();
+            prop_assert_eq!(at_l2.union(owned).union(missing), want);
+            prop_assert_eq!(at_l2.count() + sizes + missing.count(), want.count());
+            prop_assert_eq!(at_l2.difference(l2.valid_at_l2()), WordMask::EMPTY);
+            prop_assert!(by_owner.iter().all(|(c, _)| *c != me));
+            // No registry — the request goes straight to the controller, or
+            // the L2 does not hold the line: memory supplies everything.
+            let (at_l2, mut by_owner, missing) = split_by_supplier(None, want, me);
+            prop_assert_eq!((at_l2, by_owner.next(), missing), (WordMask::EMPTY, None, want));
         }
     }
 

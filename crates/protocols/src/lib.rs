@@ -23,7 +23,8 @@
 //! The transaction *choreography* (which messages travel where, with what
 //! latency) lives in the simulator crate (`denovo-waste`); this crate owns the
 //! state types, their legal transitions, and the pure decision functions
-//! (response sizing under Flex, store policies, self-invalidation filters)
+//! (response sizing under Flex, which supplier answers for which words of a
+//! DeNovo read, store policies, self-invalidation filters)
 //! so they can be tested exhaustively in isolation.
 
 #![forbid(unsafe_code)]

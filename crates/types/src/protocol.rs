@@ -246,6 +246,12 @@ mod tests {
                 p.l2_request_bypass(),
             ]
         };
+        // A response that bypasses the L2 goes to the L1: the engine has no
+        // "through the L2 without filling it" path.
+        for p in ProtocolKind::ALL {
+            assert!(!p.l2_response_bypass() || p.mem_to_l1(), "{p}");
+            assert!(!p.l2_request_bypass() || p.l2_response_bypass(), "{p}");
+        }
         for w in chain.windows(2) {
             let (a, b) = (features(w[0]), features(w[1]));
             for i in 0..a.len() {
