@@ -209,6 +209,30 @@ fn specs_no_machine_can_run_exit_two_and_name_the_culprit() {
 }
 
 #[test]
+fn a_trace_record_beyond_48_bits_is_a_bad_request() {
+    let dir = scratch("wide-address");
+    // One core, no regions, one load at 2^48: a zigzag delta of 2^49.
+    let mut bytes = b"DNVT\x01\x06custom\x01x\x01\x00\x00".to_vec();
+    bytes.extend([0x80; 7]);
+    bytes.extend([0x01, 0x00, 0xFF]);
+    std::fs::write(dir.join("wide.trace"), bytes).unwrap();
+    let spec = r#"{"schema":"denovo-waste/experiment-spec/v1","name":"wide","scale":"tiny","baseline":"MESI","protocols":["MESI"],"workloads":[{"trace":"wide.trace"}]}"#;
+    std::fs::write(dir.join("wide.json"), spec).unwrap();
+    for args in [
+        &["trace", "info", "wide.trace"][..],
+        &["plan", "run", "wide.json"],
+    ] {
+        let (code, _, stderr) = run_in(&dir, args);
+        assert_eq!(code, 2, "{args:?} must exit 2; stderr:\n{stderr}");
+        assert!(
+            stderr.contains("core 0 record 0: address 0x1000000000000"),
+            "{args:?} must name the record: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn trace_diff_separates_check_failure_from_bad_request() {
     let dir = scratch("trace-diff");
     // Two identical recordings: the recorder is deterministic, so diff

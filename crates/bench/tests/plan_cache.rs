@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::Instant;
 use tw_scenarios::synthesize;
-use tw_types::{Digest, NetworkModelKind, ProtocolKind, SystemConfig, TraceOp};
+use tw_types::{Digest, NetworkModelKind, ProtocolKind, Record, SystemConfig, TraceOp};
 
 /// A fresh per-test cache directory under the system temp dir.
 fn fresh_dir(name: &str) -> PathBuf {
@@ -117,13 +117,14 @@ fn mutating_any_key_component_misses() {
     // (1) One trace byte: lengthen a compute burst by a cycle. The workload
     // is still well-formed, but its content digest — and so the key — moves.
     let mut mutated = wl.clone();
-    let op = mutated.traces[0]
+    let (op, cycles) = mutated.traces[0]
         .iter_mut()
-        .find(|op| matches!(op, TraceOp::Compute { .. }))
+        .find_map(|op| match op.view() {
+            Record::Compute { cycles } => Some((op, cycles)),
+            _ => None,
+        })
         .expect("synthesized workloads contain compute bursts");
-    if let TraceOp::Compute { cycles } = op {
-        *cycles += 1;
-    }
+    *op = TraceOp::compute(cycles + 1);
     let mut mutated_set = WorkloadSet::new();
     mutated_set.insert("synth", mutated);
     let out = session.run(&spec, &mutated_set).unwrap();

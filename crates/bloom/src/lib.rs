@@ -30,9 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod bank;
-pub mod filter;
 pub mod h3;
 
 pub use bank::{BloomBank, BloomConfig, BloomHashes};
-pub use filter::{BloomFilter, CountingBloomFilter};
 pub use h3::H3Hash;

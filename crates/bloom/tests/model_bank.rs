@@ -4,9 +4,12 @@
 //! or [`BloomFilter`] per filter, each with a private hash, cleared
 //! wholesale — and every answer must agree after every step.
 
+mod reference_filter;
+
 use proptest::prelude::*;
+use reference_filter::{BloomFilter, CountingBloomFilter};
 use std::sync::Arc;
-use tw_bloom::{BloomBank, BloomConfig, BloomFilter, BloomHashes, CountingBloomFilter, H3Hash};
+use tw_bloom::{BloomBank, BloomConfig, BloomHashes, H3Hash};
 use tw_types::LineAddr;
 
 /// The per-filter bank the flat one replaced.

@@ -1,8 +1,11 @@
 //! Property-based tests of the Bloom-filter guarantees the "L2 Request
 //! Bypass" optimization depends on: no false negatives, ever.
 
+mod reference_filter;
+
 use proptest::prelude::*;
-use tw_bloom::{BloomBank, BloomConfig, BloomFilter, CountingBloomFilter};
+use reference_filter::{BloomFilter, CountingBloomFilter};
+use tw_bloom::{BloomBank, BloomConfig};
 use tw_types::LineAddr;
 
 proptest! {

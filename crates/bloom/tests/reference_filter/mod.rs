@@ -1,6 +1,12 @@
-//! Plain and counting Bloom filters with a single H3 hash function.
+//! Plain and counting Bloom filters with a private H3 hash each: the
+//! per-filter bank that PR 13 flattened into `BloomBank`. Kept as the
+//! reference `model_bank.rs` checks the flat bank against; `prop_bloom.rs`
+//! holds these filters to the no-false-negative guarantee.
 
-use crate::h3::H3Hash;
+// Each test binary that includes this module uses part of it.
+#![allow(dead_code)]
+
+use tw_bloom::H3Hash;
 
 /// A non-counting Bloom filter (1 bit per entry), as used at the L1s.
 #[derive(Debug, Clone)]

@@ -22,8 +22,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use tw_types::Digest;
 use tw_workloads::{BenchmarkKind, Workload};
 
-/// Trace ops a memo keeps resident before it evicts: 8 Mi ops, 128 MiB at
-/// 16 bytes an op. The six Scaled workloads at 16 cores are 5.96 M ops and
+/// Trace ops a memo keeps resident before it evicts: 8 Mi ops, 64 MiB at
+/// 8 bytes an op. The six Scaled workloads at 16 cores are 5.96 M ops and
 /// the six Tiny ones 0.23 M, so both matrices stay resident together with
 /// room for a few mesh variants; a Paper-scale workload is larger than the
 /// whole budget and is never retained.

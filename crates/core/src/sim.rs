@@ -32,7 +32,7 @@ use crate::timing::{ExecutionBreakdown, TimeClass};
 use engine::{Engine, TraceCapture};
 use tw_obs::{Span, SpanSink};
 use tw_types::{
-    Cycle, MemKind, MessageClass, ProtocolKind, Stamp, SystemConfig, TraceOp, TrafficBucket,
+    Cycle, MemKind, MessageClass, ProtocolKind, Record, Stamp, SystemConfig, TrafficBucket,
 };
 use tw_workloads::Workload;
 
@@ -221,22 +221,22 @@ impl<'wl> Simulator<'wl> {
             self.ready[core] = u64::MAX;
             return;
         };
-        match op {
-            TraceOp::Compute { cycles } => {
+        match op.view() {
+            Record::Compute { cycles } => {
                 self.clocks[core] += cycles as Cycle;
                 self.ready[core] = self.clocks[core].canon;
                 self.engine.time[core].add(TimeClass::Compute, cycles as Cycle);
                 self.pc[core] += 1;
                 self.engine.record_serviced(core, op);
             }
-            TraceOp::Barrier { id } => {
+            Record::Barrier { id } => {
                 self.state[core] = CoreState::AtBarrier(id);
                 self.ready[core] = u64::MAX;
                 // pc advances when the barrier releases; this arm runs once
                 // per barrier record, so the capture sees it exactly once.
                 self.engine.record_serviced(core, op);
             }
-            TraceOp::Mem { kind, addr, region } => {
+            Record::Mem { kind, addr, region } => {
                 let now = self.clocks[core];
                 let done = match kind {
                     MemKind::Load => self.engine.load(core, addr, region, now),

@@ -8,7 +8,7 @@
 //! --self-test`) asserts every class is caught on every seed tried.
 
 use crate::oracle::{golden_execute, OracleReport};
-use tw_types::{Addr, MemKind, TraceOp, WORD_BYTES};
+use tw_types::{Addr, MemKind, Record, TraceOp, WORD_BYTES};
 use tw_workloads::Workload;
 
 /// One class of injected coherence violation.
@@ -70,13 +70,8 @@ impl Mutation {
                 out.traces[core][idx] = TraceOp::store(flipped, region);
             }
             Mutation::DroppedBarrier => {
-                let core = wl
-                    .traces
-                    .iter()
-                    .position(|t| t.iter().any(|op| matches!(op, TraceOp::Barrier { .. })))?;
-                let idx = out.traces[core]
-                    .iter()
-                    .rposition(|op| matches!(op, TraceOp::Barrier { .. }))?;
+                let core = wl.traces.iter().position(|t| t.iter().any(is_barrier))?;
+                let idx = out.traces[core].iter().rposition(is_barrier)?;
                 out.traces[core].remove(idx);
             }
             Mutation::ReorderedStream => {
@@ -97,22 +92,28 @@ impl Mutation {
     }
 }
 
+fn is_barrier(op: &TraceOp) -> bool {
+    matches!(op.view(), Record::Barrier { .. })
+}
+
+fn is_store(op: &TraceOp) -> bool {
+    matches!(
+        op.view(),
+        Record::Mem {
+            kind: MemKind::Store,
+            ..
+        }
+    )
+}
+
 /// The site of a core's final store, scanning cores in order: the last store
 /// of a stream is never overwritten later by the same core, and (in a
 /// race-free workload) never by another core in the same phase, so its value
 /// survives into the final memory image — mutating it is always observable.
 fn last_store(wl: &Workload) -> Option<(usize, usize, Addr, tw_types::RegionId)> {
     for (core, t) in wl.traces.iter().enumerate() {
-        if let Some(idx) = t.iter().rposition(|op| {
-            matches!(
-                op,
-                TraceOp::Mem {
-                    kind: MemKind::Store,
-                    ..
-                }
-            )
-        }) {
-            if let TraceOp::Mem { addr, region, .. } = t[idx] {
+        if let Some(idx) = t.iter().rposition(is_store) {
+            if let Record::Mem { addr, region, .. } = t[idx].view() {
                 return Some((core, idx, addr, region));
             }
         }
@@ -143,24 +144,22 @@ fn dropped_update_site(wl: &Workload) -> Option<(usize, usize)> {
     for (core, t) in wl.traces.iter().enumerate() {
         let mut phase = 0usize;
         for (idx, op) in t.iter().enumerate() {
-            if matches!(op, TraceOp::Barrier { .. }) {
+            if is_barrier(op) {
                 phase += 1;
                 continue;
             }
-            let TraceOp::Mem {
+            let Record::Mem {
                 kind: MemKind::Store,
                 addr,
                 ..
-            } = op
+            } = op.view()
             else {
                 continue;
             };
             if idx + 1 >= t.len() {
                 continue;
             }
-            let same_core_later = t[idx + 1..]
-                .iter()
-                .any(|o| matches!(o, TraceOp::Mem { addr: a, .. } if a == addr));
+            let same_core_later = t[idx + 1..].iter().any(|o| o.addr() == Some(addr));
             let later_phase_elsewhere = wl
                 .traces
                 .iter()
@@ -169,11 +168,11 @@ fn dropped_update_site(wl: &Workload) -> Option<(usize, usize)> {
                 .any(|(_, ot)| {
                     let mut p = 0usize;
                     ot.iter().any(|o| {
-                        if matches!(o, TraceOp::Barrier { .. }) {
+                        if is_barrier(o) {
                             p += 1;
                             return false;
                         }
-                        p > phase && matches!(o, TraceOp::Mem { addr: a, .. } if a == addr)
+                        p > phase && o.addr() == Some(addr)
                     })
                 });
             if same_core_later || later_phase_elsewhere {
@@ -182,15 +181,7 @@ fn dropped_update_site(wl: &Workload) -> Option<(usize, usize)> {
         }
     }
     for (core, t) in wl.traces.iter().enumerate() {
-        if let Some(idx) = t.iter().position(|op| {
-            matches!(
-                op,
-                TraceOp::Mem {
-                    kind: MemKind::Store,
-                    ..
-                }
-            )
-        }) {
+        if let Some(idx) = t.iter().position(is_store) {
             if idx + 1 < t.len() {
                 return Some((core, idx));
             }

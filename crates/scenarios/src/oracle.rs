@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use tw_types::{Addr, MemKind, TraceOp};
+use tw_types::{Addr, MemKind, Record, TraceOp};
 use tw_workloads::Workload;
 
 /// A data race: within one barrier phase a stored word was touched by more
@@ -134,7 +134,7 @@ pub fn golden_execute(wl: &Workload) -> Result<OracleReport, RaceViolation> {
             let mut phases = Vec::new();
             let mut start = 0usize;
             for (i, op) in t.iter().enumerate() {
-                if matches!(op, TraceOp::Barrier { .. }) {
+                if matches!(op.view(), Record::Barrier { .. }) {
                     phases.push(&t[start..i]);
                     start = i + 1;
                 }
@@ -171,8 +171,8 @@ pub fn golden_execute(wl: &Workload) -> Result<OracleReport, RaceViolation> {
                 continue;
             };
             for op in *slice {
-                if let TraceOp::Mem { kind, addr, .. } = op {
-                    let rec = access.entry(*addr).or_default();
+                if let Record::Mem { kind, addr, .. } = op.view() {
+                    let rec = access.entry(addr).or_default();
                     match kind {
                         MemKind::Store => match rec.writer {
                             None => rec.writer = Some(core),
@@ -221,17 +221,17 @@ pub fn golden_execute(wl: &Workload) -> Result<OracleReport, RaceViolation> {
             for op in *slice {
                 let ordinal = ordinals[core];
                 ordinals[core] += 1;
-                if let TraceOp::Mem { kind, addr, .. } = op {
+                if let Record::Mem { kind, addr, .. } = op.view() {
                     match kind {
                         MemKind::Store => {
                             stores += 1;
                             let v = store_value(core, ordinal);
-                            mem.insert(*addr, v);
+                            mem.insert(addr, v);
                             h = fold(h, [core as u64, ordinal as u64, addr.byte() << 1, v]);
                         }
                         MemKind::Load => {
                             loads += 1;
-                            let v = mem.get(addr).copied().unwrap_or(0);
+                            let v = mem.get(&addr).copied().unwrap_or(0);
                             h = fold(h, [core as u64, ordinal as u64, (addr.byte() << 1) | 1, v]);
                         }
                     }

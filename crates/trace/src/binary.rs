@@ -25,15 +25,21 @@
 //! Memory addresses are delta-encoded per core: each load/store stores the
 //! zigzag of the wrapping byte-difference from the previous memory access of
 //! the *same core* (initially 0), so the short strides of real reference
-//! streams encode in one or two bytes while arbitrary 64-bit addresses
-//! remain representable. Barrier records frame the phases: everything
-//! between two barriers is one phase, and a phase may legally contain zero
-//! memory operations.
+//! streams encode in one or two bytes. The format still carries full 64-bit
+//! deltas, but the reader refuses what a record cannot hold: an address
+//! that is not word-aligned or not below 2^48 ([`tw_types::TRACE_ADDR_LIMIT`])
+//! is a [`TraceError::Malformed`] naming the core, the record and the
+//! address, as a region id beyond `u16` or a count beyond `u32` already
+//! was — nothing is aligned or truncated on the way in. Barrier records
+//! frame the phases: everything between two barriers is one phase, and a
+//! phase may legally contain zero memory operations.
 
 use crate::varint::{encode_u64, read_u64, unzigzag, write_u64, zigzag, MAX_VARINT_BYTES};
 use crate::TraceError;
 use std::io::Write;
-use tw_types::{Addr, BypassKind, CommRegion, MemKind, RegionId, RegionInfo, RegionTable, TraceOp};
+use tw_types::{
+    Addr, BypassKind, CommRegion, MemKind, Record, RegionId, RegionInfo, RegionTable, TraceOp,
+};
 
 /// Leading magic of the binary format.
 pub const BINARY_MAGIC: &[u8; 4] = b"DNVT";
@@ -234,8 +240,8 @@ impl<W: Write> TraceWriter<W> {
         let out: &mut [u8; MAX_OP_BYTES] = self.block[self.filled..]
             .first_chunk_mut()
             .expect("make_room left room for an op");
-        self.filled += match *op {
-            TraceOp::Mem { kind, addr, region } => {
+        self.filled += match op.view() {
+            Record::Mem { kind, addr, region } => {
                 out[0] = match kind {
                     MemKind::Load => TAG_LOAD,
                     MemKind::Store => TAG_STORE,
@@ -245,11 +251,11 @@ impl<W: Write> TraceWriter<W> {
                 let at = put_varint(out, 1, zigzag(delta));
                 put_varint(out, at, region.0 as u64)
             }
-            TraceOp::Compute { cycles } => {
+            Record::Compute { cycles } => {
                 out[0] = TAG_COMPUTE;
                 put_varint(out, 1, cycles as u64)
             }
-            TraceOp::Barrier { id } => {
+            Record::Barrier { id } => {
                 out[0] = TAG_BARRIER;
                 put_varint(out, 1, id as u64)
             }
@@ -423,11 +429,11 @@ impl<'a> TraceReader<'a> {
                     } else {
                         MemKind::Store
                     };
-                    ops.push(TraceOp::Mem {
-                        kind,
-                        addr: Addr::new(addr),
-                        region: RegionId(region as u16),
-                    });
+                    let op = TraceOp::mem(kind, Addr::new(addr), RegionId(region as u16));
+                    let (core, record) = (self.cores_read, ops.len());
+                    ops.push(op.map_err(|e| {
+                        TraceError::Malformed(format!("core {core} record {record}: {e}"))
+                    })?);
                 }
                 TAG_COMPUTE => {
                     let cycles = read_u64(&mut rest)?;
@@ -436,9 +442,7 @@ impl<'a> TraceReader<'a> {
                             "compute cycles {cycles} exceed u32"
                         )));
                     }
-                    ops.push(TraceOp::Compute {
-                        cycles: cycles as u32,
-                    });
+                    ops.push(TraceOp::compute(cycles as u32));
                 }
                 TAG_BARRIER => {
                     let id = read_u64(&mut rest)?;
@@ -447,7 +451,7 @@ impl<'a> TraceReader<'a> {
                             "barrier id {id} exceeds u32"
                         )));
                     }
-                    ops.push(TraceOp::Barrier { id: id as u32 });
+                    ops.push(TraceOp::barrier(id as u32));
                 }
                 TAG_END => {
                     self.rest = rest;
@@ -468,6 +472,7 @@ impl<'a> TraceReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tw_types::TRACE_ADDR_LIMIT;
 
     fn regions_one() -> RegionTable {
         let mut t = RegionTable::new();
@@ -533,8 +538,8 @@ mod tests {
             for stream in streams {
                 let mut prev_addr = 0u64;
                 for op in stream {
-                    match *op {
-                        TraceOp::Mem { kind, addr, region } => {
+                    match op.view() {
+                        Record::Mem { kind, addr, region } => {
                             out.push(match kind {
                                 MemKind::Load => TAG_LOAD,
                                 MemKind::Store => TAG_STORE,
@@ -544,11 +549,11 @@ mod tests {
                             varint(&mut out, region.0 as u64);
                             prev_addr = addr.byte();
                         }
-                        TraceOp::Compute { cycles } => {
+                        Record::Compute { cycles } => {
                             out.push(TAG_COMPUTE);
                             varint(&mut out, cycles as u64);
                         }
-                        TraceOp::Barrier { id } => {
+                        Record::Barrier { id } => {
                             out.push(TAG_BARRIER);
                             varint(&mut out, id as u64);
                         }
@@ -581,15 +586,16 @@ mod tests {
             useful_offsets: vec![0, 8, u64::MAX],
         });
         regions.insert(comm);
+        let top = TRACE_ADDR_LIMIT - 4;
         let streams = vec![
             // Empty stream: nothing but its end marker.
             vec![],
             vec![
-                // 0 -> 1<<63 is a delta of i64::MIN, whose zigzag is
-                // u64::MAX: a full 10-byte varint.
-                TraceOp::store(Addr::new(1 << 63), RegionId(u16::MAX)),
+                TraceOp::store(Addr::new(top), RegionId(u16::MAX)),
+                // top -> 0 is the longest backward delta a record can
+                // make: zigzag 2^49 - 9, a 7-byte varint.
                 TraceOp::load(Addr::new(0), RegionId(0)),
-                TraceOp::load(Addr::new(!3), RegionId(1)),
+                TraceOp::load(Addr::new(top), RegionId(1)),
                 TraceOp::compute(u32::MAX),
                 TraceOp::barrier(u32::MAX),
                 TraceOp::compute(0),
@@ -602,8 +608,8 @@ mod tests {
             reference::encode("custom", "edge", &regions, &streams)
         );
         assert!(bytes
-            .windows(10)
-            .any(|w| w == [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]));
+            .windows(7)
+            .any(|w| w == [0xf7, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]));
         let mut r = TraceReader::new(&bytes).unwrap();
         for stream in &streams {
             assert_eq!(r.next_stream().unwrap().as_ref(), Some(stream));
@@ -613,9 +619,9 @@ mod tests {
 
     proptest::proptest! {
         /// The writer and the byte-at-a-time reference agree on every byte
-        /// of arbitrary streams: full-range addresses (so deltas of every
-        /// varint length, `i64::MIN` included), every region id, cores
-        /// with no ops at all.
+        /// of arbitrary streams: every address a record holds (so deltas
+        /// of every varint length a record can make), every region id,
+        /// cores with no ops at all.
         #[test]
         fn writer_matches_the_reference_byte_for_byte(
             raw in proptest::collection::vec(
@@ -631,11 +637,11 @@ mod tests {
                 .map(|ops| {
                     ops.into_iter()
                         .map(|(shape, addr, region, small)| match shape {
-                            0 => TraceOp::load(Addr::new(addr), RegionId(region)),
-                            1 => TraceOp::store(Addr::new(addr), RegionId(region)),
+                            0 => TraceOp::load(Addr::new(addr % TRACE_ADDR_LIMIT), RegionId(region)),
+                            1 => TraceOp::store(Addr::new(addr % TRACE_ADDR_LIMIT), RegionId(region)),
                             // Short strides, as real reference streams have.
                             2 => TraceOp::load(Addr::new(addr % 4096), RegionId(region % 4)),
-                            3 => TraceOp::store(Addr::new(1 << 63), RegionId(u16::MAX)),
+                            3 => TraceOp::store(Addr::new(TRACE_ADDR_LIMIT - 4), RegionId(u16::MAX)),
                             4 => TraceOp::load(Addr::new(0), RegionId(0)),
                             5 => TraceOp::compute(small),
                             6 => TraceOp::barrier(small),
@@ -753,7 +759,7 @@ mod tests {
     #[test]
     fn extreme_address_jumps_round_trip() {
         let regions = regions_one();
-        let addrs = [0u64, !3u64, 4, 1 << 40, 0];
+        let addrs = [0u64, TRACE_ADDR_LIMIT - 4, 4, 1 << 40, 0];
         let mut w = TraceWriter::new(Vec::new(), "x", "y", 1, &regions).unwrap();
         for &a in &addrs {
             w.op(&TraceOp::store(Addr::new(a), RegionId(1))).unwrap();
@@ -762,13 +768,67 @@ mod tests {
         let bytes = w.finish().unwrap();
         let mut r = TraceReader::new(bytes.as_slice()).unwrap();
         let ops = r.next_stream().unwrap().unwrap();
-        let got: Vec<u64> = ops
-            .iter()
-            .map(|op| match op {
-                TraceOp::Mem { addr, .. } => addr.byte(),
-                _ => unreachable!(),
-            })
-            .collect();
+        let got: Vec<u64> = ops.iter().map(|op| op.addr().unwrap().byte()).collect();
         assert_eq!(got, addrs);
+    }
+
+    /// One core's stream of stores, hand-encoded from raw address deltas
+    /// so it can hold what no `TraceOp` can.
+    fn stores_with_deltas(deltas: &[i64]) -> Vec<u8> {
+        let mut w = TraceWriter::new(Vec::new(), "x", "y", 1, &regions_one()).unwrap();
+        w.end_stream().unwrap();
+        let mut bytes = w.finish().unwrap();
+        bytes.pop(); // the end-of-stream tag
+        for &delta in deltas {
+            bytes.push(TAG_STORE);
+            write_u64(&mut bytes, zigzag(delta)).unwrap();
+            write_u64(&mut bytes, 1).unwrap();
+        }
+        bytes.push(TAG_END);
+        bytes
+    }
+
+    #[test]
+    fn reader_refuses_addresses_a_record_cannot_hold() {
+        // (deltas, the refused record, its address)
+        let cases: [(&[i64], usize, u64); 5] = [
+            (&[i64::MIN], 0, 1 << 63),
+            (&[-4], 0, !3),
+            (&[1 << 48], 0, 1 << 48),
+            (&[4, 2], 1, 6),
+            (&[8, i64::MIN], 1, (1 << 63) + 8),
+        ];
+        for (deltas, record, addr) in cases {
+            let bytes = stores_with_deltas(deltas);
+            let mut r = TraceReader::new(&bytes).unwrap();
+            match r.next_stream() {
+                Err(TraceError::Malformed(m)) => {
+                    assert!(
+                        m.contains(&format!("core 0 record {record}: address {addr:#x}")),
+                        "{m}"
+                    )
+                }
+                other => panic!("{deltas:?} read as {other:?}"),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A stored address comes back exactly when a record can hold it;
+        /// any other is refused, never truncated or aligned.
+        #[test]
+        fn reader_keeps_or_refuses_every_address(addr in proptest::any::<u64>(), low in 0u64..4) {
+            let held = addr % TRACE_ADDR_LIMIT;
+            for addr in [addr, held, (held & !3) | low] {
+                let bytes = stores_with_deltas(&[addr as i64]);
+                let read = TraceReader::new(&bytes).unwrap().next_stream();
+                if addr % 4 == 0 && addr < TRACE_ADDR_LIMIT {
+                    let stream = read.unwrap().unwrap();
+                    proptest::prop_assert_eq!(stream[0].addr(), Some(Addr::new(addr)));
+                } else {
+                    proptest::prop_assert!(matches!(read, Err(TraceError::Malformed(_))));
+                }
+            }
+        }
     }
 }

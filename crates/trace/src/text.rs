@@ -23,11 +23,16 @@
 //! marks regions written in parallel phases; `bypass` is one of
 //! `none`/`rto`/`stream`; `comm=OBJ:o1,o2,...` gives the Flex communication
 //! region (object size and useful byte offsets). Core sections must appear
-//! in core order and each closes with `end`.
+//! in core order and each closes with `end`. An `LD`/`ST` address must be
+//! word-aligned and below 2^48, the domain of a [`TraceOp`]; the parser
+//! refuses any other, as it refuses a region id beyond `u16` or a count
+//! beyond `u32`, rather than aligning or truncating it.
 
 use crate::{TraceDocument, TraceError};
 use std::fmt::Write as _;
-use tw_types::{Addr, BypassKind, CommRegion, MemKind, RegionId, RegionInfo, RegionTable, TraceOp};
+use tw_types::{
+    Addr, BypassKind, CommRegion, MemKind, Record, RegionId, RegionInfo, RegionTable, TraceOp,
+};
 
 const HEADER_LINE: &str = "denovo-waste-trace v1";
 
@@ -76,14 +81,14 @@ pub fn emit(doc: &TraceDocument) -> String {
     for (core, stream) in doc.streams.iter().enumerate() {
         let _ = writeln!(out, "core {core}");
         for op in stream {
-            match *op {
-                TraceOp::Mem { kind, addr, region } => {
+            match op.view() {
+                Record::Mem { kind, addr, region } => {
                     let _ = writeln!(out, "  {kind} {:#x} {region}", addr.byte());
                 }
-                TraceOp::Compute { cycles } => {
+                Record::Compute { cycles } => {
                     let _ = writeln!(out, "  C {cycles}");
                 }
-                TraceOp::Barrier { id } => {
+                Record::Barrier { id } => {
                     let _ = writeln!(out, "  B {id}");
                 }
             }
@@ -190,7 +195,8 @@ fn parse_region(args: &str, line_no: usize) -> Result<RegionInfo, TraceError> {
     Ok(info)
 }
 
-fn parse_op(line: &str, line_no: usize) -> Result<TraceOp, TraceError> {
+/// Parses the op on `line`, the `record`th of `core`'s stream.
+fn parse_op(line: &str, line_no: usize, core: usize, record: usize) -> Result<TraceOp, TraceError> {
     let mut parts = line.split_whitespace();
     let mnemonic = parts.next().unwrap_or_default();
     let op = match mnemonic {
@@ -211,15 +217,13 @@ fn parse_op(line: &str, line_no: usize) -> Result<TraceOp, TraceError> {
             if region > u16::MAX as u64 {
                 return Err(err(line_no, format!("region id {region} exceeds u16")));
             }
-            TraceOp::Mem {
-                kind: if mnemonic == "LD" {
-                    MemKind::Load
-                } else {
-                    MemKind::Store
-                },
-                addr: Addr::new(addr),
-                region: RegionId(region as u16),
-            }
+            let kind = if mnemonic == "LD" {
+                MemKind::Load
+            } else {
+                MemKind::Store
+            };
+            TraceOp::mem(kind, Addr::new(addr), RegionId(region as u16))
+                .map_err(|e| err(line_no, format!("core {core} record {record}: {e}")))?
         }
         "C" => {
             let cycles = parse_u64(
@@ -230,9 +234,7 @@ fn parse_op(line: &str, line_no: usize) -> Result<TraceOp, TraceError> {
             if cycles > u32::MAX as u64 {
                 return Err(err(line_no, format!("cycles {cycles} exceed u32")));
             }
-            TraceOp::Compute {
-                cycles: cycles as u32,
-            }
+            TraceOp::compute(cycles as u32)
         }
         "B" => {
             let id = parse_u64(
@@ -245,7 +247,7 @@ fn parse_op(line: &str, line_no: usize) -> Result<TraceOp, TraceError> {
             if id > u32::MAX as u64 {
                 return Err(err(line_no, format!("barrier id {id} exceeds u32")));
             }
-            TraceOp::Barrier { id: id as u32 }
+            TraceOp::barrier(id as u32)
         }
         m => return Err(err(line_no, format!("unknown op mnemonic `{m}`"))),
     };
@@ -310,7 +312,7 @@ pub fn parse(s: &str) -> Result<TraceDocument, TraceError> {
                 None => return Err(err(line_no, "`end` outside a core section")),
             },
             _ => match current.as_mut() {
-                Some(stream) => stream.push(parse_op(line, line_no)?),
+                Some(stream) => stream.push(parse_op(line, line_no, streams.len(), stream.len())?),
                 None => return Err(err(line_no, format!("unexpected line `{line}`"))),
             },
         }
@@ -384,6 +386,17 @@ end
         let e = parse(bad).err().unwrap().to_string();
         assert!(e.contains("line 6"), "{e}");
         assert!(e.contains("XX"), "{e}");
+    }
+
+    #[test]
+    fn addresses_a_record_cannot_hold_are_rejected() {
+        for addr in ["0x2", "0x1000000000000", "0xfffffffffffffffc"] {
+            let bad =
+                format!("denovo-waste-trace v1\ncores 1\ncore 0\n  C 1\n  ST {addr} R1\nend\n");
+            let e = parse(&bad).err().unwrap().to_string();
+            let named = format!("line 5: core 0 record 1: address {addr}");
+            assert!(e.contains(&named), "{e}");
+        }
     }
 
     #[test]

@@ -5,32 +5,27 @@
 
 use proptest::prelude::*;
 use tw_trace::{diff, TraceDocument};
-use tw_types::{Addr, MemKind, RegionId, RegionInfo, RegionTable, TraceOp};
+use tw_types::{Addr, RegionId, RegionInfo, RegionTable, TraceOp, TRACE_ADDR_LIMIT};
 
 /// Decodes one generated 4-tuple into a trace op. Addresses are arbitrary
 /// word indices (not confined to the declared regions — the codec must not
-/// care), regions arbitrary small ids, and kind 3 produces barriers so
-/// phases of every length (including zero mem ops) arise naturally.
+/// care) at the bottom and the top of the 48-bit domain, so address deltas
+/// of every length arise; regions are arbitrary small ids, and kind 4
+/// produces barriers so phases of every length (including zero mem ops)
+/// arise naturally.
 fn op_from(kind: u8, payload: u64, region: u64, cycles: u64) -> TraceOp {
+    let region = RegionId(region as u16);
     match kind {
-        0 => TraceOp::Mem {
-            kind: MemKind::Load,
-            addr: Addr::new(payload * 4),
-            region: RegionId(region as u16),
-        },
-        1 => TraceOp::Mem {
-            kind: MemKind::Store,
-            addr: Addr::new(payload * 4),
-            region: RegionId(region as u16),
-        },
-        2 => TraceOp::Compute {
-            cycles: cycles as u32,
-        },
-        _ => TraceOp::Barrier {
-            id: (payload % 100) as u32,
-        },
+        0 => TraceOp::load(Addr::new(payload * 4), region),
+        1 => TraceOp::store(Addr::new(payload * 4), region),
+        2 => TraceOp::store(Addr::new(TRACE_ADDR_LIMIT - 4 - payload * 4), region),
+        3 => TraceOp::compute(cycles as u32),
+        _ => TraceOp::barrier((payload % 100) as u32),
     }
 }
+
+/// Cases per property: the CI release step runs ten times the suite's.
+const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 640 };
 
 fn doc_with_streams(streams: Vec<Vec<TraceOp>>) -> TraceDocument {
     let mut regions = RegionTable::new();
@@ -49,12 +44,14 @@ fn doc_with_streams(streams: Vec<Vec<TraceOp>>) -> TraceDocument {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
     /// Binary encode -> decode is the identity for arbitrary op sequences
     /// across multiple cores.
     #[test]
     fn binary_codec_round_trips_arbitrary_streams(
-        raw_a in prop::collection::vec((0u8..4, 0u64..1_000_000, 0u64..64, 0u64..10_000), 0..300),
-        raw_b in prop::collection::vec((0u8..4, 0u64..1_000_000, 0u64..64, 0u64..10_000), 0..300),
+        raw_a in prop::collection::vec((0u8..5, 0u64..1_000_000, 0u64..64, 0u64..10_000), 0..300),
+        raw_b in prop::collection::vec((0u8..5, 0u64..1_000_000, 0u64..64, 0u64..10_000), 0..300),
     ) {
         let streams = vec![
             raw_a.into_iter().map(|(k, p, r, c)| op_from(k, p, r, c)).collect(),
@@ -70,7 +67,7 @@ proptest! {
     /// The text format round-trips the same arbitrary sequences.
     #[test]
     fn text_codec_round_trips_arbitrary_streams(
-        raw in prop::collection::vec((0u8..4, 0u64..1_000_000, 0u64..64, 0u64..10_000), 0..200),
+        raw in prop::collection::vec((0u8..5, 0u64..1_000_000, 0u64..64, 0u64..10_000), 0..200),
     ) {
         let doc = doc_with_streams(vec![
             raw.into_iter().map(|(k, p, r, c)| op_from(k, p, r, c)).collect(),
@@ -101,7 +98,7 @@ proptest! {
     /// reports a different document, never the original one with ops lost.
     #[test]
     fn truncation_is_never_a_silent_success(
-        raw in prop::collection::vec((0u8..4, 0u64..1_000_000, 0u64..64, 0u64..10_000), 1..100),
+        raw in prop::collection::vec((0u8..5, 0u64..1_000_000, 0u64..64, 0u64..10_000), 1..100),
         cut_fraction in 1u64..100,
     ) {
         let doc = doc_with_streams(vec![

@@ -48,4 +48,4 @@ pub use message::{MessageClass, MessageKind, TrafficBucket};
 pub use protocol::ProtocolKind;
 pub use region::{BypassKind, CommRegion, RegionId, RegionInfo, RegionTable};
 pub use stats::{Cycle, Stamp};
-pub use trace::{MemKind, TraceOp, TraceStats};
+pub use trace::{MemKind, Record, TraceOp, TraceStats, TRACE_ADDR_LIMIT};

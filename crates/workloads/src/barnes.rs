@@ -219,7 +219,7 @@ mod tests {
         let ops_before_first_barrier = |core: usize| {
             wl.traces[core]
                 .iter()
-                .take_while(|op| !matches!(op, tw_types::TraceOp::Barrier { .. }))
+                .take_while(|op| !matches!(op.view(), tw_types::Record::Barrier { .. }))
                 .filter(|op| op.is_mem())
                 .count()
         };

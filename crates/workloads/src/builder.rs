@@ -1,6 +1,6 @@
 //! Helpers for emitting per-core traces.
 
-use tw_types::{Addr, RegionId, TraceOp, WORD_BYTES};
+use tw_types::{Addr, Record, RegionId, TraceOp, WORD_BYTES};
 
 /// A per-core trace under construction.
 ///
@@ -45,11 +45,14 @@ impl TraceBuilder {
         if cycles == 0 {
             return self;
         }
-        if let Some(TraceOp::Compute { cycles: prev }) = self.ops.last_mut() {
-            *prev = prev.saturating_add(cycles);
-        } else {
-            self.ops.push(TraceOp::compute(cycles));
-        }
+        let total = match self.ops.last().map(|op| op.view()) {
+            Some(Record::Compute { cycles: prev }) => {
+                self.ops.pop();
+                prev.saturating_add(cycles)
+            }
+            _ => cycles,
+        };
+        self.ops.push(TraceOp::compute(total));
         self
     }
 
@@ -165,8 +168,8 @@ mod tests {
             .barrier(0);
         let ops = b.into_ops();
         assert_eq!(ops.len(), 4);
-        assert!(matches!(ops[0], TraceOp::Mem { .. }));
-        assert!(matches!(ops[3], TraceOp::Barrier { id: 0 }));
+        assert!(ops[0].is_mem());
+        assert_eq!(ops[3], TraceOp::barrier(0));
     }
 
     #[test]
@@ -175,7 +178,7 @@ mod tests {
         b.compute(5).compute(7).compute(0);
         let ops = b.into_ops();
         assert_eq!(ops.len(), 1);
-        assert!(matches!(ops[0], TraceOp::Compute { cycles: 12 }));
+        assert_eq!(ops[0], TraceOp::compute(12));
     }
 
     #[test]
@@ -185,10 +188,7 @@ mod tests {
         b.store_words(Addr::new(0x200), 2, RegionId(2));
         let ops = b.into_ops();
         assert_eq!(ops.len(), 6);
-        match ops[3] {
-            TraceOp::Mem { addr, .. } => assert_eq!(addr, Addr::new(0x10c)),
-            _ => panic!("expected a memory op"),
-        }
+        assert_eq!(ops[3].addr(), Some(Addr::new(0x10c)));
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl FftConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tw_types::TraceOp;
+    use tw_types::Record;
 
     #[test]
     fn tiny_workload_is_well_formed() {
@@ -161,9 +161,9 @@ mod tests {
             let mut seen_store = std::collections::HashSet::new();
             let mut barrier_count = 0;
             for op in trace {
-                match op {
-                    TraceOp::Barrier { .. } => barrier_count += 1,
-                    TraceOp::Mem { kind, addr, .. }
+                match op.view() {
+                    Record::Barrier { .. } => barrier_count += 1,
+                    Record::Mem { kind, addr, .. }
                         if barrier_count == 1
                             && addr.byte() >= trans_base
                             && addr.byte() < trans_base + (1 << 20) =>

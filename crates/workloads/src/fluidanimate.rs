@@ -282,11 +282,11 @@ mod tests {
         let mut cross_reads = 0usize;
         for (core, trace) in wl.traces.iter().enumerate() {
             for op in trace {
-                if let tw_types::TraceOp::Mem {
+                if let tw_types::Record::Mem {
                     kind: tw_types::MemKind::Store,
                     addr,
                     ..
-                } = op
+                } = op.view()
                 {
                     writers.entry(addr.byte() / CELL_BYTES).or_insert(core);
                 }
@@ -294,11 +294,11 @@ mod tests {
         }
         for (core, trace) in wl.traces.iter().enumerate() {
             for op in trace {
-                if let tw_types::TraceOp::Mem {
+                if let tw_types::Record::Mem {
                     kind: tw_types::MemKind::Load,
                     addr,
                     ..
-                } = op
+                } = op.view()
                 {
                     if let Some(&w) = writers.get(&(addr.byte() / CELL_BYTES)) {
                         if w != core {

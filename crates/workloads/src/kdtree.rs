@@ -203,9 +203,9 @@ mod tests {
         for trace in &wl.traces {
             let mut last = 0u64;
             for op in trace {
-                match op {
-                    tw_types::TraceOp::Barrier { .. } => break,
-                    tw_types::TraceOp::Mem { addr, .. }
+                match op.view() {
+                    tw_types::Record::Barrier { .. } => break,
+                    tw_types::Record::Mem { addr, .. }
                         if (0x2000_0000..0x3000_0000).contains(&addr.byte()) =>
                     {
                         assert!(addr.byte() >= last, "edge sweep went backwards");

@@ -189,7 +189,7 @@ impl LuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tw_types::{MemKind, TraceOp};
+    use tw_types::{MemKind, Record};
 
     #[test]
     fn tiny_workload_is_well_formed() {
@@ -219,7 +219,7 @@ mod tests {
         let mut writers = std::collections::HashMap::<u64, std::collections::HashSet<usize>>::new();
         for (core, trace) in wl.traces.iter().enumerate() {
             for op in trace {
-                if let TraceOp::Mem { kind, addr, .. } = op {
+                if let Record::Mem { kind, addr, .. } = op.view() {
                     let line = addr.byte() / 64;
                     match kind {
                         MemKind::Load => readers.entry(line).or_default().insert(core),
@@ -248,7 +248,7 @@ mod tests {
             .iter()
             .map(|t| {
                 t.iter()
-                    .take_while(|op| !matches!(op, TraceOp::Barrier { .. }))
+                    .take_while(|op| !matches!(op.view(), Record::Barrier { .. }))
                     .filter(|op| op.is_mem())
                     .count()
             })

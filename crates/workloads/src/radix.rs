@@ -177,7 +177,7 @@ impl RadixConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tw_types::{MemKind, TraceOp};
+    use tw_types::{MemKind, Record};
 
     #[test]
     fn tiny_workload_is_well_formed() {
@@ -197,9 +197,9 @@ mod tests {
         for trace in &wl.traces {
             let mut barriers = 0;
             for op in trace {
-                match op {
-                    TraceOp::Barrier { .. } => barriers += 1,
-                    TraceOp::Mem {
+                match op.view() {
+                    Record::Barrier { .. } => barriers += 1,
+                    Record::Mem {
                         kind: MemKind::Store,
                         addr,
                         ..

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use tw_trace::{TraceDocument, TraceError};
-use tw_types::{RegionTable, TraceOp};
+use tw_types::{Record, RegionTable, TraceOp};
 
 /// The six applications evaluated in the paper (Table 4.2), plus the
 /// catch-all kind for externally captured or hand-written traces.
@@ -135,7 +135,7 @@ impl Workload {
             .first()
             .map(|t| {
                 t.iter()
-                    .filter(|op| matches!(op, TraceOp::Barrier { .. }))
+                    .filter(|op| matches!(op.view(), Record::Barrier { .. }))
                     .count()
             })
             .unwrap_or(0)
@@ -153,8 +153,8 @@ impl Workload {
         }
         let barrier_seq = |t: &Vec<TraceOp>| {
             t.iter()
-                .filter_map(|op| match op {
-                    TraceOp::Barrier { id } => Some(*id),
+                .filter_map(|op| match op.view() {
+                    Record::Barrier { id } => Some(id),
                     _ => None,
                 })
                 .collect::<Vec<_>>()

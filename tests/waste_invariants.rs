@@ -3,7 +3,7 @@
 
 use denovo_waste::{SimConfig, Simulator};
 use proptest::prelude::*;
-use tw_types::{Addr, MemKind, ProtocolKind, RegionId, RegionInfo, RegionTable, TraceOp};
+use tw_types::{Addr, ProtocolKind, Record, RegionId, RegionInfo, RegionTable, TraceOp};
 use tw_workloads::{BenchmarkKind, Workload};
 
 /// Builds a 16-core workload from a per-core list of (is_store, slot) pairs
@@ -27,17 +27,16 @@ fn synthetic_workload(ops: Vec<Vec<(bool, u16)>>) -> Workload {
                     trace.push(TraceOp::barrier(0));
                 }
                 let addr = Addr::new(base + slot as u64 * 4);
-                trace.push(TraceOp::Mem {
-                    kind: if is_store {
-                        MemKind::Store
-                    } else {
-                        MemKind::Load
-                    },
-                    addr,
-                    region: RegionId(1),
+                trace.push(if is_store {
+                    TraceOp::store(addr, RegionId(1))
+                } else {
+                    TraceOp::load(addr, RegionId(1))
                 });
             }
-            if !trace.iter().any(|op| matches!(op, TraceOp::Barrier { .. })) {
+            if !trace
+                .iter()
+                .any(|op| matches!(op.view(), Record::Barrier { .. }))
+            {
                 trace.insert(0, TraceOp::barrier(0));
             }
             trace.push(TraceOp::barrier(1));
