@@ -77,8 +77,8 @@ pub static COMMANDS: &[Command] = &[
         .summary("execute a plan and print every figure; --json writes the figures document, --stats the cache statistics"),
     Command::new(&["profile"], profile::run)
         .operands(&["spec.json"])
-        .flags(&[CACHE, opt("--top", "N"), opt("--trace", "OUT")])
-        .summary("execute a plan with the flight recorder armed and print the hot-spot report"),
+        .flags(&[CACHE, opt("--top", "N"), opt("--trace", "OUT"), opt("--counts", "OUT")])
+        .summary("execute a plan with the flight recorder armed and print the hot-spot report; --counts writes every simulated cell's work counts"),
     Command::new(&["profile", "diff"], profile::diff)
         .operands(&["a.jsonl", "b.jsonl"])
         .summary("compare two span traces modulo timing; exit 1 at the first divergence"),
@@ -526,6 +526,8 @@ plan builtin --tiny --network analytic,flit => plan builtin |  | --network=analy
 plan show plan-tiny.json => plan show | plan-tiny.json |  | -
 plan run p.json --cache .c --json a.json --stats s.json => plan run | p.json | --cache=.c --json=a.json --stats=s.json | -
 profile plan-tiny.json --top 10 --trace profile-tiny.jsonl => profile | plan-tiny.json | --top=10 --trace=profile-tiny.jsonl | -
+profile plan-net.json --counts work.txt => profile | plan-net.json | --counts=work.txt | -
+plan builtin --tiny --network analytic,flit,bus => plan builtin |  | --network=analytic,flit,bus | tiny
 profile diff flight-a.jsonl flight-b.jsonl => profile diff | flight-a.jsonl flight-b.jsonl |  | -
 trace record c.trace --tiny --bench FFT --protocol DBypFull => trace record | c.trace | --bench=FFT --protocol=DBypFull | tiny
 trace record fft.trace --bench FFT => trace record | fft.trace | --bench=FFT | scaled

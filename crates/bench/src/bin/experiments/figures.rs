@@ -92,7 +92,8 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     }
     let cache = args.value("--cache");
     let record = args.value("--record").map(|out| ("cli", Some(out)));
-    let (outcome, wall, _) = run_plan(&spec, &WorkloadSet::new(), cache, record)?;
+    let ran = run_plan(&spec, &WorkloadSet::new(), cache, record)?;
+    let (outcome, wall) = (ran.outcome, ran.wall);
     if cache.is_some() {
         eprintln!("{}", cache_line(&outcome.cache));
     }

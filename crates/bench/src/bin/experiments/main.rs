@@ -36,7 +36,9 @@ mod plan;
 mod profile;
 mod trace;
 
-use denovo_waste::{CacheStats, ExperimentSpec, PlanOutcome, Session, WorkloadSet};
+use denovo_waste::{
+    CacheStats, CellGroup, CompiledPlan, ExperimentSpec, PlanOutcome, Session, WorkloadSet,
+};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,6 +73,15 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
     Ok(())
 }
 
+/// What [`run_plan`] did: the compiled plan, its outcome, the wall time of
+/// compiling and executing it, and the flight recorder when one was armed.
+struct Ran {
+    plan: CompiledPlan,
+    outcome: PlanOutcome,
+    wall: Duration,
+    recorder: Option<Arc<FlightRecorder>>,
+}
+
 /// The one way a command executes a plan: a fresh [`Session`], routed
 /// through the result cache when `cache` names a directory. `record` is
 /// `(track, out)`: it arms a flight recorder rooted at `track` (returned, for
@@ -80,7 +91,7 @@ fn run_plan(
     provided: &WorkloadSet,
     cache: Option<&str>,
     record: Option<(&str, Option<&str>)>,
-) -> Result<(PlanOutcome, Duration, Option<Arc<FlightRecorder>>), String> {
+) -> Result<Ran, String> {
     let mut session = Session::new();
     if let Some(dir) = cache {
         session = session.with_cache_dir(dir);
@@ -91,14 +102,34 @@ fn run_plan(
     }
     eprintln!("running plan `{}` ({:?} scale)...", spec.name, spec.scale);
     let started = Instant::now();
-    let outcome = session.run(spec, provided)?;
+    let plan = session.compile(spec, provided)?;
+    let outcome = session.execute(&plan)?;
     let wall = started.elapsed();
     eprintln!("plan of {} cells finished in {wall:.2?}", outcome.cells());
-    let rec = flight.map(|(rec, _)| rec);
-    if let (Some(rec), Some((_, Some(out)))) = (&rec, record) {
+    let recorder = flight.map(|(rec, _)| rec);
+    if let (Some(rec), Some((_, Some(out)))) = (&recorder, record) {
         write_file(out, rec.to_jsonl())?;
     }
-    Ok((outcome, wall, rec))
+    Ok(Ran {
+        plan,
+        outcome,
+        wall,
+        recorder,
+    })
+}
+
+/// `N cells, D distinct, R runs`: a plan's cells, the distinct machines
+/// among them, and the simulations that time those machines, one timed lane
+/// per network model ([`Session::groups`]).
+fn census(groups: &[CellGroup]) -> String {
+    let distinct = groups.iter().enumerate().filter(|&(i, g)| g.leader == i);
+    let runs = groups.iter().enumerate().filter(|&(i, g)| g.run == i);
+    format!(
+        "{} cells, {} distinct, {} runs",
+        groups.len(),
+        distinct.count(),
+        runs.count()
+    )
 }
 
 /// The cache-statistics line the figure runner and `plan run` print. The

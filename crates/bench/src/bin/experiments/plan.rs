@@ -1,7 +1,7 @@
 //! The `plan` family: builtin / show / run (one-line summaries: `cli.rs`).
 
 use crate::cli::Args;
-use crate::{cache_line, run_plan, write_file};
+use crate::{cache_line, census, run_plan, write_file};
 use denovo_waste::{ExperimentSpec, Session, WorkloadSet};
 use std::path::Path;
 use std::process::ExitCode;
@@ -23,7 +23,8 @@ pub fn builtin(args: &Args) -> Result<ExitCode, String> {
 
 /// Every sweep axis of the spec, then the compiled cells with their
 /// identity (workload ref, variant geometry, protocol, cache key); a cell
-/// that is the same machine as an earlier one names it instead.
+/// that is the same machine as an earlier one names it instead, and one
+/// that is a timed lane of an earlier cell's run names that cell.
 pub fn show(args: &Args) -> Result<ExitCode, String> {
     let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
     let session = Session::new();
@@ -76,20 +77,26 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
         );
     }
     let groups = session.groups(&plan);
-    for (i, (cell, (key, leader))) in plan.cells.iter().zip(&groups).enumerate() {
-        let identity = if *leader == i {
+    for (i, (cell, group)) in plan.cells.iter().zip(&groups).enumerate() {
+        let identity = if group.leader == i {
             format!("workload {:<24}", cell.workload_ref.to_string())
         } else {
-            format!("= {:<31}", plan.cells[*leader].name_from(cell))
+            format!("= {:<31}", plan.cells[group.leader].name_from(cell))
+        };
+        // A leader another cell's run simulates is a timed lane of that run.
+        let lane = if group.leader == i && group.run != i {
+            format!(" lane of {}", plan.cells[group.run].track())
+        } else {
+            String::new()
         };
         println!(
-            "  {:<28} {:<10} {identity} key {key}",
+            "  {:<28} {:<10} {identity} key {}{lane}",
             cell.label,
             cell.protocol.name(),
+            group.key,
         );
     }
-    let distinct = groups.iter().enumerate().filter(|(i, g)| g.1 == *i).count();
-    println!("{} cells, {distinct} distinct", plan.cells.len());
+    println!("{}", census(&groups));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -97,7 +104,7 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
 pub fn run(args: &Args) -> Result<ExitCode, String> {
     let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
     let record = args.value("--record").map(|out| ("plan", Some(out)));
-    let (outcome, _, _) = run_plan(&spec, &WorkloadSet::new(), args.value("--cache"), record)?;
+    let outcome = run_plan(&spec, &WorkloadSet::new(), args.value("--cache"), record)?.outcome;
     for fig in outcome.all_figures()? {
         println!("{fig}");
     }

@@ -3,20 +3,48 @@
 //! summaries: `cli.rs`).
 
 use crate::cli::Args;
-use crate::run_plan;
-use denovo_waste::{ExperimentSpec, WorkloadSet};
+use crate::{census, run_plan, write_file};
+use denovo_waste::{ExperimentSpec, Session, WorkloadSet};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
-use tw_obs::FlightRecorder;
+use tw_obs::{AttrValue, FlightRecorder};
 
 pub fn run(args: &Args) -> Result<ExitCode, String> {
     let top = args.number("--top", 10usize)?;
     let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
     let record = Some(("profile", args.value("--trace")));
-    let (outcome, wall, rec) = run_plan(&spec, &WorkloadSet::new(), args.value("--cache"), record)?;
-    let rec = rec.expect("run_plan arms a recorder when `record` is set");
-    print_profile(&rec, outcome.cells(), wall, top);
+    let ran = run_plan(&spec, &WorkloadSet::new(), args.value("--cache"), record)?;
+    let rec = ran
+        .recorder
+        .expect("run_plan arms a recorder when `record` is set");
+    print_profile(&rec, ran.outcome.cells(), ran.wall, top);
+    if let Some(out) = args.value("--counts") {
+        let mut counts = work_counts(&rec.spans());
+        counts += &census(&Session::new().groups(&ran.plan));
+        counts.push('\n');
+        write_file(out, counts)?;
+    }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Every simulated cell's `run`-span integers, one line per cell in track
+/// order: `<track> name=value ...` in the span's attribute order. Counts,
+/// not timings, so the text is the same from every run and every build.
+fn work_counts(spans: &[tw_obs::Span]) -> String {
+    let mut runs: Vec<&tw_obs::Span> = spans.iter().filter(|s| s.name == "run").collect();
+    runs.sort_by(|a, b| a.track.cmp(&b.track));
+    let mut text = String::new();
+    for span in runs {
+        text += &span.track;
+        for (key, value) in &span.attrs {
+            if let AttrValue::U64(n) = value {
+                let _ = write!(text, " {key}={n}");
+            }
+        }
+        text.push('\n');
+    }
+    text
 }
 
 /// Prints, per simulated cell and in total, how much of the waste

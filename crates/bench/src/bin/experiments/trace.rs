@@ -94,7 +94,7 @@ pub fn replay(args: &Args) -> Result<ExitCode, String> {
             spec.workloads = vec![WorkloadSpec::provided(name)];
             let mut set = WorkloadSet::new();
             set.insert(name, workload);
-            let (outcome, _, _) = run_plan(&spec, &set, None, None)?;
+            let outcome = run_plan(&spec, &set, None, None)?.outcome;
             let (row, _) = &outcome.rows[0];
             for &p in &ProtocolKind::ALL {
                 summarize(outcome.report(row, p)?);

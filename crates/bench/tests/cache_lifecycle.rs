@@ -438,6 +438,6 @@ fn the_cli_cache_line_accounts_for_every_cell() {
     assert_eq!(cells[2][..4], ["b", "MESI", "=", "a/MESI"]);
     assert_eq!(cells[3][..4], ["b", "DeNovo", "=", "a/DeNovo"]);
     assert_eq!(cells[0].last(), cells[2].last(), "one key");
-    assert_eq!(shown.lines().last(), Some("4 cells, 2 distinct"));
+    assert_eq!(shown.lines().last(), Some("4 cells, 2 distinct, 2 runs"));
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -8,8 +8,8 @@
 //! representable spec round-trips through its JSON form.
 
 use denovo_waste::{
-    cache_key, ExperimentSpec, ScaleProfile, Session, SystemVariant, WorkloadSet, WorkloadSpec,
-    ENGINE_VERSION,
+    cache_key, ExperimentSpec, ScaleProfile, Session, SimConfig, Simulator, SystemVariant,
+    WorkloadSet, WorkloadSpec, ENGINE_VERSION,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -204,6 +204,49 @@ fn network_model_is_a_cache_key_component() {
     assert_eq!(session.run(&spec, &set).unwrap().cache.hits, 1);
     assert_eq!(session.run(&flit, &set).unwrap().cache.hits, 1);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_run_serves_every_network_model_of_a_cell_under_its_own_key() {
+    let dir = fresh_dir("lanes");
+    let session = Session::new().with_cache_dir(&dir);
+    let mut set = WorkloadSet::new();
+    set.insert("synth", synthesize(3));
+    let mut spec = synth_spec(ProtocolKind::Mesi);
+    spec.protocols.push(ProtocolKind::DBypFull);
+    spec.networks = NetworkModelKind::ALL.to_vec();
+    let plan = session.compile(&spec, &set).unwrap();
+
+    // Six cells, six keys, two runs: one per protocol, a lane per network.
+    let groups = session.groups(&plan);
+    let runs: std::collections::BTreeSet<usize> = groups.iter().map(|g| g.run).collect();
+    assert_eq!(runs.len(), 2);
+    for (i, (cell, group)) in plan.cells.iter().zip(&groups).enumerate() {
+        assert_eq!(group.leader, i);
+        let head = &plan.cells[group.run];
+        assert!(head.shares_run_with(cell) && head.protocol == cell.protocol);
+    }
+
+    // Every report is the simulation of its cell alone, and each key has
+    // its own entry.
+    let cold = session.execute(&plan).unwrap();
+    let counts = |c: denovo_waste::CacheStats| (c.hits, c.misses, c.coalesced);
+    assert_eq!(counts(cold.cache), (0, 6, 0));
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 6);
+    for cell in &plan.cells {
+        let config = SimConfig::new(cell.protocol).with_system(cell.system.clone());
+        let alone = Simulator::new(config, &cell.workload).run();
+        assert_eq!(cold.reports[&(cell.row.clone(), cell.protocol)], alone);
+    }
+
+    // One lane's entry lost: that key alone is simulated, its run's other
+    // lanes are read from the disk.
+    let lost = &plan.cells[plan.cells.len() - 1];
+    std::fs::remove_file(dir.join(format!("{}.json", session.key_of(lost)))).unwrap();
+    let warm = session.execute(&plan).unwrap();
+    assert_eq!(counts(warm.cache), (5, 1, 0));
+    assert_eq!(warm.reports, cold.reports);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -25,7 +25,7 @@ pub use plan::{
     WorkloadRef, WorkloadSet, WorkloadSource, WorkloadSpec, SPEC_SCHEMA,
 };
 pub use session::{
-    cache_key, sweep_temp_files, CacheStats, Session, SessionCounters, ENGINE_VERSION,
+    cache_key, sweep_temp_files, CacheStats, CellGroup, Session, SessionCounters, ENGINE_VERSION,
     TEMP_SWEEP_AGE,
 };
 

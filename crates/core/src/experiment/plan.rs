@@ -15,6 +15,7 @@
 use super::json::Json;
 use super::memo::WorkloadMemo;
 use super::ScaleProfile;
+use crate::sim::SimError;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -65,6 +66,8 @@ pub enum ExperimentError {
     },
     /// A workload could not be built or loaded.
     Workload(String),
+    /// The simulator refused a cell (a plan the compiler did not make).
+    Simulation(SimError),
     /// Filesystem trouble (cache directory, trace files, spec files).
     Io(String),
 }
@@ -95,6 +98,7 @@ impl fmt::Display for ExperimentError {
                 write!(f, "variant `{variant}` is not a valid system: {reason}")
             }
             ExperimentError::Workload(msg) => write!(f, "cannot build workload: {msg}"),
+            ExperimentError::Simulation(e) => write!(f, "cannot simulate: {e}"),
             ExperimentError::Io(msg) => write!(f, "{msg}"),
         }
     }
@@ -884,6 +888,22 @@ impl PlannedCell {
     /// workload content and on the system are one simulation.
     pub fn effective_protocol(&self) -> ProtocolKind {
         self.protocol.effective_for(&self.workload.regions)
+    }
+
+    /// Whether this cell and `other` are one machine timed by two network
+    /// models: equal in workload content, effective protocol and every
+    /// system field but `network`. Such cells are one simulation with a
+    /// timed lane each (`Simulator::try_new`): a network model moves only
+    /// its own lane, and the canonical lane they share decides every
+    /// message, cache state and waste word of both.
+    pub fn shares_run_with(&self, other: &PlannedCell) -> bool {
+        let machine = SystemConfig {
+            network: self.system.network,
+            ..other.system.clone()
+        };
+        self.workload_ref.digest == other.workload_ref.digest
+            && self.effective_protocol() == other.effective_protocol()
+            && self.system == machine
     }
 
     /// The cell's flight-recorder track and display name,

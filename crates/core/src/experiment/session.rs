@@ -1,10 +1,11 @@
 //! Plan execution through a content-addressed result cache.
 //!
 //! A [`Session`] turns a compiled plan into a [`PlanOutcome`]. The plan's
-//! cells are grouped by cache key, one cell per distinct key fans out on the
-//! rayon pool, and every cell of a group is handed that one report. The
-//! cache key of a cell digests **everything that determines its
-//! `SimReport`** (bar the protocol label the report carries):
+//! cells are grouped by cache key, the keys whose cells differ only in
+//! their network model are bundled into one run, one run per bundle fans
+//! out on the rayon pool, and every cell of a group is handed its key's
+//! report. The cache key of a cell digests **everything that determines
+//! its `SimReport`** (bar the protocol label the report carries):
 //!
 //! * the workload's canonical trace bytes (via its content digest),
 //! * the fully-resolved [`SystemConfig`] (every result-affecting field),
@@ -31,7 +32,7 @@ use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tw_obs::{Span, SpanSink};
 use tw_types::{Cycle, Digest, Digester, ProtocolKind, SystemConfig};
@@ -122,6 +123,27 @@ impl CellSource {
     }
 }
 
+/// Where one cell of a plan gets its report (see [`Session::groups`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellGroup {
+    /// The cell's cache key.
+    pub key: Digest,
+    /// The first cell of the plan with that key, which probes, simulates
+    /// and stores it for the whole group (a leader's index is its own).
+    pub leader: usize,
+    /// The first leader of the run that simulates the key: leaders whose
+    /// cells differ only in their network model share one run, a timed lane
+    /// each ([`PlannedCell::shares_run_with`]).
+    pub run: usize,
+}
+
+/// A leader's report and how it was obtained.
+type Led = (SimReport, CellSource);
+
+/// One single-flight slot: a key's report once its leader has it. The
+/// leader holds the lock from before its disk probe until the report is in.
+type Slot = Arc<Mutex<Option<SimReport>>>;
+
 /// State shared by every clone of a [`Session`]: the in-process
 /// single-flight table, the workload memo and the once-per-session
 /// temp-file sweep marker.
@@ -135,7 +157,7 @@ struct SessionState {
     /// completed slots: the table is its only result cache. A session with
     /// one drops a slot as soon as the leader has stored the entry, so a
     /// long-lived daemon's table holds only what is in flight.
-    inflight: Mutex<BTreeMap<Digest, Arc<OnceLock<SimReport>>>>,
+    inflight: Mutex<BTreeMap<Digest, Slot>>,
     /// Generated workloads, shared by every plan this session compiles.
     memo: WorkloadMemo,
     /// Whether this session already swept stray temp files from its cache
@@ -248,10 +270,11 @@ impl Session {
         }
     }
 
-    /// Executes a compiled plan: one run per distinct cache key, every cell
-    /// of a key handed that report under its own protocol's name. How a
-    /// cell is counted depends on the plan and the cache's state, never on
-    /// timing: a group's leader as what it did, the rest of the group as
+    /// Executes a compiled plan: one report per distinct cache key, every
+    /// cell of a key handed that report under its own protocol's name, and
+    /// one simulation for all the keys of a run ([`Session::groups`]). How
+    /// a cell is counted depends on the plan and the cache's state, never
+    /// on timing: a group's leader as what it did, the rest of the group as
     /// `hits` if the leader read the report from disk, else `coalesced`.
     pub fn execute(&self, plan: &CompiledPlan) -> Result<PlanOutcome, ExperimentError> {
         if let Some(dir) = &self.cache_dir {
@@ -269,20 +292,25 @@ impl Session {
                 let _ = sweep_temp_files(dir, TEMP_SWEEP_AGE);
             }
         }
-        // Each distinct machine runs once: only the leaders fan out, so a
-        // duplicate never parks a worker on its leader's slot while another
-        // key waits for a core.
+        // Each distinct machine is simulated once, and the machines that
+        // differ only in their network model in one run: only the runs fan
+        // out, so a duplicate never parks a worker on its leader's slot while
+        // another key waits for a core.
         let groups = self.groups(plan);
-        let leaders: Vec<usize> = (0..plan.cells.len())
-            .filter(|&i| groups[i].1 == i)
-            .collect();
-        let results: Vec<Result<(SimReport, CellSource), ExperimentError>> = leaders
+        let mut runs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, group) in groups.iter().enumerate() {
+            if group.leader == i {
+                runs.entry(group.run).or_default().push(i);
+            }
+        }
+        let runs: Vec<Vec<usize>> = runs.into_values().collect();
+        let results: Vec<_> = runs
             .par_iter()
-            .map(|&i| self.run_cell(&plan.cells[i], groups[i].0))
+            .map(|leaders| self.run_together(plan, &groups, leaders))
             .collect();
         let mut led = BTreeMap::new();
-        for (&i, result) in leaders.iter().zip(results) {
-            led.insert(i, result?);
+        for result in results {
+            led.extend(result?);
         }
 
         let mut reports = BTreeMap::new();
@@ -292,7 +320,7 @@ impl Session {
         // a duplicate costs a copy (PERFORMANCE.md, PR 21, has what copying
         // every report on this thread did to peak RSS).
         for (i, cell) in plan.cells.iter().enumerate().rev() {
-            let leader = groups[i].1;
+            let leader = groups[i].leader;
             let (mut report, led_source) = if leader == i {
                 led.remove(&i).expect("every leader ran")
             } else {
@@ -348,107 +376,197 @@ impl Session {
         )
     }
 
-    /// Every cell's cache key and the index of its group's leader — the
-    /// first cell of the plan with that key (a leader's index is its own).
-    /// A pure function of the plan: [`Session::execute`] runs the leaders
-    /// and hands their reports to the rest.
-    pub fn groups(&self, plan: &CompiledPlan) -> Vec<(Digest, usize)> {
+    /// Where every cell of `plan` gets its report: its cache key, its
+    /// group's leader (the first cell with that key) and its run (the first
+    /// leader among the leaders whose cells differ only in their network
+    /// model, [`PlannedCell::shares_run_with`]). A pure function of the
+    /// plan: [`Session::execute`] simulates each run once, a timed lane per
+    /// leader, and hands every cell its leader's report.
+    pub fn groups(&self, plan: &CompiledPlan) -> Vec<CellGroup> {
         let mut first = BTreeMap::new();
-        plan.cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                let key = self.key_of(cell);
-                (key, *first.entry(key).or_insert(i))
-            })
-            .collect()
+        let mut runs: Vec<usize> = Vec::new();
+        let mut groups: Vec<CellGroup> = Vec::with_capacity(plan.cells.len());
+        for (i, cell) in plan.cells.iter().enumerate() {
+            let key = self.key_of(cell);
+            let leader = *first.entry(key).or_insert(i);
+            let run = if leader != i {
+                groups[leader].run
+            } else if let Some(&run) = runs
+                .iter()
+                .find(|&&run| plan.cells[run].shares_run_with(cell))
+            {
+                run
+            } else {
+                runs.push(i);
+                i
+            };
+            groups.push(CellGroup { key, leader, run });
+        }
+        groups
     }
 
-    fn run_cell(
+    /// Resolves the leaders of one run, returning each one's report and how
+    /// it was obtained. Every leader takes its key's single-flight slot and
+    /// probes the disk under its own key; the leaders that miss are
+    /// simulated together, a timed lane each, and stored under their own
+    /// keys.
+    fn run_together(
         &self,
-        cell: &PlannedCell,
-        key: Digest,
-    ) -> Result<(SimReport, CellSource), ExperimentError> {
+        plan: &CompiledPlan,
+        groups: &[CellGroup],
+        leaders: &[usize],
+    ) -> Result<Vec<(usize, Led)>, ExperimentError> {
         // Timers exist only when a recorder is attached, so the unrecorded
         // path pays one Option probe per cell, nothing per op.
-        let sink = self.recorder.as_ref().map(|s| s.with_track(cell.track()));
-        let timer = || sink.as_ref().map(|_| Instant::now());
+        let timer = || self.recorder.as_ref().map(|_| Instant::now());
         let micros = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_micros() as u64);
-        let path = self
-            .cache_dir
-            .as_ref()
-            .map(|d| d.join(format!("{key}.json")));
-        // Single-flight: the slot is taken before anything is looked up, so
-        // exactly one caller per key — the leader — probes the disk and, on
-        // a miss, simulates; everyone who arrives while it runs shares its
-        // report, and whoever arrives after it dropped the slot leads a
-        // fresh one and finds the entry on disk.
-        let flight = {
-            let mut inflight = self.state.inflight.lock().expect("inflight lock");
-            Arc::clone(inflight.entry(key).or_default())
-        };
-        let mut source = CellSource::Coalesced;
-        let (mut probe_us, mut sim_us, mut store_us) = (0u64, 0u64, 0u64);
-        let report = flight
-            .get_or_init(|| {
-                if let Some(path) = &path {
-                    let t = timer();
-                    let hit = probe_entry(path, key);
-                    probe_us = micros(t);
-                    if let Some(report) = hit {
-                        source = CellSource::DiskHit;
-                        return report;
-                    }
+        let mut members: Vec<Member> = leaders
+            .iter()
+            .map(|&index| {
+                let (cell, key) = (&plan.cells[index], groups[index].key);
+                Member {
+                    index,
+                    cell,
+                    key,
+                    sink: self.recorder.as_ref().map(|s| s.with_track(cell.track())),
+                    path: self
+                        .cache_dir
+                        .as_ref()
+                        .map(|d| d.join(format!("{key}.json"))),
+                    source: CellSource::Coalesced,
+                    probe_us: 0,
+                    sim_us: 0,
+                    store_us: 0,
                 }
-                source = CellSource::Simulated;
-                let t = timer();
-                let report = self.simulate(cell, sink.as_ref());
-                sim_us = micros(t);
-                report
             })
-            .clone();
-        if source != CellSource::Coalesced {
-            if let Some(path) = &path {
-                let t = timer();
-                let stored = match source {
-                    CellSource::Simulated => store_entry(path, key, cell, &report),
-                    _ => Ok(()),
-                };
-                store_us = micros(t);
-                // The entry is on disk, where the next leader finds it, and
-                // whoever coalesced holds the slot already: it has no reader
-                // left. Dropping it after a failed store as well means the
-                // next request for the key simulates and stores again,
-                // instead of being served from memory while the entry stays
-                // missing (or corrupt) on disk.
-                self.state
-                    .inflight
-                    .lock()
-                    .expect("inflight lock")
-                    .remove(&key);
-                stored?;
+            .collect();
+        // A run holds the slots of all its leaders at once, so it takes them
+        // in key order: two runs that share keys never wait on each other.
+        members.sort_by_key(|m| m.key);
+        // Single-flight: the slots are taken before anything is looked up,
+        // so exactly one caller per key — the leader — probes the disk and,
+        // on a miss, simulates; everyone who arrives while it runs shares
+        // its report, and whoever arrives after it dropped the slot leads a
+        // fresh one and finds the entry on disk.
+        let slots: Vec<Slot> = {
+            let mut inflight = self.state.inflight.lock().expect("inflight lock");
+            let mut slot = |key| Arc::clone(inflight.entry(key).or_default());
+            members.iter().map(|m| slot(m.key)).collect()
+        };
+        // A slot is written once and whole, so one whose holder panicked is
+        // still empty, and its next leader simulates.
+        let mut held: Vec<_> = slots
+            .iter()
+            .map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let mut missing = Vec::new();
+        for (k, (member, slot)) in members.iter_mut().zip(&mut held).enumerate() {
+            if slot.is_some() {
+                continue; // another request's leader filled it
             }
+            if let Some(path) = &member.path {
+                let t = timer();
+                let hit = probe_entry(path, member.key);
+                member.probe_us = micros(t);
+                if hit.is_some() {
+                    member.source = CellSource::DiskHit;
+                    **slot = hit;
+                    continue;
+                }
+            }
+            member.source = CellSource::Simulated;
+            missing.push(k);
         }
+        if let Some(&first) = missing.first() {
+            let t = timer();
+            let lanes = missing
+                .iter()
+                .map(|&k| self.config(members[k].cell, members[k].sink.clone()))
+                .collect();
+            let reports = Simulator::try_new(lanes, &members[first].cell.workload)
+                .map_err(ExperimentError::Simulation)?
+                .run_lanes();
+            // One run's wall time is counted once: every cell it simulated
+            // gets an equal share, the first one also the remainder.
+            let (us, n) = (micros(t), missing.len() as u64);
+            for (&k, report) in missing.iter().zip(reports) {
+                members[k].sim_us = us / n;
+                *held[k] = Some(report);
+            }
+            members[first].sim_us += us % n;
+        }
+        let reports: Vec<SimReport> = held
+            .iter()
+            .map(|slot| (**slot).clone().expect("every slot is filled"))
+            .collect();
+        drop(held);
+        let mut stored = Ok(());
+        for (member, report) in members.iter_mut().zip(&reports) {
+            let Some(path) = &member.path else { continue };
+            if member.source == CellSource::Coalesced {
+                continue;
+            }
+            let t = timer();
+            if member.source == CellSource::Simulated {
+                stored = stored.and(store_entry(path, member.key, member.cell, report));
+            }
+            member.store_us = micros(t);
+            // The entry is on disk, where the next leader finds it, and
+            // whoever coalesced holds the slot already: it has no reader
+            // left. Dropping it after a failed store as well means the next
+            // request for the key simulates and stores again, instead of
+            // being served from memory while the entry stays missing (or
+            // corrupt) on disk.
+            self.state
+                .inflight
+                .lock()
+                .expect("inflight lock")
+                .remove(&member.key);
+        }
+        stored?;
         // The outcome is the deterministic payload; every wall-clock
         // measurement is quarantined in `timing`.
-        if let Some(sink) = &sink {
-            sink.emit(
-                Span::event("cell")
-                    .attr("outcome", source.name())
-                    .timing_us("probe_us", probe_us)
-                    .timing_us("sim_us", sim_us)
-                    .timing_us("store_us", store_us),
-            );
+        for member in &members {
+            if let Some(sink) = &member.sink {
+                sink.emit(
+                    Span::event("cell")
+                        .attr("outcome", member.source.name())
+                        .timing_us("probe_us", member.probe_us)
+                        .timing_us("sim_us", member.sim_us)
+                        .timing_us("store_us", member.store_us),
+                );
+            }
         }
-        Ok((report, source))
+        Ok(members
+            .iter()
+            .zip(reports)
+            .map(|(member, report)| (member.index, (report, member.source)))
+            .collect())
     }
 
-    fn simulate(&self, cell: &PlannedCell, sink: Option<&SpanSink>) -> SimReport {
+    /// The run configuration of `cell` under this session, its spans on
+    /// `sink`.
+    fn config(&self, cell: &PlannedCell, sink: Option<SpanSink>) -> SimConfig {
         let mut cfg = SimConfig::new(cell.effective_protocol()).with_system(cell.system.clone());
         cfg.barrier_overhead = self.barrier_overhead;
-        cfg.recorder = sink.cloned();
-        Simulator::new(cfg, &cell.workload).run()
+        cfg.recorder = sink;
+        cfg
     }
+}
+
+/// One leader of a run while [`Session::run_together`] resolves it.
+struct Member<'p> {
+    /// The cell's index in its plan.
+    index: usize,
+    cell: &'p PlannedCell,
+    key: Digest,
+    sink: Option<SpanSink>,
+    /// The cell's cache entry, when the session has a cache directory.
+    path: Option<PathBuf>,
+    source: CellSource,
+    probe_us: u64,
+    sim_us: u64,
+    store_us: u64,
 }
 
 /// Probes a cache entry; never errors. An entry that is absent, unreadable,
@@ -650,6 +768,28 @@ mod tests {
         assert_eq!(
             Session::default().key_of(&plan.cells[0]),
             Session::new().key_of(&plan.cells[0])
+        );
+    }
+
+    #[test]
+    fn a_cell_the_simulator_refuses_is_an_experiment_error() {
+        // `compile` refuses such a system; a plan built by hand is refused
+        // when it runs, as a typed error rather than a panic.
+        let mut plan = ExperimentSpec::subset(
+            vec![ProtocolKind::Mesi],
+            vec![tw_workloads::BenchmarkKind::Fft],
+            super::super::ScaleProfile::Tiny,
+        )
+        .compile(&WorkloadSet::new())
+        .unwrap();
+        plan.cells[0].system.cache.l1_bytes = 0;
+        let err = Session::new().execute(&plan).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExperimentError::Simulation(crate::sim::SimError::InvalidSystem(_))
+            ),
+            "{err}"
         );
     }
 

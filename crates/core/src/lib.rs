@@ -40,12 +40,12 @@ pub mod sim;
 pub mod timing;
 
 pub use experiment::{
-    cache_key, sweep_temp_files, Baseline, CacheStats, CompiledPlan, ExperimentError,
+    cache_key, sweep_temp_files, Baseline, CacheStats, CellGroup, CompiledPlan, ExperimentError,
     ExperimentSpec, HeadlineSummary, Json, PlanOutcome, PlannedCell, RowKey, ScaleProfile, Session,
     SessionCounters, SystemVariant, WorkloadRef, WorkloadSet, WorkloadSource, WorkloadSpec,
     ENGINE_VERSION, SPEC_SCHEMA, TEMP_SWEEP_AGE,
 };
 pub use figures::FigureTable;
 pub use report::SimReport;
-pub use sim::{SimConfig, Simulator};
+pub use sim::{SimConfig, SimError, Simulator};
 pub use timing::{ExecutionBreakdown, TimeClass};

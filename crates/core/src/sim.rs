@@ -30,9 +30,11 @@ mod home;
 use crate::report::SimReport;
 use crate::timing::{ExecutionBreakdown, TimeClass};
 use engine::{Engine, TraceCapture};
+use std::fmt;
 use tw_obs::{Span, SpanSink};
 use tw_types::{
-    Cycle, MemKind, MessageClass, ProtocolKind, Record, Stamp, SystemConfig, TrafficBucket,
+    ConfigError, Cycle, MemKind, MessageClass, NetworkModelKind, ProtocolKind, Record, Stamp,
+    SystemConfig, TrafficBucket,
 };
 use tw_workloads::Workload;
 
@@ -77,6 +79,53 @@ impl SimConfig {
     }
 }
 
+/// Why [`Simulator::try_new`] refused to build a machine.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// The system configuration fails [`SystemConfig::validate`].
+    InvalidSystem(ConfigError),
+    /// The workload was made for another number of cores than the machine
+    /// has tiles.
+    CoreMismatch {
+        /// Cores the workload was generated or recorded for.
+        workload: usize,
+        /// Tiles the machine has.
+        machine: usize,
+    },
+    /// The lane set is empty: no network model times the run.
+    NoLanes,
+    /// Two lanes name the same network model.
+    RepeatedLane(NetworkModelKind),
+    /// The lane of this network model differs from the first lane in more
+    /// than its network model and recorder, so the lanes are not one
+    /// machine.
+    NotOneMachine(NetworkModelKind),
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::InvalidSystem(e) => {
+                write!(f, "invalid system configuration: {}", e.message())
+            }
+            SimError::CoreMismatch { workload, machine } => write!(
+                f,
+                "the workload has {workload} cores but the machine has {machine} tiles"
+            ),
+            SimError::NoLanes => write!(f, "no network model times the run: the lane set is empty"),
+            SimError::RepeatedLane(network) => {
+                write!(f, "two lanes time the `{network}` network model")
+            }
+            SimError::NotOneMachine(network) => write!(
+                f,
+                "the `{network}` lane is not the machine of the first lane: lanes may differ only in network model and recorder"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
 /// Per-core execution status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CoreState {
@@ -104,7 +153,8 @@ fn two_earliest(ready: &[u64]) -> ((usize, u64), (usize, u64)) {
     (first, second)
 }
 
-/// The simulator for one (protocol, workload) pair.
+/// The simulator for one (protocol, workload) pair, timed under one or more
+/// network models.
 ///
 /// The simulator owns the scheduler state (per-core clocks, program counters
 /// and run states) and an [`Engine`] holding all machine state; protocol
@@ -112,10 +162,12 @@ fn two_earliest(ready: &[u64]) -> ((usize, u64), (usize, u64)) {
 #[derive(Debug)]
 pub struct Simulator<'wl> {
     pub(crate) engine: Engine<'wl>,
+    /// The network model and span sink of each timed lane, in lane order.
+    lanes: Vec<(NetworkModelKind, Option<SpanSink>)>,
     /// Per-core clocks. Scheduling and barrier matching consult only the
     /// canonical lane, so the service order — and with it every traffic and
-    /// waste number — is identical under every network model; the timed
-    /// lane carries the configured model's latency into the report.
+    /// waste number — is identical under every network model; each timed
+    /// lane carries its model's latency into that lane's report.
     clocks: Vec<Stamp>,
     pc: Vec<usize>,
     state: Vec<CoreState>,
@@ -128,28 +180,75 @@ pub struct Simulator<'wl> {
 }
 
 impl<'wl> Simulator<'wl> {
-    /// Builds a simulator for one protocol configuration and workload.
+    /// Builds one simulation of `workload` that times one machine under
+    /// several network models: lane `i` is the run `Simulator::new(lanes[i],
+    /// workload)` makes, and [`Simulator::run_lanes`] returns its report at
+    /// index `i`.
     ///
-    /// # Panics
+    /// The lanes share the canonical lane, which decides every message,
+    /// cache state and waste word; each network model moves only its own
+    /// timed lane (`DESIGN.md` §11). So the configurations may differ in
+    /// `system.network` and `recorder` and in nothing else, and a network
+    /// model times at most one lane.
     ///
-    /// Panics if the workload was generated for a different number of cores
-    /// than the system has tiles, or if the system configuration is invalid.
-    pub fn new(cfg: SimConfig, workload: &'wl Workload) -> Self {
-        cfg.system.validate().expect("invalid system configuration");
-        assert_eq!(
-            workload.cores(),
-            cfg.system.tiles(),
-            "workload core count must match the machine"
-        );
+    /// # Errors
+    ///
+    /// [`SimError::NoLanes`] for an empty lane set,
+    /// [`SimError::InvalidSystem`] when the system fails validation,
+    /// [`SimError::CoreMismatch`] when the workload's core count is not the
+    /// machine's tile count, [`SimError::RepeatedLane`] when two lanes name
+    /// one network model and [`SimError::NotOneMachine`] when a lane differs
+    /// from the first in anything else.
+    pub fn try_new(lanes: Vec<SimConfig>, workload: &'wl Workload) -> Result<Self, SimError> {
+        let mut rest = lanes.into_iter();
+        let mut cfg = rest.next().ok_or(SimError::NoLanes)?;
+        cfg.system.validate().map_err(SimError::InvalidSystem)?;
         let cores = cfg.system.tiles();
-        Simulator {
-            engine: Engine::new(cfg, workload),
+        if workload.cores() != cores {
+            return Err(SimError::CoreMismatch {
+                workload: workload.cores(),
+                machine: cores,
+            });
+        }
+        let mut lanes = vec![(cfg.system.network, cfg.recorder.take())];
+        for lane in rest {
+            let network = lane.system.network;
+            if lanes.iter().any(|&(n, _)| n == network) {
+                return Err(SimError::RepeatedLane(network));
+            }
+            let machine = SystemConfig {
+                network,
+                ..cfg.system.clone()
+            };
+            if (lane.protocol, lane.barrier_overhead, &lane.system)
+                != (cfg.protocol, cfg.barrier_overhead, &machine)
+            {
+                return Err(SimError::NotOneMachine(network));
+            }
+            lanes.push((network, lane.recorder));
+        }
+        let networks: Vec<NetworkModelKind> = lanes.iter().map(|&(n, _)| n).collect();
+        Ok(Simulator {
+            engine: Engine::new(cfg, &networks, workload),
+            lanes,
             clocks: vec![Stamp::at(0); cores],
             pc: vec![0; cores],
             state: vec![CoreState::Running; cores],
             ready: vec![0; cores],
             phases: 0,
-        }
+        })
+    }
+
+    /// Builds a simulator for one protocol configuration and workload: the
+    /// one-lane [`Simulator::try_new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics where `try_new` returns an error: if the system configuration
+    /// is invalid, or the workload was generated for a different number of
+    /// cores than the system has tiles.
+    pub fn new(cfg: SimConfig, workload: &'wl Workload) -> Self {
+        Simulator::try_new(vec![cfg], workload).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The protocol being simulated.
@@ -157,17 +256,25 @@ impl<'wl> Simulator<'wl> {
         self.engine.protocol()
     }
 
-    /// Runs the workload to completion and returns the report.
-    pub fn run(mut self) -> SimReport {
+    /// Runs the workload to completion and returns the report of the first
+    /// lane, the only one of a simulator [`Simulator::new`] built.
+    pub fn run(self) -> SimReport {
+        self.run_lanes().swap_remove(0)
+    }
+
+    /// Runs the workload to completion once and returns one report per
+    /// lane, in lane order. The reports differ only in `time` and
+    /// `total_cycles`.
+    pub fn run_lanes(mut self) -> Vec<SimReport> {
         self.run_loop();
         self.finish()
     }
 
     /// Runs the workload to completion while recording the serviced
-    /// reference stream, returning the report plus a replayable [`Workload`]
-    /// (same kind, input and region table; traces as serviced). Persist it
-    /// with `Workload::to_trace` and any later replay under the same
-    /// protocol and system produces a bit-identical report.
+    /// reference stream, returning the first lane's report plus a
+    /// replayable [`Workload`] (same kind, input and region table; traces as
+    /// serviced). Persist it with `Workload::to_trace` and any later replay
+    /// under the same protocol and system produces a bit-identical report.
     pub fn run_captured(mut self) -> (SimReport, Workload) {
         self.engine.capture = Some(TraceCapture::new(self.clocks.len()));
         self.run_loop();
@@ -178,7 +285,7 @@ impl<'wl> Simulator<'wl> {
             regions: self.engine.workload.regions.clone(),
             traces: capture.into_streams(),
         };
-        (self.finish(), workload)
+        (self.finish().swap_remove(0), workload)
     }
 
     /// The scheduler loop: steps the runnable core with the smallest clock,
@@ -255,8 +362,8 @@ impl<'wl> Simulator<'wl> {
     fn release_barrier(&mut self) {
         // Finished cores no longer participate; everyone still waiting
         // synchronizes to the latest arrival — on each lane independently,
-        // so the canonical release point stays model-invariant while the
-        // timed release reflects the configured network's latency.
+        // so the canonical release point stays model-invariant while each
+        // timed release reflects its network model's latency.
         let mut barrier = None;
         let mut waiting = 0u64;
         let mut release = Stamp::at(0);
@@ -275,7 +382,7 @@ impl<'wl> Simulator<'wl> {
                 continue;
             }
             let wait = release.since(self.clocks[c]);
-            self.engine.time[c].add(TimeClass::Sync, wait);
+            self.engine.time[c].add_lanes(TimeClass::Sync, wait);
             self.clocks[c] = release;
             self.ready[c] = release.canon;
             self.pc[c] += 1;
@@ -285,8 +392,10 @@ impl<'wl> Simulator<'wl> {
         self.phases += 1;
         // Observer lane: every attribute below is a pure function of the
         // run's inputs (canonical/timed lanes and all counters are
-        // deterministic), so traces byte-diff across reruns.
-        if let Some(sink) = &self.engine.cfg.recorder {
+        // deterministic), so traces byte-diff across reruns. Each lane's
+        // track gets the spans a run of that lane alone would emit.
+        for (lane, (_, sink)) in self.lanes.iter().enumerate() {
+            let Some(sink) = sink else { continue };
             sink.emit(
                 Span::event("phase")
                     .attr("phase", self.phases)
@@ -294,20 +403,20 @@ impl<'wl> Simulator<'wl> {
                     .attr("cores", waiting)
                     .attr("release", release.canon)
                     .attr("sends", self.engine.net.sends)
-                    .attr("net_stalls", self.engine.net.timed_stall_cycles()),
+                    .attr("net_stalls", self.engine.net.timed_stall_cycles(lane)),
             );
         }
     }
 
-    /// Drains profilers and builds the final report.
-    fn finish(mut self) -> SimReport {
+    /// Drains profilers and builds the final report of every lane.
+    fn finish(mut self) -> Vec<SimReport> {
         // Give the protocol a chance to drain still-pending work (e.g.
         // DeNovo registrations) so its traffic is accounted — the paper's
         // measurement period ends at a barrier, where those tables would
         // have drained anyway.
         let last = self.clocks.iter().copied().fold(Stamp::at(0), Stamp::max);
         self.engine.finish(last);
-        if let Some(sink) = &self.engine.cfg.recorder {
+        if self.lanes.iter().any(|(_, sink)| sink.is_some()) {
             // Work counters of the waste profilers, summed over the cache
             // levels: what the hash tables cost, and how many line events
             // and memory chunks the one-mask paths served.
@@ -326,22 +435,25 @@ impl<'wl> Simulator<'wl> {
             probes += p;
             resizes += r;
             let (mem_chunks, mem_chunk_spills) = self.engine.mem_prof.chunk_stats();
-            sink.emit(
-                Span::event("run")
-                    .attr("protocol", self.engine.cfg.protocol.name())
-                    .attr("benchmark", self.engine.workload.kind.name())
-                    .attr("network", self.engine.cfg.system.network.name())
-                    .attr("cycles", last.timed)
-                    .attr("phases", self.phases)
-                    .attr("sends", self.engine.net.sends)
-                    .attr("net_stalls", self.engine.net.timed_stall_cycles())
-                    .attr("map_probes", probes)
-                    .attr("map_resizes", resizes)
-                    .attr("mem_chunks", mem_chunks)
-                    .attr("mem_chunk_spills", mem_chunk_spills)
-                    .attr("line_finalizes", finalizes)
-                    .attr("line_finalizes_batched", batched),
-            );
+            for (lane, (network, sink)) in self.lanes.iter().enumerate() {
+                let Some(sink) = sink else { continue };
+                sink.emit(
+                    Span::event("run")
+                        .attr("protocol", self.engine.cfg.protocol.name())
+                        .attr("benchmark", self.engine.workload.kind.name())
+                        .attr("network", network.name())
+                        .attr("cycles", last.timed[lane])
+                        .attr("phases", self.phases)
+                        .attr("sends", self.engine.net.sends)
+                        .attr("net_stalls", self.engine.net.timed_stall_cycles(lane))
+                        .attr("map_probes", probes)
+                        .attr("map_resizes", resizes)
+                        .attr("mem_chunks", mem_chunks)
+                        .attr("mem_chunk_spills", mem_chunk_spills)
+                        .attr("line_finalizes", finalizes)
+                        .attr("line_finalizes_batched", batched),
+                );
+            }
         }
         let eng = self.engine;
 
@@ -374,14 +486,6 @@ impl<'wl> Simulator<'wl> {
             }
         }
 
-        let mut time = ExecutionBreakdown::new();
-        for t in &eng.time {
-            time.merge(t);
-        }
-        // Reported execution time lives on the timed lane (identical to the
-        // canonical lane under the default analytic model).
-        let total_cycles = self.clocks.iter().map(|s| s.timed).max().unwrap_or(0);
-
         let (mut accesses, mut hits, mut total) = (0u64, 0u64, 0u64);
         for tile in &eng.tiles {
             if let Some(mc) = &tile.mc {
@@ -392,12 +496,12 @@ impl<'wl> Simulator<'wl> {
             }
         }
 
-        SimReport {
+        let shared = SimReport {
             protocol: eng.cfg.protocol,
             benchmark: eng.workload.kind,
             input: eng.workload.input.clone(),
-            total_cycles,
-            time,
+            total_cycles: 0,
+            time: ExecutionBreakdown::new(),
             traffic,
             mesh_flit_hops,
             l1_waste,
@@ -409,7 +513,19 @@ impl<'wl> Simulator<'wl> {
             } else {
                 hits as f64 / total as f64
             },
+        };
+        // Everything above is the canonical lane's and so every lane's;
+        // reported execution time is each lane's own (an analytic lane's
+        // is the canonical lane's).
+        let mut reports = Vec::new();
+        reports.resize(self.lanes.len(), shared);
+        for (lane, report) in reports.iter_mut().enumerate() {
+            report.total_cycles = last.timed[lane];
+            for t in &eng.time {
+                report.time.merge(t.lane(lane));
+            }
         }
+        reports
     }
 }
 
@@ -504,6 +620,76 @@ mod tests {
         let result =
             std::panic::catch_unwind(|| Simulator::new(SimConfig::new(ProtocolKind::Mesi), &wl));
         assert!(result.is_err());
+    }
+
+    /// `try_new`'s refusal of `lanes`, as its error.
+    fn refusal(lanes: Vec<SimConfig>, wl: &Workload) -> SimError {
+        Simulator::try_new(lanes, wl).map(|_| ()).unwrap_err()
+    }
+
+    /// A MESI lane timed by `network`.
+    fn lane(network: tw_types::NetworkModelKind) -> SimConfig {
+        SimConfig::new(ProtocolKind::Mesi).with_system(SystemConfig {
+            network,
+            ..SystemConfig::default()
+        })
+    }
+
+    #[test]
+    fn an_invalid_system_is_a_typed_error() {
+        let wl = build_tiny(BenchmarkKind::Fft, 16).unwrap();
+        let mut cfg = SimConfig::new(ProtocolKind::Mesi);
+        cfg.system.cache.l1_bytes = 0;
+        let err = refusal(vec![cfg], &wl);
+        assert!(matches!(err, SimError::InvalidSystem(_)), "{err}");
+        assert!(err.to_string().contains("non-zero"), "{err}");
+    }
+
+    #[test]
+    fn a_core_count_mismatch_is_a_typed_error() {
+        let wl = build_tiny(BenchmarkKind::Fft, 4).unwrap();
+        let err = refusal(vec![SimConfig::new(ProtocolKind::Mesi)], &wl);
+        assert_eq!(
+            err,
+            SimError::CoreMismatch {
+                workload: 4,
+                machine: 16
+            }
+        );
+    }
+
+    #[test]
+    fn an_empty_lane_set_is_a_typed_error() {
+        let wl = build_tiny(BenchmarkKind::Fft, 16).unwrap();
+        assert_eq!(refusal(Vec::new(), &wl), SimError::NoLanes);
+    }
+
+    #[test]
+    fn a_repeated_lane_is_a_typed_error() {
+        use tw_types::NetworkModelKind::*;
+        let wl = build_tiny(BenchmarkKind::Fft, 16).unwrap();
+        let lanes = vec![lane(FlitLevel), lane(SnoopBus), lane(FlitLevel)];
+        assert_eq!(refusal(lanes, &wl), SimError::RepeatedLane(FlitLevel));
+    }
+
+    #[test]
+    fn lanes_of_two_machines_are_a_typed_error() {
+        use tw_types::NetworkModelKind::*;
+        let wl = build_tiny(BenchmarkKind::Fft, 16).unwrap();
+        let other_protocol = SimConfig {
+            protocol: ProtocolKind::Dragon,
+            ..lane(SnoopBus)
+        };
+        let mut other_l2 = lane(SnoopBus);
+        other_l2.system.cache.l2_slice_bytes /= 2;
+        let other_barrier = SimConfig {
+            barrier_overhead: 7,
+            ..lane(SnoopBus)
+        };
+        for second in [other_protocol, other_l2, other_barrier] {
+            let err = refusal(vec![lane(Analytic), second], &wl);
+            assert_eq!(err, SimError::NotOneMachine(SnoopBus));
+        }
     }
 
     #[test]

@@ -19,12 +19,12 @@
 
 use crate::machine::{build_tiles, Tile};
 use crate::sim::SimConfig;
-use crate::timing::{ExecutionBreakdown, TimeClass};
+use crate::timing::{LaneBreakdowns, TimeClass};
 use tw_noc::{model_for, Mesh, NetworkModel, PacketSize};
 use tw_profiler::{CacheLevel, CacheWasteProfiler, MemoryWasteProfiler, TrafficBreakdown};
 use tw_types::{
     Addr, LineAddr, MessageClass, MessageKind, NetworkModelKind, NocConfig, ProtocolKind, RegionId,
-    RegionTable, Stamp, SystemConfig, TileId, TraceOp, TrafficBucket, LINE_BYTES,
+    RegionTable, Stamp, SystemConfig, TileId, TraceOp, TrafficBucket, LANES, LINE_BYTES,
 };
 use tw_workloads::Workload;
 
@@ -55,21 +55,21 @@ impl TraceCapture {
     }
 }
 
-/// The network: the canonical mesh, an optional flit-level timing overlay,
-/// and the flit-hop ledger.
+/// The network: the canonical mesh, one optional timing overlay per timed
+/// lane, and the flit-hop ledger.
 ///
 /// The canonical [`Mesh`] is always maintained — it advances the canonical
 /// lane of every [`Stamp`] and owns the flit-hop ledger, so routes, traffic
 /// and all state-ordering decisions are identical no matter which
-/// [`NetworkModelKind`] the run configured. The overlay, resolved once at
+/// [`NetworkModelKind`]s the run times. Each overlay, resolved once at
 /// construction through the [`NetworkModel`] registry (`model_for`),
-/// advances only the timed lane: under the default analytic model the two
-/// lanes coincide and the overlay is elided entirely (the canonical mesh
-/// *is* the analytic model), keeping the fast path exactly as fast.
+/// advances only its own timed lane. An analytic lane has no overlay: it
+/// moves with the canonical lane (the canonical mesh *is* the analytic
+/// model), and so do the lanes a run leaves unused.
 #[derive(Debug)]
 pub(crate) struct Net {
     mesh: Mesh,
-    timed: Option<Box<dyn NetworkModel>>,
+    overlays: [Option<Box<dyn NetworkModel>>; LANES],
     pub(crate) traffic: TrafficBreakdown,
     noc: NocConfig,
     /// `noc.words_per_flit()` as an `f64`, cached off the per-message path.
@@ -92,13 +92,14 @@ pub(crate) struct Delivery {
 }
 
 impl Net {
-    pub(crate) fn new(noc: NocConfig, network: NetworkModelKind) -> Self {
-        let timed = match network {
+    /// The network of a run whose timed lane `i` follows `lanes[i]`.
+    pub(crate) fn new(noc: NocConfig, lanes: &[NetworkModelKind]) -> Self {
+        let overlays = std::array::from_fn(|lane| match lanes.get(lane) {
             // The canonical mesh already is the analytic model; a second
             // copy would only burn cycles producing identical numbers.
-            NetworkModelKind::Analytic => None,
-            kind => Some(model_for(kind, noc.clone())),
-        };
+            None | Some(NetworkModelKind::Analytic) => None,
+            Some(&kind) => Some(model_for(kind, noc.clone())),
+        });
         let sizes = (0..=noc.max_data_words())
             .map(|words| {
                 let size = match words {
@@ -113,7 +114,7 @@ impl Net {
             .collect();
         Net {
             mesh: Mesh::new(noc.clone()),
-            timed,
+            overlays,
             traffic: TrafficBreakdown::new(),
             words_per_flit: noc.words_per_flit() as f64,
             sizes,
@@ -143,18 +144,17 @@ impl Net {
         let (size, ctl_flits) = self.sizes[data_words];
         let (canon, hops) = self.mesh.send_counted(from, to, size, now.canon);
         let hops = hops as f64;
-        let timed = match &mut self.timed {
-            None => now.timed + (canon - now.canon),
-            Some(model) => {
+        let mut arrival = now.advanced_to(canon);
+        for (lane, overlay) in self.overlays.iter_mut().enumerate() {
+            if let Some(model) = overlay {
                 // The analytic reservation is the congestion lower bound
-                // (DESIGN.md §11): the flit-level model may stall a message
-                // further, never deliver it faster, so the timed lane runs
+                // (DESIGN.md §11): a timed model may stall a message
+                // further, never deliver it faster, so every timed lane runs
                 // at or behind the canonical lane everywhere.
-                let raw = model.send(from, to, size, now.timed);
-                raw.max(now.timed + (canon - now.canon))
+                let raw = model.send(from, to, size, now.timed[lane]);
+                arrival.timed[lane] = arrival.timed[lane].max(raw);
             }
-        };
-        let arrival = Stamp { canon, timed };
+        }
 
         let class = kind.class();
         let ctl_bucket = match kind {
@@ -192,11 +192,13 @@ impl Net {
         self.mesh.total_flit_hops()
     }
 
-    /// Cycles messages have stalled in the timed overlay beyond their
-    /// unloaded pipelines (0 under the analytic model, which has no
+    /// Cycles messages have stalled in timed lane `lane`'s overlay beyond
+    /// their unloaded pipelines (0 on an analytic lane, which has no
     /// overlay). Observer lane only.
-    pub(crate) fn timed_stall_cycles(&self) -> u64 {
-        self.timed.as_ref().map_or(0, |m| m.total_queueing_cycles())
+    pub(crate) fn timed_stall_cycles(&self, lane: usize) -> u64 {
+        self.overlays[lane]
+            .as_ref()
+            .map_or(0, |m| m.total_queueing_cycles())
     }
 }
 
@@ -325,7 +327,8 @@ pub(crate) struct Engine<'wl> {
     pub(crate) l1_prof: Vec<CacheWasteProfiler>,
     pub(crate) l2_prof: CacheWasteProfiler,
     pub(crate) mem_prof: MemoryWasteProfiler,
-    pub(crate) time: Vec<ExecutionBreakdown>,
+    /// Per core, the time it spent on each timed lane.
+    pub(crate) time: Vec<LaneBreakdowns>,
     /// Geometry and region facts resolved once at construction.
     pub(crate) geo: GeomCache,
     /// Armed by `Simulator::run_captured`; `None` costs nothing on the
@@ -358,20 +361,21 @@ impl Family {
 
 impl<'wl> Engine<'wl> {
     /// The machine of `cfg.system`, cold, about to run `workload` under
-    /// `cfg.protocol`.
-    pub(crate) fn new(cfg: SimConfig, workload: &'wl Workload) -> Self {
+    /// `cfg.protocol` with timed lane `i` following `lanes[i]` (the
+    /// engine reads no other network model, `cfg.system.network` included).
+    pub(crate) fn new(cfg: SimConfig, lanes: &[NetworkModelKind], workload: &'wl Workload) -> Self {
         let cores = cfg.system.tiles();
         Engine {
             family: Family::of(cfg.protocol),
             tiles: build_tiles(&cfg.system, cfg.protocol),
-            net: Net::new(cfg.system.noc.clone(), cfg.system.network),
+            net: Net::new(cfg.system.noc.clone(), lanes),
             geo: GeomCache::new(&cfg.system, &workload.regions),
             l1_prof: (0..cores)
                 .map(|_| CacheWasteProfiler::new(CacheLevel::L1))
                 .collect(),
             l2_prof: CacheWasteProfiler::new(CacheLevel::L2),
             mem_prof: MemoryWasteProfiler::new(),
-            time: (0..cores).map(|_| ExecutionBreakdown::new()).collect(),
+            time: vec![LaneBreakdowns::default(); cores],
             capture: None,
             cfg,
             workload,
@@ -481,7 +485,7 @@ impl<'wl> Engine<'wl> {
     ///
     /// Row-buffer and queue state evolve on the canonical lane only, so
     /// DRAM behavior (access counts, row-hit rate) is identical across
-    /// network models; the timed lane inherits the same service duration.
+    /// network models; every timed lane inherits the same service duration.
     pub(crate) fn dram_access(
         &mut self,
         mc: TileId,
@@ -494,10 +498,7 @@ impl<'wl> Engine<'wl> {
             .as_mut()
             .expect("tile has a memory controller")
             .access(line, write, at.canon);
-        Stamp {
-            canon: done,
-            timed: at.timed + (done - at.canon),
-        }
+        at.advanced_to(done)
     }
 
     /// Whether the L1 of `core` holds readable data for `addr`, refreshing
@@ -599,7 +600,7 @@ mod tests {
     #[test]
     fn net_resolves_every_payload_size_once() {
         let noc = NocConfig::default();
-        let net = Net::new(noc.clone(), NetworkModelKind::Analytic);
+        let net = Net::new(noc.clone(), &[NetworkModelKind::Analytic]);
         assert_eq!(net.sizes.len(), noc.max_data_words() + 1);
         assert_eq!(net.sizes[0], (PacketSize::control_only(), 1.0));
         for (words, &(size, ctl_flits)) in net.sizes.iter().enumerate().skip(1) {
@@ -614,7 +615,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the 16-word packet limit")]
     fn net_refuses_an_oversized_payload_in_the_packet_limits_words() {
-        let mut net = Net::new(NocConfig::default(), NetworkModelKind::Analytic);
+        let mut net = Net::new(NocConfig::default(), &[NetworkModelKind::Analytic]);
         net.send(
             TileId(0),
             TileId(1),

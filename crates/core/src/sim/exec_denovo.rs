@@ -641,7 +641,8 @@ mod tests {
     /// it as a trip to memory (`ToMc`, `Mem`, `FromMc`).
     fn load(eng: &mut Engine, core: usize, addr: u64) -> (u64, u64, bool) {
         use TimeClass::*;
-        let stall = |eng: &Engine| [OnChipHit, ToMc, Mem, FromMc].map(|c| eng.time[core].get(c));
+        let stall =
+            |eng: &Engine| [OnChipHit, ToMc, Mem, FromMc].map(|c| eng.time[core].lane(0).get(c));
         let reads = |eng: &Engine| -> u64 {
             let mcs = eng.tiles.iter().filter_map(|t| t.mc.as_ref());
             mcs.map(|mc| mc.stats().reads).sum()

@@ -138,11 +138,11 @@ impl Engine<'_> {
         let time = &mut self.time[core];
         match from_memory {
             Some(mem) => {
-                time.add(TimeClass::ToMc, mem.at_mc.since(now));
-                time.add(TimeClass::Mem, mem.dram_done.since(mem.at_mc));
-                time.add(TimeClass::FromMc, arrival.since(mem.dram_done));
+                time.add_lanes(TimeClass::ToMc, mem.at_mc.since(now));
+                time.add_lanes(TimeClass::Mem, mem.dram_done.since(mem.at_mc));
+                time.add_lanes(TimeClass::FromMc, arrival.since(mem.dram_done));
             }
-            None => time.add(TimeClass::OnChipHit, arrival.since(now)),
+            None => time.add_lanes(TimeClass::OnChipHit, arrival.since(now)),
         }
     }
 

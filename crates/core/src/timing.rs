@@ -1,7 +1,7 @@
 //! Execution-time attribution (Figure 5.2).
 
 use std::fmt;
-use tw_types::Cycle;
+use tw_types::{Cycle, LANES};
 
 /// The execution-time components of Figure 5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -133,6 +133,35 @@ impl ExecutionBreakdown {
             b.cycles[class.idx()] += c;
         }
         b
+    }
+}
+
+/// One core's [`ExecutionBreakdown`] on each timed lane of a run (see
+/// `tw_types::Stamp`): busy time is the same on every lane, a stall is
+/// charged to each lane with that lane's own duration.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneBreakdowns([ExecutionBreakdown; LANES]);
+
+impl LaneBreakdowns {
+    /// Adds `cycles` to `class` on every lane.
+    #[inline]
+    pub(crate) fn add(&mut self, class: TimeClass, cycles: Cycle) {
+        for lane in &mut self.0 {
+            lane.add(class, cycles);
+        }
+    }
+
+    /// Adds each lane's own `cycles` to `class`.
+    #[inline]
+    pub(crate) fn add_lanes(&mut self, class: TimeClass, cycles: [Cycle; LANES]) {
+        for (lane, c) in self.0.iter_mut().zip(cycles) {
+            lane.add(class, c);
+        }
+    }
+
+    /// The breakdown of timed lane `lane`.
+    pub(crate) fn lane(&self, lane: usize) -> &ExecutionBreakdown {
+        &self.0[lane]
     }
 }
 

@@ -47,5 +47,5 @@ pub use mask::WordMask;
 pub use message::{MessageClass, MessageKind, TrafficBucket};
 pub use protocol::ProtocolKind;
 pub use region::{BypassKind, CommRegion, RegionId, RegionInfo, RegionTable};
-pub use stats::{Cycle, Stamp};
+pub use stats::{Cycle, Stamp, LANES};
 pub use trace::{MemKind, Record, TraceOp, TraceStats, TRACE_ADDR_LIMIT};
