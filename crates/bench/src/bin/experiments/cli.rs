@@ -134,16 +134,6 @@ pub static COMMANDS: &[Command] = &[
     Command::new(&["metrics"], daemon::metrics)
         .flags(&[SOCKET])
         .summary("print a running daemon's Prometheus text exposition"),
-    Command::new(&["loadgen"], daemon::loadgen)
-        .flags(&[
-            SOCKET,
-            opt("--requests", "N"),
-            opt("--clients", "N"),
-            opt("--spec", "FILE"),
-            JSON_OUT,
-        ])
-        .scale(ScaleProfile::Scaled)
-        .summary("drive a running daemon with concurrent clients and report service throughput"),
     Command::new(&["shutdown"], daemon::shutdown)
         .flags(&[SOCKET])
         .summary("ask a running daemon to drain its queue and exit"),
@@ -545,7 +535,6 @@ serve --socket s.sock --cache c/entries --record d.jsonl => serve |  | --socket=
 submit plan-tiny.json --socket s.sock --json cold.json => submit | plan-tiny.json | --socket=s.sock --json=cold.json | -
 stats --socket s.sock => stats |  | --socket=s.sock | -
 metrics --socket s.sock => metrics |  | --socket=s.sock | -
-loadgen --socket s.sock --requests 16 --clients 4 --tiny --json b.json => loadgen |  | --socket=s.sock --requests=16 --clients=4 --json=b.json | tiny
 shutdown --socket s.sock => shutdown |  | --socket=s.sock | -
 help => help |  |  | -";
 

@@ -92,8 +92,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     }
     let cache = args.value("--cache");
     let record = args.value("--record").map(|out| ("cli", Some(out)));
-    let ran = run_plan(&spec, &WorkloadSet::new(), cache, record)?;
-    let (outcome, wall) = (ran.outcome, ran.wall);
+    let outcome = run_plan(&spec, &WorkloadSet::new(), cache, record)?.outcome;
     if cache.is_some() {
         eprintln!("{}", cache_line(&outcome.cache));
     }
@@ -110,12 +109,6 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
         let doc = tw_bench::results_json(&outcome, scale, update)?;
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
-        // Wall clock lives in a sidecar so the results document itself
-        // byte-diffs across reruns (CI compares the whole file).
-        let timing_path = "BENCH_results.timing.json";
-        std::fs::write(timing_path, tw_bench::bench_timing_json(wall))
-            .map_err(|e| format!("cannot write {timing_path}: {e}"))?;
-        println!("wrote {timing_path}");
     }
 
     // Every requested figure must contribute at least one cell; a run that

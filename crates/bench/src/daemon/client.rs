@@ -3,7 +3,7 @@
 //! One [`Client`] owns one persistent connection; every method sends one
 //! request frame and blocks for its response (the protocol allows one
 //! request in flight per connection — concurrency comes from opening more
-//! connections, which is exactly what `experiments loadgen` does).
+//! connections, which is what the benchmark's `serve_mix` workload does).
 
 use super::wire;
 use denovo_waste::Json;

@@ -3,9 +3,11 @@
 //! The `experiments` binary regenerates every table and figure of the paper's
 //! evaluation section (run `cargo run -p tw-bench --release --bin experiments
 //! -- all`, or `-- all --json` for a machine-readable `BENCH_results.json`)
-//! and runs arbitrary declarative plans (`experiments plan run spec.json`);
-//! `benches/ops_per_sec.rs` times the gated engine-throughput cells. The
-//! experiment index and recorded full-scale numbers live in `EXPERIMENTS.md`.
+//! and runs arbitrary declarative plans (`experiments plan run spec.json`).
+//! Speed is measured by the separate `benchmark/` package; this crate's own
+//! work gate is counts (`experiments profile --counts`, `WORK_counts.txt`).
+//! The experiment index and recorded full-scale numbers live in
+//! `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,7 +18,6 @@ use denovo_waste::{
     CacheStats, ExperimentError, FigureTable, PlanOutcome, ScaleProfile, SimConfig, Simulator,
 };
 use std::fmt::Write as _;
-use std::time::Duration;
 use tw_obs::escaped;
 use tw_profiler::WasteCategory;
 use tw_scenarios::{SharingPattern, SynthConfig};
@@ -146,8 +147,7 @@ fn figure_json(fig: &FigureTable, out: &mut String) {
 /// that also print it compute it once.
 ///
 /// The document deliberately carries **no wall clock**: two runs of the
-/// same matrix emit byte-identical bytes, so CI diffs the whole file. Wall
-/// time travels in the [`bench_timing_json`] sidecar instead.
+/// same matrix emit byte-identical bytes, so CI diffs the whole file.
 ///
 /// # Errors
 ///
@@ -222,16 +222,6 @@ pub fn results_json(
     }
     out.push_str("  ]\n}\n");
     Ok(out)
-}
-
-/// Serializes the wall-clock sidecar written next to `BENCH_results.json`.
-/// Everything non-deterministic about a matrix run lives under this
-/// document's `timing` object, keeping the results document byte-stable.
-pub fn bench_timing_json(matrix_wall: Duration) -> String {
-    format!(
-        "{{\n  \"schema\": \"denovo-waste/bench-timing/v1\",\n  \"timing\": {{\n    \"matrix_wall_ms\": {}\n  }}\n}}\n",
-        json_num(matrix_wall.as_secs_f64() * 1e3),
-    )
 }
 
 /// Serializes a plan outcome's figures as a deterministic JSON document —
@@ -337,20 +327,12 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        // Wall clock is quarantined in the sidecar; the results document
-        // itself must be byte-reproducible.
-        assert!(!json.contains("matrix_wall_ms"));
-        let timing = bench_timing_json(Duration::from_millis(1234));
-        assert!(timing.contains("\"matrix_wall_ms\": 1234"));
-        assert!(timing.contains("denovo-waste/bench-timing/v1"));
         assert!(json.contains("Figure 5.1a"));
 
-        // The plan-level document shares the figure payload but carries no
-        // wall time (it must be byte-reproducible).
+        // The plan-level document shares the figure payload.
         let plan_json = plan_figures_json(&outcome).unwrap();
         assert!(plan_json.contains("denovo-waste/plan-results/v1"));
         assert!(plan_json.contains("Figure 5.1a"));
-        assert!(!plan_json.contains("matrix_wall_ms"));
 
         let stats = cache_stats_json(&outcome.name, &outcome.cache);
         assert!(stats.contains("\"hits\": 0"));

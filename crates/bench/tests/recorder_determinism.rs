@@ -190,7 +190,8 @@ fn a_shared_run_records_each_network_on_its_own_track() {
 /// The work counters of the `run` span are pure functions of the inputs, so
 /// the Tiny matrix's totals are pinned: a change that silently stops a
 /// memory chunk staying uniform, or a line finalisation being served by one
-/// arrival group, moves a count here rather than (maybe) a timing somewhere.
+/// arrival group, moves a count here rather than (maybe) a timing somewhere;
+/// so does one that changes the records stepped or the DRAM accesses made.
 /// A change that moves them on purpose re-pins them and says why.
 #[test]
 fn the_tiny_matrix_fast_path_counters_are_pinned() {
@@ -212,7 +213,9 @@ fn the_tiny_matrix_fast_path_counters_are_pinned() {
             total("mem_chunk_spills"),
             total("line_finalizes"),
             total("line_finalizes_batched"),
+            total("records"),
+            total("dram_accesses"),
         ],
-        [69_069, 724, 133_793, 122_998]
+        [69_069, 724, 133_793, 122_998, 1_762_804, 91_243]
     );
 }

@@ -416,6 +416,15 @@ impl<'wl> Simulator<'wl> {
         // have drained anyway.
         let last = self.clocks.iter().copied().fold(Stamp::at(0), Stamp::max);
         self.engine.finish(last);
+        let (mut accesses, mut hits, mut total) = (0u64, 0u64, 0u64);
+        for tile in &self.engine.tiles {
+            if let Some(mc) = &tile.mc {
+                let s = mc.stats();
+                accesses += s.reads + s.writes;
+                hits += s.row_hits;
+                total += s.row_hits + s.row_misses;
+            }
+        }
         if self.lanes.iter().any(|(_, sink)| sink.is_some()) {
             // Work counters of the waste profilers, summed over the cache
             // levels: what the hash tables cost, and how many line events
@@ -435,6 +444,8 @@ impl<'wl> Simulator<'wl> {
             probes += p;
             resizes += r;
             let (mem_chunks, mem_chunk_spills) = self.engine.mem_prof.chunk_stats();
+            // Every core is done, so its pc is the records it stepped.
+            let records = self.pc.iter().sum::<usize>() as u64;
             for (lane, (network, sink)) in self.lanes.iter().enumerate() {
                 let Some(sink) = sink else { continue };
                 sink.emit(
@@ -451,7 +462,9 @@ impl<'wl> Simulator<'wl> {
                         .attr("mem_chunks", mem_chunks)
                         .attr("mem_chunk_spills", mem_chunk_spills)
                         .attr("line_finalizes", finalizes)
-                        .attr("line_finalizes_batched", batched),
+                        .attr("line_finalizes_batched", batched)
+                        .attr("records", records)
+                        .attr("dram_accesses", accesses),
                 );
             }
         }
@@ -483,16 +496,6 @@ impl<'wl> Simulator<'wl> {
             ] {
                 traffic.add(class, used_bucket, report.used_flit_hops(class));
                 traffic.add(class, waste_bucket, report.wasted_flit_hops(class));
-            }
-        }
-
-        let (mut accesses, mut hits, mut total) = (0u64, 0u64, 0u64);
-        for tile in &eng.tiles {
-            if let Some(mc) = &tile.mc {
-                let s = mc.stats();
-                accesses += s.reads + s.writes;
-                hits += s.row_hits;
-                total += s.row_hits + s.row_misses;
             }
         }
 
