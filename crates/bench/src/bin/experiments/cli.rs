@@ -94,7 +94,7 @@ pub static COMMANDS: &[Command] = &[
         .summary("replay a trace file under one protocol (default: all ten)"),
     Command::new(&["trace", "info"], trace::info)
         .operands(&["in.trace"])
-        .summary("print a trace's header, region annotations and per-core statistics"),
+        .summary("print a trace's header, content digest, region annotations and per-core statistics"),
     Command::new(&["trace", "diff"], trace::diff)
         .operands(&["a.trace", "b.trace"])
         .summary("compare two traces structurally; exit 1 at the first divergence"),

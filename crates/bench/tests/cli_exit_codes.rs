@@ -248,6 +248,28 @@ fn trace_diff_separates_check_failure_from_bad_request() {
     );
     assert_eq!(code, 0, "{stderr}");
 
+    // `trace info` prints the full content digest, the workload half of a
+    // cache key: a recording keys like the workload it captured, and like a
+    // re-recording of it.
+    let digest_of = |trace: &str| {
+        let (code, stdout, stderr) = run_in(&dir, &["trace", "info", trace]);
+        assert_eq!(code, 0, "{stderr}");
+        let line = stdout.lines().find_map(|l| l.strip_prefix("digest:"));
+        line.unwrap_or_else(|| panic!("no digest line: {stdout}"))
+            .trim()
+            .to_string()
+    };
+    let tiny = denovo_waste::ScaleProfile::Tiny;
+    let fft = tiny
+        .try_workload(tw_workloads::BenchmarkKind::Fft, tiny.system().tiles())
+        .unwrap();
+    assert_eq!(
+        digest_of("a.trace"),
+        fft.content_digest().unwrap().to_string()
+    );
+    assert_eq!(digest_of("b.trace"), digest_of("a.trace"));
+    assert_ne!(digest_of("c.trace"), digest_of("a.trace"));
+
     let (code, stdout, _) = run_in(&dir, &["trace", "diff", "a.trace", "b.trace"]);
     assert_eq!(code, 0, "identical traces: {stdout}");
     let (code, stdout, _) = run_in(&dir, &["trace", "diff", "a.trace", "c.trace"]);

@@ -180,8 +180,11 @@ mod tests {
 
     const FFT: MemoKey = (BenchmarkKind::Fft, ScaleProfile::Tiny, 16);
     const LU: MemoKey = (BenchmarkKind::Lu, ScaleProfile::Tiny, 16);
-    /// `tw_workloads`' pinned content digest of Tiny FFT at 16 cores.
-    const FFT_DIGEST: &str = "f3c24f450fcc987705898d6dce954073";
+    /// `tw_workloads`' pinned content digest of Tiny FFT at 16 cores. It
+    /// moved once with that one, when the digest function changed from the
+    /// trace encoding to the packed records and no result byte moved; the
+    /// next change to it is a deliberate key migration.
+    const FFT_DIGEST: &str = "4ee1e7e6abaf92b5ef5481dfe0526b96";
 
     fn ops_of(memo: &WorkloadMemo, key: MemoKey) -> u64 {
         trace_ops(&memo.get_or_build(key).unwrap().0)

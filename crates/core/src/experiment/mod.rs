@@ -7,7 +7,7 @@
 //!   cells with stable identity ([`WorkloadRef`] = name + content digest);
 //! * [`session`] — [`Session`] executes compiled plans through an optional
 //!   content-addressed result cache keyed by everything that determines a
-//!   report (trace bytes, system, protocol, engine version);
+//!   report (workload content, system, protocol, engine version);
 //! * [`outcome`] — [`PlanOutcome`] extracts the paper's tables and figures,
 //!   normalized to an explicit [`Baseline`] (MESI by default).
 

@@ -6,7 +6,7 @@
 //! baseline figures normalize to. [`ExperimentSpec::compile`] resolves every
 //! axis into a flat list of [`PlannedCell`]s with *stable identity*: each
 //! cell names a workload by [`WorkloadRef`] (label + content digest of the
-//! canonical trace bytes), a protocol, and a fully-resolved
+//! trace header and records), a protocol, and a fully-resolved
 //! [`SystemConfig`]. Identity is what makes the result cache sound (see
 //! `session.rs`) and what kills the old duplicate-`BenchmarkKind`
 //! restriction: two synthesized workloads are two distinct refs no matter
@@ -114,13 +114,15 @@ impl From<ExperimentError> for String {
     }
 }
 
-/// First-class workload identity: a human-chosen label plus the content
-/// digest of the workload's canonical trace encoding.
+/// First-class workload identity: a human-chosen label plus the workload's
+/// content digest.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WorkloadRef {
     /// The label the plan knows the workload by (unique within a plan).
     pub name: String,
-    /// Content digest of the binary trace encoding.
+    /// `Workload::content_digest`: the trace header and the packed records,
+    /// the same whether the workload was generated or read from either
+    /// trace encoding. It is the workload half of every cache key.
     pub digest: Digest,
 }
 

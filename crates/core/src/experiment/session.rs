@@ -7,7 +7,7 @@
 //! report. The cache key of a cell digests **everything that determines
 //! its `SimReport`** (bar the protocol label the report carries):
 //!
-//! * the workload's canonical trace bytes (via its content digest),
+//! * the workload's content digest (trace header and packed records),
 //! * the fully-resolved [`SystemConfig`] (every result-affecting field),
 //! * the protocol whose machine the cell simulates
 //!   ([`PlannedCell::effective_protocol`]): a protocol feature the

@@ -153,6 +153,28 @@ fn read_region(r: &mut &[u8]) -> Result<RegionInfo, TraceError> {
     })
 }
 
+/// The encoded header: magic, version, benchmark and input strings, core
+/// count and the region table. [`TraceWriter::new`] writes it ahead of the
+/// streams, and [`crate::content_digest`] digests it as the workload's
+/// metadata, so both read one serializer.
+pub(crate) fn encode_header(
+    benchmark: &str,
+    input: &str,
+    cores: usize,
+    regions: &RegionTable,
+) -> std::io::Result<Vec<u8>> {
+    let mut header = BINARY_MAGIC.to_vec();
+    header.push(FORMAT_VERSION);
+    write_string(&mut header, benchmark)?;
+    write_string(&mut header, input)?;
+    write_u64(&mut header, cores as u64)?;
+    write_u64(&mut header, regions.len() as u64)?;
+    for r in regions.iter() {
+        write_region(&mut header, r)?;
+    }
+    Ok(header)
+}
+
 /// Bytes of encoded stream the writer gathers before it calls its sink.
 const BLOCK_BYTES: usize = 64 * 1024;
 
@@ -192,16 +214,7 @@ impl<W: Write> TraceWriter<W> {
         cores: usize,
         regions: &RegionTable,
     ) -> Result<Self, TraceError> {
-        let mut header = BINARY_MAGIC.to_vec();
-        header.push(FORMAT_VERSION);
-        write_string(&mut header, benchmark)?;
-        write_string(&mut header, input)?;
-        write_u64(&mut header, cores as u64)?;
-        write_u64(&mut header, regions.len() as u64)?;
-        for r in regions.iter() {
-            write_region(&mut header, r)?;
-        }
-        w.write_all(&header)?;
+        w.write_all(&encode_header(benchmark, input, cores, regions)?)?;
         Ok(TraceWriter {
             w,
             block: vec![0; BLOCK_BYTES].into_boxed_slice(),
@@ -470,11 +483,11 @@ impl<'a> TraceReader<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tw_types::TRACE_ADDR_LIMIT;
 
-    fn regions_one() -> RegionTable {
+    pub(crate) fn regions_one() -> RegionTable {
         let mut t = RegionTable::new();
         t.insert(RegionInfo::plain(RegionId(1), "a", Addr::new(0), 1 << 20));
         t
@@ -617,39 +630,54 @@ mod tests {
         r.expect_eof().unwrap();
     }
 
+    /// What [`arbitrary_streams`] draws: per core, per record a shape and
+    /// three payloads, which [`streams_of`] turns into records.
+    pub(crate) type RawStreams = Vec<Vec<(u8, u64, u16, u32)>>;
+
+    /// One to four cores of up to 119 records each.
+    pub(crate) fn arbitrary_streams() -> impl proptest::Strategy<Value = RawStreams> {
+        proptest::collection::vec(
+            proptest::collection::vec(
+                (
+                    0u8..8,
+                    proptest::any::<u64>(),
+                    proptest::any::<u16>(),
+                    proptest::any::<u32>(),
+                ),
+                0..120,
+            ),
+            1..5,
+        )
+    }
+
+    /// Every address a record holds (so deltas of every varint length a
+    /// record can make), every region id, cores with no ops at all.
+    pub(crate) fn streams_of(raw: RawStreams) -> Vec<Vec<TraceOp>> {
+        raw.into_iter()
+            .map(|ops| {
+                ops.into_iter()
+                    .map(|(shape, addr, region, small)| match shape {
+                        0 => TraceOp::load(Addr::new(addr % TRACE_ADDR_LIMIT), RegionId(region)),
+                        1 => TraceOp::store(Addr::new(addr % TRACE_ADDR_LIMIT), RegionId(region)),
+                        // Short strides, as real reference streams have.
+                        2 => TraceOp::load(Addr::new(addr % 4096), RegionId(region % 4)),
+                        3 => TraceOp::store(Addr::new(TRACE_ADDR_LIMIT - 4), RegionId(u16::MAX)),
+                        4 => TraceOp::load(Addr::new(0), RegionId(0)),
+                        5 => TraceOp::compute(small),
+                        6 => TraceOp::barrier(small),
+                        _ => TraceOp::compute(small % 200),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     proptest::proptest! {
         /// The writer and the byte-at-a-time reference agree on every byte
-        /// of arbitrary streams: every address a record holds (so deltas
-        /// of every varint length a record can make), every region id,
-        /// cores with no ops at all.
+        /// of arbitrary streams.
         #[test]
-        fn writer_matches_the_reference_byte_for_byte(
-            raw in proptest::collection::vec(
-                proptest::collection::vec(
-                    (0u8..8, proptest::any::<u64>(), proptest::any::<u16>(), proptest::any::<u32>()),
-                    0..120,
-                ),
-                1..5,
-            ),
-        ) {
-            let streams: Vec<Vec<TraceOp>> = raw
-                .into_iter()
-                .map(|ops| {
-                    ops.into_iter()
-                        .map(|(shape, addr, region, small)| match shape {
-                            0 => TraceOp::load(Addr::new(addr % TRACE_ADDR_LIMIT), RegionId(region)),
-                            1 => TraceOp::store(Addr::new(addr % TRACE_ADDR_LIMIT), RegionId(region)),
-                            // Short strides, as real reference streams have.
-                            2 => TraceOp::load(Addr::new(addr % 4096), RegionId(region % 4)),
-                            3 => TraceOp::store(Addr::new(TRACE_ADDR_LIMIT - 4), RegionId(u16::MAX)),
-                            4 => TraceOp::load(Addr::new(0), RegionId(0)),
-                            5 => TraceOp::compute(small),
-                            6 => TraceOp::barrier(small),
-                            _ => TraceOp::compute(small % 200),
-                        })
-                        .collect()
-                })
-                .collect();
+        fn writer_matches_the_reference_byte_for_byte(raw in arbitrary_streams()) {
+            let streams = streams_of(raw);
             let regions = regions_one();
             proptest::prop_assert_eq!(
                 written(&regions, &streams),

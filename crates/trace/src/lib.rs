@@ -101,35 +101,34 @@ pub struct TraceDocument {
     pub streams: Vec<Vec<TraceOp>>,
 }
 
-/// Encodes a trace given as its parts, so a caller holding the streams in
-/// another container need not clone them into a [`TraceDocument`] first.
-fn write_binary_parts<W: io::Write>(
-    w: W,
-    benchmark: &str,
-    input: &str,
-    regions: &RegionTable,
-    streams: &[Vec<TraceOp>],
-) -> Result<W, TraceError> {
-    let mut writer = TraceWriter::new(w, benchmark, input, streams.len(), regions)?;
-    for stream in streams {
-        for op in stream {
-            writer.op(op)?;
-        }
-        writer.end_stream()?;
-    }
-    writer.finish()
-}
-
-/// The digest of the binary encoding of a trace given as its parts (see
-/// [`TraceDocument::digest`]), streamed without materializing the bytes.
+/// The content digest of a trace given as its parts, so that
+/// [`TraceDocument::digest`] and a caller holding the streams in another
+/// container (`Workload::content_digest`) are the same code.
+///
+/// It digests the binary header (benchmark, input, core count, region
+/// table: the bytes [`TraceWriter`] starts a file with), then each core's
+/// stream as its length and its packed records, read in place
+/// ([`tw_types::Digester::write_records`]). The identity is therefore a
+/// property of the content, not of either encoding: a document and its
+/// binary or text round trip share it, and any change to a record, to the
+/// order of the records or to the metadata moves it.
 pub fn content_digest(
     benchmark: &str,
     input: &str,
     regions: &RegionTable,
     streams: &[Vec<TraceOp>],
 ) -> Result<tw_types::Digest, TraceError> {
-    let sink = tw_types::DigestWriter::new();
-    Ok(write_binary_parts(sink, benchmark, input, regions, streams)?.finish())
+    let mut d = tw_types::Digester::new();
+    d.write_bytes(&binary::encode_header(
+        benchmark,
+        input,
+        streams.len(),
+        regions,
+    )?);
+    for stream in streams {
+        d.write_records(stream);
+    }
+    Ok(d.finish())
 }
 
 impl TraceDocument {
@@ -157,13 +156,15 @@ impl TraceDocument {
 
     /// Serializes the document in the binary format.
     pub fn write_binary<W: io::Write>(&self, w: W) -> Result<(), TraceError> {
-        write_binary_parts(
-            w,
-            &self.benchmark,
-            &self.input,
-            &self.regions,
-            &self.streams,
-        )?;
+        let mut writer =
+            TraceWriter::new(w, &self.benchmark, &self.input, self.cores(), &self.regions)?;
+        for stream in &self.streams {
+            for op in stream {
+                writer.op(op)?;
+            }
+            writer.end_stream()?;
+        }
+        writer.finish()?;
         Ok(())
     }
 
@@ -189,12 +190,11 @@ impl TraceDocument {
         Ok(buf)
     }
 
-    /// The canonical content digest of this trace: the digest of its binary
-    /// encoding, streamed without materializing the bytes. Two documents
-    /// share a digest exactly when their binary encodings are identical,
-    /// which (by the round-trip property) means they are structurally equal
-    /// — this is the workload identity the experiment layer's cell identity
-    /// and result-cache keys are built from.
+    /// The canonical content digest of this trace ([`content_digest`]):
+    /// the header and the packed records, never the encoded streams, so a
+    /// document keeps its digest through either encoding — this is the
+    /// workload identity the experiment layer's cell identity and
+    /// result-cache keys are built from.
     pub fn digest(&self) -> Result<tw_types::Digest, TraceError> {
         content_digest(&self.benchmark, &self.input, &self.regions, &self.streams)
     }
@@ -306,21 +306,76 @@ mod tests {
         assert_eq!(doc.stats().len(), 2);
     }
 
-    #[test]
-    fn digest_matches_binary_bytes_and_tracks_content() {
-        let doc = sample_doc();
-        let streamed = doc.digest().unwrap();
-        let materialized = tw_types::Digest::of_bytes(&doc.to_binary_bytes().unwrap());
-        assert_eq!(streamed, materialized);
+    proptest::proptest! {
+        /// The digest is the content's, not an encoding's: a document read
+        /// back from either encoding digests like the one written.
+        #[test]
+        fn digest_survives_binary_and_text_round_trips(
+            raw in binary::tests::arbitrary_streams(),
+        ) {
+            let doc = TraceDocument {
+                benchmark: "custom".into(),
+                input: "arbitrary".into(),
+                regions: binary::tests::regions_one(),
+                streams: binary::tests::streams_of(raw),
+            };
+            let digest = doc.digest().unwrap();
+            let binary = TraceDocument::from_bytes(&doc.to_binary_bytes().unwrap()).unwrap();
+            proptest::prop_assert_eq!(binary.digest().unwrap(), digest);
+            let text = TraceDocument::from_text(&doc.to_text()).unwrap();
+            proptest::prop_assert_eq!(text.digest().unwrap(), digest);
+        }
+    }
 
-        // Any content change — op stream, metadata, region annotations —
-        // must move the digest.
+    /// Every edit below makes a different document, so each must make a
+    /// digest no other one has.
+    #[test]
+    fn every_content_edit_moves_the_digest() {
+        let mut digests = std::collections::BTreeSet::new();
+        let mut distinct = |doc: &TraceDocument, what: &str| {
+            assert!(digests.insert(doc.digest().unwrap()), "{what}");
+        };
+        distinct(&sample_doc(), "the original");
+        let others = [
+            TraceOp::load(Addr::new(8), RegionId(1)),
+            TraceOp::store(Addr::new(0), RegionId(1)),
+            TraceOp::load(Addr::new(4096), RegionId(2)),
+            TraceOp::compute(13),
+            TraceOp::barrier(2),
+        ];
+        let doc = sample_doc();
+        for (core, stream) in doc.streams.iter().enumerate() {
+            for (at, &op) in stream.iter().enumerate() {
+                for &other in others.iter().filter(|&&o| o != op) {
+                    let mut edited = sample_doc();
+                    edited.streams[core][at] = other;
+                    distinct(&edited, &format!("core {core} record {at} -> {other:?}"));
+                }
+                if at + 1 < stream.len() {
+                    let mut swapped = sample_doc();
+                    swapped.streams[core].swap(at, at + 1);
+                    distinct(&swapped, &format!("core {core} swap {at}"));
+                }
+            }
+        }
+        let mut moved = sample_doc();
+        let last = moved.streams[0].pop().unwrap();
+        moved.streams[1].insert(0, last);
+        distinct(&moved, "core 0's last record moved to core 1's head");
         let mut other = sample_doc();
-        other.streams[0][0] = TraceOp::load(Addr::new(8), RegionId(1));
-        assert_ne!(other.digest().unwrap(), streamed);
+        other.benchmark = "LU".into();
+        distinct(&other, "benchmark");
         let mut other = sample_doc();
         other.input = "65 points".into();
-        assert_ne!(other.digest().unwrap(), streamed);
+        distinct(&other, "input");
+        let mut other = sample_doc();
+        other.regions = RegionTable::new();
+        for r in sample_doc().regions.iter() {
+            let mut r = r.clone();
+            r.written_in_parallel_phases |= r.id == RegionId(2);
+            other.regions.insert(r);
+        }
+        distinct(&other, "a region field");
     }
 
     #[test]

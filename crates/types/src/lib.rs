@@ -39,7 +39,7 @@ pub use addr::{Addr, LineAddr, WordIdx, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use config::{
     CacheConfig, DramConfig, NetworkModelKind, NocConfig, SystemConfig, TimingConfig, MAX_TILES,
 };
-pub use digest::{Digest, DigestWriter, Digester};
+pub use digest::{Digest, Digester};
 pub use error::ConfigError;
 pub use fastmap::FastMap;
 pub use geometry::{CoreId, MeshCoord, TileId};

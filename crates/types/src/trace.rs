@@ -157,6 +157,14 @@ impl TraceOp {
         }
     }
 
+    /// The packed word. Two records are equal exactly when their words are,
+    /// so a stream's words are its content ([`crate::Digester::write_records`]
+    /// digests them).
+    #[inline]
+    pub fn bits(self) -> u64 {
+        self.0
+    }
+
     /// Whether this record is a memory access.
     #[inline]
     pub fn is_mem(&self) -> bool {

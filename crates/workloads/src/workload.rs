@@ -192,11 +192,13 @@ impl Workload {
         }
     }
 
-    /// The canonical content digest of this workload: the digest of its
-    /// binary trace encoding (see [`TraceDocument::digest`]). This is the
-    /// identity half of a `WorkloadRef` — two workloads with the same digest
-    /// have identical streams, regions and metadata, so every simulation
-    /// result derived from them is interchangeable.
+    /// The canonical content digest of this workload: its trace header and
+    /// its packed records ([`tw_trace::content_digest`]), equal to the
+    /// digest of [`Workload::to_trace`] and of that document read back from
+    /// either encoding. This is the identity half of a `WorkloadRef` — two
+    /// workloads with the same digest have identical streams, regions and
+    /// metadata, so every simulation result derived from them is
+    /// interchangeable.
     pub fn content_digest(&self) -> Result<tw_types::Digest, TraceError> {
         // Digest the streams where they are instead of going through
         // `to_trace()`, which would clone every per-core stream.
@@ -319,6 +321,13 @@ mod tests {
         assert_eq!(
             wl.content_digest().unwrap(),
             wl.to_trace().digest().unwrap()
+        );
+        // The header and records of a two-core trace: a literal, so the
+        // digest function cannot change unnoticed (see
+        // `tiny_content_digests_are_pinned`).
+        assert_eq!(
+            wl.content_digest().unwrap().to_string(),
+            "9e25590c5127767e5998b2513a101190"
         );
         let mut other = tiny_workload();
         other.traces[0][0] = TraceOp::load(Addr::new(128), RegionId(1));
