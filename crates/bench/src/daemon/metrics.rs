@@ -263,7 +263,7 @@ impl Row {
 }
 
 /// The shared session's reading, in `stats` order.
-fn session_rows(session: &SessionCounters) -> [Row; 4] {
+fn session_rows(session: &SessionCounters) -> [Row; 6] {
     [
         Row::counter(
             "workload_memo_hits_total",
@@ -289,6 +289,18 @@ fn session_rows(session: &SessionCounters) -> [Row; 4] {
             "Slots in the session's single-flight table",
             session.flight_slots,
         ),
+        Row::gauge(
+            "pool_threads",
+            "tw_daemon_pool_threads",
+            "Threads the session's pool has started",
+            session.pool_threads,
+        ),
+        Row::counter(
+            "pool_batches_total",
+            "tw_daemon_pool_batches_total",
+            "Fan-outs of two or more items handed to the session's pool",
+            session.pool_batches,
+        ),
     ]
 }
 
@@ -311,6 +323,8 @@ mod tests {
         memo_builds: 12,
         memo_resident_ops: 5_959_426,
         flight_slots: 2,
+        pool_threads: 2,
+        pool_batches: 9,
     };
 
     fn two_submits() -> Metrics {
@@ -365,6 +379,8 @@ mod tests {
             Ok(5_959_426)
         );
         assert_eq!(field(&snap, "flight_table_slots").as_u64(), Ok(2));
+        assert_eq!(field(&snap, "pool_threads").as_u64(), Ok(2));
+        assert_eq!(field(&snap, "pool_batches_total").as_u64(), Ok(9));
         // The whole snapshot must survive the wire's no-float JSON.
         let doc = Json::Obj(snap);
         assert_eq!(Json::parse(&doc.compact()).unwrap(), doc);
@@ -407,7 +423,7 @@ mod tests {
         let rows: Vec<Row> = (m.service_rows(2, 64, 4).into_iter())
             .chain(session_rows(&SESSION))
             .collect();
-        assert_eq!(rows.len(), 16);
+        assert_eq!(rows.len(), 18);
         for row in &rows {
             assert!(field(&snap, row.key).as_u64().is_ok(), "{}", row.key);
             let n = families.iter().filter(|f| **f == row.family).count();
@@ -439,6 +455,8 @@ mod tests {
         assert!(text.contains("tw_daemon_workload_memo_builds_total 12\n"));
         assert!(text.contains("# TYPE tw_daemon_flight_table_slots gauge\n"));
         assert!(text.contains("tw_daemon_workload_memo_resident_ops 5959426\n"));
+        assert!(text.contains("# TYPE tw_daemon_pool_threads gauge\n"));
+        assert!(text.contains("tw_daemon_pool_batches_total 9\n"));
         assert!(text.contains("# TYPE tw_daemon_queue_depth gauge\n"));
         assert!(text.contains("# TYPE tw_daemon_latency_us histogram\n"));
         assert!(text.contains("tw_daemon_latency_us_bucket{le=\"+Inf\"} 2\n"));

@@ -5,10 +5,10 @@
 //! whole cost of a plan whose cells are all cached, and it is a pure
 //! function of `(benchmark, scale, cores)`. A long-lived [`Session`] keeps
 //! one memo, so a repeated request compiles without regenerating anything;
-//! [`ExperimentSpec::compile`] runs the same code over a memo it throws
-//! away. Only [`WorkloadSource::Bench`] entries pass through here: a trace
-//! file can change between two compiles, and a provided workload is already
-//! in memory.
+//! [`ExperimentSpec::compile`] runs the same code on a session it throws
+//! away, memo and all. Only [`WorkloadSource::Bench`] entries pass through
+//! here: a trace file can change between two compiles, and a provided
+//! workload is already in memory.
 //!
 //! [`Session`]: super::Session
 //! [`ExperimentSpec::compile`]: super::ExperimentSpec::compile

@@ -7,7 +7,8 @@
 //!   cells with stable identity ([`WorkloadRef`] = name + content digest);
 //! * [`session`] — [`Session`] executes compiled plans through an optional
 //!   content-addressed result cache keyed by everything that determines a
-//!   report (workload content, system, protocol, engine version);
+//!   report (workload content, system, protocol, engine version), fanning
+//!   out on one FIFO thread pool its clones share (`pool.rs`);
 //! * [`outcome`] — [`PlanOutcome`] extracts the paper's tables and figures,
 //!   normalized to an explicit [`Baseline`] (MESI by default).
 
@@ -16,6 +17,7 @@ pub mod json;
 mod memo;
 pub mod outcome;
 pub mod plan;
+mod pool;
 pub mod session;
 
 pub use json::Json;

@@ -13,10 +13,9 @@
 //! what kind they carry.
 
 use super::json::Json;
-use super::memo::WorkloadMemo;
+use super::session::{Session, SessionState};
 use super::ScaleProfile;
 use crate::sim::SimError;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -616,20 +615,20 @@ impl ExperimentSpec {
     /// here, so every cell knows its full identity before anything is
     /// simulated.
     ///
-    /// Every call generates its benchmark workloads afresh; a
-    /// [`Session`](super::Session) that compiles many specs shares them
-    /// through [`Session::compile`](super::Session::compile), which is this
-    /// function over the session's memo instead of a throwaway one.
+    /// This is [`Session::compile`] on a session made for the call, so every
+    /// call generates its benchmark workloads afresh, on threads of its own;
+    /// a [`Session`] that compiles many specs shares both.
     pub fn compile(&self, provided: &WorkloadSet) -> Result<CompiledPlan, ExperimentError> {
-        self.compile_with(provided, &WorkloadMemo::default())
+        Session::new().compile(self, provided)
     }
 
-    /// [`compile`](Self::compile), with generated workloads looked up in (and
-    /// left behind in) `memo`.
+    /// [`compile`](Self::compile) on a session's state: generated workloads
+    /// are looked up in (and left behind in) its memo, and built on its
+    /// pool.
     pub(super) fn compile_with(
         &self,
         provided: &WorkloadSet,
-        memo: &WorkloadMemo,
+        session: &Arc<SessionState>,
     ) -> Result<CompiledPlan, ExperimentError> {
         if self.protocols.is_empty() {
             return Err(ExperimentError::InvalidSpec(
@@ -717,9 +716,10 @@ impl ExperimentSpec {
         // at (generators generate per core count; traces and provided
         // workloads have a fixed one and error on mismatch). Generation plus
         // content digesting is the expensive part of compilation — and the
-        // whole cost of a fully-warm cached run unless `memo` already holds
-        // the workloads — so the distinct builds fan out on the rayon pool;
-        // errors surface in deterministic (workload, variant) order.
+        // whole cost of a fully-warm cached run unless the session's memo
+        // already holds the workloads — so the distinct builds fan out on
+        // the session's pool; errors surface in deterministic (workload,
+        // variant) order.
         let mut wanted: Vec<(usize, usize, String)> = Vec::new();
         for (wi, _) in self.workloads.iter().enumerate() {
             for (variant_label, sys) in &systems {
@@ -729,16 +729,17 @@ impl ExperimentSpec {
             }
         }
         type BuiltEntry = ((usize, usize), (Arc<Workload>, Digest));
-        let build_results: Vec<Result<BuiltEntry, ExperimentError>> = wanted
-            .par_iter()
-            .map(|(wi, tiles, variant_label)| {
-                let w = &self.workloads[*wi];
+        let (state, scale) = (Arc::clone(session), self.scale);
+        let (workloads, provided) = (self.workloads.clone(), provided.clone());
+        let build_results: Vec<Result<BuiltEntry, ExperimentError>> =
+            session.pool.map(wanted, move |(wi, tiles, variant_label)| {
+                let w = &workloads[*wi];
                 // A generated workload comes out of the memo with its
                 // digest; a trace file is read every time (it may have been
                 // rewritten) and a provided workload is digested as given.
                 let (wl, memoized) = match &w.source {
                     WorkloadSource::Bench(kind) => {
-                        let (wl, digest) = memo.get_or_build((*kind, self.scale, *tiles))?;
+                        let (wl, digest) = state.memo.get_or_build((*kind, scale, *tiles))?;
                         (wl, Some(digest))
                     }
                     WorkloadSource::Trace(path) => {
@@ -773,8 +774,7 @@ impl ExperimentSpec {
                         .map_err(|e| ExperimentError::Workload(e.to_string()))?,
                 };
                 Ok(((*wi, *tiles), (wl, digest)))
-            })
-            .collect();
+            });
         let built: BTreeMap<(usize, usize), (Arc<Workload>, Digest)> = build_results
             .into_iter()
             .collect::<Result<_, ExperimentError>>(

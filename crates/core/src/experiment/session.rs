@@ -2,10 +2,11 @@
 //!
 //! A [`Session`] turns a compiled plan into a [`PlanOutcome`]. The plan's
 //! cells are grouped by cache key, the keys whose cells differ only in
-//! their network model are bundled into one run, one run per bundle fans
-//! out on the rayon pool, and every cell of a group is handed its key's
-//! report. The cache key of a cell digests **everything that determines
-//! its `SimReport`** (bar the protocol label the report carries):
+//! their network model are bundled into one run, the runs are queued on the
+//! session's thread pool (`pool.rs`), and every cell of a group is handed
+//! its key's report. The cache key of a cell digests **everything that
+//! determines its `SimReport`** (bar the protocol label the report
+//! carries):
 //!
 //! * the workload's content digest (trace header and packed records),
 //! * the fully-resolved [`SystemConfig`] (every result-affecting field),
@@ -26,9 +27,9 @@ use super::json::Json;
 use super::memo::WorkloadMemo;
 use super::outcome::PlanOutcome;
 use super::plan::{CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, WorkloadSet};
+use super::pool::Pool;
 use crate::report::SimReport;
 use crate::sim::{SimConfig, Simulator};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,15 +141,19 @@ pub struct CellGroup {
 /// A leader's report and how it was obtained.
 type Led = (SimReport, CellSource);
 
+/// A leader as its run's pool job owns it: the cell's index in its plan,
+/// its key, and the cell.
+type Leader = (usize, Digest, PlannedCell);
+
 /// One single-flight slot: a key's report once its leader has it. The
 /// leader holds the lock from before its disk probe until the report is in.
 type Slot = Arc<Mutex<Option<SimReport>>>;
 
 /// State shared by every clone of a [`Session`]: the in-process
-/// single-flight table, the workload memo and the once-per-session
-/// temp-file sweep marker.
+/// single-flight table, the workload memo, the thread pool and the
+/// once-per-session temp-file sweep marker.
 #[derive(Debug, Default)]
-struct SessionState {
+pub(super) struct SessionState {
     /// One slot per cache key being computed by this session. A cell of a
     /// concurrent request with the same key — two daemon clients submitting
     /// overlapping plans — waits on the leader's slot instead of simulating
@@ -159,15 +164,20 @@ struct SessionState {
     /// long-lived daemon's table holds only what is in flight.
     inflight: Mutex<BTreeMap<Digest, Slot>>,
     /// Generated workloads, shared by every plan this session compiles.
-    memo: WorkloadMemo,
+    pub(super) memo: WorkloadMemo,
+    /// Where compile's workload builds and execute's runs fan out: every
+    /// request of a daemon queues behind the ones before it.
+    pub(super) pool: Pool,
     /// Whether this session already swept stray temp files from its cache
     /// directory (done once, on first execute).
     swept: AtomicBool,
 }
 
 /// What a session holds in memory right now and how often its workload
-/// memo was used, for service metrics. Which request builds a workload two
-/// of them need is a race, so none of this belongs in a recorded span.
+/// memo and thread pool were used, for service metrics. Which request
+/// builds a workload two of them need is a race, and how many threads a
+/// pool starts depends on the host, so none of this belongs in a recorded
+/// span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionCounters {
     /// Workload lookups served without generating: a resident memo entry,
@@ -179,15 +189,22 @@ pub struct SessionCounters {
     pub memo_resident_ops: u64,
     /// Slots in the single-flight table.
     pub flight_slots: u64,
+    /// Threads the session's pool has started.
+    pub pool_threads: u64,
+    /// Fan-outs of two or more items handed to the session's pool.
+    pub pool_batches: u64,
 }
 
 /// Executes experiment plans, optionally through a persistent result cache.
 ///
-/// Clones share one single-flight table and one workload memo, so a session
-/// handed to several threads (the daemon's worker pool) never simulates the
-/// same cache key twice concurrently and generates each benchmark workload
-/// once. Within one plan the same holds by construction: `execute` runs one
-/// cell per distinct key.
+/// Clones share one single-flight table, one workload memo and one thread
+/// pool, so a session handed to several threads (the daemon's workers)
+/// never simulates the same cache key twice concurrently, generates each
+/// benchmark workload once, and runs the requests' simulations in the order
+/// the requests queued them. Within one plan the same holds by
+/// construction: `execute` runs one cell per distinct key. The pool's
+/// threads start on the first fan-out and are joined when the last clone
+/// drops, so a session made for one call keeps its threads for that call.
 #[derive(Debug, Clone)]
 pub struct Session {
     cache_dir: Option<PathBuf>,
@@ -241,13 +258,26 @@ impl Session {
     /// Compiles a spec, taking generated workloads from (and leaving them
     /// in) this session's memo: the second plan over a benchmark shares the
     /// first one's workload instead of regenerating and re-digesting it.
-    /// The result is what [`ExperimentSpec::compile`] returns.
+    /// [`ExperimentSpec::compile`] is this, on a session made for the call.
     pub fn compile(
         &self,
         spec: &ExperimentSpec,
         provided: &WorkloadSet,
     ) -> Result<CompiledPlan, ExperimentError> {
-        spec.compile_with(provided, &self.state.memo)
+        spec.compile_with(provided, &self.state)
+    }
+
+    /// Maps `f` over `items` on this session's thread pool, behind every
+    /// fan-out its clones queued before, and returns the results in input
+    /// order. A fan-out from inside `f` runs inline, and a panic in `f` is
+    /// resumed here.
+    pub fn fan_out<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&T) -> R + Send + Sync + 'static,
+    {
+        self.state.pool.map(items, f)
     }
 
     /// Compiles and executes a spec in one step.
@@ -267,6 +297,8 @@ impl Session {
             memo_builds: memo.builds,
             memo_resident_ops: memo.resident_ops,
             flight_slots: self.state.inflight.lock().expect("inflight lock").len() as u64,
+            pool_threads: self.state.pool.threads(),
+            pool_batches: self.state.pool.batches(),
         }
     }
 
@@ -294,20 +326,20 @@ impl Session {
         }
         // Each distinct machine is simulated once, and the machines that
         // differ only in their network model in one run: only the runs fan
-        // out, so a duplicate never parks a worker on its leader's slot while
-        // another key waits for a core.
+        // out, so a duplicate never parks a pool thread on its leader's slot
+        // while another key waits for a core.
         let groups = self.groups(plan);
-        let mut runs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut runs: BTreeMap<usize, Vec<Leader>> = BTreeMap::new();
         for (i, group) in groups.iter().enumerate() {
             if group.leader == i {
-                runs.entry(group.run).or_default().push(i);
+                let leader = (i, group.key, plan.cells[i].clone());
+                runs.entry(group.run).or_default().push(leader);
             }
         }
-        let runs: Vec<Vec<usize>> = runs.into_values().collect();
-        let results: Vec<_> = runs
-            .par_iter()
-            .map(|leaders| self.run_together(plan, &groups, leaders))
-            .collect();
+        let session = self.clone();
+        let results = self.fan_out(runs.into_values().collect(), move |leaders| {
+            session.run_together(leaders)
+        });
         let mut led = BTreeMap::new();
         for result in results {
             led.extend(result?);
@@ -410,34 +442,26 @@ impl Session {
     /// probes the disk under its own key; the leaders that miss are
     /// simulated together, a timed lane each, and stored under their own
     /// keys.
-    fn run_together(
-        &self,
-        plan: &CompiledPlan,
-        groups: &[CellGroup],
-        leaders: &[usize],
-    ) -> Result<Vec<(usize, Led)>, ExperimentError> {
+    fn run_together(&self, leaders: &[Leader]) -> Result<Vec<(usize, Led)>, ExperimentError> {
         // Timers exist only when a recorder is attached, so the unrecorded
         // path pays one Option probe per cell, nothing per op.
         let timer = || self.recorder.as_ref().map(|_| Instant::now());
         let micros = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_micros() as u64);
         let mut members: Vec<Member> = leaders
             .iter()
-            .map(|&index| {
-                let (cell, key) = (&plan.cells[index], groups[index].key);
-                Member {
-                    index,
-                    cell,
-                    key,
-                    sink: self.recorder.as_ref().map(|s| s.with_track(cell.track())),
-                    path: self
-                        .cache_dir
-                        .as_ref()
-                        .map(|d| d.join(format!("{key}.json"))),
-                    source: CellSource::Coalesced,
-                    probe_us: 0,
-                    sim_us: 0,
-                    store_us: 0,
-                }
+            .map(|&(index, key, ref cell)| Member {
+                index,
+                cell,
+                key,
+                sink: self.recorder.as_ref().map(|s| s.with_track(cell.track())),
+                path: self
+                    .cache_dir
+                    .as_ref()
+                    .map(|d| d.join(format!("{key}.json"))),
+                source: CellSource::Coalesced,
+                probe_us: 0,
+                sim_us: 0,
+                store_us: 0,
             })
             .collect();
         // A run holds the slots of all its leaders at once, so it takes them
@@ -551,6 +575,24 @@ impl Session {
         cfg.barrier_overhead = self.barrier_overhead;
         cfg.recorder = sink;
         cfg
+    }
+
+    /// A fresh session whose pool starts up to `threads` threads, whatever
+    /// the host's core count.
+    #[cfg(test)]
+    pub(super) fn with_threads(threads: usize) -> Self {
+        Session {
+            state: Arc::new(SessionState {
+                pool: Pool::with_threads(threads),
+                ..SessionState::default()
+            }),
+            ..Session::new()
+        }
+    }
+
+    #[cfg(test)]
+    pub(super) fn pool(&self) -> &Pool {
+        &self.state.pool
     }
 }
 

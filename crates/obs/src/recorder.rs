@@ -14,8 +14,9 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// An in-memory flight recorder. Spans are appended under a mutex (cells
-/// fan out on rayon; contention is one push per span, not per simulated
-/// op) and serialized deterministically by [`FlightRecorder::to_jsonl`].
+/// run on a session's thread pool; contention is one push per span, not
+/// per simulated op) and serialized deterministically by
+/// [`FlightRecorder::to_jsonl`].
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     spans: Mutex<Vec<Span>>,

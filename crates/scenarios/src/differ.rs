@@ -27,11 +27,10 @@
 use crate::mutate::{detect, Detection};
 use crate::oracle::{golden_execute, OracleReport};
 use crate::synth::is_fully_bypass_streaming;
-use denovo_waste::{ScaleProfile, SimConfig, Simulator};
-use rayon::prelude::*;
+use denovo_waste::{ScaleProfile, Session, SimConfig, Simulator};
 use std::fmt;
 use tw_obs::SpanSink;
-use tw_types::{NetworkModelKind, ProtocolKind};
+use tw_types::{NetworkModelKind, ProtocolKind, SystemConfig};
 use tw_workloads::Workload;
 
 /// The protocols invariant 5 (streaming bypass dominance) compares, in
@@ -251,124 +250,15 @@ impl DifferentialRunner {
             Err(race) => return empty(Violation::Race(race.to_string())),
         };
 
-        // Every (protocol) cell is independent; fan out on the rayon pool.
-        // `map` preserves order, so summaries stay in registry order and the
-        // fuzz output is deterministic.
-        let cells: Vec<(ProtocolSummary, Vec<Violation>)> = self
-            .protocols
-            .par_iter()
-            .map(|&protocol| {
-                let mut cfg = SimConfig::new(protocol).with_system(system.clone());
-                if let Some(sink) = &self.recorder {
-                    cfg.recorder =
-                        Some(sink.with_track(format!("{}/{}", wl.kind.name(), protocol.name())));
-                }
-                let (report, captured) = Simulator::new(cfg.clone(), wl).run_captured();
-                let mut violations = Vec::new();
-
-                if captured.traces != wl.traces {
-                    violations.push(Violation::StreamDiverged { protocol });
-                } else if let Some(d) = detect(&oracle, &captured) {
-                    // Stream equality makes this unreachable today; it is
-                    // the independent check that keeps the oracle honest if
-                    // capture semantics ever change.
-                    violations.push(Violation::OracleMismatch {
-                        protocol,
-                        detection: match d {
-                            Detection::Malformed(m) | Detection::Race(m) => m,
-                            Detection::FingerprintDiff { expected, actual } => {
-                                format!("fingerprint {actual:#018x} != {expected:#018x}")
-                            }
-                        },
-                    });
-                }
-
-                // The replay is a checker, not part of the primary sweep —
-                // recording it would emit every phase span twice per track.
-                cfg.recorder = None;
-                let replayed = Simulator::new(cfg, &captured).run();
-                if replayed != report {
-                    violations.push(Violation::ReplayMismatch { protocol });
-                }
-
-                let waste = report.waste_traffic_fraction();
-                let traffic = report.total_flit_hops();
-                if !(0.0..=1.0).contains(&waste) || !traffic.is_finite() || traffic <= 0.0 {
-                    violations.push(Violation::BadAccounting {
-                        protocol,
-                        waste_fraction: waste,
-                        traffic,
-                    });
-                }
-
-                // Invariant 6: every other registered network model must
-                // move the exact same flits and classify the exact same
-                // words; only time may differ, and timed-model time only
-                // upward from the analytic bound.
-                let mut cycles_by_model = vec![(self.network, report.total_cycles)];
-                for other in NetworkModelKind::ALL {
-                    if other == self.network {
-                        continue;
-                    }
-                    let mut other_sys = system.clone();
-                    other_sys.network = other;
-                    let alt =
-                        Simulator::new(SimConfig::new(protocol).with_system(other_sys), wl).run();
-                    let diverged: [(&'static str, bool); 7] = [
-                        ("per-bucket traffic", alt.traffic != report.traffic),
-                        (
-                            "mesh flit-hops",
-                            alt.mesh_flit_hops != report.mesh_flit_hops,
-                        ),
-                        (
-                            "waste fraction",
-                            alt.waste_traffic_fraction().to_bits()
-                                != report.waste_traffic_fraction().to_bits(),
-                        ),
-                        ("L1 waste", alt.l1_waste != report.l1_waste),
-                        ("L2 waste", alt.l2_waste != report.l2_waste),
-                        ("memory waste", alt.mem_waste != report.mem_waste),
-                        (
-                            "DRAM behavior",
-                            alt.dram_accesses != report.dram_accesses
-                                || alt.dram_row_hit_rate.to_bits()
-                                    != report.dram_row_hit_rate.to_bits(),
-                        ),
-                    ];
-                    for (field, moved) in diverged {
-                        if moved {
-                            violations.push(Violation::CrossModelDivergence { protocol, field });
-                        }
-                    }
-                    cycles_by_model.push((other, alt.total_cycles));
-                }
-                let analytic_cycles = cycles_by_model
-                    .iter()
-                    .find(|(k, _)| *k == NetworkModelKind::Analytic)
-                    .map(|&(_, c)| c);
-                if let Some(analytic_cycles) = analytic_cycles {
-                    for &(kind, flit_cycles) in &cycles_by_model {
-                        if kind != NetworkModelKind::Analytic && flit_cycles < analytic_cycles {
-                            violations.push(Violation::LatencyBelowAnalyticBound {
-                                protocol,
-                                flit_cycles,
-                                analytic_cycles,
-                            });
-                        }
-                    }
-                }
-
-                (
-                    ProtocolSummary {
-                        protocol,
-                        total_cycles: report.total_cycles,
-                        flit_hops: traffic,
-                        waste_fraction: waste,
-                    },
-                    violations,
-                )
-            })
-            .collect();
+        // Every (protocol) cell is independent; fan out on the pool of a
+        // session made for the call. Its jobs own their context, so they
+        // get a copy of the runner and of the workload. Results come back in
+        // input order, so summaries stay in registry order and the fuzz
+        // output is deterministic.
+        let (runner, workload) = (self.clone(), wl.clone());
+        let cells = Session::new().fan_out(self.protocols.clone(), move |&protocol| {
+            runner.check_protocol(protocol, &workload, oracle, &system)
+        });
 
         let mut summaries = Vec::with_capacity(cells.len());
         let mut violations = Vec::new();
@@ -400,6 +290,123 @@ impl DifferentialRunner {
             summaries,
             violations,
         }
+    }
+
+    /// One protocol's cell of [`check`](Self::check): its summary and the
+    /// invariants it broke.
+    fn check_protocol(
+        &self,
+        protocol: ProtocolKind,
+        wl: &Workload,
+        oracle: OracleReport,
+        system: &SystemConfig,
+    ) -> (ProtocolSummary, Vec<Violation>) {
+        let mut cfg = SimConfig::new(protocol).with_system(system.clone());
+        if let Some(sink) = &self.recorder {
+            cfg.recorder = Some(sink.with_track(format!("{}/{}", wl.kind.name(), protocol.name())));
+        }
+        let (report, captured) = Simulator::new(cfg.clone(), wl).run_captured();
+        let mut violations = Vec::new();
+
+        if captured.traces != wl.traces {
+            violations.push(Violation::StreamDiverged { protocol });
+        } else if let Some(d) = detect(&oracle, &captured) {
+            // Stream equality makes this unreachable today; it is
+            // the independent check that keeps the oracle honest if
+            // capture semantics ever change.
+            violations.push(Violation::OracleMismatch {
+                protocol,
+                detection: match d {
+                    Detection::Malformed(m) | Detection::Race(m) => m,
+                    Detection::FingerprintDiff { expected, actual } => {
+                        format!("fingerprint {actual:#018x} != {expected:#018x}")
+                    }
+                },
+            });
+        }
+
+        // The replay is a checker, not part of the primary sweep —
+        // recording it would emit every phase span twice per track.
+        cfg.recorder = None;
+        let replayed = Simulator::new(cfg, &captured).run();
+        if replayed != report {
+            violations.push(Violation::ReplayMismatch { protocol });
+        }
+
+        let waste = report.waste_traffic_fraction();
+        let traffic = report.total_flit_hops();
+        if !(0.0..=1.0).contains(&waste) || !traffic.is_finite() || traffic <= 0.0 {
+            violations.push(Violation::BadAccounting {
+                protocol,
+                waste_fraction: waste,
+                traffic,
+            });
+        }
+
+        // Invariant 6: every other registered network model must
+        // move the exact same flits and classify the exact same
+        // words; only time may differ, and timed-model time only
+        // upward from the analytic bound.
+        let mut cycles_by_model = vec![(self.network, report.total_cycles)];
+        for other in NetworkModelKind::ALL {
+            if other == self.network {
+                continue;
+            }
+            let mut other_sys = system.clone();
+            other_sys.network = other;
+            let alt = Simulator::new(SimConfig::new(protocol).with_system(other_sys), wl).run();
+            let diverged: [(&'static str, bool); 7] = [
+                ("per-bucket traffic", alt.traffic != report.traffic),
+                (
+                    "mesh flit-hops",
+                    alt.mesh_flit_hops != report.mesh_flit_hops,
+                ),
+                (
+                    "waste fraction",
+                    alt.waste_traffic_fraction().to_bits()
+                        != report.waste_traffic_fraction().to_bits(),
+                ),
+                ("L1 waste", alt.l1_waste != report.l1_waste),
+                ("L2 waste", alt.l2_waste != report.l2_waste),
+                ("memory waste", alt.mem_waste != report.mem_waste),
+                (
+                    "DRAM behavior",
+                    alt.dram_accesses != report.dram_accesses
+                        || alt.dram_row_hit_rate.to_bits() != report.dram_row_hit_rate.to_bits(),
+                ),
+            ];
+            for (field, moved) in diverged {
+                if moved {
+                    violations.push(Violation::CrossModelDivergence { protocol, field });
+                }
+            }
+            cycles_by_model.push((other, alt.total_cycles));
+        }
+        let analytic_cycles = cycles_by_model
+            .iter()
+            .find(|(k, _)| *k == NetworkModelKind::Analytic)
+            .map(|&(_, c)| c);
+        if let Some(analytic_cycles) = analytic_cycles {
+            for &(kind, flit_cycles) in &cycles_by_model {
+                if kind != NetworkModelKind::Analytic && flit_cycles < analytic_cycles {
+                    violations.push(Violation::LatencyBelowAnalyticBound {
+                        protocol,
+                        flit_cycles,
+                        analytic_cycles,
+                    });
+                }
+            }
+        }
+
+        (
+            ProtocolSummary {
+                protocol,
+                total_cycles: report.total_cycles,
+                flit_hops: traffic,
+                waste_fraction: waste,
+            },
+            violations,
+        )
     }
 }
 
