@@ -74,11 +74,13 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
 }
 
 /// What [`run_plan`] did: the compiled plan, its outcome, the wall time of
-/// compiling and executing it, and the flight recorder when one was armed.
+/// compiling and executing it, the generated workloads whose records it
+/// built, and the flight recorder when one was armed.
 struct Ran {
     plan: CompiledPlan,
     outcome: PlanOutcome,
     wall: Duration,
+    materialized: u64,
     recorder: Option<Arc<FlightRecorder>>,
 }
 
@@ -114,6 +116,7 @@ fn run_plan(
         plan,
         outcome,
         wall,
+        materialized: session.counters().workloads_materialized,
         recorder,
     })
 }

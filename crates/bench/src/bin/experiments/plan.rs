@@ -104,7 +104,8 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
 pub fn run(args: &Args) -> Result<ExitCode, String> {
     let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
     let record = args.value("--record").map(|out| ("plan", Some(out)));
-    let outcome = run_plan(&spec, &WorkloadSet::new(), args.value("--cache"), record)?.outcome;
+    let ran = run_plan(&spec, &WorkloadSet::new(), args.value("--cache"), record)?;
+    let outcome = ran.outcome;
     for fig in outcome.all_figures()? {
         println!("{fig}");
     }
@@ -115,7 +116,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     if let Some(path) = args.value("--stats") {
         write_file(
             path,
-            tw_bench::cache_stats_json(&outcome.name, &outcome.cache),
+            tw_bench::cache_stats_json(&outcome.name, &outcome.cache, ran.materialized),
         )?;
     }
     Ok(ExitCode::SUCCESS)

@@ -263,7 +263,7 @@ impl Row {
 }
 
 /// The shared session's reading, in `stats` order.
-fn session_rows(session: &SessionCounters) -> [Row; 6] {
+fn session_rows(session: &SessionCounters) -> [Row; 7] {
     [
         Row::counter(
             "workload_memo_hits_total",
@@ -274,14 +274,20 @@ fn session_rows(session: &SessionCounters) -> [Row; 6] {
         Row::counter(
             "workload_memo_builds_total",
             "tw_daemon_workload_memo_builds_total",
-            "Workload lookups that generated and digested a workload",
+            "Workload lookups that ran a workload's digest pass",
             session.memo_builds,
         ),
         Row::gauge(
             "workload_memo_resident_ops",
             "tw_daemon_workload_memo_resident_ops",
-            "Trace ops held by the session memo's resident workloads",
+            "Trace ops of the session memo's resident workloads, built or not",
             session.memo_resident_ops,
+        ),
+        Row::counter(
+            "workloads_materialized_total",
+            "tw_daemon_workloads_materialized_total",
+            "Digested workloads whose records a run built",
+            session.workloads_materialized,
         ),
         Row::gauge(
             "flight_table_slots",
@@ -322,6 +328,7 @@ mod tests {
         memo_hits: 6,
         memo_builds: 12,
         memo_resident_ops: 5_959_426,
+        workloads_materialized: 5,
         flight_slots: 2,
         pool_threads: 2,
         pool_batches: 9,
@@ -378,6 +385,7 @@ mod tests {
             field(&snap, "workload_memo_resident_ops").as_u64(),
             Ok(5_959_426)
         );
+        assert_eq!(field(&snap, "workloads_materialized_total").as_u64(), Ok(5));
         assert_eq!(field(&snap, "flight_table_slots").as_u64(), Ok(2));
         assert_eq!(field(&snap, "pool_threads").as_u64(), Ok(2));
         assert_eq!(field(&snap, "pool_batches_total").as_u64(), Ok(9));
@@ -423,7 +431,7 @@ mod tests {
         let rows: Vec<Row> = (m.service_rows(2, 64, 4).into_iter())
             .chain(session_rows(&SESSION))
             .collect();
-        assert_eq!(rows.len(), 18);
+        assert_eq!(rows.len(), 19);
         for row in &rows {
             assert!(field(&snap, row.key).as_u64().is_ok(), "{}", row.key);
             let n = families.iter().filter(|f| **f == row.family).count();
@@ -455,6 +463,8 @@ mod tests {
         assert!(text.contains("tw_daemon_workload_memo_builds_total 12\n"));
         assert!(text.contains("# TYPE tw_daemon_flight_table_slots gauge\n"));
         assert!(text.contains("tw_daemon_workload_memo_resident_ops 5959426\n"));
+        assert!(text.contains("# TYPE tw_daemon_workloads_materialized_total counter\n"));
+        assert!(text.contains("tw_daemon_workloads_materialized_total 5\n"));
         assert!(text.contains("# TYPE tw_daemon_pool_threads gauge\n"));
         assert!(text.contains("tw_daemon_pool_batches_total 9\n"));
         assert!(text.contains("# TYPE tw_daemon_queue_depth gauge\n"));

@@ -269,16 +269,19 @@ pub fn plan_figures_json(outcome: &PlanOutcome) -> Result<String, ExperimentErro
 }
 
 /// Serializes a plan run's cache statistics — the `plan run --stats`
-/// artifact CI uploads next to `BENCH_results.json`.
-pub fn cache_stats_json(plan: &str, stats: &CacheStats) -> String {
+/// artifact CI uploads next to `BENCH_results.json` — with the number of
+/// generated workloads whose records the run built
+/// ([`denovo_waste::SessionCounters::workloads_materialized`]).
+pub fn cache_stats_json(plan: &str, stats: &CacheStats, workloads_materialized: u64) -> String {
     format!(
-        "{{\n  \"schema\": \"denovo-waste/cache-stats/v1\",\n  \"plan\": \"{}\",\n  \"cells\": {},\n  \"hits\": {},\n  \"misses\": {},\n  \"coalesced\": {},\n  \"hit_rate\": {}\n}}\n",
+        "{{\n  \"schema\": \"denovo-waste/cache-stats/v1\",\n  \"plan\": \"{}\",\n  \"cells\": {},\n  \"hits\": {},\n  \"misses\": {},\n  \"coalesced\": {},\n  \"hit_rate\": {},\n  \"workloads_materialized\": {}\n}}\n",
         escaped(plan),
         stats.total(),
         stats.hits,
         stats.misses,
         stats.coalesced,
         json_num(stats.hit_rate()),
+        workloads_materialized,
     )
 }
 
@@ -334,8 +337,11 @@ mod tests {
         assert!(plan_json.contains("denovo-waste/plan-results/v1"));
         assert!(plan_json.contains("Figure 5.1a"));
 
-        let stats = cache_stats_json(&outcome.name, &outcome.cache);
+        let materialized = session.counters().workloads_materialized;
+        assert_eq!(materialized, 2, "both workloads ran");
+        let stats = cache_stats_json(&outcome.name, &outcome.cache, materialized);
         assert!(stats.contains("\"hits\": 0"));
+        assert!(stats.contains("\"workloads_materialized\": 2\n"));
         // One simulation per distinct machine: neither input has a
         // communication region, so DFlexL1 is DeNovo's machine on both.
         let machines: std::collections::BTreeSet<_> = plan

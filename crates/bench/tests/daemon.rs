@@ -216,6 +216,10 @@ fn metrics_exposition_is_well_formed_and_monotone() {
         scrape(&m2, "tw_daemon_workload_memo_hits_total"),
         scrape(&m2, "tw_daemon_workload_memo_builds_total")
     );
+    // The cold submit's runs built the spec's two workloads; the warm one,
+    // served from the cache, built none.
+    assert_eq!(scrape(&m1, "tw_daemon_workloads_materialized_total"), 2);
+    assert_eq!(scrape(&m2, "tw_daemon_workloads_materialized_total"), 2);
 
     daemon.stop();
 }

@@ -40,7 +40,8 @@ fn distinct_machines(spec: &ExperimentSpec) -> u64 {
 
 /// Re-runs `spec` from the cache in `dir` on a fresh session with the flight
 /// recorder armed, and requires that the simulator never ran: no `run` or
-/// `phase` span, and one `cell` span per cell, each a disk hit. That, not a
+/// `phase` span, one `cell` span per cell, each a disk hit, and no generated
+/// workload's records built — compile only digested them. That, not a
 /// wall-clock ratio, is why a warm run is fast.
 fn warm_run_without_simulating(spec: &ExperimentSpec, dir: &Path) -> PlanOutcome {
     let rec = Arc::new(FlightRecorder::new());
@@ -48,6 +49,7 @@ fn warm_run_without_simulating(spec: &ExperimentSpec, dir: &Path) -> PlanOutcome
         .with_cache_dir(dir)
         .with_recorder(SpanSink::new(Arc::clone(&rec), "warm"));
     let warm = session.run(spec, &WorkloadSet::new()).unwrap();
+    assert_eq!(session.counters().workloads_materialized, 0);
     let spans = rec.spans();
     let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
     assert_eq!(count("run"), 0, "a warm run simulates nothing");
@@ -75,6 +77,8 @@ fn warm_rerun_of_the_full_tiny_matrix_is_bit_identical_and_never_simulates() {
         (0, machines, 54 - machines)
     );
     assert_eq!(std::fs::read_dir(&dir).unwrap().count() as u64, machines);
+    // Each of the six workloads is built once, by the first of its runs.
+    assert_eq!(session.counters().workloads_materialized, 6);
 
     let warm = warm_run_without_simulating(&spec, &dir);
     assert_eq!(warm.cache.hits, 54, "warm re-run must be 100% cache hits");
@@ -268,6 +272,7 @@ fn warm_flit_level_rerun_is_bit_identical_and_never_simulates() {
         (cold.cache.hits, cold.cache.misses),
         (0, distinct_machines(&spec))
     );
+    assert_eq!(session.counters().workloads_materialized, 6);
 
     let warm = warm_run_without_simulating(&spec, &dir);
     assert_eq!((warm.cache.hits, warm.cache.misses), (54, 0));

@@ -1,8 +1,12 @@
 //! The workload memo: generated benchmark workloads and their content
-//! digests, built once and shared.
+//! digests, digested once and shared.
 //!
-//! Generating a benchmark's reference streams and digesting them is the
-//! whole cost of a plan whose cells are all cached, and it is a pure
+//! An entry is made by the generator's digest pass
+//! ([`Generator::digested`]): the generator runs one core at a time into a
+//! reused buffer, and only the digest and the record counts are kept. Its
+//! records are built the first time a run reads them, once across the
+//! pool's threads, and stay with the entry from then on. So the digest pass
+//! is the whole cost of a plan whose cells are all cached, and it is a pure
 //! function of `(benchmark, scale, cores)`. A long-lived [`Session`] keeps
 //! one memo, so a repeated request compiles without regenerating anything;
 //! [`ExperimentSpec::compile`] runs the same code on a session it throws
@@ -10,6 +14,11 @@
 //! here: a trace file can change between two compiles, and a provided
 //! workload is already in memory.
 //!
+//! An entry costs the budget its record count from the digest pass,
+//! whether its records are built yet or not, so what the budget evicts
+//! does not depend on which entries a run happened to read.
+//!
+//! [`Generator::digested`]: tw_workloads::Generator::digested
 //! [`Session`]: super::Session
 //! [`ExperimentSpec::compile`]: super::ExperimentSpec::compile
 //! [`WorkloadSource::Bench`]: super::WorkloadSource::Bench
@@ -32,7 +41,8 @@ pub(super) const MEMO_BUDGET_OPS: u64 = 8 << 20;
 /// What a workload is generated from.
 pub(super) type MemoKey = (BenchmarkKind, ScaleProfile, usize);
 
-/// A built workload with its content digest, or why it cannot be built.
+/// A digested workload with its content digest, or why it cannot be
+/// generated.
 pub(super) type Built = Result<(Arc<Workload>, Digest), ExperimentError>;
 
 #[derive(Debug)]
@@ -57,9 +67,9 @@ pub(super) struct MemoStats {
     /// Lookups served without generating (a resident entry, or a build
     /// another thread was already running).
     pub(super) hits: u64,
-    /// Lookups that generated and digested a workload.
+    /// Lookups that ran a workload's digest pass.
     pub(super) builds: u64,
-    /// Trace ops held by resident entries right now.
+    /// Trace ops of the resident entries right now, built or not.
     pub(super) resident_ops: u64,
 }
 
@@ -159,18 +169,17 @@ impl WorkloadMemo {
     }
 }
 
-/// What a workload costs the budget: every op of every core's stream.
+/// What a workload costs the budget: every op of every core's stream,
+/// built or not.
 fn trace_ops(workload: &Workload) -> u64 {
-    workload.traces.iter().map(|t| t.len() as u64).sum()
+    workload.traces.record_count()
 }
 
 fn build((kind, scale, cores): MemoKey) -> Built {
-    let workload = scale
-        .try_workload(kind, cores)
+    let (workload, digest) = scale
+        .generator(kind)
+        .and_then(|generator| generator.digested(cores))
         .map_err(ExperimentError::Workload)?;
-    let digest = workload
-        .content_digest()
-        .map_err(|e| ExperimentError::Workload(e.to_string()))?;
     Ok((Arc::new(workload), digest))
 }
 
@@ -201,6 +210,24 @@ mod tests {
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.builds), (1, 1));
         assert_eq!(stats.resident_ops, trace_ops(&first));
+    }
+
+    #[test]
+    fn an_entry_costs_its_records_whether_or_not_they_are_built() {
+        let memo = WorkloadMemo::default();
+        let (lazy, _) = memo.get_or_build(FFT).unwrap();
+        assert!(
+            !lazy.traces.is_built(),
+            "compile digests, it builds nothing"
+        );
+        let built = ScaleProfile::Tiny
+            .try_workload(BenchmarkKind::Fft, 16)
+            .unwrap();
+        let records: u64 = built.traces.iter().map(|t| t.len() as u64).sum();
+        assert_eq!(memo.stats().resident_ops, records);
+        assert!(lazy.traces.materialize());
+        assert_eq!(*lazy.traces, *built.traces);
+        assert_eq!(memo.stats().resident_ops, records);
     }
 
     #[test]

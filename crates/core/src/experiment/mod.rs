@@ -32,7 +32,7 @@ pub use session::{
 };
 
 use tw_types::SystemConfig;
-use tw_workloads::{build_scaled, build_tiny, BenchmarkKind, Workload};
+use tw_workloads::{BenchmarkKind, Generator, Workload};
 
 /// Which input scale to run (see DESIGN.md §7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -44,7 +44,7 @@ pub enum ScaleProfile {
     /// working-set-to-cache relationship of the paper is preserved. This is
     /// the default for `EXPERIMENTS.md`.
     Scaled,
-    /// Miniature inputs for tests and Criterion benches.
+    /// Miniature inputs for tests and benchmark smoke runs.
     Tiny,
 }
 
@@ -89,34 +89,22 @@ impl ScaleProfile {
         sys
     }
 
-    /// Builds the workload for one benchmark at this scale. The trace-only
-    /// kinds (`Custom`, `Synthesized`) have no fixed-input generator and are
+    /// The generator of one benchmark at this scale. The trace-only kinds
+    /// (`Custom`, `Synthesized`) have no fixed-input generator and are
     /// reported as an error — feed those through a plan's `provided`
     /// workloads instead.
-    pub fn try_workload(self, bench: BenchmarkKind, cores: usize) -> Result<Workload, String> {
+    pub fn generator(self, bench: BenchmarkKind) -> Result<Generator, String> {
         match self {
-            ScaleProfile::Paper => Ok(match bench {
-                BenchmarkKind::Fluidanimate => {
-                    tw_workloads::fluidanimate::FluidanimateConfig::paper().build(cores)
-                }
-                BenchmarkKind::Lu => tw_workloads::lu::LuConfig::paper().build(cores),
-                BenchmarkKind::Fft => tw_workloads::fft::FftConfig::paper().build(cores)?,
-                BenchmarkKind::Radix => tw_workloads::radix::RadixConfig::paper().build(cores)?,
-                BenchmarkKind::Barnes => {
-                    tw_workloads::barnes::BarnesConfig::paper().build(cores)?
-                }
-                BenchmarkKind::KdTree => {
-                    tw_workloads::kdtree::KdTreeConfig::paper().build(cores)?
-                }
-                BenchmarkKind::Custom | BenchmarkKind::Synthesized => {
-                    // Route through the scaled builder purely for its error
-                    // message, which names the replacement workflow.
-                    return build_scaled(bench, cores);
-                }
-            }),
-            ScaleProfile::Scaled => build_scaled(bench, cores),
-            ScaleProfile::Tiny => build_tiny(bench, cores),
+            ScaleProfile::Paper => Generator::paper(bench),
+            ScaleProfile::Scaled => Generator::scaled(bench),
+            ScaleProfile::Tiny => Generator::tiny(bench),
         }
+    }
+
+    /// Builds the workload for one benchmark at this scale, every record in
+    /// memory (errors as [`ScaleProfile::generator`]).
+    pub fn try_workload(self, bench: BenchmarkKind, cores: usize) -> Result<Workload, String> {
+        self.generator(bench)?.build(cores)
     }
 }
 
@@ -124,6 +112,7 @@ impl ScaleProfile {
 mod tests {
     use super::*;
     use tw_types::ProtocolKind;
+    use tw_workloads::build_tiny;
 
     fn tiny_outcome() -> PlanOutcome {
         let spec = ExperimentSpec::subset(

@@ -610,10 +610,12 @@ impl ExperimentSpec {
 
     /// Resolves every axis into runnable cells with stable identity.
     ///
-    /// Workloads are built once per distinct (source, core count) pair and
-    /// shared across the protocol axis; their content digests are computed
-    /// here, so every cell knows its full identity before anything is
-    /// simulated.
+    /// Workloads are resolved once per distinct (source, core count) pair
+    /// and shared across the protocol axis; their content digests are
+    /// computed here, so every cell knows its full identity before anything
+    /// is simulated. A generated workload is only digested here: its
+    /// records are built by the first run that reads them, so a plan whose
+    /// every cell is cached builds none.
     ///
     /// This is [`Session::compile`] on a session made for the call, so every
     /// call generates its benchmark workloads afresh, on threads of its own;
@@ -714,11 +716,11 @@ impl ExperimentSpec {
 
         // Resolve each workload once per distinct core count it is needed
         // at (generators generate per core count; traces and provided
-        // workloads have a fixed one and error on mismatch). Generation plus
-        // content digesting is the expensive part of compilation — and the
-        // whole cost of a fully-warm cached run unless the session's memo
-        // already holds the workloads — so the distinct builds fan out on
-        // the session's pool; errors surface in deterministic (workload,
+        // workloads have a fixed one and error on mismatch). A generator's
+        // digest pass is the expensive part of compilation — and the whole
+        // cost of a fully-warm cached run unless the session's memo already
+        // holds the workloads — so the distinct workloads fan out on the
+        // session's pool; errors surface in deterministic (workload,
         // variant) order.
         let mut wanted: Vec<(usize, usize, String)> = Vec::new();
         for (wi, _) in self.workloads.iter().enumerate() {

@@ -32,7 +32,7 @@ use crate::report::SimReport;
 use crate::sim::{SimConfig, Simulator};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tw_obs::{Span, SpanSink};
@@ -165,6 +165,8 @@ pub(super) struct SessionState {
     inflight: Mutex<BTreeMap<Digest, Slot>>,
     /// Generated workloads, shared by every plan this session compiles.
     pub(super) memo: WorkloadMemo,
+    /// Digested workloads whose records a run of this session built.
+    materialized: AtomicU64,
     /// Where compile's workload builds and execute's runs fan out: every
     /// request of a daemon queues behind the ones before it.
     pub(super) pool: Pool,
@@ -183,10 +185,14 @@ pub struct SessionCounters {
     /// Workload lookups served without generating: a resident memo entry,
     /// or a build another thread was already running.
     pub memo_hits: u64,
-    /// Workload lookups that generated and digested a workload.
+    /// Workload lookups that ran a workload's digest pass.
     pub memo_builds: u64,
-    /// Trace ops held by the memo's resident workloads.
+    /// Trace ops of the memo's resident workloads, built or not.
     pub memo_resident_ops: u64,
+    /// Digested workloads whose records a run built: compile only digests
+    /// a generated workload, so a plan whose every cell is cached builds
+    /// none.
+    pub workloads_materialized: u64,
     /// Slots in the single-flight table.
     pub flight_slots: u64,
     /// Threads the session's pool has started.
@@ -296,6 +302,7 @@ impl Session {
             memo_hits: memo.hits,
             memo_builds: memo.builds,
             memo_resident_ops: memo.resident_ops,
+            workloads_materialized: self.state.materialized.load(Ordering::Relaxed),
             flight_slots: self.state.inflight.lock().expect("inflight lock").len() as u64,
             pool_threads: self.state.pool.threads(),
             pool_batches: self.state.pool.batches(),
@@ -503,11 +510,15 @@ impl Session {
         }
         if let Some(&first) = missing.first() {
             let t = timer();
+            let workload = &members[first].cell.workload;
+            if workload.traces.materialize() {
+                self.state.materialized.fetch_add(1, Ordering::Relaxed);
+            }
             let lanes = missing
                 .iter()
                 .map(|&k| self.config(members[k].cell, members[k].sink.clone()))
                 .collect();
-            let reports = Simulator::try_new(lanes, &members[first].cell.workload)
+            let reports = Simulator::try_new(lanes, workload)
                 .map_err(ExperimentError::Simulation)?
                 .run_lanes();
             // One run's wall time is counted once: every cell it simulated

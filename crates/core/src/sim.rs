@@ -34,7 +34,7 @@ use std::fmt;
 use tw_obs::{Span, SpanSink};
 use tw_types::{
     ConfigError, Cycle, MemKind, MessageClass, NetworkModelKind, ProtocolKind, Record, Stamp,
-    SystemConfig, TrafficBucket,
+    SystemConfig, TraceOp, TrafficBucket,
 };
 use tw_workloads::Workload;
 
@@ -162,6 +162,9 @@ fn two_earliest(ready: &[u64]) -> ((usize, u64), (usize, u64)) {
 #[derive(Debug)]
 pub struct Simulator<'wl> {
     pub(crate) engine: Engine<'wl>,
+    /// The workload's streams, built once in [`Simulator::try_new`], so a
+    /// step reads its record without passing the workload's lazy cell.
+    streams: &'wl [Vec<TraceOp>],
     /// The network model and span sink of each timed lane, in lane order.
     lanes: Vec<(NetworkModelKind, Option<SpanSink>)>,
     /// Per-core clocks. Scheduling and barrier matching consult only the
@@ -230,6 +233,7 @@ impl<'wl> Simulator<'wl> {
         let networks: Vec<NetworkModelKind> = lanes.iter().map(|&(n, _)| n).collect();
         Ok(Simulator {
             engine: Engine::new(cfg, &networks, workload),
+            streams: &workload.traces,
             lanes,
             clocks: vec![Stamp::at(0); cores],
             pc: vec![0; cores],
@@ -283,7 +287,7 @@ impl<'wl> Simulator<'wl> {
             kind: self.engine.workload.kind,
             input: self.engine.workload.input.clone(),
             regions: self.engine.workload.regions.clone(),
-            traces: capture.into_streams(),
+            traces: capture.into_streams().into(),
         };
         (self.finish().swap_remove(0), workload)
     }
@@ -320,10 +324,7 @@ impl<'wl> Simulator<'wl> {
 
     /// Executes one trace record of `core`.
     fn step_core(&mut self, core: usize) {
-        let Some(op) = self.engine.workload.traces[core]
-            .get(self.pc[core])
-            .copied()
-        else {
+        let Some(op) = self.streams[core].get(self.pc[core]).copied() else {
             self.state[core] = CoreState::Done;
             self.ready[core] = u64::MAX;
             return;

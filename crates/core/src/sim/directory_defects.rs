@@ -28,7 +28,7 @@ fn two_cores(
         kind: BenchmarkKind::Custom,
         input: "two-core directory probe".into(),
         regions: RegionTable::new(),
-        traces,
+        traces: traces.into(),
     };
     let mut sim = Simulator::new(SimConfig::new(protocol), &wl);
     sim.run_loop();

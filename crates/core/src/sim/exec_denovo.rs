@@ -630,7 +630,7 @@ mod tests {
             kind: BenchmarkKind::Custom,
             input: "route probe".into(),
             regions: RegionTable::new(),
-            traces: vec![Vec::new(); 16],
+            traces: vec![Vec::new(); 16].into(),
         };
         workload.regions.insert(region);
         Simulator::new(SimConfig::new(protocol), Box::leak(Box::new(workload)))

@@ -272,7 +272,7 @@ mod tests {
             kind: BenchmarkKind::Synthesized,
             input: "hand-built".into(),
             regions,
-            traces,
+            traces: traces.into(),
         }
     }
 
@@ -352,7 +352,7 @@ mod tests {
             kind: BenchmarkKind::Synthesized,
             input: "33-core write-write".into(),
             regions: regions.clone(),
-            traces: traces.clone(),
+            traces: traces.clone().into(),
         };
         let race = golden_execute(&ww).unwrap_err();
         assert_eq!((race.writer, race.other, race.other_wrote), (0, 32, true));
@@ -362,7 +362,7 @@ mod tests {
             kind: BenchmarkKind::Synthesized,
             input: "33-core read-write".into(),
             regions,
-            traces,
+            traces: traces.into(),
         };
         let race = golden_execute(&rw).unwrap_err();
         assert_eq!((race.writer, race.other, race.other_wrote), (0, 32, false));

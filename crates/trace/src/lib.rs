@@ -118,17 +118,40 @@ pub fn content_digest(
     regions: &RegionTable,
     streams: &[Vec<TraceOp>],
 ) -> Result<tw_types::Digest, TraceError> {
-    let mut d = tw_types::Digester::new();
-    d.write_bytes(&binary::encode_header(
-        benchmark,
-        input,
-        streams.len(),
-        regions,
-    )?);
+    let mut d = ContentDigester::new(benchmark, input, streams.len(), regions)?;
     for stream in streams {
-        d.write_records(stream);
+        d.stream(stream);
     }
     Ok(d.finish())
+}
+
+/// [`content_digest`] fed one stream at a time, for a producer that holds
+/// one core's records at once: a generator's digest pass.
+#[derive(Debug, Clone)]
+pub struct ContentDigester(tw_types::Digester);
+
+impl ContentDigester {
+    /// Digests the header of a trace of `cores` streams.
+    pub fn new(
+        benchmark: &str,
+        input: &str,
+        cores: usize,
+        regions: &RegionTable,
+    ) -> Result<Self, TraceError> {
+        let mut d = tw_types::Digester::new();
+        d.write_bytes(&binary::encode_header(benchmark, input, cores, regions)?);
+        Ok(ContentDigester(d))
+    }
+
+    /// Digests the next core's stream.
+    pub fn stream(&mut self, records: &[TraceOp]) {
+        self.0.write_records(records);
+    }
+
+    /// The content digest of the header and the streams so far.
+    pub fn finish(&self) -> tw_types::Digest {
+        self.0.finish()
+    }
 }
 
 impl TraceDocument {

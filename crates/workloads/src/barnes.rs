@@ -13,7 +13,8 @@
 //! * the working set is small relative to the L2, so bypassing does not
 //!   apply (§5.3).
 
-use crate::builder::{even_share, ArrayLayout, TraceBuilder};
+use crate::builder::{even_share, ArrayLayout};
+use crate::generator::{Collect, Sink};
 use crate::workload::{BenchmarkKind, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,6 +75,13 @@ impl BarnesConfig {
     ///
     /// Fails if `bodies` is not divisible by `cores`.
     pub fn build(&self, cores: usize) -> Result<Workload, String> {
+        let mut sink = Collect::default();
+        self.emit(cores, &mut sink)?;
+        Ok(sink.into_workload())
+    }
+
+    /// Emits the workload for `cores` cores into `sink`, one core at a time.
+    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
         let per_core = even_share(self.bodies, "Barnes-Hut bodies", cores)?;
         let nbody = self.bodies as u64;
         let ncell = (nbody / 2).max(1);
@@ -103,14 +111,14 @@ impl BarnesConfig {
         let mut rc = RegionInfo::plain(RegionId(2), "tree cells", cells.base, cells.bytes());
         rc.comm = Some(cell_comm);
         regions.insert(rc);
+        let input = format!("{} bodies", self.bodies);
+        sink.header(BenchmarkKind::Barnes, input, regions, cores);
 
+        // One generator draws every core's traversal in core order, so the
+        // trace is deterministic.
         let mut rng = StdRng::seed_from_u64(self.seed);
-
-        // Pre-draw every core's traversal so that trace generation is cheap
-        // and deterministic.
-        let mut traces = Vec::with_capacity(cores);
         for core in 0..cores as u64 {
-            let mut t = TraceBuilder::new();
+            let mut t = sink.builder();
             let lo = core * per_core;
             let hi = lo + per_core;
 
@@ -166,15 +174,9 @@ impl BarnesConfig {
             }
             t.barrier(2);
 
-            traces.push(t.into_ops());
+            sink.stream(t);
         }
-
-        Ok(Workload {
-            kind: BenchmarkKind::Barnes,
-            input: format!("{} bodies", self.bodies),
-            regions,
-            traces,
-        })
+        Ok(())
     }
 }
 

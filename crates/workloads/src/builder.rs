@@ -78,6 +78,16 @@ impl TraceBuilder {
         self
     }
 
+    /// The records emitted so far.
+    pub fn ops(&self) -> &[TraceOp] {
+        &self.ops
+    }
+
+    /// Drops every record and keeps the allocation, for the next core.
+    pub fn clear(&mut self) {
+        self.ops.clear();
+    }
+
     /// Finishes the trace.
     pub fn into_ops(self) -> Vec<TraceOp> {
         self.ops

@@ -12,7 +12,8 @@
 //! * the destination array is then used as the working array of the next
 //!   butterfly phase (§5.2.1, "secondary benefit" discussion).
 
-use crate::builder::{even_share, ArrayLayout, TraceBuilder};
+use crate::builder::{even_share, ArrayLayout};
+use crate::generator::{Collect, Sink};
 use crate::workload::{BenchmarkKind, Workload};
 use tw_types::{BypassKind, RegionId, RegionInfo, RegionTable};
 
@@ -56,6 +57,13 @@ impl FftConfig {
     ///
     /// Fails if `points` is not divisible by `cores`.
     pub fn build(&self, cores: usize) -> Result<Workload, String> {
+        let mut sink = Collect::default();
+        self.emit(cores, &mut sink)?;
+        Ok(sink.into_workload())
+    }
+
+    /// Emits the workload for `cores` cores into `sink`, one core at a time.
+    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
         let per_core = even_share(self.points, "FFT points", cores)?;
         const POINT_BYTES: u64 = 16;
         let n = self.points as u64;
@@ -80,15 +88,16 @@ impl FftConfig {
         let mut rr = RegionInfo::plain(RegionId(3), "roots of unity", roots.base, roots.bytes());
         rr.written_in_parallel_phases = false;
         regions.insert(rr);
+        let input = format!("{} points", self.points);
+        sink.header(BenchmarkKind::Fft, input, regions, cores);
 
         let words_per_point = x.words_per_elem();
-        let mut traces = Vec::with_capacity(cores);
         // The transpose treats the data as a sqrt(n) x sqrt(n) matrix of
         // points; each core transposes a band of rows into a band of columns.
         let dim = (n as f64).sqrt() as u64;
 
         for core in 0..cores as u64 {
-            let mut t = TraceBuilder::new();
+            let mut t = sink.builder();
             let lo = core * per_core;
             let hi = lo + per_core;
 
@@ -126,15 +135,9 @@ impl FftConfig {
             }
             t.barrier(2);
 
-            traces.push(t.into_ops());
+            sink.stream(t);
         }
-
-        Ok(Workload {
-            kind: BenchmarkKind::Fft,
-            input: format!("{} points", self.points),
-            regions,
-            traces,
-        })
+        Ok(())
     }
 }
 

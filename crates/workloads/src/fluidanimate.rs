@@ -15,7 +15,8 @@
 //! * the stencil walks the grid in X-Y-Z order without blocking, giving the
 //!   grid highly variable L2 reuse distance (§5.3).
 
-use crate::builder::{ArrayLayout, TraceBuilder};
+use crate::builder::ArrayLayout;
+use crate::generator::{Collect, Sink};
 use crate::workload::{BenchmarkKind, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,6 +75,16 @@ impl FluidanimateConfig {
 
     /// Builds the workload for `cores` cores.
     pub fn build(&self, cores: usize) -> Workload {
+        let mut sink = Collect::default();
+        self.emit(cores, &mut sink);
+        sink.into_workload()
+    }
+
+    /// Emits the workload for `cores` cores into `sink`, one core at a
+    /// time: each core walks only its own slab of cells, in the order the
+    /// whole grid is walked, so its stream is what it would be if the cores
+    /// were built side by side.
+    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) {
         assert!(cores > 0);
         let g = self.grid as u64;
         let ncell = g * g * g;
@@ -100,6 +111,11 @@ impl FluidanimateConfig {
         );
         r2.bypass = BypassKind::StreamingOncePerPhase;
         regions.insert(r2);
+        let input = format!(
+            "{0}x{0}x{0} grid, ~{1} particles/cell, {2} frame(s)",
+            self.grid, self.mean_particles, self.frames
+        );
+        sink.header(BenchmarkKind::Fluidanimate, input, regions, cores);
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         // Occupancy of each cell: 1..=min(2*mean, 16) particles.
@@ -108,122 +124,103 @@ impl FluidanimateConfig {
             .collect();
 
         // Cells are partitioned among cores by contiguous index range, which
-        // corresponds to slabs along the Z axis (X-Y-Z traversal order).
+        // corresponds to slabs along the Z axis (X-Y-Z traversal order):
+        // core `k` owns the cells `c` with `c * cores / ncell == k`.
         let cell_of = |x: u64, y: u64, z: u64| (z * g + y) * g + x;
-        let owner = |cell: u64| ((cell * cores as u64) / ncell) as usize;
+        let first_cell = |core: u64| (core * ncell).div_ceil(cores as u64);
         // Byte offset of a field of one particle slot within a cell.
         let slot_field = |slot: u64, field_word: u64| slot * SLOT_BYTES + field_word * 4;
 
-        let mut builders: Vec<TraceBuilder> = (0..cores).map(|_| TraceBuilder::new()).collect();
-        let mut barrier = 0u32;
-
-        for _frame in 0..self.frames {
-            // Phase 0: rebuild the grid — copy particles from cells2 into
-            // cells (overwriting) and clear the accumulators.
-            for c in 0..ncell {
-                let t = &mut builders[owner(c)];
-                for s in 0..occupancy[c as usize] {
-                    t.load_words(cells2.field(c, slot_field(s, 0)), 6, cells2.region); // pos+vel
-                    t.store_words(cells.field(c, slot_field(s, 0)), 6, cells.region);
+        for core in 0..cores as u64 {
+            let mut t = sink.builder();
+            let mine = first_cell(core)..first_cell(core + 1);
+            let mut barrier = 0u32;
+            for _frame in 0..self.frames {
+                // Phase 0: rebuild the grid — copy particles from cells2 into
+                // cells (overwriting) and clear the accumulators.
+                for c in mine.clone() {
+                    for s in 0..occupancy[c as usize] {
+                        t.load_words(cells2.field(c, slot_field(s, 0)), 6, cells2.region); // pos+vel
+                        t.store_words(cells.field(c, slot_field(s, 0)), 6, cells.region);
+                    }
+                    // Zero the density and force accumulators of every slot
+                    // that will be used this frame.
+                    for s in 0..occupancy[c as usize] {
+                        t.store(cells.field(c, slot_field(s, 6)), cells.region); // density
+                        t.store_words(cells.field(c, slot_field(s, 7)), 3, cells.region);
+                        // force
+                    }
+                    t.compute(2);
                 }
-                // Zero the density and force accumulators of every slot that
-                // will be used this frame.
-                for s in 0..occupancy[c as usize] {
-                    t.store(cells.field(c, slot_field(s, 6)), cells.region); // density
-                    t.store_words(cells.field(c, slot_field(s, 7)), 3, cells.region);
-                    // force
-                }
-                t.compute(2);
-            }
-            for b in builders.iter_mut() {
-                b.barrier(barrier);
-            }
-            barrier += 1;
+                t.barrier(barrier);
+                barrier += 1;
 
-            // Phases 1 and 2: density then force computation, each a 7-point
-            // stencil over neighbouring cells with read-modify-write of the
-            // cell's own accumulators.
-            for (accum_word, accum_len) in [(6u64, 1usize), (7, 3)] {
-                for z in 0..g {
-                    for y in 0..g {
-                        for x in 0..g {
-                            let c = cell_of(x, y, z);
-                            let t = &mut builders[owner(c)];
-                            let own = occupancy[c as usize];
-                            // Read own particle positions.
-                            for s in 0..own {
-                                t.load_words(cells.field(c, slot_field(s, 0)), 3, cells.region);
-                            }
-                            // Read a sample of particles from each face neighbour.
-                            let neighbours = [
-                                (x.wrapping_sub(1), y, z),
-                                (x + 1, y, z),
-                                (x, y.wrapping_sub(1), z),
-                                (x, y + 1, z),
-                                (x, y, z.wrapping_sub(1)),
-                                (x, y, z + 1),
-                            ];
-                            for (nx, ny, nz) in neighbours {
-                                if nx < g && ny < g && nz < g {
-                                    let nc = cell_of(nx, ny, nz);
-                                    let sample = occupancy[nc as usize].min(2);
-                                    for s in 0..sample {
-                                        t.load_words(
-                                            cells.field(nc, slot_field(s, 0)),
-                                            3,
-                                            cells.region,
-                                        );
-                                    }
+                // Phases 1 and 2: density then force computation, each a
+                // 7-point stencil over neighbouring cells with
+                // read-modify-write of the cell's own accumulators.
+                for (accum_word, accum_len) in [(6u64, 1usize), (7, 3)] {
+                    for c in mine.clone() {
+                        let (x, y, z) = (c % g, c / g % g, c / (g * g));
+                        let own = occupancy[c as usize];
+                        // Read own particle positions.
+                        for s in 0..own {
+                            t.load_words(cells.field(c, slot_field(s, 0)), 3, cells.region);
+                        }
+                        // Read a sample of particles from each face neighbour.
+                        let neighbours = [
+                            (x.wrapping_sub(1), y, z),
+                            (x + 1, y, z),
+                            (x, y.wrapping_sub(1), z),
+                            (x, y + 1, z),
+                            (x, y, z.wrapping_sub(1)),
+                            (x, y, z + 1),
+                        ];
+                        for (nx, ny, nz) in neighbours {
+                            if nx < g && ny < g && nz < g {
+                                let nc = cell_of(nx, ny, nz);
+                                let sample = occupancy[nc as usize].min(2);
+                                for s in 0..sample {
+                                    t.load_words(
+                                        cells.field(nc, slot_field(s, 0)),
+                                        3,
+                                        cells.region,
+                                    );
                                 }
                             }
-                            // Read-modify-write the accumulators of own particles.
-                            for s in 0..own {
-                                t.load_words(
-                                    cells.field(c, slot_field(s, accum_word)),
-                                    accum_len,
-                                    cells.region,
-                                );
-                                t.compute(4);
-                                t.store_words(
-                                    cells.field(c, slot_field(s, accum_word)),
-                                    accum_len,
-                                    cells.region,
-                                );
-                            }
+                        }
+                        // Read-modify-write the accumulators of own particles.
+                        for s in 0..own {
+                            t.load_words(
+                                cells.field(c, slot_field(s, accum_word)),
+                                accum_len,
+                                cells.region,
+                            );
+                            t.compute(4);
+                            t.store_words(
+                                cells.field(c, slot_field(s, accum_word)),
+                                accum_len,
+                                cells.region,
+                            );
                         }
                     }
+                    t.barrier(barrier);
+                    barrier += 1;
                 }
-                for b in builders.iter_mut() {
-                    b.barrier(barrier);
+
+                // Phase 3: advance particles — read force, update pos/vel in
+                // cells2 (which becomes next frame's source).
+                for c in mine.clone() {
+                    for s in 0..occupancy[c as usize] {
+                        t.load_words(cells.field(c, slot_field(s, 0)), 6, cells.region);
+                        t.load_words(cells.field(c, slot_field(s, 7)), 3, cells.region);
+                        t.compute(4);
+                        t.store_words(cells2.field(c, slot_field(s, 0)), 6, cells2.region);
+                    }
                 }
+                t.barrier(barrier);
                 barrier += 1;
             }
-
-            // Phase 3: advance particles — read force, update pos/vel in cells2
-            // (which becomes next frame's source).
-            for c in 0..ncell {
-                let t = &mut builders[owner(c)];
-                for s in 0..occupancy[c as usize] {
-                    t.load_words(cells.field(c, slot_field(s, 0)), 6, cells.region);
-                    t.load_words(cells.field(c, slot_field(s, 7)), 3, cells.region);
-                    t.compute(4);
-                    t.store_words(cells2.field(c, slot_field(s, 0)), 6, cells2.region);
-                }
-            }
-            for b in builders.iter_mut() {
-                b.barrier(barrier);
-            }
-            barrier += 1;
-        }
-
-        Workload {
-            kind: BenchmarkKind::Fluidanimate,
-            input: format!(
-                "{0}x{0}x{0} grid, ~{1} particles/cell, {2} frame(s)",
-                self.grid, self.mean_particles, self.frames
-            ),
-            regions,
-            traces: builders.into_iter().map(TraceBuilder::into_ops).collect(),
+            sink.stream(t);
         }
     }
 }

@@ -14,7 +14,8 @@
 //!   data, which is what produces `Excess` waste at the memory controller
 //!   when Flex is extended to memory (§5.3, "Memory Fetch Waste").
 
-use crate::builder::{even_share, ArrayLayout, TraceBuilder};
+use crate::builder::{even_share, ArrayLayout};
+use crate::generator::{Collect, Sink};
 use crate::workload::{BenchmarkKind, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,6 +76,13 @@ impl KdTreeConfig {
     ///
     /// Fails if `triangles` is not divisible by `cores`.
     pub fn build(&self, cores: usize) -> Result<Workload, String> {
+        let mut sink = Collect::default();
+        self.emit(cores, &mut sink)?;
+        Ok(sink.into_workload())
+    }
+
+    /// Emits the workload for `cores` cores into `sink`, one core at a time.
+    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
         let per_core = even_share(self.triangles, "kD-tree triangles", cores)?;
         let n = self.triangles as u64;
 
@@ -111,12 +119,12 @@ impl KdTreeConfig {
             nodes.base,
             nodes.bytes(),
         ));
+        let input = format!("{} triangles, {} levels", self.triangles, self.levels);
+        sink.header(BenchmarkKind::KdTree, input, regions, cores);
 
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut traces = Vec::with_capacity(cores);
-
         for core in 0..cores as u64 {
-            let mut t = TraceBuilder::new();
+            let mut t = sink.builder();
             let lo = core * per_core;
             let hi = lo + per_core;
 
@@ -150,15 +158,9 @@ impl KdTreeConfig {
                 t.barrier(level);
             }
 
-            traces.push(t.into_ops());
+            sink.stream(t);
         }
-
-        Ok(Workload {
-            kind: BenchmarkKind::KdTree,
-            input: format!("{} triangles, {} levels", self.triangles, self.levels),
-            regions,
-            traces,
-        })
+        Ok(())
     }
 }
 

@@ -30,30 +30,15 @@ pub mod barnes;
 pub mod builder;
 pub mod fft;
 pub mod fluidanimate;
+pub mod generator;
 pub mod kdtree;
 pub mod lu;
 pub mod radix;
 pub mod workload;
 
 pub use builder::TraceBuilder;
-pub use workload::{BenchmarkKind, Workload};
-
-/// The error returned when asked to generate a benchmark kind that has no
-/// fixed-input generator ([`BenchmarkKind::Custom`] comes from trace files,
-/// [`BenchmarkKind::Synthesized`] from the seeded synthesizer).
-fn no_generator(kind: BenchmarkKind) -> String {
-    match kind {
-        BenchmarkKind::Custom => {
-            "custom workloads have no generator; replay them from a trace file".to_string()
-        }
-        BenchmarkKind::Synthesized => {
-            "synthesized workloads have no fixed generator; build them from a seed \
-             with the tw-scenarios synthesizer (or replay a saved trace)"
-                .to_string()
-        }
-        other => unreachable!("{other} has a generator"),
-    }
-}
+pub use generator::Generator;
+pub use workload::{BenchmarkKind, Streams, Workload};
 
 /// Builds the default (scaled) workload for a benchmark with `cores` cores.
 ///
@@ -62,33 +47,17 @@ fn no_generator(kind: BenchmarkKind) -> String {
 /// an error rather than a panic, so callers resolving a kind from user input
 /// can surface a diagnosable message.
 pub fn build_scaled(kind: BenchmarkKind, cores: usize) -> Result<Workload, String> {
-    Ok(match kind {
-        BenchmarkKind::Fluidanimate => fluidanimate::FluidanimateConfig::scaled().build(cores),
-        BenchmarkKind::Lu => lu::LuConfig::scaled().build(cores),
-        BenchmarkKind::Fft => fft::FftConfig::scaled().build(cores)?,
-        BenchmarkKind::Radix => radix::RadixConfig::scaled().build(cores)?,
-        BenchmarkKind::Barnes => barnes::BarnesConfig::scaled().build(cores)?,
-        BenchmarkKind::KdTree => kdtree::KdTreeConfig::scaled().build(cores)?,
-        BenchmarkKind::Custom | BenchmarkKind::Synthesized => return Err(no_generator(kind)),
-    })
+    Generator::scaled(kind)?.build(cores)
 }
 
 /// Builds a miniature workload for a benchmark, suitable for unit tests and
-/// Criterion benches where run time matters more than fidelity.
+/// benchmark smoke runs where run time matters more than fidelity.
 ///
 /// The trace-only kinds ([`BenchmarkKind::Custom`],
 /// [`BenchmarkKind::Synthesized`]) have no generator here and are reported as
 /// an error rather than a panic (see [`build_scaled`]).
 pub fn build_tiny(kind: BenchmarkKind, cores: usize) -> Result<Workload, String> {
-    Ok(match kind {
-        BenchmarkKind::Fluidanimate => fluidanimate::FluidanimateConfig::tiny().build(cores),
-        BenchmarkKind::Lu => lu::LuConfig::tiny().build(cores),
-        BenchmarkKind::Fft => fft::FftConfig::tiny().build(cores)?,
-        BenchmarkKind::Radix => radix::RadixConfig::tiny().build(cores)?,
-        BenchmarkKind::Barnes => barnes::BarnesConfig::tiny().build(cores)?,
-        BenchmarkKind::KdTree => kdtree::KdTreeConfig::tiny().build(cores)?,
-        BenchmarkKind::Custom | BenchmarkKind::Synthesized => return Err(no_generator(kind)),
-    })
+    Generator::tiny(kind)?.build(cores)
 }
 
 #[cfg(test)]

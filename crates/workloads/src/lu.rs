@@ -14,6 +14,7 @@
 //!   opportunity for bypassing (§5.3).
 
 use crate::builder::{ArrayLayout, TraceBuilder};
+use crate::generator::{Collect, Sink};
 use crate::workload::{BenchmarkKind, Workload};
 use tw_types::{RegionId, RegionInfo, RegionTable};
 
@@ -62,6 +63,16 @@ impl LuConfig {
     ///
     /// Panics if the matrix is not an integer number of blocks.
     pub fn build(&self, cores: usize) -> Workload {
+        let mut sink = Collect::default();
+        self.emit(cores, &mut sink);
+        sink.into_workload()
+    }
+
+    /// Emits the workload for `cores` cores into `sink`, one core at a
+    /// time: each core walks the whole factorization and touches the blocks
+    /// it owns, so its stream is what it would be if the cores were built
+    /// side by side.
+    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) {
         assert!(
             self.n.is_multiple_of(self.block),
             "matrix must be a whole number of blocks"
@@ -81,14 +92,16 @@ impl LuConfig {
             a.base,
             a.bytes(),
         ));
+        let input = format!(
+            "{}x{} matrix, {}x{} blocks",
+            self.n, self.n, self.block, self.block
+        );
+        sink.header(BenchmarkKind::Lu, input, regions, cores);
 
         let block_base = |bi: u64, bj: u64| (bi * nb + bj) * block_elems;
         // 2-D cyclic block-to-core assignment, as in SPLASH-2.
         let owner = |bi: u64, bj: u64| ((bi % 4) * 4 + (bj % 4)) as usize % cores;
-
-        let mut builders: Vec<TraceBuilder> = (0..cores).map(|_| TraceBuilder::new()).collect();
         let words_per_elem = (ELEM_BYTES / 4) as usize;
-        let mut barrier = 0u32;
 
         // Emits a read-modify-write over the (possibly triangular) portion of
         // a block. `triangular` skips the lower-left half of the block, which
@@ -108,80 +121,69 @@ impl LuConfig {
                 }
             };
 
-        for k in 0..nb {
-            // Step 1: factor the diagonal block (owner only, triangular access).
-            let diag_owner = owner(k, k);
-            touch_block(
-                &mut builders[diag_owner],
-                block_base(k, k),
-                false,
-                true,
-                self.compute_per_elem,
-            );
-            for b in builders.iter_mut() {
-                b.barrier(barrier);
-            }
-            barrier += 1;
-
-            // Step 2: perimeter blocks (row k and column k) divide among owners.
-            for j in (k + 1)..nb {
-                let o = owner(k, j);
-                // Read the diagonal block, update the perimeter block.
-                touch_block(&mut builders[o], block_base(k, k), true, true, 0);
-                touch_block(
-                    &mut builders[o],
-                    block_base(k, j),
-                    false,
-                    false,
-                    self.compute_per_elem,
-                );
-            }
-            for i in (k + 1)..nb {
-                let o = owner(i, k);
-                touch_block(&mut builders[o], block_base(k, k), true, true, 0);
-                touch_block(
-                    &mut builders[o],
-                    block_base(i, k),
-                    false,
-                    false,
-                    self.compute_per_elem,
-                );
-            }
-            for b in builders.iter_mut() {
-                b.barrier(barrier);
-            }
-            barrier += 1;
-
-            // Step 3: interior update — each owned block reads its row and
-            // column perimeter blocks and is then overwritten.
-            for i in (k + 1)..nb {
-                for j in (k + 1)..nb {
-                    let o = owner(i, j);
-                    touch_block(&mut builders[o], block_base(i, k), true, false, 0);
-                    touch_block(&mut builders[o], block_base(k, j), true, false, 0);
-                    touch_block(
-                        &mut builders[o],
-                        block_base(i, j),
-                        false,
-                        false,
-                        self.compute_per_elem,
-                    );
+        for core in 0..cores {
+            let mut t = sink.builder();
+            let mut barrier = 0u32;
+            for k in 0..nb {
+                // Step 1: factor the diagonal block (owner only, triangular
+                // access).
+                if owner(k, k) == core {
+                    touch_block(&mut t, block_base(k, k), false, true, self.compute_per_elem);
                 }
-            }
-            for b in builders.iter_mut() {
-                b.barrier(barrier);
-            }
-            barrier += 1;
-        }
+                t.barrier(barrier);
+                barrier += 1;
 
-        Workload {
-            kind: BenchmarkKind::Lu,
-            input: format!(
-                "{}x{} matrix, {}x{} blocks",
-                self.n, self.n, self.block, self.block
-            ),
-            regions,
-            traces: builders.into_iter().map(TraceBuilder::into_ops).collect(),
+                // Step 2: perimeter blocks (row k and column k) divide among
+                // owners. Each reads the diagonal block, then updates its
+                // perimeter block.
+                for j in (k + 1)..nb {
+                    if owner(k, j) == core {
+                        touch_block(&mut t, block_base(k, k), true, true, 0);
+                        touch_block(
+                            &mut t,
+                            block_base(k, j),
+                            false,
+                            false,
+                            self.compute_per_elem,
+                        );
+                    }
+                }
+                for i in (k + 1)..nb {
+                    if owner(i, k) == core {
+                        touch_block(&mut t, block_base(k, k), true, true, 0);
+                        touch_block(
+                            &mut t,
+                            block_base(i, k),
+                            false,
+                            false,
+                            self.compute_per_elem,
+                        );
+                    }
+                }
+                t.barrier(barrier);
+                barrier += 1;
+
+                // Step 3: interior update — each owned block reads its row
+                // and column perimeter blocks and is then overwritten.
+                for i in (k + 1)..nb {
+                    for j in (k + 1)..nb {
+                        if owner(i, j) == core {
+                            touch_block(&mut t, block_base(i, k), true, false, 0);
+                            touch_block(&mut t, block_base(k, j), true, false, 0);
+                            touch_block(
+                                &mut t,
+                                block_base(i, j),
+                                false,
+                                false,
+                                self.compute_per_elem,
+                            );
+                        }
+                    }
+                }
+                t.barrier(barrier);
+                barrier += 1;
+            }
+            sink.stream(t);
         }
     }
 }

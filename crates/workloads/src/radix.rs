@@ -13,7 +13,8 @@
 //!   fetch-on-write `Write` waste);
 //! * the destination array becomes the input of the next phase (§5.2.1).
 
-use crate::builder::{even_share, ArrayLayout, TraceBuilder};
+use crate::builder::{even_share, ArrayLayout};
+use crate::generator::{Collect, Sink};
 use crate::workload::{BenchmarkKind, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,6 +65,13 @@ impl RadixConfig {
     ///
     /// Fails if `keys` is not divisible by `cores`.
     pub fn build(&self, cores: usize) -> Result<Workload, String> {
+        let mut sink = Collect::default();
+        self.emit(cores, &mut sink)?;
+        Ok(sink.into_workload())
+    }
+
+    /// Emits the workload for `cores` cores into `sink`, one core at a time.
+    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
         let per_core = even_share(self.keys, "radix keys", cores)?;
         const KEY_BYTES: u64 = 4;
         let n = self.keys as u64;
@@ -91,6 +99,8 @@ impl RadixConfig {
             hist.base,
             hist.bytes(),
         ));
+        let input = format!("{} keys, {} radix", self.keys, self.radix);
+        sink.header(BenchmarkKind::Radix, input, regions, cores);
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         // Pre-draw the bucket of every key so that the histogram and
@@ -99,9 +109,8 @@ impl RadixConfig {
             .map(|_| rng.gen_range(0..self.radix as u32))
             .collect();
 
-        let mut traces = Vec::with_capacity(cores);
         for core in 0..cores as u64 {
-            let mut t = TraceBuilder::new();
+            let mut t = sink.builder();
             let lo = core * per_core;
             let hi = lo + per_core;
             let my_hist = core * self.radix as u64;
@@ -162,15 +171,9 @@ impl RadixConfig {
             }
             t.barrier(3);
 
-            traces.push(t.into_ops());
+            sink.stream(t);
         }
-
-        Ok(Workload {
-            kind: BenchmarkKind::Radix,
-            input: format!("{} keys, {} radix", self.keys, self.radix),
-            regions,
-            traces,
-        })
+        Ok(())
     }
 }
 

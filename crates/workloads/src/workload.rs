@@ -1,8 +1,11 @@
 //! The [`Workload`] container and benchmark identifiers.
 
+use crate::Generator;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::OnceLock;
 use tw_trace::{TraceDocument, TraceError};
-use tw_types::{Record, RegionTable, TraceOp};
+use tw_types::{Digest, Record, RegionTable, TraceOp};
 
 /// The six applications evaluated in the paper (Table 4.2), plus the
 /// catch-all kind for externally captured or hand-written traces.
@@ -102,6 +105,166 @@ impl fmt::Display for BenchmarkKind {
     }
 }
 
+/// The per-core record streams of a [`Workload`] (index = core id); it
+/// derefs to them.
+///
+/// A workload read from a trace or built in memory holds its records from
+/// the start (`From<Vec<Vec<TraceOp>>>`). One that [`Generator::digested`]
+/// made holds its generator instead, with the content digest and the counts
+/// of its digest pass, and builds the records the first time anything reads
+/// them — once, however many threads read at the same time — and then
+/// checks that they digest to that digest. Its core count, record count and
+/// memory-op count never build it, nor does `Debug`.
+#[derive(Clone)]
+pub struct Streams {
+    records: OnceLock<Vec<Vec<TraceOp>>>,
+    /// What builds `records`, for a workload that was only digested.
+    recipe: Option<Recipe>,
+}
+
+/// How to build a digested workload's records, and what its digest pass
+/// counted.
+#[derive(Debug, Clone)]
+struct Recipe {
+    generator: Generator,
+    cores: usize,
+    digest: Digest,
+    records: u64,
+    mem_ops: u64,
+}
+
+impl Streams {
+    /// The streams of a workload whose digest pass is done.
+    pub(crate) fn lazy(
+        generator: Generator,
+        cores: usize,
+        digest: Digest,
+        records: u64,
+        mem_ops: u64,
+    ) -> Self {
+        Streams {
+            records: OnceLock::new(),
+            recipe: Some(Recipe {
+                generator,
+                cores,
+                digest,
+                records,
+                mem_ops,
+            }),
+        }
+    }
+
+    /// Number of streams.
+    pub fn cores(&self) -> usize {
+        match &self.recipe {
+            Some(recipe) => recipe.cores,
+            None => self.len(),
+        }
+    }
+
+    /// Records across every stream.
+    pub fn record_count(&self) -> u64 {
+        match &self.recipe {
+            Some(recipe) => recipe.records,
+            None => self.iter().map(|t| t.len() as u64).sum(),
+        }
+    }
+
+    /// Memory records across every stream.
+    pub fn mem_ops(&self) -> u64 {
+        match &self.recipe {
+            Some(recipe) => recipe.mem_ops,
+            None => self.iter().flatten().filter(|op| op.is_mem()).count() as u64,
+        }
+    }
+
+    /// Whether the records are in memory.
+    pub fn is_built(&self) -> bool {
+        self.records.get().is_some()
+    }
+
+    /// Builds the records unless they are built already, and reports
+    /// whether this call built them.
+    pub fn materialize(&self) -> bool {
+        let mut built = false;
+        self.records.get_or_init(|| {
+            built = true;
+            self.build()
+        });
+        built
+    }
+
+    fn build(&self) -> Vec<Vec<TraceOp>> {
+        let recipe = self
+            .recipe
+            .as_ref()
+            .expect("streams without records have a recipe");
+        recipe.generator.records(recipe.cores, recipe.digest)
+    }
+}
+
+impl From<Vec<Vec<TraceOp>>> for Streams {
+    fn from(records: Vec<Vec<TraceOp>>) -> Self {
+        Streams {
+            records: OnceLock::from(records),
+            recipe: None,
+        }
+    }
+}
+
+impl FromIterator<Vec<TraceOp>> for Streams {
+    fn from_iter<I: IntoIterator<Item = Vec<TraceOp>>>(streams: I) -> Self {
+        Streams::from(streams.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl Deref for Streams {
+    type Target = Vec<Vec<TraceOp>>;
+
+    fn deref(&self) -> &Self::Target {
+        self.records.get_or_init(|| self.build())
+    }
+}
+
+impl DerefMut for Streams {
+    /// The records, to be edited: from here on they, not the generator,
+    /// are the workload.
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.materialize();
+        self.recipe = None;
+        self.records.get_mut().expect("materialized")
+    }
+}
+
+impl<'a> IntoIterator for &'a Streams {
+    type Item = &'a Vec<TraceOp>;
+    type IntoIter = std::slice::Iter<'a, Vec<TraceOp>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Streams {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Streams {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.records.get() {
+            Some(records) => records.fmt(f),
+            None => f
+                .debug_struct("Streams")
+                .field("cores", &self.cores())
+                .field("records", &self.record_count())
+                .field("built", &false)
+                .finish(),
+        }
+    }
+}
+
 /// A complete workload: region annotations plus one trace per core.
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -112,21 +275,18 @@ pub struct Workload {
     /// Software-supplied region / Flex / bypass annotations.
     pub regions: RegionTable,
     /// Per-core traces (index = core id).
-    pub traces: Vec<Vec<TraceOp>>,
+    pub traces: Streams,
 }
 
 impl Workload {
     /// Number of cores the workload was generated for.
     pub fn cores(&self) -> usize {
-        self.traces.len()
+        self.traces.cores()
     }
 
     /// Total memory operations across all cores.
     pub fn total_mem_ops(&self) -> usize {
-        self.traces
-            .iter()
-            .map(|t| t.iter().filter(|op| op.is_mem()).count())
-            .sum()
+        self.traces.mem_ops() as usize
     }
 
     /// Number of barriers in core 0's trace (all cores must agree).
@@ -211,7 +371,7 @@ impl Workload {
             benchmark: self.kind.name().to_string(),
             input: self.input.clone(),
             regions: self.regions.clone(),
-            streams: self.traces.clone(),
+            streams: self.traces.to_vec(),
         }
     }
 
@@ -227,7 +387,7 @@ impl Workload {
             kind: BenchmarkKind::by_name(&doc.benchmark).unwrap_or(BenchmarkKind::Custom),
             input: doc.input,
             regions: doc.regions,
-            traces: doc.streams,
+            traces: doc.streams.into(),
         };
         wl.try_well_formed().map_err(TraceError::Malformed)?;
         Ok(wl)
@@ -268,7 +428,8 @@ mod tests {
                     TraceOp::store(Addr::new(64), RegionId(1)),
                     TraceOp::barrier(0),
                 ],
-            ],
+            ]
+            .into(),
         }
     }
 
