@@ -115,14 +115,7 @@ pub static COMMANDS: &[Command] = &[
         .scale(ScaleProfile::Tiny)
         .summary("sweep synthesized workloads across every protocol against the golden model; --self-test proves the oracle catches injected bugs"),
     Command::new(&["serve"], daemon::serve)
-        .flags(&[
-            SOCKET,
-            CACHE,
-            switch("--no-cache"),
-            opt("--workers", "N"),
-            opt("--queue", "N"),
-            RECORD,
-        ])
+        .flags(&[SOCKET, CACHE, switch("--no-cache"), RECORD])
         .summary("run the experiments daemon in the foreground until a client sends shutdown (cache: .exp-cache)"),
     Command::new(&["submit"], daemon::submit)
         .operands(&["spec.json"])
@@ -136,7 +129,7 @@ pub static COMMANDS: &[Command] = &[
         .summary("print a running daemon's Prometheus text exposition"),
     Command::new(&["shutdown"], daemon::shutdown)
         .flags(&[SOCKET])
-        .summary("ask a running daemon to drain its queue and exit"),
+        .summary("ask a running daemon to finish its running submits and exit"),
     Command::new(&["help"], |_| {
         println!("{}", help());
         Ok(ExitCode::SUCCESS)
@@ -530,7 +523,7 @@ fuzz --seeds 50 => fuzz |  | --seeds=50 | tiny
 fuzz --self-test => fuzz |  | --self-test | tiny
 fuzz --seeds 8 --start 1000 --tiny => fuzz |  | --seeds=8 --start=1000 | tiny
 fuzz --seeds 12 --tiny --network analytic --record f.jsonl => fuzz |  | --seeds=12 --network=analytic --record=f.jsonl | tiny
-serve --socket /tmp/exp.sock --cache .exp-cache --workers 2 => serve |  | --socket=/tmp/exp.sock --cache=.exp-cache --workers=2 | -
+serve --socket /tmp/exp.sock --cache .exp-cache => serve |  | --socket=/tmp/exp.sock --cache=.exp-cache | -
 serve --socket s.sock --cache c/entries --record d.jsonl => serve |  | --socket=s.sock --cache=c/entries --record=d.jsonl | -
 submit plan-tiny.json --socket s.sock --json cold.json => submit | plan-tiny.json | --socket=s.sock --json=cold.json | -
 stats --socket s.sock => stats |  | --socket=s.sock | -

@@ -18,14 +18,10 @@ pub fn serve(args: &Args) -> Result<ExitCode, String> {
     let mut config = tw_bench::daemon::Config::new(socket(args));
     config.cache_dir =
         (!args.has("--no-cache")).then(|| args.value("--cache").unwrap_or(".exp-cache").into());
-    config.workers = args.number("--workers", config.workers)?;
-    config.queue_cap = args.number("--queue", config.queue_cap)?;
     config.record = args.value("--record").map(Into::into);
     eprintln!(
-        "serving experiments on {} ({} workers, queue of {}, cache {})",
+        "serving experiments on {} (cache {})",
         config.socket.display(),
-        config.workers.max(1),
-        config.queue_cap,
         config
             .cache_dir
             .as_ref()
@@ -48,14 +44,8 @@ pub fn submit(args: &Args) -> Result<ExitCode, String> {
     let mut client = Client::connect(&socket(args))?;
     let reply = client.submit(&spec_text)?;
     println!(
-        "plan `{}`: cells={} hits={} misses={} coalesced={} queue_us={} exec_us={}",
-        reply.plan,
-        reply.cells,
-        reply.hits,
-        reply.misses,
-        reply.coalesced,
-        reply.queue_us,
-        reply.exec_us,
+        "plan `{}`: cells={} hits={} misses={} coalesced={} exec_us={}",
+        reply.plan, reply.cells, reply.hits, reply.misses, reply.coalesced, reply.exec_us,
     );
     if let Some(out) = args.value("--json") {
         crate::write_file(out, &reply.figures)?;

@@ -25,7 +25,9 @@ pub struct SubmitReply {
     pub misses: u64,
     /// Cells coalesced onto an in-flight duplicate.
     pub coalesced: u64,
-    /// Time the request waited in the daemon's queue (µs).
+    /// Always 0: a submit runs on its connection's handler as soon as it
+    /// is read, so nothing waits in front of it. Kept because
+    /// `benchmark/src/serve.rs` reads it.
     pub queue_us: u64,
     /// Time the plan spent compiling + executing (µs).
     pub exec_us: u64,
@@ -106,7 +108,7 @@ impl Client {
     }
 
     /// Fetches the Prometheus text exposition of the daemon's metrics
-    /// (counters, gauges, and the queue-wait / latency histograms).
+    /// (counters, gauges, and the latency histogram).
     ///
     /// # Errors
     ///
@@ -145,8 +147,8 @@ impl Client {
         })
     }
 
-    /// Asks the daemon to shut down (drain the queue, join workers, remove
-    /// its socket).
+    /// Asks the daemon to shut down (finish its running submits, remove its
+    /// socket).
     ///
     /// # Errors
     ///

@@ -1,13 +1,13 @@
 //! Service metrics for the experiments daemon.
 //!
-//! Lock-free counters recorded by connection handlers and workers, rendered
-//! into the `stats` response. Counts and microsecond latencies are plain
-//! `u64` fields; derived rates (cells/sec, hit rate) are **fixed-precision
+//! Lock-free counters recorded by connection handlers, rendered into the
+//! `stats` response. Counts and microsecond latencies are plain `u64`
+//! fields; derived rates (cells/sec, hit rate) are **fixed-precision
 //! decimal strings**, because the wire JSON subset deliberately has no
-//! floats (see `wire.rs`). Queue-wait and request latency are recorded into
-//! fixed-bucket log2 histograms ([`tw_obs::Log2Histogram`]), so `stats`
-//! reports p50/p95/p99 alongside the averages, and the `metrics` op renders
-//! the full distributions in Prometheus text exposition format.
+//! floats (see `wire.rs`). Request latency is recorded into a fixed-bucket
+//! log2 histogram ([`tw_obs::Log2Histogram`]), so `stats` reports
+//! p50/p95/p99 alongside the average, and the `metrics` op renders the full
+//! distribution in Prometheus text exposition format.
 
 use denovo_waste::{CacheStats, Json, SessionCounters};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,22 +18,20 @@ use tw_obs::Log2Histogram;
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
-    /// Submit requests accepted off the socket (before queueing).
+    /// Submit requests read off the socket, whatever their body.
     requests: AtomicU64,
     /// Submit requests that produced a figures response.
     completed: AtomicU64,
-    /// Submit requests that produced an error response (bad spec, run
-    /// failure) or were refused by a closed/shutting-down queue.
+    /// Submit requests that produced an error response (bad body or spec,
+    /// run failure) or were refused by a shutting-down daemon.
     failed: AtomicU64,
     cells: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-    /// Highest queue depth observed at any enqueue.
+    /// Most submits running at once.
     queue_peak: AtomicU64,
-    /// Time completed submits spent queued, one sample per request.
-    queue_wait_us: Log2Histogram,
-    /// End-to-end latency (queue + execute) of completed submits.
+    /// Latency (compile + execute) of completed submits.
     latency_us: Log2Histogram,
 }
 
@@ -50,27 +48,29 @@ impl Metrics {
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
-            queue_wait_us: Log2Histogram::new(),
             latency_us: Log2Histogram::new(),
         }
     }
 
-    /// Records a submit request arriving; `queue_depth` is the depth it saw
-    /// at enqueue (for the peak gauge).
-    pub fn record_enqueue(&self, queue_depth: u64) {
+    /// Records a submit request read off the socket.
+    pub fn record_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.queue_peak.fetch_max(queue_depth, Ordering::Relaxed);
     }
 
-    /// Records a completed submit: its cache stats, time spent queued, and
-    /// total request latency (queue + execute), all in microseconds.
-    pub fn record_completed(&self, stats: &CacheStats, queue_us: u64, latency_us: u64) {
+    /// Records a submit starting to run; `running` counts it and every
+    /// other submit running now (for the peak gauge).
+    pub fn record_running(&self, running: u64) {
+        self.queue_peak.fetch_max(running, Ordering::Relaxed);
+    }
+
+    /// Records a completed submit: its cache stats and its latency in
+    /// microseconds.
+    pub fn record_completed(&self, stats: &CacheStats, latency_us: u64) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.cells.fetch_add(stats.total(), Ordering::Relaxed);
         self.hits.fetch_add(stats.hits, Ordering::Relaxed);
         self.misses.fetch_add(stats.misses, Ordering::Relaxed);
         self.coalesced.fetch_add(stats.coalesced, Ordering::Relaxed);
-        self.queue_wait_us.record(queue_us);
         self.latency_us.record(latency_us);
     }
 
@@ -80,14 +80,14 @@ impl Metrics {
     }
 
     /// The service's own counters and gauges, in `stats` order.
-    fn service_rows(&self, queue_depth: u64, queue_cap: u64, workers: u64) -> [Row; 12] {
+    fn service_rows(&self, running: u64, queue_cap: u64, workers: u64) -> [Row; 12] {
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let uptime_us = (self.started.elapsed().as_micros()).min(u128::from(u64::MAX)) as u64;
         [
             Row::counter(
                 "requests",
                 "tw_daemon_requests_total",
-                "Submit requests accepted off the socket",
+                "Submit requests read off the socket",
                 load(&self.requests),
             ),
             Row::counter(
@@ -129,22 +129,27 @@ impl Metrics {
             Row::gauge(
                 "queue_depth",
                 "tw_daemon_queue_depth",
-                "Work-queue depth right now",
-                queue_depth,
+                "Submits running right now",
+                running,
             ),
             Row::gauge(
                 "queue_peak",
                 "tw_daemon_queue_peak",
-                "Highest queue depth observed at any enqueue",
+                "Most submits running at once",
                 load(&self.queue_peak),
             ),
             Row::gauge(
                 "queue_cap",
                 "tw_daemon_queue_cap",
-                "Work-queue capacity",
+                "Most connections served at once",
                 queue_cap,
             ),
-            Row::gauge("workers", "tw_daemon_workers", "Worker pool size", workers),
+            Row::gauge(
+                "workers",
+                "tw_daemon_workers",
+                "Most threads the session's pool starts",
+                workers,
+            ),
             Row::gauge(
                 "uptime_us",
                 "tw_daemon_uptime_us",
@@ -154,17 +159,18 @@ impl Metrics {
         ]
     }
 
-    /// Renders the counters as the `stats` response fields. `queue_depth`
-    /// and `queue_cap` describe the work queue right now; `workers` is the
-    /// pool size; `session` is the shared session's reading.
+    /// Renders the counters as the `stats` response fields. `running` is
+    /// the submits running right now, `queue_cap` the connection cap,
+    /// `workers` the pool's size; `session` is the shared session's
+    /// reading.
     pub fn snapshot(
         &self,
-        queue_depth: u64,
+        running: u64,
         queue_cap: u64,
         workers: u64,
         session: &SessionCounters,
     ) -> Vec<(String, Json)> {
-        let service = self.service_rows(queue_depth, queue_cap, workers);
+        let service = self.service_rows(running, queue_cap, workers);
         let read = |key: &str| service.iter().find(|r| r.key == key).expect(key).value;
         let (cells, uptime_us) = (read("cells"), read("uptime_us"));
         let cells_per_sec = if uptime_us == 0 {
@@ -178,15 +184,11 @@ impl Metrics {
             (read("hits") + read("coalesced")) as f64 / cells as f64
         };
         let uint = |key: &str, value: u64| (key.to_string(), Json::UInt(value));
-        let (wait, latency) = (&self.queue_wait_us, &self.latency_us);
+        let latency = &self.latency_us;
         // Key order is the wire order `stats` clients have always read: the
         // service rows, the latency summary, the session rows.
         let mut fields: Vec<_> = service.iter().map(|r| uint(r.key, r.value)).collect();
         fields.extend([
-            uint("queue_wait_avg_us", wait.avg()),
-            uint("queue_wait_p50_us", wait.percentile(50)),
-            uint("queue_wait_p95_us", wait.percentile(95)),
-            uint("queue_wait_p99_us", wait.percentile(99)),
             uint("latency_avg_us", latency.avg()),
             uint("latency_p50_us", latency.percentile(50)),
             uint("latency_p95_us", latency.percentile(95)),
@@ -202,31 +204,27 @@ impl Metrics {
         fields
     }
 
-    /// Renders every counter, gauge and histogram in Prometheus text
+    /// Renders every counter, gauge and the histogram in Prometheus text
     /// exposition format — the body of the `metrics` wire op.
     pub fn render_prometheus(
         &self,
-        queue_depth: u64,
+        running: u64,
         queue_cap: u64,
         workers: u64,
         session: &SessionCounters,
     ) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let service = self.service_rows(queue_depth, queue_cap, workers);
+        let service = self.service_rows(running, queue_cap, workers);
         for row in service.iter().chain(&session_rows(session)) {
             let Row { family, .. } = row;
             let _ = writeln!(out, "# HELP {family} {}", row.help);
             let _ = writeln!(out, "# TYPE {family} {}", row.kind);
             let _ = writeln!(out, "{family} {}", row.value);
         }
-        out.push_str(&self.queue_wait_us.render_prometheus(
-            "tw_daemon_queue_wait_us",
-            "Time completed submits spent queued (microseconds)",
-        ));
         out.push_str(&self.latency_us.render_prometheus(
             "tw_daemon_latency_us",
-            "End-to-end submit latency, queue plus execute (microseconds)",
+            "Submit latency, compile plus execute (microseconds)",
         ));
         out
     }
@@ -336,15 +334,16 @@ mod tests {
 
     fn two_submits() -> Metrics {
         let m = Metrics::new();
-        m.record_enqueue(3);
-        m.record_enqueue(1);
+        for running in [3, 1] {
+            m.record_request();
+            m.record_running(running);
+        }
         m.record_completed(
             &CacheStats {
                 hits: 4,
                 misses: 1,
                 coalesced: 1,
             },
-            100,
             500,
         );
         m.record_completed(
@@ -353,7 +352,6 @@ mod tests {
                 misses: 2,
                 coalesced: 0,
             },
-            300,
             1500,
         );
         m.record_failed();
@@ -374,7 +372,6 @@ mod tests {
         assert_eq!(field(&snap, "queue_depth").as_u64(), Ok(2));
         assert_eq!(field(&snap, "queue_cap").as_u64(), Ok(64));
         assert_eq!(field(&snap, "workers").as_u64(), Ok(4));
-        assert_eq!(field(&snap, "queue_wait_avg_us").as_u64(), Ok(200));
         assert_eq!(field(&snap, "latency_avg_us").as_u64(), Ok(1000));
         assert_eq!(field(&snap, "latency_max_us").as_u64(), Ok(1500));
         // (4 hits + 1 coalesced) / 8 cells = 0.625.
@@ -397,12 +394,8 @@ mod tests {
     #[test]
     fn snapshot_percentiles_resolve_to_bucket_bounds_clamped_to_max() {
         let snap = two_submits().snapshot(2, 64, 4, &SESSION);
-        // Queue waits 100 and 300: p50 is the [64,127] bucket bound, the
+        // Latencies 500 and 1500: p50 is the [256,511] bucket bound, the
         // tail percentiles clamp to the observed max.
-        assert_eq!(field(&snap, "queue_wait_p50_us").as_u64(), Ok(127));
-        assert_eq!(field(&snap, "queue_wait_p95_us").as_u64(), Ok(300));
-        assert_eq!(field(&snap, "queue_wait_p99_us").as_u64(), Ok(300));
-        // Latencies 500 and 1500: p50 is the [256,511] bound.
         assert_eq!(field(&snap, "latency_p50_us").as_u64(), Ok(511));
         assert_eq!(field(&snap, "latency_p95_us").as_u64(), Ok(1500));
         assert_eq!(field(&snap, "latency_p99_us").as_u64(), Ok(1500));
@@ -421,7 +414,7 @@ mod tests {
         let m = two_submits();
         let snap = m.snapshot(2, 64, 4, &SESSION);
         let text = m.render_prometheus(2, 64, 4, &SESSION);
-        // Families by TYPE line; the two histograms cover the summary keys.
+        // Families by TYPE line; the histogram covers the summary keys.
         let families: Vec<&str> = text
             .lines()
             .filter_map(|l| l.strip_prefix("# TYPE "))
@@ -439,12 +432,11 @@ mod tests {
             assert_eq!(rows.iter().filter(|r| r.key == row.key).count(), 1);
         }
         assert_eq!(families.len(), rows.len(), "no family without a stats key");
-        // Every other stats key is a summary of one of the two histograms
-        // or a rate derived from the rows.
+        // Every other stats key is a summary of the histogram or a rate
+        // derived from the rows.
         for (key, _) in &snap {
             assert!(
                 rows.iter().any(|r| r.key == key)
-                    || key.starts_with("queue_wait_")
                     || key.starts_with("latency_")
                     || key == "cells_per_sec"
                     || key == "hit_rate",

@@ -7,19 +7,20 @@
 //! one compact-JSON header line per frame, optionally followed by a
 //! byte-counted opaque body — see [`wire`] and DESIGN.md §13.
 //!
-//! Service shape (the classic ingest split: accept cheap, queue bounded,
-//! workers drain):
+//! Service shape: one handler thread per connection, one queue.
 //!
-//! * the **listener** accepts connections and spawns one handler thread per
-//!   connection; handlers answer `ping`/`stats`/`shutdown` inline and
-//!   enqueue `submit` work;
-//! * the **bounded queue** ([`queue::BoundedQueue`]) is the backpressure: a
-//!   full queue blocks the handler, which stops reading its socket, which
-//!   pushes back on the client;
-//! * the **worker pool** drains the queue through one shared [`Session`],
-//!   so every request sees the same on-disk cache and the same in-process
-//!   single-flight table — concurrent submits of overlapping plans simulate
-//!   each distinct cell once.
+//! * the **listener** accepts up to `queue_cap` connections and spawns one
+//!   handler thread for each; the next connection waits in the kernel's
+//!   backlog until a handler exits, which is the backpressure;
+//! * a **handler** answers its connection's requests one at a time,
+//!   `submit` included: it compiles and executes the plan through one
+//!   shared [`Session`], whose FIFO pool is the daemon's only queue. Every
+//!   request sees the same on-disk cache and the same in-process
+//!   single-flight table — concurrent submits of overlapping plans
+//!   simulate each distinct cell once.
+//!
+//! `shutdown` stops the accepting and refuses later submits; `serve`
+//! returns once every submit already running has written its response.
 //!
 //! A submitted plan's figures body is byte-for-byte the output of
 //! [`crate::plan_figures_json`], i.e. exactly what `experiments plan run
@@ -27,23 +28,21 @@
 
 pub mod client;
 pub mod metrics;
-pub mod queue;
 pub mod wire;
-pub mod worker;
 
-use denovo_waste::{sweep_temp_files, Json, Session, ENGINE_VERSION, TEMP_SWEEP_AGE};
+use denovo_waste::{
+    sweep_temp_files, CacheStats, ExperimentSpec, Json, Session, WorkloadSet, ENGINE_VERSION,
+    TEMP_SWEEP_AGE,
+};
 use metrics::Metrics;
-use queue::BoundedQueue;
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use tw_obs::{FlightRecorder, SpanSink};
-use worker::Job;
+use tw_obs::{FlightRecorder, Span, SpanSink};
 
-/// Daemon configuration (socket, cache, pool sizing).
+/// Daemon configuration (socket, cache, sizing).
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Path of the Unix socket to listen on (created at startup, removed on
@@ -53,10 +52,11 @@ pub struct Config {
     /// Result-cache directory shared by all requests; `None` runs
     /// cache-less (the single-flight table still coalesces duplicates).
     pub cache_dir: Option<PathBuf>,
-    /// Worker threads executing plans.
+    /// The most threads the shared session's pool starts (below two, every
+    /// fan-out runs inline on its handler).
     pub workers: usize,
-    /// Bound of the work queue (requests beyond it block their
-    /// connections).
+    /// The most connections served at once; a handler runs one request at
+    /// a time, so this also bounds the submits in flight.
     pub queue_cap: usize,
     /// When set, the daemon runs with a flight recorder attached and
     /// writes the trace (JSONL, `denovo-waste/flight/v1`) to this path on
@@ -65,8 +65,8 @@ pub struct Config {
 }
 
 impl Config {
-    /// A config with the default pool sizing: one worker per available
-    /// core and a 64-deep queue.
+    /// A config with the default sizing: one pool thread per available
+    /// core and 64 connections.
     pub fn new(socket: impl Into<PathBuf>) -> Self {
         Config {
             socket: socket.into(),
@@ -80,19 +80,101 @@ impl Config {
     }
 }
 
+/// What the accept loop, the handlers and shutdown agree on.
+#[derive(Debug, Default)]
+struct Load {
+    /// Connections with a live handler.
+    connections: usize,
+    /// Submits between their start and their written response.
+    running: u64,
+    /// Set by `shutdown`: accept no connection and start no submit.
+    closed: bool,
+}
+
 struct Server {
     session: Session,
-    queue: BoundedQueue<Job>,
     metrics: Metrics,
-    shutdown: AtomicBool,
+    load: Mutex<Load>,
+    /// Signalled on every change to `load`.
+    changed: Condvar,
+    queue_cap: usize,
     workers: u64,
     /// Per-request span sink, present only when the daemon records.
     recorder: Option<SpanSink>,
 }
 
+impl Server {
+    /// The load. No request runs under the lock, so a poisoned one is still
+    /// consistent.
+    fn load(&self) -> MutexGuard<'_, Load> {
+        self.load.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The load once `busy` no longer holds of it.
+    fn wait_while(&self, busy: impl FnMut(&mut Load) -> bool) -> MutexGuard<'_, Load> {
+        let load = self.changed.wait_while(self.load(), busy);
+        load.unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies `change` to the load and wakes every waiter.
+    fn update(&self, change: impl FnOnce(&mut Load)) {
+        change(&mut self.load());
+        self.changed.notify_all();
+    }
+
+    /// Claims a connection slot, waiting while all `queue_cap` are taken;
+    /// `None` once the daemon is shutting down.
+    fn connection(self: &Arc<Self>) -> Option<Connection> {
+        let mut load = self.wait_while(|load| load.connections >= self.queue_cap && !load.closed);
+        if load.closed {
+            return None;
+        }
+        load.connections += 1;
+        Some(Connection(Arc::clone(self)))
+    }
+
+    /// Starts a submit; `None` once the daemon is shutting down.
+    fn start_submit(&self) -> Option<Running<'_>> {
+        let mut load = self.load();
+        if load.closed {
+            return None;
+        }
+        load.running += 1;
+        self.metrics.record_running(load.running);
+        Some(Running(self))
+    }
+
+    /// Refuses new connections and submits and wakes the accept loop.
+    fn close(&self, socket: &std::path::Path) {
+        self.update(|load| load.closed = true);
+        // The accept loop may be parked in accept(); a throwaway
+        // connection wakes it so it can observe the flag.
+        let _ = UnixStream::connect(socket);
+    }
+}
+
+/// A handler's connection slot; dropping it, however the handler ends,
+/// gives the slot back.
+struct Connection(Arc<Server>);
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        self.0.update(|load| load.connections -= 1);
+    }
+}
+
+/// A running submit; shutdown waits until every one has dropped.
+struct Running<'a>(&'a Server);
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.0.update(|load| load.running -= 1);
+    }
+}
+
 /// Runs the daemon until a client sends `shutdown`. Binds the socket,
-/// sweeps stale cache temp files, serves requests, then drains the queue,
-/// joins the workers and removes the socket file.
+/// sweeps stale cache temp files, serves requests, then waits for the
+/// running submits and removes the socket file.
 ///
 /// # Errors
 ///
@@ -116,7 +198,7 @@ pub fn serve(config: &Config) -> Result<(), String> {
         })?;
     }
 
-    let mut session = Session::new();
+    let mut session = Session::with_threads(config.workers);
     if let Some(dir) = &config.cache_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create cache directory {}: {e}", dir.display()))?;
@@ -126,7 +208,7 @@ pub fn serve(config: &Config) -> Result<(), String> {
     }
 
     // One flight recorder serves the whole daemon lifetime; the session
-    // (per-cell spans), engine (per-phase spans) and workers (per-request
+    // (per-cell spans), engine (per-phase spans) and handlers (per-request
     // spans) all fan into it through cloned sinks.
     let flight = config
         .record
@@ -142,55 +224,37 @@ pub fn serve(config: &Config) -> Result<(), String> {
     let listener = UnixListener::bind(&config.socket)
         .map_err(|e| format!("cannot bind {}: {e}", config.socket.display()))?;
 
-    let workers = config.workers.max(1);
     let server = Arc::new(Server {
         session,
-        queue: BoundedQueue::new(config.queue_cap),
         metrics: Metrics::new(),
-        shutdown: AtomicBool::new(false),
-        workers: workers as u64,
+        load: Mutex::default(),
+        changed: Condvar::new(),
+        queue_cap: config.queue_cap.max(1),
+        workers: config.workers as u64,
         recorder,
     });
 
-    let pool: Vec<_> = (0..workers)
-        .map(|i| {
-            let server = Arc::clone(&server);
-            std::thread::Builder::new()
-                .name(format!("exp-worker-{i}"))
-                .spawn(move || {
-                    worker::run_worker(
-                        &server.queue,
-                        &server.session,
-                        &server.metrics,
-                        server.recorder.as_ref(),
-                    )
-                })
-                .map_err(|e| format!("cannot spawn worker: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    for stream in listener.incoming() {
-        if server.shutdown.load(Ordering::SeqCst) {
+    while let Some(connection) = server.connection() {
+        let Ok((stream, _)) = listener.accept() else {
+            continue;
+        };
+        if server.load().closed {
             break;
         }
-        let Ok(stream) = stream else { continue };
-        let server = Arc::clone(&server);
         let socket = config.socket.clone();
         // Handlers are detached: they die with their connection, and the
-        // worker pool (joined below) finishes any job they enqueued.
+        // wait below covers any submit they started.
         let _ = std::thread::Builder::new()
             .name("exp-conn".to_string())
-            .spawn(move || handle_connection(&server, stream, &socket));
+            .spawn(move || handle_connection(&connection.0, stream, &socket));
     }
 
-    // Shutdown: no new pushes succeed, the backlog drains, workers exit.
-    server.queue.close();
-    for worker in pool {
-        let _ = worker.join();
-    }
+    // Shutdown: later connections are refused, running submits finish.
+    drop(listener);
+    drop(server.wait_while(|load| load.running > 0));
     let _ = std::fs::remove_file(&config.socket);
-    // Trace is written last, after the pool joins, so it covers every
-    // request the daemon ever accepted.
+    // Trace is written last, after the running submits, so it covers every
+    // request the daemon ever started.
     if let (Some(path), Some(rec)) = (&config.record, &flight) {
         std::fs::write(path, rec.to_jsonl())
             .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
@@ -238,9 +302,10 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
             )
             .is_ok(),
             "stats" => {
+                let running = server.load().running;
                 let fields = server.metrics.snapshot(
-                    server.queue.len() as u64,
-                    server.queue.capacity() as u64,
+                    running,
+                    server.queue_cap as u64,
                     server.workers,
                     &server.session.counters(),
                 );
@@ -250,9 +315,10 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
                 // Prometheus text exposition travels as an opaque body: the
                 // wire JSON subset has no floats, and scrapers want the raw
                 // text anyway.
+                let running = server.load().running;
                 let body = server.metrics.render_prometheus(
-                    server.queue.len() as u64,
-                    server.queue.capacity() as u64,
+                    running,
+                    server.queue_cap as u64,
                     server.workers,
                     &server.session.counters(),
                 );
@@ -265,10 +331,7 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
             }
             "shutdown" => {
                 let _ = wire::write_frame(&mut writer, wire::ok_header("shutdown", vec![]), None);
-                server.shutdown.store(true, Ordering::SeqCst);
-                // The accept loop is parked in accept(); a throwaway
-                // connection wakes it so it can observe the flag.
-                let _ = UnixStream::connect(socket);
+                server.close(socket);
                 return;
             }
             "submit" => handle_submit(server, &mut writer, body),
@@ -287,64 +350,95 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
     }
 }
 
-/// Enqueues one submit, waits for its worker, and writes the response.
-/// Returns whether the connection is still usable.
+/// Runs one submit on this handler's thread, records it, and writes the
+/// response. Returns whether the connection is still usable.
 fn handle_submit(server: &Server, writer: &mut UnixStream, body: Vec<u8>) -> bool {
-    let spec_text = match String::from_utf8(body) {
-        Ok(text) if !text.trim().is_empty() => text,
-        Ok(_) => {
-            server.metrics.record_failed();
-            return wire::write_frame(
-                writer,
-                wire::error_header("submit requires an experiment-spec JSON body"),
-                None,
-            )
-            .is_ok();
-        }
-        Err(_) => {
-            server.metrics.record_failed();
-            return wire::write_frame(writer, wire::error_header("submit body is not UTF-8"), None)
-                .is_ok();
-        }
-    };
-    let (reply, result) = mpsc::channel();
-    let job = Job {
-        spec_text,
-        reply,
-        enqueued: Instant::now(),
-    };
-    // push blocks while the queue is full — deliberate: that is the
-    // service's backpressure (see the module docs).
-    if server.queue.push(job).is_err() {
+    server.metrics.record_request();
+    // Held until the response is written: shutdown waits for it.
+    let Some(_running) = server.start_submit() else {
         server.metrics.record_failed();
         return wire::write_frame(writer, wire::error_header("daemon is shutting down"), None)
             .is_ok();
-    }
-    server.metrics.record_enqueue(server.queue.len() as u64);
-    match result.recv() {
-        Ok(Ok(out)) => {
+    };
+    let started = Instant::now();
+    let result = execute(&server.session, body);
+    let exec_us = started.elapsed().as_micros() as u64;
+    let sink = server.recorder.as_ref();
+    let (header, figures) = match result {
+        Ok(out) => {
+            server.metrics.record_completed(&out.stats, exec_us);
+            if let Some(sink) = sink {
+                sink.with_track(format!("request/{}", out.plan)).emit(
+                    Span::event("request")
+                        .attr("outcome", "ok")
+                        .attr("cells", out.stats.total())
+                        .attr("hits", out.stats.hits)
+                        .attr("misses", out.stats.misses)
+                        .attr("coalesced", out.stats.coalesced)
+                        .timing_us("exec_us", exec_us),
+                );
+            }
             let fields = vec![
                 ("plan".to_string(), Json::str(out.plan)),
                 ("cells".to_string(), Json::UInt(out.stats.total())),
                 ("hits".to_string(), Json::UInt(out.stats.hits)),
                 ("misses".to_string(), Json::UInt(out.stats.misses)),
                 ("coalesced".to_string(), Json::UInt(out.stats.coalesced)),
-                ("queue_us".to_string(), Json::UInt(out.queue_us)),
-                ("exec_us".to_string(), Json::UInt(out.exec_us)),
+                // Nothing waits before a submit runs; the field stays for
+                // the clients that read it.
+                ("queue_us".to_string(), Json::UInt(0)),
+                ("exec_us".to_string(), Json::UInt(exec_us)),
             ];
-            wire::write_frame(
-                writer,
-                wire::ok_header("submit", fields),
-                Some(&out.figures),
-            )
-            .is_ok()
+            (wire::ok_header("submit", fields), Some(out.figures))
         }
-        Ok(Err(msg)) => wire::write_frame(writer, wire::error_header(msg), None).is_ok(),
-        Err(_) => wire::write_frame(
-            writer,
-            wire::error_header("worker pool exited before answering"),
-            None,
-        )
-        .is_ok(),
+        Err(msg) => {
+            server.metrics.record_failed();
+            if let Some(sink) = sink {
+                sink.with_track("request/error").emit(
+                    Span::event("request")
+                        .attr("outcome", "error")
+                        .attr("error", msg.as_str())
+                        .timing_us("exec_us", exec_us),
+                );
+            }
+            (wire::error_header(msg), None)
+        }
+    };
+    wire::write_frame(writer, header, figures.as_deref()).is_ok()
+}
+
+/// The figures and cache accounting of one successful submit.
+struct Submitted {
+    /// Plan name, echoed in the response header.
+    plan: String,
+    stats: CacheStats,
+    /// The exact bytes of `plan_figures_json` — what byte-identity with the
+    /// CLI rests on.
+    figures: Vec<u8>,
+}
+
+/// Compiles and executes a submit body through the shared session. The
+/// session's memo shares the workloads a repeated spec names, and its pool
+/// queues this plan's fan-outs behind those of earlier requests.
+fn execute(session: &Session, body: Vec<u8>) -> Result<Submitted, String> {
+    let spec_text = String::from_utf8(body).map_err(|_| "submit body is not UTF-8")?;
+    if spec_text.trim().is_empty() {
+        return Err("submit requires an experiment-spec JSON body".to_string());
     }
+    let spec = ExperimentSpec::from_json(&spec_text).map_err(|e| format!("bad spec: {e}"))?;
+    // Provided workloads have no wire representation: a spec naming one
+    // fails compilation here with the usual unknown-workload error.
+    let plan = session
+        .compile(&spec, &WorkloadSet::new())
+        .map_err(|e| format!("cannot compile plan: {e}"))?;
+    let outcome = session
+        .execute(&plan)
+        .map_err(|e| format!("cannot execute plan: {e}"))?;
+    let figures =
+        crate::plan_figures_json(&outcome).map_err(|e| format!("cannot extract figures: {e}"))?;
+    Ok(Submitted {
+        plan: outcome.name.clone(),
+        stats: outcome.cache,
+        figures: figures.into_bytes(),
+    })
 }

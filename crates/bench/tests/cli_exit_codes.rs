@@ -52,10 +52,7 @@ fn help_exits_zero_and_documents_the_contract() {
             "fuzz",
             "--seeds --start --streaming-every --network --record --self-test --tiny",
         ),
-        (
-            "serve",
-            "--socket --cache --no-cache --workers --queue --record",
-        ),
+        ("serve", "--socket --cache --no-cache --record"),
         ("submit", "<spec.json> --socket --json"),
         ("stats", "--socket"),
         ("metrics", "--socket"),

@@ -204,7 +204,7 @@ pub struct SessionCounters {
 /// Executes experiment plans, optionally through a persistent result cache.
 ///
 /// Clones share one single-flight table, one workload memo and one thread
-/// pool, so a session handed to several threads (the daemon's workers)
+/// pool, so a session handed to several threads (the daemon's handlers)
 /// never simulates the same cache key twice concurrently, generates each
 /// benchmark workload once, and runs the requests' simulations in the order
 /// the requests queued them. Within one plan the same holds by
@@ -239,6 +239,19 @@ impl Session {
             barrier_overhead: SimConfig::new(ProtocolKind::Mesi).barrier_overhead,
             recorder: None,
             state: Arc::default(),
+        }
+    }
+
+    /// A session with no cache whose pool starts up to `threads` threads,
+    /// whatever the host's core count ([`Session::new`] starts up to one
+    /// per core).
+    pub fn with_threads(threads: usize) -> Self {
+        Session {
+            state: Arc::new(SessionState {
+                pool: Pool::with_threads(threads),
+                ..SessionState::default()
+            }),
+            ..Session::new()
         }
     }
 
@@ -586,19 +599,6 @@ impl Session {
         cfg.barrier_overhead = self.barrier_overhead;
         cfg.recorder = sink;
         cfg
-    }
-
-    /// A fresh session whose pool starts up to `threads` threads, whatever
-    /// the host's core count.
-    #[cfg(test)]
-    pub(super) fn with_threads(threads: usize) -> Self {
-        Session {
-            state: Arc::new(SessionState {
-                pool: Pool::with_threads(threads),
-                ..SessionState::default()
-            }),
-            ..Session::new()
-        }
     }
 
     #[cfg(test)]
