@@ -261,7 +261,7 @@ impl Row {
 }
 
 /// The shared session's reading, in `stats` order.
-fn session_rows(session: &SessionCounters) -> [Row; 7] {
+fn session_rows(session: &SessionCounters) -> [Row; 6] {
     [
         Row::counter(
             "workload_memo_hits_total",
@@ -274,12 +274,6 @@ fn session_rows(session: &SessionCounters) -> [Row; 7] {
             "tw_daemon_workload_memo_builds_total",
             "Workload lookups that ran a workload's digest pass",
             session.memo_builds,
-        ),
-        Row::gauge(
-            "workload_memo_resident_ops",
-            "tw_daemon_workload_memo_resident_ops",
-            "Trace ops of the session memo's resident workloads, built or not",
-            session.memo_resident_ops,
         ),
         Row::counter(
             "workloads_materialized_total",
@@ -325,7 +319,6 @@ mod tests {
     const SESSION: SessionCounters = SessionCounters {
         memo_hits: 6,
         memo_builds: 12,
-        memo_resident_ops: 5_959_426,
         workloads_materialized: 5,
         flight_slots: 2,
         pool_threads: 2,
@@ -378,10 +371,6 @@ mod tests {
         assert_eq!(field(&snap, "hit_rate").as_str(), Ok("0.6250"));
         assert_eq!(field(&snap, "workload_memo_hits_total").as_u64(), Ok(6));
         assert_eq!(field(&snap, "workload_memo_builds_total").as_u64(), Ok(12));
-        assert_eq!(
-            field(&snap, "workload_memo_resident_ops").as_u64(),
-            Ok(5_959_426)
-        );
         assert_eq!(field(&snap, "workloads_materialized_total").as_u64(), Ok(5));
         assert_eq!(field(&snap, "flight_table_slots").as_u64(), Ok(2));
         assert_eq!(field(&snap, "pool_threads").as_u64(), Ok(2));
@@ -424,7 +413,7 @@ mod tests {
         let rows: Vec<Row> = (m.service_rows(2, 64, 4).into_iter())
             .chain(session_rows(&SESSION))
             .collect();
-        assert_eq!(rows.len(), 19);
+        assert_eq!(rows.len(), 18);
         for row in &rows {
             assert!(field(&snap, row.key).as_u64().is_ok(), "{}", row.key);
             let n = families.iter().filter(|f| **f == row.family).count();
@@ -454,7 +443,6 @@ mod tests {
         assert!(text.contains("# TYPE tw_daemon_workload_memo_hits_total counter\n"));
         assert!(text.contains("tw_daemon_workload_memo_builds_total 12\n"));
         assert!(text.contains("# TYPE tw_daemon_flight_table_slots gauge\n"));
-        assert!(text.contains("tw_daemon_workload_memo_resident_ops 5959426\n"));
         assert!(text.contains("# TYPE tw_daemon_workloads_materialized_total counter\n"));
         assert!(text.contains("tw_daemon_workloads_materialized_total 5\n"));
         assert!(text.contains("# TYPE tw_daemon_pool_threads gauge\n"));

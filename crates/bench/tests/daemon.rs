@@ -124,7 +124,6 @@ fn submit_is_byte_identical_to_a_direct_run_and_warm_hits() {
     // so the flight table has let go of all four slots.
     assert_eq!(get("workload_memo_builds_total"), 2);
     assert_eq!(get("workload_memo_hits_total"), 2);
-    assert!(get("workload_memo_resident_ops") > 0);
     assert_eq!(get("flight_table_slots"), 0);
 
     daemon.stop();

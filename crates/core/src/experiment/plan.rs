@@ -144,6 +144,19 @@ pub enum WorkloadSource {
     Provided(String),
 }
 
+impl WorkloadSource {
+    /// The name a workload from this source has when its spec entry names
+    /// none. The spec codec writes a `name` only where it differs, keeping
+    /// hand-written specs terse.
+    pub fn default_name(&self) -> String {
+        match self {
+            WorkloadSource::Bench(kind) => kind.name().to_string(),
+            WorkloadSource::Trace(path) => path.to_string_lossy().into_owned(),
+            WorkloadSource::Provided(name) => name.clone(),
+        }
+    }
+}
+
 /// One named workload axis entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadSpec {
@@ -360,14 +373,7 @@ impl ExperimentSpec {
                         fields.push(("provided".to_string(), Json::str(name.clone())));
                     }
                 }
-                // The name is emitted only where it differs from the
-                // source's default, keeping hand-written specs terse.
-                let default_name = match &w.source {
-                    WorkloadSource::Bench(kind) => kind.name().to_string(),
-                    WorkloadSource::Trace(path) => path.to_string_lossy().into_owned(),
-                    WorkloadSource::Provided(name) => name.clone(),
-                };
-                if w.name != default_name {
+                if w.name != w.source.default_name() {
                     fields.push(("name".to_string(), Json::str(w.name.clone())));
                 }
                 Json::Obj(fields)
@@ -501,14 +507,9 @@ impl ExperimentSpec {
                     let n = w.get("provided").expect("counted above");
                     WorkloadSource::Provided(n.as_str().map_err(bad)?.to_string())
                 };
-                let default_name = match &source {
-                    WorkloadSource::Bench(kind) => kind.name().to_string(),
-                    WorkloadSource::Trace(path) => path.to_string_lossy().into_owned(),
-                    WorkloadSource::Provided(name) => name.clone(),
-                };
                 let name = match w.get("name") {
                     Some(n) => n.as_str().map_err(bad)?.to_string(),
-                    None => default_name,
+                    None => source.default_name(),
                 };
                 Ok(WorkloadSpec { name, source })
             })
@@ -719,7 +720,7 @@ impl ExperimentSpec {
         // workloads have a fixed one and error on mismatch). A generator's
         // digest pass is the expensive part of compilation — and the whole
         // cost of a fully-warm cached run unless the session's memo already
-        // holds the workloads — so the distinct workloads fan out on the
+        // holds their digests — so the distinct workloads fan out on the
         // session's pool; errors surface in deterministic (workload,
         // variant) order.
         let mut wanted: Vec<(usize, usize, String)> = Vec::new();

@@ -163,7 +163,9 @@ pub(super) struct SessionState {
     /// one drops a slot as soon as the leader has stored the entry, so a
     /// long-lived daemon's table holds only what is in flight.
     inflight: Mutex<BTreeMap<Digest, Slot>>,
-    /// Generated workloads, shared by every plan this session compiles.
+    /// Generated workloads' digests and recipes, shared by every plan this
+    /// session compiles. Each plan gets its own unbuilt copy, so the
+    /// records its runs build are the plan's and drop with it.
     pub(super) memo: WorkloadMemo,
     /// Digested workloads whose records a run of this session built.
     materialized: AtomicU64,
@@ -182,13 +184,11 @@ pub(super) struct SessionState {
 /// span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionCounters {
-    /// Workload lookups served without generating: a resident memo entry,
-    /// or a build another thread was already running.
+    /// Workload lookups served without generating: a memo entry, or a
+    /// build another thread was already running.
     pub memo_hits: u64,
     /// Workload lookups that ran a workload's digest pass.
     pub memo_builds: u64,
-    /// Trace ops of the memo's resident workloads, built or not.
-    pub memo_resident_ops: u64,
     /// Digested workloads whose records a run built: compile only digests
     /// a generated workload, so a plan whose every cell is cached builds
     /// none.
@@ -205,7 +205,7 @@ pub struct SessionCounters {
 ///
 /// Clones share one single-flight table, one workload memo and one thread
 /// pool, so a session handed to several threads (the daemon's handlers)
-/// never simulates the same cache key twice concurrently, generates each
+/// never simulates the same cache key twice concurrently, digests each
 /// benchmark workload once, and runs the requests' simulations in the order
 /// the requests queued them. Within one plan the same holds by
 /// construction: `execute` runs one cell per distinct key. The pool's
@@ -276,7 +276,8 @@ impl Session {
 
     /// Compiles a spec, taking generated workloads from (and leaving them
     /// in) this session's memo: the second plan over a benchmark shares the
-    /// first one's workload instead of regenerating and re-digesting it.
+    /// first one's digest pass instead of running it again, and builds its
+    /// own records when a run reads them.
     /// [`ExperimentSpec::compile`] is this, on a session made for the call.
     pub fn compile(
         &self,
@@ -314,7 +315,6 @@ impl Session {
         SessionCounters {
             memo_hits: memo.hits,
             memo_builds: memo.builds,
-            memo_resident_ops: memo.resident_ops,
             workloads_materialized: self.state.materialized.load(Ordering::Relaxed),
             flight_slots: self.state.inflight.lock().expect("inflight lock").len() as u64,
             pool_threads: self.state.pool.threads(),
