@@ -13,7 +13,7 @@ use denovo_waste::{
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use tw_scenarios::synthesize;
-use tw_types::ProtocolKind;
+use tw_types::{ProtocolKind, TraceOp};
 
 /// A fresh per-test scratch directory under the system temp dir.
 fn fresh_dir(name: &str) -> PathBuf {
@@ -440,4 +440,33 @@ fn the_cli_cache_line_accounts_for_every_cell() {
     assert_eq!(cells[0].last(), cells[2].last(), "one key");
     assert_eq!(shown.lines().last(), Some("4 cells, 2 distinct, 2 runs"));
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
+fn a_run_that_fails_or_panics_leaves_no_flight_slot() {
+    let dir = fresh_dir("failed-run");
+    let session = Session::new().with_cache_dir(&dir);
+
+    // Refused: `compile` rejects an empty L1, a plan edited by hand is
+    // refused when its run builds the simulator.
+    let mut refused = novel_spec(8).compile(&WorkloadSet::new()).unwrap();
+    refused.cells[0].system.cache.l1_bytes = 0;
+    assert!(session.execute(&refused).is_err());
+    assert_eq!(session.counters().flight_slots, 0, "after an Err");
+
+    // Panicking: two cores that wait at different barriers stop the
+    // simulator with a panic, which `execute` resumes.
+    let mut spec = ExperimentSpec::subset(vec![ProtocolKind::Mesi], vec![], ScaleProfile::Tiny);
+    spec.workloads = vec![WorkloadSpec::provided("split-barrier")];
+    let mut workload = synthesize(5);
+    workload.traces[0].insert(0, TraceOp::barrier(u32::MAX));
+    workload.traces[1].insert(0, TraceOp::barrier(u32::MAX - 1));
+    let mut set = WorkloadSet::new();
+    set.insert("split-barrier", workload);
+    let plan = spec.compile(&set).unwrap();
+    let panicked =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.execute(&plan)));
+    assert!(panicked.is_err());
+    assert_eq!(session.counters().flight_slots, 0, "after a panic");
+    let _ = std::fs::remove_dir_all(&dir);
 }

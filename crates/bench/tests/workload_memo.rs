@@ -1,7 +1,7 @@
 //! The session's workload memo, from outside: `Session::compile` is
 //! `ExperimentSpec::compile` with the generated workloads' digest pass
 //! shared, and only generated workloads are shared. Their records are not:
-//! each plan builds its own when a run reads them.
+//! each execute builds the ones its runs read, and the plan keeps none.
 
 use denovo_waste::{
     ExperimentError, ExperimentSpec, ScaleProfile, Session, SystemVariant, WorkloadSet,
@@ -155,25 +155,42 @@ fn fft_with_l2(label: &str, l2_slice_bytes: u64) -> ExperimentSpec {
 
 #[test]
 fn a_later_plan_builds_its_own_records() {
+    // Every run reads its workload's records from a lease of its execute:
+    // after the Tiny matrix ran, no cell's workload holds a record.
     let none = WorkloadSet::new();
     let session = Session::new();
-    let first = session
+    let matrix = session
+        .compile(&ExperimentSpec::full_matrix(ScaleProfile::Tiny), &none)
+        .unwrap();
+    session.execute(&matrix).unwrap();
+    assert!(matrix.cells.iter().all(|c| !c.workload.traces.is_built()));
+    assert_eq!(session.counters().workloads_materialized, 6);
+
+    // One plan executed twice builds its records twice, once per execute.
+    // The cache is emptied in between, so that the second execute
+    // simulates again rather than reading the entry the first one stored.
+    let cache = std::env::temp_dir().join("tw-workload-memo-rerun");
+    let _ = std::fs::remove_dir_all(&cache);
+    let session = Session::new().with_cache_dir(&cache);
+    let plan = session
         .compile(&fft_with_l2("l2-32k", 32 << 10), &none)
         .unwrap();
-    session.execute(&first).unwrap();
-    assert!(first.cells[0].workload.traces.is_built());
-    assert_eq!(session.counters().workloads_materialized, 1);
+    for materialized in [1, 2] {
+        assert_eq!(session.execute(&plan).unwrap().cache.misses, 1);
+        assert!(!plan.cells[0].workload.traces.is_built());
+        assert_eq!(session.counters().workloads_materialized, materialized);
+        std::fs::remove_dir_all(&cache).unwrap();
+    }
 
     // Same workload, other machine: the digest pass is the memo's, the
-    // records are the new plan's, built by its own run.
-    let second = session
+    // records are built again by the new plan's run.
+    let other = session
         .compile(&fft_with_l2("l2-16k", 16 << 10), &none)
         .unwrap();
-    assert_eq!(first.cells[0].workload_ref, second.cells[0].workload_ref);
-    assert!(!second.cells[0].workload.traces.is_built());
-    session.execute(&second).unwrap();
+    assert_eq!(plan.cells[0].workload_ref, other.cells[0].workload_ref);
+    session.execute(&other).unwrap();
     let counters = session.counters();
-    assert_eq!(counters.workloads_materialized, 2);
+    assert_eq!(counters.workloads_materialized, 3);
     assert_eq!((counters.memo_builds, counters.memo_hits), (1, 1));
 }
 

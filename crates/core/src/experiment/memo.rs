@@ -5,11 +5,12 @@
 //! ([`Generator::digested`]): the generator runs one core at a time into a
 //! reused buffer, and only the digest, the record counts and the recipe
 //! (generator and core count) are kept. Each lookup hands out its own
-//! unbuilt copy of the entry, which copies the recipe and no record. So the
-//! records belong to the plan that looked the workload up: the first of its
-//! runs that reads them builds them, once across the pool's threads, its
-//! other runs share them, and they drop with the plan. The entry itself is
-//! never read, so it never holds a record, and the memo is bounded by its
+//! unbuilt copy of the entry, which copies the recipe and no record, and
+//! the plan keeps it so: each `Session::execute` leases the workload to the
+//! runs that read it, the first of them builds a private copy's records,
+//! once across the pool's threads, the others share them, and they drop
+//! after the last of those runs. The entry itself is never read, so it
+//! never holds a record, and the memo is bounded by its
 //! key space: benchmark × scale × core count, where
 //! `SystemConfig::validate` caps the core count at `MAX_TILES`.
 //!

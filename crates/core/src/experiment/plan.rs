@@ -614,9 +614,10 @@ impl ExperimentSpec {
     /// Workloads are resolved once per distinct (source, core count) pair
     /// and shared across the protocol axis; their content digests are
     /// computed here, so every cell knows its full identity before anything
-    /// is simulated. A generated workload is only digested here: its
-    /// records are built by the first run that reads them, so a plan whose
-    /// every cell is cached builds none.
+    /// is simulated. A generated workload is only digested here, and the
+    /// plan keeps only its recipe: each [`Session::execute`] builds the
+    /// records for the runs that read them and drops them after the last,
+    /// so a plan whose every cell is cached builds none.
     ///
     /// This is [`Session::compile`] on a session made for the call, so every
     /// call generates its benchmark workloads afresh, on threads of its own;

@@ -33,10 +33,11 @@ use crate::sim::{SimConfig, Simulator};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tw_obs::{Span, SpanSink};
 use tw_types::{Cycle, Digest, Digester, ProtocolKind, SystemConfig};
+use tw_workloads::Workload;
 
 /// Version stamp of the simulation engine, folded into every cache key.
 ///
@@ -164,10 +165,13 @@ pub(super) struct SessionState {
     /// long-lived daemon's table holds only what is in flight.
     inflight: Mutex<BTreeMap<Digest, Slot>>,
     /// Generated workloads' digests and recipes, shared by every plan this
-    /// session compiles. Each plan gets its own unbuilt copy, so the
-    /// records its runs build are the plan's and drop with it.
+    /// session compiles. Each plan gets its own unbuilt copy, and stays a
+    /// recipe however often it runs: each `execute` builds the records its
+    /// runs read into a [`Lease`] of its own, and drops them after the
+    /// workload's last run.
     pub(super) memo: WorkloadMemo,
-    /// Digested workloads whose records a run of this session built.
+    /// Workload leases whose records a run of this session built: at most
+    /// one per distinct workload per `execute`.
     materialized: AtomicU64,
     /// Where compile's workload builds and execute's runs fan out: every
     /// request of a daemon queues behind the ones before it.
@@ -189,9 +193,11 @@ pub struct SessionCounters {
     pub memo_hits: u64,
     /// Workload lookups that ran a workload's digest pass.
     pub memo_builds: u64,
-    /// Digested workloads whose records a run built: compile only digests
-    /// a generated workload, so a plan whose every cell is cached builds
-    /// none.
+    /// Workload records that runs built: compile only digests a generated
+    /// workload, and each `execute` builds a workload's records at most
+    /// once, when one of its runs simulates, and drops them after its last
+    /// run. A plan executed twice counts its builds twice; one whose every
+    /// cell is cached counts none.
     pub workloads_materialized: u64,
     /// Slots in the single-flight table.
     pub flight_slots: u64,
@@ -276,8 +282,8 @@ impl Session {
 
     /// Compiles a spec, taking generated workloads from (and leaving them
     /// in) this session's memo: the second plan over a benchmark shares the
-    /// first one's digest pass instead of running it again, and builds its
-    /// own records when a run reads them.
+    /// first one's digest pass instead of running it again. Its records are
+    /// built by each [`Session::execute`] whose runs read them.
     /// [`ExperimentSpec::compile`] is this, on a session made for the call.
     pub fn compile(
         &self,
@@ -356,9 +362,26 @@ impl Session {
                 runs.entry(group.run).or_default().push(leader);
             }
         }
+        // Each workload is leased to the runs that read it, counted before
+        // they start, so that its records are built at most once per
+        // execute and dropped as soon as its last run ends. Plan order is
+        // workload-major and the pool is FIFO, so only the workloads of the
+        // runs in flight hold records.
+        let mut leases: BTreeMap<Digest, Arc<Lease>> = BTreeMap::new();
+        let runs: Vec<(Arc<Lease>, Vec<Leader>)> = runs
+            .into_values()
+            .map(|leaders| {
+                let cell = &leaders[0].2;
+                let lease = leases
+                    .entry(cell.workload_ref.digest)
+                    .or_insert_with(|| Arc::new(Lease::new(&cell.workload)));
+                lease.lend();
+                (Arc::clone(lease), leaders)
+            })
+            .collect();
         let session = self.clone();
-        let results = self.fan_out(runs.into_values().collect(), move |leaders| {
-            session.run_together(leaders)
+        let results = self.fan_out(runs, move |(lease, leaders)| {
+            session.run_together(leaders, &lease.share())
         });
         let mut led = BTreeMap::new();
         for result in results {
@@ -462,7 +485,11 @@ impl Session {
     /// probes the disk under its own key; the leaders that miss are
     /// simulated together, a timed lane each, and stored under their own
     /// keys.
-    fn run_together(&self, leaders: &[Leader]) -> Result<Vec<(usize, Led)>, ExperimentError> {
+    fn run_together(
+        &self,
+        leaders: &[Leader],
+        lease: &Share<'_>,
+    ) -> Result<Vec<(usize, Led)>, ExperimentError> {
         // Timers exist only when a recorder is attached, so the unrecorded
         // path pays one Option probe per cell, nothing per op.
         let timer = || self.recorder.as_ref().map(|_| Instant::now());
@@ -497,6 +524,14 @@ impl Session {
             let mut slot = |key| Arc::clone(inflight.entry(key).or_default());
             members.iter().map(|m| slot(m.key)).collect()
         };
+        // The slots this run leads leave the table when it ends, after
+        // `held` lets go of them, unless it succeeds without a cache
+        // directory (below). An `Err` or a panic leaves them empty, and
+        // their next leader simulates.
+        let mut led = Vacate {
+            inflight: &self.state.inflight,
+            keys: Vec::new(),
+        };
         // A slot is written once and whole, so one whose holder panicked is
         // still empty, and its next leader simulates.
         let mut held: Vec<_> = slots
@@ -508,6 +543,7 @@ impl Session {
             if slot.is_some() {
                 continue; // another request's leader filled it
             }
+            led.keys.push(member.key);
             if let Some(path) = &member.path {
                 let t = timer();
                 let hit = probe_entry(path, member.key);
@@ -523,15 +559,12 @@ impl Session {
         }
         if let Some(&first) = missing.first() {
             let t = timer();
-            let workload = &members[first].cell.workload;
-            if workload.traces.materialize() {
-                self.state.materialized.fetch_add(1, Ordering::Relaxed);
-            }
+            let workload = lease.records(&self.state.materialized);
             let lanes = missing
                 .iter()
                 .map(|&k| self.config(members[k].cell, members[k].sink.clone()))
                 .collect();
-            let reports = Simulator::try_new(lanes, workload)
+            let reports = Simulator::try_new(lanes, &workload)
                 .map_err(ExperimentError::Simulation)?
                 .run_lanes();
             // One run's wall time is counted once: every cell it simulated
@@ -548,6 +581,16 @@ impl Session {
             .map(|slot| (**slot).clone().expect("every slot is filled"))
             .collect();
         drop(held);
+        // Without a cache directory the table is the session's only result
+        // cache, and every slot this run led now holds its report. With one,
+        // the entry goes to disk, where the next leader finds it, and
+        // whoever coalesced holds the slot already: it has no reader left.
+        // Dropping it after a failed store as well means the next request
+        // for the key simulates and stores again, instead of being served
+        // from memory while the entry stays missing (or corrupt) on disk.
+        if self.cache_dir.is_none() {
+            led.keys.clear();
+        }
         let mut stored = Ok(());
         for (member, report) in members.iter_mut().zip(&reports) {
             let Some(path) = &member.path else { continue };
@@ -559,17 +602,6 @@ impl Session {
                 stored = stored.and(store_entry(path, member.key, member.cell, report));
             }
             member.store_us = micros(t);
-            // The entry is on disk, where the next leader finds it, and
-            // whoever coalesced holds the slot already: it has no reader
-            // left. Dropping it after a failed store as well means the next
-            // request for the key simulates and stores again, instead of
-            // being served from memory while the entry stays missing (or
-            // corrupt) on disk.
-            self.state
-                .inflight
-                .lock()
-                .expect("inflight lock")
-                .remove(&member.key);
         }
         stored?;
         // The outcome is the deterministic payload; every wall-clock
@@ -620,6 +652,97 @@ struct Member<'p> {
     probe_us: u64,
     sim_us: u64,
     store_us: u64,
+}
+
+/// The single-flight slots one run leads. Dropping it takes the slots of
+/// `keys` out of the table, whether the run returns, fails or panics.
+struct Vacate<'s> {
+    inflight: &'s Mutex<BTreeMap<Digest, Slot>>,
+    keys: Vec<Digest>,
+}
+
+impl Drop for Vacate<'_> {
+    fn drop(&mut self) {
+        // No one panics while holding the table, so it is never poisoned;
+        // a second panic here, while unwinding, would abort.
+        let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
+        for key in &self.keys {
+            inflight.remove(key);
+        }
+    }
+}
+
+/// One workload's records while the runs of one [`Session::execute`] read
+/// them. The plan's own workload stays a recipe: the first run that
+/// simulates builds a private copy, the runs after it share that copy, and
+/// the last run to give its [`Share`] back drops it. A workload whose
+/// records are in memory already — read from a trace, provided, or
+/// dereferenced by someone — is shared, never copied.
+struct Lease {
+    /// The plan's workload.
+    workload: Arc<Workload>,
+    /// Runs that have not given their share back, and the copy they read
+    /// once one of them built it.
+    held: Mutex<(usize, Option<Arc<Workload>>)>,
+}
+
+impl Lease {
+    fn new(workload: &Arc<Workload>) -> Self {
+        Lease {
+            workload: Arc::clone(workload),
+            held: Mutex::default(),
+        }
+    }
+
+    /// The count and the copy. A build that panicked stored no copy and a
+    /// count changes whole, so a poisoned lease is still consistent.
+    fn held(&self) -> MutexGuard<'_, (usize, Option<Arc<Workload>>)> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts one more run, which must take its [`Lease::share`].
+    fn lend(&self) {
+        self.held().0 += 1;
+    }
+
+    /// One counted run's share, given back when it drops.
+    fn share(&self) -> Share<'_> {
+        Share(self)
+    }
+}
+
+/// A run's share of a [`Lease`]; see [`Share::records`].
+struct Share<'l>(&'l Lease);
+
+impl Share<'_> {
+    /// The workload with its records in memory: the plan's own if they are
+    /// there, else the lease's copy, built by the first caller (counted on
+    /// `materialized`) while any other waits for it.
+    fn records(&self, materialized: &AtomicU64) -> Arc<Workload> {
+        let lease = self.0;
+        if lease.workload.traces.is_built() {
+            return Arc::clone(&lease.workload);
+        }
+        let mut held = lease.held();
+        let copy = held.1.get_or_insert_with(|| {
+            // A clone of unbuilt streams is the recipe alone.
+            let copy = Workload::clone(&lease.workload);
+            copy.traces.materialize();
+            materialized.fetch_add(1, Ordering::Relaxed);
+            Arc::new(copy)
+        });
+        Arc::clone(copy)
+    }
+}
+
+impl Drop for Share<'_> {
+    fn drop(&mut self) {
+        let mut held = self.0.held();
+        held.0 -= 1;
+        if held.0 == 0 {
+            held.1 = None;
+        }
+    }
 }
 
 /// Probes a cache entry; never errors. An entry that is absent, unreadable,
@@ -844,6 +967,100 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// A lazy Tiny FFT workload on four cores: its digest pass is done, its
+    /// records are not built.
+    fn lazy_fft() -> Arc<Workload> {
+        let (workload, _) = tw_workloads::Generator::tiny(tw_workloads::BenchmarkKind::Fft)
+            .unwrap()
+            .digested(4)
+            .unwrap();
+        assert!(!workload.traces.is_built());
+        Arc::new(workload)
+    }
+
+    /// A lease counted for `runs` runs, as `execute` lends it.
+    fn lease_for(workload: &Arc<Workload>, runs: usize) -> Lease {
+        let lease = Lease::new(workload);
+        for _ in 0..runs {
+            lease.lend();
+        }
+        lease
+    }
+
+    #[test]
+    fn the_last_share_given_back_drops_the_records() {
+        let plan = lazy_fft();
+        let lease = lease_for(&plan, 2);
+        let materialized = AtomicU64::new(0);
+        let (first, second) = (lease.share(), lease.share());
+        let copy = Arc::downgrade(&first.records(&materialized));
+        let read = copy.upgrade().expect("the lease holds the copy");
+        assert!(read.traces.is_built() && !Arc::ptr_eq(&read, &plan));
+        assert!(Arc::ptr_eq(&second.records(&materialized), &read));
+        assert!(
+            !plan.traces.is_built(),
+            "the plan's workload stays a recipe"
+        );
+        assert_eq!(materialized.load(Ordering::Relaxed), 1, "built once");
+        drop(read);
+        drop(first);
+        assert!(copy.upgrade().is_some(), "a run still holds its share");
+        drop(second);
+        assert!(copy.upgrade().is_none(), "the last share dropped the copy");
+    }
+
+    #[test]
+    fn a_run_that_panics_still_gives_its_share_back() {
+        let plan = lazy_fft();
+        let lease = lease_for(&plan, 2);
+        let materialized = AtomicU64::new(0);
+        let mut copy = std::sync::Weak::new();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let share = lease.share();
+            copy = Arc::downgrade(&share.records(&materialized));
+            std::panic::resume_unwind(Box::new("the run fails"));
+        }));
+        assert!(panicked.is_err());
+        assert!(copy.upgrade().is_some(), "one run is still to come");
+        drop(lease.share());
+        assert!(copy.upgrade().is_none());
+        assert!(!plan.traces.is_built());
+    }
+
+    #[test]
+    fn a_provided_workload_is_shared_not_copied() {
+        let workload = tw_workloads::build_tiny(tw_workloads::BenchmarkKind::Fft, 16).unwrap();
+        let lease = lease_for(&Arc::new(workload.clone()), 1);
+        let materialized = AtomicU64::new(0);
+        let share = lease.share();
+        assert!(Arc::ptr_eq(&share.records(&materialized), &lease.workload));
+        assert_eq!(materialized.load(Ordering::Relaxed), 0);
+        drop(share);
+        assert!(
+            lease.workload.traces.is_built(),
+            "the plan's records are the plan's"
+        );
+
+        // The same through `execute`: the plan's workload is the one the
+        // runs read, and nothing is built.
+        let mut spec = ExperimentSpec::subset(
+            vec![ProtocolKind::Mesi, ProtocolKind::DeNovo],
+            vec![],
+            super::super::ScaleProfile::Tiny,
+        );
+        spec.workloads = vec![super::super::WorkloadSpec::provided("fft")];
+        let mut provided = WorkloadSet::new();
+        provided.insert("fft", workload);
+        let plan = spec.compile(&provided).unwrap();
+        assert!(Arc::ptr_eq(
+            &plan.cells[0].workload,
+            provided.get("fft").unwrap()
+        ));
+        let session = Session::new();
+        session.execute(&plan).unwrap();
+        assert_eq!(session.counters().workloads_materialized, 0);
     }
 
     #[test]

@@ -114,7 +114,15 @@ impl fmt::Display for BenchmarkKind {
 /// of its digest pass, and builds the records the first time anything reads
 /// them — once, however many threads read at the same time — and then
 /// checks that they digest to that digest. Its core count, record count and
-/// memory-op count never build it, nor does `Debug`.
+/// memory-op count never build it, nor does `Debug`, and cloning it while
+/// unbuilt copies the recipe alone.
+///
+/// A compiled plan's streams stay unbuilt: the experiment session's
+/// `execute` builds a clone of the recipe for the runs that read it and
+/// drops that clone after the last of them. What still fills these streams
+/// is a caller that reads a workload directly — a `Simulator` built on it,
+/// [`Workload::to_trace`], an edit through `DerefMut` — or that calls
+/// [`Streams::materialize`].
 #[derive(Clone)]
 pub struct Streams {
     records: OnceLock<Vec<Vec<TraceOp>>>,
