@@ -275,7 +275,7 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
             Ok(Some(frame)) => frame,
             Ok(None) => return, // clean hangup
             Err(e) => {
-                let _ = wire::write_frame(&mut writer, wire::error_header(e.to_string()), None);
+                reply(&mut writer, wire::error_header(e.to_string()), None);
                 return;
             }
         };
@@ -283,7 +283,7 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
         let op = match header.get("op").map(|v| v.as_str()) {
             Some(Ok(op)) => op.to_string(),
             _ => {
-                let _ = wire::write_frame(
+                reply(
                     &mut writer,
                     wire::error_header("request header must carry a string `op` field"),
                     None,
@@ -292,15 +292,14 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
             }
         };
         let keep_going = match op.as_str() {
-            "ping" => wire::write_frame(
+            "ping" => reply(
                 &mut writer,
                 wire::ok_header(
                     "ping",
                     vec![("engine".to_string(), Json::str(ENGINE_VERSION))],
                 ),
                 None,
-            )
-            .is_ok(),
+            ),
             "stats" => {
                 let running = server.load().running;
                 let fields = server.metrics.snapshot(
@@ -309,7 +308,7 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
                     server.workers,
                     &server.session.counters(),
                 );
-                wire::write_frame(&mut writer, wire::ok_header("stats", fields), None).is_ok()
+                reply(&mut writer, wire::ok_header("stats", fields), None)
             }
             "metrics" => {
                 // Prometheus text exposition travels as an opaque body: the
@@ -322,32 +321,45 @@ fn handle_connection(server: &Server, stream: UnixStream, socket: &std::path::Pa
                     server.workers,
                     &server.session.counters(),
                 );
-                wire::write_frame(
+                reply(
                     &mut writer,
                     wire::ok_header("metrics", vec![]),
                     Some(body.as_bytes()),
                 )
-                .is_ok()
             }
             "shutdown" => {
-                let _ = wire::write_frame(&mut writer, wire::ok_header("shutdown", vec![]), None);
+                reply(&mut writer, wire::ok_header("shutdown", vec![]), None);
                 server.close(socket);
                 return;
             }
             "submit" => handle_submit(server, &mut writer, body),
-            other => wire::write_frame(
+            other => reply(
                 &mut writer,
                 wire::error_header(format!(
                     "unknown op `{other}`; expected ping | stats | metrics | submit | shutdown"
                 )),
                 None,
-            )
-            .is_ok(),
+            ),
         };
         if !keep_going {
             return;
         }
     }
+}
+
+/// Writes one response and returns whether the connection is still usable.
+/// A header the client's reader would refuse is not sent: an error naming
+/// its size and the frame limit goes out instead, with no body.
+fn reply(writer: &mut UnixStream, header: Json, body: Option<&[u8]>) -> bool {
+    let (line, body) = match wire::header_line(header, body) {
+        Ok(line) => (line, body),
+        Err(e) => {
+            let refusal = wire::error_header(format!("reply {e}"));
+            let line = wire::header_line(refusal, None).expect("an error naming a size fits");
+            (line, None)
+        }
+    };
+    wire::write_line(writer, &line, body).is_ok()
 }
 
 /// Runs one submit on this handler's thread, records it, and writes the
@@ -357,15 +369,32 @@ fn handle_submit(server: &Server, writer: &mut UnixStream, body: Vec<u8>) -> boo
     // Held until the response is written: shutdown waits for it.
     let Some(_running) = server.start_submit() else {
         server.metrics.record_failed();
-        return wire::write_frame(writer, wire::error_header("daemon is shutting down"), None)
-            .is_ok();
+        return reply(writer, wire::error_header("daemon is shutting down"), None);
     };
     let started = Instant::now();
     let result = execute(&server.session, body);
     let exec_us = started.elapsed().as_micros() as u64;
+    // A reply header too long to send fails the request: it echoes the
+    // plan's name, which the client chose.
+    let result = result.and_then(|out| {
+        let fields = vec![
+            ("plan".to_string(), Json::str(out.plan.as_str())),
+            ("cells".to_string(), Json::UInt(out.stats.total())),
+            ("hits".to_string(), Json::UInt(out.stats.hits)),
+            ("misses".to_string(), Json::UInt(out.stats.misses)),
+            ("coalesced".to_string(), Json::UInt(out.stats.coalesced)),
+            // Nothing waits before a submit runs; the field stays for
+            // the clients that read it.
+            ("queue_us".to_string(), Json::UInt(0)),
+            ("exec_us".to_string(), Json::UInt(exec_us)),
+        ];
+        let line = wire::header_line(wire::ok_header("submit", fields), Some(&out.figures))
+            .map_err(|e| format!("reply {e}"))?;
+        Ok((out, line))
+    });
     let sink = server.recorder.as_ref();
-    let (header, figures) = match result {
-        Ok(out) => {
+    match result {
+        Ok((out, line)) => {
             server.metrics.record_completed(&out.stats, exec_us);
             if let Some(sink) = sink {
                 sink.with_track(format!("request/{}", out.plan)).emit(
@@ -378,18 +407,7 @@ fn handle_submit(server: &Server, writer: &mut UnixStream, body: Vec<u8>) -> boo
                         .timing_us("exec_us", exec_us),
                 );
             }
-            let fields = vec![
-                ("plan".to_string(), Json::str(out.plan)),
-                ("cells".to_string(), Json::UInt(out.stats.total())),
-                ("hits".to_string(), Json::UInt(out.stats.hits)),
-                ("misses".to_string(), Json::UInt(out.stats.misses)),
-                ("coalesced".to_string(), Json::UInt(out.stats.coalesced)),
-                // Nothing waits before a submit runs; the field stays for
-                // the clients that read it.
-                ("queue_us".to_string(), Json::UInt(0)),
-                ("exec_us".to_string(), Json::UInt(exec_us)),
-            ];
-            (wire::ok_header("submit", fields), Some(out.figures))
+            wire::write_line(writer, &line, Some(&out.figures)).is_ok()
         }
         Err(msg) => {
             server.metrics.record_failed();
@@ -401,10 +419,9 @@ fn handle_submit(server: &Server, writer: &mut UnixStream, body: Vec<u8>) -> boo
                         .timing_us("exec_us", exec_us),
                 );
             }
-            (wire::error_header(msg), None)
+            reply(writer, wire::error_header(msg), None)
         }
-    };
-    wire::write_frame(writer, header, figures.as_deref()).is_ok()
+    }
 }
 
 /// The figures and cache accounting of one successful submit.

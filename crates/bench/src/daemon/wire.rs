@@ -33,17 +33,42 @@ fn bad_data(msg: impl Into<String>) -> std::io::Error {
 ///
 /// # Errors
 ///
-/// Any I/O error from the underlying writer.
-pub fn write_frame<W: Write>(
-    w: &mut W,
-    mut header: Json,
-    body: Option<&[u8]>,
-) -> std::io::Result<()> {
+/// `InvalidInput`, with nothing written, for a header [`header_line`]
+/// refuses; any I/O error from the underlying writer.
+pub fn write_frame<W: Write>(w: &mut W, header: Json, body: Option<&[u8]>) -> std::io::Result<()> {
+    let line =
+        header_line(header, body).map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e))?;
+    write_line(w, &line, body)
+}
+
+/// Renders a frame's header line, LF included, with `body_bytes` appended
+/// when a body is present.
+///
+/// # Errors
+///
+/// A line longer than [`MAX_HEADER_BYTES`], which [`read_frame`] would
+/// refuse; the message names its size and the limit.
+pub fn header_line(mut header: Json, body: Option<&[u8]>) -> Result<String, String> {
     if let (Json::Obj(fields), Some(body)) = (&mut header, body) {
         fields.push(("body_bytes".to_string(), Json::UInt(body.len() as u64)));
     }
     let mut line = header.compact();
+    if line.len() > MAX_HEADER_BYTES {
+        return Err(format!(
+            "header of {} bytes exceeds the {MAX_HEADER_BYTES}-byte frame limit",
+            line.len()
+        ));
+    }
     line.push('\n');
+    Ok(line)
+}
+
+/// Writes a line from [`header_line`] and the body it was rendered with.
+///
+/// # Errors
+///
+/// Any I/O error from the underlying writer.
+pub fn write_line<W: Write>(w: &mut W, line: &str, body: Option<&[u8]>) -> std::io::Result<()> {
     w.write_all(line.as_bytes())?;
     if let Some(body) = body {
         w.write_all(body)?;
@@ -103,22 +128,18 @@ fn read_header_line<R: BufRead>(r: &mut R) -> std::io::Result<Option<String>> {
                 "stream ended inside a frame header",
             ));
         }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(nl) => {
-                buf.extend_from_slice(&chunk[..nl]);
-                r.consume(nl + 1);
-                break;
-            }
-            None => {
-                buf.extend_from_slice(chunk);
-                let n = chunk.len();
-                r.consume(n);
-            }
-        }
+        let nl = chunk.iter().position(|&b| b == b'\n');
+        let line_part = &chunk[..nl.unwrap_or(chunk.len())];
+        buf.extend_from_slice(line_part);
+        let used = line_part.len() + usize::from(nl.is_some());
+        r.consume(used);
         if buf.len() > MAX_HEADER_BYTES {
             return Err(bad_data(format!(
                 "frame header exceeds the {MAX_HEADER_BYTES}-byte limit"
             )));
+        }
+        if nl.is_some() {
+            break;
         }
     }
     String::from_utf8(buf)
@@ -202,6 +223,41 @@ mod tests {
         // Truncated header (no newline).
         let err = read_frame(&mut BufReader::new(&b"{\"op\""[..])).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_header_the_reader_would_refuse_is_not_written() {
+        let pad = |n: usize| ok_header("x", vec![("pad".to_string(), Json::Str("p".repeat(n)))]);
+        let fits = MAX_HEADER_BYTES + 1 - header_line(pad(0), None).unwrap().len();
+        assert_eq!(
+            header_line(pad(fits), None).unwrap().len(),
+            MAX_HEADER_BYTES + 1
+        );
+        let (h, _) = round_trip(pad(fits), None);
+        assert_eq!(h.get("pad").unwrap().as_str().unwrap().len(), fits);
+
+        let err = header_line(pad(fits + 1), None).unwrap_err();
+        assert_eq!(
+            err,
+            format!("header of 1048577 bytes exceeds the {MAX_HEADER_BYTES}-byte frame limit")
+        );
+        let mut wire = Vec::new();
+        let err = write_frame(&mut wire, pad(fits + 1), Some(b"body")).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert!(wire.is_empty(), "nothing is written");
+
+        // The reader draws the line exactly there too, however the line
+        // falls into its buffer's chunks.
+        let mut line = vec![b' '; MAX_HEADER_BYTES + 1];
+        line[..2].copy_from_slice(b"{}");
+        line.push(b'\n');
+        let err = read_frame(&mut BufReader::new(&line[..])).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(err.to_string().contains("limit"), "{err}");
+        line.remove(2);
+        assert!(read_frame(&mut BufReader::new(&line[..]))
+            .unwrap()
+            .is_some());
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! is service semantics: warm hits, coalesced concurrent submits, metrics,
 //! error responses, clean shutdown.
 
-use denovo_waste::{ExperimentSpec, ScaleProfile, Session, SystemVariant, WorkloadSet};
+use denovo_waste::{ExperimentSpec, Json, ScaleProfile, Session, SystemVariant, WorkloadSet};
+use std::io::BufReader;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use tw_bench::daemon::{client::Client, serve, Config};
+use tw_bench::daemon::{client::Client, serve, wire, Config};
 use tw_types::ProtocolKind;
 use tw_workloads::BenchmarkKind;
 
@@ -293,10 +295,7 @@ fn bad_requests_get_error_responses_not_a_dead_daemon() {
     assert!(err.contains("bad spec"), "{err}");
 
     // An unknown op over the raw wire is answered, not ignored.
-    use denovo_waste::Json;
-    use std::io::BufReader;
-    use tw_bench::daemon::wire;
-    let stream = std::os::unix::net::UnixStream::connect(&daemon.config.socket).unwrap();
+    let stream = UnixStream::connect(&daemon.config.socket).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
     wire::write_frame(
@@ -351,6 +350,135 @@ fn bad_requests_get_error_responses_not_a_dead_daemon() {
     assert_eq!(get("requests"), 5);
     assert_eq!(get("requests"), get("completed") + get("failed"));
 
+    daemon.stop();
+}
+
+/// A raw connection whose reads give up after the two seconds a boundary
+/// test allows, so a daemon that takes longer fails the test, not hangs it.
+struct Raw {
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
+}
+
+impl Raw {
+    fn open(daemon: &Daemon) -> Raw {
+        let stream = UnixStream::connect(&daemon.config.socket).unwrap();
+        stream.set_read_timeout(Some(BOUNDARY)).unwrap();
+        Raw {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        }
+    }
+
+    /// Sends one frame; returns the reply header and how long the exchange
+    /// took, sending included.
+    fn exchange(&mut self, header: Json, body: Option<&[u8]>) -> (Json, Duration) {
+        let started = Instant::now();
+        wire::write_frame(&mut self.writer, header, body).unwrap();
+        let (reply, _) = wire::read_frame(&mut self.reader)
+            .unwrap_or_else(|e| panic!("no reply within {BOUNDARY:?}: {e}"))
+            .expect("a reply");
+        (reply, started.elapsed())
+    }
+}
+
+/// How long the daemon may take over one input, however large its strings.
+const BOUNDARY: Duration = Duration::from_secs(2);
+
+fn op(name: &str, fields: Vec<(String, Json)>) -> Json {
+    let mut all = vec![("op".to_string(), Json::str(name))];
+    all.extend(fields);
+    Json::Obj(all)
+}
+
+/// `n` bytes of text with 1-, 2-, 3- and 4-byte characters.
+fn text_of(n: usize) -> String {
+    let piece = "plain \u{e9}\u{20ac}\u{1d11e} ";
+    let mut s = piece.repeat(n / piece.len() + 1);
+    while s.len() > n {
+        s.pop();
+    }
+    s
+}
+
+#[test]
+fn a_megabyte_header_string_is_answered_in_time() {
+    let daemon = Daemon::start("big-header", false);
+    let mut raw = Raw::open(&daemon);
+    let pad = text_of((1 << 20) - 64);
+    let (reply, took) = raw.exchange(op("ping", vec![("pad".to_string(), Json::Str(pad))]), None);
+    assert_eq!(reply.get("status").unwrap().as_str(), Ok("ok"));
+    assert!(took < BOUNDARY, "{took:?}");
+
+    // An unknown op is quoted back in the error, which then no longer fits
+    // a frame: the reply names its size and the limit instead.
+    let (reply, took) = raw.exchange(op(&text_of((1 << 20) - 16), vec![]), None);
+    let err = reply.get("error").unwrap().as_str().unwrap();
+    assert!(err.starts_with("reply header of "), "{err}");
+    assert!(
+        err.ends_with("exceeds the 1048576-byte frame limit"),
+        "{err}"
+    );
+    assert!(took < BOUNDARY, "{took:?}");
+
+    assert!(daemon.connect().ping().is_ok());
+    daemon.stop();
+}
+
+#[test]
+fn an_eight_mib_spec_string_is_answered_in_time() {
+    let daemon = Daemon::start("big-spec", false);
+    let mut spec = match Json::parse(&small_spec().to_json()).unwrap() {
+        Json::Obj(fields) => fields,
+        other => panic!("a spec is an object: {other:?}"),
+    };
+    // The protocol axis must be an array, and its error does not repeat
+    // the string.
+    let protocols = spec.iter_mut().find(|(k, _)| k == "protocols").unwrap();
+    protocols.1 = Json::Str(text_of(8 << 20));
+    let body = Json::Obj(spec).compact();
+    let (reply, took) = Raw::open(&daemon).exchange(op("submit", vec![]), Some(body.as_bytes()));
+    let err = reply.get("error").unwrap().as_str().unwrap();
+    assert!(err.contains("expected an array, found a string"), "{err}");
+    assert!(took < BOUNDARY, "{took:?}");
+
+    let mut client = daemon.connect();
+    assert!(client.ping().is_ok());
+    assert_eq!(
+        client.stats().unwrap().get("failed").unwrap().as_u64(),
+        Ok(1)
+    );
+    daemon.stop();
+}
+
+#[test]
+fn a_reply_header_too_long_to_send_fails_the_request() {
+    let daemon = Daemon::start("long-reply", false);
+    // The submit reply echoes the plan's name. Two MiB of it used to be
+    // sent, and counted completed, although the client's reader refuses any
+    // header over the one-MiB frame limit.
+    let mut spec = ExperimentSpec::subset(
+        vec![ProtocolKind::Mesi],
+        vec![BenchmarkKind::Fft],
+        ScaleProfile::Tiny,
+    );
+    spec.name = "n".repeat(2 << 20);
+    let mut client = daemon.connect();
+    let err = client.submit(&spec.to_json()).unwrap_err();
+    assert!(err.starts_with("reply header of 2097"), "{err}");
+    assert!(
+        err.ends_with(" bytes exceeds the 1048576-byte frame limit"),
+        "{err}"
+    );
+
+    // The request failed, and the connection and the daemon still answer.
+    let stats = client.stats().unwrap();
+    let get = |k: &str| stats.get(k).unwrap().as_u64().unwrap();
+    assert_eq!(
+        (get("requests"), get("completed"), get("failed")),
+        (1, 0, 1)
+    );
+    assert!(client.ping().is_ok());
     daemon.stop();
 }
 

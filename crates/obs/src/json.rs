@@ -121,14 +121,11 @@ impl Json {
     /// Any structural problem, with the offending byte offset or construct
     /// named.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { input, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.input.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
@@ -258,13 +255,18 @@ fn emit_str(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The document; string runs are copied out of it as slices.
+    input: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.input.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -274,7 +276,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -323,7 +325,7 @@ impl Parser<'_> {
                 self.pos
             ));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
+        let text = &self.input[start..self.pos];
         text.parse::<u64>()
             .map(Json::UInt)
             .map_err(|e| format!("integer `{text}` at byte {start}: {e}"))
@@ -351,11 +353,13 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
+                            if self.pos + 4 > self.input.len() {
                                 return Err("truncated \\u escape".to_string());
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "non-ASCII \\u escape".to_string())?;
+                            let hex = self
+                                .input
+                                .get(self.pos..self.pos + 4)
+                                .ok_or("non-ASCII \\u escape")?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| format!("bad \\u escape `{hex}`"))?;
                             // The codecs only escape control characters; no
@@ -370,13 +374,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always well-formed).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the plain run up to the next `"` or `\` in one
+                    // go. Both are ASCII, so the run ends on a char boundary
+                    // of the input, and no byte is examined twice.
+                    let rest = &self.bytes()[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.input[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -434,5 +441,152 @@ impl Parser<'_> {
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    /// One character of each UTF-8 width.
+    const WIDE: [&str; 4] = ["a", "\u{e9}", "\u{20ac}", "\u{1d11e}"];
+
+    #[test]
+    fn multi_byte_text_next_to_escapes_survives() {
+        // (as written in a document, as decoded)
+        let neighbours = [
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\n", "\n"),
+            ("\u{e9}", "\u{e9}"),
+        ];
+        for c in WIDE {
+            assert_eq!(Json::parse(&format!("\"{c}\"")), Ok(Json::str(c)));
+            for (written, decoded) in neighbours {
+                for (doc, want) in [
+                    (format!("\"{c}{written}{c}\""), format!("{c}{decoded}{c}")),
+                    (format!("\"{written}{c}\""), format!("{decoded}{c}")),
+                    (format!("\"{c}{written}\""), format!("{c}{decoded}")),
+                ] {
+                    assert_eq!(Json::parse(&doc), Ok(Json::Str(want)), "{doc}");
+                }
+                // The same text as an object key.
+                let doc = format!("{{\"{c}{written}\":\"{c}\"}}");
+                let want = Json::Obj(vec![(format!("{c}{decoded}"), Json::str(c))]);
+                assert_eq!(Json::parse(&doc), Ok(want), "{doc}");
+            }
+        }
+    }
+
+    /// A seeded xorshift stream: the round trip below is the same test on
+    /// every run.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn text(&mut self) -> String {
+            let alphabet: Vec<char> = "ab /\"\\\n\r\t\u{0}\u{1}\u{1f}\u{7f}\u{e9}\u{20ac}\u{1d11e}"
+                .chars()
+                .collect();
+            (0..self.below(24))
+                .map(|_| alphabet[self.below(alphabet.len())])
+                .collect()
+        }
+
+        fn value(&mut self, depth: usize) -> Json {
+            match self.below(if depth == 0 { 2 } else { 4 }) {
+                0 => Json::Str(self.text()),
+                1 => Json::UInt(self.0 >> self.below(64)),
+                2 => Json::Arr((0..self.below(4)).map(|_| self.value(depth - 1)).collect()),
+                _ => {
+                    let mut fields: Vec<(String, Json)> = Vec::new();
+                    for _ in 0..self.below(4) {
+                        let key = self.text();
+                        if fields.iter().all(|(k, _)| *k != key) {
+                            fields.push((key, self.value(depth - 1)));
+                        }
+                    }
+                    Json::Obj(fields)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_documents_round_trip_through_both_writers() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..2000 {
+            let doc = rng.value(3);
+            assert_eq!(
+                Json::parse(&doc.pretty()).as_ref(),
+                Ok(&doc),
+                "{}",
+                doc.pretty()
+            );
+            assert_eq!(
+                Json::parse(&doc.compact()).as_ref(),
+                Ok(&doc),
+                "{}",
+                doc.compact()
+            );
+        }
+    }
+
+    #[test]
+    fn error_texts_are_unchanged() {
+        for (input, want) in [
+            ("\"abc", "unterminated string"),
+            ("\"a\u{e9}\u{1d11e}", "unterminated string"),
+            ("[\"a\\\"b", "unterminated string"),
+            ("\"a\\", "unterminated escape"),
+            ("\"\\u12", "truncated \\u escape"),
+            ("\"\\u123\u{e9}\"", "non-ASCII \\u escape"),
+            ("\"\\u12\u{e9}\"", "bad \\u escape `12\u{e9}`"),
+            ("\"\\u12g4\"", "bad \\u escape `12g4`"),
+            ("\"\\ud800\"", "\\ud800 is not a scalar value"),
+            ("\"\\x\"", "unknown escape `\\x`"),
+            ("", "unexpected end of input"),
+            ("@", "unexpected `@` at byte 0"),
+            ("null", "booleans and null are not part of this schema (byte 0)"),
+            ("-1", "negative numbers are not part of this schema (byte 0)"),
+            (
+                "[1.5]",
+                "floats are not part of this schema (byte 2); encode f64 fields as bit-pattern strings",
+            ),
+            (
+                "99999999999999999999",
+                "integer `99999999999999999999` at byte 0: number too large to fit in target type",
+            ),
+            ("[1 2]", "expected `,` or `]` at byte 3"),
+            ("{\"a\":1 \"b\"}", "expected `,` or `}` at byte 7"),
+            ("{\"a\" 1}", "expected `:` at byte 5, found `1`"),
+            ("{\"a\"", "expected `:` at byte 4, found end of input"),
+            ("{1:2}", "expected `\"` at byte 1, found `1`"),
+            ("{\"k\":1,\"k\":2}", "duplicate key `k`"),
+            ("{} x", "trailing data at byte 3"),
+        ] {
+            assert_eq!(Json::parse(input), Err(want.to_string()), "{input}");
+        }
+    }
+
+    #[test]
+    fn a_sixteen_mib_string_parses_in_linear_time() {
+        let piece = "plain text \u{e9} \u{20ac} \u{1d11e} \" \\ \n\t";
+        let doc = Json::Arr(vec![Json::Str(piece.repeat((16 << 20) / piece.len() + 1))]);
+        let text = doc.compact();
+        let started = Instant::now();
+        let parsed = Json::parse(&text);
+        let took = started.elapsed();
+        assert_eq!(parsed, Ok(doc));
+        // Linear takes milliseconds even unoptimized; a reader quadratic in
+        // its input would take hours.
+        assert!(took < Duration::from_secs(10), "{took:?}");
     }
 }
