@@ -3,7 +3,7 @@
 //! help text rendered from the table (so neither can drift from what is
 //! accepted). DESIGN.md §16 states the rules [`parse`] applies.
 
-use crate::{daemon, figures, fuzz, plan, profile, trace};
+use crate::{daemon, figures, fuzz, plan, profile, trace, workloads};
 use denovo_waste::ScaleProfile;
 use std::process::ExitCode;
 
@@ -114,6 +114,9 @@ pub static COMMANDS: &[Command] = &[
         // Fuzzing wants breadth over fidelity: default to the tiny geometry.
         .scale(ScaleProfile::Tiny)
         .summary("sweep synthesized workloads across every protocol against the golden model; --self-test proves the oracle catches injected bugs"),
+    Command::new(&["workloads"], workloads::run)
+        .flags(&[switch("--write"), switch("--check")])
+        .summary("print the builtin workloads' digest table; --write records it as WORKLOADS.digests, --check exits 1 unless that file is what the generators make"),
     Command::new(&["serve"], daemon::serve)
         .flags(&[SOCKET, CACHE, switch("--no-cache"), RECORD])
         .summary("run the experiments daemon in the foreground until a client sends shutdown (cache: .exp-cache)"),
@@ -170,7 +173,7 @@ impl Command {
     }
 
     /// `experiments <path> <operands> [flags]`, as accepted by [`parse`].
-    fn synopsis(&self) -> String {
+    pub fn synopsis(&self) -> String {
         let mut s = String::from("experiments");
         for p in self.path {
             s += &format!(" {p}");
@@ -225,7 +228,8 @@ BENCH_results.json and fuzz digests are byte-identical with and without it.
 exit codes (uniform across every subcommand):
   0  success
   1  a check failed: trace diff divergence, profile diff divergence,
-     roundtrip mismatch, fuzz invariant violations, failed fuzz self-test
+     roundtrip mismatch, fuzz invariant violations, failed fuzz self-test,
+     a stale WORKLOADS.digests
   2  invalid or failed request: unknown flags/figures/subcommands,
      unreadable or malformed inputs (including corrupt/truncated span
      traces), specs that do not compile, runs that fail, output producing
@@ -523,6 +527,8 @@ fuzz --seeds 50 => fuzz |  | --seeds=50 | tiny
 fuzz --self-test => fuzz |  | --self-test | tiny
 fuzz --seeds 8 --start 1000 --tiny => fuzz |  | --seeds=8 --start=1000 | tiny
 fuzz --seeds 12 --tiny --network analytic --record f.jsonl => fuzz |  | --seeds=12 --network=analytic --record=f.jsonl | tiny
+workloads --check => workloads |  | --check | -
+workloads --write => workloads |  | --write | -
 serve --socket /tmp/exp.sock --cache .exp-cache => serve |  | --socket=/tmp/exp.sock --cache=.exp-cache | -
 serve --socket s.sock --cache c/entries --record d.jsonl => serve |  | --socket=s.sock --cache=c/entries --record=d.jsonl | -
 submit plan-tiny.json --socket s.sock --json cold.json => submit | plan-tiny.json | --socket=s.sock --json=cold.json | -

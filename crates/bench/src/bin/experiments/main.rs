@@ -19,7 +19,8 @@
 //!
 //! * **0** — success;
 //! * **1** — a *check* failed: `trace diff` divergence, a `trace roundtrip`
-//!   mismatch, fuzz invariant violations, a failed fuzz self-test;
+//!   mismatch, fuzz invariant violations, a failed fuzz self-test, a stale
+//!   `WORKLOADS.digests`;
 //! * **2** — the *request* was invalid or could not be carried out: unknown
 //!   flags/figures/subcommands, unreadable or malformed inputs, specs that
 //!   do not compile, runs that fail, output that produces no cells, daemon
@@ -35,9 +36,11 @@ mod fuzz;
 mod plan;
 mod profile;
 mod trace;
+mod workloads;
 
 use denovo_waste::{
-    CacheStats, CellGroup, CompiledPlan, ExperimentSpec, PlanOutcome, Session, WorkloadSet,
+    CacheStats, CellGroup, CompiledPlan, ExperimentSpec, PlanOutcome, Session, SessionCounters,
+    WorkloadSet,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -74,13 +77,13 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
 }
 
 /// What [`run_plan`] did: the compiled plan, its outcome, the wall time of
-/// compiling and executing it, the generated workloads whose records it
-/// built, and the flight recorder when one was armed.
+/// compiling and executing it, its session's counters, and the flight
+/// recorder when one was armed.
 struct Ran {
     plan: CompiledPlan,
     outcome: PlanOutcome,
     wall: Duration,
-    materialized: u64,
+    counters: SessionCounters,
     recorder: Option<Arc<FlightRecorder>>,
 }
 
@@ -116,7 +119,7 @@ fn run_plan(
         plan,
         outcome,
         wall,
-        materialized: session.counters().workloads_materialized,
+        counters: session.counters(),
         recorder,
     })
 }

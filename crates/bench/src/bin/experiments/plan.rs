@@ -116,7 +116,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     if let Some(path) = args.value("--stats") {
         write_file(
             path,
-            tw_bench::cache_stats_json(&outcome.name, &outcome.cache, ran.materialized),
+            tw_bench::cache_stats_json(&outcome.name, &outcome.cache, &ran.counters),
         )?;
     }
     Ok(ExitCode::SUCCESS)

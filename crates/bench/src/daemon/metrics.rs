@@ -261,7 +261,7 @@ impl Row {
 }
 
 /// The shared session's reading, in `stats` order.
-fn session_rows(session: &SessionCounters) -> [Row; 6] {
+fn session_rows(session: &SessionCounters) -> [Row; 7] {
     [
         Row::counter(
             "workload_memo_hits_total",
@@ -272,8 +272,14 @@ fn session_rows(session: &SessionCounters) -> [Row; 6] {
         Row::counter(
             "workload_memo_builds_total",
             "tw_daemon_workload_memo_builds_total",
-            "Workload lookups that ran a workload's digest pass",
+            "Workload lookups that made a memo entry, from a committed line or by the digest pass",
             session.memo_builds,
+        ),
+        Row::counter(
+            "workload_digest_passes_total",
+            "tw_daemon_workload_digest_passes_total",
+            "Memo entries made by running a workload's digest pass",
+            session.digest_passes,
         ),
         Row::counter(
             "workloads_materialized_total",
@@ -319,6 +325,7 @@ mod tests {
     const SESSION: SessionCounters = SessionCounters {
         memo_hits: 6,
         memo_builds: 12,
+        digest_passes: 3,
         workloads_materialized: 5,
         flight_slots: 2,
         pool_threads: 2,
@@ -371,6 +378,7 @@ mod tests {
         assert_eq!(field(&snap, "hit_rate").as_str(), Ok("0.6250"));
         assert_eq!(field(&snap, "workload_memo_hits_total").as_u64(), Ok(6));
         assert_eq!(field(&snap, "workload_memo_builds_total").as_u64(), Ok(12));
+        assert_eq!(field(&snap, "workload_digest_passes_total").as_u64(), Ok(3));
         assert_eq!(field(&snap, "workloads_materialized_total").as_u64(), Ok(5));
         assert_eq!(field(&snap, "flight_table_slots").as_u64(), Ok(2));
         assert_eq!(field(&snap, "pool_threads").as_u64(), Ok(2));
@@ -413,7 +421,7 @@ mod tests {
         let rows: Vec<Row> = (m.service_rows(2, 64, 4).into_iter())
             .chain(session_rows(&SESSION))
             .collect();
-        assert_eq!(rows.len(), 18);
+        assert_eq!(rows.len(), 19);
         for row in &rows {
             assert!(field(&snap, row.key).as_u64().is_ok(), "{}", row.key);
             let n = families.iter().filter(|f| **f == row.family).count();
@@ -442,6 +450,7 @@ mod tests {
         assert!(text.contains("tw_daemon_cells_total 8\n"));
         assert!(text.contains("# TYPE tw_daemon_workload_memo_hits_total counter\n"));
         assert!(text.contains("tw_daemon_workload_memo_builds_total 12\n"));
+        assert!(text.contains("tw_daemon_workload_digest_passes_total 3\n"));
         assert!(text.contains("# TYPE tw_daemon_flight_table_slots gauge\n"));
         assert!(text.contains("# TYPE tw_daemon_workloads_materialized_total counter\n"));
         assert!(text.contains("tw_daemon_workloads_materialized_total 5\n"));

@@ -181,6 +181,16 @@ impl Drop for Running<'_> {
 /// A socket already served by a live daemon, an unbindable socket path, or
 /// a cache directory that cannot be created/swept.
 pub fn serve(config: &Config) -> Result<(), String> {
+    serve_with(config, Session::with_threads(config.workers))
+}
+
+/// [`serve`] on `session` (routed through the config's cache directory and
+/// recorder here) instead of a fresh one of `config.workers` threads.
+///
+/// # Errors
+///
+/// As [`serve`].
+pub fn serve_with(config: &Config, mut session: Session) -> Result<(), String> {
     // A leftover socket file from a crashed daemon would make bind fail
     // forever; only refuse when something actually answers on it.
     if config.socket.exists() {
@@ -198,7 +208,6 @@ pub fn serve(config: &Config) -> Result<(), String> {
         })?;
     }
 
-    let mut session = Session::with_threads(config.workers);
     if let Some(dir) = &config.cache_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create cache directory {}: {e}", dir.display()))?;

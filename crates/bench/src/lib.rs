@@ -15,7 +15,8 @@
 pub mod daemon;
 
 use denovo_waste::{
-    CacheStats, ExperimentError, FigureTable, PlanOutcome, ScaleProfile, SimConfig, Simulator,
+    CacheStats, ExperimentError, FigureTable, PlanOutcome, ScaleProfile, SessionCounters,
+    SimConfig, Simulator,
 };
 use std::fmt::Write as _;
 use tw_obs::escaped;
@@ -270,18 +271,20 @@ pub fn plan_figures_json(outcome: &PlanOutcome) -> Result<String, ExperimentErro
 
 /// Serializes a plan run's cache statistics — the `plan run --stats`
 /// artifact CI uploads next to `BENCH_results.json` — with the number of
-/// generated workloads whose records the run built
-/// ([`denovo_waste::SessionCounters::workloads_materialized`]).
-pub fn cache_stats_json(plan: &str, stats: &CacheStats, workloads_materialized: u64) -> String {
+/// generated workloads whose records the run built and of the digest passes
+/// its compile ran ([`SessionCounters::workloads_materialized`],
+/// [`SessionCounters::digest_passes`]).
+pub fn cache_stats_json(plan: &str, stats: &CacheStats, session: &SessionCounters) -> String {
     format!(
-        "{{\n  \"schema\": \"denovo-waste/cache-stats/v1\",\n  \"plan\": \"{}\",\n  \"cells\": {},\n  \"hits\": {},\n  \"misses\": {},\n  \"coalesced\": {},\n  \"hit_rate\": {},\n  \"workloads_materialized\": {}\n}}\n",
+        "{{\n  \"schema\": \"denovo-waste/cache-stats/v1\",\n  \"plan\": \"{}\",\n  \"cells\": {},\n  \"hits\": {},\n  \"misses\": {},\n  \"coalesced\": {},\n  \"hit_rate\": {},\n  \"workloads_materialized\": {},\n  \"digest_passes\": {}\n}}\n",
         escaped(plan),
         stats.total(),
         stats.hits,
         stats.misses,
         stats.coalesced,
         json_num(stats.hit_rate()),
-        workloads_materialized,
+        session.workloads_materialized,
+        session.digest_passes,
     )
 }
 
@@ -337,11 +340,12 @@ mod tests {
         assert!(plan_json.contains("denovo-waste/plan-results/v1"));
         assert!(plan_json.contains("Figure 5.1a"));
 
-        let materialized = session.counters().workloads_materialized;
-        assert_eq!(materialized, 2, "both workloads ran");
-        let stats = cache_stats_json(&outcome.name, &outcome.cache, materialized);
+        let counters = session.counters();
+        assert_eq!(counters.workloads_materialized, 2, "both workloads ran");
+        let stats = cache_stats_json(&outcome.name, &outcome.cache, &counters);
         assert!(stats.contains("\"hits\": 0"));
-        assert!(stats.contains("\"workloads_materialized\": 2\n"));
+        assert!(stats.contains("\"workloads_materialized\": 2,\n"));
+        assert!(stats.contains("\"digest_passes\": 0\n"));
         // One simulation per distinct machine: neither input has a
         // communication region, so DFlexL1 is DeNovo's machine on both.
         let machines: std::collections::BTreeSet<_> = plan

@@ -52,6 +52,7 @@ fn help_exits_zero_and_documents_the_contract() {
             "fuzz",
             "--seeds --start --streaming-every --network --record --self-test --tiny",
         ),
+        ("workloads", "--write --check"),
         ("serve", "--socket --cache --no-cache --record"),
         ("submit", "<spec.json> --socket --json"),
         ("stats", "--socket"),
@@ -340,5 +341,37 @@ fn profile_separates_check_failure_from_bad_request() {
     let (code, _, stderr) = run_in(&dir, &["profile", "diff", "a.jsonl", "trunc.jsonl"]);
     assert_eq!(code, 2, "a truncated trace is a bad request: {stderr}");
     assert!(stderr.contains("truncated"), "names the failure: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn workloads_check_separates_a_stale_table_from_a_bad_request() {
+    let dir = scratch("workloads");
+    let (code, _, stderr) = run_in(&dir, &["workloads", "--check"]);
+    assert_eq!(code, 2, "no WORKLOADS.digests here: {stderr}");
+    assert!(stderr.contains("cannot read WORKLOADS.digests"), "{stderr}");
+    let (code, _, stderr) = run_in(&dir, &["workloads", "--write", "--check"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("usage: experiments workloads"), "{stderr}");
+
+    // What `--write` records is the committed file, and `--check` passes on
+    // it until a line is edited by hand.
+    let (code, _, stderr) = run_in(&dir, &["workloads", "--write"]);
+    assert_eq!(code, 0, "{stderr}");
+    let path = dir.join("WORKLOADS.digests");
+    let written = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(written, include_str!("../../../WORKLOADS.digests"));
+    let line = written
+        .lines()
+        .find(|l| l.starts_with("tiny LU 16 "))
+        .unwrap();
+    let edited = format!("{}1", &line[..line.len() - 1]);
+    std::fs::write(&path, written.replace(line, &edited)).unwrap();
+    let (code, _, stderr) = run_in(&dir, &["workloads", "--check"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains("WORKLOADS.digests is stale: line 3 is `tiny LU 16 "),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

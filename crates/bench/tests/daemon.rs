@@ -12,7 +12,7 @@ use std::io::BufReader;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use tw_bench::daemon::{client::Client, serve, wire, Config};
+use tw_bench::daemon::{client::Client, serve, serve_with, wire, Config};
 use tw_types::ProtocolKind;
 use tw_workloads::BenchmarkKind;
 
@@ -29,6 +29,16 @@ impl Daemon {
 
     /// Like [`Daemon::start`], with `configure` applied to the config last.
     fn start_with(name: &str, cache: bool, configure: impl FnOnce(&mut Config)) -> Daemon {
+        Self::start_on(name, cache, configure, None)
+    }
+
+    /// Like [`Daemon::start_with`], serving on `session` when one is given.
+    fn start_on(
+        name: &str,
+        cache: bool,
+        configure: impl FnOnce(&mut Config),
+        session: Option<Session>,
+    ) -> Daemon {
         let scratch = std::env::temp_dir().join(format!("tw-daemon-{name}"));
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
@@ -39,7 +49,10 @@ impl Daemon {
         configure(&mut config);
         let thread = std::thread::spawn({
             let config = config.clone();
-            move || serve(&config)
+            move || match session {
+                Some(session) => serve_with(&config, session),
+                None => serve(&config),
+            }
         });
         let daemon = Daemon {
             config,
@@ -203,6 +216,9 @@ fn metrics_exposition_is_well_formed_and_monotone() {
     );
     assert_eq!(scrape(&m2, "tw_daemon_latency_us_count"), 2);
     assert_eq!(scrape(&m1, "tw_daemon_workload_memo_hits_total"), 0);
+    // Both workloads' lines are committed: compile read their headers and
+    // ran no digest pass.
+    assert_eq!(scrape(&m2, "tw_daemon_workload_digest_passes_total"), 0);
     assert_eq!(
         scrape(&m2, "tw_daemon_workload_memo_hits_total"),
         scrape(&m2, "tw_daemon_workload_memo_builds_total")
@@ -350,6 +366,55 @@ fn bad_requests_get_error_responses_not_a_dead_daemon() {
     assert_eq!(get("requests"), 5);
     assert_eq!(get("requests"), get("completed") + get("failed"));
 
+    daemon.stop();
+}
+
+#[test]
+fn a_stale_workload_line_is_an_error_response_not_a_dead_daemon() {
+    // Tiny FFT's committed line with its content digest perturbed: its
+    // header still digests to the line's, so compile trusts it, and the
+    // first run that builds the records refuses them.
+    let committed = include_str!("../../../WORKLOADS.digests");
+    let line = committed
+        .lines()
+        .find(|l| l.starts_with("tiny FFT 16 "))
+        .unwrap();
+    let fields: Vec<&str> = line.split(' ').collect();
+    let stale_digest = format!("{}0", &fields[4][..31]);
+    assert_ne!(stale_digest, fields[4]);
+    let stale = line.replace(fields[4], &stale_digest);
+    let session = Session::with_threads(2)
+        .with_workload_digests(&committed.replace(line, &stale))
+        .unwrap();
+    let daemon = Daemon::start_on("stale-line", true, |_| {}, Some(session));
+    let spec = ExperimentSpec::subset(
+        vec![ProtocolKind::Mesi],
+        vec![BenchmarkKind::Fft],
+        ScaleProfile::Tiny,
+    );
+    let mut client = daemon.connect();
+    for _ in 0..2 {
+        let err = client.submit(&spec.to_json()).unwrap_err();
+        assert_eq!(
+            err,
+            "cannot execute plan: cannot build workload: tiny scale: \
+             FFT on 16 cores built other records than it digested"
+        );
+        assert!(client.ping().is_ok());
+    }
+    let stats = client.stats().unwrap();
+    let get = |k: &str| stats.get(k).unwrap().as_u64().unwrap();
+    assert_eq!((get("requests"), get("failed")), (2, 2));
+    assert_eq!(get("workload_digest_passes_total"), 0);
+    assert_eq!(get("workloads_materialized_total"), 0);
+    assert_eq!(get("flight_table_slots"), 0);
+    // The other lines are as committed: radix runs.
+    let radix = ExperimentSpec::subset(
+        vec![ProtocolKind::Mesi],
+        vec![BenchmarkKind::Radix],
+        ScaleProfile::Tiny,
+    );
+    assert_eq!(client.submit(&radix.to_json()).unwrap().misses, 1);
     daemon.stop();
 }
 

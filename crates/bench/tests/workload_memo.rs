@@ -1,7 +1,9 @@
 //! The session's workload memo, from outside: `Session::compile` is
-//! `ExperimentSpec::compile` with the generated workloads' digest pass
-//! shared, and only generated workloads are shared. Their records are not:
-//! each execute builds the ones its runs read, and the plan keeps none.
+//! `ExperimentSpec::compile` with the generated workloads' digests shared,
+//! and only generated workloads are shared. Their records are not: each
+//! execute builds the ones its runs read, and the plan keeps none. A
+//! builtin key's digest is read from `WORKLOADS.digests`; only another
+//! core count runs the digest pass.
 
 use denovo_waste::{
     ExperimentError, ExperimentSpec, ScaleProfile, Session, SystemVariant, WorkloadSet,
@@ -71,6 +73,9 @@ proptest! {
         let distinct = spec.workloads.len() as u64 * if small_mesh { 2 } else { 1 };
         let counters = session.counters();
         prop_assert_eq!((counters.memo_builds, counters.memo_hits), (distinct, distinct));
+        // The 2x2 mesh's four-core workloads have no committed line.
+        let passes = if small_mesh { spec.workloads.len() as u64 } else { 0 };
+        prop_assert_eq!(counters.digest_passes, passes);
     }
 }
 
@@ -96,6 +101,22 @@ fn two_threads_compiling_one_spec_build_each_workload_once() {
     }
     let counters = session.counters();
     assert_eq!((counters.memo_builds, counters.memo_hits), (6, 6));
+    assert_eq!(counters.digest_passes, 0);
+}
+
+/// Every builtin plan's workloads are committed lines: compiling the Scaled
+/// matrix, and the same with the network axis, generates no stream.
+#[test]
+fn a_builtin_scaled_plan_runs_no_digest_pass() {
+    let session = Session::new();
+    let mut spec = ExperimentSpec::full_matrix(ScaleProfile::Scaled);
+    let plan = session.compile(&spec, &WorkloadSet::new()).unwrap();
+    spec.networks = tw_types::NetworkModelKind::ALL.to_vec();
+    let networks = session.compile(&spec, &WorkloadSet::new()).unwrap();
+    assert_eq!((plan.cells.len(), networks.cells.len()), (54, 162));
+    let counters = session.counters();
+    assert_eq!((counters.memo_builds, counters.digest_passes), (6, 0));
+    assert!(networks.cells.iter().all(|c| !c.workload.traces.is_built()));
 }
 
 #[test]
@@ -165,6 +186,7 @@ fn a_later_plan_builds_its_own_records() {
     session.execute(&matrix).unwrap();
     assert!(matrix.cells.iter().all(|c| !c.workload.traces.is_built()));
     assert_eq!(session.counters().workloads_materialized, 6);
+    assert_eq!(session.counters().digest_passes, 0);
 
     // One plan executed twice builds its records twice, once per execute.
     // The cache is emptied in between, so that the second execute
@@ -211,4 +233,5 @@ fn a_paper_scale_entry_is_kept() {
     }
     let counters = session.counters();
     assert_eq!((counters.memo_builds, counters.memo_hits), (1, 1));
+    assert_eq!(counters.digest_passes, 0, "its line is committed");
 }

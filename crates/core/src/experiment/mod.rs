@@ -21,6 +21,7 @@ mod pool;
 pub mod session;
 
 pub use json::Json;
+pub use memo::workload_digests;
 pub use outcome::{HeadlineSummary, PlanOutcome};
 pub use plan::{
     Baseline, CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, RowKey, SystemVariant,

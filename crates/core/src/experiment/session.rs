@@ -24,10 +24,11 @@
 
 use super::codec;
 use super::json::Json;
-use super::memo::WorkloadMemo;
+use super::memo::{self, WorkloadMemo};
 use super::outcome::PlanOutcome;
 use super::plan::{CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, WorkloadSet};
 use super::pool::Pool;
+use super::ScaleProfile;
 use crate::report::SimReport;
 use crate::sim::{SimConfig, Simulator};
 use std::collections::BTreeMap;
@@ -191,8 +192,15 @@ pub struct SessionCounters {
     /// Workload lookups served without generating: a memo entry, or a
     /// build another thread was already running.
     pub memo_hits: u64,
-    /// Workload lookups that ran a workload's digest pass.
+    /// Workload lookups that made a memo entry: from a committed
+    /// `WORKLOADS.digests` line, reading only the generator's header, or by
+    /// the digest pass.
     pub memo_builds: u64,
+    /// Memo entries made by running a workload's digest pass: keys with no
+    /// committed line (a core count no builtin plan uses), or whose line's
+    /// header digest the generator no longer makes. A builtin plan counts
+    /// none, cold or warm.
+    pub digest_passes: u64,
     /// Workload records that runs built: compile only digests a generated
     /// workload, and each `execute` builds a workload's records at most
     /// once, when one of its runs simulates, and drops them after its last
@@ -280,9 +288,28 @@ impl Session {
         self
     }
 
+    /// This session, its workload memo seeded from `table` (the format of
+    /// `WORKLOADS.digests`) instead of the committed table: a way to see
+    /// what a stale or edited line does.
+    ///
+    /// # Errors
+    ///
+    /// A table that does not parse, naming its line.
+    ///
+    /// # Panics
+    ///
+    /// If the session was cloned already: its clones share one memo.
+    pub fn with_workload_digests(mut self, table: &str) -> Result<Self, ExperimentError> {
+        let table = memo::parse_table(table).map_err(ExperimentError::Workload)?;
+        Arc::get_mut(&mut self.state)
+            .expect("a session takes its workload digests before it is cloned")
+            .memo = WorkloadMemo::with_table(Arc::new(table));
+        Ok(self)
+    }
+
     /// Compiles a spec, taking generated workloads from (and leaving them
     /// in) this session's memo: the second plan over a benchmark shares the
-    /// first one's digest pass instead of running it again. Its records are
+    /// first one's entry instead of making it again. Its records are
     /// built by each [`Session::execute`] whose runs read them.
     /// [`ExperimentSpec::compile`] is this, on a session made for the call.
     pub fn compile(
@@ -321,6 +348,7 @@ impl Session {
         SessionCounters {
             memo_hits: memo.hits,
             memo_builds: memo.builds,
+            digest_passes: memo.digest_passes,
             workloads_materialized: self.state.materialized.load(Ordering::Relaxed),
             flight_slots: self.state.inflight.lock().expect("inflight lock").len() as u64,
             pool_threads: self.state.pool.threads(),
@@ -374,7 +402,7 @@ impl Session {
                 let cell = &leaders[0].2;
                 let lease = leases
                     .entry(cell.workload_ref.digest)
-                    .or_insert_with(|| Arc::new(Lease::new(&cell.workload)));
+                    .or_insert_with(|| Arc::new(Lease::new(&cell.workload, plan.scale)));
                 lease.lend();
                 (Arc::clone(lease), leaders)
             })
@@ -559,7 +587,7 @@ impl Session {
         }
         if let Some(&first) = missing.first() {
             let t = timer();
-            let workload = lease.records(&self.state.materialized);
+            let workload = lease.records(&self.state.materialized)?;
             let lanes = missing
                 .iter()
                 .map(|&k| self.config(members[k].cell, members[k].sink.clone()))
@@ -681,21 +709,25 @@ impl Drop for Vacate<'_> {
 struct Lease {
     /// The plan's workload.
     workload: Arc<Workload>,
+    /// The plan's scale, for the error of a build that fails.
+    scale: ScaleProfile,
     /// Runs that have not given their share back, and the copy they read
     /// once one of them built it.
     held: Mutex<(usize, Option<Arc<Workload>>)>,
 }
 
 impl Lease {
-    fn new(workload: &Arc<Workload>) -> Self {
+    fn new(workload: &Arc<Workload>, scale: ScaleProfile) -> Self {
         Lease {
             workload: Arc::clone(workload),
+            scale,
             held: Mutex::default(),
         }
     }
 
-    /// The count and the copy. A build that panicked stored no copy and a
-    /// count changes whole, so a poisoned lease is still consistent.
+    /// The count and the copy. A build that failed or panicked stored no
+    /// copy and a count changes whole, so a poisoned lease is still
+    /// consistent.
     fn held(&self) -> MutexGuard<'_, (usize, Option<Arc<Workload>>)> {
         self.held.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -717,21 +749,25 @@ struct Share<'l>(&'l Lease);
 impl Share<'_> {
     /// The workload with its records in memory: the plan's own if they are
     /// there, else the lease's copy, built by the first caller (counted on
-    /// `materialized`) while any other waits for it.
-    fn records(&self, materialized: &AtomicU64) -> Arc<Workload> {
+    /// `materialized`) while any other waits for it. Records that are not
+    /// the ones the workload's digest and counts name are an error, and
+    /// leave no copy: the next run builds again, and fails alike.
+    fn records(&self, materialized: &AtomicU64) -> Result<Arc<Workload>, ExperimentError> {
         let lease = self.0;
         if lease.workload.traces.is_built() {
-            return Arc::clone(&lease.workload);
+            return Ok(Arc::clone(&lease.workload));
         }
         let mut held = lease.held();
-        let copy = held.1.get_or_insert_with(|| {
-            // A clone of unbuilt streams is the recipe alone.
-            let copy = Workload::clone(&lease.workload);
-            copy.traces.materialize();
-            materialized.fetch_add(1, Ordering::Relaxed);
-            Arc::new(copy)
-        });
-        Arc::clone(copy)
+        if let Some(copy) = &held.1 {
+            return Ok(Arc::clone(copy));
+        }
+        // A clone of unbuilt streams is the recipe alone.
+        let copy = Workload::clone(&lease.workload);
+        copy.traces
+            .try_materialize()
+            .map_err(|e| ExperimentError::Workload(format!("{} scale: {e}", lease.scale.name())))?;
+        materialized.fetch_add(1, Ordering::Relaxed);
+        Ok(Arc::clone(held.1.insert(Arc::new(copy))))
     }
 }
 
@@ -937,7 +973,7 @@ mod tests {
         let plan = ExperimentSpec::subset(
             vec![ProtocolKind::Mesi],
             vec![tw_workloads::BenchmarkKind::Fft],
-            super::super::ScaleProfile::Tiny,
+            ScaleProfile::Tiny,
         )
         .compile(&WorkloadSet::new())
         .unwrap();
@@ -954,7 +990,7 @@ mod tests {
         let mut plan = ExperimentSpec::subset(
             vec![ProtocolKind::Mesi],
             vec![tw_workloads::BenchmarkKind::Fft],
-            super::super::ScaleProfile::Tiny,
+            ScaleProfile::Tiny,
         )
         .compile(&WorkloadSet::new())
         .unwrap();
@@ -967,6 +1003,47 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn records_that_are_not_the_committed_ones_are_an_experiment_error() {
+        // A hand-built plan whose workload carries a stale committed digest:
+        // its first run that builds the records refuses them, names the
+        // workload, and keeps no copy, so the next execute fails alike.
+        let mut plan = ExperimentSpec::subset(
+            vec![ProtocolKind::Mesi, ProtocolKind::DeNovo],
+            vec![tw_workloads::BenchmarkKind::Fft],
+            ScaleProfile::Tiny,
+        )
+        .compile(&WorkloadSet::new())
+        .unwrap();
+        let fft = &plan.cells[0].workload;
+        let (stale, _) = tw_workloads::Generator::tiny(tw_workloads::BenchmarkKind::Fft)
+            .unwrap()
+            .committed(
+                16,
+                Digest(1),
+                fft.traces.record_count(),
+                fft.traces.mem_ops(),
+            )
+            .unwrap();
+        let stale = Arc::new(stale);
+        for cell in &mut plan.cells {
+            cell.workload = Arc::clone(&stale);
+        }
+        let session = Session::new();
+        for _ in 0..2 {
+            let err = session.execute(&plan).unwrap_err();
+            assert_eq!(
+                err,
+                ExperimentError::Workload(
+                    "tiny scale: FFT on 16 cores built other records than it digested".into()
+                )
+            );
+        }
+        assert_eq!(session.counters().workloads_materialized, 0);
+        assert_eq!(session.counters().flight_slots, 0);
+        assert!(!stale.traces.is_built());
     }
 
     /// A lazy Tiny FFT workload on four cores: its digest pass is done, its
@@ -982,7 +1059,7 @@ mod tests {
 
     /// A lease counted for `runs` runs, as `execute` lends it.
     fn lease_for(workload: &Arc<Workload>, runs: usize) -> Lease {
-        let lease = Lease::new(workload);
+        let lease = Lease::new(workload, ScaleProfile::Tiny);
         for _ in 0..runs {
             lease.lend();
         }
@@ -995,10 +1072,10 @@ mod tests {
         let lease = lease_for(&plan, 2);
         let materialized = AtomicU64::new(0);
         let (first, second) = (lease.share(), lease.share());
-        let copy = Arc::downgrade(&first.records(&materialized));
+        let copy = Arc::downgrade(&first.records(&materialized).unwrap());
         let read = copy.upgrade().expect("the lease holds the copy");
         assert!(read.traces.is_built() && !Arc::ptr_eq(&read, &plan));
-        assert!(Arc::ptr_eq(&second.records(&materialized), &read));
+        assert!(Arc::ptr_eq(&second.records(&materialized).unwrap(), &read));
         assert!(
             !plan.traces.is_built(),
             "the plan's workload stays a recipe"
@@ -1019,7 +1096,7 @@ mod tests {
         let mut copy = std::sync::Weak::new();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let share = lease.share();
-            copy = Arc::downgrade(&share.records(&materialized));
+            copy = Arc::downgrade(&share.records(&materialized).unwrap());
             std::panic::resume_unwind(Box::new("the run fails"));
         }));
         assert!(panicked.is_err());
@@ -1035,7 +1112,10 @@ mod tests {
         let lease = lease_for(&Arc::new(workload.clone()), 1);
         let materialized = AtomicU64::new(0);
         let share = lease.share();
-        assert!(Arc::ptr_eq(&share.records(&materialized), &lease.workload));
+        assert!(Arc::ptr_eq(
+            &share.records(&materialized).unwrap(),
+            &lease.workload
+        ));
         assert_eq!(materialized.load(Ordering::Relaxed), 0);
         drop(share);
         assert!(
@@ -1048,7 +1128,7 @@ mod tests {
         let mut spec = ExperimentSpec::subset(
             vec![ProtocolKind::Mesi, ProtocolKind::DeNovo],
             vec![],
-            super::super::ScaleProfile::Tiny,
+            ScaleProfile::Tiny,
         );
         spec.workloads = vec![super::super::WorkloadSpec::provided("fft")];
         let mut provided = WorkloadSet::new();

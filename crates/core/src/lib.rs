@@ -40,10 +40,10 @@ pub mod sim;
 pub mod timing;
 
 pub use experiment::{
-    cache_key, sweep_temp_files, Baseline, CacheStats, CellGroup, CompiledPlan, ExperimentError,
-    ExperimentSpec, HeadlineSummary, Json, PlanOutcome, PlannedCell, RowKey, ScaleProfile, Session,
-    SessionCounters, SystemVariant, WorkloadRef, WorkloadSet, WorkloadSource, WorkloadSpec,
-    ENGINE_VERSION, SPEC_SCHEMA, TEMP_SWEEP_AGE,
+    cache_key, sweep_temp_files, workload_digests, Baseline, CacheStats, CellGroup, CompiledPlan,
+    ExperimentError, ExperimentSpec, HeadlineSummary, Json, PlanOutcome, PlannedCell, RowKey,
+    ScaleProfile, Session, SessionCounters, SystemVariant, WorkloadRef, WorkloadSet,
+    WorkloadSource, WorkloadSpec, ENGINE_VERSION, SPEC_SCHEMA, TEMP_SWEEP_AGE,
 };
 pub use figures::FigureTable;
 pub use report::SimReport;

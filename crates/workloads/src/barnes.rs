@@ -112,7 +112,9 @@ impl BarnesConfig {
         rc.comm = Some(cell_comm);
         regions.insert(rc);
         let input = format!("{} bodies", self.bodies);
-        sink.header(BenchmarkKind::Barnes, input, regions, cores);
+        if !sink.header(BenchmarkKind::Barnes, input, regions, cores) {
+            return Ok(());
+        }
 
         // One generator draws every core's traversal in core order, so the
         // trace is deterministic.

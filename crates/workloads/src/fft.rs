@@ -89,7 +89,9 @@ impl FftConfig {
         rr.written_in_parallel_phases = false;
         regions.insert(rr);
         let input = format!("{} points", self.points);
-        sink.header(BenchmarkKind::Fft, input, regions, cores);
+        if !sink.header(BenchmarkKind::Fft, input, regions, cores) {
+            return Ok(());
+        }
 
         let words_per_point = x.words_per_elem();
         // The transpose treats the data as a sqrt(n) x sqrt(n) matrix of

@@ -115,7 +115,9 @@ impl FluidanimateConfig {
             "{0}x{0}x{0} grid, ~{1} particles/cell, {2} frame(s)",
             self.grid, self.mean_particles, self.frames
         );
-        sink.header(BenchmarkKind::Fluidanimate, input, regions, cores);
+        if !sink.header(BenchmarkKind::Fluidanimate, input, regions, cores) {
+            return;
+        }
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         // Occupancy of each cell: 1..=min(2*mean, 16) particles.

@@ -1,12 +1,15 @@
 //! One way out of every generator: a workload's header, then one core's
 //! stream at a time, into a sink.
 //!
-//! Two sinks read it. [`Collect`] keeps every stream, which is what each
+//! Three sinks read it. [`Collect`] keeps every stream, which is what each
 //! config's `build` does. The digest pass keeps none: it folds each core's
 //! stream into the content digest ([`tw_trace::ContentDigester`], the one
 //! definition [`Workload::content_digest`] runs as well), counts its
-//! records, and clears its one [`TraceBuilder`] for the next core. What
-//! [`Generator::digested`] returns is a [`Workload`] whose streams hold the
+//! records, and clears its one [`TraceBuilder`] for the next core. The
+//! header-only pass wants no stream at all: the generator returns right
+//! after its header, which is all a committed table line needs to be
+//! checked against. What [`Generator::digested`] and
+//! [`Generator::committed`] return is a [`Workload`] whose streams hold the
 //! generator instead of the records, built the first time something reads
 //! them ([`Streams`]).
 
@@ -23,8 +26,15 @@ use tw_types::{Digest, RegionTable, TraceOp};
 
 /// Where a generator emits a workload.
 pub(crate) trait Sink {
-    /// The workload's metadata, before any stream.
-    fn header(&mut self, kind: BenchmarkKind, input: String, regions: RegionTable, cores: usize);
+    /// The workload's metadata, before any stream; whether the sink wants
+    /// the streams. A generator that is told no returns at once.
+    fn header(
+        &mut self,
+        kind: BenchmarkKind,
+        input: String,
+        regions: RegionTable,
+        cores: usize,
+    ) -> bool;
     /// An empty builder for the next core's stream.
     fn builder(&mut self) -> TraceBuilder;
     /// The next core's finished stream, in core order.
@@ -46,13 +56,20 @@ pub(crate) struct Collect {
 }
 
 impl Sink for Collect {
-    fn header(&mut self, kind: BenchmarkKind, input: String, regions: RegionTable, cores: usize) {
+    fn header(
+        &mut self,
+        kind: BenchmarkKind,
+        input: String,
+        regions: RegionTable,
+        cores: usize,
+    ) -> bool {
         self.header = Some(Header {
             kind,
             input,
             regions,
         });
         self.streams.reserve_exact(cores);
+        true
     }
 
     fn builder(&mut self) -> TraceBuilder {
@@ -80,10 +97,51 @@ impl Collect {
     }
 }
 
-/// The sink that keeps no stream: the digest pass.
+/// The sink that wants no stream: the header-only pass. It keeps the header
+/// and the content digester over it, or why the trace format cannot hold it.
+#[derive(Default)]
+struct HeaderOnly(Option<(Header, Result<ContentDigester, TraceError>)>);
+
+impl Sink for HeaderOnly {
+    fn header(
+        &mut self,
+        kind: BenchmarkKind,
+        input: String,
+        regions: RegionTable,
+        cores: usize,
+    ) -> bool {
+        let digester = ContentDigester::new(kind.name(), &input, cores, &regions);
+        let header = Header {
+            kind,
+            input,
+            regions,
+        };
+        self.0 = Some((header, digester));
+        false
+    }
+
+    fn builder(&mut self) -> TraceBuilder {
+        unreachable!("the header-only pass wants no stream")
+    }
+
+    fn stream(&mut self, _: TraceBuilder) {
+        unreachable!("the header-only pass wants no stream")
+    }
+}
+
+impl HeaderOnly {
+    /// The header, and its digester or the error that refused it.
+    fn finish(self) -> (Header, Result<ContentDigester, String>) {
+        let (header, digester) = self.0.expect("a generator emits its header first");
+        (header, digester.map_err(|e| e.to_string()))
+    }
+}
+
+/// The sink that keeps no stream: the digest pass, which goes on from a
+/// header-only pass's digester.
 #[derive(Default)]
 struct DigestPass {
-    header: Option<(Header, Result<ContentDigester, TraceError>)>,
+    header: HeaderOnly,
     /// The one builder every core's stream is emitted into in turn.
     buffer: TraceBuilder,
     records: u64,
@@ -91,14 +149,15 @@ struct DigestPass {
 }
 
 impl Sink for DigestPass {
-    fn header(&mut self, kind: BenchmarkKind, input: String, regions: RegionTable, cores: usize) {
-        let digester = ContentDigester::new(kind.name(), &input, cores, &regions);
-        let header = Header {
-            kind,
-            input,
-            regions,
-        };
-        self.header = Some((header, digester));
+    fn header(
+        &mut self,
+        kind: BenchmarkKind,
+        input: String,
+        regions: RegionTable,
+        cores: usize,
+    ) -> bool {
+        self.header.header(kind, input, regions, cores);
+        true
     }
 
     fn builder(&mut self) -> TraceBuilder {
@@ -106,7 +165,7 @@ impl Sink for DigestPass {
     }
 
     fn stream(&mut self, mut stream: TraceBuilder) {
-        if let Some((_, Ok(digester))) = &mut self.header {
+        if let Some((_, Ok(digester))) = &mut self.header.0 {
             digester.stream(stream.ops());
         }
         self.records += stream.len() as u64;
@@ -240,37 +299,56 @@ impl Generator {
     pub fn digested(&self, cores: usize) -> Result<(Workload, Digest), String> {
         let mut pass = DigestPass::default();
         self.emit(cores, &mut pass)?;
-        let (header, digester) = pass.header.expect("a generator emits its header first");
-        let digest = digester.map_err(|e| e.to_string())?.finish();
-        let workload = Workload {
-            kind: header.kind,
-            input: header.input,
-            regions: header.regions,
-            traces: Streams::lazy(self.clone(), cores, digest, pass.records, pass.mem_ops),
-        };
+        let (header, digester) = pass.header.finish();
+        let digest = digester?.finish();
+        let workload = self.lazy(header, cores, digest, pass.records, pass.mem_ops);
         Ok((workload, digest))
     }
 
-    /// The records of a workload [`Generator::digested`] returned, built
-    /// now.
+    /// The workload for `cores` cores as a committed line records it: the
+    /// content digest and the counts of its digest pass are taken as given,
+    /// and only the header is generated. Returns the workload, the same
+    /// unbuilt one [`Generator::digested`] returns for those numbers, and
+    /// its *header digest*: the content digester over the header alone,
+    /// which the caller compares to the line's before it trusts the rest.
+    /// A line that is wrong all the same is refused when the streams are
+    /// built, which checks them against every number given here.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If they do not digest to `digest`: a generator whose output is not a
-    /// function of its input would otherwise run records other than the
-    /// ones its cache key names.
-    pub(crate) fn records(&self, cores: usize, digest: Digest) -> Vec<Vec<TraceOp>> {
-        let mut built = self
-            .build(cores)
-            .expect("a generator that digested a core count builds it");
-        let rebuilt = built.content_digest().ok();
-        assert_eq!(
-            rebuilt,
-            Some(digest),
-            "{} on {cores} cores built other records than it digested",
-            built.kind
-        );
-        std::mem::take(&mut *built.traces)
+    /// Exactly what [`Generator::digested`] refuses: every generator checks
+    /// its input against `cores` before its header, and cannot fail after
+    /// it.
+    pub fn committed(
+        &self,
+        cores: usize,
+        digest: Digest,
+        records: u64,
+        mem_ops: u64,
+    ) -> Result<(Workload, Digest), String> {
+        let mut pass = HeaderOnly::default();
+        self.emit(cores, &mut pass)?;
+        let (header, digester) = pass.finish();
+        let header_digest = digester?.finish();
+        let workload = self.lazy(header, cores, digest, records, mem_ops);
+        Ok((workload, header_digest))
+    }
+
+    /// The unbuilt workload of `header` whose streams this generator builds.
+    fn lazy(
+        &self,
+        header: Header,
+        cores: usize,
+        digest: Digest,
+        records: u64,
+        mem_ops: u64,
+    ) -> Workload {
+        Workload {
+            kind: header.kind,
+            input: header.input,
+            regions: header.regions,
+            traces: Streams::lazy(self.clone(), cores, digest, records, mem_ops),
+        }
     }
 }
 
@@ -278,13 +356,23 @@ impl Generator {
 mod tests {
     use super::*;
 
-    /// The digest pass of `generator` on `cores` cores against its build:
-    /// both refuse the core count alike, or the digest pass returns the
-    /// build's digest and counts with no record in memory, and its records,
-    /// once read, are the build's record for record.
+    /// The digest pass of `generator` on `cores` cores against its build,
+    /// and the header-only pass against both: all three refuse the core
+    /// count alike, or the digest pass returns the build's digest and
+    /// counts with no record in memory, the header-only pass given those
+    /// returns the same workload and the digest of the build's header, and
+    /// the records of either, once read, are the build's record for record.
     fn the_digest_pass_is_the_build(generator: &Generator, cores: usize) {
+        let committed = |digest, records, mem_ops| {
+            generator
+                .committed(cores, digest, records, mem_ops)
+                .map(|(workload, header)| (workload.traces, header))
+        };
         let (built, lazy) = match (generator.build(cores), generator.digested(cores)) {
-            (Err(refused), Err(again)) => return assert_eq!(refused, again),
+            (Err(refused), Err(again)) => {
+                assert_eq!(refused, again);
+                return assert_eq!(committed(Digest(0), 0, 0).unwrap_err(), refused);
+            }
             (Ok(built), Ok(lazy)) => (built, lazy),
             (built, lazy) => panic!("{generator:?} on {cores} cores: {built:?} but {lazy:?}"),
         };
@@ -299,7 +387,31 @@ mod tests {
             "{what}"
         );
         assert!(!lazy.traces.is_built(), "{what}");
+
+        let (records, mem_ops) = (lazy.traces.record_count(), lazy.traces.mem_ops());
+        let (read, header) = generator
+            .committed(cores, digest, records, mem_ops)
+            .unwrap();
+        let built_header =
+            ContentDigester::new(built.kind.name(), &built.input, cores, &built.regions)
+                .unwrap()
+                .finish();
+        assert_eq!(header, built_header, "{what}");
+        assert_eq!(
+            (read.kind, &read.input, &read.regions),
+            (lazy.kind, &lazy.input, &lazy.regions),
+            "{what}"
+        );
+        assert_eq!(read.cores(), cores, "{what}");
+        assert_eq!(
+            (read.traces.record_count(), read.traces.mem_ops()),
+            (records, mem_ops),
+            "{what}"
+        );
+        assert!(!read.traces.is_built(), "{what}");
         assert!(*lazy.traces == *built.traces, "{what}");
+        assert_eq!(read.traces.try_materialize(), Ok(true), "{what}");
+        assert!(read.traces == built.traces, "{what}");
     }
 
     /// Every core count a mesh can have (the domain of
@@ -335,8 +447,12 @@ mod tests {
         let clone = lazy.clone();
         assert!(!lazy.traces.is_built() && !clone.traces.is_built());
 
-        assert!(lazy.traces.materialize(), "the first read builds");
-        assert!(!lazy.traces.materialize(), "and only the first");
+        assert_eq!(lazy.traces.try_materialize(), Ok(true), "the first builds");
+        assert_eq!(
+            lazy.traces.try_materialize(),
+            Ok(false),
+            "and only the first"
+        );
         assert!(!clone.traces.is_built(), "a clone builds on its own");
         assert_eq!(lazy.traces, built.traces);
         assert_eq!(lazy.content_digest().unwrap(), digest);
@@ -348,7 +464,32 @@ mod tests {
     fn records_that_do_not_digest_to_the_compiled_digest_are_refused() {
         let generator = Generator::tiny(BenchmarkKind::Fft).unwrap();
         let streams = Streams::lazy(generator, 16, Digest(0), 0, 0);
-        streams.materialize();
+        let _ = streams.len();
+    }
+
+    #[test]
+    fn records_that_are_not_the_committed_ones_are_an_error_and_kept_nowhere() {
+        let generator = Generator::tiny(BenchmarkKind::Fft).unwrap();
+        let (lazy, digest) = generator.digested(16).unwrap();
+        let (records, mem_ops) = (lazy.traces.record_count(), lazy.traces.mem_ops());
+        for (digest, records, mem_ops) in [
+            (Digest(digest.0 ^ 1), records, mem_ops),
+            (digest, records + 1, mem_ops),
+            (digest, records, mem_ops - 1),
+        ] {
+            let (stale, _) = generator.committed(16, digest, records, mem_ops).unwrap();
+            for _ in 0..2 {
+                let refused = stale.traces.try_materialize().unwrap_err();
+                assert_eq!(
+                    refused,
+                    "FFT on 16 cores built other records than it digested"
+                );
+                assert!(!stale.traces.is_built());
+            }
+        }
+        let (good, _) = generator.committed(16, digest, records, mem_ops).unwrap();
+        assert_eq!(good.traces.try_materialize(), Ok(true));
+        assert_eq!(good.traces.try_materialize(), Ok(false));
     }
 
     #[test]

@@ -120,7 +120,9 @@ impl KdTreeConfig {
             nodes.bytes(),
         ));
         let input = format!("{} triangles, {} levels", self.triangles, self.levels);
-        sink.header(BenchmarkKind::KdTree, input, regions, cores);
+        if !sink.header(BenchmarkKind::KdTree, input, regions, cores) {
+            return Ok(());
+        }
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         for core in 0..cores as u64 {

@@ -96,7 +96,9 @@ impl LuConfig {
             "{}x{} matrix, {}x{} blocks",
             self.n, self.n, self.block, self.block
         );
-        sink.header(BenchmarkKind::Lu, input, regions, cores);
+        if !sink.header(BenchmarkKind::Lu, input, regions, cores) {
+            return;
+        }
 
         let block_base = |bi: u64, bj: u64| (bi * nb + bj) * block_elems;
         // 2-D cyclic block-to-core assignment, as in SPLASH-2.

@@ -100,7 +100,9 @@ impl RadixConfig {
             hist.bytes(),
         ));
         let input = format!("{} keys, {} radix", self.keys, self.radix);
-        sink.header(BenchmarkKind::Radix, input, regions, cores);
+        if !sink.header(BenchmarkKind::Radix, input, regions, cores) {
+            return Ok(());
+        }
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         // Pre-draw the bucket of every key so that the histogram and

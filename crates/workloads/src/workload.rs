@@ -110,10 +110,11 @@ impl fmt::Display for BenchmarkKind {
 ///
 /// A workload read from a trace or built in memory holds its records from
 /// the start (`From<Vec<Vec<TraceOp>>>`). One that [`Generator::digested`]
-/// made holds its generator instead, with the content digest and the counts
-/// of its digest pass, and builds the records the first time anything reads
-/// them — once, however many threads read at the same time — and then
-/// checks that they digest to that digest. Its core count, record count and
+/// or [`Generator::committed`] made holds its generator instead, with the
+/// content digest and the counts of its digest pass, and builds the records
+/// the first time anything reads them — once, however many threads read at
+/// the same time — and then checks that they digest to that digest and
+/// count to those counts. Its core count, record count and
 /// memory-op count never build it, nor does `Debug`, and cloning it while
 /// unbuilt copies the recipe alone.
 ///
@@ -122,7 +123,7 @@ impl fmt::Display for BenchmarkKind {
 /// drops that clone after the last of them. What still fills these streams
 /// is a caller that reads a workload directly — a `Simulator` built on it,
 /// [`Workload::to_trace`], an edit through `DerefMut` — or that calls
-/// [`Streams::materialize`].
+/// [`Streams::try_materialize`].
 #[derive(Clone)]
 pub struct Streams {
     records: OnceLock<Vec<Vec<TraceOp>>>,
@@ -131,7 +132,7 @@ pub struct Streams {
 }
 
 /// How to build a digested workload's records, and what its digest pass
-/// counted.
+/// counted (or what a committed line says it counts).
 #[derive(Debug, Clone)]
 struct Recipe {
     generator: Generator,
@@ -192,22 +193,52 @@ impl Streams {
     }
 
     /// Builds the records unless they are built already, and reports
-    /// whether this call built them.
-    pub fn materialize(&self) -> bool {
-        let mut built = false;
-        self.records.get_or_init(|| {
-            built = true;
-            self.build()
-        });
-        built
+    /// whether this call built them. Records that are not the ones the
+    /// recipe names are an error, and nothing is kept; reading the streams
+    /// (`Deref`) panics instead. Unlike a read, two callers racing on
+    /// unbuilt streams may both build, and one of their copies is kept: a
+    /// caller that wants one build serializes its readers itself.
+    ///
+    /// # Errors
+    ///
+    /// The built records do not digest to the recipe's digest, or do not
+    /// count to its record and memory-op counts.
+    pub fn try_materialize(&self) -> Result<bool, String> {
+        if self.is_built() {
+            return Ok(false);
+        }
+        let records = self.recipe().build()?;
+        Ok(self.records.set(records).is_ok())
+    }
+
+    fn recipe(&self) -> &Recipe {
+        self.recipe
+            .as_ref()
+            .expect("streams without records have a recipe")
     }
 
     fn build(&self) -> Vec<Vec<TraceOp>> {
-        let recipe = self
-            .recipe
-            .as_ref()
-            .expect("streams without records have a recipe");
-        recipe.generator.records(recipe.cores, recipe.digest)
+        self.recipe().build().unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+impl Recipe {
+    /// The records, checked against every number the recipe holds: a
+    /// generator whose output is not a function of its input, or a
+    /// committed line that is stale, would otherwise run records other
+    /// than the ones its cache key names.
+    fn build(&self) -> Result<Vec<Vec<TraceOp>>, String> {
+        let mut built = self.generator.build(self.cores)?;
+        let counts = (built.traces.record_count(), built.traces.mem_ops());
+        if built.content_digest().ok() != Some(self.digest)
+            || counts != (self.records, self.mem_ops)
+        {
+            return Err(format!(
+                "{} on {} cores built other records than it digested",
+                built.kind, self.cores
+            ));
+        }
+        Ok(std::mem::take(&mut *built.traces))
     }
 }
 
@@ -238,7 +269,7 @@ impl DerefMut for Streams {
     /// The records, to be edited: from here on they, not the generator,
     /// are the workload.
     fn deref_mut(&mut self) -> &mut Self::Target {
-        self.materialize();
+        let _ = Deref::deref(self);
         self.recipe = None;
         self.records.get_mut().expect("materialized")
     }
