@@ -69,9 +69,12 @@ pub fn figure_names() -> Vec<&'static str> {
         .collect()
 }
 
-/// The figure commands are sugar over the built-in full-matrix spec run
-/// through a (optionally cached) session. They run one network model (the
-/// benchmark-keyed figure rows can't represent two models per benchmark); a
+/// The figure commands are sugar over two built-in plans run on one
+/// (optionally cached) session: the full matrix, and the update-vs-invalidate
+/// primitives ([`tw_bench::update_vs_invalidate_plan`]). Each runs only when
+/// a requested output reads it. They run one network model (the
+/// benchmark-keyed figure rows can't represent two models per benchmark);
+/// `--network` sets the matrix's, the primitives keep the analytic one. A
 /// multi-model sweep is a plan (`plan builtin --network analytic,flit`).
 pub fn run(args: &Args) -> Result<ExitCode, String> {
     // A typo'd figure name must not silently cost a multi-minute matrix run.
@@ -86,27 +89,38 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     if wanted.is_empty() {
         wanted.push("all");
     }
-    let mut spec = ExperimentSpec::full_matrix(args.scale());
+    let (scale, json) = (args.scale(), args.has("--json"));
+    let want = |name: &str| wanted.contains(&"all") || wanted.contains(&name);
+    let reads_matrix = json || want("headline") || PLAN_FIGURES.iter().any(|(n, _)| want(n));
+    let mut matrix = ExperimentSpec::full_matrix(scale);
     if let Some(name) = args.value("--network") {
-        spec.networks = vec![NetworkModelKind::by_name(name)?];
+        matrix.networks = vec![NetworkModelKind::by_name(name)?];
+    }
+    let mut specs = Vec::new();
+    if reads_matrix {
+        specs.push((matrix, WorkloadSet::new()));
+    }
+    if json || want("figupdate") {
+        specs.push(tw_bench::update_vs_invalidate_plan(scale));
     }
     let cache = args.value("--cache");
     let record = args.value("--record").map(|out| ("cli", Some(out)));
-    let outcome = run_plan(&spec, &WorkloadSet::new(), cache, record)?.outcome;
+    let ran = run_plan(&specs, cache, record)?;
     if cache.is_some() {
-        eprintln!("{}", cache_line(&outcome.cache));
+        eprintln!("{}", cache_line(&ran.outcomes));
     }
-
-    let (scale, json) = (args.scale(), args.has("--json"));
-    let want = |name: &str| wanted.contains(&"all") || wanted.contains(&name);
-    // Computed once: both the JSON document and the printed figure use it.
-    let update_fig =
-        (json || want("figupdate")).then(|| tw_bench::update_vs_invalidate_figure(scale));
+    // The outcomes of the plans that ran, in the order they were pushed.
+    let mut outcomes = ran.outcomes.iter();
+    let outcome = reads_matrix.then(|| outcomes.next()).flatten();
+    let update_fig = outcomes
+        .next()
+        .map(|o| tw_bench::update_vs_invalidate_figure(o, scale))
+        .transpose()?;
 
     if json {
         let path = "BENCH_results.json";
-        let update = update_fig.as_ref().expect("computed when json is set");
-        let doc = tw_bench::results_json(&outcome, scale, update)?;
+        let (outcome, update) = outcome.zip(update_fig.as_ref()).expect("--json reads both");
+        let doc = tw_bench::results_json(outcome, scale, update)?;
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
@@ -119,16 +133,16 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
         println!("{fig}");
     };
 
-    for (name, render) in PLAN_FIGURES {
-        if want(name) {
-            emit(render(&outcome)?);
+    if let Some(outcome) = outcome {
+        for (_, render) in PLAN_FIGURES.iter().filter(|(name, _)| want(name)) {
+            emit(render(outcome)?);
         }
     }
-    if want("figupdate") {
-        emit(update_fig.expect("computed when figupdate is wanted"));
+    if let Some(fig) = update_fig.filter(|_| want("figupdate")) {
+        emit(fig);
     }
-    if want("headline") {
-        print_headline(&outcome)?;
+    if let Some(outcome) = outcome.filter(|_| want("headline")) {
+        print_headline(outcome)?;
         emitted_cells += outcome.cells();
     }
     if emitted_cells == 0 {

@@ -9,10 +9,10 @@
 //! prints every command with its operands and flags, rendered from the one
 //! command table in `cli.rs` that the parser also reads (`<command> --help`
 //! prints a single command's line). With no arguments, `all` at the scaled
-//! profile is assumed (the figure commands are sugar over the built-in
-//! full-matrix spec, run through a `Session`). See EXPERIMENTS.md for the
-//! `plan`, `trace` and daemon walkthroughs, and DESIGN.md §13 for the wire
-//! protocol.
+//! profile is assumed (the figure commands are sugar over two built-in
+//! plans, the full matrix and the update-vs-invalidate primitives, run on
+//! one `Session`). See EXPERIMENTS.md for the `plan`, `trace` and daemon
+//! walkthroughs, and DESIGN.md §13 for the wire protocol.
 //!
 //! Exit codes (uniform across every subcommand; `experiments help` prints
 //! the same contract):
@@ -76,24 +76,24 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
     Ok(())
 }
 
-/// What [`run_plan`] did: the compiled plan, its outcome, the wall time of
-/// compiling and executing it, its session's counters, and the flight
-/// recorder when one was armed.
+/// What [`run_plan`] did: each plan compiled and its outcome, in the order
+/// given, the wall time of compiling and executing them all, their
+/// session's counters, and the flight recorder when one was armed.
 struct Ran {
-    plan: CompiledPlan,
-    outcome: PlanOutcome,
+    plans: Vec<CompiledPlan>,
+    outcomes: Vec<PlanOutcome>,
     wall: Duration,
     counters: SessionCounters,
     recorder: Option<Arc<FlightRecorder>>,
 }
 
-/// The one way a command executes a plan: a fresh [`Session`], routed
-/// through the result cache when `cache` names a directory. `record` is
-/// `(track, out)`: it arms a flight recorder rooted at `track` (returned, for
-/// callers that report from it) whose trace is written to `out` when given.
+/// The one way a command executes plans: one fresh [`Session`] compiles and
+/// executes each `(spec, provided workloads)` in turn, routed through the
+/// result cache when `cache` names a directory. `record` is `(track, out)`:
+/// it arms a flight recorder rooted at `track` (returned, for callers that
+/// report from it) whose trace is written to `out` when given.
 fn run_plan(
-    spec: &ExperimentSpec,
-    provided: &WorkloadSet,
+    specs: &[(ExperimentSpec, WorkloadSet)],
     cache: Option<&str>,
     record: Option<(&str, Option<&str>)>,
 ) -> Result<Ran, String> {
@@ -105,20 +105,26 @@ fn run_plan(
     if let Some((_, sink)) = &flight {
         session = session.with_recorder(sink.clone());
     }
-    eprintln!("running plan `{}` ({:?} scale)...", spec.name, spec.scale);
     let started = Instant::now();
-    let plan = session.compile(spec, provided)?;
-    let outcome = session.execute(&plan)?;
-    let wall = started.elapsed();
-    eprintln!("plan of {} cells finished in {wall:.2?}", outcome.cells());
+    let (mut plans, mut outcomes) = (Vec::new(), Vec::new());
+    for (spec, provided) in specs {
+        eprintln!("running plan `{}` ({:?} scale)...", spec.name, spec.scale);
+        let t = Instant::now();
+        let plan = session.compile(spec, provided)?;
+        let outcome = session.execute(&plan)?;
+        let (cells, took) = (outcome.cells(), t.elapsed());
+        eprintln!("plan of {cells} cells finished in {took:.2?}");
+        plans.push(plan);
+        outcomes.push(outcome);
+    }
     let recorder = flight.map(|(rec, _)| rec);
     if let (Some(rec), Some((_, Some(out)))) = (&recorder, record) {
         write_file(out, rec.to_jsonl())?;
     }
     Ok(Ran {
-        plan,
-        outcome,
-        wall,
+        plans,
+        outcomes,
+        wall: started.elapsed(),
         counters: session.counters(),
         recorder,
     })
@@ -138,9 +144,16 @@ fn census(groups: &[CellGroup]) -> String {
     )
 }
 
-/// The cache-statistics line the figure runner and `plan run` print. The
-/// three counts sum to the cells run; the rate is the share not simulated.
-fn cache_line(s: &CacheStats) -> String {
+/// The cache-statistics line the figure runner and `plan run` print, over
+/// every plan of a run. The three counts sum to the cells run; the rate is
+/// the share not simulated.
+fn cache_line(outcomes: &[PlanOutcome]) -> String {
+    let mut s = CacheStats::default();
+    for o in outcomes {
+        s.hits += o.cache.hits;
+        s.misses += o.cache.misses;
+        s.coalesced += o.cache.coalesced;
+    }
     format!(
         "cache: {} hits / {} misses / {} coalesced ({:.0}% hit rate)",
         s.hits,

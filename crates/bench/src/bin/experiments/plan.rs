@@ -104,14 +104,14 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
 pub fn run(args: &Args) -> Result<ExitCode, String> {
     let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
     let record = args.value("--record").map(|out| ("plan", Some(out)));
-    let ran = run_plan(&spec, &WorkloadSet::new(), args.value("--cache"), record)?;
-    let outcome = ran.outcome;
+    let ran = run_plan(&[(spec, WorkloadSet::new())], args.value("--cache"), record)?;
+    let outcome = &ran.outcomes[0];
     for fig in outcome.all_figures()? {
         println!("{fig}");
     }
-    println!("{}", cache_line(&outcome.cache));
+    println!("{}", cache_line(&ran.outcomes));
     if let Some(path) = args.value("--json") {
-        write_file(path, tw_bench::plan_figures_json(&outcome)?)?;
+        write_file(path, tw_bench::plan_figures_json(outcome)?)?;
     }
     if let Some(path) = args.value("--stats") {
         write_file(

@@ -14,14 +14,14 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     let top = args.number("--top", 10usize)?;
     let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
     let record = Some(("profile", args.value("--trace")));
-    let ran = run_plan(&spec, &WorkloadSet::new(), args.value("--cache"), record)?;
+    let ran = run_plan(&[(spec, WorkloadSet::new())], args.value("--cache"), record)?;
     let rec = ran
         .recorder
         .expect("run_plan arms a recorder when `record` is set");
-    print_profile(&rec, ran.outcome.cells(), ran.wall, top);
+    print_profile(&rec, ran.outcomes[0].cells(), ran.wall, top);
     if let Some(out) = args.value("--counts") {
         let mut counts = work_counts(&rec.spans());
-        counts += &census(&Session::new().groups(&ran.plan));
+        counts += &census(&Session::new().groups(&ran.plans[0]));
         counts.push('\n');
         write_file(out, counts)?;
     }

@@ -36,12 +36,6 @@ fn summarize(report: &SimReport) {
     );
 }
 
-fn load_workload(path: &str) -> Result<Workload, String> {
-    let doc =
-        TraceDocument::load(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Workload::from_trace(doc).map_err(|e| format!("{path} is not replayable: {e}"))
-}
-
 pub fn record(args: &Args) -> Result<ExitCode, String> {
     let out = &args.operands()[0];
     let (scale, bench, text) = (args.scale(), bench_of(args)?, args.has("--text"));
@@ -66,40 +60,24 @@ pub fn record(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Replays under one protocol directly, under all of them as a one-row plan.
+/// Replays a trace as a one-row plan under `--protocol`, or all ten.
+/// Compile reads the file and refuses a core count the scale's system does
+/// not have.
 pub fn replay(args: &Args) -> Result<ExitCode, String> {
     let (input, scale) = (&args.operands()[0], args.scale());
-    let workload = load_workload(input)?;
-    let system = scale.system();
-    if workload.cores() != system.tiles() {
-        return Err(format!(
-            "{input} was recorded for {} cores but the {:?} system has {} tiles",
-            workload.cores(),
-            scale,
-            system.tiles()
-        ));
-    }
+    let protocols = protocol_of(args)?.map_or(ProtocolKind::ALL.to_vec(), |p| vec![p]);
+    let mut spec = ExperimentSpec::subset(protocols, vec![], scale);
+    spec.name = format!("{}-replay", scale.name());
+    spec.workloads = vec![WorkloadSpec::trace(input.as_str(), input.as_str())];
+    let ran = run_plan(&[(spec, WorkloadSet::new())], None, None)?;
+    let (cells, outcome) = (&ran.plans[0].cells, &ran.outcomes[0]);
+    let workload = &cells[0].workload;
     println!(
         "replaying {input} ({}, \"{}\") at the {:?} profile",
         workload.kind, workload.input, scale
     );
-    match protocol_of(args)? {
-        Some(protocol) => {
-            let cfg = SimConfig::new(protocol).with_system(system);
-            summarize(&Simulator::new(cfg, &workload).run());
-        }
-        None => {
-            let name = workload.kind.name();
-            let mut spec = ExperimentSpec::subset(ProtocolKind::ALL.to_vec(), vec![], scale);
-            spec.workloads = vec![WorkloadSpec::provided(name)];
-            let mut set = WorkloadSet::new();
-            set.insert(name, workload);
-            let outcome = run_plan(&spec, &set, None, None)?.outcome;
-            let (row, _) = &outcome.rows[0];
-            for &p in &ProtocolKind::ALL {
-                summarize(outcome.report(row, p)?);
-            }
-        }
+    for cell in cells {
+        summarize(outcome.report(&cell.row, cell.protocol)?);
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -15,8 +15,8 @@
 pub mod daemon;
 
 use denovo_waste::{
-    CacheStats, ExperimentError, FigureTable, PlanOutcome, ScaleProfile, SessionCounters,
-    SimConfig, Simulator,
+    CacheStats, ExperimentError, ExperimentSpec, FigureTable, PlanOutcome, ScaleProfile,
+    SessionCounters, WorkloadSet, WorkloadSpec,
 };
 use std::fmt::Write as _;
 use tw_obs::escaped;
@@ -29,16 +29,46 @@ use tw_types::ProtocolKind;
 /// stay reproducible.
 const UPDATE_FIGURE_SEED: u64 = 12;
 
-/// Builds the update-vs-invalidate comparison (the Dragon figure family):
-/// each of the seven synthesized sharing-pattern primitives run once under
-/// MESI (invalidation) and once under Dragon (write-update) on the scale's
-/// system, analytic network. Per primitive the row reports total flit-hops
-/// under each protocol, the Dragon/MESI traffic ratio (`< 1` means the
-/// update protocol moved less), and Dragon's update-waste share — the
-/// fraction of words moved into L1s that were update-pushed to a sharer
-/// that never read them before they died.
-pub fn update_vs_invalidate_figure(scale: ScaleProfile) -> FigureTable {
-    let system = scale.system();
+/// The update-vs-invalidate comparison (the Dragon figure family) as a
+/// plan: the seven synthesized sharing-pattern primitives, provided
+/// workloads named after their pattern, each under MESI (invalidation) and
+/// Dragon (write-update) on the scale's base system, analytic network.
+pub fn update_vs_invalidate_plan(scale: ScaleProfile) -> (ExperimentSpec, WorkloadSet) {
+    let protocols = vec![ProtocolKind::Mesi, ProtocolKind::Dragon];
+    let mut spec = ExperimentSpec::subset(protocols, vec![], scale);
+    spec.name = format!("{}-update", scale.name());
+    let mut set = WorkloadSet::new();
+    for pattern in SharingPattern::ALL {
+        let wl = SynthConfig {
+            seed: UPDATE_FIGURE_SEED,
+            cores: scale.system().tiles(),
+            phases: 4,
+            pattern_instances: 2,
+            only: Some(pattern),
+            ops_per_phase: (16, 32),
+            streaming_stripe_words: (512, 1024),
+        }
+        .build();
+        set.insert(pattern.name(), wl);
+        spec.workloads.push(WorkloadSpec::provided(pattern.name()));
+    }
+    (spec, set)
+}
+
+/// Renders the outcome of [`update_vs_invalidate_plan`] at `scale`. Per
+/// primitive the row reports total flit-hops under each protocol, the
+/// Dragon/MESI traffic ratio (`< 1` means the update protocol moved less),
+/// and Dragon's update-waste share — the fraction of words moved into L1s
+/// that were update-pushed to a sharer that never read them before they
+/// died.
+///
+/// # Errors
+///
+/// [`ExperimentError::MissingCell`] for a row without both protocols.
+pub fn update_vs_invalidate_figure(
+    outcome: &PlanOutcome,
+    scale: ScaleProfile,
+) -> Result<FigureTable, ExperimentError> {
     let mut fig = FigureTable::new(
         format!("Update vs invalidate: Dragon against MESI on sharing primitives ({scale:?})"),
         [
@@ -51,22 +81,9 @@ pub fn update_vs_invalidate_figure(scale: ScaleProfile) -> FigureTable {
         .map(String::from)
         .to_vec(),
     );
-    for pattern in SharingPattern::ALL {
-        let wl = SynthConfig {
-            seed: UPDATE_FIGURE_SEED,
-            cores: system.tiles(),
-            phases: 4,
-            pattern_instances: 2,
-            only: Some(pattern),
-            ops_per_phase: (16, 32),
-            streaming_stripe_words: (512, 1024),
-        }
-        .build();
-        let run = |p: ProtocolKind| {
-            Simulator::new(SimConfig::new(p).with_system(system.clone()), &wl).run()
-        };
-        let mesi = run(ProtocolKind::Mesi);
-        let dragon = run(ProtocolKind::Dragon);
+    for (row, label) in &outcome.rows {
+        let mesi = outcome.report(row, ProtocolKind::Mesi)?;
+        let dragon = outcome.report(row, ProtocolKind::Dragon)?;
         let l1_words = dragon.l1_waste.total_words();
         let update_share = if l1_words == 0 {
             0.0
@@ -74,16 +91,16 @@ pub fn update_vs_invalidate_figure(scale: ScaleProfile) -> FigureTable {
             dragon.l1_waste.words(WasteCategory::Update) as f64 / l1_words as f64
         };
         fig.push_row(
-            pattern.name(),
+            label,
             vec![
                 mesi.total_flit_hops(),
                 dragon.total_flit_hops(),
-                dragon.traffic_relative_to(&mesi),
+                dragon.traffic_relative_to(mesi),
                 update_share,
             ],
         );
     }
-    fig
+    Ok(fig)
 }
 
 /// Geometric mean of the figure's Dragon/MESI traffic ratios — the single
@@ -140,6 +157,27 @@ fn figure_json(fig: &FigureTable, out: &mut String) {
     out.push_str("]}");
 }
 
+/// Writes `  "key": ["a", "b"],` and a newline, each item escaped.
+fn string_list(out: &mut String, key: &str, items: &[impl std::fmt::Display]) {
+    let quoted: Vec<String> = items
+        .iter()
+        .map(|item| format!("\"{}\"", escaped(&item.to_string())))
+        .collect();
+    let _ = writeln!(out, "  \"{key}\": [{}],", quoted.join(", "));
+}
+
+/// Writes the `figures` array that ends both results documents, and the
+/// closing brace.
+fn figures_tail(figures: &[FigureTable], out: &mut String) {
+    out.push_str("  \"figures\": [\n");
+    for (i, fig) in figures.iter().enumerate() {
+        out.push_str("    ");
+        figure_json(fig, out);
+        out.push_str(if i + 1 < figures.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ]\n}\n");
+}
+
 /// Serializes one experiment run — headline averages, the
 /// update-vs-invalidate comparison and every figure of the evaluation
 /// section — as the `BENCH_results.json` document consumed by the
@@ -165,23 +203,12 @@ pub fn results_json(
     out.push_str("{\n");
     out.push_str("  \"schema\": \"denovo-waste/bench-results/v1\",\n");
     let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
-    let _ = write!(out, "  \"protocols\": [");
-    for (i, p) in outcome.protocols.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{p}\"");
+    string_list(&mut out, "protocols", &outcome.protocols);
+    let mut benchmarks = Vec::new();
+    for (row, _) in &outcome.rows {
+        benchmarks.push(outcome.report(row, outcome.baseline.protocol())?.benchmark);
     }
-    out.push_str("],\n");
-    let _ = write!(out, "  \"benchmarks\": [");
-    for (i, (row, _)) in outcome.rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let b = outcome.report(row, outcome.baseline.protocol())?.benchmark;
-        let _ = write!(out, "\"{b}\"");
-    }
-    out.push_str("],\n");
+    string_list(&mut out, "benchmarks", &benchmarks);
     let _ = writeln!(out, "  \"cells\": {},", outcome.cells());
     out.push_str("  \"headline\": {\n");
     let headline_fields = [
@@ -194,15 +221,9 @@ pub fn results_json(
         ("dbypfull_waste_fraction", h.dbypfull_waste_fraction),
         ("mesi_overhead_fraction", h.mesi_overhead_fraction),
     ];
-    for (i, (name, value)) in headline_fields.iter().enumerate() {
-        let comma = if i + 1 < headline_fields.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(out, "    \"{name}\": {}{comma}", json_num(*value));
-    }
-    out.push_str("  },\n");
+    let fields =
+        headline_fields.map(|(name, value)| format!("    \"{name}\": {}", json_num(value)));
+    let _ = writeln!(out, "{}\n  }},", fields.join(",\n"));
     out.push_str("  \"update_vs_invalidate\": {\n");
     let _ = writeln!(
         out,
@@ -212,16 +233,7 @@ pub fn results_json(
     out.push_str("    \"figure\": ");
     figure_json(update, &mut out);
     out.push_str("\n  },\n");
-    out.push_str("  \"figures\": [\n");
-    for (i, fig) in figures.iter().enumerate() {
-        out.push_str("    ");
-        figure_json(fig, &mut out);
-        if i + 1 < figures.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
+    figures_tail(&figures, &mut out);
     Ok(out)
 }
 
@@ -239,33 +251,11 @@ pub fn plan_figures_json(outcome: &PlanOutcome) -> Result<String, ExperimentErro
     out.push_str("{\n");
     out.push_str("  \"schema\": \"denovo-waste/plan-results/v1\",\n");
     let _ = writeln!(out, "  \"plan\": \"{}\",", escaped(&outcome.name));
-    let _ = write!(out, "  \"protocols\": [");
-    for (i, p) in outcome.protocols.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{p}\"");
-    }
-    out.push_str("],\n");
-    let _ = write!(out, "  \"rows\": [");
-    for (i, (_, label)) in outcome.rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\"", escaped(label));
-    }
-    out.push_str("],\n");
+    string_list(&mut out, "protocols", &outcome.protocols);
+    let labels: Vec<&String> = outcome.rows.iter().map(|(_, label)| label).collect();
+    string_list(&mut out, "rows", &labels);
     let _ = writeln!(out, "  \"cells\": {},", outcome.cells());
-    out.push_str("  \"figures\": [\n");
-    for (i, fig) in figures.iter().enumerate() {
-        out.push_str("    ");
-        figure_json(fig, &mut out);
-        if i + 1 < figures.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
+    figures_tail(&figures, &mut out);
     Ok(out)
 }
 
@@ -291,8 +281,14 @@ pub fn cache_stats_json(plan: &str, stats: &CacheStats, session: &SessionCounter
 #[cfg(test)]
 mod tests {
     use super::*;
-    use denovo_waste::{ExperimentSpec, Session, WorkloadSet};
+    use denovo_waste::Session;
     use tw_workloads::BenchmarkKind;
+
+    fn update_figure(scale: ScaleProfile) -> FigureTable {
+        let (spec, set) = update_vs_invalidate_plan(scale);
+        let outcome = Session::new().run(&spec, &set).unwrap();
+        update_vs_invalidate_figure(&outcome, scale).unwrap()
+    }
 
     #[test]
     fn json_numbers_are_finite_or_null() {
@@ -317,7 +313,7 @@ mod tests {
         let session = Session::new();
         let plan = session.compile(&spec, &WorkloadSet::new()).unwrap();
         let outcome = session.execute(&plan).unwrap();
-        let update = update_vs_invalidate_figure(ScaleProfile::Tiny);
+        let update = update_figure(ScaleProfile::Tiny);
         let json = results_json(&outcome, ScaleProfile::Tiny, &update).unwrap();
         // Structural sanity without a JSON parser: balanced delimiters and
         // the expected top-level keys.
@@ -360,7 +356,7 @@ mod tests {
 
     #[test]
     fn update_vs_invalidate_covers_every_primitive_and_flips_winners() {
-        let fig = update_vs_invalidate_figure(ScaleProfile::Tiny);
+        let fig = update_figure(ScaleProfile::Tiny);
         assert_eq!(fig.rows().len(), SharingPattern::ALL.len());
         let mut dragon_wins = 0usize;
         let mut dragon_losses = 0usize;
@@ -394,6 +390,6 @@ mod tests {
 
         // Determinism: the figure is rebuilt bit-identically (CI diffs the
         // containing BENCH_results.json byte-for-byte).
-        assert_eq!(fig, update_vs_invalidate_figure(ScaleProfile::Tiny));
+        assert_eq!(fig, update_figure(ScaleProfile::Tiny));
     }
 }

@@ -375,3 +375,68 @@ fn workloads_check_separates_a_stale_table_from_a_bad_request() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn trace_replay_runs_one_plan_and_refuses_what_it_cannot_run() {
+    let dir = scratch("trace-replay");
+    let record = ["trace", "record", "fft.trace", "--tiny", "--bench", "FFT"];
+    let (code, _, stderr) = run_in(&dir, &record);
+    assert_eq!(code, 0, "{stderr}");
+    // `--protocol` narrows the protocol axis; the line it prints is the one
+    // the all-ten replay prints for that protocol.
+    let (code, all, stderr) = run_in(&dir, &["trace", "replay", "fft.trace", "--tiny"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(
+        all.lines().count(),
+        11,
+        "a header and ten protocols:\n{all}"
+    );
+    let replay_mesi = [
+        "trace",
+        "replay",
+        "fft.trace",
+        "--tiny",
+        "--protocol",
+        "MESI",
+    ];
+    let (code, one, stderr) = run_in(&dir, &replay_mesi);
+    assert_eq!(code, 0, "{stderr}");
+    let mesi = |out: &str| -> Vec<String> {
+        let lines = out.lines().filter(|l| l.starts_with("MESI "));
+        lines.map(String::from).collect()
+    };
+    assert_eq!(mesi(&one).len(), 1, "{one}");
+    assert_eq!(mesi(&one), mesi(&all));
+    assert_eq!(one.lines().next(), all.lines().next(), "the same header");
+    assert_eq!(one.lines().count(), 2, "{one}");
+
+    // A hand-written two-core trace on the 16-tile Tiny system: compile
+    // refuses it, naming both core counts.
+    let two_cores = "denovo-waste-trace v1\nbench custom\ninput two cores\ncores 2\n\
+        region 1 \"flag\" base=0x0 bytes=4096 wip=1 bypass=none\n\
+        core 0\n  ST 0x0 R1\n  B 0\nend\ncore 1\n  B 0\n  LD 0x0 R1\nend\n";
+    std::fs::write(dir.join("two.trace"), two_cores).unwrap();
+    let (code, _, stderr) = run_in(&dir, &["trace", "replay", "two.trace", "--tiny"]);
+    assert_eq!(code, 2, "{stderr}");
+    for count in ["2 cores", "16 tiles"] {
+        assert!(stderr.contains(count), "must name {count}: {stderr}");
+    }
+
+    let (code, _, stderr) = run_in(&dir, &["trace", "replay", "no-such.trace", "--tiny"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("cannot read no-such.trace"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn figupdate_alone_simulates_no_matrix() {
+    let dir = scratch("figupdate");
+    let (code, stdout, stderr) = run_in(&dir, &["figupdate", "--tiny"]);
+    assert_eq!(code, 0, "{stderr}");
+    // A title line, a column line, then one row per sharing primitive.
+    let rows = stdout.lines().skip(2).take_while(|l| !l.is_empty());
+    assert_eq!(rows.count(), 7, "{stdout}");
+    assert!(stderr.contains("plan `tiny-update`"), "{stderr}");
+    assert!(!stderr.contains("tiny-matrix"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -220,15 +220,20 @@ fn one_run_serves_every_network_model_of_a_cell_under_its_own_key() {
     let session = Session::new().with_cache_dir(&dir);
     let mut set = WorkloadSet::new();
     set.insert("synth", synthesize(3));
+    // The update protocol too: the session must equal a lone `Simulator`
+    // under Dragon on a synthesized workload, as the update-vs-invalidate
+    // figure's plan relies on.
     let mut spec = synth_spec(ProtocolKind::Mesi);
-    spec.protocols.push(ProtocolKind::DBypFull);
+    spec.protocols
+        .extend([ProtocolKind::DBypFull, ProtocolKind::Dragon]);
     spec.networks = NetworkModelKind::ALL.to_vec();
     let plan = session.compile(&spec, &set).unwrap();
 
-    // Six cells, six keys, two runs: one per protocol, a lane per network.
+    // Nine cells, nine keys, three runs: one per protocol, a lane per
+    // network.
     let groups = session.groups(&plan);
     let runs: std::collections::BTreeSet<usize> = groups.iter().map(|g| g.run).collect();
-    assert_eq!(runs.len(), 2);
+    assert_eq!(runs.len(), 3);
     for (i, (cell, group)) in plan.cells.iter().zip(&groups).enumerate() {
         assert_eq!(group.leader, i);
         let head = &plan.cells[group.run];
@@ -239,8 +244,8 @@ fn one_run_serves_every_network_model_of_a_cell_under_its_own_key() {
     // its own entry.
     let cold = session.execute(&plan).unwrap();
     let counts = |c: denovo_waste::CacheStats| (c.hits, c.misses, c.coalesced);
-    assert_eq!(counts(cold.cache), (0, 6, 0));
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 6);
+    assert_eq!(counts(cold.cache), (0, 9, 0));
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 9);
     for cell in &plan.cells {
         let config = SimConfig::new(cell.protocol).with_system(cell.system.clone());
         let alone = Simulator::new(config, &cell.workload).run();
@@ -252,7 +257,7 @@ fn one_run_serves_every_network_model_of_a_cell_under_its_own_key() {
     let lost = &plan.cells[plan.cells.len() - 1];
     std::fs::remove_file(dir.join(format!("{}.json", session.key_of(lost)))).unwrap();
     let warm = session.execute(&plan).unwrap();
-    assert_eq!(counts(warm.cache), (5, 1, 0));
+    assert_eq!(counts(warm.cache), (8, 1, 0));
     assert_eq!(warm.reports, cold.reports);
     let _ = std::fs::remove_dir_all(&dir);
 }
