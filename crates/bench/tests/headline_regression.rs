@@ -14,6 +14,11 @@
 //! far below 1.0).
 
 use denovo_waste::{ExperimentSpec, ScaleProfile, Session, WorkloadSet};
+use tw_types::Digest;
+
+/// The benchmark package's golden digests of `plan_figures_json` bytes,
+/// one `name digest` line per plan.
+const GOLDEN: &str = include_str!("../../../benchmark/golden/figures.digests");
 
 /// Extracts `"name": <number>` from the committed results document without
 /// a JSON parser (the document is generated by `tw_bench::results_json`,
@@ -49,6 +54,18 @@ fn tiny_headline_ratios_track_the_committed_results() {
             &WorkloadSet::new(),
         )
         .expect("the tiny full matrix must run");
+    // The figures document is byte-exact: its digest is the benchmark's
+    // golden `tiny-matrix` line.
+    let figures = tw_bench::plan_figures_json(&outcome).expect("figures render");
+    let golden = GOLDEN
+        .lines()
+        .find_map(|line| line.strip_prefix("tiny-matrix "))
+        .expect("figures.digests has a tiny-matrix line");
+    assert_eq!(
+        Digest::of_bytes(figures.as_bytes()).to_string(),
+        golden.trim(),
+        "plan_figures_json moved a byte of the Tiny matrix document"
+    );
     let h = outcome
         .headline()
         .expect("full matrix has every headline protocol");

@@ -243,6 +243,17 @@ mod tests {
     }
 
     #[test]
+    fn cache_entry_bytes_are_pinned() {
+        let wl = build_tiny(BenchmarkKind::Fft, 16).unwrap();
+        let report = Simulator::new(SimConfig::new(ProtocolKind::Mesi), &wl).run();
+        let text = report_to_json(&report).pretty();
+        assert_eq!(
+            tw_types::Digest::of_bytes(text.as_bytes()).to_string(),
+            "f65284cae165c5fc2b4426522bf08c05"
+        );
+    }
+
+    #[test]
     fn special_floats_round_trip() {
         for v in [0.0, -0.0, f64::NAN, f64::INFINITY, 0.1 + 0.2, -1.5e-300] {
             let parsed = f64_parse(&f64_json(v)).unwrap();
