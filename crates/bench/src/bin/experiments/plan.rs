@@ -66,7 +66,7 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
         spec.networks.iter().map(|n| n.name()).collect(),
         "analytic (default)",
     );
-    println!("baseline:       {}", spec.baseline.protocol().name());
+    println!("baseline:       {}", spec.baseline.name());
     for (label, sys) in &plan.variants {
         println!(
             "variant `{label}`: {} tiles, {} KB L1, {} KB L2/slice, {} network",

@@ -15,11 +15,9 @@
 pub mod daemon;
 
 use denovo_waste::{
-    CacheStats, ExperimentError, ExperimentSpec, FigureTable, PlanOutcome, ScaleProfile,
+    CacheStats, ExperimentError, ExperimentSpec, FigureTable, Json, PlanOutcome, ScaleProfile,
     SessionCounters, WorkloadSet, WorkloadSpec,
 };
-use std::fmt::Write as _;
-use tw_obs::escaped;
 use tw_profiler::WasteCategory;
 use tw_scenarios::{SharingPattern, SynthConfig};
 use tw_types::ProtocolKind;
@@ -119,63 +117,49 @@ fn update_ratio_geomean(fig: &FigureTable) -> f64 {
     (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
 }
 
-/// Renders a finite `f64` as JSON (JSON has no NaN/inf; those become null).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+/// An object from `(key, value)` pairs, in order.
+fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
-fn figure_json(fig: &FigureTable, out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"title\":\"{}\",\"columns\":[",
-        escaped(fig.title())
-    );
-    for (i, c) in fig.columns().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", escaped(c));
-    }
-    out.push_str("],\"rows\":[");
-    for (i, (label, values)) in fig.rows().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"label\":\"{}\",\"values\":[", escaped(label));
-        for (j, v) in values.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_num(*v));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
+/// An array of each item's display text.
+fn strings<T: ToString>(items: impl IntoIterator<Item = T>) -> Json {
+    Json::Arr(
+        items
+            .into_iter()
+            .map(|item| Json::Str(item.to_string()))
+            .collect(),
+    )
 }
 
-/// Writes `  "key": ["a", "b"],` and a newline, each item escaped.
-fn string_list(out: &mut String, key: &str, items: &[impl std::fmt::Display]) {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|item| format!("\"{}\"", escaped(&item.to_string())))
-        .collect();
-    let _ = writeln!(out, "  \"{key}\": [{}],", quoted.join(", "));
+/// One figure, kept on one line of the results documents.
+fn figure(fig: &FigureTable) -> Json {
+    let rows = fig.rows().iter().map(|(label, values)| {
+        obj([
+            ("label", Json::str(label.as_str())),
+            (
+                "values",
+                Json::Arr(values.iter().map(|&v| Json::F64(v)).collect()),
+            ),
+        ])
+    });
+    Json::Inline(Box::new(obj([
+        ("title", Json::str(fig.title())),
+        ("columns", strings(fig.columns())),
+        ("rows", Json::Arr(rows.collect())),
+    ])))
 }
 
-/// Writes the `figures` array that ends both results documents, and the
-/// closing brace.
-fn figures_tail(figures: &[FigureTable], out: &mut String) {
-    out.push_str("  \"figures\": [\n");
-    for (i, fig) in figures.iter().enumerate() {
-        out.push_str("    ");
-        figure_json(fig, out);
-        out.push_str(if i + 1 < figures.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
+/// The `figures` list that ends both results documents.
+fn figures(outcome: &PlanOutcome) -> Result<Json, ExperimentError> {
+    Ok(Json::Arr(
+        outcome.all_figures()?.iter().map(figure).collect(),
+    ))
 }
 
 /// Serializes one experiment run — headline averages, the
@@ -198,20 +182,13 @@ pub fn results_json(
     update: &FigureTable,
 ) -> Result<String, ExperimentError> {
     let h = outcome.headline()?;
-    let figures = outcome.all_figures()?;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"denovo-waste/bench-results/v1\",\n");
-    let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
-    string_list(&mut out, "protocols", &outcome.protocols);
-    let mut benchmarks = Vec::new();
-    for (row, _) in &outcome.rows {
-        benchmarks.push(outcome.report(row, outcome.baseline.protocol())?.benchmark);
-    }
-    string_list(&mut out, "benchmarks", &benchmarks);
-    let _ = writeln!(out, "  \"cells\": {},", outcome.cells());
-    out.push_str("  \"headline\": {\n");
-    let headline_fields = [
+    let figures = figures(outcome)?;
+    let benchmarks = outcome
+        .rows
+        .iter()
+        .map(|(row, _)| Ok(outcome.report(row, outcome.baseline)?.benchmark))
+        .collect::<Result<Vec<_>, ExperimentError>>()?;
+    let headline = [
         ("dbypfull_traffic_vs_mesi", h.dbypfull_traffic_vs_mesi),
         ("dbypfull_traffic_vs_mmeml1", h.dbypfull_traffic_vs_mmeml1),
         ("dbypfull_traffic_vs_dflexl1", h.dbypfull_traffic_vs_dflexl1),
@@ -221,20 +198,24 @@ pub fn results_json(
         ("dbypfull_waste_fraction", h.dbypfull_waste_fraction),
         ("mesi_overhead_fraction", h.mesi_overhead_fraction),
     ];
-    let fields =
-        headline_fields.map(|(name, value)| format!("    \"{name}\": {}", json_num(value)));
-    let _ = writeln!(out, "{}\n  }},", fields.join(",\n"));
-    out.push_str("  \"update_vs_invalidate\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"dragon_traffic_vs_mesi_geomean\": {},",
-        json_num(update_ratio_geomean(update))
-    );
-    out.push_str("    \"figure\": ");
-    figure_json(update, &mut out);
-    out.push_str("\n  },\n");
-    figures_tail(&figures, &mut out);
-    Ok(out)
+    let update = obj([
+        (
+            "dragon_traffic_vs_mesi_geomean",
+            Json::F64(update_ratio_geomean(update)),
+        ),
+        ("figure", figure(update)),
+    ]);
+    Ok(obj([
+        ("schema", Json::str("denovo-waste/bench-results/v1")),
+        ("scale", Json::str(format!("{scale:?}"))),
+        ("protocols", strings(&outcome.protocols)),
+        ("benchmarks", strings(benchmarks)),
+        ("cells", Json::UInt(outcome.cells() as u64)),
+        ("headline", obj(headline.map(|(k, v)| (k, Json::F64(v))))),
+        ("update_vs_invalidate", update),
+        ("figures", figures),
+    ])
+    .pretty())
 }
 
 /// Serializes a plan outcome's figures as a deterministic JSON document —
@@ -246,17 +227,15 @@ pub fn results_json(
 ///
 /// Any [`ExperimentError`] from figure extraction.
 pub fn plan_figures_json(outcome: &PlanOutcome) -> Result<String, ExperimentError> {
-    let figures = outcome.all_figures()?;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"denovo-waste/plan-results/v1\",\n");
-    let _ = writeln!(out, "  \"plan\": \"{}\",", escaped(&outcome.name));
-    string_list(&mut out, "protocols", &outcome.protocols);
-    let labels: Vec<&String> = outcome.rows.iter().map(|(_, label)| label).collect();
-    string_list(&mut out, "rows", &labels);
-    let _ = writeln!(out, "  \"cells\": {},", outcome.cells());
-    figures_tail(&figures, &mut out);
-    Ok(out)
+    Ok(obj([
+        ("schema", Json::str("denovo-waste/plan-results/v1")),
+        ("plan", Json::str(outcome.name.as_str())),
+        ("protocols", strings(&outcome.protocols)),
+        ("rows", strings(outcome.rows.iter().map(|(_, label)| label))),
+        ("cells", Json::UInt(outcome.cells() as u64)),
+        ("figures", figures(outcome)?),
+    ])
+    .pretty())
 }
 
 /// Serializes a plan run's cache statistics — the `plan run --stats`
@@ -265,17 +244,21 @@ pub fn plan_figures_json(outcome: &PlanOutcome) -> Result<String, ExperimentErro
 /// its compile ran ([`SessionCounters::workloads_materialized`],
 /// [`SessionCounters::digest_passes`]).
 pub fn cache_stats_json(plan: &str, stats: &CacheStats, session: &SessionCounters) -> String {
-    format!(
-        "{{\n  \"schema\": \"denovo-waste/cache-stats/v1\",\n  \"plan\": \"{}\",\n  \"cells\": {},\n  \"hits\": {},\n  \"misses\": {},\n  \"coalesced\": {},\n  \"hit_rate\": {},\n  \"workloads_materialized\": {},\n  \"digest_passes\": {}\n}}\n",
-        escaped(plan),
-        stats.total(),
-        stats.hits,
-        stats.misses,
-        stats.coalesced,
-        json_num(stats.hit_rate()),
-        session.workloads_materialized,
-        session.digest_passes,
-    )
+    obj([
+        ("schema", Json::str("denovo-waste/cache-stats/v1")),
+        ("plan", Json::str(plan)),
+        ("cells", Json::UInt(stats.total())),
+        ("hits", Json::UInt(stats.hits)),
+        ("misses", Json::UInt(stats.misses)),
+        ("coalesced", Json::UInt(stats.coalesced)),
+        ("hit_rate", Json::F64(stats.hit_rate())),
+        (
+            "workloads_materialized",
+            Json::UInt(session.workloads_materialized),
+        ),
+        ("digest_passes", Json::UInt(session.digest_passes)),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]
@@ -311,7 +294,7 @@ mod tests {
         PlanOutcome {
             name: name.to_string(),
             protocols: ProtocolKind::PAPER.to_vec(),
-            baseline: denovo_waste::Baseline::default(),
+            baseline: ProtocolKind::Mesi,
             rows: Vec::new(),
             variants: Vec::new(),
             reports: Default::default(),

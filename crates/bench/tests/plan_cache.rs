@@ -415,7 +415,7 @@ fn spec_from_raw(
         3 => vec![NetworkModelKind::SnoopBus],
         _ => NetworkModelKind::ALL.to_vec(),
     };
-    let baseline = denovo_waste::Baseline::Protocol(protocols[baseline_i % protocols.len().max(1)]);
+    let baseline = protocols[baseline_i % protocols.len().max(1)];
     ExperimentSpec {
         name: "prop-spec".into(),
         scale,

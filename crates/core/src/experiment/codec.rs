@@ -5,8 +5,8 @@
 //! exact, and CI diffs warm-run figure output byte-for-byte against cold
 //! runs). Decimal JSON numbers cannot carry `f64`s losslessly, so every
 //! floating-point field is stored as its 16-hex-digit IEEE-754 bit pattern;
-//! integers use plain JSON integers (the parser in `json.rs` reads them as
-//! exact `u64`s, not doubles).
+//! integers use plain JSON integers (`tw_obs::Json` reads them as exact
+//! `u64`s, not doubles).
 //!
 //! Enum-keyed maps (time classes, traffic buckets, waste categories) are
 //! stored as label-tagged entry lists, resolved back through the same `ALL`
@@ -14,9 +14,9 @@
 //! codable, and an unknown label in a cache file is a decode error (the
 //! session treats it as a miss and recomputes).
 
-use super::json::Json;
 use crate::report::SimReport;
 use crate::timing::{ExecutionBreakdown, TimeClass};
+use tw_obs::Json;
 use tw_profiler::{TrafficBreakdown, WasteCategory, WasteReport};
 use tw_types::{MessageClass, ProtocolKind, TrafficBucket};
 use tw_workloads::BenchmarkKind;
@@ -38,94 +38,95 @@ fn f64_parse(v: &Json) -> Result<f64, String> {
         .map_err(|e| format!("f64 bit pattern `{s}`: {e}"))
 }
 
-fn label_of_class(c: MessageClass) -> &'static str {
-    c.label()
+/// Resolves `v`, the label of one entry, through `all` (an enum's `ALL`
+/// array, which the figures iterate too); `what` names the enum when no
+/// variant carries that label.
+fn by_label<T: Copy, L: AsRef<str>>(
+    v: &Json,
+    all: &[T],
+    label: impl Fn(T) -> L,
+    what: &str,
+) -> Result<T, String> {
+    let text = v.as_str()?;
+    all.iter()
+        .copied()
+        .find(|&t| label(t).as_ref() == text)
+        .ok_or_else(|| format!("unknown {what} `{text}`"))
 }
 
-fn class_by_label(label: &str) -> Result<MessageClass, String> {
-    MessageClass::ALL
-        .into_iter()
-        .find(|c| c.label() == label)
-        .ok_or_else(|| format!("unknown message class `{label}`"))
+fn message_class(v: &Json) -> Result<MessageClass, String> {
+    by_label(v, &MessageClass::ALL, MessageClass::label, "message class")
 }
 
-fn bucket_by_label(label: &str) -> Result<TrafficBucket, String> {
-    // Bucket labels alone are not unique across figure families ("Control"
-    // etc. are scoped by figure); serialize by debug name instead.
-    TrafficBucket::ALL
-        .into_iter()
-        .find(|b| format!("{b:?}") == label)
-        .ok_or_else(|| format!("unknown traffic bucket `{label}`"))
+fn waste_category(v: &Json) -> Result<WasteCategory, String> {
+    by_label(
+        v,
+        &WasteCategory::ALL,
+        WasteCategory::label,
+        "waste category",
+    )
 }
 
-fn time_class_by_label(label: &str) -> Result<TimeClass, String> {
-    TimeClass::ALL
-        .into_iter()
-        .find(|c| c.label() == label)
-        .ok_or_else(|| format!("unknown time class `{label}`"))
+/// Bucket labels alone are not unique across figure families ("Control"
+/// etc. are scoped by figure), so buckets are stored by debug name.
+fn bucket_name(b: TrafficBucket) -> String {
+    format!("{b:?}")
 }
 
-fn category_by_label(label: &str) -> Result<WasteCategory, String> {
-    WasteCategory::ALL
-        .into_iter()
-        .find(|c| c.label() == label)
-        .ok_or_else(|| format!("unknown waste category `{label}`"))
+/// An enum-keyed map as its list of `[label, …, value]` entries.
+fn entry_list<const N: usize>(entries: impl Iterator<Item = [Json; N]>) -> Json {
+    Json::Arr(entries.map(|entry| Json::Arr(entry.into())).collect())
+}
+
+/// Reads a list written by [`entry_list`]: an entry that is not an array
+/// of `N` items is refused with `shape`, and `decode` reads the others.
+fn parse_entries<const N: usize, T>(
+    v: &Json,
+    shape: &str,
+    decode: impl Fn(&[Json; N]) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    v.as_arr()?
+        .iter()
+        .map(|entry| {
+            let items = <&[Json; N]>::try_from(entry.as_arr()?).map_err(|_| shape.to_string())?;
+            decode(items)
+        })
+        .collect()
 }
 
 fn waste_json(w: &WasteReport) -> Json {
     Json::Obj(vec![
         (
             "words".to_string(),
-            Json::Arr(
+            entry_list(
                 w.words_iter()
-                    .map(|(cat, n)| Json::Arr(vec![Json::str(cat.label()), Json::UInt(n)]))
-                    .collect(),
+                    .map(|(cat, n)| [Json::str(cat.label()), Json::UInt(n)]),
             ),
         ),
         (
             "flit_hops".to_string(),
-            Json::Arr(
-                w.flit_hops_iter()
-                    .map(|(class, cat, h)| {
-                        Json::Arr(vec![
-                            Json::str(label_of_class(class)),
-                            Json::str(cat.label()),
-                            f64_json(h),
-                        ])
-                    })
-                    .collect(),
-            ),
+            entry_list(w.flit_hops_iter().map(|(class, cat, h)| {
+                [
+                    Json::str(class.label()),
+                    Json::str(cat.label()),
+                    f64_json(h),
+                ]
+            })),
         ),
     ])
 }
 
 fn waste_parse(v: &Json) -> Result<WasteReport, String> {
-    let words = v
-        .require("words")?
-        .as_arr()?
-        .iter()
-        .map(|entry| {
-            let [cat, n] = entry.as_arr()? else {
-                return Err("words entry must be [category, count]".to_string());
-            };
-            Ok((category_by_label(cat.as_str()?)?, n.as_u64()?))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let hops = v
-        .require("flit_hops")?
-        .as_arr()?
-        .iter()
-        .map(|entry| {
-            let [class, cat, h] = entry.as_arr()? else {
-                return Err("flit_hops entry must be [class, category, bits]".to_string());
-            };
-            Ok((
-                class_by_label(class.as_str()?)?,
-                category_by_label(cat.as_str()?)?,
-                f64_parse(h)?,
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let words = parse_entries(
+        v.require("words")?,
+        "words entry must be [category, count]",
+        |[cat, n]| Ok((waste_category(cat)?, n.as_u64()?)),
+    )?;
+    let hops = parse_entries(
+        v.require("flit_hops")?,
+        "flit_hops entry must be [class, category, bits]",
+        |[class, cat, h]| Ok((message_class(class)?, waste_category(cat)?, f64_parse(h)?)),
+    )?;
     Ok(WasteReport::from_parts(words, hops))
 }
 
@@ -139,27 +140,21 @@ pub(crate) fn report_to_json(r: &SimReport) -> Json {
         ("total_cycles".to_string(), Json::UInt(r.total_cycles)),
         (
             "time".to_string(),
-            Json::Arr(
+            entry_list(
                 r.time
                     .iter()
-                    .map(|(c, n)| Json::Arr(vec![Json::str(c.label()), Json::UInt(n)]))
-                    .collect(),
+                    .map(|(c, n)| [Json::str(c.label()), Json::UInt(n)]),
             ),
         ),
         (
             "traffic".to_string(),
-            Json::Arr(
-                r.traffic
-                    .iter()
-                    .map(|(class, bucket, h)| {
-                        Json::Arr(vec![
-                            Json::str(label_of_class(class)),
-                            Json::str(format!("{bucket:?}")),
-                            f64_json(h),
-                        ])
-                    })
-                    .collect(),
-            ),
+            entry_list(r.traffic.iter().map(|(class, bucket, h)| {
+                [
+                    Json::str(class.label()),
+                    Json::str(bucket_name(bucket)),
+                    f64_json(h),
+                ]
+            })),
         ),
         ("mesh_flit_hops".to_string(), f64_json(r.mesh_flit_hops)),
         ("l1_waste".to_string(), waste_json(&r.l1_waste)),
@@ -183,41 +178,29 @@ pub(crate) fn report_from_json(v: &Json) -> Result<SimReport, String> {
     }
     let protocol = ProtocolKind::by_name(v.require("protocol")?.as_str()?)?;
     let benchmark = BenchmarkKind::by_name(v.require("benchmark")?.as_str()?)?;
-    let time = ExecutionBreakdown::from_entries(
-        v.require("time")?
-            .as_arr()?
-            .iter()
-            .map(|entry| {
-                let [class, n] = entry.as_arr()? else {
-                    return Err("time entry must be [class, cycles]".to_string());
-                };
-                Ok((time_class_by_label(class.as_str()?)?, n.as_u64()?))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-    );
-    let traffic = TrafficBreakdown::from_entries(
-        v.require("traffic")?
-            .as_arr()?
-            .iter()
-            .map(|entry| {
-                let [class, bucket, h] = entry.as_arr()? else {
-                    return Err("traffic entry must be [class, bucket, bits]".to_string());
-                };
-                Ok((
-                    class_by_label(class.as_str()?)?,
-                    bucket_by_label(bucket.as_str()?)?,
-                    f64_parse(h)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-    );
+    let time = parse_entries(
+        v.require("time")?,
+        "time entry must be [class, cycles]",
+        |[class, n]| {
+            let class = by_label(class, &TimeClass::ALL, TimeClass::label, "time class")?;
+            Ok((class, n.as_u64()?))
+        },
+    )?;
+    let traffic = parse_entries(
+        v.require("traffic")?,
+        "traffic entry must be [class, bucket, bits]",
+        |[class, bucket, h]| {
+            let bucket = by_label(bucket, &TrafficBucket::ALL, bucket_name, "traffic bucket")?;
+            Ok((message_class(class)?, bucket, f64_parse(h)?))
+        },
+    )?;
     Ok(SimReport {
         protocol,
         benchmark,
         input: v.require("input")?.as_str()?.to_string(),
         total_cycles: v.require("total_cycles")?.as_u64()?,
-        time,
-        traffic,
+        time: ExecutionBreakdown::from_entries(time),
+        traffic: TrafficBreakdown::from_entries(traffic),
         mesh_flit_hops: f64_parse(v.require("mesh_flit_hops")?)?,
         l1_waste: waste_parse(v.require("l1_waste")?)?,
         l2_waste: waste_parse(v.require("l2_waste")?)?,
@@ -272,5 +255,48 @@ mod tests {
         assert!(report_from_json(&Json::parse(&tampered).unwrap()).is_err());
         let tampered = text.replace(REPORT_SCHEMA, "denovo-waste/sim-report/v0");
         assert!(report_from_json(&Json::parse(&tampered).unwrap()).is_err());
+        // Each kind of label and entry names itself.
+        let text = report_to_json(&report).compact();
+        for (from, to, want) in [
+            (
+                r#"[["Compute","#,
+                r#"[["Nope","#,
+                "unknown time class `Nope`",
+            ),
+            (
+                r#"[["Compute","#,
+                r#"[[1,"Compute","#,
+                "time entry must be [class, cycles]",
+            ),
+            (
+                r#"[["LD","ReqCtl""#,
+                r#"[["XX","ReqCtl""#,
+                "unknown message class `XX`",
+            ),
+            (r#""ReqCtl""#, r#""Nope""#, "unknown traffic bucket `Nope`"),
+            (
+                r#"[["LD","ReqCtl","#,
+                r#"[["LD","#,
+                "traffic entry must be [class, bucket, bits]",
+            ),
+            (
+                r#"[["Used Words","#,
+                r#"[["Nope","#,
+                "unknown waste category `Nope`",
+            ),
+            (
+                r#"[["Used Words","#,
+                r#"[["#,
+                "words entry must be [category, count]",
+            ),
+            (
+                r#"[["LD","Used Words","#,
+                r#"[["LD","#,
+                "flit_hops entry must be [class, category, bits]",
+            ),
+        ] {
+            let tampered = Json::parse(&text.replacen(from, to, 1)).unwrap();
+            assert_eq!(report_from_json(&tampered), Err(want.to_string()), "{to}");
+        }
     }
 }

@@ -10,22 +10,20 @@
 //!   report (workload content, system, protocol, engine version), fanning
 //!   out on one FIFO thread pool its clones share (`pool.rs`);
 //! * [`outcome`] — [`PlanOutcome`] extracts the paper's tables and figures,
-//!   normalized to an explicit [`Baseline`] (MESI by default).
+//!   normalized to an explicit baseline protocol (MESI by default).
 
 mod codec;
-pub mod json;
 mod memo;
 pub mod outcome;
 pub mod plan;
 mod pool;
 pub mod session;
 
-pub use json::Json;
 pub use memo::workload_digests;
 pub use outcome::{HeadlineSummary, PlanOutcome};
 pub use plan::{
-    Baseline, CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, RowKey, SystemVariant,
-    WorkloadRef, WorkloadSet, WorkloadSource, WorkloadSpec, SPEC_SCHEMA,
+    CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, RowKey, SystemVariant, WorkloadRef,
+    WorkloadSet, WorkloadSource, WorkloadSpec, SPEC_SCHEMA,
 };
 pub use session::{
     cache_key, sweep_temp_files, CacheStats, CellGroup, Session, SessionCounters, ENGINE_VERSION,
@@ -314,7 +312,7 @@ mod tests {
                 tw_types::NetworkModelKind::Analytic,
                 tw_types::NetworkModelKind::FlitLevel,
             ],
-            baseline: Baseline::Protocol(ProtocolKind::Mesi),
+            baseline: ProtocolKind::Mesi,
         };
         let text = sweep.to_json();
         assert_eq!(ExperimentSpec::from_json(&text).unwrap(), sweep);
@@ -378,6 +376,52 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("exactly one"), "{err}");
+    }
+
+    #[test]
+    fn spec_json_rejects_unknown_fields_at_every_level() {
+        let doc = |extra: &str, workload: &str, variant: &str| {
+            format!(
+                r#"{{"schema": "{SPEC_SCHEMA}", "name": "x", "scale": "tiny",
+                     "workloads": [{{"bench": "FFT"{workload}}}],
+                     "variants": [{{"label": "v"{variant}}}]{extra}}}"#
+            )
+        };
+        let refused = |text: String| match ExperimentSpec::from_json(&text) {
+            Err(ExperimentError::InvalidSpec(msg)) => msg,
+            other => panic!("{text} parsed as {other:?}"),
+        };
+        // A spec without `protocols` still sweeps the paper's nine.
+        let spec = ExperimentSpec::from_json(&doc("", "", "")).unwrap();
+        assert_eq!(spec.protocols, ProtocolKind::PAPER);
+        assert_eq!(spec.baseline, ProtocolKind::Mesi);
+        // Each misspelt top-level key is named; none falls back to a
+        // default axis.
+        for (typo, value) in [
+            ("protocol", r#"["MESI"]"#),
+            ("network", r#"["flit"]"#),
+            ("variant", r#"[{"label": "w"}]"#),
+            ("workload", r#"[{"bench": "LU"}]"#),
+            ("baselines", r#""DeNovo""#),
+        ] {
+            assert_eq!(
+                refused(doc(&format!(r#", "{typo}": {value}"#), "", "")),
+                format!(
+                    "unknown spec field `{typo}` (expected schema | name | scale | baseline | \
+                     protocols | workloads | variants | networks)"
+                )
+            );
+        }
+        // The entries' messages are unchanged.
+        assert_eq!(
+            refused(doc("", r#", "benhc": "LU""#, "")),
+            "unknown workload field `benhc` (expected bench | trace | provided | name)"
+        );
+        assert_eq!(
+            refused(doc("", "", r#", "l2_bytes": 1"#)),
+            "unknown field `l2_bytes` in variant `v` (expected label | mesh | l1_bytes | \
+             l2_slice_bytes | network)"
+        );
     }
 
     #[test]

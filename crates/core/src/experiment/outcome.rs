@@ -3,11 +3,11 @@
 //! [`PlanOutcome`] holds the reports of one executed plan, keyed by cell
 //! identity (row × protocol), and extracts every table and figure of the
 //! paper's evaluation section. Figures normalize each row's bars to the
-//! plan's [`Baseline`] run of the same row — MESI by default, exactly as the
+//! plan's baseline protocol's run of the same row — MESI by default, exactly as the
 //! paper does — and a zero-valued baseline yields `0.0` rows rather than
 //! NaN/inf, so figure output is always finite and JSON-serializable.
 
-use super::plan::{Baseline, ExperimentError, RowKey};
+use super::plan::{ExperimentError, RowKey};
 use super::session::CacheStats;
 use crate::figures::FigureTable;
 use crate::report::SimReport;
@@ -56,8 +56,8 @@ pub struct PlanOutcome {
     pub name: String,
     /// Protocols, in figure order.
     pub protocols: Vec<ProtocolKind>,
-    /// What figures normalize to.
-    pub baseline: Baseline,
+    /// The protocol figures normalize each row to.
+    pub baseline: ProtocolKind,
     /// Figure rows `(identity, display label)`, in plan order.
     pub rows: Vec<(RowKey, String)>,
     /// Resolved system configuration per variant label.
@@ -95,7 +95,7 @@ impl PlanOutcome {
     }
 
     fn baseline_report(&self, row: &RowKey) -> Result<&SimReport, ExperimentError> {
-        self.report(row, self.baseline.protocol())
+        self.report(row, self.baseline)
     }
 
     fn row_label(&self, label: &str, protocol: ProtocolKind) -> String {

@@ -12,7 +12,6 @@
 //! restriction: two synthesized workloads are two distinct refs no matter
 //! what kind they carry.
 
-use super::json::Json;
 use super::session::{Session, SessionState};
 use super::ScaleProfile;
 use crate::sim::SimError;
@@ -20,6 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tw_obs::Json;
 use tw_types::{Digest, NetworkModelKind, ProtocolKind, SystemConfig};
 use tw_workloads::{BenchmarkKind, Workload};
 
@@ -274,26 +274,38 @@ impl SystemVariant {
     }
 }
 
-/// What figures normalize each row to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Baseline {
-    /// Normalize to the named protocol's run of the same (workload,
-    /// variant) row — the paper normalizes everything to MESI.
-    Protocol(ProtocolKind),
-}
+/// The top-level keys of a spec document.
+const SPEC_FIELDS: [&str; 8] = [
+    "schema",
+    "name",
+    "scale",
+    "baseline",
+    "protocols",
+    "workloads",
+    "variants",
+    "networks",
+];
 
-impl Default for Baseline {
-    fn default() -> Self {
-        Baseline::Protocol(ProtocolKind::Mesi)
-    }
-}
-
-impl Baseline {
-    /// The protocol this baseline resolves to.
-    pub fn protocol(self) -> ProtocolKind {
-        match self {
-            Baseline::Protocol(p) => p,
-        }
+/// Refuses a field of the spec object `entry` that `known` does not list:
+/// `unknown(key)` names it, followed by the accepted keys. The document and
+/// its workload and variant entries are all checked, so a misspelt key is
+/// an error, never a silently applied default.
+fn known_fields(
+    entry: &Json,
+    known: &[&str],
+    unknown: impl Fn(&str) -> String,
+) -> Result<(), ExperimentError> {
+    let fields = entry.as_obj().map_err(ExperimentError::InvalidSpec)?;
+    match fields
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(ExperimentError::InvalidSpec(format!(
+            "{} (expected {})",
+            unknown(key),
+            known.join(" | ")
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -314,8 +326,9 @@ pub struct ExperimentSpec {
     /// (empty = the variants' own settings, analytic by default). Mutually
     /// exclusive with per-variant `network` overrides.
     pub networks: Vec<NetworkModelKind>,
-    /// What figures normalize to.
-    pub baseline: Baseline,
+    /// The protocol whose run of each (workload, variant) row the
+    /// figures normalize that row to; the paper normalizes to MESI.
+    pub baseline: ProtocolKind,
 }
 
 impl ExperimentSpec {
@@ -345,7 +358,7 @@ impl ExperimentSpec {
             workloads: benchmarks.into_iter().map(WorkloadSpec::bench).collect(),
             variants: vec![SystemVariant::base()],
             networks: Vec::new(),
-            baseline: Baseline::default(),
+            baseline: ProtocolKind::Mesi,
         }
     }
 
@@ -408,10 +421,7 @@ impl ExperimentSpec {
             ("schema".to_string(), Json::str(SPEC_SCHEMA)),
             ("name".to_string(), Json::str(self.name.clone())),
             ("scale".to_string(), Json::str(self.scale.name())),
-            (
-                "baseline".to_string(),
-                Json::str(self.baseline.protocol().name()),
-            ),
+            ("baseline".to_string(), Json::str(self.baseline.name())),
             (
                 "protocols".to_string(),
                 Json::Arr(self.protocols.iter().map(|p| Json::str(p.name())).collect()),
@@ -440,6 +450,9 @@ impl ExperimentSpec {
                 "unknown schema `{schema}` (expected `{SPEC_SCHEMA}`)"
             )));
         }
+        known_fields(&doc, &SPEC_FIELDS, |key| {
+            format!("unknown spec field `{key}`")
+        })?;
         let name = doc
             .require("name")
             .and_then(Json::as_str)
@@ -449,13 +462,9 @@ impl ExperimentSpec {
             ScaleProfile::by_name(doc.require("scale").and_then(Json::as_str).map_err(bad)?)
                 .map_err(bad)?;
         let baseline = match doc.get("baseline") {
-            None => Baseline::default(),
-            Some(v) => {
-                let pname = v.as_str().map_err(bad)?;
-                Baseline::Protocol(
-                    ProtocolKind::by_name(pname).map_err(|e| bad(format!("baseline: {e}")))?,
-                )
-            }
+            None => ProtocolKind::Mesi,
+            Some(v) => ProtocolKind::by_name(v.as_str().map_err(bad)?)
+                .map_err(|e| bad(format!("baseline: {e}")))?,
         };
         let protocols = match doc.get("protocols") {
             // Specs written before the Dragon extension omit the key to mean
@@ -478,16 +487,11 @@ impl ExperimentSpec {
             .map_err(bad)?
             .iter()
             .map(|w| {
-                // Strict like the variant entries: unknown fields and
-                // conflicting sources are named errors, never silently
-                // resolved in favour of one key.
-                for (key, _) in w.as_obj().map_err(bad)? {
-                    if !matches!(key.as_str(), "bench" | "trace" | "provided" | "name") {
-                        return Err(bad(format!(
-                            "unknown workload field `{key}` (expected bench | trace | provided | name)"
-                        )));
-                    }
-                }
+                // Conflicting sources are a named error too, never
+                // silently resolved in favour of one key.
+                known_fields(w, &["bench", "trace", "provided", "name"], |key| {
+                    format!("unknown workload field `{key}`")
+                })?;
                 let sources = ["bench", "trace", "provided"]
                     .iter()
                     .filter(|k| w.get(k).is_some())
@@ -524,54 +528,49 @@ impl ExperimentSpec {
                 entries
                     .iter()
                     .map(|entry| {
-                            let label = entry
-                                .require("label")
-                                .and_then(Json::as_str)
-                                .map_err(bad)?
-                                .to_string();
-                            for (key, _) in entry.as_obj().map_err(bad)? {
-                                if !matches!(
-                                    key.as_str(),
-                                    "label" | "mesh" | "l1_bytes" | "l2_slice_bytes" | "network"
-                                ) {
-                                    return Err(bad(format!(
-                                        "unknown field `{key}` in variant `{label}` (expected label | mesh | l1_bytes | l2_slice_bytes | network)"
-                                    )));
-                                }
+                        let label = entry
+                            .require("label")
+                            .and_then(Json::as_str)
+                            .map_err(bad)?
+                            .to_string();
+                        known_fields(
+                            entry,
+                            &["label", "mesh", "l1_bytes", "l2_slice_bytes", "network"],
+                            |key| format!("unknown field `{key}` in variant `{label}`"),
+                        )?;
+                        let mesh = match entry.get("mesh") {
+                            None => None,
+                            Some(m) => {
+                                let dims = m.as_arr().map_err(bad)?;
+                                let [cols, rows] = dims else {
+                                    return Err(bad(
+                                        "`mesh` must be a [cols, rows] pair".to_string()
+                                    ));
+                                };
+                                Some((
+                                    cols.as_u64().map_err(bad)? as usize,
+                                    rows.as_u64().map_err(bad)? as usize,
+                                ))
                             }
-                            let mesh = match entry.get("mesh") {
-                                None => None,
-                                Some(m) => {
-                                    let dims = m.as_arr().map_err(bad)?;
-                                    let [cols, rows] = dims else {
-                                        return Err(bad(
-                                            "`mesh` must be a [cols, rows] pair".to_string(),
-                                        ));
-                                    };
-                                    Some((
-                                        cols.as_u64().map_err(bad)? as usize,
-                                        rows.as_u64().map_err(bad)? as usize,
-                                    ))
-                                }
-                            };
-                            let field = |key: &str| -> Result<Option<u64>, ExperimentError> {
-                                entry.get(key).map(|v| v.as_u64().map_err(bad)).transpose()
-                            };
-                            let network = entry
-                                .get("network")
-                                .map(|v| {
-                                    v.as_str()
-                                        .map_err(bad)
-                                        .and_then(|n| NetworkModelKind::by_name(n).map_err(bad))
-                                })
-                                .transpose()?;
-                            Ok(SystemVariant {
-                                label,
-                                mesh,
-                                l1_bytes: field("l1_bytes")?,
-                                l2_slice_bytes: field("l2_slice_bytes")?,
-                                network,
+                        };
+                        let field = |key: &str| -> Result<Option<u64>, ExperimentError> {
+                            entry.get(key).map(|v| v.as_u64().map_err(bad)).transpose()
+                        };
+                        let network = entry
+                            .get("network")
+                            .map(|v| {
+                                v.as_str()
+                                    .map_err(bad)
+                                    .and_then(|n| NetworkModelKind::by_name(n).map_err(bad))
                             })
+                            .transpose()?;
+                        Ok(SystemVariant {
+                            label,
+                            mesh,
+                            l1_bytes: field("l1_bytes")?,
+                            l2_slice_bytes: field("l2_slice_bytes")?,
+                            network,
+                        })
                     })
                     .collect::<Result<Vec<_>, _>>()?
             }
@@ -939,8 +938,8 @@ pub struct CompiledPlan {
     pub scale: ScaleProfile,
     /// Protocol axis, in figure order.
     pub protocols: Vec<ProtocolKind>,
-    /// Baseline figures normalize to.
-    pub baseline: Baseline,
+    /// The protocol figures normalize each row to.
+    pub baseline: ProtocolKind,
     /// Figure rows `(identity, display label)` in plan order.
     pub rows: Vec<(RowKey, String)>,
     /// Resolved system configuration per variant label.

@@ -23,7 +23,6 @@
 //! cache can never poison a run — at worst it fails to speed one up.
 
 use super::codec;
-use super::json::Json;
 use super::memo::{self, WorkloadMemo};
 use super::outcome::PlanOutcome;
 use super::plan::{CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, WorkloadSet};
@@ -36,6 +35,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+use tw_obs::Json;
 use tw_obs::{Span, SpanSink};
 use tw_types::{Cycle, Digest, Digester, ProtocolKind, SystemConfig};
 use tw_workloads::Workload;

@@ -40,8 +40,8 @@ pub mod sim;
 pub mod timing;
 
 pub use experiment::{
-    cache_key, sweep_temp_files, workload_digests, Baseline, CacheStats, CellGroup, CompiledPlan,
-    ExperimentError, ExperimentSpec, HeadlineSummary, Json, PlanOutcome, PlannedCell, RowKey,
+    cache_key, sweep_temp_files, workload_digests, CacheStats, CellGroup, CompiledPlan,
+    ExperimentError, ExperimentSpec, HeadlineSummary, PlanOutcome, PlannedCell, RowKey,
     ScaleProfile, Session, SessionCounters, SystemVariant, WorkloadRef, WorkloadSet,
     WorkloadSource, WorkloadSpec, ENGINE_VERSION, SPEC_SCHEMA, TEMP_SWEEP_AGE,
 };
@@ -49,3 +49,4 @@ pub use figures::FigureTable;
 pub use report::SimReport;
 pub use sim::{SimConfig, SimError, Simulator};
 pub use timing::{ExecutionBreakdown, TimeClass};
+pub use tw_obs::Json;

@@ -1,17 +1,26 @@
-//! A minimal JSON value model shared by the flight-trace reader and writer
-//! (`crate::trace`, `crate::recorder`), the experiment-spec codec, the
-//! result-cache report codec, and the daemon wire protocol.
+//! The workspace's one JSON value model, reader and writer: the flight-trace
+//! reader and writer (`crate::trace`, `crate::recorder`), the experiment-spec
+//! codec, the result-cache report codec, the daemon wire protocol and the
+//! results documents (`BENCH_results.json`, `plan run --json` and
+//! `--stats`) all build a [`Json`] value and render it here, so one module
+//! decides how every document the workspace writes is encoded.
 //!
 //! The workspace is offline (no serde), so it carries its own parser — one,
 //! here at the bottom of the dependency graph, re-exported as
 //! `denovo_waste::Json`. It deliberately supports only the subset the codecs
-//! emit: strings, **unsigned integers**, arrays and objects. There are no
-//! floats — `f64` round-tripping through decimal JSON is lossy, and the
+//! read back: strings, **unsigned integers**, arrays and objects. There are
+//! no floats — `f64` round-tripping through decimal JSON is lossy, and the
 //! result cache must be bit-exact, so floating-point fields are stored as
 //! 16-hex-digit IEEE-754 bit patterns in strings (see `denovo_waste`'s
 //! `codec.rs`); the daemon's wire headers render rates as fixed-precision
 //! decimal strings for the same reason. Booleans/null/negative numbers are
 //! rejected with an error naming the offending construct.
+//!
+//! Two leaves are output-only, for documents people and plotting scripts
+//! read rather than ones the workspace parses back: [`Json::F64`], a
+//! decimal number written straight into the output (`null` when not
+//! finite), and [`Json::Inline`], a value kept on one line inside a
+//! [`Json::pretty`] document. [`Json::parse`] never produces either.
 //!
 //! The type is public because the experiments daemon (`tw-bench`) frames its
 //! wire protocol with exactly these documents: one compact header line per
@@ -20,17 +29,26 @@
 
 use std::fmt::Write as _;
 
-/// A parsed JSON value (strings, unsigned ints, arrays, ordered objects).
+/// A JSON value (strings, unsigned ints, arrays, ordered objects, and the
+/// two output-only leaves).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// A string.
     Str(String),
-    /// An unsigned integer (the only number form supported).
+    /// An unsigned integer (the only number form [`Json::parse`] reads).
     UInt(u64),
+    /// A decimal number, written as Rust's shortest round-trip `{}` form
+    /// (`7068`, `-0`, `0.5`, never an exponent), or `null` when not finite.
+    /// Output only: `parse` refuses floats.
+    F64(f64),
     /// An array.
     Arr(Vec<Json>),
     /// An object; insertion-ordered, duplicate keys rejected at parse time.
     Obj(Vec<(String, Json)>),
+    /// A value written on one line, as [`Json::compact`] writes it, even
+    /// inside a [`Json::pretty`] document. Output only: `parse` returns the
+    /// value itself.
+    Inline(Box<Json>),
 }
 
 impl Json {
@@ -109,8 +127,10 @@ impl Json {
         match self {
             Json::Str(_) => "a string",
             Json::UInt(_) => "an integer",
+            Json::F64(_) => "a float",
             Json::Arr(_) => "an array",
             Json::Obj(_) => "an object",
+            Json::Inline(_) => "a one-line value",
         }
     }
 
@@ -132,10 +152,12 @@ impl Json {
     }
 
     /// Renders the value as pretty-printed JSON (2-space indent, stable
-    /// field order — the emitted bytes are deterministic).
+    /// field order — the emitted bytes are deterministic). Arrays of
+    /// strings and numbers stay on one line, and so does an
+    /// [`Json::Inline`] value.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.emit(&mut out, 0);
+        self.emit(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -146,111 +168,99 @@ impl Json {
     /// bytes (string newlines are escaped), so `read_line` framing is safe.
     pub fn compact(&self) -> String {
         let mut out = String::new();
-        self.emit_compact(&mut out);
+        self.emit(&mut out, None);
         out
     }
 
-    fn emit_compact(&self, out: &mut String) {
+    /// Writes the value at pretty-printing depth `depth`, or on one line
+    /// when `depth` is `None`.
+    fn emit(&self, out: &mut String, depth: Option<usize>) {
+        let inner = depth.map(|d| d + 1);
         match self {
             Json::Str(s) => emit_str(s, out),
             Json::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.emit_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    emit_str(k, out);
-                    out.push(':');
-                    v.emit_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn emit(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Str(s) => emit_str(s, out),
-            Json::UInt(v) => {
+            // Formatted in place: numbers are most of a figures document,
+            // and a `String` per number would cost more than the rest of
+            // the writer.
+            Json::F64(v) if v.is_finite() => {
                 let _ = write!(out, "{v}");
             }
+            Json::F64(_) => out.push_str("null"),
+            Json::Inline(v) => v.emit(out, None),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                // Arrays of scalars render inline; arrays of containers
-                // render one element per line.
-                let scalar = items
+                // A pretty array of scalars is one line with `, ` between
+                // items; any other pretty array puts each item on its own.
+                let scalars = items
                     .iter()
-                    .all(|i| matches!(i, Json::Str(_) | Json::UInt(_)));
+                    .all(|i| matches!(i, Json::Str(_) | Json::UInt(_) | Json::F64(_)));
+                let lines = if scalars { None } else { depth };
+                let sep = if scalars && depth.is_some() {
+                    ", "
+                } else {
+                    ","
+                };
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(sep);
                     }
-                    if scalar {
-                        if i > 0 {
-                            out.push(' ');
-                        }
-                    } else {
-                        out.push('\n');
-                        indent(out, depth + 1);
-                    }
-                    item.emit(out, depth + 1);
+                    new_line(out, lines.map(|d| d + 1));
+                    item.emit(out, inner);
                 }
-                if !scalar {
-                    out.push('\n');
-                    indent(out, depth);
+                if !items.is_empty() {
+                    new_line(out, lines);
                 }
                 out.push(']');
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    indent(out, depth + 1);
+                    new_line(out, inner);
                     emit_str(k, out);
-                    out.push_str(": ");
-                    v.emit(out, depth + 1);
+                    out.push_str(if depth.is_some() { ": " } else { ":" });
+                    v.emit(out, inner);
                 }
-                out.push('\n');
-                indent(out, depth);
+                if !fields.is_empty() {
+                    new_line(out, depth);
+                }
                 out.push('}');
             }
         }
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+/// Starts a new line indented to `depth`; nothing on the one-line layout.
+fn new_line(out: &mut String, depth: Option<usize>) {
+    if let Some(depth) = depth {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
+/// Writes `s` as a JSON string literal: quote, backslash and control
+/// characters escaped, everything else as is.
 fn emit_str(s: &str, out: &mut String) {
     out.push('"');
-    crate::escape_into(s, out);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
     out.push('"');
 }
 
@@ -588,5 +598,140 @@ mod tests {
         // Linear takes milliseconds even unoptimized; a reader quadratic in
         // its input would take hours.
         assert!(took < Duration::from_secs(10), "{took:?}");
+    }
+
+    #[test]
+    fn parse_emit_round_trip() {
+        let doc = Json::Obj(vec![
+            ("name".into(), Json::str("l2 \"sweep\"\n")),
+            ("count".into(), Json::UInt(u64::MAX)),
+            (
+                "items".into(),
+                Json::Arr(vec![Json::UInt(1), Json::str("two")]),
+            ),
+            ("empty".into(), Json::Arr(vec![])),
+            ("nested".into(), Json::Obj(vec![])),
+        ]);
+        let text = doc.pretty();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        // u64::MAX survives exactly (the usual JSON-as-f64 trap).
+        assert!(text.contains("18446744073709551615"));
+    }
+
+    #[test]
+    fn compact_form_is_one_line_and_round_trips() {
+        let doc = Json::Obj(vec![
+            ("op".into(), Json::str("submit")),
+            ("note".into(), Json::str("line\nbreak")),
+            ("body_bytes".into(), Json::UInt(42)),
+            (
+                "tags".into(),
+                Json::Arr(vec![Json::str("a"), Json::UInt(7)]),
+            ),
+        ]);
+        let line = doc.compact();
+        assert!(!line.contains('\n'), "compact form must be newline-free");
+        assert_eq!(Json::parse(&line).unwrap(), doc);
+        assert_eq!(
+            line,
+            r#"{"op":"submit","note":"line\nbreak","body_bytes":42,"tags":["a",7]}"#
+        );
+    }
+
+    #[test]
+    fn human_written_whitespace_is_accepted() {
+        let doc = Json::parse(
+            r#"
+            { "a" : [ 1 , 2 ] ,
+              "b" : { "c" : "d" } }
+            "#,
+        )
+        .unwrap();
+        assert_eq!(doc.require("a").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(
+            doc.require("b").unwrap().require("c").unwrap().as_str(),
+            Ok("d")
+        );
+    }
+
+    #[test]
+    fn unsupported_constructs_are_named() {
+        for (input, needle) in [
+            ("1.5", "floats"),
+            ("true", "booleans"),
+            ("-3", "negative"),
+            ("{\"a\":1,\"a\":2}", "duplicate key"),
+            ("[1", "expected"),
+            ("\"ab", "unterminated"),
+            ("{}, 1", "trailing"),
+        ] {
+            let err = Json::parse(input).unwrap_err();
+            assert!(err.contains(needle), "`{input}` -> {err}");
+        }
+    }
+
+    #[test]
+    fn accessor_errors_name_the_found_kind() {
+        let v = Json::parse("[1]").unwrap();
+        assert!(v.as_str().unwrap_err().contains("array"));
+        assert!(v.as_obj().unwrap_err().contains("array"));
+        assert!(Json::UInt(3).as_arr().unwrap_err().contains("integer"));
+        assert!(Json::str("x").require("k").is_err());
+        assert!(Json::str("x").get("k").is_none());
+    }
+
+    #[test]
+    fn output_only_leaves_render_in_place() {
+        let numbers = [
+            1.5,
+            7068.0,
+            -0.0,
+            1e21,
+            1e-7,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let doc = Json::Obj(vec![
+            ("n".into(), Json::Arr(numbers.map(Json::F64).to_vec())),
+            (
+                "rows".into(),
+                Json::Arr(vec![
+                    Json::Inline(Box::new(Json::Obj(vec![
+                        ("k".into(), Json::Arr(vec![Json::F64(0.25), Json::UInt(2)])),
+                        ("e".into(), Json::Obj(vec![])),
+                    ]))),
+                    Json::Inline(Box::new(Json::str("s"))),
+                ]),
+            ),
+            (
+                "one".into(),
+                Json::Inline(Box::new(Json::Arr(vec![Json::Arr(vec![])]))),
+            ),
+        ]);
+        assert_eq!(
+            doc.pretty(),
+            r#"{
+  "n": [1.5, 7068, -0, 1000000000000000000000, 0.0000001, null, null, null],
+  "rows": [
+    {"k":[0.25,2],"e":{}},
+    "s"
+  ],
+  "one": [[]]
+}
+"#
+        );
+        assert_eq!(
+            doc.compact(),
+            r#"{"n":[1.5,7068,-0,1000000000000000000000,0.0000001,null,null,null],"rows":[{"k":[0.25,2],"e":{}},"s"],"one":[[]]}"#
+        );
+        assert_eq!(
+            Json::F64(0.5).as_u64(),
+            Err("expected an integer, found a float".to_string())
+        );
+        assert_eq!(
+            Json::Inline(Box::new(Json::UInt(1))).as_u64(),
+            Err("expected an integer, found a one-line value".to_string())
+        );
     }
 }

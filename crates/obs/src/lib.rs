@@ -47,7 +47,7 @@ pub mod trace;
 
 pub use hist::Log2Histogram;
 pub use json::Json;
-pub use recorder::{escape_into, escaped, FlightRecorder, SpanSink};
+pub use recorder::{FlightRecorder, SpanSink};
 pub use span::{AttrValue, Span};
 pub use trace::{
     diff_traces, strip_timing, stripped_lines, validate_trace, TraceError, TraceSummary,

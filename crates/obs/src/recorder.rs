@@ -10,7 +10,6 @@
 use crate::json::Json;
 use crate::span::{AttrValue, Span};
 use crate::trace::header;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// An in-memory flight recorder. Spans are appended under a mutex (cells
@@ -85,33 +84,6 @@ fn span_json(seq: u64, span: &Span) -> Json {
         ("attrs".to_string(), Json::Obj(attrs.collect())),
         ("timing".to_string(), Json::Obj(timing.collect())),
     ])
-}
-
-/// Appends `s` to `out` escaped for a JSON string literal (backslash,
-/// quote and control characters). The workspace's one escaper: [`Json`]
-/// (and through it the span writer here) and the hand-formatted `tw-bench`
-/// documents all emit strings through it, so their bytes cannot drift apart.
-pub fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// [`escape_into`] a fresh string, for `format!` arguments.
-pub fn escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(s, &mut out);
-    out
 }
 
 /// A cloneable handle binding the flight recorder to one track. This is
@@ -198,8 +170,18 @@ mod tests {
 
     #[test]
     fn escape_covers_quotes_backslashes_and_controls() {
-        assert_eq!(escaped("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
-        assert_eq!(escaped("line\r\tbreak"), "line\\r\\tbreak");
-        assert_eq!(escaped("plain"), "plain");
+        let rec = Arc::new(FlightRecorder::new());
+        let sink = SpanSink::new(rec.clone(), "t\"1");
+        sink.emit(
+            Span::event("cell")
+                .attr("a", "a\"b\\c\nd\u{1}")
+                .attr("b", "line\r\tbreak \u{e9}"),
+        );
+        let text = rec.to_jsonl();
+        let line = text.lines().nth(1).unwrap();
+        assert_eq!(
+            line,
+            r#"{"seq":0,"track":"t\"1","name":"cell","attrs":{"a":"a\"b\\c\nd\u0001","b":"line\r\tbreak é"},"timing":{}}"#
+        );
     }
 }
