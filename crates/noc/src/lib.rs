@@ -10,11 +10,14 @@
 //! * [`Mesh`] — the **analytic** model: per-hop pipeline delay plus
 //!   serialization plus a per-link queueing term derived from whole-packet
 //!   link reservations. Fast; the default.
-//! * [`WormholeMesh`] — the **flit-level** model: every flit of a packet is
-//!   walked across every link of its route, through routers with per-port
-//!   virtual channels, round-robin arbitration and credit backpressure
-//!   ([`OutPorts`]). One `send` resolves one packet, so the `flits × hops`
-//!   grid is a double loop over dense per-link state — no event queue.
+//! * [`WormholeMesh`] — the **flit-level** model: every flit of a packet
+//!   crosses every link of its route, through routers with per-port
+//!   virtual channels (granted earliest-free first), one-flit-per-cycle
+//!   channel slots and credit backpressure ([`OutPorts`]). One `send`
+//!   resolves one packet over dense per-link state — no event queue: the
+//!   head flit hop by hop, then the body flits as one unstalled train per
+//!   link when no credit can bind, and otherwise the rest of the
+//!   `flits × hops` grid as a double loop.
 //! * [`SnoopBus`] — the **snooping-bus** model: one transaction occupies the
 //!   whole medium at a time, arbitrated FCFS in deterministic request order.
 //!

@@ -47,8 +47,9 @@ pub fn unloaded_latency(cfg: &NocConfig, hops: usize, size: PacketSize) -> Cycle
 /// Every XY route of a mesh, resolved when the mesh is built: under
 /// dimension-order routing a route is a function of `(src, dst)` alone, so
 /// a send looks its links up instead of re-deriving coordinates per hop.
+/// Both mesh models read their routes from one.
 #[derive(Debug, Clone)]
-struct Routes {
+pub(crate) struct Routes {
     tiles: usize,
     /// The dense link indices of every route, back to back.
     links: Vec<u16>,
@@ -57,7 +58,7 @@ struct Routes {
 }
 
 impl Routes {
-    fn new(cfg: &NocConfig) -> Self {
+    pub(crate) fn new(cfg: &NocConfig) -> Self {
         let tiles = cfg.cols * cfg.rows;
         let mut links = Vec::new();
         let mut pairs = Vec::with_capacity(tiles * tiles);
@@ -85,7 +86,7 @@ impl Routes {
 
     /// The dense link indices of the route from `src` to `dst`.
     #[inline(always)]
-    fn get(&self, src: TileId, dst: TileId) -> &[u16] {
+    pub(crate) fn get(&self, src: TileId, dst: TileId) -> &[u16] {
         debug_assert!(src.0 < self.tiles && dst.0 < self.tiles);
         let (offset, hops) = self.pairs[src.0 * self.tiles + dst.0];
         &self.links[offset as usize..offset as usize + hops as usize]

@@ -12,21 +12,28 @@
 //!    VC buffer has a slot, i.e. once flit `f - depth` has left router
 //!    `i+1` (wormhole backpressure propagating upstream);
 //! 4. **arbitration** — the head flit must win a virtual channel on every
-//!    link (held until the tail drains downstream), and every flit must win
-//!    a one-cycle channel slot against all other traffic on that link
-//!    ([`OutPorts`], deterministic round-robin).
+//!    link (held until the tail drains downstream; the earliest-free one),
+//!    and every flit must win a one-cycle channel slot against all other
+//!    traffic on that link ([`OutPorts`]).
 //!
 //! One [`send`](NetworkModel::send) runs one packet to completion, so no
 //! two packets are ever in flight together and there is nothing for a
-//! global event queue to order: the packet's `flits × hops` grid is resolved
-//! by a plain double loop, flit-outer and hop-inner. Constraints 1–3 make
-//! `(i, f)` depend on `(i-1, f)`, `(i, f-1)` and `(i+1, f-depth)` only, all
-//! of which that loop order has already resolved (`depth ≥ 1`), and an XY
-//! route never crosses a link twice, so each port sees its head's VC grant
-//! and then its slot claims in flit order under *any* order that respects
-//! those dependencies — the results cannot depend on which one is used
+//! global event queue to order. Constraints 1–3 make `(i, f)` depend on
+//! `(i-1, f)`, `(i, f-1)` and `(i+1, f-depth)` only, and an XY route never
+//! crosses a link twice, so each port sees its head's VC grant and then its
+//! slot claims in flit order under *any* order that respects those
+//! dependencies — the results cannot depend on which one is used
 //! (`DESIGN.md` §11; `tests/prop_wormhole.rs` checks it against the
 //! event-driven formulation send by send).
+//!
+//! A send resolves the head row first: a VC grant and a slot at every hop,
+//! `s_i` on link `i`. When no hop's head slot follows the previous one's by
+//! more than `depth + link_latency - 1` cycles (or the packet fits one
+//! buffer), constraints 1–3 are slack for every body flit, which crosses
+//! link `i` at exactly `s_i + f`: each port's body slots are claimed as one
+//! train and the send costs O(hops). Otherwise the rest of the `flits ×
+//! hops` grid is resolved by a plain double loop, flit-outer and hop-inner,
+//! after the same head row.
 //!
 //! On an idle mesh the four constraints collapse to exactly the analytic
 //! unloaded latency (`hops × (router + link) + flits − 1`); under load, VC
@@ -36,8 +43,8 @@
 //! state updates are deterministic, so two runs over the same send sequence
 //! are byte-identical.
 
-use crate::link::{dense_links, link_index, xy_step};
-use crate::mesh::unloaded_latency;
+use crate::link::dense_links;
+use crate::mesh::{unloaded_latency, Routes};
 use crate::model::NetworkModel;
 use crate::packet::PacketSize;
 use crate::router::OutPorts;
@@ -50,14 +57,13 @@ pub struct WormholeMesh {
     /// One output port per link, indexed by `link::link_index` exactly as
     /// the analytic mesh's link array is.
     ports: OutPorts,
+    /// Every XY route, as the analytic mesh resolves them.
+    routes: Routes,
     packets: u64,
-    /// Per-send scratch: `(port, granted VC)` of each hop of the current
-    /// route. Kept, like `cross`, so a send allocates nothing once the
-    /// longest route has carried the largest packet.
-    route: Vec<(usize, usize)>,
     /// `cross[f * hops + i]`: cycle flit `f` starts crossing link `i`.
-    /// Grow-only: its length is the largest `flits × hops` grid resolved so
-    /// far, and a send writes every cell it reads before reading it.
+    /// Grow-only: its length is the largest `flits × hops` grid a send has
+    /// needed so far, and a send writes every cell it reads before reading
+    /// it. A send whose body flits run as a train writes the head row only.
     cross: Vec<Cycle>,
 }
 
@@ -72,9 +78,9 @@ impl WormholeMesh {
         );
         WormholeMesh {
             ports: OutPorts::new(dense_links(&cfg), cfg.vcs_per_port),
+            routes: Routes::new(&cfg),
             cfg,
             packets: 0,
-            route: Vec::new(),
             cross: Vec::new(),
         }
     }
@@ -104,68 +110,82 @@ impl NetworkModel for WormholeMesh {
         let Self {
             cfg,
             ports,
-            route,
+            routes,
             cross,
             ..
         } = self;
         let (r, l) = (cfg.router_latency, cfg.link_latency);
         let depth = cfg.vc_buffer_flits;
 
-        let mut cur = src.coord(cfg.cols);
-        let goal = dst.coord(cfg.cols);
-        if cur == goal {
+        let route = routes.get(src, dst);
+        let hops = route.len();
+        if hops == 0 {
             return now + r;
         }
-        route.clear();
-        while cur != goal {
-            let (dir, next) = xy_step(cur, goal);
-            route.push((link_index(cfg.cols, cur, dir), 0));
-            cur = next;
-        }
-        let hops = route.len();
         let flits = size.total_flits();
         if cross.len() < flits * hops {
             cross.resize(flits * hops, 0);
         }
 
-        for f in 0..flits {
-            let row = f * hops;
-            // Start of this flit's crossing of the previous link.
-            let mut upstream = 0;
-            for i in 0..hops {
-                // Earliest start under constraints 1–3; every traversal read
-                // here was resolved earlier in this loop order.
-                let mut ready = if i == 0 { now + r } else { upstream + l + r };
-                if f > 0 {
-                    ready = ready.max(cross[row - hops + i] + 1);
-                }
-                if f >= depth && i + 1 < hops {
-                    // The downstream buffer slot frees when flit f-depth
-                    // leaves router i+1; this flit lands there one link
-                    // latency after it starts crossing, hence the rebase by
-                    // `l`.
-                    ready = ready.max((cross[(f - depth) * hops + i + 1] + 1).saturating_sub(l));
-                }
-                let (port, vc) = &mut route[i];
-                if f == 0 {
-                    (*vc, ready) = ports.alloc_vc(*port, ready);
-                }
-                upstream = ports.claim_slot(*port, ready);
-                cross[row + i] = upstream;
-            }
+        // The head row: a VC, then a slot, at every hop.
+        let mut ready = now + r;
+        for (s, &port) in cross.iter_mut().zip(route) {
+            let port = usize::from(port);
+            let grant = ports.alloc_vc(port, ready);
+            *s = ports.claim_slot(port, grant);
+            ready = *s + l + r;
         }
+        let head = &cross[..hops];
+
+        // Body flits run as a train when no credit can bind: the packet
+        // fits one buffer, or every head slot follows the previous hop's
+        // by less than `depth + l` (DESIGN.md §11 derives this). Flit `f`
+        // then crosses link `i` at `head[i] + f`, unstalled.
+        let train = flits <= depth || head.windows(2).all(|w| w[1] - w[0] < depth as Cycle + l);
+        // The row that holds the tail's crossings, and how far the tail
+        // trails it.
+        let (tail_row, lag) = if train {
+            for (&s, &port) in head.iter().zip(route) {
+                ports.claim_train(usize::from(port), s + 1, flits - 1);
+            }
+            (0, flits as Cycle - 1)
+        } else {
+            for f in 1..flits {
+                let row = f * hops;
+                // Start of this flit's crossing of the previous link.
+                let mut upstream = 0;
+                for (i, &port) in route.iter().enumerate() {
+                    // Earliest start under constraints 1–3; every traversal
+                    // read here was resolved earlier in this loop order.
+                    let mut ready = if i == 0 { now + r } else { upstream + l + r };
+                    ready = ready.max(cross[row - hops + i] + 1);
+                    if f >= depth && i + 1 < hops {
+                        // The downstream buffer slot frees when flit
+                        // f-depth leaves router i+1; this flit lands there
+                        // one link latency after it starts crossing, hence
+                        // the rebase by `l`.
+                        ready =
+                            ready.max((cross[(f - depth) * hops + i + 1] + 1).saturating_sub(l));
+                    }
+                    upstream = ports.claim_slot(usize::from(port), ready);
+                    cross[row + i] = upstream;
+                }
+            }
+            (flits - 1, 0)
+        };
 
         // A VC is held from head grant until the tail drains out of the
         // downstream input buffer (crosses the next link, or ejects at dst).
-        let tail = &cross[(flits - 1) * hops..];
-        let arrival = tail[hops - 1] + l;
-        for (i, &(port, vc)) in route.iter().enumerate() {
+        // The tail crossed link `i` at `tail[i] + lag`.
+        let tail = &cross[tail_row * hops..][..hops];
+        let arrival = tail[hops - 1] + lag + l;
+        for (i, &port) in route.iter().enumerate() {
             let freed = if i + 1 < hops {
-                tail[i + 1] + 1
+                tail[i + 1] + lag + 1
             } else {
                 arrival
             };
-            ports.release_vc(port, vc, freed);
+            ports.release_vc(usize::from(port), freed);
         }
 
         debug_assert!(arrival >= now + unloaded_latency(cfg, hops, size));
@@ -187,7 +207,7 @@ impl NetworkModel for WormholeMesh {
         self.packets
     }
 
-    /// The largest `flits × hops` grid any send has resolved: the most
+    /// The largest `flits × hops` grid any send has needed: the most
     /// traversals one packet ever had outstanding, and the size the scratch
     /// stops growing at.
     fn queue_high_water(&self) -> usize {

@@ -7,16 +7,19 @@
 //! unresolved predecessor resolves. This is the GARNET-shaped way to write
 //! the model and makes no use of the fact that one `send` runs a single
 //! packet to completion — which is exactly why it is a useful reference for
-//! a model that does. It shares the arbitration rules
-//! ([`tw_noc::OutPorts`]) and the route ([`tw_noc::xy_route`]) with the
-//! shipped model, and nothing else: ports live one to a lazily-filled
-//! `HashMap` entry, the route is a fresh `Vec`, the grid is `Vec<Vec<_>>`.
+//! a model that does. It shares only the route ([`tw_noc::xy_route`]) with
+//! the shipped model: arbitration is its own round-robin port bank
+//! ([`ports::OutPorts`], which grants indexed VCs and marks them held),
+//! ports live one to a lazily-filled `HashMap` entry, the route is a fresh
+//! `Vec`, the grid is `Vec<Vec<_>>`.
 
 mod events;
+mod ports;
 
 use events::EventQueue;
+use ports::OutPorts;
 use std::collections::HashMap;
-use tw_noc::{xy_route, LinkId, OutPorts, PacketSize};
+use tw_noc::{xy_route, LinkId, PacketSize};
 use tw_types::{Cycle, NocConfig, TileId};
 
 /// One flit traversal: (hop index on the route, flit index in the packet).

@@ -55,10 +55,10 @@ impl CacheConfig {
 /// dimension-order either way and the canonical mesh ledger is always
 /// maintained — so the choice only moves latency and execution time.
 /// `Analytic` is the fast default; `FlitLevel` simulates every flit through
-/// wormhole routers with per-port virtual channels and deterministic
-/// round-robin arbitration (`tw-noc`); `SnoopBus` serializes every message
-/// through one shared broadcast medium with FCFS arbitration (the substrate
-/// snooping update protocols were designed for).
+/// wormhole routers with per-port virtual channels, deterministic per-cycle
+/// link arbitration and credit backpressure (`tw-noc`); `SnoopBus`
+/// serializes every message through one shared broadcast medium with FCFS
+/// arbitration (the substrate snooping update protocols were designed for).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum NetworkModelKind {
     /// Per-link analytic reservation: hop pipeline + serialization + a
