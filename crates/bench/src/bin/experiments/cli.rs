@@ -84,9 +84,9 @@ pub static COMMANDS: &[Command] = &[
         .summary("compare two span traces modulo timing; exit 1 at the first divergence"),
     Command::new(&["trace", "record"], trace::record)
         .operands(&["out.trace"])
-        .flags(&[BENCH, PROTOCOL, switch("--text")])
+        .flags(&[BENCH, switch("--text")])
         .scale(ScaleProfile::Scaled)
-        .summary("simulate one cell with capture armed and save its serviced reference stream"),
+        .summary("save one benchmark's generated workload as a trace file; nothing is simulated"),
     Command::new(&["trace", "replay"], trace::replay)
         .operands(&["in.trace"])
         .flags(&[PROTOCOL])
@@ -113,7 +113,7 @@ pub static COMMANDS: &[Command] = &[
         ])
         // Fuzzing wants breadth over fidelity: default to the tiny geometry.
         .scale(ScaleProfile::Tiny)
-        .summary("sweep synthesized workloads across every protocol against the golden model; --self-test proves the oracle catches injected bugs"),
+        .summary("sweep synthesized workloads, race-checked by the golden model, across every protocol under the differential invariants; --self-test proves the oracle catches injected bugs"),
     Command::new(&["workloads"], workloads::run)
         .flags(&[switch("--write"), switch("--check")])
         .summary("print the builtin workloads' digest table; --write records it as WORKLOADS.digests, --check exits 1 unless that file is what the generators make"),
@@ -516,7 +516,7 @@ profile plan-tiny.json --top 10 --trace profile-tiny.jsonl => profile | plan-tin
 profile plan-net.json --counts work.txt => profile | plan-net.json | --counts=work.txt | -
 plan builtin --tiny --network analytic,flit,bus => plan builtin |  | --network=analytic,flit,bus | tiny
 profile diff flight-a.jsonl flight-b.jsonl => profile diff | flight-a.jsonl flight-b.jsonl |  | -
-trace record c.trace --tiny --bench FFT --protocol DBypFull => trace record | c.trace | --bench=FFT --protocol=DBypFull | tiny
+trace record a.trace --tiny --bench FFT => trace record | a.trace | --bench=FFT | tiny
 trace record fft.trace --bench FFT => trace record | fft.trace | --bench=FFT | scaled
 trace replay fft.trace --protocol Mesi => trace replay | fft.trace | --protocol=Mesi | scaled
 trace replay /tmp/t.trace --tiny => trace replay | /tmp/t.trace |  | tiny

@@ -36,16 +36,15 @@ fn summarize(report: &SimReport) {
     );
 }
 
+/// Writes the generated workload of one benchmark as a trace file. No
+/// simulation runs: the in-order cores service their input streams as
+/// given, so the stream every protocol services is the workload itself.
 pub fn record(args: &Args) -> Result<ExitCode, String> {
     let out = &args.operands()[0];
     let (scale, bench, text) = (args.scale(), bench_of(args)?, args.has("--text"));
-    let protocol = protocol_of(args)?.unwrap_or(ProtocolKind::Mesi);
-    let system = scale.system();
-    let workload = scale.try_workload(bench, system.tiles())?;
-    let cfg = SimConfig::new(protocol).with_system(system);
-    eprintln!("recording {bench} / {protocol} at the {scale:?} profile...");
-    let (report, captured) = Simulator::new(cfg, &workload).run_captured();
-    let doc = captured.to_trace();
+    let workload = scale.try_workload(bench, scale.system().tiles())?;
+    eprintln!("recording {bench} at the {scale:?} profile...");
+    let doc = workload.to_trace();
     doc.save(Path::new(out), text)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     let stats = doc.total_stats();
@@ -56,7 +55,6 @@ pub fn record(args: &Args) -> Result<ExitCode, String> {
         stats.barriers / doc.cores().max(1) as u64,
         if text { "text" } else { "binary" },
     );
-    summarize(&report);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -155,7 +153,7 @@ pub fn diff(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-/// The end-to-end CI oracle: records a cell, encodes the capture through
+/// The end-to-end CI oracle: runs a cell, encodes its workload through
 /// both formats, replays the decoded trace, and fails unless the replayed
 /// `SimReport` is bit-identical to the recorded one.
 pub fn roundtrip(args: &Args) -> Result<ExitCode, String> {
@@ -165,10 +163,10 @@ pub fn roundtrip(args: &Args) -> Result<ExitCode, String> {
     let workload = scale.try_workload(bench, system.tiles())?;
     let cfg = SimConfig::new(protocol).with_system(system);
     eprintln!("roundtrip: {bench} / {protocol} at the {scale:?} profile");
-    let (recorded, captured) = Simulator::new(cfg.clone(), &workload).run_captured();
+    let recorded = Simulator::new(cfg.clone(), &workload).run();
 
     // Binary codec round trip.
-    let doc = captured.to_trace();
+    let doc = workload.to_trace();
     let bytes = doc.to_binary_bytes().map_err(|e| e.to_string())?;
     let decoded = TraceDocument::from_bytes(&bytes).map_err(|e| e.to_string())?;
     if let Some(d) = tw_trace::diff(&doc, &decoded) {

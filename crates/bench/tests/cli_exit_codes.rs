@@ -43,7 +43,7 @@ fn help_exits_zero_and_documents_the_contract() {
         ("plan run", "<spec.json> --cache --json --stats --record"),
         ("profile", "<spec.json> --cache --top --trace --counts"),
         ("profile diff", "<a.jsonl> <b.jsonl>"),
-        ("trace record", "--bench --protocol --text --tiny"),
+        ("trace record", "--bench --text --tiny"),
         ("trace replay", "--protocol --tiny"),
         ("trace info", "<in.trace>"),
         ("trace diff", "<a.trace> <b.trace>"),
@@ -225,6 +225,37 @@ fn a_trace_record_beyond_48_bits_is_a_bad_request() {
 }
 
 #[test]
+fn trace_record_writes_the_generated_workload_and_takes_no_protocol() {
+    let dir = scratch("trace-record");
+    let tiny = denovo_waste::ScaleProfile::Tiny;
+    let doc = tiny
+        .try_workload(tw_workloads::BenchmarkKind::Fft, 16)
+        .unwrap()
+        .to_trace();
+    let binary = doc.to_binary_bytes().unwrap();
+    for (extra, expected) in [(None, binary), (Some("--text"), doc.to_text().into_bytes())] {
+        let mut args = vec!["trace", "record", "out.trace", "--tiny", "--bench", "FFT"];
+        args.extend(extra);
+        let (code, _, stderr) = run_in(&dir, &args);
+        assert_eq!(code, 0, "{args:?}: {stderr}");
+        let written = std::fs::read(dir.join("out.trace")).unwrap();
+        assert!(
+            written == expected,
+            "{args:?} must write the workload's trace"
+        );
+    }
+    // Nothing is simulated, so there is no protocol to choose.
+    let (code, _, stderr) = run_in(
+        &dir,
+        &["trace", "record", "m.trace", "--tiny", "--protocol", "MESI"],
+    );
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("`--protocol`"), "{stderr}");
+    assert!(!dir.join("m.trace").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn trace_diff_separates_check_failure_from_bad_request() {
     let dir = scratch("trace-diff");
     // Two identical recordings: the recorder is deterministic, so diff
@@ -247,7 +278,7 @@ fn trace_diff_separates_check_failure_from_bad_request() {
     assert_eq!(code, 0, "{stderr}");
 
     // `trace info` prints the full content digest, the workload half of a
-    // cache key: a recording keys like the workload it captured, and like a
+    // cache key: a recording keys like the workload it wrote, and like a
     // re-recording of it.
     let digest_of = |trace: &str| {
         let (code, stdout, stderr) = run_in(&dir, &["trace", "info", trace]);

@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn custom_workloads_run_through_the_matrix() {
-        // A captured FFT trace re-labelled as a custom workload must run
+        // A recorded FFT trace re-labelled as a custom workload must run
         // under every protocol of a matrix and normalize against its own
         // MESI cell.
         let mut wl = build_tiny(BenchmarkKind::Fft, 16).unwrap();

@@ -29,7 +29,7 @@ use super::plan::{CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, Wo
 use super::pool::Pool;
 use super::ScaleProfile;
 use crate::report::SimReport;
-use crate::sim::{SimConfig, Simulator};
+use crate::sim::{SimConfig, Simulator, BARRIER_OVERHEAD};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -225,10 +225,9 @@ pub struct SessionCounters {
 /// construction: `execute` runs one cell per distinct key. The pool's
 /// threads start on the first fan-out and are joined when the last clone
 /// drops, so a session made for one call keeps its threads for that call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Session {
     cache_dir: Option<PathBuf>,
-    barrier_overhead: Cycle,
     /// Observer-lane flight recording: when set, every cell emits a span on
     /// the `<label>/<protocol>` track and hands the simulator a sink on the
     /// same track for its phase/run spans. Never read back — recording on
@@ -237,23 +236,10 @@ pub struct Session {
     state: Arc<SessionState>,
 }
 
-impl Default for Session {
-    /// [`Session::new`]: a derived default would zero the barrier overhead
-    /// and so disagree with `new` on every cache key and cycle count.
-    fn default() -> Self {
-        Session::new()
-    }
-}
-
 impl Session {
     /// A session with no cache: every cell simulates.
     pub fn new() -> Self {
-        Session {
-            cache_dir: None,
-            barrier_overhead: SimConfig::new(ProtocolKind::Mesi).barrier_overhead,
-            recorder: None,
-            state: Arc::default(),
-        }
+        Session::default()
     }
 
     /// A session with no cache whose pool starts up to `threads` threads,
@@ -474,7 +460,7 @@ impl Session {
             cell.workload_ref.digest,
             &cell.system,
             cell.effective_protocol(),
-            self.barrier_overhead,
+            BARRIER_OVERHEAD,
             ENGINE_VERSION,
         )
     }
@@ -656,7 +642,6 @@ impl Session {
     /// `sink`.
     fn config(&self, cell: &PlannedCell, sink: Option<SpanSink>) -> SimConfig {
         let mut cfg = SimConfig::new(cell.effective_protocol()).with_system(cell.system.clone());
-        cfg.barrier_overhead = self.barrier_overhead;
         cfg.recorder = sink;
         cfg
     }

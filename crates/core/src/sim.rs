@@ -29,7 +29,7 @@ mod home;
 
 use crate::report::SimReport;
 use crate::timing::{ExecutionBreakdown, TimeClass};
-use engine::{Engine, TraceCapture};
+use engine::Engine;
 use std::fmt;
 use tw_obs::{Span, SpanSink};
 use tw_types::{
@@ -37,6 +37,9 @@ use tw_types::{
     SystemConfig, TraceOp, TrafficBucket,
 };
 use tw_workloads::Workload;
+
+/// The fixed cost [`SimConfig::new`] charges every core at each barrier.
+pub(crate) const BARRIER_OVERHEAD: Cycle = 100;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -61,7 +64,7 @@ impl SimConfig {
         SimConfig {
             protocol,
             system: SystemConfig::default(),
-            barrier_overhead: 100,
+            barrier_overhead: BARRIER_OVERHEAD,
             recorder: None,
         }
     }
@@ -274,24 +277,6 @@ impl<'wl> Simulator<'wl> {
         self.finish()
     }
 
-    /// Runs the workload to completion while recording the serviced
-    /// reference stream, returning the first lane's report plus a
-    /// replayable [`Workload`] (same kind, input and region table; traces as
-    /// serviced). Persist it with `Workload::to_trace` and any later replay
-    /// under the same protocol and system produces a bit-identical report.
-    pub fn run_captured(mut self) -> (SimReport, Workload) {
-        self.engine.capture = Some(TraceCapture::new(self.clocks.len()));
-        self.run_loop();
-        let capture = self.engine.capture.take().expect("capture was armed");
-        let workload = Workload {
-            kind: self.engine.workload.kind,
-            input: self.engine.workload.input.clone(),
-            regions: self.engine.workload.regions.clone(),
-            traces: capture.into_streams().into(),
-        };
-        (self.finish().swap_remove(0), workload)
-    }
-
     /// The scheduler loop: steps the runnable core with the smallest clock,
     /// releasing barriers when nobody is runnable.
     fn run_loop(&mut self) {
@@ -335,14 +320,11 @@ impl<'wl> Simulator<'wl> {
                 self.ready[core] = self.clocks[core].canon;
                 self.engine.time[core].add(TimeClass::Compute, cycles as Cycle);
                 self.pc[core] += 1;
-                self.engine.record_serviced(core, op);
             }
             Record::Barrier { id } => {
+                // pc advances when the barrier releases.
                 self.state[core] = CoreState::AtBarrier(id);
                 self.ready[core] = u64::MAX;
-                // pc advances when the barrier releases; this arm runs once
-                // per barrier record, so the capture sees it exactly once.
-                self.engine.record_serviced(core, op);
             }
             Record::Mem { kind, addr, region } => {
                 let now = self.clocks[core];
@@ -354,7 +336,6 @@ impl<'wl> Simulator<'wl> {
                 self.clocks[core] = done;
                 self.ready[core] = done.canon;
                 self.pc[core] += 1;
-                self.engine.record_serviced(core, op);
             }
         }
     }
@@ -411,6 +392,15 @@ impl<'wl> Simulator<'wl> {
 
     /// Drains profilers and builds the final report of every lane.
     fn finish(mut self) -> Vec<SimReport> {
+        // The cores are in order: each serviced its whole input stream, one
+        // record per step, so the serviced stream is the input stream.
+        debug_assert!(
+            self.pc
+                .iter()
+                .zip(self.streams)
+                .all(|(&pc, s)| pc == s.len()),
+            "a core finished before the end of its stream"
+        );
         // Give the protocol a chance to drain still-pending work (e.g.
         // DeNovo registrations) so its traffic is accounted — the paper's
         // measurement period ends at a barrier, where those tables would
@@ -697,21 +687,18 @@ mod tests {
     }
 
     #[test]
-    fn captured_stream_replays_to_a_bit_identical_report() {
+    fn a_workload_replays_from_its_trace_to_a_bit_identical_report() {
         let wl = build_tiny(BenchmarkKind::Lu, 16).unwrap();
-        let (report, captured) =
-            Simulator::new(SimConfig::new(ProtocolKind::DBypFull), &wl).run_captured();
-        captured.assert_well_formed();
-        assert_eq!(captured.kind, BenchmarkKind::Lu);
-        // The in-order cores service records in program order, so the
-        // captured stream is the input stream.
-        assert_eq!(captured.traces, wl.traces);
-        let replayed = Simulator::new(SimConfig::new(ProtocolKind::DBypFull), &captured).run();
-        assert_eq!(report, replayed, "replay must be bit-identical");
-        // The same captured trace is a first-class workload for any other
-        // protocol too.
-        let other = Simulator::new(SimConfig::new(ProtocolKind::Mesi), &captured).run();
-        assert!(other.total_cycles > 0);
+        let bytes = wl.to_trace().to_binary_bytes().unwrap();
+        let doc = tw_trace::TraceDocument::from_bytes(&bytes).unwrap();
+        let replay = Workload::from_trace(doc).unwrap();
+        replay.assert_well_formed();
+        assert_eq!(replay.kind, BenchmarkKind::Lu);
+        for protocol in [ProtocolKind::DBypFull, ProtocolKind::Mesi] {
+            let run = Simulator::new(SimConfig::new(protocol), &wl).run();
+            let replayed = Simulator::new(SimConfig::new(protocol), &replay).run();
+            assert_eq!(run, replayed, "{protocol}: replay must be bit-identical");
+        }
     }
 
     proptest! {
@@ -754,7 +741,7 @@ mod tests {
         // Literals taken at the parent of PR 13 (first-minimum scan per
         // record, enum-array L2 owners, per-filter Bloom banks): the
         // run-ahead scheduler, the packed owner byte and the flat banks must
-        // reproduce them, captured streams included.
+        // reproduce them.
         for (bench, protocol, cycles, traffic_bits) in [
             (
                 BenchmarkKind::Radix,
@@ -770,19 +757,15 @@ mod tests {
             ),
         ] {
             let wl = build_tiny(bench, 16).unwrap();
-            let (report, streams) = Simulator::new(SimConfig::new(protocol), &wl).run_captured();
+            let report = Simulator::new(SimConfig::new(protocol), &wl).run();
             assert_eq!(report.total_cycles, cycles, "{bench}/{protocol}");
             assert_eq!(
                 report.traffic.total().to_bits(),
                 traffic_bits,
                 "{bench}/{protocol}"
             );
-            assert_eq!(streams.traces, wl.traces, "{bench}/{protocol}");
             let again = Simulator::new(SimConfig::new(protocol), &wl).run();
-            assert_eq!(
-                again, report,
-                "{bench}/{protocol}: run and run_captured agree"
-            );
+            assert_eq!(again, report, "{bench}/{protocol}: two runs agree");
         }
     }
 

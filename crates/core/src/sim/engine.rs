@@ -24,36 +24,9 @@ use tw_noc::{model_for, Mesh, NetworkModel, PacketSize};
 use tw_profiler::{CacheLevel, CacheWasteProfiler, MemoryWasteProfiler, TrafficBreakdown};
 use tw_types::{
     Addr, LineAddr, MessageClass, MessageKind, NetworkModelKind, NocConfig, ProtocolKind, RegionId,
-    RegionTable, Stamp, SystemConfig, TileId, TraceOp, TrafficBucket, LANES, LINE_BYTES,
+    RegionTable, Stamp, SystemConfig, TileId, TrafficBucket, LANES, LINE_BYTES,
 };
 use tw_workloads::Workload;
-
-/// Recorder for the serviced reference stream of one run.
-///
-/// When a capture is armed, the scheduler appends every trace record it
-/// services — in per-core service order, barriers included — so any run can
-/// be persisted as a trace file and replayed as a first-class workload
-/// (`Simulator::run_captured`). With the in-order core model each core's
-/// serviced stream equals its input stream, which is exactly what makes a
-/// captured trace a bit-exact replay artifact.
-#[derive(Debug)]
-pub(crate) struct TraceCapture {
-    streams: Vec<Vec<TraceOp>>,
-}
-
-impl TraceCapture {
-    /// An empty capture for `cores` cores.
-    pub(crate) fn new(cores: usize) -> Self {
-        TraceCapture {
-            streams: vec![Vec::new(); cores],
-        }
-    }
-
-    /// The recorded per-core streams.
-    pub(crate) fn into_streams(self) -> Vec<Vec<TraceOp>> {
-        self.streams
-    }
-}
 
 /// The network: the canonical mesh, one optional timing overlay per timed
 /// lane, and the flit-hop ledger.
@@ -331,9 +304,6 @@ pub(crate) struct Engine<'wl> {
     pub(crate) time: Vec<LaneBreakdowns>,
     /// Geometry and region facts resolved once at construction.
     pub(crate) geo: GeomCache,
-    /// Armed by `Simulator::run_captured`; `None` costs nothing on the
-    /// normal path.
-    pub(crate) capture: Option<TraceCapture>,
 }
 
 /// The three transaction choreographies. The [`ProtocolKind`] carried by the
@@ -376,7 +346,6 @@ impl<'wl> Engine<'wl> {
             l2_prof: CacheWasteProfiler::new(CacheLevel::L2),
             mem_prof: MemoryWasteProfiler::new(),
             time: vec![LaneBreakdowns::default(); cores],
-            capture: None,
             cfg,
             workload,
         }
@@ -452,14 +421,6 @@ impl<'wl> Engine<'wl> {
     /// The protocol configuration being simulated.
     pub(crate) fn protocol(&self) -> ProtocolKind {
         self.cfg.protocol
-    }
-
-    /// Records one serviced trace record of `core` into the armed capture
-    /// (no-op when no capture is armed).
-    pub(crate) fn record_serviced(&mut self, core: usize, op: TraceOp) {
-        if let Some(capture) = &mut self.capture {
-            capture.streams[core].push(op);
-        }
     }
 
     /// The simulated system parameters.

@@ -1,30 +1,35 @@
 //! The cross-protocol differential runner.
 //!
-//! For one workload the runner sweeps the full protocol registry and checks
-//! every metamorphic invariant the paper's methodology depends on:
+//! For one workload the runner first executes it under the golden
+//! SC-per-phase model, which rejects a racy workload and yields the
+//! reference fingerprint the fuzz summary prints. It then sweeps the full
+//! protocol registry and checks every metamorphic invariant the paper's
+//! methodology depends on:
 //!
-//! 1. **Identical service** — every protocol's captured serviced stream is
-//!    exactly the input stream (hence all ten service identical op counts);
-//! 2. **Functional agreement** — the captured stream re-executed under the
-//!    golden SC-per-phase model reproduces the reference fingerprint;
-//! 3. **Replay determinism** — replaying the captured stream under the same
+//! 1. **Run determinism** — a second run of the workload under the same
 //!    protocol reproduces a bit-identical [`SimReport`];
-//! 4. **Sane accounting** — the waste fraction of every report lies in
+//! 2. **Sane accounting** — the waste fraction of every report lies in
 //!    `[0, 1]` and total traffic is finite and positive;
-//! 5. **Bypass dominance** — on a fully-bypass-annotated streaming workload
+//! 3. **Bypass dominance** — on a fully-bypass-annotated streaming workload
 //!    (the scenario L2 bypass exists for), `DBypFull` moves no more traffic
 //!    than MESI. The claim is scoped to [`BYPASS_DOMINANCE_PROTOCOLS`]:
 //!    update-based protocols (Dragon) deliberately trade extra update
 //!    traffic for sharer latency and are exempt from the dominance check
 //!    while still running every other invariant;
-//! 6. **Network-model identity** — re-running the cell under every *other*
+//! 4. **Network-model identity** — re-running the cell under every *other*
 //!    registered network model (wormhole flit-level, snooping bus) must
 //!    reproduce every per-bucket flit-hop number, every waste
 //!    classification and the DRAM behavior bit for bit, and every timed
 //!    model's execution time must be at or above the analytic lower bound
 //!    (DESIGN.md §11: a network model may only move time, never traffic).
+//!
+//! Every protocol services the workload's own streams — the cores are in
+//! order and step each record once — so re-running the golden model on
+//! what a protocol serviced would compare the input with itself. No check
+//! here reads the values a cache holds.
+//!
+//! [`SimReport`]: denovo_waste::SimReport
 
-use crate::mutate::{detect, Detection};
 use crate::oracle::{golden_execute, OracleReport};
 use crate::synth::is_fully_bypass_streaming;
 use denovo_waste::{ScaleProfile, Session, SimConfig, Simulator};
@@ -33,13 +38,13 @@ use tw_obs::SpanSink;
 use tw_types::{NetworkModelKind, ProtocolKind, SystemConfig};
 use tw_workloads::Workload;
 
-/// The protocols invariant 5 (streaming bypass dominance) compares, in
+/// The protocols invariant 3 (streaming bypass dominance) compares, in
 /// `(baseline, challenger)` order. The `DBypFull ≤ MESI` claim is an
 /// *invalidation-protocol* statement — an update-based protocol like Dragon
 /// pushes written words to sharers by design and may legitimately move more
 /// traffic on a streaming workload, so it stays outside this allowlist while
-/// remaining subject to every other invariant (service identity, oracle
-/// agreement, replay determinism, accounting, cross-model identity).
+/// remaining subject to every other invariant (run determinism,
+/// accounting, cross-model identity).
 pub const BYPASS_DOMINANCE_PROTOCOLS: [ProtocolKind; 2] =
     [ProtocolKind::Mesi, ProtocolKind::DBypFull];
 
@@ -50,19 +55,7 @@ pub enum Violation {
     Malformed(String),
     /// The golden model rejected the workload as racy.
     Race(String),
-    /// A protocol serviced a stream different from the input.
-    StreamDiverged {
-        /// The offending protocol.
-        protocol: ProtocolKind,
-    },
-    /// A protocol's captured stream disagrees with the golden model.
-    OracleMismatch {
-        /// The offending protocol.
-        protocol: ProtocolKind,
-        /// How the divergence was classified.
-        detection: String,
-    },
-    /// Replaying a captured stream did not reproduce the original report.
+    /// A second run of the workload did not reproduce the first report.
     ReplayMismatch {
         /// The offending protocol.
         protocol: ProtocolKind,
@@ -109,15 +102,8 @@ impl fmt::Display for Violation {
         match self {
             Violation::Malformed(m) => write!(f, "malformed workload: {m}"),
             Violation::Race(m) => write!(f, "racy workload: {m}"),
-            Violation::StreamDiverged { protocol } => {
-                write!(f, "{protocol}: serviced stream diverged from the input")
-            }
-            Violation::OracleMismatch {
-                protocol,
-                detection,
-            } => write!(f, "{protocol}: captured stream fails the oracle ({detection})"),
             Violation::ReplayMismatch { protocol } => {
-                write!(f, "{protocol}: replayed capture is not bit-identical")
+                write!(f, "{protocol}: a second run is not bit-identical")
             }
             Violation::BadAccounting {
                 protocol,
@@ -183,7 +169,7 @@ impl DiffOutcome {
 pub struct DifferentialRunner {
     /// System scale simulated (geometry + cache sizes).
     pub scale: ScaleProfile,
-    /// Network model the primary sweep (capture, oracle, replay) runs
+    /// Network model the primary sweep (first run and its replay) runs
     /// under; the cross-model invariant always compares against every other
     /// registered model.
     pub network: NetworkModelKind,
@@ -257,7 +243,7 @@ impl DifferentialRunner {
         // output is deterministic.
         let (runner, workload) = (self.clone(), wl.clone());
         let cells = Session::new().fan_out(self.protocols.clone(), move |&protocol| {
-            runner.check_protocol(protocol, &workload, oracle, &system)
+            runner.check_protocol(protocol, &workload, &system)
         });
 
         let mut summaries = Vec::with_capacity(cells.len());
@@ -298,37 +284,19 @@ impl DifferentialRunner {
         &self,
         protocol: ProtocolKind,
         wl: &Workload,
-        oracle: OracleReport,
         system: &SystemConfig,
     ) -> (ProtocolSummary, Vec<Violation>) {
         let mut cfg = SimConfig::new(protocol).with_system(system.clone());
         if let Some(sink) = &self.recorder {
             cfg.recorder = Some(sink.with_track(format!("{}/{}", wl.kind.name(), protocol.name())));
         }
-        let (report, captured) = Simulator::new(cfg.clone(), wl).run_captured();
+        let report = Simulator::new(cfg.clone(), wl).run();
         let mut violations = Vec::new();
-
-        if captured.traces != wl.traces {
-            violations.push(Violation::StreamDiverged { protocol });
-        } else if let Some(d) = detect(&oracle, &captured) {
-            // Stream equality makes this unreachable today; it is
-            // the independent check that keeps the oracle honest if
-            // capture semantics ever change.
-            violations.push(Violation::OracleMismatch {
-                protocol,
-                detection: match d {
-                    Detection::Malformed(m) | Detection::Race(m) => m,
-                    Detection::FingerprintDiff { expected, actual } => {
-                        format!("fingerprint {actual:#018x} != {expected:#018x}")
-                    }
-                },
-            });
-        }
 
         // The replay is a checker, not part of the primary sweep —
         // recording it would emit every phase span twice per track.
         cfg.recorder = None;
-        let replayed = Simulator::new(cfg, &captured).run();
+        let replayed = Simulator::new(cfg, wl).run();
         if replayed != report {
             violations.push(Violation::ReplayMismatch { protocol });
         }
@@ -343,7 +311,7 @@ impl DifferentialRunner {
             });
         }
 
-        // Invariant 6: every other registered network model must
+        // Invariant 4: every other registered network model must
         // move the exact same flits and classify the exact same
         // words; only time may differ, and timed-model time only
         // upward from the analytic bound.
@@ -435,9 +403,9 @@ mod tests {
 
     #[test]
     fn flit_level_primary_sweep_passes_every_invariant() {
-        // The same seeds, primary sweep under the wormhole model: capture,
-        // oracle, replay determinism and the cross-model identity must all
-        // hold with the roles of the two models swapped.
+        // The same seeds, primary sweep under the wormhole model: run
+        // determinism and the cross-model identity must all hold with the
+        // roles of the two models swapped.
         let runner =
             DifferentialRunner::new(ScaleProfile::Tiny).with_network(NetworkModelKind::FlitLevel);
         let out = runner.check(&synthesize(7));
@@ -455,9 +423,9 @@ mod tests {
     #[test]
     fn snoop_bus_primary_sweep_passes_every_invariant() {
         // Primary sweep under the snooping bus: the broadcast medium may
-        // only serialize time; capture, oracle agreement, replay and the
-        // cross-model identity against both point-to-point fabrics must
-        // still hold for all ten protocols.
+        // only serialize time; run determinism and the cross-model identity
+        // against both point-to-point fabrics must still hold for all ten
+        // protocols.
         let runner =
             DifferentialRunner::new(ScaleProfile::Tiny).with_network(NetworkModelKind::SnoopBus);
         let out = runner.check(&synthesize(7));
@@ -474,16 +442,16 @@ mod tests {
 
     #[test]
     fn dragon_is_oracle_exercised_but_exempt_from_bypass_dominance() {
-        // Dragon rides the full differential sweep — service identity,
-        // oracle agreement, replay determinism, accounting and cross-model
-        // identity all apply — but sits outside the invariant-5 allowlist:
+        // Dragon rides the full differential sweep — the golden model's race
+        // check, run determinism, accounting and cross-model identity all
+        // apply — but sits outside the invariant-3 allowlist:
         // an update protocol pushes written words to sharers by design, so
         // the streaming `DBypFull ≤ MESI` dominance claim does not bind it.
         assert!(!BYPASS_DOMINANCE_PROTOCOLS.contains(&ProtocolKind::Dragon));
         let runner = DifferentialRunner::new(ScaleProfile::Tiny);
         assert!(runner.protocols.contains(&ProtocolKind::Dragon));
         let wl = SynthConfig::streaming(3).build();
-        assert!(is_fully_bypass_streaming(&wl), "invariant 5 must be live");
+        assert!(is_fully_bypass_streaming(&wl), "invariant 3 must be live");
         let out = runner.check(&wl);
         assert!(
             out.ok(),

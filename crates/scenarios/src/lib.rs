@@ -2,8 +2,9 @@
 //! differential oracle.
 //!
 //! The paper's traffic/waste comparisons are only meaningful because every
-//! protocol services the identical reference stream and agrees on functional
-//! memory behavior. The six hand-built generators in `tw-workloads` exercise
+//! protocol services the identical reference stream (the in-order cores step
+//! the workload's own records) and agrees on functional memory behavior. The
+//! six hand-built generators in `tw-workloads` exercise
 //! that claim on six points; this crate multiplies the scenario space to an
 //! unbounded seeded family and makes it *trustworthy*:
 //!
@@ -15,11 +16,11 @@
 //! * [`oracle`] — a golden functional memory model (sequential consistency
 //!   per barrier phase) that assigns every store a unique position-derived
 //!   value and fingerprints every load observation plus the final image;
-//! * [`differ`] — the differential runner sweeping the full protocol
-//!   registry and checking the metamorphic invariants (identical service,
-//!   oracle agreement, bit-identical replay, sane waste accounting, bypass
-//!   dominance on streaming workloads for the invalidation allowlist, and
-//!   cross-network-model traffic identity over every registered fabric);
+//! * [`differ`] — the differential runner: it rejects racy workloads with
+//!   the golden model, sweeps the full protocol registry and checks the
+//!   metamorphic invariants (bit-identical reruns, sane waste accounting,
+//!   bypass dominance on streaming workloads for the invalidation allowlist,
+//!   and cross-network-model traffic identity over every registered fabric);
 //! * [`mutate`] — known-bad mutation operators proving the oracle actually
 //!   catches injected coherence violations.
 //!

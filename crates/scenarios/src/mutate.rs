@@ -2,9 +2,9 @@
 //!
 //! An oracle is only trustworthy if it demonstrably *fails* on broken
 //! inputs. Each [`Mutation`] injects one class of coherence violation into a
-//! well-formed workload — the kinds of corruption a buggy protocol, codec or
-//! capture path would introduce — and [`detect`] is the exact check the
-//! differential runner applies. The test suite (and `experiments fuzz
+//! well-formed workload — the kinds of corruption a buggy protocol or codec
+//! would introduce — and [`detect`] compares the golden model's verdict on
+//! the result with the reference. The test suite (and `experiments fuzz
 //! --self-test`) asserts every class is caught on every seed tried.
 
 use crate::oracle::{golden_execute, OracleReport};
@@ -234,8 +234,7 @@ impl Detection {
 
 /// Runs the oracle pipeline on a (possibly mutated) workload and reports how
 /// it diverges from the reference report, or `None` if it is
-/// indistinguishable — the check the differential runner applies to every
-/// captured stream, reused here to prove mutations are caught.
+/// indistinguishable — what proves the mutations are caught.
 pub fn detect(reference: &OracleReport, mutated: &Workload) -> Option<Detection> {
     if let Err(msg) = mutated.try_well_formed() {
         return Some(Detection::Malformed(msg));

@@ -5,7 +5,7 @@
 //!
 //! Everything here runs `Simulator` directly. It never goes through
 //! `Session` (which bundles cells into runs and so cannot check the rule),
-//! and the differential runner's invariant 6 keeps simulating every network
+//! and the differential runner's invariant 4 keeps simulating every network
 //! model on its own: the two are the independent oracle. The test fails when
 //! two lanes share one overlay: sent through the flit lane's wormhole mesh,
 //! the bus lane's messages queue in it, and the flit lane runs slower than

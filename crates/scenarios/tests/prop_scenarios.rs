@@ -102,13 +102,13 @@ proptest! {
         ));
     }
 
-    /// Dragon's write-update datapath keeps every sharer's per-word view
-    /// coherent with golden memory over arbitrary DRF interleavings: for
-    /// every sharing-pattern primitive and random seed, the Dragon-serviced
-    /// stream is bit-identical to the input, functionally indistinguishable
-    /// from the golden fingerprint, bit-identically replayable, and moves
-    /// the same traffic under every network model (the full differential
-    /// invariant set restricted to the Dragon cell).
+    /// Dragon's write-update datapath passes the full differential
+    /// invariant set restricted to the Dragon cell, for every
+    /// sharing-pattern primitive and random seed: the golden model accepts
+    /// the DRF input, a second run is bit-identical, the accounting is sane
+    /// and the traffic is the same under every network model. No check
+    /// here reads what a sharer holds, so the name promises more than is
+    /// checked until values are shadowed (ROADMAP item 2(a)).
     #[test]
     fn dragon_sharer_views_stay_coherent_with_golden_memory(
         seed in 0u64..512,

@@ -1,5 +1,5 @@
-//! Record a run's reference stream to a trace file, replay it, and verify
-//! the replay is bit-identical — the capture/replay workflow end to end.
+//! Run a workload, save it as a trace file, replay the file, and verify the
+//! replay is bit-identical — the record/replay workflow end to end.
 //!
 //! ```text
 //! cargo run --release -p denovo-waste --example trace_roundtrip
@@ -11,21 +11,21 @@ use tw_types::ProtocolKind;
 use tw_workloads::{build_tiny, BenchmarkKind, Workload};
 
 fn main() {
-    // 1. Run one (protocol × benchmark) cell with capture armed.
+    // 1. Run one (protocol × benchmark) cell.
     let workload = build_tiny(BenchmarkKind::Radix, 16).unwrap();
     let cfg = SimConfig::new(ProtocolKind::DBypFull);
-    let (recorded, captured) = Simulator::new(cfg.clone(), &workload).run_captured();
+    let recorded = Simulator::new(cfg.clone(), &workload).run();
     println!(
         "recorded {} / {}: {} cycles, {:.0} flit-hops",
-        captured.kind,
+        workload.kind,
         recorded.protocol,
         recorded.total_cycles,
         recorded.total_flit_hops()
     );
 
-    // 2. Persist the capture to a trace file (binary format).
+    // 2. Persist the workload it ran to a trace file (binary format).
     let path = std::env::temp_dir().join("denovo-waste-roundtrip.trace");
-    let doc = captured.to_trace();
+    let doc = workload.to_trace();
     doc.save(&path, false).expect("write trace");
     let bytes = std::fs::metadata(&path).expect("stat trace").len();
     let stats = doc.total_stats();
