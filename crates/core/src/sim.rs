@@ -11,7 +11,7 @@
 //! that NACK traffic is negligible.
 //!
 //! This module is protocol-agnostic: every protocol-specific action is
-//! reached through the four entry points of [`engine::Engine`] (`load`,
+//! reached through the four entry points of `engine::Engine` (`load`,
 //! `store`, `barrier_released`, `finish`), each a `match` on the protocol
 //! family resolved once at construction. The transaction choreographies
 //! live in `home.rs` (the directory families' read miss and shared steps),
@@ -160,7 +160,7 @@ fn two_earliest(ready: &[u64]) -> ((usize, u64), (usize, u64)) {
 /// network models.
 ///
 /// The simulator owns the scheduler state (per-core clocks, program counters
-/// and run states) and an [`Engine`] holding all machine state; protocol
+/// and run states) and an `Engine` holding all machine state; protocol
 /// behavior is dispatched inside the engine's entry points.
 #[derive(Debug)]
 pub struct Simulator<'wl> {

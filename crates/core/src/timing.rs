@@ -75,7 +75,7 @@ impl fmt::Display for TimeClass {
 
 /// Cycles attributed to each [`TimeClass`] (per core or aggregated).
 ///
-/// Stored as a dense array indexed by [`TimeClass::idx`] — this sits on the
+/// Stored as a dense array indexed by `TimeClass::idx` — this sits on the
 /// per-op hot path (`add` runs for every simulated memory access), where the
 /// previous `BTreeMap` lookup cost real time. Cycle counts are integers, so
 /// the sums are exact regardless of accumulation order; `iter` emits only

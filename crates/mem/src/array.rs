@@ -81,9 +81,9 @@ impl<M> LineEntry<M> {
 /// mirrored into a dense `u64` array so the per-access tag scan touches one
 /// cache line instead of chasing `Vec<Vec<_>>` pointers or hashing. Within a
 /// set, slot positions mirror the push/`swap_remove` discipline of the
-/// original `Vec`-of-`Vec`s representation exactly — `iter` and
-/// `drain_matching` order feeds protocol message order, so residency order
-/// is part of the determinism contract, not an implementation detail.
+/// original `Vec`-of-`Vec`s representation exactly — `iter`/`iter_mut`
+/// order feeds protocol message order, so residency order is part of the
+/// determinism contract, not an implementation detail.
 #[derive(Debug, Clone)]
 pub struct CacheArray<M> {
     geom: CacheGeometry,
@@ -354,38 +354,6 @@ impl<M> CacheArray<M> {
                     .map(|e| e.as_mut().expect("occupied"))
             })
     }
-
-    /// Removes every line for which `pred` returns true, returning them.
-    /// Used for DeNovo self-invalidation sweeps at barriers. Output order
-    /// (set-major, `swap_remove` backfill within a set) is deterministic and
-    /// feeds message order.
-    pub fn drain_matching<F>(&mut self, mut pred: F) -> Vec<LineEntry<M>>
-    where
-        F: FnMut(&LineEntry<M>) -> bool,
-    {
-        let mut out = Vec::new();
-        for set in 0..self.nsets {
-            let base = set * self.ways;
-            let mut slen = self.set_len[set] as usize;
-            let mut i = 0;
-            while i < slen {
-                if pred(self.entries[base + i].as_ref().expect("occupied")) {
-                    let e = self.entries[base + i].take().expect("occupied");
-                    slen -= 1;
-                    if i != slen {
-                        self.entries[base + i] = self.entries[base + slen].take();
-                        self.tags[base + i] = self.tags[base + slen];
-                    }
-                    self.len -= 1;
-                    out.push(e);
-                } else {
-                    i += 1;
-                }
-            }
-            self.set_len[set] = slen as u32;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -496,18 +464,6 @@ mod tests {
         assert!(c.remove(line(0)).is_none());
         assert_eq!(c.evictions(), 0);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn drain_matching_removes_selected_lines() {
-        let mut c = small();
-        c.insert(line(0), 1);
-        c.insert(line(1), 2);
-        c.insert(line(2), 1);
-        let drained = c.drain_matching(|e| e.meta == 1);
-        assert_eq!(drained.len(), 2);
-        assert_eq!(c.len(), 1);
-        assert!(c.contains(line(1)));
     }
 
     #[test]

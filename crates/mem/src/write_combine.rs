@@ -45,8 +45,9 @@ pub enum WriteFlush {
 /// broken toward the lowest line — exactly the order the original
 /// `BTreeMap`-backed table produced (the determinism CI gate caught hash
 /// iteration order varying between processes once already). The
-/// [`reference`] module keeps that original implementation alive as the
-/// oracle for the differential property test in `tests/prop_write_combine.rs`.
+/// [`reference`](mod@reference) module keeps that original implementation
+/// alive as the oracle for the differential property test in
+/// `tests/prop_write_combine.rs`.
 ///
 /// Because the table holds at most a few dozen entries (32 in the paper's
 /// configuration), sorted-vector scans beat any tree or hash structure; the

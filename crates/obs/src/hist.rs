@@ -3,10 +3,11 @@
 //! A [`Log2Histogram`] has 65 power-of-two buckets: bucket 0 holds the value
 //! 0, bucket `i` (1..=64) holds `[2^(i-1), 2^i - 1]`. Recording is lock-free
 //! (relaxed atomics — the histogram is a monitor, not a synchronizer), so
-//! daemon workers share one instance without coordination. Percentiles are
-//! resolved to the upper bound of the first bucket whose cumulative count
-//! reaches the rank, clamped to the observed maximum so a lone sample in a
-//! wide bucket does not report a latency nobody saw.
+//! the daemon's connection handlers share one instance without
+//! coordination. Percentiles are resolved to the upper bound of the first
+//! bucket whose cumulative count reaches the rank, clamped to the observed
+//! maximum so a lone sample in a wide bucket does not report a latency
+//! nobody saw.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -106,11 +106,9 @@ proptest! {
     /// invariant set restricted to the Dragon cell, for every
     /// sharing-pattern primitive and random seed: the golden model accepts
     /// the DRF input, a second run is bit-identical, the accounting is sane
-    /// and the traffic is the same under every network model. No check
-    /// here reads what a sharer holds, so the name promises more than is
-    /// checked until values are shadowed (ROADMAP item 2(a)).
+    /// and the traffic is the same under every network model.
     #[test]
-    fn dragon_sharer_views_stay_coherent_with_golden_memory(
+    fn dragon_passes_the_differential_invariants_on_every_primitive(
         seed in 0u64..512,
         pattern_idx in 0usize..SharingPattern::ALL.len(),
     ) {

@@ -34,18 +34,17 @@
 //! frame the phases: everything between two barriers is one phase, and a
 //! phase may legally contain zero memory operations.
 
-use crate::varint::{encode_u64, read_u64, unzigzag, write_u64, zigzag, MAX_VARINT_BYTES};
-use crate::TraceError;
-use std::io::Write;
+use crate::varint::{encode_u64, push_u64, read_u64, unzigzag, zigzag, MAX_VARINT_BYTES};
+use crate::{TraceDocument, TraceError};
 use tw_types::{
     Addr, BypassKind, CommRegion, MemKind, Record, RegionId, RegionInfo, RegionTable, TraceOp,
 };
 
 /// Leading magic of the binary format.
-pub const BINARY_MAGIC: &[u8; 4] = b"DNVT";
+pub(crate) const BINARY_MAGIC: &[u8; 4] = b"DNVT";
 
 /// Current (and only) format version.
-pub const FORMAT_VERSION: u8 = 1;
+const FORMAT_VERSION: u8 = 1;
 
 const TAG_LOAD: u8 = 0x00;
 const TAG_STORE: u8 = 0x01;
@@ -53,9 +52,9 @@ const TAG_COMPUTE: u8 = 0x02;
 const TAG_BARRIER: u8 = 0x03;
 const TAG_END: u8 = 0xFF;
 
-fn write_string<W: Write>(w: &mut W, s: &str) -> std::io::Result<()> {
-    write_u64(w, s.len() as u64)?;
-    w.write_all(s.as_bytes())
+fn write_string(out: &mut Vec<u8>, s: &str) {
+    push_u64(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Splits the next `n` bytes off the front of `buf`; running out of input
@@ -83,26 +82,25 @@ fn read_string(buf: &mut &[u8]) -> Result<String, TraceError> {
         .map_err(|_| TraceError::Malformed("string is not UTF-8".to_string()))
 }
 
-fn write_region<W: Write>(w: &mut W, r: &RegionInfo) -> std::io::Result<()> {
-    write_u64(w, r.id.0 as u64)?;
-    write_string(w, &r.name)?;
-    write_u64(w, r.base.byte())?;
-    write_u64(w, r.bytes)?;
+fn write_region(out: &mut Vec<u8>, r: &RegionInfo) {
+    push_u64(out, r.id.0 as u64);
+    write_string(out, &r.name);
+    push_u64(out, r.base.byte());
+    push_u64(out, r.bytes);
     let bypass = match r.bypass {
         BypassKind::None => 0u8,
         BypassKind::ReadThenOverwritten => 1,
         BypassKind::StreamingOncePerPhase => 2,
     };
     let flags = (r.written_in_parallel_phases as u8) | (bypass << 1);
-    w.write_all(&[flags, r.comm.is_some() as u8])?;
+    out.extend_from_slice(&[flags, r.comm.is_some() as u8]);
     if let Some(comm) = &r.comm {
-        write_u64(w, comm.object_bytes)?;
-        write_u64(w, comm.useful_offsets.len() as u64)?;
+        push_u64(out, comm.object_bytes);
+        push_u64(out, comm.useful_offsets.len() as u64);
         for &off in &comm.useful_offsets {
-            write_u64(w, off)?;
+            push_u64(out, off);
         }
     }
-    Ok(())
 }
 
 fn read_region(r: &mut &[u8]) -> Result<RegionInfo, TraceError> {
@@ -153,30 +151,27 @@ fn read_region(r: &mut &[u8]) -> Result<RegionInfo, TraceError> {
     })
 }
 
-/// The encoded header: magic, version, benchmark and input strings, core
-/// count and the region table. [`TraceWriter::new`] writes it ahead of the
-/// streams, and [`crate::content_digest`] digests it as the workload's
-/// metadata, so both read one serializer.
+/// Appends the encoded header to `out`: magic, version, benchmark and input
+/// strings, core count and the region table. A file starts with it, and
+/// [`crate::content_digest`] digests it as the workload's metadata, so both
+/// read one serializer.
 pub(crate) fn encode_header(
+    out: &mut Vec<u8>,
     benchmark: &str,
     input: &str,
     cores: usize,
     regions: &RegionTable,
-) -> std::io::Result<Vec<u8>> {
-    let mut header = BINARY_MAGIC.to_vec();
-    header.push(FORMAT_VERSION);
-    write_string(&mut header, benchmark)?;
-    write_string(&mut header, input)?;
-    write_u64(&mut header, cores as u64)?;
-    write_u64(&mut header, regions.len() as u64)?;
+) {
+    out.extend_from_slice(BINARY_MAGIC);
+    out.push(FORMAT_VERSION);
+    write_string(out, benchmark);
+    write_string(out, input);
+    push_u64(out, cores as u64);
+    push_u64(out, regions.len() as u64);
     for r in regions.iter() {
-        write_region(&mut header, r)?;
+        write_region(out, r);
     }
-    Ok(header)
 }
-
-/// Bytes of encoded stream the writer gathers before it calls its sink.
-const BLOCK_BYTES: usize = 64 * 1024;
 
 /// The longest encoded op: a tag and two full-length varints.
 const MAX_OP_BYTES: usize = 1 + 2 * MAX_VARINT_BYTES;
@@ -190,293 +185,172 @@ fn put_varint(out: &mut [u8; MAX_OP_BYTES], at: usize, v: u64) -> usize {
     at + encode_u64(v, slot)
 }
 
-/// Streaming encoder: header up front, then ops appended one at a time,
-/// core by core. Ops are encoded into a block that goes to the sink when it
-/// fills — one call per 64 KiB whatever the sink is, instead of one per
-/// byte — so arbitrarily long captures still encode in constant memory.
-#[derive(Debug)]
-pub struct TraceWriter<W: Write> {
-    w: W,
-    /// The block being filled; `block[..filled]` is not yet written.
-    block: Box<[u8]>,
-    filled: usize,
-    cores_declared: usize,
-    cores_done: usize,
-    prev_addr: u64,
-}
+/// Bytes of encoded ops gathered on the stack before they go to `out`.
+const BLOCK_BYTES: usize = 16 * 1024;
 
-impl<W: Write> TraceWriter<W> {
-    /// Writes the header and readies the writer for core 0's stream.
-    pub fn new(
-        mut w: W,
-        benchmark: &str,
-        input: &str,
-        cores: usize,
-        regions: &RegionTable,
-    ) -> Result<Self, TraceError> {
-        w.write_all(&encode_header(benchmark, input, cores, regions)?)?;
-        Ok(TraceWriter {
-            w,
-            block: vec![0; BLOCK_BYTES].into_boxed_slice(),
-            filled: 0,
-            cores_declared: cores,
-            cores_done: 0,
-            prev_addr: 0,
-        })
-    }
-
-    /// Hands the gathered bytes to the sink.
-    fn write_block(&mut self) -> std::io::Result<()> {
-        self.w.write_all(&self.block[..self.filled])?;
-        self.filled = 0;
-        Ok(())
-    }
-
-    /// Makes sure `room` more bytes fit in the block.
-    #[inline]
-    fn make_room(&mut self, room: usize) -> std::io::Result<()> {
-        if BLOCK_BYTES - self.filled < room {
-            self.write_block()?;
+/// Appends one core's stream to `out`: its ops, then the end-of-stream tag.
+/// Ops are encoded into a block on the stack, which goes to `out` with one
+/// copy when the next op might not fit: appending each op to `out` on its
+/// own, a capacity check and a short copy per op, halved the encoder's
+/// throughput.
+pub(crate) fn encode_stream(out: &mut Vec<u8>, stream: &[TraceOp]) {
+    let mut block = [0u8; BLOCK_BYTES];
+    let mut filled = 0;
+    let mut prev_addr = 0u64;
+    for op in stream {
+        if BLOCK_BYTES - filled < MAX_OP_BYTES {
+            out.extend_from_slice(&block[..filled]);
+            filled = 0;
         }
-        Ok(())
-    }
-
-    /// Appends one op to the current core's stream.
-    #[inline]
-    pub fn op(&mut self, op: &TraceOp) -> Result<(), TraceError> {
-        if self.cores_done >= self.cores_declared {
-            return Err(TraceError::Malformed(
-                "op written after the last declared core stream".to_string(),
-            ));
-        }
-        self.make_room(MAX_OP_BYTES)?;
-        let out: &mut [u8; MAX_OP_BYTES] = self.block[self.filled..]
+        let rec: &mut [u8; MAX_OP_BYTES] = block[filled..]
             .first_chunk_mut()
-            .expect("make_room left room for an op");
-        self.filled += match op.view() {
+            .expect("the block has room for an op");
+        filled += match op.view() {
             Record::Mem { kind, addr, region } => {
-                out[0] = match kind {
+                rec[0] = match kind {
                     MemKind::Load => TAG_LOAD,
                     MemKind::Store => TAG_STORE,
                 };
-                let delta = addr.byte().wrapping_sub(self.prev_addr) as i64;
-                self.prev_addr = addr.byte();
-                let at = put_varint(out, 1, zigzag(delta));
-                put_varint(out, at, region.0 as u64)
+                let delta = addr.byte().wrapping_sub(prev_addr) as i64;
+                prev_addr = addr.byte();
+                let next = put_varint(rec, 1, zigzag(delta));
+                put_varint(rec, next, region.0 as u64)
             }
             Record::Compute { cycles } => {
-                out[0] = TAG_COMPUTE;
-                put_varint(out, 1, cycles as u64)
+                rec[0] = TAG_COMPUTE;
+                put_varint(rec, 1, cycles as u64)
             }
             Record::Barrier { id } => {
-                out[0] = TAG_BARRIER;
-                put_varint(out, 1, id as u64)
+                rec[0] = TAG_BARRIER;
+                put_varint(rec, 1, id as u64)
             }
         };
-        Ok(())
     }
-
-    /// Terminates the current core's stream and readies the next.
-    pub fn end_stream(&mut self) -> Result<(), TraceError> {
-        if self.cores_done >= self.cores_declared {
-            return Err(TraceError::Malformed(
-                "more streams ended than cores declared".to_string(),
-            ));
-        }
-        self.make_room(1)?;
-        self.block[self.filled] = TAG_END;
-        self.filled += 1;
-        self.cores_done += 1;
-        self.prev_addr = 0;
-        Ok(())
-    }
-
-    /// Writes out what is gathered, flushes, and returns the underlying
-    /// writer.
-    ///
-    /// Fails if fewer streams were ended than cores declared in the header —
-    /// a truncated file would otherwise be undetectable.
-    pub fn finish(mut self) -> Result<W, TraceError> {
-        if self.cores_done != self.cores_declared {
-            return Err(TraceError::Malformed(format!(
-                "only {} of {} core streams written",
-                self.cores_done, self.cores_declared
-            )));
-        }
-        self.write_block()?;
-        self.w.flush()?;
-        Ok(self.w)
-    }
+    out.extend_from_slice(&block[..filled]);
+    out.push(TAG_END);
 }
 
-/// Decoder over an encoded trace held in memory: parses the header
-/// eagerly, then yields one core's stream at a time.
-#[derive(Debug)]
-pub struct TraceReader<'a> {
-    rest: &'a [u8],
-    benchmark: String,
-    input: String,
-    cores: usize,
-    cores_read: usize,
-    regions: RegionTable,
+/// Decodes a whole binary trace. Trailing bytes after the last declared
+/// stream mean a concatenated or partially overwritten file, which must not
+/// silently parse as the leading document — that would blind the
+/// determinism oracle built on `trace diff`.
+pub(crate) fn decode(mut r: &[u8]) -> Result<TraceDocument, TraceError> {
+    let magic = take(&mut r, 4, "file shorter than the magic")?;
+    if magic != BINARY_MAGIC {
+        return Err(TraceError::Malformed(format!(
+            "bad magic {magic:02x?}; expected {BINARY_MAGIC:02x?}"
+        )));
+    }
+    let version = take(&mut r, 1, "missing version byte")?[0];
+    if version != FORMAT_VERSION {
+        return Err(TraceError::Malformed(format!(
+            "unsupported format version {version} (this build reads version {FORMAT_VERSION})"
+        )));
+    }
+    let benchmark = read_string(&mut r)?;
+    let input = read_string(&mut r)?;
+    let cores = read_u64(&mut r)? as usize;
+    if cores == 0 || cores > 4096 {
+        return Err(TraceError::Malformed(format!(
+            "implausible core count {cores}"
+        )));
+    }
+    let n_regions = read_u64(&mut r)? as usize;
+    if n_regions > 1 << 16 {
+        return Err(TraceError::Malformed(format!(
+            "implausible region count {n_regions}"
+        )));
+    }
+    let mut regions = RegionTable::new();
+    for _ in 0..n_regions {
+        let info = read_region(&mut r)?;
+        // Guard before insert: RegionTable::insert panics on duplicates,
+        // and untrusted bytes must never abort the process.
+        if regions.get(info.id).is_some() {
+            return Err(TraceError::Malformed(format!(
+                "duplicate region id {}",
+                info.id
+            )));
+        }
+        regions.insert(info);
+    }
+    let streams = (0..cores)
+        .map(|core| decode_stream(&mut r, core))
+        .collect::<Result<_, _>>()?;
+    if !r.is_empty() {
+        return Err(TraceError::Malformed(
+            "trailing bytes after the last declared core stream".to_string(),
+        ));
+    }
+    Ok(TraceDocument {
+        benchmark,
+        input,
+        regions,
+        streams,
+    })
 }
 
-impl<'a> TraceReader<'a> {
-    /// Reads and validates the header.
-    pub fn new(mut r: &'a [u8]) -> Result<Self, TraceError> {
-        let magic = take(&mut r, 4, "file shorter than the magic")?;
-        if magic != BINARY_MAGIC {
+/// Decodes `core`'s stream off the front of `r`, through its end tag.
+fn decode_stream(r: &mut &[u8], core: usize) -> Result<Vec<TraceOp>, TraceError> {
+    let mut ops = Vec::new();
+    let mut prev_addr: u64 = 0;
+    // Decoded off a local copy of the cursor, which can live in registers.
+    let mut rest = *r;
+    loop {
+        let Some((&tag, after_tag)) = rest.split_first() else {
             return Err(TraceError::Malformed(format!(
-                "bad magic {magic:02x?}; expected {BINARY_MAGIC:02x?}"
+                "core {core} stream truncated before its end marker"
             )));
-        }
-        let version = take(&mut r, 1, "missing version byte")?[0];
-        if version != FORMAT_VERSION {
-            return Err(TraceError::Malformed(format!(
-                "unsupported format version {version} (this build reads version {FORMAT_VERSION})"
-            )));
-        }
-        let benchmark = read_string(&mut r)?;
-        let input = read_string(&mut r)?;
-        let cores = read_u64(&mut r)? as usize;
-        if cores == 0 || cores > 4096 {
-            return Err(TraceError::Malformed(format!(
-                "implausible core count {cores}"
-            )));
-        }
-        let n_regions = read_u64(&mut r)? as usize;
-        if n_regions > 1 << 16 {
-            return Err(TraceError::Malformed(format!(
-                "implausible region count {n_regions}"
-            )));
-        }
-        let mut regions = RegionTable::new();
-        for _ in 0..n_regions {
-            let info = read_region(&mut r)?;
-            // Guard before insert: RegionTable::insert panics on duplicates,
-            // and untrusted bytes must never abort the process.
-            if regions.get(info.id).is_some() {
-                return Err(TraceError::Malformed(format!(
-                    "duplicate region id {}",
-                    info.id
-                )));
-            }
-            regions.insert(info);
-        }
-        Ok(TraceReader {
-            rest: r,
-            benchmark,
-            input,
-            cores,
-            cores_read: 0,
-            regions,
-        })
-    }
-
-    /// Benchmark name from the header.
-    pub fn benchmark(&self) -> &str {
-        &self.benchmark
-    }
-
-    /// Input description from the header.
-    pub fn input(&self) -> &str {
-        &self.input
-    }
-
-    /// Core count from the header.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// Takes ownership of the parsed region table.
-    pub fn take_regions(&mut self) -> RegionTable {
-        std::mem::take(&mut self.regions)
-    }
-
-    /// Asserts the input is exhausted. Call after the last stream: trailing
-    /// bytes mean a concatenated or partially overwritten file, which must
-    /// not silently parse as the leading document — that would blind the
-    /// determinism oracle built on `trace diff`.
-    pub fn expect_eof(&mut self) -> Result<(), TraceError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(TraceError::Malformed(
-                "trailing bytes after the last declared core stream".to_string(),
-            ))
-        }
-    }
-
-    /// Parses the next core's stream, or `None` when all declared streams
-    /// have been read.
-    pub fn next_stream(&mut self) -> Result<Option<Vec<TraceOp>>, TraceError> {
-        if self.cores_read == self.cores {
-            return Ok(None);
-        }
-        let mut ops = Vec::new();
-        let mut prev_addr: u64 = 0;
-        // Decoded off a local copy of the cursor, which can live in
-        // registers; an error leaves `self.rest` where the stream began.
-        let mut rest = self.rest;
-        loop {
-            let Some((&tag, after_tag)) = rest.split_first() else {
-                return Err(TraceError::Malformed(format!(
-                    "core {} stream truncated before its end marker",
-                    self.cores_read
-                )));
-            };
-            rest = after_tag;
-            match tag {
-                TAG_LOAD | TAG_STORE => {
-                    let delta = unzigzag(read_u64(&mut rest)?);
-                    let addr = prev_addr.wrapping_add(delta as u64);
-                    prev_addr = addr;
-                    let region = read_u64(&mut rest)?;
-                    if region > u16::MAX as u64 {
-                        return Err(TraceError::Malformed(format!(
-                            "region id {region} exceeds u16"
-                        )));
-                    }
-                    let kind = if tag == TAG_LOAD {
-                        MemKind::Load
-                    } else {
-                        MemKind::Store
-                    };
-                    let op = TraceOp::mem(kind, Addr::new(addr), RegionId(region as u16));
-                    let (core, record) = (self.cores_read, ops.len());
-                    ops.push(op.map_err(|e| {
-                        TraceError::Malformed(format!("core {core} record {record}: {e}"))
-                    })?);
-                }
-                TAG_COMPUTE => {
-                    let cycles = read_u64(&mut rest)?;
-                    if cycles > u32::MAX as u64 {
-                        return Err(TraceError::Malformed(format!(
-                            "compute cycles {cycles} exceed u32"
-                        )));
-                    }
-                    ops.push(TraceOp::compute(cycles as u32));
-                }
-                TAG_BARRIER => {
-                    let id = read_u64(&mut rest)?;
-                    if id > u32::MAX as u64 {
-                        return Err(TraceError::Malformed(format!(
-                            "barrier id {id} exceeds u32"
-                        )));
-                    }
-                    ops.push(TraceOp::barrier(id as u32));
-                }
-                TAG_END => {
-                    self.rest = rest;
-                    self.cores_read += 1;
-                    return Ok(Some(ops));
-                }
-                t => {
+        };
+        rest = after_tag;
+        match tag {
+            TAG_LOAD | TAG_STORE => {
+                let delta = unzigzag(read_u64(&mut rest)?);
+                let addr = prev_addr.wrapping_add(delta as u64);
+                prev_addr = addr;
+                let region = read_u64(&mut rest)?;
+                if region > u16::MAX as u64 {
                     return Err(TraceError::Malformed(format!(
-                        "unknown op tag {t:#04x} in core {} stream",
-                        self.cores_read
-                    )))
+                        "region id {region} exceeds u16"
+                    )));
                 }
+                let kind = if tag == TAG_LOAD {
+                    MemKind::Load
+                } else {
+                    MemKind::Store
+                };
+                let op = TraceOp::mem(kind, Addr::new(addr), RegionId(region as u16));
+                let record = ops.len();
+                ops.push(op.map_err(|e| {
+                    TraceError::Malformed(format!("core {core} record {record}: {e}"))
+                })?);
+            }
+            TAG_COMPUTE => {
+                let cycles = read_u64(&mut rest)?;
+                if cycles > u32::MAX as u64 {
+                    return Err(TraceError::Malformed(format!(
+                        "compute cycles {cycles} exceed u32"
+                    )));
+                }
+                ops.push(TraceOp::compute(cycles as u32));
+            }
+            TAG_BARRIER => {
+                let id = read_u64(&mut rest)?;
+                if id > u32::MAX as u64 {
+                    return Err(TraceError::Malformed(format!(
+                        "barrier id {id} exceeds u32"
+                    )));
+                }
+                ops.push(TraceOp::barrier(id as u32));
+            }
+            TAG_END => {
+                *r = rest;
+                return Ok(ops);
+            }
+            t => {
+                return Err(TraceError::Malformed(format!(
+                    "unknown op tag {t:#04x} in core {core} stream"
+                )))
             }
         }
     }
@@ -495,7 +369,7 @@ pub(crate) mod tests {
 
     /// The encoder as it was before ops were assembled in a stack array:
     /// every byte of every varint is pushed on its own. Kept as the
-    /// reference the writer is compared against, byte for byte.
+    /// reference the encoder is compared against, byte for byte.
     mod reference {
         use super::*;
 
@@ -578,15 +452,16 @@ pub(crate) mod tests {
         }
     }
 
+    /// The encoding of a document of `streams` over `regions`.
     fn written(regions: &RegionTable, streams: &[Vec<TraceOp>]) -> Vec<u8> {
-        let mut w = TraceWriter::new(Vec::new(), "custom", "edge", streams.len(), regions).unwrap();
-        for stream in streams {
-            for op in stream {
-                w.op(op).unwrap();
-            }
-            w.end_stream().unwrap();
+        TraceDocument {
+            benchmark: "custom".into(),
+            input: "edge".into(),
+            regions: regions.clone(),
+            streams: streams.to_vec(),
         }
-        w.finish().unwrap()
+        .to_binary_bytes()
+        .unwrap()
     }
 
     #[test]
@@ -614,6 +489,10 @@ pub(crate) mod tests {
                 TraceOp::compute(0),
             ],
             vec![],
+            // Eleven-byte ops, past the end of several encoder blocks.
+            (0..3 * BLOCK_BYTES / 11)
+                .map(|i| TraceOp::load(Addr::new(top * (i as u64 % 2)), RegionId(u16::MAX)))
+                .collect(),
         ];
         let bytes = written(&regions, &streams);
         assert_eq!(
@@ -623,11 +502,9 @@ pub(crate) mod tests {
         assert!(bytes
             .windows(7)
             .any(|w| w == [0xf7, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]));
-        let mut r = TraceReader::new(&bytes).unwrap();
-        for stream in &streams {
-            assert_eq!(r.next_stream().unwrap().as_ref(), Some(stream));
-        }
-        r.expect_eof().unwrap();
+        let back = decode(&bytes).unwrap();
+        assert_eq!(back.regions, regions);
+        assert_eq!(back.streams, streams);
     }
 
     /// What [`arbitrary_streams`] draws: per core, per record a shape and
@@ -673,7 +550,7 @@ pub(crate) mod tests {
     }
 
     proptest::proptest! {
-        /// The writer and the byte-at-a-time reference agree on every byte
+        /// The encoder and the byte-at-a-time reference agree on every byte
         /// of arbitrary streams.
         #[test]
         fn writer_matches_the_reference_byte_for_byte(raw in arbitrary_streams()) {
@@ -686,18 +563,28 @@ pub(crate) mod tests {
         }
     }
 
+    /// The encoding of a one-core document `x`/`y` over [`regions_one`].
+    fn one_core(stream: Vec<TraceOp>) -> Vec<u8> {
+        TraceDocument {
+            benchmark: "x".into(),
+            input: "y".into(),
+            regions: regions_one(),
+            streams: vec![stream],
+        }
+        .to_binary_bytes()
+        .unwrap()
+    }
+
     #[test]
     fn sequential_addresses_encode_compactly() {
         // 1000 sequential word accesses: ~3 bytes per op (tag + 1-byte
         // delta + 1-byte region), far below the 13+ bytes of a naive fixed
         // encoding.
-        let regions = regions_one();
-        let mut w = TraceWriter::new(Vec::new(), "custom", "seq", 1, &regions).unwrap();
-        for i in 0..1000u64 {
-            w.op(&TraceOp::load(Addr::new(i * 4), RegionId(1))).unwrap();
-        }
-        w.end_stream().unwrap();
-        let bytes = w.finish().unwrap();
+        let bytes = one_core(
+            (0..1000u64)
+                .map(|i| TraceOp::load(Addr::new(i * 4), RegionId(1)))
+                .collect(),
+        );
         let header_overhead = 64; // generous bound for magic + strings + region
         assert!(
             bytes.len() < header_overhead + 1000 * 4,
@@ -707,55 +594,40 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn writer_enforces_stream_accounting() {
-        let regions = regions_one();
-        let w = TraceWriter::new(Vec::new(), "x", "y", 2, &regions).unwrap();
-        // Finishing with only the header written must fail.
-        assert!(matches!(w.finish(), Err(TraceError::Malformed(_))));
-
-        let mut w = TraceWriter::new(Vec::new(), "x", "y", 1, &regions).unwrap();
-        w.end_stream().unwrap();
-        assert!(w.end_stream().is_err());
-        assert!(w.op(&TraceOp::compute(1)).is_err());
-    }
-
-    #[test]
     fn reader_rejects_future_versions_and_bad_tags() {
-        let regions = regions_one();
-        let mut w = TraceWriter::new(Vec::new(), "x", "y", 1, &regions).unwrap();
-        w.end_stream().unwrap();
-        let mut bytes = w.finish().unwrap();
+        let mut bytes = one_core(vec![]);
 
         let mut future = bytes.clone();
         future[4] = FORMAT_VERSION + 1;
-        let err = TraceReader::new(future.as_slice()).err().unwrap();
+        let err = decode(&future).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
 
         // Corrupt the end-of-stream tag into an unknown op tag.
         *bytes.last_mut().unwrap() = 0x7E;
-        let mut r = TraceReader::new(bytes.as_slice()).unwrap();
-        assert!(r.next_stream().is_err());
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("unknown op tag 0x7e"), "{err}");
     }
 
     #[test]
     fn truncated_stream_is_detected() {
-        let regions = regions_one();
-        let mut w = TraceWriter::new(Vec::new(), "x", "y", 1, &regions).unwrap();
-        w.op(&TraceOp::load(Addr::new(64), RegionId(1))).unwrap();
-        w.end_stream().unwrap();
-        let bytes = w.finish().unwrap();
+        let bytes = one_core(vec![TraceOp::load(Addr::new(64), RegionId(1))]);
         // Drop the end marker: the reader must not silently return a stream.
-        let mut r = TraceReader::new(&bytes[..bytes.len() - 1]).unwrap();
-        assert!(r.next_stream().is_err());
+        let err = decode(&bytes[..bytes.len() - 1]).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
     fn duplicate_region_ids_are_a_parse_error_not_a_panic() {
         let mut regions = RegionTable::new();
         regions.insert(RegionInfo::plain(RegionId(1), "a", Addr::new(0), 64));
-        let mut w = TraceWriter::new(Vec::new(), "x", "y", 1, &regions).unwrap();
-        w.end_stream().unwrap();
-        let mut bytes = w.finish().unwrap();
+        let mut bytes = TraceDocument {
+            benchmark: "x".into(),
+            input: "y".into(),
+            regions,
+            streams: vec![vec![]],
+        }
+        .to_binary_bytes()
+        .unwrap();
         // Append a second copy of the (sole) region record and bump the
         // region count from 1 to 2. The region record starts right after
         // magic(4) + version(1) + "x"(2) + "y"(2) + cores(1) + count(1).
@@ -764,18 +636,13 @@ pub(crate) mod tests {
         let copy = bytes[region_start..region_end].to_vec();
         bytes[region_start - 1] = 2;
         bytes.splice(region_end..region_end, copy);
-        let err = TraceReader::new(bytes.as_slice()).err().unwrap();
+        let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("duplicate region"), "{err}");
     }
 
     #[test]
     fn trailing_bytes_after_the_last_stream_are_rejected() {
-        use crate::TraceDocument;
-        let regions = regions_one();
-        let mut w = TraceWriter::new(Vec::new(), "x", "y", 1, &regions).unwrap();
-        w.op(&TraceOp::load(Addr::new(64), RegionId(1))).unwrap();
-        w.end_stream().unwrap();
-        let mut bytes = w.finish().unwrap();
+        let mut bytes = one_core(vec![TraceOp::load(Addr::new(64), RegionId(1))]);
         assert!(TraceDocument::from_bytes(&bytes).is_ok());
         // A concatenated or partially overwritten file must not silently
         // parse as the leading document.
@@ -786,31 +653,30 @@ pub(crate) mod tests {
 
     #[test]
     fn extreme_address_jumps_round_trip() {
-        let regions = regions_one();
         let addrs = [0u64, TRACE_ADDR_LIMIT - 4, 4, 1 << 40, 0];
-        let mut w = TraceWriter::new(Vec::new(), "x", "y", 1, &regions).unwrap();
-        for &a in &addrs {
-            w.op(&TraceOp::store(Addr::new(a), RegionId(1))).unwrap();
-        }
-        w.end_stream().unwrap();
-        let bytes = w.finish().unwrap();
-        let mut r = TraceReader::new(bytes.as_slice()).unwrap();
-        let ops = r.next_stream().unwrap().unwrap();
-        let got: Vec<u64> = ops.iter().map(|op| op.addr().unwrap().byte()).collect();
+        let bytes = one_core(
+            addrs
+                .iter()
+                .map(|&a| TraceOp::store(Addr::new(a), RegionId(1)))
+                .collect(),
+        );
+        let doc = decode(&bytes).unwrap();
+        let got: Vec<u64> = doc.streams[0]
+            .iter()
+            .map(|op| op.addr().unwrap().byte())
+            .collect();
         assert_eq!(got, addrs);
     }
 
     /// One core's stream of stores, hand-encoded from raw address deltas
     /// so it can hold what no `TraceOp` can.
     fn stores_with_deltas(deltas: &[i64]) -> Vec<u8> {
-        let mut w = TraceWriter::new(Vec::new(), "x", "y", 1, &regions_one()).unwrap();
-        w.end_stream().unwrap();
-        let mut bytes = w.finish().unwrap();
+        let mut bytes = one_core(vec![]);
         bytes.pop(); // the end-of-stream tag
         for &delta in deltas {
             bytes.push(TAG_STORE);
-            write_u64(&mut bytes, zigzag(delta)).unwrap();
-            write_u64(&mut bytes, 1).unwrap();
+            push_u64(&mut bytes, zigzag(delta));
+            push_u64(&mut bytes, 1);
         }
         bytes.push(TAG_END);
         bytes
@@ -827,9 +693,7 @@ pub(crate) mod tests {
             (&[8, i64::MIN], 1, (1 << 63) + 8),
         ];
         for (deltas, record, addr) in cases {
-            let bytes = stores_with_deltas(deltas);
-            let mut r = TraceReader::new(&bytes).unwrap();
-            match r.next_stream() {
+            match decode(&stores_with_deltas(deltas)) {
                 Err(TraceError::Malformed(m)) => {
                     assert!(
                         m.contains(&format!("core 0 record {record}: address {addr:#x}")),
@@ -848,11 +712,10 @@ pub(crate) mod tests {
         fn reader_keeps_or_refuses_every_address(addr in proptest::any::<u64>(), low in 0u64..4) {
             let held = addr % TRACE_ADDR_LIMIT;
             for addr in [addr, held, (held & !3) | low] {
-                let bytes = stores_with_deltas(&[addr as i64]);
-                let read = TraceReader::new(&bytes).unwrap().next_stream();
+                let read = decode(&stores_with_deltas(&[addr as i64]));
                 if addr % 4 == 0 && addr < TRACE_ADDR_LIMIT {
-                    let stream = read.unwrap().unwrap();
-                    proptest::prop_assert_eq!(stream[0].addr(), Some(Addr::new(addr)));
+                    let doc = read.unwrap();
+                    proptest::prop_assert_eq!(doc.streams[0][0].addr(), Some(Addr::new(addr)));
                 } else {
                     proptest::prop_assert!(matches!(read, Err(TraceError::Malformed(_))));
                 }

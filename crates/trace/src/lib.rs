@@ -1,20 +1,20 @@
-//! Trace capture/replay formats for per-core memory-reference streams.
+//! The trace file formats for per-core memory-reference streams.
 //!
 //! The simulator drives every protocol configuration with per-core
 //! [`tw_types::TraceOp`] streams. This crate makes those streams a durable,
 //! exchangeable artifact — the universal workload interface of classic
-//! trace-driven cache simulators — in two encodings:
+//! trace-driven cache simulators — as a [`TraceDocument`] in two encodings:
 //!
 //! * a **compact, versioned binary format** (`DNVT` magic + version byte)
 //!   with varint/zigzag-delta-encoded addresses, explicit barrier framing of
-//!   phases, per-core streams and the full region-annotation table
-//!   ([`binary`]); and
+//!   phases, per-core streams and the full region-annotation table; and
 //! * a **human-readable text format** for hand-written scenarios and code
-//!   review ([`text`]).
+//!   review.
 //!
-//! Both encodings round-trip a [`TraceDocument`] exactly; [`diff`] reports
-//! the first divergence between two documents, which CI uses as a byte-exact
-//! determinism oracle (see `DESIGN.md` §8).
+//! [`TraceDocument::from_bytes`] reads either, and both round-trip a
+//! document exactly; [`diff()`] reports the first divergence between two
+//! documents, which CI uses as a byte-exact determinism oracle (see
+//! `DESIGN.md` §8).
 //!
 //! # Example
 //!
@@ -41,12 +41,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod binary;
-pub mod diff;
-pub mod text;
-pub mod varint;
+mod binary;
+mod diff;
+mod text;
+mod varint;
 
-pub use binary::{TraceReader, TraceWriter, BINARY_MAGIC, FORMAT_VERSION};
 pub use diff::{diff, TraceDivergence};
 
 use std::fmt;
@@ -106,7 +105,7 @@ pub struct TraceDocument {
 /// container (`Workload::content_digest`) are the same code.
 ///
 /// It digests the binary header (benchmark, input, core count, region
-/// table: the bytes [`TraceWriter`] starts a file with), then each core's
+/// table: the bytes a binary trace file starts with), then each core's
 /// stream as its length and its packed records, read in place
 /// ([`tw_types::Digester::write_records`]). The identity is therefore a
 /// property of the content, not of either encoding: a document and its
@@ -117,12 +116,12 @@ pub fn content_digest(
     input: &str,
     regions: &RegionTable,
     streams: &[Vec<TraceOp>],
-) -> Result<tw_types::Digest, TraceError> {
-    let mut d = ContentDigester::new(benchmark, input, streams.len(), regions)?;
+) -> tw_types::Digest {
+    let mut d = ContentDigester::new(benchmark, input, streams.len(), regions);
     for stream in streams {
         d.stream(stream);
     }
-    Ok(d.finish())
+    d.finish()
 }
 
 /// [`content_digest`] fed one stream at a time, for a producer that holds
@@ -132,15 +131,12 @@ pub struct ContentDigester(tw_types::Digester);
 
 impl ContentDigester {
     /// Digests the header of a trace of `cores` streams.
-    pub fn new(
-        benchmark: &str,
-        input: &str,
-        cores: usize,
-        regions: &RegionTable,
-    ) -> Result<Self, TraceError> {
+    pub fn new(benchmark: &str, input: &str, cores: usize, regions: &RegionTable) -> Self {
+        let mut header = Vec::new();
+        binary::encode_header(&mut header, benchmark, input, cores, regions);
         let mut d = tw_types::Digester::new();
-        d.write_bytes(&binary::encode_header(benchmark, input, cores, regions)?);
-        Ok(ContentDigester(d))
+        d.write_bytes(&header);
+        ContentDigester(d)
     }
 
     /// Digests the next core's stream.
@@ -177,33 +173,25 @@ impl TraceDocument {
         total
     }
 
-    /// Serializes the document in the binary format.
-    pub fn write_binary<W: io::Write>(&self, w: W) -> Result<(), TraceError> {
-        let mut writer =
-            TraceWriter::new(w, &self.benchmark, &self.input, self.cores(), &self.regions)?;
+    /// Writes the binary encoding to `w`: the header, then each core's
+    /// stream, encoded into one reused buffer and written whole, so no more
+    /// than one stream's encoding is held at a time.
+    fn write_binary<W: io::Write>(&self, mut w: W) -> io::Result<()> {
+        let mut buf = Vec::new();
+        binary::encode_header(
+            &mut buf,
+            &self.benchmark,
+            &self.input,
+            self.cores(),
+            &self.regions,
+        );
+        w.write_all(&buf)?;
         for stream in &self.streams {
-            for op in stream {
-                writer.op(op)?;
-            }
-            writer.end_stream()?;
+            buf.clear();
+            binary::encode_stream(&mut buf, stream);
+            w.write_all(&buf)?;
         }
-        writer.finish()?;
         Ok(())
-    }
-
-    fn decode_binary(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut reader = TraceReader::new(bytes)?;
-        let mut streams = Vec::with_capacity(reader.cores());
-        while let Some(stream) = reader.next_stream()? {
-            streams.push(stream);
-        }
-        reader.expect_eof()?;
-        Ok(TraceDocument {
-            benchmark: reader.benchmark().to_string(),
-            input: reader.input().to_string(),
-            regions: reader.take_regions(),
-            streams,
-        })
     }
 
     /// The binary encoding as a byte vector.
@@ -218,7 +206,7 @@ impl TraceDocument {
     /// document keeps its digest through either encoding — this is the
     /// workload identity the experiment layer's cell identity and
     /// result-cache keys are built from.
-    pub fn digest(&self) -> Result<tw_types::Digest, TraceError> {
+    pub fn digest(&self) -> tw_types::Digest {
         content_digest(&self.benchmark, &self.input, &self.regions, &self.streams)
     }
 
@@ -234,8 +222,8 @@ impl TraceDocument {
 
     /// Parses a trace in either encoding, detected by the leading magic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.starts_with(BINARY_MAGIC) {
-            TraceDocument::decode_binary(bytes)
+        if bytes.starts_with(binary::BINARY_MAGIC) {
+            binary::decode(bytes)
         } else {
             let s = std::str::from_utf8(bytes).map_err(|_| {
                 TraceError::Malformed("neither the binary magic nor valid UTF-8 text".to_string())
@@ -249,8 +237,7 @@ impl TraceDocument {
         if as_text {
             std::fs::write(path, self.to_text())?;
         } else {
-            let file = std::fs::File::create(path)?;
-            self.write_binary(io::BufWriter::new(file))?;
+            self.write_binary(std::fs::File::create(path)?)?;
         }
         Ok(())
     }
@@ -304,7 +291,7 @@ mod tests {
     fn binary_round_trip_preserves_everything() {
         let doc = sample_doc();
         let bytes = doc.to_binary_bytes().unwrap();
-        assert_eq!(&bytes[..4], BINARY_MAGIC);
+        assert_eq!(&bytes[..4], binary::BINARY_MAGIC);
         let back = TraceDocument::from_bytes(&bytes).unwrap();
         assert_eq!(doc, back);
         assert!(diff(&doc, &back).is_none());
@@ -342,11 +329,11 @@ mod tests {
                 regions: binary::tests::regions_one(),
                 streams: binary::tests::streams_of(raw),
             };
-            let digest = doc.digest().unwrap();
+            let digest = doc.digest();
             let binary = TraceDocument::from_bytes(&doc.to_binary_bytes().unwrap()).unwrap();
-            proptest::prop_assert_eq!(binary.digest().unwrap(), digest);
+            proptest::prop_assert_eq!(binary.digest(), digest);
             let text = TraceDocument::from_text(&doc.to_text()).unwrap();
-            proptest::prop_assert_eq!(text.digest().unwrap(), digest);
+            proptest::prop_assert_eq!(text.digest(), digest);
         }
     }
 
@@ -356,7 +343,7 @@ mod tests {
     fn every_content_edit_moves_the_digest() {
         let mut digests = std::collections::BTreeSet::new();
         let mut distinct = |doc: &TraceDocument, what: &str| {
-            assert!(digests.insert(doc.digest().unwrap()), "{what}");
+            assert!(digests.insert(doc.digest()), "{what}");
         };
         distinct(&sample_doc(), "the original");
         let others = [

@@ -111,6 +111,18 @@ fn parse_u64(s: &str, line_no: usize, what: &str) -> Result<u64, TraceError> {
     .map_err(|_| err(line_no, format!("bad {what} `{s}`")))
 }
 
+/// Parses the next token of an op line as its `what`.
+fn next_u64<'a>(
+    parts: &mut impl Iterator<Item = &'a str>,
+    line_no: usize,
+    what: &str,
+) -> Result<u64, TraceError> {
+    let s = parts
+        .next()
+        .ok_or_else(|| err(line_no, format!("missing {what}")))?;
+    parse_u64(s, line_no, what)
+}
+
 /// Splits `region 3 "dest array" base=...` into the quoted name and the
 /// rest, handling escapes.
 fn parse_quoted(s: &str, line_no: usize) -> Result<(String, &str), TraceError> {
@@ -201,13 +213,7 @@ fn parse_op(line: &str, line_no: usize, core: usize, record: usize) -> Result<Tr
     let mnemonic = parts.next().unwrap_or_default();
     let op = match mnemonic {
         "LD" | "ST" => {
-            let addr = parse_u64(
-                parts
-                    .next()
-                    .ok_or_else(|| err(line_no, "missing address"))?,
-                line_no,
-                "address",
-            )?;
+            let addr = next_u64(&mut parts, line_no, "address")?;
             let region_str = parts.next().ok_or_else(|| err(line_no, "missing region"))?;
             let region = parse_u64(
                 region_str.strip_prefix('R').unwrap_or(region_str),
@@ -226,24 +232,14 @@ fn parse_op(line: &str, line_no: usize, core: usize, record: usize) -> Result<Tr
                 .map_err(|e| err(line_no, format!("core {core} record {record}: {e}")))?
         }
         "C" => {
-            let cycles = parse_u64(
-                parts.next().ok_or_else(|| err(line_no, "missing cycles"))?,
-                line_no,
-                "cycles",
-            )?;
+            let cycles = next_u64(&mut parts, line_no, "cycles")?;
             if cycles > u32::MAX as u64 {
                 return Err(err(line_no, format!("cycles {cycles} exceed u32")));
             }
             TraceOp::compute(cycles as u32)
         }
         "B" => {
-            let id = parse_u64(
-                parts
-                    .next()
-                    .ok_or_else(|| err(line_no, "missing barrier id"))?,
-                line_no,
-                "barrier id",
-            )?;
+            let id = next_u64(&mut parts, line_no, "barrier id")?;
             if id > u32::MAX as u64 {
                 return Err(err(line_no, format!("barrier id {id} exceeds u32")));
             }

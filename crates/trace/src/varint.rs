@@ -6,7 +6,6 @@
 //! one or two bytes.
 
 use crate::TraceError;
-use std::io::Write;
 
 /// Maximum encoded length of a `u64` varint (10 × 7 bits ≥ 64 bits).
 pub const MAX_VARINT_BYTES: usize = 10;
@@ -26,12 +25,11 @@ pub fn encode_u64(mut v: u64, out: &mut [u8; MAX_VARINT_BYTES]) -> usize {
     unreachable!("a u64 has at most ten 7-bit groups")
 }
 
-/// Writes `v` as a LEB128 varint, returning the encoded length.
-pub fn write_u64<W: Write>(w: &mut W, v: u64) -> std::io::Result<usize> {
+/// Appends `v` to `out` as a LEB128 varint.
+pub fn push_u64(out: &mut Vec<u8>, v: u64) {
     let mut buf = [0u8; MAX_VARINT_BYTES];
     let n = encode_u64(v, &mut buf);
-    w.write_all(&buf[..n])?;
-    Ok(n)
+    out.extend_from_slice(&buf[..n]);
 }
 
 /// Reads one LEB128 varint off the front of `buf`, advancing it past the
@@ -99,9 +97,8 @@ mod tests {
             u64::MAX,
         ] {
             let mut buf = Vec::new();
-            let n = write_u64(&mut buf, v).unwrap();
-            assert_eq!(n, buf.len());
-            assert!(n <= MAX_VARINT_BYTES);
+            push_u64(&mut buf, v);
+            assert!(buf.len() <= MAX_VARINT_BYTES);
             assert_eq!(read_u64(&mut buf.as_slice()).unwrap(), v, "value {v}");
         }
     }
@@ -109,7 +106,7 @@ mod tests {
     #[test]
     fn small_values_encode_in_one_byte() {
         let mut buf = Vec::new();
-        write_u64(&mut buf, 100).unwrap();
+        push_u64(&mut buf, 100);
         assert_eq!(buf.len(), 1);
     }
 

@@ -168,8 +168,6 @@ impl NocConfig {
 /// DRAM and memory-controller parameters (DDR3-1066-like).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DramConfig {
-    /// Number of memory controllers (one per corner tile).
-    pub controllers: usize,
     /// Banks per channel.
     pub banks: usize,
     /// Ranks per channel.
@@ -182,9 +180,6 @@ pub struct DramConfig {
     pub row_miss_cycles: u64,
     /// Cycles per data burst transferring one cache line on the channel.
     pub burst_cycles: u64,
-    /// Maximum outstanding requests queued per controller before requests
-    /// back-pressure.
-    pub queue_depth: usize,
 }
 
 impl Default for DramConfig {
@@ -193,14 +188,12 @@ impl Default for DramConfig {
         // activate+CAS ~ 26 ns ≈ 52 cycles, 64-byte burst ≈ 15 ns ≈ 30 cycles
         // of channel occupancy at 8.5 GB/s.
         DramConfig {
-            controllers: 4,
             banks: 8,
             ranks: 2,
             row_bytes: 8 * 1024,
             row_hit_cycles: 26,
             row_miss_cycles: 78,
             burst_cycles: 15,
-            queue_depth: 64,
         }
     }
 }
@@ -332,8 +325,8 @@ impl SystemConfig {
                 "routers need at least one virtual channel and one buffer flit",
             ));
         }
-        if self.dram.controllers == 0 || self.dram.banks == 0 {
-            return Err(ConfigError::new("DRAM must have controllers and banks"));
+        if self.dram.banks == 0 {
+            return Err(ConfigError::new("DRAM must have banks"));
         }
         if self.dram.row_bytes < self.cache.line_bytes {
             return Err(ConfigError::new("DRAM row must be at least one cache line"));
@@ -342,10 +335,10 @@ impl SystemConfig {
     }
 
     /// Folds every parameter that influences simulation results into a
-    /// [`Digester`], in a fixed field order — the canonical encoding the
-    /// experiment layer's result-cache key is built from. Any new
-    /// result-affecting field MUST be added here, or stale cache entries
-    /// will be served for configurations that differ in it.
+    /// [`Digester`](crate::Digester), in a fixed field order — the
+    /// canonical encoding the experiment layer's result-cache key is built
+    /// from. Any new result-affecting field MUST be added here, or stale
+    /// cache entries will be served for configurations that differ in it.
     pub fn digest_fields(&self, d: &mut crate::digest::Digester) {
         let c = &self.cache;
         for v in [
@@ -373,15 +366,18 @@ impl SystemConfig {
             d.write_u64(v);
         }
         let m = &self.dram;
+        // The literals 4 and 64 stand where a controller count and a queue
+        // depth were once written, settings no code read; they keep every
+        // cache key where it was.
         for v in [
-            m.controllers as u64,
+            4,
             m.banks as u64,
             m.ranks as u64,
             m.row_bytes,
             m.row_hit_cycles,
             m.row_miss_cycles,
             m.burst_cycles,
-            m.queue_depth as u64,
+            64,
         ] {
             d.write_u64(v);
         }

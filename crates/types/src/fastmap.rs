@@ -147,33 +147,6 @@ impl<V> FastMap<V> {
         &mut self.slots[idx].as_mut().expect("occupied").1
     }
 
-    /// Inserts `key -> value` only if `key` is absent; returns whether the
-    /// insert happened.
-    ///
-    /// A single probe replaces the `contains_key` + `insert` pair that
-    /// "record new, never clobber old" callers would otherwise pay.
-    #[inline]
-    pub fn insert_if_absent(&mut self, key: u64, value: V) -> bool {
-        if self.len * 2 >= self.slots.len() {
-            self.grow_to((self.slots.len() * 2).max(8));
-        }
-        let mut i = self.home(key);
-        loop {
-            match &self.slots[i] {
-                Some((k, _)) if *k == key => return false,
-                Some(_) => {
-                    self.probes += 1;
-                    i = (i + 1) & self.mask;
-                }
-                None => {
-                    self.slots[i] = Some((key, value));
-                    self.len += 1;
-                    return true;
-                }
-            }
-        }
-    }
-
     /// Inserts `key -> value`, returning the previous value if any.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
         // Grow at 50% occupancy: scalar linear probing degrades sharply past
@@ -403,19 +376,6 @@ mod tests {
         }
         let (probes, _) = c.probe_stats();
         assert!(probes >= probes0, "probe counter must be monotone");
-    }
-
-    #[test]
-    fn insert_if_absent_never_clobbers() {
-        let mut m = FastMap::new();
-        assert!(m.insert_if_absent(5, "first"));
-        assert!(!m.insert_if_absent(5, "second"));
-        assert_eq!(m.get(5), Some(&"first"));
-        assert_eq!(m.len(), 1);
-        for k in 0..1000u64 {
-            m.insert_if_absent(k * 8, "bulk");
-        }
-        assert_eq!(m.len(), 1001);
     }
 
     #[test]

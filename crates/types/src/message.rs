@@ -144,26 +144,6 @@ impl MessageKind {
         }
     }
 
-    /// Whether this message never carries data words.
-    pub const fn is_control_only(self) -> bool {
-        matches!(
-            self,
-            MessageKind::LoadReq
-                | MessageKind::LoadReqToMc
-                | MessageKind::StoreReq
-                | MessageKind::UpgradeReq
-                | MessageKind::UpdateReq
-                | MessageKind::MemReadReq
-                | MessageKind::StoreAck
-                | MessageKind::CleanWritebackCtl
-                | MessageKind::Invalidation
-                | MessageKind::InvAck
-                | MessageKind::DirUnblock
-                | MessageKind::Nack
-                | MessageKind::BloomCopyReq
-        )
-    }
-
     /// Whether this is a request (as opposed to a response or writeback).
     pub const fn is_request(self) -> bool {
         matches!(
@@ -347,12 +327,10 @@ mod tests {
     fn bloom_copies_are_overhead() {
         assert_eq!(MessageKind::BloomCopyReq.class(), MessageClass::Overhead);
         assert_eq!(MessageKind::BloomCopyResp.class(), MessageClass::Overhead);
-        assert!(MessageKind::BloomCopyReq.is_control_only());
-        assert!(!MessageKind::BloomCopyResp.is_control_only());
     }
 
     #[test]
-    fn requests_are_control_only() {
+    fn request_kinds_are_requests() {
         for k in [
             MessageKind::LoadReq,
             MessageKind::LoadReqToMc,
@@ -361,10 +339,8 @@ mod tests {
             MessageKind::MemReadReq,
         ] {
             assert!(k.is_request(), "{k} should be a request");
-            assert!(k.is_control_only(), "{k} should be control-only");
         }
         assert!(!MessageKind::DataToL1.is_request());
-        assert!(!MessageKind::DataToL1.is_control_only());
     }
 
     #[test]
@@ -375,9 +351,7 @@ mod tests {
         // RespL1Used/Waste buckets the update-word classification lands in).
         assert_eq!(MessageKind::UpdateReq.class(), MessageClass::Store);
         assert_eq!(MessageKind::UpdateData.class(), MessageClass::Store);
-        assert!(MessageKind::UpdateReq.is_control_only());
         assert!(MessageKind::UpdateReq.is_request());
-        assert!(!MessageKind::UpdateData.is_control_only());
         assert!(!MessageKind::UpdateData.is_request());
     }
 

@@ -1,7 +1,7 @@
 //! One way out of every generator: a workload's header, then one core's
 //! stream at a time, into a sink.
 //!
-//! Three sinks read it. [`Collect`] keeps every stream, which is what each
+//! Three sinks read it. `Collect` keeps every stream, which is what each
 //! config's `build` does. The digest pass keeps none: it folds each core's
 //! stream into the content digest ([`tw_trace::ContentDigester`], the one
 //! definition [`Workload::content_digest`] runs as well), counts its
@@ -21,7 +21,7 @@ use crate::kdtree::KdTreeConfig;
 use crate::lu::LuConfig;
 use crate::radix::RadixConfig;
 use crate::workload::{BenchmarkKind, Streams, Workload};
-use tw_trace::{ContentDigester, TraceError};
+use tw_trace::ContentDigester;
 use tw_types::{Digest, RegionTable, TraceOp};
 
 /// Where a generator emits a workload.
@@ -98,9 +98,9 @@ impl Collect {
 }
 
 /// The sink that wants no stream: the header-only pass. It keeps the header
-/// and the content digester over it, or why the trace format cannot hold it.
+/// and the content digester over it.
 #[derive(Default)]
-struct HeaderOnly(Option<(Header, Result<ContentDigester, TraceError>)>);
+struct HeaderOnly(Option<(Header, ContentDigester)>);
 
 impl Sink for HeaderOnly {
     fn header(
@@ -130,10 +130,9 @@ impl Sink for HeaderOnly {
 }
 
 impl HeaderOnly {
-    /// The header, and its digester or the error that refused it.
-    fn finish(self) -> (Header, Result<ContentDigester, String>) {
-        let (header, digester) = self.0.expect("a generator emits its header first");
-        (header, digester.map_err(|e| e.to_string()))
+    /// The header and its digester.
+    fn finish(self) -> (Header, ContentDigester) {
+        self.0.expect("a generator emits its header first")
     }
 }
 
@@ -165,7 +164,7 @@ impl Sink for DigestPass {
     }
 
     fn stream(&mut self, mut stream: TraceBuilder) {
-        if let Some((_, Ok(digester))) = &mut self.header.0 {
+        if let Some((_, digester)) = &mut self.header.0 {
             digester.stream(stream.ops());
         }
         self.records += stream.len() as u64;
@@ -295,12 +294,12 @@ impl Generator {
     ///
     /// # Errors
     ///
-    /// As [`Generator::build`], and a header the trace format cannot hold.
+    /// As [`Generator::build`].
     pub fn digested(&self, cores: usize) -> Result<(Workload, Digest), String> {
         let mut pass = DigestPass::default();
         self.emit(cores, &mut pass)?;
         let (header, digester) = pass.header.finish();
-        let digest = digester?.finish();
+        let digest = digester.finish();
         let workload = self.lazy(header, cores, digest, pass.records, pass.mem_ops);
         Ok((workload, digest))
     }
@@ -329,7 +328,7 @@ impl Generator {
         let mut pass = HeaderOnly::default();
         self.emit(cores, &mut pass)?;
         let (header, digester) = pass.finish();
-        let header_digest = digester?.finish();
+        let header_digest = digester.finish();
         let workload = self.lazy(header, cores, digest, records, mem_ops);
         Ok((workload, header_digest))
     }
@@ -393,9 +392,7 @@ mod tests {
             .committed(cores, digest, records, mem_ops)
             .unwrap();
         let built_header =
-            ContentDigester::new(built.kind.name(), &built.input, cores, &built.regions)
-                .unwrap()
-                .finish();
+            ContentDigester::new(built.kind.name(), &built.input, cores, &built.regions).finish();
         assert_eq!(header, built_header, "{what}");
         assert_eq!(
             (read.kind, &read.input, &read.regions),
