@@ -44,25 +44,9 @@ fn print_headline(outcome: &PlanOutcome) -> Result<(), ExperimentError> {
     Ok(())
 }
 
-type Render = fn(&PlanOutcome) -> Result<FigureTable, ExperimentError>;
-
-/// The figures rendered straight from a plan outcome, in print order.
-const PLAN_FIGURES: [(&str, Render); 10] = [
-    ("table4_1", |o| Ok(o.table_4_1())),
-    ("table4_2", |o| Ok(o.table_4_2())),
-    ("fig5_1a", PlanOutcome::fig_5_1a),
-    ("fig5_1b", PlanOutcome::fig_5_1b),
-    ("fig5_1c", PlanOutcome::fig_5_1c),
-    ("fig5_1d", PlanOutcome::fig_5_1d),
-    ("fig5_2", PlanOutcome::fig_5_2),
-    ("fig5_3a", PlanOutcome::fig_5_3a),
-    ("fig5_3b", PlanOutcome::fig_5_3b),
-    ("fig5_3c", PlanOutcome::fig_5_3c),
-];
-
 /// Every name the figure runner accepts, in print order.
 pub fn figure_names() -> Vec<&'static str> {
-    let plan = PLAN_FIGURES.iter().map(|(name, _)| *name);
+    let plan = PlanOutcome::FIGURES.iter().map(|(name, _)| *name);
     std::iter::once("all")
         .chain(plan)
         .chain(["figupdate", "headline"])
@@ -91,7 +75,8 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     }
     let (scale, json) = (args.scale(), args.has("--json"));
     let want = |name: &str| wanted.contains(&"all") || wanted.contains(&name);
-    let reads_matrix = json || want("headline") || PLAN_FIGURES.iter().any(|(n, _)| want(n));
+    let reads_matrix =
+        json || want("headline") || PlanOutcome::FIGURES.iter().any(|(n, _)| want(n));
     let mut matrix = ExperimentSpec::full_matrix(scale);
     if let Some(name) = args.value("--network") {
         matrix.networks = vec![NetworkModelKind::by_name(name)?];
@@ -134,7 +119,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     };
 
     if let Some(outcome) = outcome {
-        for (_, render) in PLAN_FIGURES.iter().filter(|(name, _)| want(name)) {
+        for (_, render) in PlanOutcome::FIGURES.iter().filter(|(name, _)| want(name)) {
             emit(render(outcome)?);
         }
     }

@@ -166,14 +166,8 @@ fn mutating_any_key_component_misses() {
     let sys = SystemConfig::default();
     let digest = Digest::of_bytes(b"same-trace");
     assert_ne!(
-        cache_key(digest, &sys, ProtocolKind::Mesi, 100, ENGINE_VERSION),
-        cache_key(
-            digest,
-            &sys,
-            ProtocolKind::Mesi,
-            100,
-            "denovo-waste/engine-v999"
-        ),
+        cache_key(digest, &sys, ProtocolKind::Mesi, ENGINE_VERSION),
+        cache_key(digest, &sys, ProtocolKind::Mesi, "denovo-waste/engine-v999"),
         "an engine-version bump must retire every entry"
     );
 

@@ -20,7 +20,7 @@ mod pool;
 pub mod session;
 
 pub use memo::workload_digests;
-pub use outcome::{HeadlineSummary, PlanOutcome};
+pub use outcome::{FigureRender, HeadlineSummary, PlanOutcome};
 pub use plan::{
     CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, RowKey, SystemVariant, WorkloadRef,
     WorkloadSet, WorkloadSource, WorkloadSpec, SPEC_SCHEMA,

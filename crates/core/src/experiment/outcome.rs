@@ -49,6 +49,9 @@ pub struct HeadlineSummary {
     pub mesi_overhead_fraction: f64,
 }
 
+/// Renders one figure of [`PlanOutcome::FIGURES`] from an outcome.
+pub type FigureRender = fn(&PlanOutcome) -> Result<FigureTable, ExperimentError>;
+
 /// The collected reports of one executed plan plus figure extraction.
 #[derive(Debug, Clone)]
 pub struct PlanOutcome {
@@ -409,19 +412,26 @@ impl PlanOutcome {
         })
     }
 
+    /// Every figure of the evaluation section by its command name, in
+    /// order: the one list the CLI and [`PlanOutcome::all_figures`] read.
+    pub const FIGURES: [(&'static str, FigureRender); 10] = [
+        ("table4_1", |o| Ok(o.table_4_1())),
+        ("table4_2", |o| Ok(o.table_4_2())),
+        ("fig5_1a", PlanOutcome::fig_5_1a),
+        ("fig5_1b", PlanOutcome::fig_5_1b),
+        ("fig5_1c", PlanOutcome::fig_5_1c),
+        ("fig5_1d", PlanOutcome::fig_5_1d),
+        ("fig5_2", PlanOutcome::fig_5_2),
+        ("fig5_3a", PlanOutcome::fig_5_3a),
+        ("fig5_3b", PlanOutcome::fig_5_3b),
+        ("fig5_3c", PlanOutcome::fig_5_3c),
+    ];
+
     /// Every figure of the evaluation section, in order.
     pub fn all_figures(&self) -> Result<Vec<FigureTable>, ExperimentError> {
-        Ok(vec![
-            self.table_4_1(),
-            self.table_4_2(),
-            self.fig_5_1a()?,
-            self.fig_5_1b()?,
-            self.fig_5_1c()?,
-            self.fig_5_1d()?,
-            self.fig_5_2()?,
-            self.fig_5_3a()?,
-            self.fig_5_3b()?,
-            self.fig_5_3c()?,
-        ])
+        Self::FIGURES
+            .iter()
+            .map(|(_, render)| render(self))
+            .collect()
     }
 }

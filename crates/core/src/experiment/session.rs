@@ -13,7 +13,7 @@
 //! * the protocol whose machine the cell simulates
 //!   ([`PlannedCell::effective_protocol`]): a protocol feature the
 //!   workload's annotations cannot exercise does not make a new key,
-//! * the barrier overhead of the run configuration, and
+//! * the barrier overhead (the constant `sim::BARRIER_OVERHEAD`), and
 //! * [`ENGINE_VERSION`] — bumped whenever simulation semantics change, which
 //!   retires every stale entry at once.
 //!
@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tw_obs::Json;
 use tw_obs::{Span, SpanSink};
-use tw_types::{Cycle, Digest, Digester, ProtocolKind, SystemConfig};
+use tw_types::{Digest, Digester, ProtocolKind, SystemConfig};
 use tw_workloads::Workload;
 
 /// Version stamp of the simulation engine, folded into every cache key.
@@ -89,13 +89,13 @@ pub fn cache_key(
     trace_digest: Digest,
     system: &SystemConfig,
     protocol: ProtocolKind,
-    barrier_overhead: Cycle,
     engine_version: &str,
 ) -> Digest {
     let mut d = Digester::new();
     d.write_str(engine_version);
     d.write_str(protocol.name());
-    d.write_u64(barrier_overhead);
+    // A constant, kept where every existing key has it.
+    d.write_u64(BARRIER_OVERHEAD);
     system.digest_fields(&mut d);
     // The trace digest already covers regions, streams and metadata.
     d.write_u64((trace_digest.0 >> 64) as u64);
@@ -460,7 +460,6 @@ impl Session {
             cell.workload_ref.digest,
             &cell.system,
             cell.effective_protocol(),
-            BARRIER_OVERHEAD,
             ENGINE_VERSION,
         )
     }
@@ -892,10 +891,10 @@ mod tests {
     fn cache_key_is_sensitive_to_every_component() {
         let sys = SystemConfig::default();
         let digest = Digest::of_bytes(b"trace");
-        let base = cache_key(digest, &sys, ProtocolKind::Mesi, 100, ENGINE_VERSION);
+        let base = cache_key(digest, &sys, ProtocolKind::Mesi, ENGINE_VERSION);
         assert_eq!(
             base,
-            cache_key(digest, &sys, ProtocolKind::Mesi, 100, ENGINE_VERSION)
+            cache_key(digest, &sys, ProtocolKind::Mesi, ENGINE_VERSION)
         );
         // Trace bytes.
         assert_ne!(
@@ -904,37 +903,25 @@ mod tests {
                 Digest::of_bytes(b"tracf"),
                 &sys,
                 ProtocolKind::Mesi,
-                100,
                 ENGINE_VERSION
             )
         );
         // Protocol.
         assert_ne!(
             base,
-            cache_key(digest, &sys, ProtocolKind::DeNovo, 100, ENGINE_VERSION)
+            cache_key(digest, &sys, ProtocolKind::DeNovo, ENGINE_VERSION)
         );
         // System geometry.
         let mut other = sys.clone();
         other.cache.l2_slice_bytes = 128 * 1024;
         assert_ne!(
             base,
-            cache_key(digest, &other, ProtocolKind::Mesi, 100, ENGINE_VERSION)
-        );
-        // Run configuration.
-        assert_ne!(
-            base,
-            cache_key(digest, &sys, ProtocolKind::Mesi, 101, ENGINE_VERSION)
+            cache_key(digest, &other, ProtocolKind::Mesi, ENGINE_VERSION)
         );
         // Engine version.
         assert_ne!(
             base,
-            cache_key(
-                digest,
-                &sys,
-                ProtocolKind::Mesi,
-                100,
-                "denovo-waste/engine-v2"
-            )
+            cache_key(digest, &sys, ProtocolKind::Mesi, "denovo-waste/engine-v2")
         );
     }
 
@@ -947,7 +934,6 @@ mod tests {
             Digest::of_bytes(b"trace"),
             &SystemConfig::default(),
             ProtocolKind::Mesi,
-            100,
             ENGINE_VERSION,
         );
         assert_eq!(key.to_string(), "73655566b013b016bb07a90aea010652");

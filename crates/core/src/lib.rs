@@ -41,8 +41,8 @@ pub mod timing;
 
 pub use experiment::{
     cache_key, sweep_temp_files, workload_digests, CacheStats, CellGroup, CompiledPlan,
-    ExperimentError, ExperimentSpec, HeadlineSummary, PlanOutcome, PlannedCell, RowKey,
-    ScaleProfile, Session, SessionCounters, SystemVariant, WorkloadRef, WorkloadSet,
+    ExperimentError, ExperimentSpec, FigureRender, HeadlineSummary, PlanOutcome, PlannedCell,
+    RowKey, ScaleProfile, Session, SessionCounters, SystemVariant, WorkloadRef, WorkloadSet,
     WorkloadSource, WorkloadSpec, ENGINE_VERSION, SPEC_SCHEMA, TEMP_SWEEP_AGE,
 };
 pub use figures::FigureTable;

@@ -38,7 +38,8 @@ use tw_types::{
 };
 use tw_workloads::Workload;
 
-/// The fixed cost [`SimConfig::new`] charges every core at each barrier.
+/// The fixed cost charged to every core at each barrier (latency of the
+/// barrier primitive itself).
 pub(crate) const BARRIER_OVERHEAD: Cycle = 100;
 
 /// Configuration of one simulation run.
@@ -48,9 +49,6 @@ pub struct SimConfig {
     pub protocol: ProtocolKind,
     /// Simulated system parameters (Table 4.1 by default).
     pub system: SystemConfig,
-    /// Fixed cost charged to every core at each barrier (latency of the
-    /// barrier primitive itself).
-    pub barrier_overhead: Cycle,
     /// Observer-lane span sink for this run. `None` (the default) records
     /// nothing; emission sites guard on it, so an unrecorded run pays one
     /// branch per barrier, not per memory operation. The recorder is
@@ -64,7 +62,6 @@ impl SimConfig {
         SimConfig {
             protocol,
             system: SystemConfig::default(),
-            barrier_overhead: BARRIER_OVERHEAD,
             recorder: None,
         }
     }
@@ -226,9 +223,7 @@ impl<'wl> Simulator<'wl> {
                 network,
                 ..cfg.system.clone()
             };
-            if (lane.protocol, lane.barrier_overhead, &lane.system)
-                != (cfg.protocol, cfg.barrier_overhead, &machine)
-            {
+            if (lane.protocol, &lane.system) != (cfg.protocol, &machine) {
                 return Err(SimError::NotOneMachine(network));
             }
             lanes.push((network, lane.recorder));
@@ -358,7 +353,7 @@ impl<'wl> Simulator<'wl> {
             }
         }
         let barrier = barrier.expect("deadlock: no runnable core and no barrier to release");
-        let release = release + self.engine.cfg.barrier_overhead;
+        let release = release + BARRIER_OVERHEAD;
         for c in 0..self.state.len() {
             if !matches!(self.state[c], CoreState::AtBarrier(_)) {
                 continue;
@@ -676,11 +671,7 @@ mod tests {
         };
         let mut other_l2 = lane(SnoopBus);
         other_l2.system.cache.l2_slice_bytes /= 2;
-        let other_barrier = SimConfig {
-            barrier_overhead: 7,
-            ..lane(SnoopBus)
-        };
-        for second in [other_protocol, other_l2, other_barrier] {
+        for second in [other_protocol, other_l2] {
             let err = refusal(vec![lane(Analytic), second], &wl);
             assert_eq!(err, SimError::NotOneMachine(SnoopBus));
         }

@@ -297,9 +297,8 @@ impl Engine<'_> {
             MemPeer::L1(me) => self.net.send(me, mc, MessageKind::LoadReqToMc, 0, at),
         };
         let dram_done = self.dram_access(mc, line, false, to_mc.arrival);
-        for w in WordMask::FULL.difference(words).iter() {
-            self.mem_prof.dropped_at_controller(line.word_addr(w));
-        }
+        self.mem_prof
+            .dropped_at_controller(WordMask::FULL.difference(words));
         let l2_present = self.l2_has_data(home, line);
         let (dest, kind) = match to {
             MemPeer::Home => (home, MessageKind::DataToL2),

@@ -1,21 +1,8 @@
 //! The L1 and L2 waste-profiling state machines (Figures 4.1 and 4.2).
 
 use crate::category::{WasteCategory, WasteReport};
-use tw_types::{Addr, FastMap, MessageClass, WordMask, WORD_BYTES};
-
-/// Pending state is grouped by 64-byte chunk — the maximum line size a
-/// [`WordMask`] can describe — so one hash probe covers up to sixteen words.
-const CHUNK_SHIFT: u32 = 6;
-const CHUNK_WORDS: usize = 16;
-
-/// Chunk key and word-within-chunk index of a word-aligned byte address.
-#[inline(always)]
-fn chunk_of(byte: u64) -> (u64, usize) {
-    (
-        byte >> CHUNK_SHIFT,
-        (byte / WORD_BYTES) as usize & (CHUNK_WORDS - 1),
-    )
-}
+use crate::{chunk_of, ONE_WORD};
+use tw_types::{Addr, FastMap, MessageClass, WordMask};
 
 /// Which cache level a [`CacheWasteProfiler`] instruments.
 ///
@@ -169,8 +156,20 @@ impl Chunk {
             );
             return (true, g.words == 0);
         }
-        // Groups of differing flit-hops can share a report bucket, and its
-        // f64 sum must accumulate in the order the per-word calls would.
+        (false, self.finalize_spanning(hit, category, report))
+    }
+
+    /// [`Chunk::finalize`] of hit words that span groups, word by word:
+    /// groups of differing flit-hops can share a report bucket, and its f64
+    /// sum must accumulate in ascending word order. Returns whether some
+    /// group lost its last word.
+    #[cold]
+    fn finalize_spanning(
+        &mut self,
+        hit: u16,
+        category: WasteCategory,
+        report: &mut WasteReport,
+    ) -> bool {
         let (mut left, mut emptied) = (hit, false);
         while left != 0 {
             let w = left.trailing_zeros() as usize;
@@ -179,7 +178,7 @@ impl Chunk {
             emptied |= g.words == 0;
             report.record(classify(category, g.update), g.class, g.flit_hops);
         }
-        (false, emptied)
+        emptied
     }
 
     fn groups_mut(&mut self) -> impl Iterator<Item = &mut Group> {
@@ -214,23 +213,25 @@ impl Chunk {
 
 /// Per-cache waste profiler implementing the decision diagrams of §4.1.
 ///
-/// The caller (the simulator's cache controllers) reports word-granularity
-/// events; the profiler defers classification until a word's fate is known.
-/// Words that arrive while the same address is still pending are classified
-/// as `Fetch` waste immediately (the cache already had the word).
+/// The caller (the simulator's cache controllers) reports word- or
+/// line-granularity events; the profiler defers classification until a
+/// word's fate is known. A per-word event is the line event over the one
+/// word at its address. Words that arrive while the same address is still
+/// pending are classified as `Fetch` waste immediately (the cache already
+/// had the word).
 #[derive(Debug, Clone)]
 pub struct CacheWasteProfiler {
     level: CacheLevel,
     // Keyed by 64-byte chunk; FastMap because this table is hit several
-    // times per simulated memory operation, and chunk keying lets the
-    // `*_words` batch entry points resolve a whole line fill or eviction
-    // with one probe. Drained chunks are removed eagerly: the table then
-    // stays sized to the words actually in flight (cache-resident,
-    // unclassified), which keeps it hot in the host cache.
+    // times per simulated memory operation, and chunk keying resolves a
+    // whole line fill or eviction with one probe. Drained chunks are
+    // removed eagerly: the table then stays sized to the words actually in
+    // flight (cache-resident, unclassified), which keeps it hot in the host
+    // cache.
     pending: FastMap<Chunk>,
     report: WasteReport,
-    /// Line events that finalized at least one word, and how many of them
-    /// one arrival group served. Observer lane only.
+    /// Line events (`*_words` calls) that finalized at least one word, and
+    /// how many of them one arrival group served. Observer lane only.
     line_finalizes: u64,
     line_finalizes_batched: u64,
 }
@@ -288,18 +289,12 @@ impl CacheWasteProfiler {
         flit_hops: f64,
         class: MessageClass,
     ) {
-        if already_present {
-            self.report.record(WasteCategory::Fetch, class, flit_hops);
-            return;
-        }
-        let (key, w) = chunk_of(addr.word_aligned().byte());
-        let chunk = self.pending.get_or_insert_with(key, Chunk::empty);
-        let bit = 1u16 << w;
-        if chunk.mask & bit != 0 {
-            self.report.record(WasteCategory::Fetch, class, flit_hops);
+        let already = if already_present {
+            ONE_WORD
         } else {
-            chunk.add(bit, flit_hops, class, false);
-        }
+            WordMask::EMPTY
+        };
+        self.arrive_words(addr, ONE_WORD, already, flit_hops, class);
     }
 
     /// A write-update broadcast (Dragon `UpdateData`) delivered the word into
@@ -308,17 +303,17 @@ impl CacheWasteProfiler {
     /// *update-born*, so if the receiving core never reads it, it finalizes
     /// as `Update` waste instead of Evict/Invalidate/Unevicted.
     pub fn updated(&mut self, addr: Addr, flit_hops: f64) {
-        self.finalize(addr, WasteCategory::Write);
-        let (key, w) = chunk_of(addr.word_aligned().byte());
+        self.finalize(addr, ONE_WORD, WasteCategory::Write);
+        let (key, bit) = chunk_of(addr, ONE_WORD);
         let chunk = self.pending.get_or_insert_with(key, Chunk::empty);
         // Updates ride store-class responses (the write that triggered them).
-        chunk.add(1u16 << w, flit_hops, MessageClass::Store, true);
+        chunk.add(bit, flit_hops, MessageClass::Store, true);
     }
 
-    /// Batched [`CacheWasteProfiler::arrive`]: words `words` of the line whose
-    /// first word is at `line0` arrive together (one response), with `already`
-    /// naming the words the cache held beforehand. Equivalent to calling
-    /// `arrive` per word in ascending word order, but with one table probe.
+    /// Line [`CacheWasteProfiler::arrive`]: words `words` of the line whose
+    /// first word is at `line0` arrive together (one response), with
+    /// `already` naming the words the cache held beforehand. The same as
+    /// `arrive` per word in ascending word order, with one table probe.
     pub fn arrive_words(
         &mut self,
         line0: Addr,
@@ -327,128 +322,101 @@ impl CacheWasteProfiler {
         flit_hops: f64,
         class: MessageClass,
     ) {
-        if words.is_empty() {
-            return;
-        }
-        let (key, w0) = chunk_of(line0.word_aligned().byte());
-        debug_assert!(
-            (words.bits() as u32) << w0 <= u16::MAX as u32,
-            "line spans a 64-byte chunk"
-        );
-        let chunk = self.pending.get_or_insert_with(key, Chunk::empty);
-        let requested = (words.bits() as u32) << w0;
-        let already_bits = ((already.bits() & words.bits()) as u32) << w0;
-        let fetch_bits = already_bits | (chunk.mask as u32 & requested);
-        let fresh = (requested & !fetch_bits) as u16;
+        let (key, requested) = chunk_of(line0, words);
+        let mut fetch = chunk_of(line0, already.intersect(words)).1;
+        let fresh = requested & !fetch;
+        // Only a word the cache did not hold touches the table, so a call
+        // that pends nothing leaves no empty chunk behind.
         if fresh != 0 {
-            chunk.add(fresh, flit_hops, class, false);
+            let chunk = self.pending.get_or_insert_with(key, Chunk::empty);
+            fetch |= fresh & chunk.mask;
+            let fresh = fresh & !chunk.mask;
+            if fresh != 0 {
+                chunk.add(fresh, flit_hops, class, false);
+            }
         }
         // All Fetch records of this call share (class, flit_hops) and land in
         // one report bucket, so recording them after the pending update sums
-        // the same addends the interleaved per-word loop would.
-        self.report.record_n(
-            WasteCategory::Fetch,
-            class,
-            flit_hops,
-            fetch_bits.count_ones(),
-        );
-    }
-
-    fn finalize(&mut self, addr: Addr, category: WasteCategory) -> bool {
-        let (key, w) = chunk_of(addr.word_aligned().byte());
-        let Some(chunk) = self.pending.get_mut(key) else {
-            return false;
-        };
-        if chunk.mask & (1u16 << w) == 0 {
-            return false;
-        }
-        let g = chunk.take(w);
-        if chunk.mask == 0 {
-            self.pending.remove(key);
-        } else if g.words == 0 {
-            chunk.compact();
-        }
+        // the same addends the interleaved per-word order would.
         self.report
-            .record(classify(category, g.update), g.class, g.flit_hops);
-        true
+            .record_n(WasteCategory::Fetch, class, flit_hops, fetch.count_ones());
     }
 
-    /// Batched `finalize`: classifies whichever of `words` are pending, in
-    /// ascending word order, with one table probe. Words with no pending
-    /// record are skipped, exactly as their per-word calls would be.
-    fn finalize_words(&mut self, line0: Addr, words: WordMask, category: WasteCategory) {
+    /// Classifies whichever of `words` of the line whose first word is at
+    /// `line0` are pending, in ascending word order, with one table probe;
+    /// words with no pending record are skipped. Returns `None` when none
+    /// was pending, else whether one arrival group held them all.
+    fn finalize(&mut self, line0: Addr, words: WordMask, category: WasteCategory) -> Option<bool> {
+        debug_assert!(
+            category != WasteCategory::Invalidate || self.level == CacheLevel::L1,
+            "L2 words are not invalidated in this study"
+        );
         if words.is_empty() {
-            return;
+            return None;
         }
-        let (key, w0) = chunk_of(line0.word_aligned().byte());
-        let Some(chunk) = self.pending.get_mut(key) else {
-            return;
-        };
-        let line_bits = (words.bits() as u32) << w0;
-        debug_assert!(line_bits <= u16::MAX as u32, "line spans a 64-byte chunk");
-        let hit = (chunk.mask as u32 & line_bits) as u16;
+        let (key, bits) = chunk_of(line0, words);
+        let chunk = self.pending.get_mut(key)?;
+        let hit = chunk.mask & bits;
         if hit == 0 {
-            return;
+            return None;
         }
         let (batched, emptied) = chunk.finalize(hit, category, &mut self.report);
-        self.line_finalizes += 1;
-        self.line_finalizes_batched += u64::from(batched);
         if chunk.mask == 0 {
             self.pending.remove(key);
         } else if emptied {
             chunk.compact();
+        }
+        Some(batched)
+    }
+
+    /// [`CacheWasteProfiler::finalize`] of a line event, counted in
+    /// [`CacheWasteProfiler::finalize_stats`].
+    fn finalize_words(&mut self, line0: Addr, words: WordMask, category: WasteCategory) {
+        if let Some(batched) = self.finalize(line0, words, category) {
+            self.line_finalizes += 1;
+            self.line_finalizes_batched += u64::from(batched);
         }
     }
 
     /// The program loaded the word (L1), or the cache returned it in a
     /// response to an L1 (L2): the pending instance becomes `Used`.
     pub fn loaded(&mut self, addr: Addr) {
-        self.finalize(addr, WasteCategory::Used);
+        self.finalize(addr, ONE_WORD, WasteCategory::Used);
     }
 
-    /// Batched [`CacheWasteProfiler::loaded`] over `words` of the line whose
+    /// Line [`CacheWasteProfiler::loaded`] over `words` of the line whose
     /// first word is at `line0`.
     pub fn loaded_words(&mut self, line0: Addr, words: WordMask) {
         self.finalize_words(line0, words, WasteCategory::Used);
     }
 
-    /// Batched [`CacheWasteProfiler::evicted`] over `words` of the line whose
+    /// Line [`CacheWasteProfiler::evicted`] over `words` of the line whose
     /// first word is at `line0`.
     pub fn evicted_words(&mut self, line0: Addr, words: WordMask) {
         self.finalize_words(line0, words, WasteCategory::Evict);
     }
 
-    /// Batched [`CacheWasteProfiler::invalidated`] over `words` of the line
+    /// Line [`CacheWasteProfiler::invalidated`] over `words` of the line
     /// whose first word is at `line0`.
     pub fn invalidated_words(&mut self, line0: Addr, words: WordMask) {
-        debug_assert_eq!(
-            self.level,
-            CacheLevel::L1,
-            "L2 words are not invalidated in this study"
-        );
         self.finalize_words(line0, words, WasteCategory::Invalidate);
     }
 
     /// The word was overwritten before use: a program store at the L1, or an
     /// L1 writeback overwriting it at the L2.
     pub fn stored(&mut self, addr: Addr) {
-        self.finalize(addr, WasteCategory::Write);
+        self.finalize(addr, ONE_WORD, WasteCategory::Write);
     }
 
     /// The coherence protocol invalidated the word before use (L1 only:
     /// MESI invalidation messages or DeNovo self-invalidation).
     pub fn invalidated(&mut self, addr: Addr) {
-        debug_assert_eq!(
-            self.level,
-            CacheLevel::L1,
-            "L2 words are not invalidated in this study"
-        );
-        self.finalize(addr, WasteCategory::Invalidate);
+        self.finalize(addr, ONE_WORD, WasteCategory::Invalidate);
     }
 
     /// The word was evicted before use.
     pub fn evicted(&mut self, addr: Addr) {
-        self.finalize(addr, WasteCategory::Evict);
+        self.finalize(addr, ONE_WORD, WasteCategory::Evict);
     }
 
     /// Ends the simulation: all still-pending words become `Unevicted` and the
@@ -471,6 +439,7 @@ impl CacheWasteProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn addr(n: u64) -> Addr {
         Addr::new(n * 4)
@@ -741,6 +710,215 @@ mod tests {
         let r = p.finish();
         assert_eq!(r.words(WasteCategory::Evict), 1);
         assert_eq!(r.words(WasteCategory::Update), 1);
+    }
+
+    #[test]
+    fn an_arrival_of_only_present_words_leaves_no_chunk() {
+        let line0 = Addr::new(0x4000);
+        let mut p = l1();
+        p.arrive_words(
+            line0,
+            WordMask::FULL,
+            WordMask::FULL,
+            1.0,
+            MessageClass::Load,
+        );
+        p.arrive(addr(3), true, 1.0, MessageClass::Load);
+        assert_eq!(p.pending_table_stats().0, 0, "nothing is pending");
+        let r = p.finish();
+        assert_eq!(r.words(WasteCategory::Fetch), 17);
+        assert_eq!(r.total_words(), 17);
+    }
+
+    /// Word-granular reference of the L1/L2 state machines, sharing no code
+    /// with the profiler: per word address, the pending instance's
+    /// `(flit_hops, class, update-born)`, and the report as two ordered
+    /// maps.
+    #[derive(Default)]
+    struct Reference {
+        pending: BTreeMap<u64, (f64, MessageClass, bool)>,
+        words: BTreeMap<WasteCategory, u64>,
+        hops: BTreeMap<(MessageClass, WasteCategory), f64>,
+    }
+
+    impl Reference {
+        fn record(&mut self, cat: WasteCategory, class: MessageClass, hops: f64) {
+            *self.words.entry(cat).or_default() += 1;
+            *self.hops.entry((class, cat)).or_default() += hops;
+        }
+
+        fn arrive(&mut self, a: Addr, present: bool, hops: f64, class: MessageClass) {
+            let a = a.word_aligned().byte();
+            if present || self.pending.contains_key(&a) {
+                self.record(WasteCategory::Fetch, class, hops);
+            } else {
+                self.pending.insert(a, (hops, class, false));
+            }
+        }
+
+        /// The word's fate is known: an unread update-born word is `Update`
+        /// waste wherever a fetched one would be Evict, Invalidate or
+        /// Unevicted.
+        fn finalize(&mut self, a: Addr, cat: WasteCategory) {
+            if let Some((hops, class, update)) = self.pending.remove(&a.word_aligned().byte()) {
+                let unread = matches!(
+                    cat,
+                    WasteCategory::Evict | WasteCategory::Invalidate | WasteCategory::Unevicted
+                );
+                let cat = if update && unread {
+                    WasteCategory::Update
+                } else {
+                    cat
+                };
+                self.record(cat, class, hops);
+            }
+        }
+
+        fn updated(&mut self, a: Addr, hops: f64) {
+            self.finalize(a, WasteCategory::Write);
+            self.pending
+                .insert(a.word_aligned().byte(), (hops, MessageClass::Store, true));
+        }
+
+        /// Every entry, flit-hop sums by their bits, in key order.
+        fn finish(mut self) -> Vec<String> {
+            for a in self.pending.keys().copied().collect::<Vec<_>>() {
+                self.finalize(Addr::new(a), WasteCategory::Unevicted);
+            }
+            let words = self
+                .words
+                .iter()
+                .map(|(cat, n)| format!("{cat}: {n} words"));
+            let hops = (self.hops.iter())
+                .map(|((class, cat), h)| format!("{class:?} {cat}: {:#018x}", h.to_bits()));
+            words.chain(hops).collect()
+        }
+    }
+
+    fn report_bits(r: &WasteReport) -> Vec<String> {
+        let words = r.words_iter().map(|(cat, n)| format!("{cat}: {n} words"));
+        let hops = (r.flit_hops_iter())
+            .map(|(class, cat, h)| format!("{class:?} {cat}: {:#018x}", h.to_bits()));
+        words.chain(hops).collect()
+    }
+
+    #[test]
+    fn random_events_match_the_word_granular_reference() {
+        use tw_types::{LineAddr, WordIdx};
+        // The dev profile keeps the suite quick; CI runs this in release.
+        let events = if cfg!(debug_assertions) {
+            100_000
+        } else {
+            1_000_000
+        };
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        // A full line, a half line, or a sparse set of words.
+        let some_words = |next: &mut dyn FnMut(u64) -> u64| {
+            WordMask::from_bits(match next(4) {
+                0 => 0xFFFF,
+                1 => 0x00FF << (8 * next(2)),
+                _ => next(1 << 16) as u16,
+            })
+        };
+        let mut p = l1();
+        let mut r = Reference::default();
+        for i in 1..=events {
+            let line_no = next(160);
+            let line = LineAddr::from_aligned(0x8000 + line_no * 64);
+            let line0 = line.word_addr(WordIdx(0));
+            let word = line.word_addr(WordIdx(next(16) as u8));
+            // Thirds are not dyadic, so a sum depends on the order and the
+            // number of its additions. Most responses to a line travel the
+            // same distance (one arrival group); one in four does not.
+            let k = if next(4) == 0 {
+                next(7)
+            } else {
+                line_no % 5 + 1
+            };
+            let hops = k as f64 / 3.0;
+            let class = if next(3) == 0 {
+                MessageClass::Store
+            } else {
+                MessageClass::Load
+            };
+            match next(20) {
+                0..=3 => {
+                    let words = some_words(&mut next);
+                    let already = match next(3) {
+                        0 => some_words(&mut next).intersect(words),
+                        _ => WordMask::EMPTY,
+                    };
+                    p.arrive_words(line0, words, already, hops, class);
+                    for w in words.iter() {
+                        r.arrive(line.word_addr(w), already.contains(w), hops, class);
+                    }
+                }
+                4 => {
+                    let present = next(10) == 0;
+                    p.arrive(word, present, hops, class);
+                    r.arrive(word, present, hops, class);
+                }
+                5 => {
+                    p.updated(word, hops);
+                    r.updated(word, hops);
+                }
+                6..=8 => {
+                    p.loaded(word);
+                    r.finalize(word, WasteCategory::Used);
+                }
+                9 => {
+                    p.stored(word);
+                    r.finalize(word, WasteCategory::Write);
+                }
+                10 => {
+                    p.evicted(word);
+                    r.finalize(word, WasteCategory::Evict);
+                }
+                11 => {
+                    p.invalidated(word);
+                    r.finalize(word, WasteCategory::Invalidate);
+                }
+                event => {
+                    let words = some_words(&mut next);
+                    let cat = match event {
+                        12..=14 => {
+                            p.loaded_words(line0, words);
+                            WasteCategory::Used
+                        }
+                        15..=17 => {
+                            p.evicted_words(line0, words);
+                            WasteCategory::Evict
+                        }
+                        _ => {
+                            p.invalidated_words(line0, words);
+                            WasteCategory::Invalidate
+                        }
+                    };
+                    for w in words.iter() {
+                        r.finalize(line.word_addr(w), cat);
+                    }
+                }
+            }
+            if i % 1000 == 0 {
+                assert_eq!(p.pending_words(), r.pending.len(), "after {i} events");
+            }
+        }
+        // Both line paths were driven: one group held the hit words, and
+        // the hit words spanned groups.
+        let (lines, batched) = p.finalize_stats();
+        assert!(
+            batched > lines / 10 && batched < lines * 9 / 10,
+            "{batched} of {lines}"
+        );
+        assert_eq!(report_bits(&p.finish()), r.finish());
     }
 
     #[test]

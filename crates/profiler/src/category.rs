@@ -1,5 +1,6 @@
 //! Waste categories and aggregated reports.
 
+use crate::table::Table;
 use std::fmt;
 use tw_types::MessageClass;
 
@@ -70,10 +71,10 @@ impl fmt::Display for WasteCategory {
     }
 }
 
-/// Categories in discriminant (`Ord`) order — the iteration order the old
-/// `BTreeMap` storage exposed through `words_iter`/`flit_hops_iter`. Note
-/// this differs from [`WasteCategory::ALL`], which is figure stacking order
-/// (`Fetch` and `Write` are swapped there).
+/// Categories in discriminant (`Ord`) order — the iteration order of
+/// `words_iter`/`flit_hops_iter`. Note this differs from
+/// [`WasteCategory::ALL`], which is figure stacking order (`Fetch` and
+/// `Write` are swapped there).
 const CAT_ORD: [WasteCategory; CATS] = [
     WasteCategory::Used,
     WasteCategory::Write,
@@ -99,28 +100,14 @@ fn hop_idx(class: MessageClass, category: WasteCategory) -> usize {
 /// classified words were responsible for, split by category and, for
 /// flit-hops, by the message class (load vs. store response) that moved them.
 ///
-/// Stored as dense arrays indexed by discriminant (this is the single
-/// hottest accumulator in the simulator — every profiled word lands here);
-/// the presence masks distinguish "never recorded" from "recorded as zero"
-/// so the raw-entry round trip through the result cache stays exact.
-/// Invariant: a slot whose presence bit is clear always holds `0`/`0.0`.
-#[derive(Debug, Clone, PartialEq)]
+/// Stored as dense tables indexed by discriminant (this is the single
+/// hottest accumulator in the simulator — every profiled word lands here).
+/// A record marks its slots present even at 0.0 flit-hops, so the raw-entry
+/// round trip through the result cache stays exact.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WasteReport {
-    words: [u64; CATS],
-    words_present: [bool; CATS],
-    flit_hops: [f64; CLASSES * CATS],
-    hops_present: [bool; CLASSES * CATS],
-}
-
-impl Default for WasteReport {
-    fn default() -> Self {
-        WasteReport {
-            words: [0; CATS],
-            words_present: [false; CATS],
-            flit_hops: [0.0; CLASSES * CATS],
-            hops_present: [false; CLASSES * CATS],
-        }
-    }
+    words: Table<u64, CATS>,
+    flit_hops: Table<f64, { CLASSES * CATS }>,
 }
 
 impl WasteReport {
@@ -133,18 +120,13 @@ impl WasteReport {
     /// `class` response.
     #[inline]
     pub fn record(&mut self, category: WasteCategory, class: MessageClass, flit_hops: f64) {
-        self.words_present[category as usize] = true;
-        self.words[category as usize] += 1;
-        let i = hop_idx(class, category);
-        self.hops_present[i] = true;
-        self.flit_hops[i] += flit_hops;
+        self.words.add(category as usize, 1);
+        self.flit_hops.add(hop_idx(class, category), flit_hops);
     }
 
     /// Records `n` classified words that each cost `flit_hops`: exactly `n`
-    /// calls of [`WasteReport::record`] with the same arguments. The flit-hop
-    /// sum takes the same `n` sequential additions — `n × flit_hops` added
-    /// once would round differently whenever `flit_hops` is not dyadic — but
-    /// on a register rather than through the array.
+    /// calls of [`WasteReport::record`] with the same arguments, the flit-hop
+    /// sum included (the same `n` sequential additions).
     #[inline]
     pub fn record_n(
         &mut self,
@@ -156,25 +138,18 @@ impl WasteReport {
         if n == 0 {
             return;
         }
-        self.words_present[category as usize] = true;
-        self.words[category as usize] += u64::from(n);
-        let i = hop_idx(class, category);
-        self.hops_present[i] = true;
-        let mut sum = self.flit_hops[i];
-        for _ in 0..n {
-            sum += flit_hops;
-        }
-        self.flit_hops[i] = sum;
+        self.words.add(category as usize, u64::from(n));
+        self.flit_hops.add_n(hop_idx(class, category), flit_hops, n);
     }
 
     /// Number of words classified into `category`.
     pub fn words(&self, category: WasteCategory) -> u64 {
-        self.words[category as usize]
+        self.words.get(category as usize)
     }
 
     /// Total words profiled.
     pub fn total_words(&self) -> u64 {
-        self.words.iter().sum()
+        self.words.entries().map(|(_, n)| n).sum()
     }
 
     /// Total words classified as waste.
@@ -198,7 +173,7 @@ impl WasteReport {
 
     /// Flit-hops spent moving words of `category` in responses of `class`.
     pub fn flit_hops(&self, class: MessageClass, category: WasteCategory) -> f64 {
-        self.flit_hops[hop_idx(class, category)]
+        self.flit_hops.get(hop_idx(class, category))
     }
 
     /// Flit-hops spent on *used* words in responses of `class`.
@@ -217,21 +192,15 @@ impl WasteReport {
 
     /// Iterates over the raw per-category word counts in a stable order.
     pub fn words_iter(&self) -> impl Iterator<Item = (WasteCategory, u64)> + '_ {
-        CAT_ORD
-            .iter()
-            .filter(|c| self.words_present[**c as usize])
-            .map(|c| (*c, self.words[*c as usize]))
+        self.words.entries().map(|(i, n)| (CAT_ORD[i], n))
     }
 
     /// Iterates over the raw per-(class, category) flit-hop entries in a
     /// stable order.
     pub fn flit_hops_iter(&self) -> impl Iterator<Item = (MessageClass, WasteCategory, f64)> + '_ {
-        MessageClass::ALL.iter().flat_map(move |cl| {
-            CAT_ORD.iter().filter_map(move |ca| {
-                let i = hop_idx(*cl, *ca);
-                self.hops_present[i].then(|| (*cl, *ca, self.flit_hops[i]))
-            })
-        })
+        self.flit_hops
+            .entries()
+            .map(|(i, h)| (MessageClass::ALL[i / CATS], CAT_ORD[i % CATS], h))
     }
 
     /// Rebuilds a report from raw entries, inserted verbatim — the inverse
@@ -242,33 +211,20 @@ impl WasteReport {
         words: impl IntoIterator<Item = (WasteCategory, u64)>,
         flit_hops: impl IntoIterator<Item = (MessageClass, WasteCategory, f64)>,
     ) -> Self {
-        let mut r = WasteReport::new();
-        for (cat, n) in words {
-            r.words_present[cat as usize] = true;
-            r.words[cat as usize] = n;
+        WasteReport {
+            words: Table::from_entries(words.into_iter().map(|(cat, n)| (cat as usize, n))),
+            flit_hops: Table::from_entries(
+                flit_hops
+                    .into_iter()
+                    .map(|(cl, ca, h)| (hop_idx(cl, ca), h)),
+            ),
         }
-        for (cl, ca, h) in flit_hops {
-            let i = hop_idx(cl, ca);
-            r.hops_present[i] = true;
-            r.flit_hops[i] = h;
-        }
-        r
     }
 
     /// Merges another report into this one.
     pub fn merge(&mut self, other: &WasteReport) {
-        for i in 0..CATS {
-            if other.words_present[i] {
-                self.words_present[i] = true;
-                self.words[i] += other.words[i];
-            }
-        }
-        for i in 0..CLASSES * CATS {
-            if other.hops_present[i] {
-                self.hops_present[i] = true;
-                self.flit_hops[i] += other.flit_hops[i];
-            }
-        }
+        self.words.merge(&other.words);
+        self.flit_hops.merge(&other.flit_hops);
     }
 }
 

@@ -1,9 +1,9 @@
 //! The memory-fetch waste profiler (Figure 4.3).
 //!
-//! Every word fetched from DRAM is tracked as a distinct `(address,
-//! identifier)` instance, because DeNovo's non-inclusive L2 can have several
-//! copies of the same word on chip from different memory requests. The
-//! profile answers "how useful was each word we paid to bring on chip?".
+//! Every word fetched from DRAM is tracked as a distinct pending instance,
+//! because DeNovo's non-inclusive L2 can have several copies of the same
+//! word on chip from different memory requests. The profile answers "how
+//! useful was each word we paid to bring on chip?".
 //!
 //! Two simplifications relative to the thesis' exact `NumRefs` bookkeeping
 //! (documented here because they matter only for corner cases): a program
@@ -13,30 +13,8 @@
 //! address become `Write` waste.
 
 use crate::category::{WasteCategory, WasteReport};
-use tw_types::{Addr, FastMap, MessageClass, WordMask, WORD_BYTES};
-
-/// Pending instances are grouped by 64-byte chunk (the maximum line size a
-/// [`WordMask`] can describe) so one hash probe covers a whole line event.
-const CHUNK_SHIFT: u32 = 6;
-const CHUNK_WORDS: usize = 16;
-
-/// `words` of a line whose first word is word `w0` of its chunk, as bits of
-/// the chunk.
-#[inline(always)]
-fn chunk_bits(words: WordMask, w0: usize) -> u16 {
-    let bits = (words.bits() as u32) << w0;
-    debug_assert!(bits <= u16::MAX as u32, "line spans a 64-byte chunk");
-    bits as u16
-}
-
-/// Chunk key and word-within-chunk index of a word-aligned byte address.
-#[inline(always)]
-fn chunk_of(byte: u64) -> (u64, usize) {
-    (
-        byte >> CHUNK_SHIFT,
-        (byte / WORD_BYTES) as usize & (CHUNK_WORDS - 1),
-    )
-}
+use crate::{chunk_of, CHUNK_WORDS, ONE_WORD};
+use tw_types::{Addr, FastMap, MessageClass, WordMask};
 
 /// What a chunk stores once its words stop sharing one record: per word,
 /// the *oldest* pending instance's flit-hops in `oldest` (its presence bit
@@ -154,7 +132,9 @@ impl Chunk {
     /// Classifies as `category` the oldest instance of each word of `words`
     /// (every instance when `drain`), in ascending word order. A uniform
     /// chunk has one instance per word and one record for all of them, so
-    /// there it is one mask operation and one batched record.
+    /// there it is one mask operation and one batched record. `Write` waste
+    /// is booked on store-class traffic (a store overwrote the words), every
+    /// other category on the load-class fetch that brought them.
     fn classify_oldest(
         &mut self,
         words: u16,
@@ -162,10 +142,15 @@ impl Chunk {
         category: WasteCategory,
         report: &mut WasteReport,
     ) {
+        let class = if category == WasteCategory::Write {
+            MessageClass::Store
+        } else {
+            MessageClass::Load
+        };
         if self.rest.is_none() {
             let hit = self.mask & words;
             self.mask &= !hit;
-            report.record_n(category, MessageClass::Load, self.uniform, hit.count_ones());
+            report.record_n(category, class, self.uniform, hit.count_ones());
             return;
         }
         let mut left = self.mask & words;
@@ -173,7 +158,7 @@ impl Chunk {
             let w = left.trailing_zeros() as usize;
             left &= left - 1;
             while let Some(hops) = self.pop_oldest(w) {
-                report.record(category, MessageClass::Load, hops);
+                report.record(category, class, hops);
                 if !drain {
                     break;
                 }
@@ -185,7 +170,6 @@ impl Chunk {
 /// Profiler for words fetched from memory.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryWasteProfiler {
-    next_id: u64,
     // Keyed by 64-byte chunk; FastMap because the table is consulted on
     // every DRAM word fetched and every program access. Drained chunks are
     // removed eagerly so the table tracks only instances genuinely in
@@ -223,36 +207,17 @@ impl MemoryWasteProfiler {
         (self.chunks, self.spills)
     }
 
-    /// Adds one pending instance of each word of `words` (chunk-relative
-    /// bits) of chunk `key`.
-    fn push(&mut self, key: u64, words: u16, flit_hops: f64) {
-        let chunk = self.pending.get_or_insert_with(key, Chunk::empty);
-        // Drained chunks are removed, so an empty one was inserted just now.
-        self.chunks += u64::from(chunk.mask == 0);
-        self.spills += u64::from(chunk.push(words, flit_hops));
-    }
-
     /// A word was sent from memory onto the chip.
     ///
     /// `l2_already_present` is true when the L2 already holds the address, in
     /// which case the new instance is immediately `Fetch` waste (Figure 4.3).
-    /// Returns the instance identifier.
-    pub fn fetched(&mut self, addr: Addr, l2_already_present: bool, flit_hops: f64) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        if l2_already_present {
-            self.report
-                .record(WasteCategory::Fetch, MessageClass::Load, flit_hops);
-        } else {
-            let (key, w) = chunk_of(addr.word_aligned().byte());
-            self.push(key, 1 << w, flit_hops);
-        }
-        id
+    pub fn fetched(&mut self, addr: Addr, l2_already_present: bool, flit_hops: f64) {
+        self.fetched_words(addr, ONE_WORD, l2_already_present, flit_hops);
     }
 
-    /// Batched [`MemoryWasteProfiler::fetched`] for `words` of the line whose
-    /// first word is at `line0`, all carried by one response. Equivalent to
-    /// calling `fetched` per word in ascending word order, with one probe.
+    /// Line [`MemoryWasteProfiler::fetched`] for `words` of the line whose
+    /// first word is at `line0`, all carried by one response. The same as
+    /// `fetched` per word in ascending word order, with one probe.
     pub fn fetched_words(
         &mut self,
         line0: Addr,
@@ -263,7 +228,6 @@ impl MemoryWasteProfiler {
         if words.is_empty() {
             return;
         }
-        self.next_id += words.count() as u64;
         if l2_already_present {
             self.report.record_n(
                 WasteCategory::Fetch,
@@ -273,25 +237,32 @@ impl MemoryWasteProfiler {
             );
             return;
         }
-        let (key, w0) = chunk_of(line0.word_aligned().byte());
-        self.push(key, chunk_bits(words, w0), flit_hops);
+        let (key, bits) = chunk_of(line0, words);
+        let chunk = self.pending.get_or_insert_with(key, Chunk::empty);
+        // Drained chunks are removed, so an empty one was inserted just now.
+        self.chunks += u64::from(chunk.mask == 0);
+        self.spills += u64::from(chunk.push(bits, flit_hops));
     }
 
-    /// A word was read by DRAM but dropped at the memory controller because
-    /// the Flex communication region did not include it (`Excess` waste).
-    /// These words never enter the network, so they carry no flit-hops.
-    pub fn dropped_at_controller(&mut self, addr: Addr) {
-        let _ = addr;
-        self.report
-            .record(WasteCategory::Excess, MessageClass::Load, 0.0);
+    /// DRAM read `words` of a line but the memory controller dropped them,
+    /// because the Flex communication region did not include them (`Excess`
+    /// waste). These words never enter the network, so they carry no
+    /// flit-hops.
+    pub fn dropped_at_controller(&mut self, words: WordMask) {
+        self.report.record_n(
+            WasteCategory::Excess,
+            MessageClass::Load,
+            0.0,
+            words.count() as u32,
+        );
     }
 
     /// The program loaded the word: the most recent pending instance of the
     /// address becomes `Used`.
     pub fn loaded(&mut self, addr: Addr) {
-        let (key, w) = chunk_of(addr.word_aligned().byte());
+        let (key, bit) = chunk_of(addr, ONE_WORD);
         if let Some(chunk) = self.pending.get_mut(key) {
-            if let Some(hops) = chunk.pop_newest(w) {
+            if let Some(hops) = chunk.pop_newest(bit.trailing_zeros() as usize) {
                 if chunk.mask == 0 {
                     self.pending.remove(key);
                 }
@@ -302,71 +273,37 @@ impl MemoryWasteProfiler {
     }
 
     /// Some L1 stored to the address: every pending instance becomes `Write`
-    /// waste (the coherence protocol will invalidate or overwrite all other
-    /// on-chip copies; paper §4.1).
+    /// waste, oldest first (the coherence protocol will invalidate or
+    /// overwrite all other on-chip copies; paper §4.1).
     pub fn stored(&mut self, addr: Addr) {
-        let (key, w) = chunk_of(addr.word_aligned().byte());
-        if let Some(chunk) = self.pending.get_mut(key) {
-            // Oldest first, matching the insertion-order drain of the old
-            // per-address list.
-            while let Some(hops) = chunk.pop_oldest(w) {
-                self.report
-                    .record(WasteCategory::Write, MessageClass::Store, hops);
-            }
-            if chunk.mask == 0 {
-                self.pending.remove(key);
-            }
-        }
+        self.classify(addr, ONE_WORD, true, WasteCategory::Write);
     }
 
     /// The last on-chip copy of one instance of the address left the chip:
     /// the oldest pending instance becomes `Evict` waste.
     pub fn evicted(&mut self, addr: Addr) {
-        let (key, w) = chunk_of(addr.word_aligned().byte());
-        if let Some(chunk) = self.pending.get_mut(key) {
-            if let Some(hops) = chunk.pop_oldest(w) {
-                if chunk.mask == 0 {
-                    self.pending.remove(key);
-                }
-                self.report
-                    .record(WasteCategory::Evict, MessageClass::Load, hops);
-            }
-        }
+        self.evicted_words(addr, ONE_WORD);
     }
 
-    /// Batched [`MemoryWasteProfiler::evicted`] over `words` of the line
-    /// whose first word is at `line0`, in ascending word order.
+    /// Line [`MemoryWasteProfiler::evicted`] over `words` of the line whose
+    /// first word is at `line0`, in ascending word order.
     pub fn evicted_words(&mut self, line0: Addr, words: WordMask) {
+        self.classify(line0, words, false, WasteCategory::Evict);
+    }
+
+    /// [`Chunk::classify_oldest`] over `words` of the line whose first word
+    /// is at `line0`, with one probe.
+    fn classify(&mut self, line0: Addr, words: WordMask, drain: bool, category: WasteCategory) {
         if words.is_empty() {
             return;
         }
-        let (key, w0) = chunk_of(line0.word_aligned().byte());
+        let (key, bits) = chunk_of(line0, words);
         let Some(chunk) = self.pending.get_mut(key) else {
             return;
         };
-        chunk.classify_oldest(
-            chunk_bits(words, w0),
-            false,
-            WasteCategory::Evict,
-            &mut self.report,
-        );
+        chunk.classify_oldest(bits, drain, category, &mut self.report);
         if chunk.mask == 0 {
             self.pending.remove(key);
-        }
-    }
-
-    /// The coherence protocol invalidated on-chip copies of the address
-    /// before use.
-    pub fn invalidated(&mut self, addr: Addr) {
-        let (key, w) = chunk_of(addr.word_aligned().byte());
-        if let Some(chunk) = self.pending.get_mut(key) {
-            if let Some(hops) = chunk.pop_newest(w) {
-                if chunk.mask == 0 {
-                    self.pending.remove(key);
-                }
-                self.report
-                    .record(WasteCategory::Invalidate, MessageClass::Load, hops);
-            }
         }
     }
 
@@ -425,9 +362,8 @@ mod tests {
     #[test]
     fn eviction_consumes_oldest_instance() {
         let mut p = MemoryWasteProfiler::new();
-        let first = p.fetched(addr(0), false, 1.0);
-        let second = p.fetched(addr(0), false, 2.0);
-        assert!(second > first);
+        p.fetched(addr(0), false, 1.0);
+        p.fetched(addr(0), false, 2.0);
         p.evicted(addr(0));
         p.loaded(addr(0));
         let r = p.finish();
@@ -441,8 +377,7 @@ mod tests {
     #[test]
     fn excess_waste_counts_words_dropped_at_the_controller() {
         let mut p = MemoryWasteProfiler::new();
-        p.dropped_at_controller(addr(4));
-        p.dropped_at_controller(addr(5));
+        p.dropped_at_controller(WordMask::from_bits(0b0011_0000));
         let r = p.finish();
         assert_eq!(r.words(WasteCategory::Excess), 2);
     }
@@ -455,15 +390,6 @@ mod tests {
         assert_eq!(p.pending_instances(), 2);
         let r = p.finish();
         assert_eq!(r.words(WasteCategory::Unevicted), 2);
-    }
-
-    #[test]
-    fn invalidate_classifies_pending_instance() {
-        let mut p = MemoryWasteProfiler::new();
-        p.fetched(addr(0), false, 1.0);
-        p.invalidated(addr(0));
-        let r = p.finish();
-        assert_eq!(r.words(WasteCategory::Invalidate), 1);
     }
 
     #[test]
@@ -507,7 +433,6 @@ mod tests {
             a.fetched(line.word_addr(w), false, 4.0);
         }
         b.fetched_words(line.word_addr(WordIdx(0)), again, false, 4.0);
-        assert_eq!(a.next_id, b.next_id);
         a.loaded(line.word_addr(WordIdx(1)));
         b.loaded(line.word_addr(WordIdx(1)));
         let evict = WordMask::from_bits(0b0110_0000_0000_0110);
@@ -649,11 +574,7 @@ mod tests {
                     p.stored(word);
                     r.classify(word, false, true, WasteCategory::Write);
                 }
-                10 => {
-                    p.invalidated(word);
-                    r.classify(word, true, false, WasteCategory::Invalidate);
-                }
-                11 => {
+                10..=11 => {
                     p.evicted(word);
                     r.classify(word, false, false, WasteCategory::Evict);
                 }
@@ -687,7 +608,7 @@ mod tests {
         use tw_types::{LineAddr, WordIdx};
         let line = LineAddr::from_aligned(0x5000);
         let line0 = line.word_addr(WordIdx(0));
-        let key = chunk_of(line0.byte()).0;
+        let key = chunk_of(line0, ONE_WORD).0;
         let mut p = MemoryWasteProfiler::new();
         let mut r = Reference::default();
         let fetch = |p: &mut MemoryWasteProfiler, r: &mut Reference, bits: u16, hops: f64| {

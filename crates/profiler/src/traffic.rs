@@ -1,5 +1,6 @@
 //! Flit-hop accounting by traffic class and figure bucket.
 
+use crate::table::Table;
 use tw_types::{MessageClass, TrafficBucket};
 
 const CLASSES: usize = 4;
@@ -20,24 +21,13 @@ fn idx(class: MessageClass, bucket: TrafficBucket) -> usize {
 /// sent; response *data* flit-hops are recorded once the carried words have
 /// been classified by the waste profilers.
 ///
-/// Stored as a dense `class × bucket` array (this is written on every
-/// message send); the presence mask preserves the old map semantics — `add`
+/// Stored as a dense `class × bucket` table (this is written on every
+/// message send) whose presence bits preserve the old map semantics — `add`
 /// drops zeros, `from_entries` keeps them verbatim — so equality and the
-/// result cache's raw-entry round trip behave exactly as before. Invariant:
-/// a slot whose presence bit is clear always holds `0.0`.
-#[derive(Debug, Clone, PartialEq)]
+/// result cache's raw-entry round trip behave exactly as before.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrafficBreakdown {
-    hops: [f64; CLASSES * BUCKETS],
-    present: [bool; CLASSES * BUCKETS],
-}
-
-impl Default for TrafficBreakdown {
-    fn default() -> Self {
-        TrafficBreakdown {
-            hops: [0.0; CLASSES * BUCKETS],
-            present: [false; CLASSES * BUCKETS],
-        }
-    }
+    hops: Table<f64, { CLASSES * BUCKETS }>,
 }
 
 impl TrafficBreakdown {
@@ -49,17 +39,14 @@ impl TrafficBreakdown {
     /// Adds `flit_hops` to `(class, bucket)`.
     #[inline]
     pub fn add(&mut self, class: MessageClass, bucket: TrafficBucket, flit_hops: f64) {
-        if flit_hops == 0.0 {
-            return;
+        if flit_hops != 0.0 {
+            self.hops.add(idx(class, bucket), flit_hops);
         }
-        let i = idx(class, bucket);
-        self.present[i] = true;
-        self.hops[i] += flit_hops;
     }
 
     /// Flit-hops recorded for `(class, bucket)`.
     pub fn get(&self, class: MessageClass, bucket: TrafficBucket) -> f64 {
-        self.hops[idx(class, bucket)]
+        self.hops.get(idx(class, bucket))
     }
 
     // The three totals below sum *present* entries only, via `Iterator::sum`
@@ -71,21 +58,15 @@ impl TrafficBreakdown {
 
     /// Total flit-hops for one message class.
     pub fn class_total(&self, class: MessageClass) -> f64 {
-        let base = class as usize * BUCKETS;
-        self.hops[base..base + BUCKETS]
-            .iter()
-            .zip(&self.present[base..base + BUCKETS])
-            .filter_map(|(h, p)| p.then_some(*h))
+        self.iter()
+            .filter(|(c, _, _)| *c == class)
+            .map(|(_, _, h)| h)
             .sum()
     }
 
     /// Total flit-hops across all classes.
     pub fn total(&self) -> f64 {
-        self.hops
-            .iter()
-            .zip(&self.present)
-            .filter_map(|(h, p)| p.then_some(*h))
-            .sum()
+        self.iter().map(|(_, _, h)| h).sum()
     }
 
     /// Total flit-hops in waste buckets.
@@ -108,21 +89,17 @@ impl TrafficBreakdown {
 
     /// Merges another breakdown into this one.
     pub fn merge(&mut self, other: &TrafficBreakdown) {
-        for i in 0..CLASSES * BUCKETS {
-            if other.present[i] {
-                self.present[i] = true;
-                self.hops[i] += other.hops[i];
-            }
-        }
+        self.hops.merge(&other.hops);
     }
 
     /// Iterates over all `(class, bucket, flit_hops)` entries in a stable order.
     pub fn iter(&self) -> impl Iterator<Item = (MessageClass, TrafficBucket, f64)> + '_ {
-        MessageClass::ALL.iter().flat_map(move |c| {
-            TrafficBucket::ALL.iter().filter_map(move |b| {
-                let i = idx(*c, *b);
-                self.present[i].then(|| (*c, *b, self.hops[i]))
-            })
+        self.hops.entries().map(|(i, h)| {
+            (
+                MessageClass::ALL[i / BUCKETS],
+                TrafficBucket::ALL[i % BUCKETS],
+                h,
+            )
         })
     }
 
@@ -133,13 +110,9 @@ impl TrafficBreakdown {
     pub fn from_entries(
         entries: impl IntoIterator<Item = (MessageClass, TrafficBucket, f64)>,
     ) -> Self {
-        let mut t = TrafficBreakdown::new();
-        for (c, b, h) in entries {
-            let i = idx(c, b);
-            t.present[i] = true;
-            t.hops[i] = h;
+        TrafficBreakdown {
+            hops: Table::from_entries(entries.into_iter().map(|(c, b, h)| (idx(c, b), h))),
         }
-        t
     }
 }
 
