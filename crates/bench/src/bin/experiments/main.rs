@@ -131,8 +131,8 @@ fn run_plan(
 }
 
 /// `N cells, D distinct, R runs`: a plan's cells, the distinct machines
-/// among them, and the simulations that time those machines, one timed lane
-/// per network model ([`Session::groups`]).
+/// among them, and the simulations that time those machines, one lane per
+/// network model ([`Session::groups`]).
 fn census(groups: &[CellGroup]) -> String {
     let distinct = groups.iter().enumerate().filter(|&(i, g)| g.leader == i);
     let runs = groups.iter().enumerate().filter(|&(i, g)| g.run == i);

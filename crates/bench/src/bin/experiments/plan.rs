@@ -24,7 +24,7 @@ pub fn builtin(args: &Args) -> Result<ExitCode, String> {
 /// Every sweep axis of the spec, then the compiled cells with their
 /// identity (workload ref, variant geometry, protocol, cache key); a cell
 /// that is the same machine as an earlier one names it instead, and one
-/// that is a timed lane of an earlier cell's run names that cell.
+/// that is a lane of an earlier cell's run names that cell.
 pub fn show(args: &Args) -> Result<ExitCode, String> {
     let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
     let session = Session::new();
@@ -83,7 +83,7 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
         } else {
             format!("= {:<31}", plan.cells[group.leader].name_from(cell))
         };
-        // A leader another cell's run simulates is a timed lane of that run.
+        // A leader another cell's run simulates is a lane of that run.
         let lane = if group.leader == i && group.run != i {
             format!(" lane of {}", plan.cells[group.run].track())
         } else {

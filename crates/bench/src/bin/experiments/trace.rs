@@ -7,7 +7,7 @@ use denovo_waste::{ExperimentSpec, SimConfig, SimReport, Simulator, WorkloadSet,
 use std::path::Path;
 use std::process::ExitCode;
 use tw_trace::TraceDocument;
-use tw_types::ProtocolKind;
+use tw_types::{ProtocolKind, TraceStats};
 use tw_workloads::{BenchmarkKind, Workload};
 
 /// `--bench NAME` (default FFT). `by_name` rejects unknown names with a
@@ -87,17 +87,24 @@ pub fn info(args: &Args) -> Result<ExitCode, String> {
     println!("trace:     {input}");
     println!("benchmark: {}", doc.benchmark);
     println!("input:     {}", doc.input);
-    println!("cores:     {}", doc.cores());
-    // The workload half of every cache key this trace is served under.
-    println!("digest:    {}", doc.digest());
-    println!("regions:   {}", doc.regions.len());
+    let cores = doc.cores();
+    println!("cores:     {cores}");
+    let (regions, stats) = (doc.regions.clone(), doc.stats());
     let mut accesses_by_region = std::collections::BTreeMap::<_, u64>::new();
     for op in doc.streams.iter().flatten() {
         if let Some(region) = op.region() {
             *accesses_by_region.entry(region).or_default() += 1;
         }
     }
-    for r in doc.regions.iter() {
+    // The workload half of every cache key the trace is served under: the
+    // digest of the workload it replays as. One that does not replay is
+    // served under none.
+    match Workload::from_trace(doc).and_then(|wl| wl.content_digest()) {
+        Ok(digest) => println!("digest:    {digest}"),
+        Err(e) => println!("digest:    none ({e})"),
+    }
+    println!("regions:   {}", regions.len());
+    for r in regions.iter() {
         let mut notes = vec![format!(
             "{} accesses",
             accesses_by_region.get(&r.id).copied().unwrap_or(0)
@@ -117,8 +124,9 @@ pub fn info(args: &Args) -> Result<ExitCode, String> {
             notes.join(", ")
         );
     }
-    let total = doc.total_stats();
-    for (core, s) in doc.stats().iter().enumerate() {
+    let mut total = TraceStats::default();
+    for (core, s) in stats.iter().enumerate() {
+        total.merge(s);
         println!(
             "  core {core:>2}: {:>9} ops ({:>9} LD, {:>9} ST, {:>9} compute cycles, {} barriers)",
             s.ops, s.loads, s.stores, s.compute_cycles, s.barriers
@@ -128,7 +136,7 @@ pub fn info(args: &Args) -> Result<ExitCode, String> {
         "total:     {} ops, {} mem ops, {} barriers/core",
         total.ops,
         total.mem_ops(),
-        total.barriers / doc.cores().max(1) as u64
+        total.barriers / cores.max(1) as u64
     );
     Ok(ExitCode::SUCCESS)
 }

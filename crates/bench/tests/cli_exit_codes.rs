@@ -471,3 +471,48 @@ fn figupdate_alone_simulates_no_matrix() {
     assert!(!stderr.contains("tiny-matrix"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `trace info` prints the digest a plan keys the trace's workload on,
+/// whatever case or name its header gives the benchmark: its first eight
+/// hex digits are the `name#xxxxxxxx` handle `plan show` prints. A trace
+/// that does not replay still gets its header, regions and per-core counts,
+/// and a digest line saying no plan keys on it.
+#[test]
+fn trace_info_prints_the_digest_plan_show_keys_on() {
+    let dir = scratch("trace-info-digest");
+    let tiny = denovo_waste::ScaleProfile::Tiny;
+    let fft = tiny
+        .try_workload(tw_workloads::BenchmarkKind::Fft, tiny.system().tiles())
+        .unwrap();
+    let spec = r#"{"schema":"denovo-waste/experiment-spec/v1","name":"h","scale":"tiny","baseline":"MESI","protocols":["MESI"],"workloads":[{"trace":"h.trace"}]}"#;
+    std::fs::write(dir.join("h.json"), spec).unwrap();
+    for header in ["FFT", "fft", "their-workload"] {
+        let mut doc = fft.to_trace();
+        doc.benchmark = header.to_string();
+        std::fs::write(dir.join("h.trace"), doc.to_binary_bytes().unwrap()).unwrap();
+        let (code, info, stderr) = run_in(&dir, &["trace", "info", "h.trace"]);
+        assert_eq!(code, 0, "{header}: {stderr}");
+        assert!(info.contains(&format!("benchmark: {header}\n")), "{info}");
+        let digest = info.lines().find_map(|l| l.strip_prefix("digest:"));
+        let digest = digest.unwrap_or_else(|| panic!("no digest line: {info}"));
+        let (code, shown, stderr) = run_in(&dir, &["plan", "show", "h.json"]);
+        assert_eq!(code, 0, "{header}: {stderr}");
+        let handle = format!("h.trace#{}", &digest.trim()[..8]);
+        assert!(shown.contains(&handle), "{header}: {handle} in\n{shown}");
+    }
+
+    let mut doc = fft.to_trace();
+    doc.streams[1].push(tw_types::TraceOp::barrier(9));
+    std::fs::write(dir.join("bad.trace"), doc.to_binary_bytes().unwrap()).unwrap();
+    let (code, info, stderr) = run_in(&dir, &["trace", "info", "bad.trace"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        info.contains(
+            "digest:    none (malformed trace: core 1 disagrees on the barrier sequence)"
+        ),
+        "{info}"
+    );
+    assert!(info.contains("regions:   3"), "{info}");
+    assert!(info.contains("  core 15:"), "{info}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

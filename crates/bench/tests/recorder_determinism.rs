@@ -151,40 +151,47 @@ fn an_alias_cell_names_its_representative_and_records_no_simulation() {
 /// Cells that differ only in their network model are one simulation, and
 /// each one's track still gets exactly the `phase` and `run` spans a
 /// simulation of that cell alone records: its own network, cycles and
-/// stall counts, and the shared counters of the canonical lane.
+/// stall counts, and the shared counters of the analytic lane — whatever
+/// order the spec lists the networks in.
 #[test]
 fn a_shared_run_records_each_network_on_its_own_track() {
-    let mut spec = ExperimentSpec::subset(
-        vec![ProtocolKind::Dragon],
-        vec![BenchmarkKind::Fft],
-        ScaleProfile::Tiny,
-    );
-    spec.networks = NetworkModelKind::ALL.to_vec();
-    let rec = Arc::new(FlightRecorder::new());
-    let session = Session::new().with_recorder(SpanSink::new(Arc::clone(&rec), "test"));
-    let plan = session.compile(&spec, &WorkloadSet::new()).unwrap();
-    assert!(session.groups(&plan).iter().all(|g| g.run == 0), "one run");
-    session.execute(&plan).unwrap();
-    let spans = rec.spans();
-    let mut cycles = std::collections::BTreeSet::new();
-    for cell in &plan.cells {
-        let alone = Arc::new(FlightRecorder::new());
-        let cfg = SimConfig::new(cell.protocol)
-            .with_system(cell.system.clone())
-            .with_recorder(SpanSink::new(Arc::clone(&alone), cell.track()));
-        Simulator::new(cfg, &cell.workload).run();
-        let track = cell.track();
-        let shared: Vec<_> = spans.iter().filter(|s| s.track == track).collect();
-        let (cell_span, simulated) = shared.split_last().expect("spans on every track");
-        assert_eq!(
-            simulated.to_vec(),
-            alone.spans().iter().collect::<Vec<_>>(),
-            "{track}"
+    use NetworkModelKind::*;
+    for networks in [
+        NetworkModelKind::ALL.to_vec(),
+        vec![SnoopBus, Analytic, FlitLevel],
+    ] {
+        let mut spec = ExperimentSpec::subset(
+            vec![ProtocolKind::Dragon],
+            vec![BenchmarkKind::Fft],
+            ScaleProfile::Tiny,
         );
-        assert_eq!(cell_span.name, "cell", "{track}");
-        cycles.insert(alone.spans().last().and_then(|s| s.attr_u64("cycles")));
+        spec.networks = networks;
+        let rec = Arc::new(FlightRecorder::new());
+        let session = Session::new().with_recorder(SpanSink::new(Arc::clone(&rec), "test"));
+        let plan = session.compile(&spec, &WorkloadSet::new()).unwrap();
+        assert!(session.groups(&plan).iter().all(|g| g.run == 0), "one run");
+        session.execute(&plan).unwrap();
+        let spans = rec.spans();
+        let mut cycles = std::collections::BTreeSet::new();
+        for cell in &plan.cells {
+            let alone = Arc::new(FlightRecorder::new());
+            let cfg = SimConfig::new(cell.protocol)
+                .with_system(cell.system.clone())
+                .with_recorder(SpanSink::new(Arc::clone(&alone), cell.track()));
+            Simulator::new(cfg, &cell.workload).run();
+            let track = cell.track();
+            let shared: Vec<_> = spans.iter().filter(|s| s.track == track).collect();
+            let (cell_span, simulated) = shared.split_last().expect("spans on every track");
+            assert_eq!(
+                simulated.to_vec(),
+                alone.spans().iter().collect::<Vec<_>>(),
+                "{track}"
+            );
+            assert_eq!(cell_span.name, "cell", "{track}");
+            cycles.insert(alone.spans().last().and_then(|s| s.attr_u64("cycles")));
+        }
+        assert_eq!(cycles.len(), 3, "the three networks time FFT differently");
     }
-    assert_eq!(cycles.len(), 3, "the three networks time FFT differently");
 }
 
 /// The work counters of the `run` span are pure functions of the inputs, so

@@ -898,9 +898,9 @@ impl PlannedCell {
     /// Whether this cell and `other` are one machine timed by two network
     /// models: equal in workload content, effective protocol and every
     /// system field but `network`. Such cells are one simulation with a
-    /// timed lane each (`Simulator::try_new`): a network model moves only
-    /// its own lane, and the canonical lane they share decides every
-    /// message, cache state and waste word of both.
+    /// lane each (`Simulator::try_new`): a network model moves only its own
+    /// lane, and the analytic lane decides every message, cache state and
+    /// waste word of both.
     pub fn shares_run_with(&self, other: &PlannedCell) -> bool {
         let machine = SystemConfig {
             network: self.system.network,

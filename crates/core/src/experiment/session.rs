@@ -135,8 +135,7 @@ pub struct CellGroup {
     /// and stores it for the whole group (a leader's index is its own).
     pub leader: usize,
     /// The first leader of the run that simulates the key: leaders whose
-    /// cells differ only in their network model share one run, a timed lane
-    /// each ([`PlannedCell::shares_run_with`]).
+    /// cells differ only in their network model share one run, a lane each ([`PlannedCell::shares_run_with`]).
     pub run: usize,
 }
 
@@ -468,7 +467,7 @@ impl Session {
     /// group's leader (the first cell with that key) and its run (the first
     /// leader among the leaders whose cells differ only in their network
     /// model, [`PlannedCell::shares_run_with`]). A pure function of the
-    /// plan: [`Session::execute`] simulates each run once, a timed lane per
+    /// plan: [`Session::execute`] simulates each run once, a lane per
     /// leader, and hands every cell its leader's report.
     pub fn groups(&self, plan: &CompiledPlan) -> Vec<CellGroup> {
         let mut first = BTreeMap::new();
@@ -496,7 +495,7 @@ impl Session {
     /// Resolves the leaders of one run, returning each one's report and how
     /// it was obtained. Every leader takes its key's single-flight slot and
     /// probes the disk under its own key; the leaders that miss are
-    /// simulated together, a timed lane each, and stored under their own
+    /// simulated together, a lane each, and stored under their own
     /// keys.
     fn run_together(
         &self,

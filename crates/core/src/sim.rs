@@ -126,14 +126,6 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Per-core execution status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CoreState {
-    Running,
-    AtBarrier(u32),
-    Done,
-}
-
 /// The first minimum of `ready` and the first minimum of the rest, each as
 /// `(core, clock)` — the core the scheduler steps and the runner-up it may
 /// run ahead of. Cores that cannot run sit at `u64::MAX` (a clock never
@@ -156,27 +148,29 @@ fn two_earliest(ready: &[u64]) -> ((usize, u64), (usize, u64)) {
 /// The simulator for one (protocol, workload) pair, timed under one or more
 /// network models.
 ///
-/// The simulator owns the scheduler state (per-core clocks, program counters
-/// and run states) and an `Engine` holding all machine state; protocol
-/// behavior is dispatched inside the engine's entry points.
+/// The simulator owns the scheduler state (per-core clocks and program
+/// counters) and an `Engine` holding all machine state; protocol behavior is
+/// dispatched inside the engine's entry points.
 #[derive(Debug)]
 pub struct Simulator<'wl> {
     pub(crate) engine: Engine<'wl>,
     /// The workload's streams, built once in [`Simulator::try_new`], so a
     /// step reads its record without passing the workload's lazy cell.
     streams: &'wl [Vec<TraceOp>],
-    /// The network model and span sink of each timed lane, in lane order.
+    /// The network model and span sink of each configuration the run was
+    /// built from, in the order they came.
     lanes: Vec<(NetworkModelKind, Option<SpanSink>)>,
-    /// Per-core clocks. Scheduling and barrier matching consult only the
-    /// canonical lane, so the service order — and with it every traffic and
-    /// waste number — is identical under every network model; each timed
-    /// lane carries its model's latency into that lane's report.
+    /// Per-core clocks. Scheduling and barrier release consult only the
+    /// analytic lane, so the service order — and with it every traffic and
+    /// waste number — is identical under every network model; each other
+    /// lane carries its model's latency into that model's report.
     clocks: Vec<Stamp>,
+    /// Per core, the index of the next record of its stream: the stream's
+    /// length once the core is finished, a barrier record while it waits.
     pc: Vec<usize>,
-    state: Vec<CoreState>,
-    /// Scheduler shadow of `clocks`/`state`: the canonical clock of each
-    /// `Running` core, `u64::MAX` otherwise — what [`two_earliest`] scans.
-    /// Ties resolve to the lowest core index.
+    /// Scheduler shadow of `clocks`: the analytic clock of each core that
+    /// can run, `u64::MAX` for one that is finished or waits at a barrier
+    /// — what [`two_earliest`] scans. Ties resolve to the lowest core index.
     ready: Vec<u64>,
     /// Barrier phases released so far (flight-recorder span numbering).
     phases: u64,
@@ -184,13 +178,13 @@ pub struct Simulator<'wl> {
 
 impl<'wl> Simulator<'wl> {
     /// Builds one simulation of `workload` that times one machine under
-    /// several network models: lane `i` is the run `Simulator::new(lanes[i],
-    /// workload)` makes, and [`Simulator::run_lanes`] returns its report at
-    /// index `i`.
+    /// several network models: [`Simulator::run_lanes`] returns at index `i`
+    /// the report `Simulator::new(lanes[i], workload)` makes, whatever order
+    /// the models come in.
     ///
-    /// The lanes share the canonical lane, which decides every message,
-    /// cache state and waste word; each network model moves only its own
-    /// timed lane (`DESIGN.md` §11). So the configurations may differ in
+    /// The analytic lane decides every message, cache state and waste word
+    /// of the run; each other network model moves only its own lane
+    /// (`DESIGN.md` §11). So the configurations may differ in
     /// `system.network` and `recorder` and in nothing else, and a network
     /// model times at most one lane.
     ///
@@ -235,7 +229,6 @@ impl<'wl> Simulator<'wl> {
             lanes,
             clocks: vec![Stamp::at(0); cores],
             pc: vec![0; cores],
-            state: vec![CoreState::Running; cores],
             ready: vec![0; cores],
             phases: 0,
         })
@@ -276,15 +269,14 @@ impl<'wl> Simulator<'wl> {
     /// releasing barriers when nobody is runnable.
     fn run_loop(&mut self) {
         loop {
-            // Canonical-lane ordering: which core runs next must not depend
-            // on the configured network model (see `clocks`).
+            // Analytic-lane ordering: which core runs next must not depend
+            // on the configured network models (see `clocks`).
             let ((core, _), (rival, bound)) = two_earliest(&self.ready);
             if core == usize::MAX {
                 // Everyone is either done or waiting at a barrier.
-                if self.state.iter().all(|s| *s == CoreState::Done) {
+                if !self.release_barrier() {
                     break;
                 }
-                self.release_barrier();
                 continue;
             }
             // Run ahead: `step_core` changes no `ready` slot but its own
@@ -305,22 +297,18 @@ impl<'wl> Simulator<'wl> {
     /// Executes one trace record of `core`.
     fn step_core(&mut self, core: usize) {
         let Some(op) = self.streams[core].get(self.pc[core]).copied() else {
-            self.state[core] = CoreState::Done;
             self.ready[core] = u64::MAX;
             return;
         };
         match op.view() {
             Record::Compute { cycles } => {
                 self.clocks[core] += cycles as Cycle;
-                self.ready[core] = self.clocks[core].canon;
+                self.ready[core] = self.clocks[core].analytic();
                 self.engine.time[core].add(TimeClass::Compute, cycles as Cycle);
                 self.pc[core] += 1;
             }
-            Record::Barrier { id } => {
-                // pc advances when the barrier releases.
-                self.state[core] = CoreState::AtBarrier(id);
-                self.ready[core] = u64::MAX;
-            }
+            // pc advances when the barrier releases.
+            Record::Barrier { .. } => self.ready[core] = u64::MAX,
             Record::Mem { kind, addr, region } => {
                 let now = self.clocks[core];
                 let done = match kind {
@@ -329,73 +317,76 @@ impl<'wl> Simulator<'wl> {
                 };
                 debug_assert!(done.not_before(now));
                 self.clocks[core] = done;
-                self.ready[core] = done.canon;
+                self.ready[core] = done.analytic();
                 self.pc[core] += 1;
             }
         }
     }
 
-    /// Releases the barrier every non-finished core is waiting at.
-    fn release_barrier(&mut self) {
+    /// The barrier `core` waits at when nobody can run: the record at its
+    /// pc. `None` once the core is finished.
+    fn barrier_of(&self, core: usize) -> Option<u32> {
+        match self.streams[core].get(self.pc[core])?.view() {
+            Record::Barrier { id } => Some(id),
+            other => unreachable!("core {core} cannot run but its next record is {other:?}"),
+        }
+    }
+
+    /// Releases the barrier every unfinished core is waiting at, or returns
+    /// `false` when every core is finished.
+    fn release_barrier(&mut self) -> bool {
         // Finished cores no longer participate; everyone still waiting
         // synchronizes to the latest arrival — on each lane independently,
-        // so the canonical release point stays model-invariant while each
-        // timed release reflects its network model's latency.
+        // so the analytic release point stays model-invariant while each
+        // other lane's release reflects its network model's latency.
         let mut barrier = None;
         let mut waiting = 0u64;
         let mut release = Stamp::at(0);
-        for (c, state) in self.state.iter().enumerate() {
-            if let CoreState::AtBarrier(id) = *state {
+        for c in 0..self.pc.len() {
+            if let Some(id) = self.barrier_of(c) {
                 let first = *barrier.get_or_insert(id);
                 assert_eq!(first, id, "cores are waiting at different barriers");
                 waiting += 1;
                 release = release.max(self.clocks[c]);
             }
         }
-        let barrier = barrier.expect("deadlock: no runnable core and no barrier to release");
+        let Some(barrier) = barrier else {
+            return false;
+        };
         let release = release + BARRIER_OVERHEAD;
-        for c in 0..self.state.len() {
-            if !matches!(self.state[c], CoreState::AtBarrier(_)) {
+        for c in 0..self.pc.len() {
+            if self.barrier_of(c).is_none() {
                 continue;
             }
             let wait = release.since(self.clocks[c]);
             self.engine.time[c].add_lanes(TimeClass::Sync, wait);
             self.clocks[c] = release;
-            self.ready[c] = release.canon;
+            self.ready[c] = release.analytic();
             self.pc[c] += 1;
-            self.state[c] = CoreState::Running;
         }
         self.engine.barrier_released(release);
         self.phases += 1;
         // Observer lane: every attribute below is a pure function of the
-        // run's inputs (canonical/timed lanes and all counters are
-        // deterministic), so traces byte-diff across reruns. Each lane's
-        // track gets the spans a run of that lane alone would emit.
-        for (lane, (_, sink)) in self.lanes.iter().enumerate() {
+        // run's inputs (every lane and all counters are deterministic), so
+        // traces byte-diff across reruns. Each model's track gets the spans
+        // a run of that model alone would emit.
+        for (network, sink) in &self.lanes {
             let Some(sink) = sink else { continue };
             sink.emit(
                 Span::event("phase")
                     .attr("phase", self.phases)
                     .attr("barrier", u64::from(barrier))
                     .attr("cores", waiting)
-                    .attr("release", release.canon)
+                    .attr("release", release.analytic())
                     .attr("sends", self.engine.net.sends)
-                    .attr("net_stalls", self.engine.net.timed_stall_cycles(lane)),
+                    .attr("net_stalls", self.engine.net.timed_stall_cycles(*network)),
             );
         }
+        true
     }
 
     /// Drains profilers and builds the final report of every lane.
     fn finish(mut self) -> Vec<SimReport> {
-        // The cores are in order: each serviced its whole input stream, one
-        // record per step, so the serviced stream is the input stream.
-        debug_assert!(
-            self.pc
-                .iter()
-                .zip(self.streams)
-                .all(|(&pc, s)| pc == s.len()),
-            "a core finished before the end of its stream"
-        );
         // Give the protocol a chance to drain still-pending work (e.g.
         // DeNovo registrations) so its traffic is accounted — the paper's
         // measurement period ends at a barrier, where those tables would
@@ -432,17 +423,17 @@ impl<'wl> Simulator<'wl> {
             let (mem_chunks, mem_chunk_spills) = self.engine.mem_prof.chunk_stats();
             // Every core is done, so its pc is the records it stepped.
             let records = self.pc.iter().sum::<usize>() as u64;
-            for (lane, (network, sink)) in self.lanes.iter().enumerate() {
+            for (network, sink) in &self.lanes {
                 let Some(sink) = sink else { continue };
                 sink.emit(
                     Span::event("run")
                         .attr("protocol", self.engine.cfg.protocol.name())
                         .attr("benchmark", self.engine.workload.kind.name())
                         .attr("network", network.name())
-                        .attr("cycles", last.timed[lane])
+                        .attr("cycles", last.lanes[network.lane()])
                         .attr("phases", self.phases)
                         .attr("sends", self.engine.net.sends)
-                        .attr("net_stalls", self.engine.net.timed_stall_cycles(lane))
+                        .attr("net_stalls", self.engine.net.timed_stall_cycles(*network))
                         .attr("map_probes", probes)
                         .attr("map_resizes", resizes)
                         .attr("mem_chunks", mem_chunks)
@@ -503,15 +494,14 @@ impl<'wl> Simulator<'wl> {
                 hits as f64 / total as f64
             },
         };
-        // Everything above is the canonical lane's and so every lane's;
-        // reported execution time is each lane's own (an analytic lane's
-        // is the canonical lane's).
+        // Everything above is the analytic lane's and so every model's;
+        // reported execution time is each model's own lane.
         let mut reports = Vec::new();
         reports.resize(self.lanes.len(), shared);
-        for (lane, report) in reports.iter_mut().enumerate() {
-            report.total_cycles = last.timed[lane];
+        for (report, (network, _)) in reports.iter_mut().zip(&self.lanes) {
+            report.total_cycles = last.lanes[network.lane()];
             for t in &eng.time {
-                report.time.merge(t.lane(lane));
+                report.time.merge(t.lane(*network));
             }
         }
         reports
@@ -764,7 +754,7 @@ mod tests {
     fn timed_models_move_identical_traffic_and_never_run_faster() {
         // The traffic-identity invariant of DESIGN.md §11, for every
         // non-default network model (flit-level wormhole and snooping bus):
-        // the network model may only move time. Everything the canonical
+        // the network model may only move time. Everything the analytic
         // lane drives — per-bucket flit-hops, every waste classification,
         // DRAM behavior — must be bit-identical, and the timed execution
         // time must be at or above the analytic lower bound.
@@ -795,7 +785,7 @@ mod tests {
                     assert_eq!(timed.dram_accesses, analytic.dram_accesses, "{n}/{p}/{b}");
                     assert_eq!(
                         timed.dram_row_hit_rate, analytic.dram_row_hit_rate,
-                        "{n}/{p}/{b}: DRAM evolves on the canonical lane"
+                        "{n}/{p}/{b}: DRAM evolves on the analytic lane"
                     );
                     assert!(
                         timed.total_cycles >= analytic.total_cycles,

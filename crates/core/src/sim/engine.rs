@@ -28,17 +28,17 @@ use tw_types::{
 };
 use tw_workloads::Workload;
 
-/// The network: the canonical mesh, one optional timing overlay per timed
-/// lane, and the flit-hop ledger.
+/// The network: the analytic mesh, one timing overlay per other network
+/// model the run times, and the flit-hop ledger.
 ///
-/// The canonical [`Mesh`] is always maintained — it advances the canonical
+/// The analytic [`Mesh`] is always maintained — it advances the analytic
 /// lane of every [`Stamp`] and owns the flit-hop ledger, so routes, traffic
 /// and all state-ordering decisions are identical no matter which
 /// [`NetworkModelKind`]s the run times. Each overlay, resolved once at
-/// construction through the [`NetworkModel`] registry (`model_for`),
-/// advances only its own timed lane. An analytic lane has no overlay: it
-/// moves with the canonical lane (the canonical mesh *is* the analytic
-/// model), and so do the lanes a run leaves unused.
+/// construction through the [`NetworkModel`] registry (`model_for`), sits
+/// in its model's lane slot and advances only that lane. The analytic model
+/// never gets an overlay (the mesh *is* that model), and the lane of a
+/// model the run does not time moves with the analytic lane.
 #[derive(Debug)]
 pub(crate) struct Net {
     mesh: Mesh,
@@ -65,13 +65,13 @@ pub(crate) struct Delivery {
 }
 
 impl Net {
-    /// The network of a run whose timed lane `i` follows `lanes[i]`.
-    pub(crate) fn new(noc: NocConfig, lanes: &[NetworkModelKind]) -> Self {
-        let overlays = std::array::from_fn(|lane| match lanes.get(lane) {
-            // The canonical mesh already is the analytic model; a second
-            // copy would only burn cycles producing identical numbers.
-            None | Some(NetworkModelKind::Analytic) => None,
-            Some(&kind) => Some(model_for(kind, noc.clone())),
+    /// The network of a run that times `models`.
+    pub(crate) fn new(noc: NocConfig, models: &[NetworkModelKind]) -> Self {
+        let overlays = NetworkModelKind::ALL.map(|kind| {
+            // The mesh already is the analytic model; a second copy would
+            // only burn cycles producing identical numbers.
+            (kind != NetworkModelKind::Analytic && models.contains(&kind))
+                .then(|| model_for(kind, noc.clone()))
         });
         let sizes = (0..=noc.max_data_words())
             .map(|words| {
@@ -115,17 +115,17 @@ impl Net {
             PacketSize::with_data_words(&self.noc, data_words);
         }
         let (size, ctl_flits) = self.sizes[data_words];
-        let (canon, hops) = self.mesh.send_counted(from, to, size, now.canon);
+        let (analytic, hops) = self.mesh.send_counted(from, to, size, now.analytic());
         let hops = hops as f64;
-        let mut arrival = now.advanced_to(canon);
+        let mut arrival = now.advanced_to(analytic);
         for (lane, overlay) in self.overlays.iter_mut().enumerate() {
             if let Some(model) = overlay {
                 // The analytic reservation is the congestion lower bound
-                // (DESIGN.md §11): a timed model may stall a message
-                // further, never deliver it faster, so every timed lane runs
-                // at or behind the canonical lane everywhere.
-                let raw = model.send(from, to, size, now.timed[lane]);
-                arrival.timed[lane] = arrival.timed[lane].max(raw);
+                // (DESIGN.md §11): another model may stall a message
+                // further, never deliver it faster, so every lane runs at
+                // or behind the analytic lane everywhere.
+                let raw = model.send(from, to, size, now.lanes[lane]);
+                arrival.lanes[lane] = arrival.lanes[lane].max(raw);
             }
         }
 
@@ -165,11 +165,11 @@ impl Net {
         self.mesh.total_flit_hops()
     }
 
-    /// Cycles messages have stalled in timed lane `lane`'s overlay beyond
-    /// their unloaded pipelines (0 on an analytic lane, which has no
-    /// overlay). Observer lane only.
-    pub(crate) fn timed_stall_cycles(&self, lane: usize) -> u64 {
-        self.overlays[lane]
+    /// Cycles messages have stalled in `model`'s overlay beyond their
+    /// unloaded pipelines (0 for the analytic model, which has no overlay).
+    /// Observer lane only.
+    pub(crate) fn timed_stall_cycles(&self, model: NetworkModelKind) -> u64 {
+        self.overlays[model.lane()]
             .as_ref()
             .map_or(0, |m| m.total_queueing_cycles())
     }
@@ -300,7 +300,7 @@ pub(crate) struct Engine<'wl> {
     pub(crate) l1_prof: Vec<CacheWasteProfiler>,
     pub(crate) l2_prof: CacheWasteProfiler,
     pub(crate) mem_prof: MemoryWasteProfiler,
-    /// Per core, the time it spent on each timed lane.
+    /// Per core, the time it spent on each network model's lane.
     pub(crate) time: Vec<LaneBreakdowns>,
     /// Geometry and region facts resolved once at construction.
     pub(crate) geo: GeomCache,
@@ -331,14 +331,14 @@ impl Family {
 
 impl<'wl> Engine<'wl> {
     /// The machine of `cfg.system`, cold, about to run `workload` under
-    /// `cfg.protocol` with timed lane `i` following `lanes[i]` (the
-    /// engine reads no other network model, `cfg.system.network` included).
-    pub(crate) fn new(cfg: SimConfig, lanes: &[NetworkModelKind], workload: &'wl Workload) -> Self {
+    /// `cfg.protocol` timed by the network models `timed` (the engine reads
+    /// no other, `cfg.system.network` included).
+    pub(crate) fn new(cfg: SimConfig, timed: &[NetworkModelKind], workload: &'wl Workload) -> Self {
         let cores = cfg.system.tiles();
         Engine {
             family: Family::of(cfg.protocol),
             tiles: build_tiles(&cfg.system, cfg.protocol),
-            net: Net::new(cfg.system.noc.clone(), lanes),
+            net: Net::new(cfg.system.noc.clone(), timed),
             geo: GeomCache::new(&cfg.system, &workload.regions),
             l1_prof: (0..cores)
                 .map(|_| CacheWasteProfiler::new(CacheLevel::L1))
@@ -444,9 +444,9 @@ impl<'wl> Engine<'wl> {
     /// Performs a DRAM access at controller `mc` and returns its completion
     /// cycle.
     ///
-    /// Row-buffer and queue state evolve on the canonical lane only, so
+    /// Row-buffer and queue state evolve on the analytic lane only, so
     /// DRAM behavior (access counts, row-hit rate) is identical across
-    /// network models; every timed lane inherits the same service duration.
+    /// network models; every other lane inherits the same service duration.
     pub(crate) fn dram_access(
         &mut self,
         mc: TileId,
@@ -458,7 +458,7 @@ impl<'wl> Engine<'wl> {
             .mc
             .as_mut()
             .expect("tile has a memory controller")
-            .access(line, write, at.canon);
+            .access(line, write, at.analytic());
         at.advanced_to(done)
     }
 

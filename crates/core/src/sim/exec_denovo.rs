@@ -313,8 +313,8 @@ impl Engine<'_> {
         if !was_registered {
             let mut flushes = self.tiles[core]
                 .write_combine
-                .record_write(line, w, now.canon);
-            flushes.extend(self.tiles[core].write_combine.expire(now.canon));
+                .record_write(line, w, now.analytic());
+            flushes.extend(self.tiles[core].write_combine.expire(now.analytic()));
             for (entry, _reason) in flushes {
                 self.denovo_send_registration(core, entry.line, entry.pending, now);
             }
@@ -605,7 +605,7 @@ mod tests {
     use super::*;
     use crate::sim::{SimConfig, Simulator};
     use tw_types::ProtocolKind::{self, *};
-    use tw_types::{BypassKind, CommRegion, RegionInfo, RegionTable};
+    use tw_types::{BypassKind, CommRegion, NetworkModelKind, RegionInfo, RegionTable};
     use tw_workloads::{BenchmarkKind, Workload};
 
     /// Lines `A`, `A + 1024` and `A + 2048` have their home at tile 0.
@@ -641,8 +641,10 @@ mod tests {
     /// it as a trip to memory (`ToMc`, `Mem`, `FromMc`).
     fn load(eng: &mut Engine, core: usize, addr: u64) -> (u64, u64, bool) {
         use TimeClass::*;
-        let stall =
-            |eng: &Engine| [OnChipHit, ToMc, Mem, FromMc].map(|c| eng.time[core].lane(0).get(c));
+        let stall = |eng: &Engine| {
+            [OnChipHit, ToMc, Mem, FromMc]
+                .map(|c| eng.time[core].lane(NetworkModelKind::Analytic).get(c))
+        };
         let reads = |eng: &Engine| -> u64 {
             let mcs = eng.tiles.iter().filter_map(|t| t.mc.as_ref());
             mcs.map(|mc| mc.stats().reads).sum()

@@ -1,7 +1,7 @@
 //! Execution-time attribution (Figure 5.2).
 
 use std::fmt;
-use tw_types::{Cycle, LANES};
+use tw_types::{Cycle, NetworkModelKind, LANES};
 
 /// The execution-time components of Figure 5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,14 +34,7 @@ impl TimeClass {
     /// Dense index in declaration (= `Ord`) order, used by
     /// [`ExecutionBreakdown`]'s fixed-size storage.
     const fn idx(self) -> usize {
-        match self {
-            TimeClass::Compute => 0,
-            TimeClass::OnChipHit => 1,
-            TimeClass::ToMc => 2,
-            TimeClass::Mem => 3,
-            TimeClass::FromMc => 4,
-            TimeClass::Sync => 5,
-        }
+        self as usize
     }
 
     /// The inverse of [`TimeClass::idx`].
@@ -136,7 +129,7 @@ impl ExecutionBreakdown {
     }
 }
 
-/// One core's [`ExecutionBreakdown`] on each timed lane of a run (see
+/// One core's [`ExecutionBreakdown`] on each network model's lane (see
 /// `tw_types::Stamp`): busy time is the same on every lane, a stall is
 /// charged to each lane with that lane's own duration.
 #[derive(Debug, Clone, Default)]
@@ -159,9 +152,9 @@ impl LaneBreakdowns {
         }
     }
 
-    /// The breakdown of timed lane `lane`.
-    pub(crate) fn lane(&self, lane: usize) -> &ExecutionBreakdown {
-        &self.0[lane]
+    /// The breakdown on `model`'s lane.
+    pub(crate) fn lane(&self, model: NetworkModelKind) -> &ExecutionBreakdown {
+        &self.0[model.lane()]
     }
 }
 
@@ -204,6 +197,13 @@ mod tests {
             ExecutionBreakdown::from_entries(std::iter::empty()),
             ExecutionBreakdown::new()
         );
+    }
+
+    #[test]
+    fn ord_is_the_declaration_order() {
+        for (i, class) in TimeClass::ORD.into_iter().enumerate() {
+            assert_eq!(class.idx(), i, "{class}");
+        }
     }
 
     #[test]

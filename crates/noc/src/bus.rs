@@ -12,14 +12,14 @@
 //! arbitration discipline over the same physical wires, so an *idle*
 //! transaction collapses to exactly the analytic unloaded latency
 //! ([`crate::mesh::unloaded_latency`]). That keeps the shared lower bound
-//! every model's `send` respects, and it is what lets the engine's canonical
-//! traffic lane stay bit-identical across models: the bus only ever *adds*
-//! waiting, never reroutes.
+//! every model's `send` respects, and it is what lets the engine's traffic,
+//! decided on the analytic lane, stay bit-identical across models: the bus
+//! only ever *adds* waiting, never reroutes.
 
 use crate::mesh::unloaded_latency;
 use crate::model::NetworkModel;
 use crate::packet::PacketSize;
-use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
+use tw_types::{Cycle, NocConfig, TileId};
 
 /// A shared snooping bus: deterministic FCFS arbitration, one transaction
 /// occupying the medium at a time.
@@ -63,10 +63,6 @@ impl SnoopBus {
 }
 
 impl NetworkModel for SnoopBus {
-    fn kind(&self) -> NetworkModelKind {
-        NetworkModelKind::SnoopBus
-    }
-
     /// Arbitration: the transaction wins the bus at `max(now, busy_until)`
     /// (FCFS in call order — the engine's deterministic event order makes
     /// this reproducible), occupies it for the serialization time of its

@@ -3,7 +3,7 @@
 use crate::link::{dense_links, link_at, link_index, xy_step, LinkId, LinkState};
 use crate::model::NetworkModel;
 use crate::packet::PacketSize;
-use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
+use tw_types::{Cycle, NocConfig, TileId};
 
 /// Dense indices (`link::link_index`) of the links a packet from `src` to
 /// `dst` crosses under XY dimension-order routing, in order. The one route
@@ -201,10 +201,6 @@ impl Mesh {
 }
 
 impl NetworkModel for Mesh {
-    fn kind(&self) -> NetworkModelKind {
-        NetworkModelKind::Analytic
-    }
-
     fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
         self.send_counted(src, dst, size, now).0
     }

@@ -19,9 +19,6 @@ use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
 /// One network timing model: stateful, deterministic, resolved once per
 /// simulation run.
 pub trait NetworkModel: std::fmt::Debug + Send {
-    /// The kind this model implements (the registry round-trip).
-    fn kind(&self) -> NetworkModelKind;
-
     /// Sends a packet, returning the cycle its tail arrives at `dst`.
     fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle;
 
@@ -61,9 +58,11 @@ mod tests {
 
     #[test]
     fn every_kind_resolves_and_round_trips() {
-        for kind in NetworkModelKind::ALL {
+        let fabrics = ["Mesh", "WormholeMesh", "SnoopBus"];
+        for (kind, fabric) in NetworkModelKind::ALL.into_iter().zip(fabrics) {
             let model = model_for(kind, NocConfig::default());
-            assert_eq!(model.kind(), kind);
+            let debug = format!("{model:?}");
+            assert!(debug.starts_with(&format!("{fabric} ")), "{kind}: {debug}");
             assert_eq!(model.packets(), 0);
         }
     }

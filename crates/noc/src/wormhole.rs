@@ -48,7 +48,7 @@ use crate::mesh::{unloaded_latency, Routes};
 use crate::model::NetworkModel;
 use crate::packet::PacketSize;
 use crate::router::OutPorts;
-use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
+use tw_types::{Cycle, NocConfig, TileId};
 
 /// The flit-level wormhole-routed mesh.
 #[derive(Debug, Clone)]
@@ -97,10 +97,6 @@ impl WormholeMesh {
 }
 
 impl NetworkModel for WormholeMesh {
-    fn kind(&self) -> NetworkModelKind {
-        NetworkModelKind::FlitLevel
-    }
-
     /// Simulates every flit of the packet through the route.
     ///
     /// Local delivery (`src == dst`) models the cache controller's internal

@@ -100,9 +100,9 @@ pub struct TraceDocument {
     pub streams: Vec<Vec<TraceOp>>,
 }
 
-/// The content digest of a trace given as its parts, so that
-/// [`TraceDocument::digest`] and a caller holding the streams in another
-/// container (`Workload::content_digest`) are the same code.
+/// The content digest of a trace given as its parts, so a caller holding
+/// the streams in another container (`Workload::content_digest`, over the
+/// benchmark name a trace replays as) digests them where they are.
 ///
 /// It digests the binary header (benchmark, input, core count, region
 /// table: the bytes a binary trace file starts with), then each core's
@@ -199,15 +199,6 @@ impl TraceDocument {
         let mut buf = Vec::new();
         self.write_binary(&mut buf)?;
         Ok(buf)
-    }
-
-    /// The canonical content digest of this trace ([`content_digest`]):
-    /// the header and the packed records, never the encoded streams, so a
-    /// document keeps its digest through either encoding — this is the
-    /// workload identity the experiment layer's cell identity and
-    /// result-cache keys are built from.
-    pub fn digest(&self) -> tw_types::Digest {
-        content_digest(&self.benchmark, &self.input, &self.regions, &self.streams)
     }
 
     /// The text encoding as a string.
@@ -316,6 +307,10 @@ mod tests {
         assert_eq!(doc.stats().len(), 2);
     }
 
+    fn digest_of(doc: &TraceDocument) -> tw_types::Digest {
+        content_digest(&doc.benchmark, &doc.input, &doc.regions, &doc.streams)
+    }
+
     proptest::proptest! {
         /// The digest is the content's, not an encoding's: a document read
         /// back from either encoding digests like the one written.
@@ -329,11 +324,11 @@ mod tests {
                 regions: binary::tests::regions_one(),
                 streams: binary::tests::streams_of(raw),
             };
-            let digest = doc.digest();
+            let digest = digest_of(&doc);
             let binary = TraceDocument::from_bytes(&doc.to_binary_bytes().unwrap()).unwrap();
-            proptest::prop_assert_eq!(binary.digest(), digest);
+            proptest::prop_assert_eq!(digest_of(&binary), digest);
             let text = TraceDocument::from_text(&doc.to_text()).unwrap();
-            proptest::prop_assert_eq!(text.digest(), digest);
+            proptest::prop_assert_eq!(digest_of(&text), digest);
         }
     }
 
@@ -343,7 +338,7 @@ mod tests {
     fn every_content_edit_moves_the_digest() {
         let mut digests = std::collections::BTreeSet::new();
         let mut distinct = |doc: &TraceDocument, what: &str| {
-            assert!(digests.insert(doc.digest()), "{what}");
+            assert!(digests.insert(digest_of(doc)), "{what}");
         };
         distinct(&sample_doc(), "the original");
         let others = [

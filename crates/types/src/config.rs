@@ -52,7 +52,7 @@ impl CacheConfig {
 /// How the on-chip network's timing is modeled (see `DESIGN.md` §11).
 ///
 /// Flit-hop *traffic* is identical under every model — routes are XY
-/// dimension-order either way and the canonical mesh ledger is always
+/// dimension-order either way and the analytic mesh's ledger is always
 /// maintained — so the choice only moves latency and execution time.
 /// `Analytic` is the fast default; `FlitLevel` simulates every flit through
 /// wormhole routers with per-port virtual channels, deterministic per-cycle
@@ -80,6 +80,12 @@ impl NetworkModelKind {
         NetworkModelKind::FlitLevel,
         NetworkModelKind::SnoopBus,
     ];
+
+    /// This model's lane of a [`Stamp`](crate::Stamp): its position in
+    /// [`NetworkModelKind::ALL`] (declaration order), so analytic is lane 0.
+    pub const fn lane(self) -> usize {
+        self as usize
+    }
 
     /// The spec-grammar / CLI name of this model (lowercase).
     pub const fn name(self) -> &'static str {
@@ -523,6 +529,14 @@ mod tests {
         assert!(err.contains("`garnet`"), "{err}");
         assert!(err.contains("analytic"), "{err}");
         assert_eq!(NetworkModelKind::default(), NetworkModelKind::Analytic);
+    }
+
+    #[test]
+    fn a_models_lane_is_its_position_in_all() {
+        for (i, kind) in NetworkModelKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.lane(), i, "{kind}");
+        }
+        assert_eq!(crate::LANES, NetworkModelKind::ALL.len());
     }
 
     #[test]

@@ -6,36 +6,31 @@ use std::ops::{Add, AddAssign};
 /// A simulation cycle count (core clock domain).
 pub type Cycle = u64;
 
-/// How many timed lanes a [`Stamp`] carries: one per network model, so one
-/// run can time a machine under every model at once.
+/// How many lanes a [`Stamp`] carries: one per network model, so one run
+/// can time a machine under every model at once.
 pub const LANES: usize = NetworkModelKind::ALL.len();
 
-/// A simulation timestamp: one canonical lane plus [`LANES`] timed lanes.
+/// A simulation timestamp: one cycle per network model, indexed by
+/// [`NetworkModelKind::lane`].
 ///
-/// The **canonical** lane is always advanced by the analytic network model
+/// The **analytic** lane (lane 0) is advanced by the analytic network model
 /// and is the only lane the engine consults for anything that influences
 /// *what happens*: core scheduling order, cache and directory state, the
 /// write-combining timeout, DRAM row-buffer evolution — and therefore every
-/// flit-hop and every waste classification. Each **timed** lane is advanced
-/// by one network model of the run and is what that model's reported
-/// execution time is built from; a run that times fewer models leaves the
-/// rest of the lanes analytic and never reports them.
+/// flit-hop and every waste classification. Every other lane is advanced by
+/// its own network model when the run times that model, and moves with the
+/// analytic lane otherwise; a model's reported execution time is built from
+/// its lane.
 ///
-/// An analytic lane equals the canonical lane at every point, so the
-/// default configuration reproduces the single-clock engine bit for bit.
-/// Under the flit-level and bus models a timed lane runs at or behind the
-/// canonical lane (per-send latencies are clamped to the analytic lower
+/// Under the flit-level and bus models a lane runs at or behind the
+/// analytic lane (per-send latencies are clamped to the analytic lower
 /// bound, see `DESIGN.md` §11), which is exactly what makes traffic
 /// bit-identical across network models while latency is free to grow under
 /// congestion — and what lets one run serve every model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Stamp {
-    /// Canonical-lane cycle (analytic network timing; orders all state
-    /// mutation).
-    pub canon: Cycle,
-    /// Timed-lane cycles, one per lane of the run (that lane's network
-    /// model; reported time).
-    pub timed: [Cycle; LANES],
+    /// The cycle of each network model's lane.
+    pub lanes: [Cycle; LANES],
 }
 
 impl Stamp {
@@ -43,44 +38,44 @@ impl Stamp {
     /// through network sends, never at creation).
     pub const fn at(cycle: Cycle) -> Self {
         Stamp {
-            canon: cycle,
-            timed: [cycle; LANES],
+            lanes: [cycle; LANES],
         }
     }
 
-    /// The stamp whose canonical lane is `canon` and whose timed lanes each
-    /// moved on by the same number of cycles: a step every lane takes at
-    /// the canonical lane's pace (an analytic send, a DRAM access).
+    /// The analytic lane's cycle: what orders every state change.
     #[inline(always)]
-    pub fn advanced_to(self, canon: Cycle) -> Stamp {
-        let step = canon - self.canon;
-        Stamp {
-            canon,
-            timed: self.timed.map(|t| t + step),
-        }
+    pub const fn analytic(self) -> Cycle {
+        self.lanes[NetworkModelKind::Analytic.lane()]
+    }
+
+    /// The stamp whose analytic lane is `analytic` and whose other lanes
+    /// each moved on by the same number of cycles: a step every lane takes
+    /// at the analytic lane's pace (an analytic send, a DRAM access).
+    #[inline(always)]
+    pub fn advanced_to(self, analytic: Cycle) -> Stamp {
+        self + (analytic - self.analytic())
     }
 
     /// Lane-wise maximum — the join of two arrival times.
     #[inline(always)]
     pub fn max(self, other: Stamp) -> Stamp {
         Stamp {
-            canon: self.canon.max(other.canon),
-            timed: std::array::from_fn(|lane| self.timed[lane].max(other.timed[lane])),
+            lanes: std::array::from_fn(|lane| self.lanes[lane].max(other.lanes[lane])),
         }
     }
 
-    /// Per-lane timed duration since `earlier` (saturating) — what each
-    /// lane's execution time breakdown is charged with.
+    /// Per-lane duration since `earlier` (saturating) — what each lane's
+    /// execution time breakdown is charged with.
     #[inline(always)]
     pub fn since(self, earlier: Stamp) -> [Cycle; LANES] {
-        std::array::from_fn(|lane| self.timed[lane].saturating_sub(earlier.timed[lane]))
+        std::array::from_fn(|lane| self.lanes[lane].saturating_sub(earlier.lanes[lane]))
     }
 
     /// Whether every lane is at or past `other` (time never runs backwards
     /// on any lane).
     #[inline(always)]
     pub fn not_before(self, other: Stamp) -> bool {
-        self.canon >= other.canon && self.timed.iter().zip(other.timed).all(|(&a, b)| a >= b)
+        self.lanes.iter().zip(other.lanes).all(|(&a, b)| a >= b)
     }
 }
 
@@ -97,8 +92,7 @@ impl Add<Cycle> for Stamp {
 impl AddAssign<Cycle> for Stamp {
     #[inline(always)]
     fn add_assign(&mut self, rhs: Cycle) {
-        self.canon += rhs;
-        for t in &mut self.timed {
+        for t in &mut self.lanes {
             *t += rhs;
         }
     }
@@ -111,37 +105,24 @@ mod tests {
     #[test]
     fn lanes_start_together_and_join_lane_wise() {
         let s = Stamp::at(10);
-        assert_eq!(s.timed, [s.canon; LANES]);
-        let a = Stamp {
-            canon: 5,
-            timed: [9, 5, 7],
-        };
-        let b = Stamp {
-            canon: 7,
-            timed: [8, 8, 7],
-        };
-        assert_eq!(
-            a.max(b),
-            Stamp {
-                canon: 7,
-                timed: [9, 8, 7]
-            }
-        );
-        assert_eq!((a + 3).timed, [12, 8, 10]);
+        assert_eq!(s.lanes, [s.analytic(); LANES]);
+        let a = Stamp { lanes: [5, 9, 7] };
+        let b = Stamp { lanes: [7, 8, 8] };
+        assert_eq!(a.max(b), Stamp { lanes: [7, 9, 8] });
+        assert_eq!((a + 3).lanes, [8, 12, 10]);
         assert_eq!(
             b.since(a),
-            [0, 3, 0],
+            [2, 0, 1],
             "since saturates instead of underflowing"
         );
-        assert_eq!(a.since(b), [1, 0, 0]);
+        assert_eq!(a.since(b), [0, 1, 0]);
         assert!(!a.not_before(b));
         assert!(!b.not_before(a), "one lane behind is behind");
         assert!(a.max(b).not_before(a));
         assert_eq!(
             a.advanced_to(11),
             Stamp {
-                canon: 11,
-                timed: [15, 11, 13]
+                lanes: [11, 15, 13]
             }
         );
     }
