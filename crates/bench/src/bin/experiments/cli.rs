@@ -134,7 +134,7 @@ pub static COMMANDS: &[Command] = &[
         .flags(&[SOCKET])
         .summary("ask a running daemon to finish its running submits and exit"),
     Command::new(&["help"], |_| {
-        println!("{}", help());
+        outln!("{}", help());
         Ok(ExitCode::SUCCESS)
     })
     .summary("print this text"),
@@ -226,7 +226,7 @@ daemon requests) are captured and written to FILE as trace JSONL
 BENCH_results.json and fuzz digests are byte-identical with and without it.
 
 exit codes (uniform across every subcommand):
-  0  success
+  0  success, or stdout closed early by its reader (as head -n 1 does)
   1  a check failed: trace diff divergence, profile diff divergence,
      roundtrip mismatch, fuzz invariant violations, failed fuzz self-test,
      a stale WORKLOADS.digests

@@ -43,9 +43,14 @@ pub fn submit(args: &Args) -> Result<ExitCode, String> {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut client = Client::connect(&socket(args))?;
     let reply = client.submit(&spec_text)?;
-    println!(
+    outln!(
         "plan `{}`: cells={} hits={} misses={} coalesced={} exec_us={}",
-        reply.plan, reply.cells, reply.hits, reply.misses, reply.coalesced, reply.exec_us,
+        reply.plan,
+        reply.cells,
+        reply.hits,
+        reply.misses,
+        reply.coalesced,
+        reply.exec_us,
     );
     if let Some(out) = args.value("--json") {
         crate::write_file(out, &reply.figures)?;
@@ -54,18 +59,18 @@ pub fn submit(args: &Args) -> Result<ExitCode, String> {
 }
 
 pub fn stats(args: &Args) -> Result<ExitCode, String> {
-    print!("{}", Client::connect(&socket(args))?.stats()?.pretty());
+    out!("{}", Client::connect(&socket(args))?.stats()?.pretty());
     Ok(ExitCode::SUCCESS)
 }
 
 pub fn metrics(args: &Args) -> Result<ExitCode, String> {
-    print!("{}", Client::connect(&socket(args))?.metrics()?);
+    out!("{}", Client::connect(&socket(args))?.metrics()?);
     Ok(ExitCode::SUCCESS)
 }
 
 pub fn shutdown(args: &Args) -> Result<ExitCode, String> {
     let socket = socket(args);
     Client::connect(&socket)?.shutdown()?;
-    println!("daemon at {} is shutting down", socket.display());
+    outln!("daemon at {} is shutting down", socket.display());
     Ok(ExitCode::SUCCESS)
 }

@@ -8,36 +8,36 @@ use tw_types::NetworkModelKind;
 
 fn print_headline(outcome: &PlanOutcome) -> Result<(), ExperimentError> {
     let h = outcome.headline()?;
-    println!("== Headline cross-benchmark averages (paper value in parentheses) ==");
-    println!(
+    outln!("== Headline cross-benchmark averages (paper value in parentheses) ==");
+    outln!(
         "DBypFull traffic vs MESI:    {:.3}  (paper ~0.605, i.e. a 39.5% reduction)",
         h.dbypfull_traffic_vs_mesi
     );
-    println!(
+    outln!(
         "DBypFull traffic vs MMemL1:  {:.3}  (paper ~0.648, i.e. a 35.2% reduction)",
         h.dbypfull_traffic_vs_mmeml1
     );
-    println!(
+    outln!(
         "DBypFull traffic vs DFlexL1: {:.3}  (paper ~0.811, i.e. an 18.9% reduction)",
         h.dbypfull_traffic_vs_dflexl1
     );
-    println!(
+    outln!(
         "DeNovo traffic vs MESI:      {:.3}  (paper ~0.861, i.e. a 13.9% reduction)",
         h.denovo_traffic_vs_mesi
     );
-    println!(
+    outln!(
         "DBypFull time vs MESI:       {:.3}  (paper ~0.895, i.e. a 10.5% reduction)",
         h.dbypfull_time_vs_mesi
     );
-    println!(
+    outln!(
         "MMemL1 time vs MESI:         {:.3}  (paper ~0.962, i.e. a 3.8% reduction)",
         h.mmeml1_time_vs_mesi
     );
-    println!(
+    outln!(
         "DBypFull residual waste:     {:.3}  (paper ~0.088)",
         h.dbypfull_waste_fraction
     );
-    println!(
+    outln!(
         "MESI overhead fraction:      {:.3}  (paper ~0.136)",
         h.mesi_overhead_fraction
     );
@@ -107,7 +107,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
         let (outcome, update) = outcome.zip(update_fig.as_ref()).expect("--json reads both");
         let doc = tw_bench::results_json(outcome, scale, update)?;
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
 
     // Every requested figure must contribute at least one cell; a run that
@@ -115,7 +115,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     let mut emitted_cells = 0usize;
     let mut emit = |fig: FigureTable| {
         emitted_cells += fig.rows().len();
-        println!("{fig}");
+        outln!("{fig}");
     };
 
     if let Some(outcome) = outcome {

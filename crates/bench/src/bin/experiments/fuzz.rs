@@ -85,7 +85,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
             synthesize(seed)
         };
         let outcome = runner.check(&wl);
-        println!(
+        outln!(
             "seed={seed} {} ops={} phases={} fp={:016x} digest={:016x} traffic={:016x} {}",
             if streaming { "streaming" } else { "general" },
             outcome.oracle.mem_ops(),
@@ -96,11 +96,11 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
             if outcome.ok() { "ok" } else { "VIOLATION" },
         );
         for v in &outcome.violations {
-            println!("  violation: {v}");
+            outln!("  violation: {v}");
             violations += 1;
         }
     }
-    println!(
+    outln!(
         "fuzz: {seeds} workloads x {} protocols, {violations} violations",
         runner.protocols.len(),
     );
@@ -130,26 +130,26 @@ fn self_test() -> ExitCode {
         let reference = match golden_execute(&wl) {
             Ok(r) => r,
             Err(race) => {
-                println!("self-test seed={seed}: reference workload races: {race}");
+                outln!("self-test seed={seed}: reference workload races: {race}");
                 return ExitCode::FAILURE;
             }
         };
         for (class, m) in Mutation::ALL.into_iter().enumerate() {
             let Some(mutated) = m.apply(&wl) else {
-                println!("self-test seed={seed} {}: no site", m.name());
+                outln!("self-test seed={seed} {}: no site", m.name());
                 continue;
             };
             applied_per_class[class] += 1;
             match detect(&reference, &mutated) {
                 Some(d) => {
-                    println!(
+                    outln!(
                         "self-test seed={seed} {}: detected ({})",
                         m.name(),
                         d.label()
                     );
                 }
                 None => {
-                    println!("self-test seed={seed} {}: UNDETECTED", m.name());
+                    outln!("self-test seed={seed} {}: UNDETECTED", m.name());
                     undetected += 1;
                 }
             }
@@ -158,11 +158,11 @@ fn self_test() -> ExitCode {
     let mut unexercised = 0usize;
     for (class, m) in Mutation::ALL.into_iter().enumerate() {
         if applied_per_class[class] == 0 {
-            println!("self-test: class {} was NEVER EXERCISED", m.name());
+            outln!("self-test: class {} was NEVER EXERCISED", m.name());
             unexercised += 1;
         }
     }
-    println!(
+    outln!(
         "self-test: {} mutations over {} classes, {} undetected, {} unexercised",
         applied_per_class.iter().sum::<usize>(),
         Mutation::ALL.len(),

@@ -27,7 +27,25 @@
 //!   connection errors.
 //!
 //! Every command's `run` returns `Ok(code)` for the first two and `Err` for
-//! the third; `main` is the only place an `Err` becomes exit 2.
+//! the third; `main` is the only place an `Err` becomes exit 2. A reader
+//! that closes stdout early (`| head -n 1`) ends the command quietly with
+//! exit 0: every command prints through `out!` and `outln!`.
+
+/// `print!` whose write to a closed pipe ends the process with exit 0
+/// (`write_stdout`).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` whose write to a closed pipe ends the process with exit 0
+/// (`write_stdout`).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 mod cli;
 mod daemon;
@@ -51,7 +69,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = cli::parse(&argv).and_then(|parsed| match parsed {
         cli::Parsed::Help(text) => {
-            println!("{text}");
+            outln!("{text}");
             Ok(ExitCode::SUCCESS)
         }
         cli::Parsed::Run(args) => (args.command.run)(&args),
@@ -60,6 +78,18 @@ fn main() -> ExitCode {
         eprintln!("error: {msg}");
         ExitCode::from(2)
     })
+}
+
+/// Writes to stdout. A reader that closed the pipe wants nothing more, so
+/// a broken pipe ends the process with exit 0; any other error panics, as
+/// `print!` does.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout(), args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
 }
 
 /// A fresh flight recorder plus a sink rooted at `track`.

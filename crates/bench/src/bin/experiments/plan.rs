@@ -17,7 +17,7 @@ pub fn builtin(args: &Args) -> Result<ExitCode, String> {
             .map(|n| NetworkModelKind::by_name(n.trim()))
             .collect::<Result<_, _>>()?;
     }
-    print!("{}", spec.to_json());
+    out!("{}", spec.to_json());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -29,7 +29,7 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
     let spec = ExperimentSpec::load(Path::new(&args.operands()[0]))?;
     let session = Session::new();
     let plan = session.compile(&spec, &WorkloadSet::new())?;
-    println!(
+    outln!(
         "plan `{}` ({} scale): {} protocols x {} rows = {} cells",
         plan.name,
         spec.scale.name(),
@@ -44,7 +44,7 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
         } else {
             names.join(" ")
         };
-        println!("axis {label}{names}");
+        outln!("axis {label}{names}");
     };
     axis(
         "protocols: ",
@@ -66,9 +66,9 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
         spec.networks.iter().map(|n| n.name()).collect(),
         "analytic (default)",
     );
-    println!("baseline:       {}", spec.baseline.name());
+    outln!("baseline:       {}", spec.baseline.name());
     for (label, sys) in &plan.variants {
-        println!(
+        outln!(
             "variant `{label}`: {} tiles, {} KB L1, {} KB L2/slice, {} network",
             sys.tiles(),
             sys.cache.l1_bytes / 1024,
@@ -89,14 +89,14 @@ pub fn show(args: &Args) -> Result<ExitCode, String> {
         } else {
             String::new()
         };
-        println!(
+        outln!(
             "  {:<28} {:<10} {identity} key {}{lane}",
             cell.label,
             cell.protocol.name(),
             group.key,
         );
     }
-    println!("{}", census(&groups));
+    outln!("{}", census(&groups));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -107,9 +107,9 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     let ran = run_plan(&[(spec, WorkloadSet::new())], args.value("--cache"), record)?;
     let outcome = &ran.outcomes[0];
     for fig in outcome.all_figures()? {
-        println!("{fig}");
+        outln!("{fig}");
     }
-    println!("{}", cache_line(&ran.outcomes));
+    outln!("{}", cache_line(&ran.outcomes));
     if let Some(path) = args.value("--json") {
         write_file(path, tw_bench::plan_figures_json(outcome)?)?;
     }

@@ -60,13 +60,13 @@ fn print_fast_path_shares(spans: &[tw_obs::Span]) {
     ];
     let share = |part: u64, of: u64| 100.0 * part as f64 / of.max(1) as f64;
     let row = |label: &str, [chunks, spills, finalizes, batched]: [u64; 4]| {
-        println!(
+        outln!(
             "  {label:<44} {chunks:>9} chunks {:>6.2}% spilled  {finalizes:>9} line finalisations {:>6.2}% batched",
             share(spills, chunks),
             share(batched, finalizes),
         );
     };
-    println!("profiler fast paths per simulated cell:");
+    outln!("profiler fast paths per simulated cell:");
     let mut total = [0u64; 4];
     let mut spilling = 0;
     let mut cells = 0;
@@ -109,16 +109,16 @@ fn print_profile(rec: &FlightRecorder, cells: usize, wall: std::time::Duration, 
         cell_rows.push((s.track.clone(), outcome, us));
     }
     let secs = wall.as_secs_f64().max(1e-9);
-    println!(
+    outln!(
         "profile: {} cells in {:.2?} — {:.1} cells/sec, {} spans recorded",
         cells,
         wall,
         cells as f64 / secs,
         rec.len(),
     );
-    println!("time per outcome class:");
+    outln!("time per outcome class:");
     for (class, (count, us)) in &classes {
-        println!(
+        outln!(
             "  {:<10} {:>5} cells  {:>10.1} ms total  {:>8.1} ms avg",
             class,
             count,
@@ -128,13 +128,13 @@ fn print_profile(rec: &FlightRecorder, cells: usize, wall: std::time::Duration, 
     }
     // Ties break by track so the listing order is reproducible.
     cell_rows.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-    println!(
+    outln!(
         "hottest cells (top {} of {} by recorded time):",
         top.min(cell_rows.len()),
         cell_rows.len(),
     );
     for (i, (track, outcome, us)) in cell_rows.iter().take(top).enumerate() {
-        println!(
+        outln!(
             "  {:>2}. {:<44} {:>10.1} ms  ({outcome})",
             i + 1,
             track,
@@ -152,11 +152,11 @@ pub fn diff(args: &Args) -> Result<ExitCode, String> {
     let tb = std::fs::read_to_string(b).map_err(|e| format!("cannot read {b}: {e}"))?;
     match tw_obs::diff_traces(&ta, &tb).map_err(|e| format!("invalid trace: {e}"))? {
         None => {
-            println!("identical modulo timing: {a} == {b}");
+            outln!("identical modulo timing: {a} == {b}");
             Ok(ExitCode::SUCCESS)
         }
         Some(divergence) => {
-            println!("traces diverge: {divergence}");
+            outln!("traces diverge: {divergence}");
             Ok(ExitCode::FAILURE)
         }
     }

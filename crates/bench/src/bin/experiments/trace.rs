@@ -26,7 +26,7 @@ fn protocol_of(args: &Args) -> Result<Option<ProtocolKind>, String> {
 }
 
 fn summarize(report: &SimReport) {
-    println!(
+    outln!(
         "{:<10} {:>14} cycles  {:>16.0} flit-hops  waste {:>6.3}  dram {:>10}",
         report.protocol.name(),
         report.total_cycles,
@@ -48,7 +48,7 @@ pub fn record(args: &Args) -> Result<ExitCode, String> {
     doc.save(Path::new(out), text)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     let stats = doc.total_stats();
-    println!(
+    outln!(
         "wrote {out}: {} cores, {} mem ops, {} barriers/core ({} format)",
         doc.cores(),
         stats.mem_ops(),
@@ -70,9 +70,11 @@ pub fn replay(args: &Args) -> Result<ExitCode, String> {
     let ran = run_plan(&[(spec, WorkloadSet::new())], None, None)?;
     let (cells, outcome) = (&ran.plans[0].cells, &ran.outcomes[0]);
     let workload = &cells[0].workload;
-    println!(
+    outln!(
         "replaying {input} ({}, \"{}\") at the {:?} profile",
-        workload.kind, workload.input, scale
+        workload.kind,
+        workload.input,
+        scale
     );
     for cell in cells {
         summarize(outcome.report(&cell.row, cell.protocol)?);
@@ -84,11 +86,11 @@ pub fn info(args: &Args) -> Result<ExitCode, String> {
     let input = &args.operands()[0];
     let doc =
         TraceDocument::load(Path::new(input)).map_err(|e| format!("cannot read {input}: {e}"))?;
-    println!("trace:     {input}");
-    println!("benchmark: {}", doc.benchmark);
-    println!("input:     {}", doc.input);
+    outln!("trace:     {input}");
+    outln!("benchmark: {}", doc.benchmark);
+    outln!("input:     {}", doc.input);
     let cores = doc.cores();
-    println!("cores:     {cores}");
+    outln!("cores:     {cores}");
     let (regions, stats) = (doc.regions.clone(), doc.stats());
     let mut accesses_by_region = std::collections::BTreeMap::<_, u64>::new();
     for op in doc.streams.iter().flatten() {
@@ -100,10 +102,10 @@ pub fn info(args: &Args) -> Result<ExitCode, String> {
     // digest of the workload it replays as. One that does not replay is
     // served under none.
     match Workload::from_trace(doc).and_then(|wl| wl.content_digest()) {
-        Ok(digest) => println!("digest:    {digest}"),
-        Err(e) => println!("digest:    none ({e})"),
+        Ok(digest) => outln!("digest:    {digest}"),
+        Err(e) => outln!("digest:    none ({e})"),
     }
-    println!("regions:   {}", regions.len());
+    outln!("regions:   {}", regions.len());
     for r in regions.iter() {
         let mut notes = vec![format!(
             "{} accesses",
@@ -115,7 +117,7 @@ pub fn info(args: &Args) -> Result<ExitCode, String> {
         if let Some(c) = &r.comm {
             notes.push(format!("flex {} useful words/obj", c.useful_words()));
         }
-        println!(
+        outln!(
             "  {} `{}` {:#x}+{} bytes ({})",
             r.id,
             r.name,
@@ -127,12 +129,16 @@ pub fn info(args: &Args) -> Result<ExitCode, String> {
     let mut total = TraceStats::default();
     for (core, s) in stats.iter().enumerate() {
         total.merge(s);
-        println!(
+        outln!(
             "  core {core:>2}: {:>9} ops ({:>9} LD, {:>9} ST, {:>9} compute cycles, {} barriers)",
-            s.ops, s.loads, s.stores, s.compute_cycles, s.barriers
+            s.ops,
+            s.loads,
+            s.stores,
+            s.compute_cycles,
+            s.barriers
         );
     }
-    println!(
+    outln!(
         "total:     {} ops, {} mem ops, {} barriers/core",
         total.ops,
         total.mem_ops(),
@@ -148,11 +154,11 @@ pub fn diff(args: &Args) -> Result<ExitCode, String> {
     let db = TraceDocument::load(Path::new(b)).map_err(|e| format!("cannot read {b}: {e}"))?;
     match tw_trace::diff(&da, &db) {
         None => {
-            println!("identical: {a} == {b}");
+            outln!("identical: {a} == {b}");
             Ok(ExitCode::SUCCESS)
         }
         Some(divergence) => {
-            println!("traces diverge at {divergence}");
+            outln!("traces diverge at {divergence}");
             Ok(ExitCode::FAILURE)
         }
     }
@@ -175,20 +181,20 @@ pub fn roundtrip(args: &Args) -> Result<ExitCode, String> {
     let bytes = doc.to_binary_bytes().map_err(|e| e.to_string())?;
     let decoded = TraceDocument::from_bytes(&bytes).map_err(|e| e.to_string())?;
     if let Some(d) = tw_trace::diff(&doc, &decoded) {
-        println!("FAIL: binary codec round trip diverges at {d}");
+        outln!("FAIL: binary codec round trip diverges at {d}");
         return Ok(ExitCode::FAILURE);
     }
     // Text codec round trip.
     let reparsed = TraceDocument::from_text(&doc.to_text()).map_err(|e| e.to_string())?;
     if let Some(d) = tw_trace::diff(&doc, &reparsed) {
-        println!("FAIL: text codec round trip diverges at {d}");
+        outln!("FAIL: text codec round trip diverges at {d}");
         return Ok(ExitCode::FAILURE);
     }
 
     let replayed_wl = Workload::from_trace(decoded).map_err(|e| e.to_string())?;
     let replayed = Simulator::new(cfg, &replayed_wl).run();
     if recorded != replayed {
-        println!(
+        outln!(
             "FAIL: replayed report differs (recorded {} cycles / {:.0} flit-hops, replayed {} cycles / {:.0} flit-hops)",
             recorded.total_cycles,
             recorded.total_flit_hops(),
@@ -197,7 +203,7 @@ pub fn roundtrip(args: &Args) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::FAILURE);
     }
-    println!(
+    outln!(
         "OK: record -> encode({} bytes) -> decode -> replay is bit-identical ({} cycles, {:.0} flit-hops)",
         bytes.len(),
         recorded.total_cycles,

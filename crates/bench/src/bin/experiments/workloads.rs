@@ -34,7 +34,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
         }
         eprintln!("{FILE}: every line is what the generators make");
     } else {
-        print!("{table}");
+        out!("{table}");
     }
     Ok(ExitCode::SUCCESS)
 }

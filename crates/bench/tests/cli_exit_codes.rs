@@ -516,3 +516,33 @@ fn trace_info_prints_the_digest_plan_show_keys_on() {
     assert!(info.contains("  core 15:"), "{info}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that closes stdout before the command writes (`| head -n 1`
+/// once it has its line) ends the command quietly with exit 0, not with a
+/// panic.
+#[test]
+fn a_closed_stdout_ends_the_command_with_exit_zero() {
+    let dir = scratch("closed-stdout");
+    let (code, plan, stderr) = run_in(&dir, &["plan", "builtin", "--tiny"]);
+    assert_eq!(code, 0, "{stderr}");
+    std::fs::write(dir.join("p.json"), plan).unwrap();
+    let (code, _, stderr) = run_in(
+        &dir,
+        &["trace", "record", "a.trace", "--tiny", "--bench", "FFT"],
+    );
+    assert_eq!(code, 0, "{stderr}");
+    for args in [&["plan", "show", "p.json"], &["trace", "info", "a.trace"]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .current_dir(&dir)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

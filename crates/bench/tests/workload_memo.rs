@@ -12,7 +12,7 @@ use denovo_waste::{
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
 use tw_types::ProtocolKind;
-use tw_workloads::{build_tiny, BenchmarkKind};
+use tw_workloads::BenchmarkKind;
 
 /// A Tiny spec over non-empty subsets of the protocols and benchmarks,
 /// optionally swept over a second, smaller mesh (so one benchmark is needed
@@ -128,7 +128,7 @@ fn a_trace_file_is_read_on_every_compile() {
     spec.workloads = vec![WorkloadSpec::trace("from-file", &path)];
     let session = Session::new();
     let digest_after_writing = |kind| {
-        let workload = build_tiny(kind, 16).unwrap();
+        let workload = ScaleProfile::Tiny.try_workload(kind, 16).unwrap();
         workload.to_trace().save(&path, false).unwrap();
         let plan = session.compile(&spec, &WorkloadSet::new()).unwrap();
         assert_eq!(

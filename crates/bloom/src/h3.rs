@@ -2,8 +2,10 @@
 //!
 //! The paper's filters use a single H3 hash function. H3 hashes an *n*-bit
 //! key to an *m*-bit index by XOR-ing together, for every set key bit, a
-//! fixed random *m*-bit row of a matrix. The matrix here is generated from a
-//! small deterministic PRNG so that simulations are reproducible.
+//! fixed random *m*-bit row of a matrix. The matrix here is drawn from a
+//! seeded [`SplitMix64`] stream so that simulations are reproducible.
+
+use tw_types::splitmix::{SplitMix64, GAMMA};
 
 /// An H3 hash function from 64-bit keys to indices in `[0, 1 << index_bits)`.
 #[derive(Debug, Clone)]
@@ -24,21 +26,9 @@ impl H3Hash {
             index_bits > 0 && index_bits <= 32,
             "index_bits must be 1..=32"
         );
-        // SplitMix64: small, deterministic, good avalanche behaviour.
-        let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut rows = [0u64; 64];
-        for row in rows.iter_mut() {
-            *row = next();
-        }
+        let mut stream = SplitMix64::new(seed.wrapping_add(GAMMA));
         H3Hash {
-            rows,
+            rows: std::array::from_fn(|_| stream.next_u64()),
             mask: (1u64 << index_bits) - 1,
         }
     }

@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 use tw_types::Digest;
-use tw_workloads::{BenchmarkKind, Workload};
+use tw_workloads::{BenchmarkKind, Generator, Workload};
 
 /// What a workload is generated from.
 pub(super) type MemoKey = (BenchmarkKind, ScaleProfile, usize);
@@ -110,7 +110,7 @@ fn render_line((kind, scale, cores): MemoKey, line: &Line) -> String {
 
 /// The line of `key`, freshly digested.
 fn digest_line((kind, scale, cores): MemoKey) -> Result<Line, String> {
-    let generator = scale.generator(kind)?;
+    let generator = Generator::new(kind, scale)?;
     let (workload, digest) = generator.digested(cores)?;
     let (records, mem_ops) = (workload.traces.record_count(), workload.traces.mem_ops());
     let (_, header) = generator.committed(cores, digest, records, mem_ops)?;
@@ -265,7 +265,7 @@ impl WorkloadMemo {
     /// The entry of `key`: its committed line when the generator's header
     /// still digests to the line's, else the digest pass.
     fn build(&self, (kind, scale, cores): MemoKey) -> Entry {
-        let generator = scale.generator(kind).map_err(ExperimentError::Workload)?;
+        let generator = Generator::new(kind, scale).map_err(ExperimentError::Workload)?;
         if let Some(line) = self.table.get(&(kind, scale, cores)) {
             let (workload, header) = generator
                 .committed(cores, line.digest, line.records, line.mem_ops)

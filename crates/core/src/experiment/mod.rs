@@ -30,88 +30,14 @@ pub use session::{
     TEMP_SWEEP_AGE,
 };
 
-use tw_types::SystemConfig;
-use tw_workloads::{BenchmarkKind, Generator, Workload};
-
-/// Which input scale to run (see DESIGN.md §7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ScaleProfile {
-    /// The paper's input sizes on the Table 4.1 system. Slow; intended for
-    /// full reproduction runs.
-    Paper,
-    /// Scaled-down inputs with the L2 shrunk proportionally so every
-    /// working-set-to-cache relationship of the paper is preserved. This is
-    /// the default for `EXPERIMENTS.md`.
-    Scaled,
-    /// Miniature inputs for tests and benchmark smoke runs.
-    Tiny,
-}
-
-impl ScaleProfile {
-    /// The spec-grammar name of this profile (lowercase).
-    pub const fn name(self) -> &'static str {
-        match self {
-            ScaleProfile::Paper => "paper",
-            ScaleProfile::Scaled => "scaled",
-            ScaleProfile::Tiny => "tiny",
-        }
-    }
-
-    /// Resolves a profile from its spec-grammar name (case-insensitive).
-    pub fn by_name(name: &str) -> Result<ScaleProfile, String> {
-        [
-            ScaleProfile::Paper,
-            ScaleProfile::Scaled,
-            ScaleProfile::Tiny,
-        ]
-        .into_iter()
-        .find(|s| s.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown scale `{name}`; expected paper | scaled | tiny"))
-    }
-
-    /// The system configuration this profile simulates.
-    pub fn system(self) -> SystemConfig {
-        let mut sys = SystemConfig::default();
-        match self {
-            ScaleProfile::Paper => {}
-            ScaleProfile::Scaled => {
-                // 64 KB slices (1 MB total): keeps "working set >> L2" true
-                // for fluidanimate/FFT/radix/kD-tree and "working set << L2"
-                // true for LU/Barnes at the scaled input sizes.
-                sys.cache.l2_slice_bytes = 64 * 1024;
-            }
-            ScaleProfile::Tiny => {
-                sys.cache.l1_bytes = 16 * 1024;
-                sys.cache.l2_slice_bytes = 32 * 1024;
-            }
-        }
-        sys
-    }
-
-    /// The generator of one benchmark at this scale. The trace-only kinds
-    /// (`Custom`, `Synthesized`) have no fixed-input generator and are
-    /// reported as an error — feed those through a plan's `provided`
-    /// workloads instead.
-    pub fn generator(self, bench: BenchmarkKind) -> Result<Generator, String> {
-        match self {
-            ScaleProfile::Paper => Generator::paper(bench),
-            ScaleProfile::Scaled => Generator::scaled(bench),
-            ScaleProfile::Tiny => Generator::tiny(bench),
-        }
-    }
-
-    /// Builds the workload for one benchmark at this scale, every record in
-    /// memory (errors as [`ScaleProfile::generator`]).
-    pub fn try_workload(self, bench: BenchmarkKind, cores: usize) -> Result<Workload, String> {
-        self.generator(bench)?.build(cores)
-    }
-}
+// Defined beside the input table in `tw-workloads`; re-exported at its old path.
+pub use tw_workloads::ScaleProfile;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tw_types::ProtocolKind;
-    use tw_workloads::build_tiny;
+    use tw_workloads::{build_tiny, BenchmarkKind, Workload};
 
     fn tiny_outcome() -> PlanOutcome {
         let spec = ExperimentSpec::subset(
@@ -257,35 +183,6 @@ mod tests {
             matches!(err, ExperimentError::CoreCountMismatch { .. }),
             "{err}"
         );
-    }
-
-    #[test]
-    fn scale_profiles_produce_distinct_systems() {
-        assert_eq!(
-            ScaleProfile::Paper.system().cache.l2_slice_bytes,
-            256 * 1024
-        );
-        assert_eq!(
-            ScaleProfile::Scaled.system().cache.l2_slice_bytes,
-            64 * 1024
-        );
-        assert!(ScaleProfile::Tiny.system().cache.l1_bytes < 32 * 1024);
-        assert!(ScaleProfile::Paper.system().validate().is_ok());
-        assert!(ScaleProfile::Scaled.system().validate().is_ok());
-        assert!(ScaleProfile::Tiny.system().validate().is_ok());
-    }
-
-    #[test]
-    fn scale_names_round_trip() {
-        for s in [
-            ScaleProfile::Paper,
-            ScaleProfile::Scaled,
-            ScaleProfile::Tiny,
-        ] {
-            assert_eq!(ScaleProfile::by_name(s.name()), Ok(s));
-            assert_eq!(ScaleProfile::by_name(&s.name().to_uppercase()), Ok(s));
-        }
-        assert!(ScaleProfile::by_name("huge").is_err());
     }
 
     #[test]

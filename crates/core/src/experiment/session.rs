@@ -988,15 +988,16 @@ mod tests {
         .compile(&WorkloadSet::new())
         .unwrap();
         let fft = &plan.cells[0].workload;
-        let (stale, _) = tw_workloads::Generator::tiny(tw_workloads::BenchmarkKind::Fft)
-            .unwrap()
-            .committed(
-                16,
-                Digest(1),
-                fft.traces.record_count(),
-                fft.traces.mem_ops(),
-            )
-            .unwrap();
+        let (stale, _) =
+            tw_workloads::Generator::new(tw_workloads::BenchmarkKind::Fft, ScaleProfile::Tiny)
+                .unwrap()
+                .committed(
+                    16,
+                    Digest(1),
+                    fft.traces.record_count(),
+                    fft.traces.mem_ops(),
+                )
+                .unwrap();
         let stale = Arc::new(stale);
         for cell in &mut plan.cells {
             cell.workload = Arc::clone(&stale);
@@ -1019,10 +1020,11 @@ mod tests {
     /// A lazy Tiny FFT workload on four cores: its digest pass is done, its
     /// records are not built.
     fn lazy_fft() -> Arc<Workload> {
-        let (workload, _) = tw_workloads::Generator::tiny(tw_workloads::BenchmarkKind::Fft)
-            .unwrap()
-            .digested(4)
-            .unwrap();
+        let (workload, _) =
+            tw_workloads::Generator::new(tw_workloads::BenchmarkKind::Fft, ScaleProfile::Tiny)
+                .unwrap()
+                .digested(4)
+                .unwrap();
         assert!(!workload.traces.is_built());
         Arc::new(workload)
     }

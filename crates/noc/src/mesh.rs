@@ -388,15 +388,9 @@ mod tests {
 
     #[test]
     fn sends_match_a_reference_that_walks_coordinates() {
-        // Seeded (SplitMix64), so a failure names the same send every run.
-        let mut state = 0x5EED_u64;
-        let mut next = move |n: usize| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        };
+        // Seeded, so a failure names the same send every run.
+        let mut stream = tw_types::SplitMix64::new(0x5EED);
+        let mut next = move |n: usize| (stream.next_u64() % n as u64) as usize;
         for (cols, rows) in SHAPES {
             let cfg = shaped(cols, rows);
             let (r, l) = (cfg.router_latency, cfg.link_latency);

@@ -520,15 +520,8 @@ mod tests {
         } else {
             1_000_000
         };
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move |n: u64| {
-            // SplitMix64.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
-        };
+        let mut stream = tw_types::SplitMix64::new(0x9E37_79B9_7F4A_7C15);
+        let mut next = move |n: u64| stream.next_u64() % n;
         let mut p = MemoryWasteProfiler::new();
         let mut r = Reference::default();
         for i in 1..=events {

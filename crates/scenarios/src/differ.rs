@@ -486,7 +486,7 @@ mod tests {
 
     #[test]
     fn core_count_mismatch_is_reported_not_panicked() {
-        let mut cfg = SynthConfig::tiny(1);
+        let mut cfg = SynthConfig::general(1);
         cfg.cores = 4;
         let runner = DifferentialRunner::new(ScaleProfile::Tiny);
         let out = runner.check(&cfg.build());

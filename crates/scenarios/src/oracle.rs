@@ -24,7 +24,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use tw_types::{Addr, MemKind, Record, TraceOp};
+use tw_types::splitmix::GAMMA;
+use tw_types::{mix64, Addr, MemKind, Record, TraceOp};
 use tw_workloads::Workload;
 
 /// A data race: within one barrier phase a stored word was touched by more
@@ -91,14 +92,6 @@ impl OracleReport {
     }
 }
 
-/// splitmix64's finalizer: the cheap, deterministic mixer every hash in the
-/// oracle is built from.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Order-sensitive fold of one record into a running fingerprint — the
 /// primitive every deterministic digest in the fuzz pipeline is built from
 /// (the oracle fingerprint here, the per-protocol summary digest in
@@ -106,7 +99,7 @@ fn mix64(mut z: u64) -> u64 {
 pub fn fold(h: u64, parts: [u64; 4]) -> u64 {
     let mut acc = h;
     for p in parts {
-        acc = mix64(acc ^ p).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        acc = mix64(acc ^ p).wrapping_add(GAMMA);
     }
     acc
 }

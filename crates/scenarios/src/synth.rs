@@ -102,7 +102,7 @@ pub struct SynthConfig {
 impl SynthConfig {
     /// The general-purpose preset: a few instances of random primitives on
     /// the tiny 16-tile geometry.
-    pub fn tiny(seed: u64) -> Self {
+    pub fn general(seed: u64) -> Self {
         SynthConfig {
             seed,
             cores: 16,
@@ -213,7 +213,7 @@ const SEED_DOMAIN: u64 = 0x5eed_5ce4_a210_97c3;
 /// Synthesizes the default (general-preset) workload for a seed: the entry
 /// point `experiments fuzz` and the property tests use.
 pub fn synthesize(seed: u64) -> Workload {
-    SynthConfig::tiny(seed).build()
+    SynthConfig::general(seed).build()
 }
 
 /// Whether every region that a workload's streams actually access is a

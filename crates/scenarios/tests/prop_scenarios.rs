@@ -113,7 +113,7 @@ proptest! {
         pattern_idx in 0usize..SharingPattern::ALL.len(),
     ) {
         let pattern = SharingPattern::ALL[pattern_idx];
-        let mut cfg = SynthConfig::tiny(seed);
+        let mut cfg = SynthConfig::general(seed);
         cfg.only = Some(pattern);
         let wl = cfg.build();
         let runner = DifferentialRunner {

@@ -32,6 +32,7 @@ pub mod mask;
 pub mod message;
 pub mod protocol;
 pub mod region;
+pub mod splitmix;
 pub mod stats;
 pub mod trace;
 
@@ -47,5 +48,6 @@ pub use mask::WordMask;
 pub use message::{MessageClass, MessageKind, TrafficBucket};
 pub use protocol::ProtocolKind;
 pub use region::{BypassKind, CommRegion, RegionId, RegionInfo, RegionTable};
+pub use splitmix::{mix64, SplitMix64};
 pub use stats::{Cycle, Stamp, LANES};
 pub use trace::{MemKind, Record, TraceOp, TraceStats, TRACE_ADDR_LIMIT};

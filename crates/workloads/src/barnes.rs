@@ -14,8 +14,8 @@
 //!   apply (§5.3).
 
 use crate::builder::{even_share, ArrayLayout};
-use crate::generator::{Collect, Sink};
-use crate::workload::{BenchmarkKind, Workload};
+use crate::generator::Sink;
+use crate::workload::BenchmarkKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tw_types::{CommRegion, RegionId, RegionInfo, RegionTable, WORD_BYTES};
@@ -24,6 +24,8 @@ use tw_types::{CommRegion, RegionId, RegionInfo, RegionTable, WORD_BYTES};
 pub const BODY_BYTES: u64 = 120;
 /// Size of one tree-cell record in bytes.
 pub const CELL_BYTES: u64 = 200;
+/// PRNG seed for the traversal pattern.
+const SEED: u64 = 0xBA51;
 
 /// Configuration for the Barnes-Hut trace generator.
 #[derive(Debug, Clone)]
@@ -34,52 +36,9 @@ pub struct BarnesConfig {
     pub cells_per_body: usize,
     /// Direct body–body interactions sampled per body.
     pub leaf_interactions: usize,
-    /// PRNG seed for the traversal pattern.
-    pub seed: u64,
 }
 
 impl BarnesConfig {
-    /// The paper's input: 16 K bodies.
-    pub fn paper() -> Self {
-        BarnesConfig {
-            bodies: 16 * 1024,
-            cells_per_body: 24,
-            leaf_interactions: 4,
-            seed: 0xBA51,
-        }
-    }
-
-    /// Scaled default: 2 K bodies.
-    pub fn scaled() -> Self {
-        BarnesConfig {
-            bodies: 2 * 1024,
-            cells_per_body: 20,
-            leaf_interactions: 4,
-            seed: 0xBA51,
-        }
-    }
-
-    /// Miniature input for unit tests.
-    pub fn tiny() -> Self {
-        BarnesConfig {
-            bodies: 256,
-            cells_per_body: 6,
-            leaf_interactions: 2,
-            seed: 0xBA51,
-        }
-    }
-
-    /// Builds the workload for `cores` cores.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `bodies` is not divisible by `cores`.
-    pub fn build(&self, cores: usize) -> Result<Workload, String> {
-        let mut sink = Collect::default();
-        self.emit(cores, &mut sink)?;
-        Ok(sink.into_workload())
-    }
-
     /// Emits the workload for `cores` cores into `sink`, one core at a time.
     pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
         let per_core = even_share(self.bodies, "Barnes-Hut bodies", cores)?;
@@ -118,7 +77,7 @@ impl BarnesConfig {
 
         // One generator draws every core's traversal in core order, so the
         // trace is deterministic.
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         for core in 0..cores as u64 {
             let mut t = sink.builder();
             let lo = core * per_core;
@@ -185,10 +144,26 @@ impl BarnesConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Generator, ScaleProfile, Workload};
+
+    /// The Barnes-Hut input at `scale`.
+    fn input(scale: ScaleProfile) -> BarnesConfig {
+        match Generator::new(BenchmarkKind::Barnes, scale) {
+            Ok(Generator::Barnes(config)) => config,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The Tiny Barnes-Hut workload on `cores` cores.
+    fn tiny_workload(cores: usize) -> Workload {
+        Generator::Barnes(input(ScaleProfile::Tiny))
+            .build(cores)
+            .unwrap()
+    }
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = BarnesConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         wl.assert_well_formed();
         assert_eq!(wl.barriers(), 3);
         assert_eq!(wl.kind, BenchmarkKind::Barnes);
@@ -202,7 +177,7 @@ mod tests {
 
     #[test]
     fn flex_communication_regions_are_smaller_than_objects() {
-        let wl = BarnesConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         let (info, comm) = wl.regions.comm_region(RegionId(1)).unwrap();
         assert_eq!(info.name, "bodies");
         assert!(comm.useful_words() * 4 < BODY_BYTES as usize);
@@ -212,14 +187,14 @@ mod tests {
 
     #[test]
     fn no_bypass_regions() {
-        let wl = BarnesConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         assert!(!wl.regions.bypasses_l2(RegionId(1)));
         assert!(!wl.regions.bypasses_l2(RegionId(2)));
     }
 
     #[test]
     fn tree_build_happens_only_on_core_zero() {
-        let wl = BarnesConfig::tiny().build(8).unwrap();
+        let wl = tiny_workload(8);
         let ops_before_first_barrier = |core: usize| {
             wl.traces[core]
                 .iter()
@@ -239,14 +214,14 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let a = BarnesConfig::tiny().build(4).unwrap();
-        let b = BarnesConfig::tiny().build(4).unwrap();
+        let a = tiny_workload(4);
+        let b = tiny_workload(4);
         assert_eq!(a.traces, b.traces);
     }
 
     #[test]
     fn paper_and_scaled_sizes() {
-        assert_eq!(BarnesConfig::paper().bodies, 16 * 1024);
-        assert_eq!(BarnesConfig::scaled().bodies, 2 * 1024);
+        assert_eq!(input(ScaleProfile::Paper).bodies, 16 * 1024);
+        assert_eq!(input(ScaleProfile::Scaled).bodies, 2 * 1024);
     }
 }

@@ -13,8 +13,8 @@
 //!   butterfly phase (§5.2.1, "secondary benefit" discussion).
 
 use crate::builder::{even_share, ArrayLayout};
-use crate::generator::{Collect, Sink};
-use crate::workload::{BenchmarkKind, Workload};
+use crate::generator::Sink;
+use crate::workload::BenchmarkKind;
 use tw_types::{BypassKind, RegionId, RegionInfo, RegionTable};
 
 /// Configuration for the FFT trace generator.
@@ -27,41 +27,6 @@ pub struct FftConfig {
 }
 
 impl FftConfig {
-    /// The paper's input: 256 K points.
-    pub fn paper() -> Self {
-        FftConfig {
-            points: 256 * 1024,
-            compute_per_point: 8,
-        }
-    }
-
-    /// Scaled default input (see DESIGN.md §7): 32 K points.
-    pub fn scaled() -> Self {
-        FftConfig {
-            points: 32 * 1024,
-            compute_per_point: 8,
-        }
-    }
-
-    /// Miniature input for unit tests.
-    pub fn tiny() -> Self {
-        FftConfig {
-            points: 1024,
-            compute_per_point: 2,
-        }
-    }
-
-    /// Builds the workload for `cores` cores.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `points` is not divisible by `cores`.
-    pub fn build(&self, cores: usize) -> Result<Workload, String> {
-        let mut sink = Collect::default();
-        self.emit(cores, &mut sink)?;
-        Ok(sink.into_workload())
-    }
-
     /// Emits the workload for `cores` cores into `sink`, one core at a time.
     pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
         let per_core = even_share(self.points, "FFT points", cores)?;
@@ -146,11 +111,27 @@ impl FftConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Generator, ScaleProfile, Workload};
     use tw_types::Record;
+
+    /// The FFT input at `scale`.
+    fn input(scale: ScaleProfile) -> FftConfig {
+        match Generator::new(BenchmarkKind::Fft, scale) {
+            Ok(Generator::Fft(config)) => config,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The Tiny FFT workload on `cores` cores.
+    fn tiny_workload(cores: usize) -> Workload {
+        Generator::Fft(input(ScaleProfile::Tiny))
+            .build(cores)
+            .unwrap()
+    }
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = FftConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         wl.assert_well_formed();
         assert_eq!(wl.cores(), 16);
         assert_eq!(wl.barriers(), 3);
@@ -159,7 +140,7 @@ mod tests {
 
     #[test]
     fn transpose_destination_is_written_before_read() {
-        let wl = FftConfig::tiny().build(4).unwrap();
+        let wl = tiny_workload(4);
         // In phase 1 the first touch of any trans element must be a store.
         let trans_base = 0x2000_0000u64;
         for trace in &wl.traces {
@@ -191,7 +172,7 @@ mod tests {
 
     #[test]
     fn working_array_is_marked_read_then_overwritten() {
-        let wl = FftConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         assert_eq!(
             wl.regions.get(RegionId(1)).unwrap().bypass,
             BypassKind::ReadThenOverwritten
@@ -202,31 +183,31 @@ mod tests {
 
     #[test]
     fn every_access_is_inside_a_region() {
-        FftConfig::tiny().build(16).unwrap().assert_well_formed();
+        tiny_workload(16).assert_well_formed();
     }
 
     #[test]
     #[should_panic(expected = "1000 FFT points do not divide evenly among 16 cores")]
     fn uneven_core_split_is_rejected() {
-        FftConfig {
+        Generator::Fft(FftConfig {
             points: 1000,
             compute_per_point: 1,
-        }
+        })
         .build(16)
         .unwrap();
     }
 
     #[test]
     fn paper_and_scaled_sizes() {
-        assert_eq!(FftConfig::paper().points, 262_144);
-        assert_eq!(FftConfig::scaled().points, 32_768);
-        let all_loads_stores = FftConfig::tiny().build(16).unwrap().total_mem_ops();
+        assert_eq!(input(ScaleProfile::Paper).points, 262_144);
+        assert_eq!(input(ScaleProfile::Scaled).points, 32_768);
+        let all_loads_stores = tiny_workload(16).total_mem_ops();
         assert!(all_loads_stores > 10_000);
     }
 
     #[test]
     fn roots_region_is_read_only_in_parallel_phases() {
-        let wl = FftConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         assert!(
             !wl.regions
                 .get(RegionId(3))

@@ -16,8 +16,8 @@
 //!   grid highly variable L2 reuse distance (§5.3).
 
 use crate::builder::ArrayLayout;
-use crate::generator::{Collect, Sink};
-use crate::workload::{BenchmarkKind, Workload};
+use crate::generator::Sink;
+use crate::workload::BenchmarkKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tw_types::{BypassKind, RegionId, RegionInfo, RegionTable};
@@ -28,6 +28,10 @@ pub const SLOT_BYTES: u64 = 40;
 pub const SLOTS_PER_CELL: u64 = 16;
 /// Bytes per cell (16 slots plus a count word, padded).
 pub const CELL_BYTES: u64 = SLOT_BYTES * SLOTS_PER_CELL + 64;
+/// Frames simulated.
+const FRAMES: usize = 1;
+/// PRNG seed for cell occupancy.
+const SEED: u64 = 0xF1D0;
 
 /// Configuration for the fluidanimate trace generator.
 #[derive(Debug, Clone)]
@@ -36,56 +40,20 @@ pub struct FluidanimateConfig {
     pub grid: usize,
     /// Mean number of occupied particle slots per cell (of 16).
     pub mean_particles: usize,
-    /// Number of frames to simulate.
-    pub frames: usize,
-    /// PRNG seed for cell occupancy.
-    pub seed: u64,
 }
 
 impl FluidanimateConfig {
-    /// The paper's input (simmedium): roughly a 30×34×30 grid.
-    pub fn paper() -> Self {
-        FluidanimateConfig {
-            grid: 30,
-            mean_particles: 6,
-            frames: 1,
-            seed: 0xF1D0,
-        }
-    }
-
-    /// Scaled default: 10×10×10 grid, one frame.
-    pub fn scaled() -> Self {
-        FluidanimateConfig {
-            grid: 10,
-            mean_particles: 6,
-            frames: 1,
-            seed: 0xF1D0,
-        }
-    }
-
-    /// Miniature input for unit tests.
-    pub fn tiny() -> Self {
-        FluidanimateConfig {
-            grid: 4,
-            mean_particles: 4,
-            frames: 1,
-            seed: 0xF1D0,
-        }
-    }
-
-    /// Builds the workload for `cores` cores.
-    pub fn build(&self, cores: usize) -> Workload {
-        let mut sink = Collect::default();
-        self.emit(cores, &mut sink);
-        sink.into_workload()
-    }
-
     /// Emits the workload for `cores` cores into `sink`, one core at a
     /// time: each core walks only its own slab of cells, in the order the
     /// whole grid is walked, so its stream is what it would be if the cores
     /// were built side by side.
-    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) {
-        assert!(cores > 0);
+    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
+        if cores == 0 {
+            return Err("fluidanimate cannot run on 0 cores".to_string());
+        }
+        if self.mean_particles == 0 {
+            return Err("fluidanimate needs at least one particle per cell".to_string());
+        }
         let g = self.grid as u64;
         let ncell = g * g * g;
 
@@ -113,13 +81,13 @@ impl FluidanimateConfig {
         regions.insert(r2);
         let input = format!(
             "{0}x{0}x{0} grid, ~{1} particles/cell, {2} frame(s)",
-            self.grid, self.mean_particles, self.frames
+            self.grid, self.mean_particles, FRAMES
         );
         if !sink.header(BenchmarkKind::Fluidanimate, input, regions, cores) {
-            return;
+            return Ok(());
         }
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         // Occupancy of each cell: 1..=min(2*mean, 16) particles.
         let occupancy: Vec<u64> = (0..ncell)
             .map(|_| rng.gen_range(1..=(2 * self.mean_particles as u64).min(SLOTS_PER_CELL)))
@@ -137,7 +105,7 @@ impl FluidanimateConfig {
             let mut t = sink.builder();
             let mine = first_cell(core)..first_cell(core + 1);
             let mut barrier = 0u32;
-            for _frame in 0..self.frames {
+            for _frame in 0..FRAMES {
                 // Phase 0: rebuild the grid — copy particles from cells2 into
                 // cells (overwriting) and clear the accumulators.
                 for c in mine.clone() {
@@ -224,16 +192,33 @@ impl FluidanimateConfig {
             }
             sink.stream(t);
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Generator, ScaleProfile, Workload};
+
+    /// The fluidanimate input at `scale`.
+    fn input(scale: ScaleProfile) -> FluidanimateConfig {
+        match Generator::new(BenchmarkKind::Fluidanimate, scale) {
+            Ok(Generator::Fluidanimate(config)) => config,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The Tiny fluidanimate workload on `cores` cores.
+    fn tiny_workload(cores: usize) -> Workload {
+        Generator::Fluidanimate(input(ScaleProfile::Tiny))
+            .build(cores)
+            .unwrap()
+    }
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = FluidanimateConfig::tiny().build(16);
+        let wl = tiny_workload(16);
         wl.assert_well_formed();
         assert_eq!(wl.barriers(), 4); // rebuild, density, force, advance
         assert_eq!(wl.kind, BenchmarkKind::Fluidanimate);
@@ -243,14 +228,14 @@ mod tests {
     fn cells_reserve_sixteen_slots_but_use_fewer() {
         // The generator must never touch more slots than the occupancy it drew,
         // which is capped well below 16 for the default mean.
-        let cfg = FluidanimateConfig::tiny();
+        let cfg = input(ScaleProfile::Tiny);
         assert!(2 * cfg.mean_particles < SLOTS_PER_CELL as usize);
         assert_eq!(CELL_BYTES, 704);
     }
 
     #[test]
     fn accumulator_region_is_read_then_overwritten_bypass() {
-        let wl = FluidanimateConfig::tiny().build(16);
+        let wl = tiny_workload(16);
         assert_eq!(
             wl.regions.get(RegionId(1)).unwrap().bypass,
             BypassKind::ReadThenOverwritten
@@ -262,21 +247,22 @@ mod tests {
     }
 
     #[test]
-    fn multiple_frames_multiply_barriers() {
-        let wl = FluidanimateConfig {
-            frames: 2,
-            ..FluidanimateConfig::tiny()
-        }
-        .build(8);
-        assert_eq!(wl.barriers(), 8);
-        wl.assert_well_formed();
+    fn empty_cells_are_an_error() {
+        let fluid = Generator::Fluidanimate(FluidanimateConfig {
+            grid: 4,
+            mean_particles: 0,
+        });
+        assert_eq!(
+            fluid.build(4).unwrap_err(),
+            "fluidanimate needs at least one particle per cell"
+        );
     }
 
     #[test]
     fn neighbouring_slabs_share_boundary_cells() {
         // Cells owned by one core are read by the neighbouring core's stencil,
         // which is what creates the communication fluidanimate needs.
-        let wl = FluidanimateConfig::tiny().build(4);
+        let wl = tiny_workload(4);
         let mut writers = std::collections::HashMap::<u64, usize>::new();
         let mut cross_reads = 0usize;
         for (core, trace) in wl.traces.iter().enumerate() {
@@ -315,8 +301,8 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let a = FluidanimateConfig::tiny().build(4);
-        let b = FluidanimateConfig::tiny().build(4);
+        let a = tiny_workload(4);
+        let b = tiny_workload(4);
         assert_eq!(a.traces, b.traces);
     }
 }

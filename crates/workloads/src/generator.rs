@@ -1,8 +1,11 @@
-//! One way out of every generator: a workload's header, then one core's
-//! stream at a time, into a sink.
+//! One way into every generator and one way out of it.
 //!
-//! Three sinks read it. `Collect` keeps every stream, which is what each
-//! config's `build` does. The digest pass keeps none: it folds each core's
+//! In: [`Generator::new`] is the table of every benchmark's input, one arm
+//! per benchmark and [`ScaleProfile`]. Out: a workload's header, then one
+//! core's stream at a time, into a sink.
+//!
+//! Three sinks read it. `Collect` keeps every stream, which is what
+//! [`Generator::build`] does. The digest pass keeps none: it folds each core's
 //! stream into the content digest ([`tw_trace::ContentDigester`], the one
 //! definition [`Workload::content_digest`] runs as well), counts its
 //! records, and clears its one [`TraceBuilder`] for the next core. The
@@ -22,7 +25,7 @@ use crate::lu::LuConfig;
 use crate::radix::RadixConfig;
 use crate::workload::{BenchmarkKind, Streams, Workload};
 use tw_trace::ContentDigester;
-use tw_types::{Digest, RegionTable, TraceOp};
+use tw_types::{Digest, RegionTable, SystemConfig, TraceOp};
 
 /// Where a generator emits a workload.
 pub(crate) trait Sink {
@@ -192,73 +195,175 @@ pub enum Generator {
     KdTree(KdTreeConfig),
 }
 
-/// The error returned when asked for a generator of a benchmark kind that
-/// has none ([`BenchmarkKind::Custom`] comes from trace files,
-/// [`BenchmarkKind::Synthesized`] from the seeded synthesizer).
-fn no_generator(kind: BenchmarkKind) -> String {
-    match kind {
-        BenchmarkKind::Custom => {
-            "custom workloads have no generator; replay them from a trace file".to_string()
+/// Which input scale to run (see `DESIGN.md` §7): the system a scale
+/// simulates, and with [`Generator::new`] the input of every benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ScaleProfile {
+    /// The paper's input sizes on the Table 4.1 system. Slow; intended for
+    /// full reproduction runs.
+    Paper,
+    /// Scaled-down inputs with the L2 shrunk proportionally so every
+    /// working-set-to-cache relationship of the paper is preserved. This is
+    /// the default for `EXPERIMENTS.md`.
+    Scaled,
+    /// Miniature inputs for tests and benchmark smoke runs.
+    Tiny,
+}
+
+impl ScaleProfile {
+    /// The spec-grammar name of this profile (lowercase).
+    pub const fn name(self) -> &'static str {
+        match self {
+            ScaleProfile::Paper => "paper",
+            ScaleProfile::Scaled => "scaled",
+            ScaleProfile::Tiny => "tiny",
         }
-        BenchmarkKind::Synthesized => {
-            "synthesized workloads have no fixed generator; build them from a seed \
-             with the tw-scenarios synthesizer (or replay a saved trace)"
-                .to_string()
+    }
+
+    /// Resolves a profile from its spec-grammar name (case-insensitive).
+    pub fn by_name(name: &str) -> Result<ScaleProfile, String> {
+        [
+            ScaleProfile::Paper,
+            ScaleProfile::Scaled,
+            ScaleProfile::Tiny,
+        ]
+        .into_iter()
+        .find(|s| s.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown scale `{name}`; expected paper | scaled | tiny"))
+    }
+
+    /// The system configuration this profile simulates.
+    pub fn system(self) -> SystemConfig {
+        let mut sys = SystemConfig::default();
+        match self {
+            ScaleProfile::Paper => {}
+            ScaleProfile::Scaled => {
+                // 64 KB slices (1 MB total): keeps "working set >> L2" true
+                // for fluidanimate/FFT/radix/kD-tree and "working set << L2"
+                // true for LU/Barnes at the scaled input sizes.
+                sys.cache.l2_slice_bytes = 64 * 1024;
+            }
+            ScaleProfile::Tiny => {
+                sys.cache.l1_bytes = 16 * 1024;
+                sys.cache.l2_slice_bytes = 32 * 1024;
+            }
         }
-        other => unreachable!("{other} has a generator"),
+        sys
+    }
+
+    /// Builds the workload for one benchmark at this scale, every record in
+    /// memory (errors as [`Generator::new`] and [`Generator::build`]).
+    pub fn try_workload(self, bench: BenchmarkKind, cores: usize) -> Result<Workload, String> {
+        Generator::new(bench, self)?.build(cores)
     }
 }
 
 impl Generator {
-    /// The generator of `kind` at the paper's input (Table 4.2).
+    /// The generator of `kind` at `scale`: the one table of every
+    /// benchmark's input. Paper is the paper's Table 4.2; Scaled and Tiny
+    /// are chosen in `DESIGN.md` §7.
     ///
     /// # Errors
     ///
     /// The trace-only kinds ([`BenchmarkKind::Custom`],
     /// [`BenchmarkKind::Synthesized`]) have no generator, and say so.
-    pub fn paper(kind: BenchmarkKind) -> Result<Generator, String> {
-        Ok(match kind {
-            BenchmarkKind::Fluidanimate => Generator::Fluidanimate(FluidanimateConfig::paper()),
-            BenchmarkKind::Lu => Generator::Lu(LuConfig::paper()),
-            BenchmarkKind::Fft => Generator::Fft(FftConfig::paper()),
-            BenchmarkKind::Radix => Generator::Radix(RadixConfig::paper()),
-            BenchmarkKind::Barnes => Generator::Barnes(BarnesConfig::paper()),
-            BenchmarkKind::KdTree => Generator::KdTree(KdTreeConfig::paper()),
-            BenchmarkKind::Custom | BenchmarkKind::Synthesized => return Err(no_generator(kind)),
-        })
-    }
-
-    /// The generator of `kind` at the scaled default input (`DESIGN.md` §7).
-    ///
-    /// # Errors
-    ///
-    /// As [`Generator::paper`].
-    pub fn scaled(kind: BenchmarkKind) -> Result<Generator, String> {
-        Ok(match kind {
-            BenchmarkKind::Fluidanimate => Generator::Fluidanimate(FluidanimateConfig::scaled()),
-            BenchmarkKind::Lu => Generator::Lu(LuConfig::scaled()),
-            BenchmarkKind::Fft => Generator::Fft(FftConfig::scaled()),
-            BenchmarkKind::Radix => Generator::Radix(RadixConfig::scaled()),
-            BenchmarkKind::Barnes => Generator::Barnes(BarnesConfig::scaled()),
-            BenchmarkKind::KdTree => Generator::KdTree(KdTreeConfig::scaled()),
-            BenchmarkKind::Custom | BenchmarkKind::Synthesized => return Err(no_generator(kind)),
-        })
-    }
-
-    /// The generator of `kind` at its miniature test input.
-    ///
-    /// # Errors
-    ///
-    /// As [`Generator::paper`].
-    pub fn tiny(kind: BenchmarkKind) -> Result<Generator, String> {
-        Ok(match kind {
-            BenchmarkKind::Fluidanimate => Generator::Fluidanimate(FluidanimateConfig::tiny()),
-            BenchmarkKind::Lu => Generator::Lu(LuConfig::tiny()),
-            BenchmarkKind::Fft => Generator::Fft(FftConfig::tiny()),
-            BenchmarkKind::Radix => Generator::Radix(RadixConfig::tiny()),
-            BenchmarkKind::Barnes => Generator::Barnes(BarnesConfig::tiny()),
-            BenchmarkKind::KdTree => Generator::KdTree(KdTreeConfig::tiny()),
-            BenchmarkKind::Custom | BenchmarkKind::Synthesized => return Err(no_generator(kind)),
+    pub fn new(kind: BenchmarkKind, scale: ScaleProfile) -> Result<Generator, String> {
+        use BenchmarkKind as B;
+        use ScaleProfile::{Paper, Scaled, Tiny};
+        Ok(match (kind, scale) {
+            // simmedium: roughly a 30x34x30 grid.
+            (B::Fluidanimate, Paper) => Self::Fluidanimate(FluidanimateConfig {
+                grid: 30,
+                mean_particles: 6,
+            }),
+            (B::Fluidanimate, Scaled) => Self::Fluidanimate(FluidanimateConfig {
+                grid: 10,
+                mean_particles: 6,
+            }),
+            (B::Fluidanimate, Tiny) => Self::Fluidanimate(FluidanimateConfig {
+                grid: 4,
+                mean_particles: 4,
+            }),
+            (B::Lu, Paper) => Self::Lu(LuConfig {
+                n: 512,
+                block: 16,
+                compute_per_elem: 4,
+            }),
+            (B::Lu, Scaled) => Self::Lu(LuConfig {
+                n: 128,
+                block: 16,
+                compute_per_elem: 4,
+            }),
+            (B::Lu, Tiny) => Self::Lu(LuConfig {
+                n: 32,
+                block: 8,
+                compute_per_elem: 1,
+            }),
+            (B::Fft, Paper) => Self::Fft(FftConfig {
+                points: 256 * 1024,
+                compute_per_point: 8,
+            }),
+            (B::Fft, Scaled) => Self::Fft(FftConfig {
+                points: 32 * 1024,
+                compute_per_point: 8,
+            }),
+            (B::Fft, Tiny) => Self::Fft(FftConfig {
+                points: 1024,
+                compute_per_point: 2,
+            }),
+            (B::Radix, Paper) => Self::Radix(RadixConfig {
+                keys: 4 * 1024 * 1024,
+                radix: 1024,
+            }),
+            (B::Radix, Scaled) => Self::Radix(RadixConfig {
+                keys: 256 * 1024,
+                radix: 1024,
+            }),
+            (B::Radix, Tiny) => Self::Radix(RadixConfig {
+                keys: 8 * 1024,
+                radix: 256,
+            }),
+            (B::Barnes, Paper) => Self::Barnes(BarnesConfig {
+                bodies: 16 * 1024,
+                cells_per_body: 24,
+                leaf_interactions: 4,
+            }),
+            (B::Barnes, Scaled) => Self::Barnes(BarnesConfig {
+                bodies: 2 * 1024,
+                cells_per_body: 20,
+                leaf_interactions: 4,
+            }),
+            (B::Barnes, Tiny) => Self::Barnes(BarnesConfig {
+                bodies: 256,
+                cells_per_body: 6,
+                leaf_interactions: 2,
+            }),
+            // The Stanford bunny, ~69 K triangles.
+            (B::KdTree, Paper) => Self::KdTree(KdTreeConfig {
+                triangles: 69 * 1024,
+                levels: 3,
+            }),
+            (B::KdTree, Scaled) => Self::KdTree(KdTreeConfig {
+                triangles: 16 * 1024,
+                levels: 3,
+            }),
+            (B::KdTree, Tiny) => Self::KdTree(KdTreeConfig {
+                triangles: 1024,
+                levels: 2,
+            }),
+            // Trace files and the seeded synthesizer make these.
+            (B::Custom, _) => {
+                return Err(
+                    "custom workloads have no generator; replay them from a trace file".into(),
+                )
+            }
+            (B::Synthesized, _) => {
+                return Err(
+                    "synthesized workloads have no fixed generator; build them from a \
+                     seed with the tw-scenarios synthesizer (or replay a saved trace)"
+                        .into(),
+                )
+            }
         })
     }
 
@@ -266,20 +371,20 @@ impl Generator {
         match self {
             Generator::Fluidanimate(config) => config.emit(cores, sink),
             Generator::Lu(config) => config.emit(cores, sink),
-            Generator::Fft(config) => config.emit(cores, sink)?,
-            Generator::Radix(config) => config.emit(cores, sink)?,
-            Generator::Barnes(config) => config.emit(cores, sink)?,
-            Generator::KdTree(config) => config.emit(cores, sink)?,
+            Generator::Fft(config) => config.emit(cores, sink),
+            Generator::Radix(config) => config.emit(cores, sink),
+            Generator::Barnes(config) => config.emit(cores, sink),
+            Generator::KdTree(config) => config.emit(cores, sink),
         }
-        Ok(())
     }
 
     /// Builds the workload for `cores` cores, every record in memory.
     ///
     /// # Errors
     ///
-    /// Fails where the config's own `build` does: an input that does not
-    /// divide evenly among `cores`.
+    /// An input that does not split among `cores`, 0 cores, or an input
+    /// no stream can be drawn from: an LU matrix that is not a whole
+    /// number of blocks, radix 0, fluidanimate cells with no particle.
     pub fn build(&self, cores: usize) -> Result<Workload, String> {
         let mut sink = Collect::default();
         self.emit(cores, &mut sink)?;
@@ -417,8 +522,8 @@ mod tests {
     #[test]
     fn the_digest_pass_digests_what_build_builds_at_every_tiny_core_count() {
         for kind in BenchmarkKind::ALL {
-            let generator = Generator::tiny(kind).unwrap();
-            for cores in 1..=64 {
+            let generator = Generator::new(kind, ScaleProfile::Tiny).unwrap();
+            for cores in 0..=64 {
                 the_digest_pass_is_the_build(&generator, cores);
             }
         }
@@ -427,13 +532,13 @@ mod tests {
     #[test]
     fn the_digest_pass_digests_what_build_builds_at_scaled_size() {
         for kind in BenchmarkKind::ALL {
-            the_digest_pass_is_the_build(&Generator::scaled(kind).unwrap(), 16);
+            the_digest_pass_is_the_build(&Generator::new(kind, ScaleProfile::Scaled).unwrap(), 16);
         }
     }
 
     #[test]
     fn only_reading_the_records_builds_them() {
-        let generator = Generator::tiny(BenchmarkKind::Barnes).unwrap();
+        let generator = Generator::new(BenchmarkKind::Barnes, ScaleProfile::Tiny).unwrap();
         let built = generator.build(16).unwrap();
         let (lazy, digest) = generator.digested(16).unwrap();
         assert_eq!(lazy.cores(), 16);
@@ -459,14 +564,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "built other records than it digested")]
     fn records_that_do_not_digest_to_the_compiled_digest_are_refused() {
-        let generator = Generator::tiny(BenchmarkKind::Fft).unwrap();
+        let generator = Generator::new(BenchmarkKind::Fft, ScaleProfile::Tiny).unwrap();
         let streams = Streams::lazy(generator, 16, Digest(0), 0, 0);
         let _ = streams.len();
     }
 
     #[test]
     fn records_that_are_not_the_committed_ones_are_an_error_and_kept_nowhere() {
-        let generator = Generator::tiny(BenchmarkKind::Fft).unwrap();
+        let generator = Generator::new(BenchmarkKind::Fft, ScaleProfile::Tiny).unwrap();
         let (lazy, digest) = generator.digested(16).unwrap();
         let (records, mem_ops) = (lazy.traces.record_count(), lazy.traces.mem_ops());
         for (digest, records, mem_ops) in [
@@ -490,8 +595,37 @@ mod tests {
     }
 
     #[test]
+    fn scale_profiles_produce_distinct_systems() {
+        assert_eq!(
+            ScaleProfile::Paper.system().cache.l2_slice_bytes,
+            256 * 1024
+        );
+        assert_eq!(
+            ScaleProfile::Scaled.system().cache.l2_slice_bytes,
+            64 * 1024
+        );
+        assert!(ScaleProfile::Tiny.system().cache.l1_bytes < 32 * 1024);
+        assert!(ScaleProfile::Paper.system().validate().is_ok());
+        assert!(ScaleProfile::Scaled.system().validate().is_ok());
+        assert!(ScaleProfile::Tiny.system().validate().is_ok());
+    }
+
+    #[test]
+    fn scale_names_round_trip() {
+        for s in [
+            ScaleProfile::Paper,
+            ScaleProfile::Scaled,
+            ScaleProfile::Tiny,
+        ] {
+            assert_eq!(ScaleProfile::by_name(s.name()), Ok(s));
+            assert_eq!(ScaleProfile::by_name(&s.name().to_uppercase()), Ok(s));
+        }
+        assert!(ScaleProfile::by_name("huge").is_err());
+    }
+
+    #[test]
     fn edited_records_are_the_workload_from_then_on() {
-        let (mut lazy, _) = Generator::tiny(BenchmarkKind::Fft)
+        let (mut lazy, _) = Generator::new(BenchmarkKind::Fft, ScaleProfile::Tiny)
             .unwrap()
             .digested(4)
             .unwrap();

@@ -15,8 +15,8 @@
 //!   when Flex is extended to memory (§5.3, "Memory Fetch Waste").
 
 use crate::builder::{even_share, ArrayLayout};
-use crate::generator::{Collect, Sink};
-use crate::workload::{BenchmarkKind, Workload};
+use crate::generator::Sink;
+use crate::workload::BenchmarkKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tw_types::{BypassKind, CommRegion, RegionId, RegionInfo, RegionTable, WORD_BYTES};
@@ -25,6 +25,10 @@ use tw_types::{BypassKind, CommRegion, RegionId, RegionInfo, RegionTable, WORD_B
 pub const TRIANGLE_BYTES: u64 = 48;
 /// Bytes per per-triangle edge-event record (six edges of 16 bytes).
 pub const EDGE_BYTES: u64 = 96;
+/// Fraction (per mille) of triangles re-examined randomly per level.
+const RANDOM_TOUCH_PER_MILLE: u64 = 250;
+/// PRNG seed.
+const SEED: u64 = 0x5EED;
 
 /// Configuration for the kD-tree trace generator.
 #[derive(Debug, Clone)]
@@ -33,54 +37,9 @@ pub struct KdTreeConfig {
     pub triangles: usize,
     /// Tree levels built (the paper measures three iterations).
     pub levels: usize,
-    /// Fraction (per mille) of triangles re-examined randomly per level.
-    pub random_touch_per_mille: usize,
-    /// PRNG seed.
-    pub seed: u64,
 }
 
 impl KdTreeConfig {
-    /// The paper's input: the Stanford bunny (~69 K triangles).
-    pub fn paper() -> Self {
-        KdTreeConfig {
-            triangles: 69 * 1024,
-            levels: 3,
-            random_touch_per_mille: 250,
-            seed: 0x5EED,
-        }
-    }
-
-    /// Scaled default: 16 K triangles, 3 levels.
-    pub fn scaled() -> Self {
-        KdTreeConfig {
-            triangles: 16 * 1024,
-            levels: 3,
-            random_touch_per_mille: 250,
-            seed: 0x5EED,
-        }
-    }
-
-    /// Miniature input for unit tests.
-    pub fn tiny() -> Self {
-        KdTreeConfig {
-            triangles: 1024,
-            levels: 2,
-            random_touch_per_mille: 250,
-            seed: 0x5EED,
-        }
-    }
-
-    /// Builds the workload for `cores` cores.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `triangles` is not divisible by `cores`.
-    pub fn build(&self, cores: usize) -> Result<Workload, String> {
-        let mut sink = Collect::default();
-        self.emit(cores, &mut sink)?;
-        Ok(sink.into_workload())
-    }
-
     /// Emits the workload for `cores` cores into `sink`, one core at a time.
     pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
         let per_core = even_share(self.triangles, "kD-tree triangles", cores)?;
@@ -124,7 +83,7 @@ impl KdTreeConfig {
             return Ok(());
         }
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         for core in 0..cores as u64 {
             let mut t = sink.builder();
             let lo = core * per_core;
@@ -142,7 +101,7 @@ impl KdTreeConfig {
                 }
                 // Randomly re-examine a subset of triangles (SAH evaluation /
                 // classification against the chosen split plane).
-                let touches = per_core * self.random_touch_per_mille as u64 / 1000;
+                let touches = per_core * RANDOM_TOUCH_PER_MILLE / 1000;
                 for _ in 0..touches {
                     let tri = rng.gen_range(0..n);
                     t.load_words(triangles.field(tri, 0), 7, triangles.region);
@@ -169,10 +128,26 @@ impl KdTreeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Generator, ScaleProfile, Workload};
+
+    /// The kD-tree input at `scale`.
+    fn input(scale: ScaleProfile) -> KdTreeConfig {
+        match Generator::new(BenchmarkKind::KdTree, scale) {
+            Ok(Generator::KdTree(config)) => config,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The Tiny kD-tree workload on `cores` cores.
+    fn tiny_workload(cores: usize) -> Workload {
+        Generator::KdTree(input(ScaleProfile::Tiny))
+            .build(cores)
+            .unwrap()
+    }
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = KdTreeConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         wl.assert_well_formed();
         assert_eq!(wl.barriers(), 2);
         assert_eq!(wl.kind, BenchmarkKind::KdTree);
@@ -182,7 +157,7 @@ mod tests {
     fn edge_comm_region_spans_more_than_one_packet() {
         // 12 useful words spread over 96 bytes: the span exceeds the 64-byte
         // packet payload, which is what produces Excess waste under L2 Flex.
-        let wl = KdTreeConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         let (_, comm) = wl.regions.comm_region(RegionId(2)).unwrap();
         assert_eq!(comm.useful_words(), 12);
         assert!(comm.object_bytes > 64);
@@ -193,7 +168,7 @@ mod tests {
 
     #[test]
     fn edges_are_streamed_and_bypassed_triangles_are_not() {
-        let wl = KdTreeConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         assert!(wl.regions.bypasses_l2(RegionId(2)));
         assert!(!wl.regions.bypasses_l2(RegionId(1)));
         assert!(wl.regions.comm_region(RegionId(1)).is_some());
@@ -201,7 +176,7 @@ mod tests {
 
     #[test]
     fn edge_sweep_is_streaming_in_order() {
-        let wl = KdTreeConfig::tiny().build(4).unwrap();
+        let wl = tiny_workload(4);
         // Within the first level, the addresses of edge loads must be
         // non-decreasing for each core (streaming order).
         for trace in &wl.traces {
@@ -223,15 +198,15 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let a = KdTreeConfig::tiny().build(4).unwrap();
-        let b = KdTreeConfig::tiny().build(4).unwrap();
+        let a = tiny_workload(4);
+        let b = tiny_workload(4);
         assert_eq!(a.traces, b.traces);
     }
 
     #[test]
     fn paper_and_scaled_sizes() {
-        assert_eq!(KdTreeConfig::paper().triangles, 69 * 1024);
-        assert_eq!(KdTreeConfig::scaled().triangles, 16 * 1024);
-        assert_eq!(KdTreeConfig::scaled().levels, 3);
+        assert_eq!(input(ScaleProfile::Paper).triangles, 69 * 1024);
+        assert_eq!(input(ScaleProfile::Scaled).triangles, 16 * 1024);
+        assert_eq!(input(ScaleProfile::Scaled).levels, 3);
     }
 }

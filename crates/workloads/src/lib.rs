@@ -15,9 +15,10 @@
 //! # Example
 //!
 //! ```
-//! use tw_workloads::{fft::FftConfig, Workload};
+//! use tw_workloads::{BenchmarkKind, Generator, ScaleProfile, Workload};
 //!
-//! let wl: Workload = FftConfig::scaled().build(16).expect("32 K points split 16 ways");
+//! let fft = Generator::new(BenchmarkKind::Fft, ScaleProfile::Scaled).unwrap();
+//! let wl: Workload = fft.build(16).expect("32 K points split 16 ways");
 //! assert_eq!(wl.cores(), 16);
 //! assert!(wl.total_mem_ops() > 10_000);
 //! assert!(wl.regions.len() >= 2);
@@ -37,27 +38,14 @@ pub mod radix;
 pub mod workload;
 
 pub use builder::TraceBuilder;
-pub use generator::Generator;
+pub use generator::{Generator, ScaleProfile};
 pub use workload::{BenchmarkKind, Streams, Workload};
 
-/// Builds the default (scaled) workload for a benchmark with `cores` cores.
-///
-/// The trace-only kinds ([`BenchmarkKind::Custom`],
-/// [`BenchmarkKind::Synthesized`]) have no generator here and are reported as
-/// an error rather than a panic, so callers resolving a kind from user input
-/// can surface a diagnosable message.
-pub fn build_scaled(kind: BenchmarkKind, cores: usize) -> Result<Workload, String> {
-    Generator::scaled(kind)?.build(cores)
-}
-
 /// Builds a miniature workload for a benchmark, suitable for unit tests and
-/// benchmark smoke runs where run time matters more than fidelity.
-///
-/// The trace-only kinds ([`BenchmarkKind::Custom`],
-/// [`BenchmarkKind::Synthesized`]) have no generator here and are reported as
-/// an error rather than a panic (see [`build_scaled`]).
+/// benchmark smoke runs where run time matters more than fidelity
+/// ([`ScaleProfile::try_workload`] at [`ScaleProfile::Tiny`]).
 pub fn build_tiny(kind: BenchmarkKind, cores: usize) -> Result<Workload, String> {
-    Generator::tiny(kind)?.build(cores)
+    ScaleProfile::Tiny.try_workload(kind, cores)
 }
 
 #[cfg(test)]
@@ -67,7 +55,7 @@ mod tests {
     #[test]
     fn trace_only_kinds_are_errors_not_panics() {
         for kind in [BenchmarkKind::Custom, BenchmarkKind::Synthesized] {
-            let err = build_scaled(kind, 16).unwrap_err();
+            let err = ScaleProfile::Scaled.try_workload(kind, 16).unwrap_err();
             assert!(err.contains("generator"), "{err}");
             assert!(build_tiny(kind, 16).is_err());
         }
@@ -78,10 +66,13 @@ mod tests {
 
     proptest::proptest! {
         /// A mesh is any size from 2x2 to 64 tiles; a generator whose input
-        /// does not split among that many cores says so, it does not unwind.
+        /// does not split among that many cores says so, it does not unwind,
+        /// and none runs on 0 cores.
         #[test]
-        fn no_core_count_makes_a_generator_panic(kind_i in 0usize..6, cores in 1usize..=64) {
+        fn no_core_count_makes_a_generator_panic(kind_i in 0usize..6, cores in 0usize..=64) {
             let kind = BenchmarkKind::ALL[kind_i];
+            // The sampled cases need not draw 0, so every case checks it.
+            proptest::prop_assert!(build_tiny(kind, 0).is_err());
             if let Ok(wl) = build_tiny(kind, cores) {
                 proptest::prop_assert_eq!(wl.cores(), cores);
             }

@@ -14,8 +14,8 @@
 //!   opportunity for bypassing (§5.3).
 
 use crate::builder::{ArrayLayout, TraceBuilder};
-use crate::generator::{Collect, Sink};
-use crate::workload::{BenchmarkKind, Workload};
+use crate::generator::Sink;
+use crate::workload::BenchmarkKind;
 use tw_types::{RegionId, RegionInfo, RegionTable};
 
 /// Configuration for the LU trace generator.
@@ -30,53 +30,20 @@ pub struct LuConfig {
 }
 
 impl LuConfig {
-    /// The paper's input: 512×512 matrix, 16×16 blocks.
-    pub fn paper() -> Self {
-        LuConfig {
-            n: 512,
-            block: 16,
-            compute_per_elem: 4,
-        }
-    }
-
-    /// Scaled default: 128×128 matrix, 16×16 blocks.
-    pub fn scaled() -> Self {
-        LuConfig {
-            n: 128,
-            block: 16,
-            compute_per_elem: 4,
-        }
-    }
-
-    /// Miniature input for unit tests.
-    pub fn tiny() -> Self {
-        LuConfig {
-            n: 32,
-            block: 8,
-            compute_per_elem: 1,
-        }
-    }
-
-    /// Builds the workload for `cores` cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not an integer number of blocks.
-    pub fn build(&self, cores: usize) -> Workload {
-        let mut sink = Collect::default();
-        self.emit(cores, &mut sink);
-        sink.into_workload()
-    }
-
     /// Emits the workload for `cores` cores into `sink`, one core at a
     /// time: each core walks the whole factorization and touches the blocks
     /// it owns, so its stream is what it would be if the cores were built
     /// side by side.
-    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) {
-        assert!(
-            self.n.is_multiple_of(self.block),
-            "matrix must be a whole number of blocks"
-        );
+    pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
+        if self.block == 0 || !self.n.is_multiple_of(self.block) {
+            return Err(format!(
+                "a {0}x{0} matrix is not a whole number of {1}x{1} blocks",
+                self.n, self.block
+            ));
+        }
+        if cores == 0 {
+            return Err("LU cannot run on 0 cores".to_string());
+        }
         const ELEM_BYTES: u64 = 8; // double precision
         let nb = (self.n / self.block) as u64; // blocks per dimension
         let block_elems = (self.block * self.block) as u64;
@@ -97,7 +64,7 @@ impl LuConfig {
             self.n, self.n, self.block, self.block
         );
         if !sink.header(BenchmarkKind::Lu, input, regions, cores) {
-            return;
+            return Ok(());
         }
 
         let block_base = |bi: u64, bj: u64| (bi * nb + bj) * block_elems;
@@ -187,17 +154,34 @@ impl LuConfig {
             }
             sink.stream(t);
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Generator, ScaleProfile, Workload};
     use tw_types::{MemKind, Record};
+
+    /// The LU input at `scale`.
+    fn input(scale: ScaleProfile) -> LuConfig {
+        match Generator::new(BenchmarkKind::Lu, scale) {
+            Ok(Generator::Lu(config)) => config,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The Tiny LU workload on `cores` cores.
+    fn tiny_workload(cores: usize) -> Workload {
+        Generator::Lu(input(ScaleProfile::Tiny))
+            .build(cores)
+            .unwrap()
+    }
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = LuConfig::tiny().build(16);
+        let wl = tiny_workload(16);
         wl.assert_well_formed();
         // 4 blocks per dimension -> 4 iterations x 3 barriers.
         assert_eq!(wl.barriers(), 12);
@@ -206,7 +190,7 @@ mod tests {
 
     #[test]
     fn no_bypass_or_flex_annotations() {
-        let wl = LuConfig::tiny().build(16);
+        let wl = tiny_workload(16);
         assert_eq!(wl.regions.len(), 1);
         let r = wl.regions.get(RegionId(1)).unwrap();
         assert!(r.comm.is_none());
@@ -218,7 +202,7 @@ mod tests {
         // A block written in the interior update must have been read by some
         // other core in an earlier step — the property that defeats MESI's
         // E-state silent upgrade for LU.
-        let wl = LuConfig::tiny().build(16);
+        let wl = tiny_workload(16);
         let mut readers = std::collections::HashMap::<u64, std::collections::HashSet<usize>>::new();
         let mut writers = std::collections::HashMap::<u64, std::collections::HashSet<usize>>::new();
         for (core, trace) in wl.traces.iter().enumerate() {
@@ -245,8 +229,7 @@ mod tests {
     #[test]
     fn triangular_access_leaves_part_of_the_block_untouched_per_phase() {
         // In the diagonal-factor phase only the upper triangle is accessed.
-        let cfg = LuConfig::tiny();
-        let wl = cfg.build(16);
+        let wl = tiny_workload(16);
         let first_phase_ops: usize = wl
             .traces
             .iter()
@@ -264,19 +247,25 @@ mod tests {
 
     #[test]
     fn scaled_matches_design_doc() {
-        let cfg = LuConfig::scaled();
+        let cfg = input(ScaleProfile::Scaled);
         assert_eq!((cfg.n, cfg.block), (128, 16));
-        assert_eq!(LuConfig::paper().n, 512);
+        assert_eq!(input(ScaleProfile::Paper).n, 512);
     }
 
     #[test]
-    #[should_panic(expected = "whole number of blocks")]
     fn non_divisible_blocks_are_rejected() {
-        LuConfig {
-            n: 100,
-            block: 16,
-            compute_per_elem: 1,
-        }
-        .build(4);
+        let lu = |n, block| {
+            Generator::Lu(LuConfig {
+                n,
+                block,
+                compute_per_elem: 1,
+            })
+        };
+        assert_eq!(
+            lu(100, 16).build(4).unwrap_err(),
+            "a 100x100 matrix is not a whole number of 16x16 blocks"
+        );
+        assert!(lu(0, 0).build(4).is_err());
+        assert!(lu(32, 16).build(4).is_ok());
     }
 }

@@ -14,11 +14,14 @@
 //! * the destination array becomes the input of the next phase (§5.2.1).
 
 use crate::builder::{even_share, ArrayLayout};
-use crate::generator::{Collect, Sink};
-use crate::workload::{BenchmarkKind, Workload};
+use crate::generator::Sink;
+use crate::workload::BenchmarkKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tw_types::{BypassKind, RegionId, RegionInfo, RegionTable};
+
+/// PRNG seed for key values.
+const SEED: u64 = 0xADD5;
 
 /// Configuration for the radix-sort trace generator.
 #[derive(Debug, Clone)]
@@ -27,52 +30,15 @@ pub struct RadixConfig {
     pub keys: usize,
     /// Radix (number of buckets; paper: 1024).
     pub radix: usize,
-    /// PRNG seed for key values.
-    pub seed: u64,
 }
 
 impl RadixConfig {
-    /// The paper's input: 4 M keys, radix 1024.
-    pub fn paper() -> Self {
-        RadixConfig {
-            keys: 4 * 1024 * 1024,
-            radix: 1024,
-            seed: 0xADD5,
-        }
-    }
-
-    /// Scaled default: 256 K keys, radix 1024.
-    pub fn scaled() -> Self {
-        RadixConfig {
-            keys: 256 * 1024,
-            radix: 1024,
-            seed: 0xADD5,
-        }
-    }
-
-    /// Miniature input for unit tests.
-    pub fn tiny() -> Self {
-        RadixConfig {
-            keys: 8 * 1024,
-            radix: 256,
-            seed: 0xADD5,
-        }
-    }
-
-    /// Builds the workload for `cores` cores.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `keys` is not divisible by `cores`.
-    pub fn build(&self, cores: usize) -> Result<Workload, String> {
-        let mut sink = Collect::default();
-        self.emit(cores, &mut sink)?;
-        Ok(sink.into_workload())
-    }
-
     /// Emits the workload for `cores` cores into `sink`, one core at a time.
     pub(crate) fn emit(&self, cores: usize, sink: &mut dyn Sink) -> Result<(), String> {
         let per_core = even_share(self.keys, "radix keys", cores)?;
+        if self.radix == 0 {
+            return Err("radix sort needs at least one bucket".to_string());
+        }
         const KEY_BYTES: u64 = 4;
         let n = self.keys as u64;
 
@@ -104,7 +70,7 @@ impl RadixConfig {
             return Ok(());
         }
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         // Pre-draw the bucket of every key so that the histogram and
         // permutation phases agree.
         let buckets: Vec<u32> = (0..n)
@@ -182,11 +148,27 @@ impl RadixConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Generator, ScaleProfile, Workload};
     use tw_types::{MemKind, Record};
+
+    /// The radix input at `scale`.
+    fn input(scale: ScaleProfile) -> RadixConfig {
+        match Generator::new(BenchmarkKind::Radix, scale) {
+            Ok(Generator::Radix(config)) => config,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The Tiny radix workload on `cores` cores.
+    fn tiny_workload(cores: usize) -> Workload {
+        Generator::Radix(input(ScaleProfile::Tiny))
+            .build(cores)
+            .unwrap()
+    }
 
     #[test]
     fn tiny_workload_is_well_formed() {
-        let wl = RadixConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         wl.assert_well_formed();
         assert_eq!(wl.barriers(), 4);
         assert_eq!(wl.kind, BenchmarkKind::Radix);
@@ -196,7 +178,7 @@ mod tests {
     fn permutation_writes_touch_many_distinct_lines() {
         // The scattered destination writes must span (far) more lines than an
         // L1 can hold partially-written — the source of radix's Evict waste.
-        let wl = RadixConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         let dst_base = 0x2000_0000u64;
         let mut lines = std::collections::HashSet::new();
         for trace in &wl.traces {
@@ -224,7 +206,7 @@ mod tests {
 
     #[test]
     fn source_and_destination_are_streaming_bypass_regions() {
-        let wl = RadixConfig::tiny().build(16).unwrap();
+        let wl = tiny_workload(16);
         assert_eq!(
             wl.regions.get(RegionId(1)).unwrap().bypass,
             BypassKind::StreamingOncePerPhase
@@ -238,26 +220,34 @@ mod tests {
 
     #[test]
     fn deterministic_for_a_fixed_seed() {
-        let a = RadixConfig::tiny().build(4).unwrap();
-        let b = RadixConfig::tiny().build(4).unwrap();
+        let a = tiny_workload(4);
+        let b = tiny_workload(4);
         assert_eq!(a.traces, b.traces);
     }
 
     #[test]
     fn paper_and_scaled_sizes() {
-        assert_eq!(RadixConfig::paper().keys, 4 * 1024 * 1024);
-        assert_eq!(RadixConfig::scaled().keys, 256 * 1024);
-        assert_eq!(RadixConfig::scaled().radix, 1024);
+        assert_eq!(input(ScaleProfile::Paper).keys, 4 * 1024 * 1024);
+        assert_eq!(input(ScaleProfile::Scaled).keys, 256 * 1024);
+        assert_eq!(input(ScaleProfile::Scaled).radix, 1024);
+    }
+
+    #[test]
+    fn a_radix_of_zero_is_an_error() {
+        let radix = Generator::Radix(RadixConfig { keys: 16, radix: 0 });
+        assert_eq!(
+            radix.build(4).unwrap_err(),
+            "radix sort needs at least one bucket"
+        );
     }
 
     #[test]
     #[should_panic(expected = "1000 radix keys do not divide evenly among 16 cores")]
     fn uneven_key_split_is_rejected() {
-        RadixConfig {
+        Generator::Radix(RadixConfig {
             keys: 1000,
             radix: 16,
-            seed: 0,
-        }
+        })
         .build(16)
         .unwrap();
     }

@@ -9,7 +9,7 @@
 
 use denovo_waste::{SimConfig, Simulator};
 use tw_types::ProtocolKind;
-use tw_workloads::{build_scaled, BenchmarkKind};
+use tw_workloads::{BenchmarkKind, ScaleProfile};
 
 fn parse_benchmark(name: &str) -> Option<BenchmarkKind> {
     match name.to_ascii_lowercase().as_str() {
@@ -28,7 +28,7 @@ fn main() {
         .nth(1)
         .and_then(|a| parse_benchmark(&a))
         .unwrap_or(BenchmarkKind::KdTree);
-    let workload = build_scaled(bench, 16).unwrap();
+    let workload = ScaleProfile::Scaled.try_workload(bench, 16).unwrap();
     println!(
         "benchmark: {bench} ({}), {} memory references",
         workload.input,

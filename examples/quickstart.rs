@@ -5,10 +5,12 @@
 
 use denovo_waste::{SimConfig, Simulator};
 use tw_types::{MessageClass, ProtocolKind};
-use tw_workloads::{build_scaled, BenchmarkKind};
+use tw_workloads::{BenchmarkKind, ScaleProfile};
 
 fn main() {
-    let workload = build_scaled(BenchmarkKind::Radix, 16).unwrap();
+    let workload = ScaleProfile::Scaled
+        .try_workload(BenchmarkKind::Radix, 16)
+        .unwrap();
     println!(
         "workload: {} ({}), {} memory references across {} cores",
         workload.kind,

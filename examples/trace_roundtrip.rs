@@ -8,11 +8,13 @@
 use denovo_waste::{SimConfig, Simulator};
 use tw_trace::TraceDocument;
 use tw_types::ProtocolKind;
-use tw_workloads::{build_tiny, BenchmarkKind, Workload};
+use tw_workloads::{BenchmarkKind, ScaleProfile, Workload};
 
 fn main() {
     // 1. Run one (protocol × benchmark) cell.
-    let workload = build_tiny(BenchmarkKind::Radix, 16).unwrap();
+    let workload = ScaleProfile::Tiny
+        .try_workload(BenchmarkKind::Radix, 16)
+        .unwrap();
     let cfg = SimConfig::new(ProtocolKind::DBypFull);
     let recorded = Simulator::new(cfg.clone(), &workload).run();
     println!(

@@ -4,12 +4,12 @@
 //!
 //! Run with:
 //! `cargo run -p denovo-waste --release --example waste_anatomy [protocol]`
-//! where `[protocol]` is one of the nine configurations (default: DBypFull).
+//! where `[protocol]` is one of the ten configurations (default: DBypFull).
 
 use denovo_waste::{SimConfig, Simulator};
 use tw_profiler::{WasteCategory, WasteReport};
 use tw_types::ProtocolKind;
-use tw_workloads::{build_scaled, BenchmarkKind};
+use tw_workloads::{BenchmarkKind, ScaleProfile};
 
 fn print_report(level: &str, report: &WasteReport) {
     println!("\n-- words fetched into {level} --");
@@ -38,7 +38,9 @@ fn main() {
         .nth(1)
         .and_then(|a| ProtocolKind::by_name(&a).ok())
         .unwrap_or(ProtocolKind::DBypFull);
-    let workload = build_scaled(BenchmarkKind::Fluidanimate, 16).unwrap();
+    let workload = ScaleProfile::Scaled
+        .try_workload(BenchmarkKind::Fluidanimate, 16)
+        .unwrap();
     println!(
         "benchmark: {} ({}); protocol: {protocol}",
         workload.kind, workload.input
