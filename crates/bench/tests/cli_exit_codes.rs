@@ -517,6 +517,21 @@ fn trace_info_prints_the_digest_plan_show_keys_on() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A spec nested deeper than any document the workspace writes is a bad
+/// request naming where, not a stack overflow (which aborts with 134).
+#[test]
+fn a_deeply_nested_spec_exits_two() {
+    let dir = scratch("nested");
+    std::fs::write(dir.join("deep.json"), "[".repeat(200_000)).unwrap();
+    let (code, _, stderr) = run_in(&dir, &["plan", "show", "deep.json"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("nest deeper than 128 levels at byte 128"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A reader that closes stdout before the command writes (`| head -n 1`
 /// once it has its line) ends the command quietly with exit 0, not with a
 /// panic.

@@ -652,3 +652,57 @@ fn serve_refuses_a_live_socket_and_replaces_a_stale_one() {
     thread.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&scratch);
 }
+
+/// Kills the daemon child if a test ends before it exits on its own.
+struct Child(std::process::Child);
+
+impl Drop for Child {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A header nested deeper than the JSON reader allows is answered with an
+/// error, and the daemon goes on serving. The daemon is the `experiments`
+/// binary in a child process, so a stack overflow would fail this test
+/// rather than abort the test harness.
+#[test]
+fn a_deeply_nested_header_is_an_error_response_not_a_dead_daemon() {
+    let scratch = std::env::temp_dir().join("tw-daemon-nested");
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).unwrap();
+    let socket = scratch.join("exp.sock");
+    let mut child = Child(
+        std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["serve", "--no-cache", "--socket"])
+            .arg(&socket)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !Client::connect(&socket).is_ok_and(|mut c| c.ping().is_ok()) {
+        assert!(Instant::now() < deadline, "daemon did not come up");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let stream = UnixStream::connect(&socket).unwrap();
+    stream.set_read_timeout(Some(BOUNDARY)).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    std::io::Write::write_all(&mut writer, format!("{}\n", "[".repeat(100_000)).as_bytes())
+        .unwrap();
+    let (reply, _) = wire::read_frame(&mut reader).unwrap().unwrap();
+    assert_eq!(reply.get("status").unwrap().as_str(), Ok("error"));
+    let error = reply.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("nest deeper than"), "{error}");
+
+    let mut client = Client::connect(&socket).expect("the daemon still accepts");
+    assert!(client.ping().is_ok());
+    client.shutdown().unwrap();
+    let status = child.0.wait().unwrap();
+    assert!(status.success(), "{status}");
+    let _ = std::fs::remove_dir_all(&scratch);
+}

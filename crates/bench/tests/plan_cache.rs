@@ -314,6 +314,37 @@ fn corrupt_cache_entries_are_recomputed_not_trusted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn an_entry_whose_strings_need_escapes_is_stored_and_hit() {
+    let dir = fresh_dir("escapes");
+    let mut workload = synthesize(5);
+    workload.input = "input \"q\" \\ \n\t\u{1} \u{e9}\u{20ac}".to_string();
+    let name = "synth \"q\" \\ \n\u{1d11e}";
+    let mut set = WorkloadSet::new();
+    set.insert(name, workload);
+    let mut spec = synth_spec(ProtocolKind::Mesi);
+    spec.workloads = vec![WorkloadSpec::provided(name)];
+
+    let cold = Session::new()
+        .with_cache_dir(&dir)
+        .run(&spec, &set)
+        .unwrap();
+    assert_eq!(cold.cache.misses, 1);
+    let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
+    let text = std::fs::read_to_string(entry.path()).unwrap();
+    for escaped in [r#""input \"q\" \\ \n\t\u0001"#, r#""synth \"q\" \\ \n"#] {
+        assert!(text.contains(escaped), "{escaped} in {text}");
+    }
+
+    let warm = Session::new()
+        .with_cache_dir(&dir)
+        .run(&spec, &set)
+        .unwrap();
+    assert_eq!((warm.cache.hits, warm.cache.misses), (1, 0));
+    assert_eq!(warm.reports, cold.reports);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The registry extension names round-trip explicitly: a spec pinning the
 /// Dragon protocol and the snooping-bus network must survive the JSON codec
 /// with both names spelled out in the document (older specs omit the

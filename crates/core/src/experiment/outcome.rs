@@ -101,8 +101,10 @@ impl PlanOutcome {
         self.report(row, self.baseline)
     }
 
+    /// `label/protocol`, concatenated rather than formatted: every bar of
+    /// every figure takes one.
     fn row_label(&self, label: &str, protocol: ProtocolKind) -> String {
-        format!("{label}/{protocol}")
+        [label, "/", protocol.name()].concat()
     }
 
     /// Arithmetic mean over rows of `f(report, baseline)`, matching the

@@ -902,13 +902,13 @@ impl PlannedCell {
     /// lane, and the analytic lane decides every message, cache state and
     /// waste word of both.
     pub fn shares_run_with(&self, other: &PlannedCell) -> bool {
-        let machine = SystemConfig {
-            network: self.system.network,
-            ..other.system.clone()
-        };
         self.workload_ref.digest == other.workload_ref.digest
             && self.effective_protocol() == other.effective_protocol()
-            && self.system == machine
+            && self.system
+                == SystemConfig {
+                    network: self.system.network,
+                    ..other.system.clone()
+                }
     }
 
     /// The cell's flight-recorder track and display name,

@@ -17,8 +17,8 @@
 //! * [`ENGINE_VERSION`] — bumped whenever simulation semantics change, which
 //!   retires every stale entry at once.
 //!
-//! Entries are one JSON file per key under the cache directory (see
-//! `codec.rs` for the bit-exact report encoding). A corrupt, truncated or
+//! Entries are one JSON file per key under the cache directory (`codec.rs`
+//! writes and reads them, the report bit-exactly). A corrupt, truncated or
 //! mismatched entry is treated as a miss and recomputed/overwritten, so the
 //! cache can never poison a run — at worst it fails to speed one up.
 
@@ -35,7 +35,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use tw_obs::Json;
 use tw_obs::{Span, SpanSink};
 use tw_types::{Digest, Digester, ProtocolKind, SystemConfig};
 use tw_workloads::Workload;
@@ -769,14 +768,7 @@ impl Drop for Share<'_> {
 /// miss: the cell is simulated and the entry written over.
 fn probe_entry(path: &std::path::Path, key: Digest) -> Option<SimReport> {
     let text = std::fs::read_to_string(path).ok()?;
-    let doc = Json::parse(&text).ok()?;
-    if doc.get("engine")?.as_str().ok()? != ENGINE_VERSION {
-        return None;
-    }
-    if doc.get("key")?.as_str().ok()? != key.to_string() {
-        return None;
-    }
-    codec::report_from_json(doc.get("report")?).ok()
+    codec::entry_report(&text, key).ok()
 }
 
 /// Persists one entry atomically (write to a sibling temp file, then
@@ -787,19 +779,12 @@ fn store_entry(
     cell: &PlannedCell,
     report: &SimReport,
 ) -> Result<(), ExperimentError> {
-    let doc = Json::Obj(vec![
-        ("engine".to_string(), Json::str(ENGINE_VERSION)),
-        ("key".to_string(), Json::str(key.to_string())),
-        (
-            "workload".to_string(),
-            Json::str(cell.workload_ref.to_string()),
-        ),
-        (
-            "protocol".to_string(),
-            Json::str(cell.effective_protocol().name()),
-        ),
-        ("report".to_string(), codec::report_to_json(report)),
-    ]);
+    let doc = codec::entry_to_json(
+        key,
+        cell.workload_ref.to_string(),
+        cell.effective_protocol(),
+        report,
+    );
     // Two cells can legitimately share a key (same content under two
     // names), and two processes can share a cache directory; the cell
     // identity plus the process id keep every writer on its own temp file.

@@ -1,32 +1,17 @@
 //! Plain-text figure/table rendering.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A labeled table of numeric series — the in-memory form of one paper figure
 /// or table, renderable as aligned text or CSV.
 ///
 /// The table is append-only through [`FigureTable::push_row`]; the columns
-/// are fixed at construction. Both row labels and column headers are indexed
-/// on insertion, so [`FigureTable::value`] is an O(1) lookup rather than a
-/// rescan of the table.
-#[derive(Debug, Clone)]
+/// are fixed at construction.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureTable {
     title: String,
     columns: Vec<String>,
     rows: Vec<(String, Vec<f64>)>,
-    /// Data-column header → index into each row's value vector.
-    col_index: HashMap<String, usize>,
-    /// Row label → index into `rows` (first occurrence wins).
-    row_index: HashMap<String, usize>,
-}
-
-/// Equality is over the visible content (title, columns, rows); the lookup
-/// indices are derived state.
-impl PartialEq for FigureTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.title == other.title && self.columns == other.columns && self.rows == other.rows
-    }
 }
 
 impl FigureTable {
@@ -43,18 +28,10 @@ impl FigureTable {
             !columns.is_empty(),
             "a figure table needs at least the row-label column"
         );
-        let col_index = columns
-            .iter()
-            .skip(1)
-            .enumerate()
-            .map(|(i, c)| (c.clone(), i))
-            .collect();
         FigureTable {
             title: title.into(),
             columns,
             rows: Vec::new(),
-            col_index,
-            row_index: HashMap::new(),
         }
     }
 
@@ -91,23 +68,20 @@ impl FigureTable {
     ///
     /// Panics if the number of values does not match the data columns.
     pub fn push_row(&mut self, label: impl Into<String>, values: Vec<f64>) {
-        let label = label.into();
         assert_eq!(
             values.len(),
             self.columns.len() - 1,
             "row width must match the column headers"
         );
-        self.row_index
-            .entry(label.clone())
-            .or_insert(self.rows.len());
-        self.rows.push((label, values));
+        self.rows.push((label.into(), values));
     }
 
-    /// Looks up a value by row label and column header in O(1).
+    /// Looks up a value by row label and column header: the first row of
+    /// that label, the last column of that header.
     pub fn value(&self, row: &str, column: &str) -> Option<f64> {
-        let row = *self.row_index.get(row)?;
-        let col = *self.col_index.get(column)?;
-        self.rows[row].1.get(col).copied()
+        let (_, values) = self.rows.iter().find(|(label, _)| label == row)?;
+        let col = self.columns[1..].iter().rposition(|c| c == column)?;
+        values.get(col).copied()
     }
 }
 
@@ -175,6 +149,25 @@ mod tests {
         t.push_row("MESI", vec![9.0, 9.0]);
         assert_eq!(t.value("MESI", "LD"), Some(1.0));
         assert_eq!(t.rows().len(), 3);
+    }
+
+    #[test]
+    fn duplicates_resolve_to_the_first_row_and_the_last_column() {
+        let mut t = FigureTable::new(
+            "Figure Z",
+            ["bench/protocol", "LD", "ST", "LD", "bench/protocol"]
+                .map(String::from)
+                .to_vec(),
+        );
+        t.push_row("FFT", vec![1.0, 2.0, 3.0, 4.0]);
+        t.push_row("FFT", vec![5.0, 6.0, 7.0, 8.0]);
+        t.push_row("LU", vec![9.0, 10.0, 11.0, 12.0]);
+        assert_eq!(t.value("FFT", "LD"), Some(3.0));
+        assert_eq!(t.value("FFT", "ST"), Some(2.0));
+        assert_eq!(t.value("LU", "LD"), Some(11.0));
+        // The row-label header names a data column only where it repeats.
+        assert_eq!(t.value("LU", "bench/protocol"), Some(12.0));
+        assert_eq!(t.value("FFT", "WB"), None);
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Three directory defects the per-transaction substrate check brought to
-//! light, pinned as two-core regressions. Each fix changes which messages a
-//! run sends, so it moves result bytes and needs an `ENGINE_VERSION` bump;
-//! until then the tests are ignored and must keep *failing* under
-//! `--ignored` (ROADMAP item 1 has one paragraph per defect; CI checks that
-//! they do). Beside them, two passing tests pin the two policy points the
-//! shared read miss (`home.rs::directory_load`) keeps per protocol.
+//! light, pinned as two-core regressions, and one in how the L2 slices are
+//! indexed. Each fix changes which messages a run sends, so it moves result
+//! bytes and needs an `ENGINE_VERSION` bump; until then the tests are
+//! ignored and must keep *failing* under `--ignored` (ROADMAP item 1 has
+//! one paragraph per defect; CI checks that they do). Beside them, two
+//! passing tests pin the two policy points the shared read miss
+//! (`home.rs::directory_load`) keeps per protocol.
 
 use super::{SimConfig, Simulator};
+use tw_mem::CacheGeometry;
 use tw_protocols::LineState;
 use tw_types::{Addr, LineAddr, ProtocolKind, RegionId, RegionTable, TraceOp, LINE_BYTES};
-use tw_workloads::{BenchmarkKind, Workload};
+use tw_workloads::{BenchmarkKind, ScaleProfile, Workload};
 
 const A: u64 = 0x4000;
 
@@ -97,4 +99,43 @@ fn mmeml1_directory_keeps_the_first_owner() {
     let (states, holders) = two_cores(ProtocolKind::MMemL1, vec![store(0)], vec![load(0)]);
     let holding: Vec<usize> = (0..2).filter(|&c| states[c].can_read()).collect();
     assert_eq!(holders, holding, "directory holders vs. L1 copies");
+}
+
+#[test]
+#[ignore = "the home tile and the L2 set both come from the low bits of the line number, so a slice reaches 1/16 of its sets; fix needs an ENGINE_VERSION bump"]
+fn every_set_of_an_l2_slice_holds_lines_homed_there() {
+    // (scale, fewest sets any slice reaches, sets per slice) over the first
+    // million lines.
+    let reach = |scale: ScaleProfile| {
+        let sys = scale.system();
+        let c = &sys.cache;
+        let l2 = CacheGeometry::new(c.l2_slice_bytes, c.l2_ways, c.line_bytes);
+        let mut reached = vec![vec![false; l2.sets()]; sys.tiles()];
+        for line in 0..1_000_000 {
+            let byte = line * c.line_bytes;
+            let set = l2.set_of(LineAddr::containing(Addr::new(byte), c.line_bytes));
+            reached[sys.home_tile(byte).0][set] = true;
+        }
+        let fewest = reached
+            .iter()
+            .map(|sets| sets.iter().filter(|&&r| r).count())
+            .min()
+            .unwrap_or(0);
+        (scale, fewest, l2.sets())
+    };
+    let found: Vec<_> = [
+        ScaleProfile::Paper,
+        ScaleProfile::Scaled,
+        ScaleProfile::Tiny,
+    ]
+    .map(reach)
+    .to_vec();
+    let every: Vec<_> = found
+        .iter()
+        .map(|&(scale, _, sets)| (scale, sets, sets))
+        .collect();
+    assert_eq!(
+        found, every,
+        "(scale, sets a slice reaches, sets per slice)"
+    );
 }

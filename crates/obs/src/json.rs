@@ -22,11 +22,21 @@
 //! finite), and [`Json::Inline`], a value kept on one line inside a
 //! [`Json::pretty`] document. [`Json::parse`] never produces either.
 //!
+//! One tokenizer reads every document: [`Reader`], which steps through the
+//! text a token at a time and builds nothing. [`Json::parse`] is one of its
+//! consumers and builds a value; the result cache's entry decoder
+//! (`denovo_waste`'s `codec.rs`) is the other and reads a report's fields
+//! straight from the text, borrowing its strings. The reader refuses a
+//! document nested deeper than [`MAX_DEPTH`] arrays and objects with an
+//! error naming the byte offset, so a hostile spec file or daemon header
+//! is an error, not a stack overflow.
+//!
 //! The type is public because the experiments daemon (`tw-bench`) frames its
 //! wire protocol with exactly these documents: one compact header line per
 //! request/response (see [`Json::compact`]), optionally followed by an
 //! opaque byte body.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value (strings, unsigned ints, arrays, ordered objects, and the
@@ -141,14 +151,39 @@ impl Json {
     /// Any structural problem, with the offending byte offset or construct
     /// named.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { input, pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.input.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
+        let mut r = Reader::new(input);
+        let v = Json::read(&mut r)?;
+        r.finish()?;
         Ok(v)
+    }
+
+    /// Reads the reader's next value whole. The recursion is as deep as the
+    /// document, which the reader bounds at [`MAX_DEPTH`].
+    fn read(r: &mut Reader<'_>) -> Result<Json, String> {
+        Ok(match r.kind()? {
+            ValueKind::Str => Json::Str(r.str()?.into_owned()),
+            ValueKind::UInt => Json::UInt(r.uint()?),
+            ValueKind::Arr => {
+                r.open_arr()?;
+                let mut items = Vec::new();
+                while r.next_item()? {
+                    items.push(Json::read(r)?);
+                }
+                Json::Arr(items)
+            }
+            ValueKind::Obj => {
+                r.open_obj()?;
+                let mut fields: Vec<(String, Json)> = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    if fields.iter().any(|(k, _)| *k == key) {
+                        return Err(format!("duplicate key `{key}`"));
+                    }
+                    let value = Json::read(r)?;
+                    fields.push((key.into_owned(), value));
+                }
+                Json::Obj(fields)
+            }
+        })
     }
 
     /// Renders the value as pretty-printed JSON (2-space indent, stable
@@ -248,29 +283,299 @@ fn new_line(out: &mut String, depth: Option<usize>) {
 /// characters escaped, everything else as is.
 fn emit_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    // Every character that needs an escape is ASCII, so the run before one
+    // ends on a char boundary and is copied whole.
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
-struct Parser<'a> {
-    /// The document; string runs are copied out of it as slices.
-    input: &'a str,
-    pos: usize,
+/// How deeply arrays and objects may nest in a document a [`Reader`]
+/// reads. The deepest document the workspace writes nests six levels (a
+/// figure's values in a results document); a deeper one is refused with an
+/// error naming the byte offset, so no input drives a consumer's recursion
+/// off the end of its stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// What the next value of a [`Reader`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueKind {
+    /// A string: read it with [`Reader::str`].
+    Str,
+    /// An unsigned integer: read it with [`Reader::uint`].
+    UInt,
+    /// An array: open it with [`Reader::open_arr`].
+    Arr,
+    /// An object: open it with [`Reader::open_obj`].
+    Obj,
 }
 
-impl<'a> Parser<'a> {
+/// The workspace's one JSON tokenizer. It steps through a document a
+/// value, key or bracket at a time and builds nothing: the caller drives
+/// it with the grammar it expects. [`Reader::kind`] names the next value,
+/// [`Reader::str`] and [`Reader::uint`] read a scalar, and an array or
+/// object is [`Reader::open_arr`] or [`Reader::open_obj`] followed by
+/// [`Reader::next_item`] or [`Reader::next_key`] until they report its
+/// close. A string borrows from the input unless it holds an escape.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    /// The document; strings without escapes are slices of it.
+    input: &'a str,
+    pos: usize,
+    /// Arrays and objects open at the position.
+    depth: usize,
+    /// Whether the innermost array or object has not yet been asked for an
+    /// item or key, so its first one takes no `,`.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Reader {
+            input,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    /// What the next value is.
+    ///
+    /// # Errors
+    ///
+    /// The end of input, or a construct outside the schema (booleans,
+    /// null, negative numbers, any other byte), named with its offset.
+    pub fn kind(&mut self) -> Result<ValueKind, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => Ok(ValueKind::Str),
+            Some(b'[') => Ok(ValueKind::Arr),
+            Some(b'{') => Ok(ValueKind::Obj),
+            Some(b'0'..=b'9') => Ok(ValueKind::UInt),
+            Some(b't') | Some(b'f') | Some(b'n') => Err(format!(
+                "booleans and null are not part of this schema (byte {})",
+                self.pos
+            )),
+            Some(b'-') => Err(format!(
+                "negative numbers are not part of this schema (byte {})",
+                self.pos
+            )),
+            Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
+            None => Err("unexpected end of input".to_string()),
+        }
+    }
+
+    /// Reads a string, borrowed from the input unless it holds an escape.
+    ///
+    /// # Errors
+    ///
+    /// No string here, an unterminated string, or a bad escape.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let mut run = self.run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = String::new();
+        loop {
+            out.push_str(run);
+            match self.peek() {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(_) => {
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                }
+            }
+            run = self.run();
+        }
+    }
+
+    /// Steps over the run of string text up to the next `"` or `\` (or the
+    /// end of input) and returns it. Both are ASCII, so the run ends on a
+    /// char boundary of the input, and no byte is examined twice.
+    fn run(&mut self) -> &'a str {
+        let rest = &self.bytes()[self.pos..];
+        let len = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        let run = &self.input[self.pos..self.pos + len];
+        self.pos += len;
+        run
+    }
+
+    /// Reads the character an escape stands for, the `\` already read.
+    fn escape(&mut self) -> Result<char, String> {
+        let esc = self.peek().ok_or("unterminated escape")?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                if self.pos + 4 > self.input.len() {
+                    return Err("truncated \\u escape".to_string());
+                }
+                let hex = self
+                    .input
+                    .get(self.pos..self.pos + 4)
+                    .ok_or("non-ASCII \\u escape")?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))?;
+                // The codecs only escape control characters; no surrogate-pair
+                // support needed or provided.
+                let c = char::from_u32(code).ok_or(format!("\\u{hex} is not a scalar value"))?;
+                self.pos += 4;
+                c
+            }
+            other => return Err(format!("unknown escape `\\{}`", other as char)),
+        })
+    }
+
+    /// Reads an unsigned integer.
+    ///
+    /// # Errors
+    ///
+    /// No integer here, a float, or one too large for a `u64`.
+    pub fn uint(&mut self) -> Result<u64, String> {
+        self.skip_ws();
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
+            return Err(format!(
+                "floats are not part of this schema (byte {}); encode f64 fields as bit-pattern strings",
+                self.pos
+            ));
+        }
+        let text = &self.input[start..self.pos];
+        text.parse::<u64>()
+            .map_err(|e| format!("integer `{text}` at byte {start}: {e}"))
+    }
+
+    /// Opens an array; read its items with [`Reader::next_item`].
+    ///
+    /// # Errors
+    ///
+    /// No array here, or one nested deeper than [`MAX_DEPTH`].
+    pub fn open_arr(&mut self) -> Result<(), String> {
+        self.open(b'[')
+    }
+
+    /// Opens an object; read its fields with [`Reader::next_key`].
+    ///
+    /// # Errors
+    ///
+    /// No object here, or one nested deeper than [`MAX_DEPTH`].
+    pub fn open_obj(&mut self) -> Result<(), String> {
+        self.open(b'{')
+    }
+
+    fn open(&mut self, bracket: u8) -> Result<(), String> {
+        self.skip_ws();
+        self.expect(bracket)?;
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos - 1
+            ));
+        }
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Moves to the open array's next item: `true` when there is one to
+    /// read, `false` once the array is closed.
+    ///
+    /// # Errors
+    ///
+    /// Neither `,` nor `]` after an item.
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.next(b']')
+    }
+
+    /// Reads the open object's next key and the `:` after it, or `None`
+    /// once the object is closed.
+    ///
+    /// # Errors
+    ///
+    /// Neither `,` nor `}` after a field, or a malformed key.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.next(b'}')? {
+            return Ok(None);
+        }
+        let key = self.str()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Steps past the `,` before the next item or field, or past `close`:
+    /// whether another item or field follows.
+    fn next(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.fresh, false);
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(format!(
+                "expected `,` or `{}` at byte {}",
+                close as char, self.pos
+            )),
+        }
+    }
+
+    /// Checks that nothing but whitespace follows.
+    ///
+    /// # Errors
+    ///
+    /// Names the offset of the trailing data.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.input.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
+        }
+    }
+
     fn bytes(&self) -> &'a [u8] {
         self.input.as_bytes()
     }
@@ -302,154 +607,6 @@ impl<'a> Parser<'a> {
                     .map(|c| format!("`{}`", c as char))
                     .unwrap_or_else(|| "end of input".to_string())
             ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'0'..=b'9') => self.uint(),
-            Some(b't') | Some(b'f') | Some(b'n') => Err(format!(
-                "booleans and null are not part of this schema (byte {})",
-                self.pos
-            )),
-            Some(b'-') => Err(format!(
-                "negative numbers are not part of this schema (byte {})",
-                self.pos
-            )),
-            Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn uint(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return Err(format!(
-                "floats are not part of this schema (byte {}); encode f64 fields as bit-pattern strings",
-                self.pos
-            ));
-        }
-        let text = &self.input[start..self.pos];
-        text.parse::<u64>()
-            .map(Json::UInt)
-            .map_err(|e| format!("integer `{text}` at byte {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.input.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex = self
-                                .input
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("non-ASCII \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            // The codecs only escape control characters; no
-                            // surrogate-pair support needed or provided.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or(format!("\\u{hex} is not a scalar value"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Copy the plain run up to the next `"` or `\` in one
-                    // go. Both are ASCII, so the run ends on a char boundary
-                    // of the input, and no byte is examined twice.
-                    let rest = &self.bytes()[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    out.push_str(&self.input[self.pos..self.pos + run]);
-                    self.pos += run;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key `{key}`"));
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
         }
     }
 }
@@ -584,6 +741,47 @@ mod tests {
         ] {
             assert_eq!(Json::parse(input), Err(want.to_string()), "{input}");
         }
+    }
+
+    #[test]
+    fn the_reader_steps_through_a_document_borrowing_plain_strings() {
+        let doc = r#" {"k": ["plain", "esc\"aped", 7], "e": {}} "#;
+        let mut r = Reader::new(doc);
+        r.open_obj().unwrap();
+        assert_eq!(r.next_key().unwrap(), Some(Cow::Borrowed("k")));
+        assert_eq!(r.kind(), Ok(ValueKind::Arr));
+        r.open_arr().unwrap();
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("plain")));
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Owned(s) if s == "esc\"aped"));
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.kind(), Ok(ValueKind::UInt));
+        assert_eq!(r.uint(), Ok(7));
+        assert!(!r.next_item().unwrap());
+        assert_eq!(r.next_key().unwrap(), Some(Cow::Borrowed("e")));
+        r.open_obj().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_bound_is_an_error_naming_its_offset() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let too_deep = |at: usize| {
+            Err(format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels at byte {at}"
+            ))
+        };
+        for n in [MAX_DEPTH + 1, 200_000] {
+            assert_eq!(Json::parse(&"[".repeat(n)), too_deep(MAX_DEPTH));
+        }
+        let objects = format!("{}{{}}", "{\"k\": ".repeat(MAX_DEPTH));
+        assert_eq!(Json::parse(&objects), too_deep(6 * MAX_DEPTH));
+        let mixed = "[{\"k\":".repeat(MAX_DEPTH);
+        assert_eq!(Json::parse(&mixed), too_deep(6 * (MAX_DEPTH / 2)));
     }
 
     #[test]
