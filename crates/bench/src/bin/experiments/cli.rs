@@ -106,7 +106,6 @@ pub static COMMANDS: &[Command] = &[
         .flags(&[
             opt("--seeds", "N"),
             opt("--start", "N"),
-            opt("--streaming-every", "N"),
             opt("--network", "NAME"),
             RECORD,
             switch("--self-test"),

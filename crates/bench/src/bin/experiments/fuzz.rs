@@ -42,15 +42,16 @@ fn traffic_digest(summaries: &[tw_scenarios::ProtocolSummary]) -> u64 {
     h
 }
 
+/// Every fifth seed synthesizes the fully-bypass streaming preset, which
+/// also checks the `DBypFull ≤ MESI` dominance invariant.
+const STREAMING_EVERY: u64 = 5;
+
 /// The stdout transcript is deterministic in the seed window — CI byte-diffs
 /// two runs — and the exit code is nonzero on any invariant violation.
 pub fn run(args: &Args) -> Result<ExitCode, String> {
     let seeds = args.number("--seeds", 20u64)?;
     // First seed, so CI shards and bisections can window the space.
     let start = args.number("--start", 0u64)?;
-    // Every k-th seed synthesizes the fully-bypass streaming preset, which
-    // additionally checks the `DBypFull ≤ MESI` dominance invariant.
-    let streaming_every = args.number("--streaming-every", 5u64)?;
     // The model the primary sweep runs under (the runner checks the
     // cross-model identity against every other registered model either way).
     let network = args
@@ -78,7 +79,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     let started = Instant::now();
     let mut violations = 0usize;
     for seed in start..start + seeds {
-        let streaming = streaming_every != 0 && seed % streaming_every == 0;
+        let streaming = seed % STREAMING_EVERY == 0;
         let wl = if streaming {
             SynthConfig::streaming(seed).build()
         } else {

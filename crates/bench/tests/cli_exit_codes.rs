@@ -50,7 +50,7 @@ fn help_exits_zero_and_documents_the_contract() {
         ("trace roundtrip", "--bench --protocol --tiny"),
         (
             "fuzz",
-            "--seeds --start --streaming-every --network --record --self-test --tiny",
+            "--seeds --start --network --record --self-test --tiny",
         ),
         ("workloads", "--write --check"),
         ("serve", "--socket --cache --no-cache --record"),
@@ -158,36 +158,48 @@ fn invalid_requests_exit_two() {
 fn specs_no_machine_can_run_exit_two_and_name_the_culprit() {
     // Each of these used to pass `validate` and then panic inside the run
     // (exit 101): a cache of no sets, a line the profilers cannot chunk, a
-    // core count a generator's input does not split among.
+    // core count a generator's input does not split among. The terabyte L2
+    // slice used to compile, and its run would have tried to allocate it:
+    // it is probed by `plan show` alone, which compiles and runs nothing.
     let dir = scratch("unrunnable");
-    let probes: &[(&str, &[&str])] = &[
+    let probes: &[(&str, &str, &[&str])] = &[
         (
+            "run",
             r#"{"label":"no-l1","l1_bytes":0}"#,
             &["`no-l1`", "non-zero"],
         ),
         (
+            "run",
             r#"{"label":"no-l2","l2_slice_bytes":0}"#,
             &["`no-l2`", "non-zero"],
         ),
         (
+            "run",
             r#"{"label":"half-line","line_bytes":32}"#,
             &["`half-line`", "`line_bytes`"],
         ),
         (
+            "run",
             r#"{"label":"nine","mesh":[3,3]}"#,
             &["FFT", "among 9 cores"],
         ),
         (
+            "run",
             r#"{"label":"ten","mesh":[5,2],"network":"bus"}"#,
             &["FFT", "among 10 cores"],
         ),
+        (
+            "show",
+            r#"{"label":"huge","l2_slice_bytes":1099511627776}"#,
+            &["`huge`", "at most 4194304 bytes"],
+        ),
     ];
-    for (variant, named) in probes {
+    for (command, variant, named) in probes {
         let spec = format!(
             r#"{{"schema":"denovo-waste/experiment-spec/v1","name":"probe","scale":"tiny","baseline":"MESI","protocols":["MESI"],"workloads":[{{"bench":"FFT"}}],"variants":[{variant}]}}"#
         );
         std::fs::write(dir.join("probe.json"), spec).unwrap();
-        let (code, _, stderr) = run_in(&dir, &["plan", "run", "probe.json"]);
+        let (code, _, stderr) = run_in(&dir, &["plan", command, "probe.json"]);
         assert_eq!(code, 2, "{variant} must exit 2; stderr:\n{stderr}");
         assert!(stderr.contains("error:"), "{variant}: {stderr}");
         for name in *named {

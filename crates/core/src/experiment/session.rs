@@ -924,6 +924,64 @@ mod tests {
     }
 
     #[test]
+    fn cache_keys_of_every_scale_and_variant_axis_are_pinned() {
+        // Literals, one per scale and per axis a spec variant sets, so that
+        // no change to how the machine is described can move the key of a
+        // system a plan can name.
+        let variant = |f: fn(&mut SystemConfig)| {
+            let mut sys = SystemConfig::default();
+            f(&mut sys);
+            sys
+        };
+        let systems = [
+            (
+                "scaled",
+                ScaleProfile::Scaled.system(),
+                "5d10466fe3f233d73c53a29148ead6d8",
+            ),
+            (
+                "tiny",
+                ScaleProfile::Tiny.system(),
+                "5a0a5f9e63b7cc7e598211f62585b906",
+            ),
+            (
+                "5x2 mesh",
+                variant(|s| (s.noc.cols, s.noc.rows) = (5, 2)),
+                "ea296377750bff670378c40eaf30737f",
+            ),
+            (
+                "16 KiB L1",
+                variant(|s| s.cache.l1_bytes = 16 * 1024),
+                "b07f1dda0ccd6cf0e36497bfc84d16f0",
+            ),
+            (
+                "24 KiB L2 slice",
+                variant(|s| s.cache.l2_slice_bytes = 24 * 1024),
+                "97c4326f4bef27febddee231488aea97",
+            ),
+            (
+                "flit",
+                variant(|s| s.network = tw_types::NetworkModelKind::FlitLevel),
+                "5ecfa68d40755b88b1a8c616adeb3fa1",
+            ),
+            (
+                "bus",
+                variant(|s| s.network = tw_types::NetworkModelKind::SnoopBus),
+                "cc14165f322ac68bf6cb011d9b06478d",
+            ),
+        ];
+        for (name, sys, want) in systems {
+            let key = cache_key(
+                Digest::of_bytes(b"trace"),
+                &sys,
+                ProtocolKind::Mesi,
+                ENGINE_VERSION,
+            );
+            assert_eq!(key.to_string(), want, "{name}");
+        }
+    }
+
+    #[test]
     fn the_default_session_is_the_new_session() {
         let plan = ExperimentSpec::subset(
             vec![ProtocolKind::Mesi],

@@ -5,7 +5,8 @@ use tw_bloom::{BloomBank, BloomConfig, BloomHashes};
 use tw_dram::MemoryController;
 use tw_mem::{CacheArray, CacheGeometry, WriteCombineTable};
 use tw_protocols::{DenovoL2Line, Directory, LineState};
-use tw_types::{ProtocolKind, RegionId, SystemConfig, TileId};
+use tw_types::config::{L1_WAYS, L2_WAYS, WRITE_COMBINE_TIMEOUT, WRITE_TABLE_ENTRIES};
+use tw_types::{DramConfig, ProtocolKind, RegionId, SystemConfig, TileId, WORDS_PER_LINE};
 
 /// Metadata an L1 line carries, depending on the protocol family.
 #[derive(Debug, Clone)]
@@ -68,12 +69,8 @@ pub struct Tile {
 
 /// Builds the full set of tiles for a system configuration and protocol.
 pub fn build_tiles(cfg: &SystemConfig, protocol: ProtocolKind) -> Vec<Tile> {
-    let l1_geom = CacheGeometry::new(cfg.cache.l1_bytes, cfg.cache.l1_ways, cfg.cache.line_bytes);
-    let l2_geom = CacheGeometry::new(
-        cfg.cache.l2_slice_bytes,
-        cfg.cache.l2_ways,
-        cfg.cache.line_bytes,
-    );
+    let l1_geom = CacheGeometry::new(cfg.cache.l1_bytes, L1_WAYS, cfg.cache.line_bytes);
+    let l2_geom = CacheGeometry::new(cfg.cache.l2_slice_bytes, L2_WAYS, cfg.cache.line_bytes);
     // One hash set serves every bank of the machine: the functions depend
     // on the Bloom configuration alone.
     let bloom = protocol
@@ -97,14 +94,14 @@ pub fn build_tiles(cfg: &SystemConfig, protocol: ProtocolKind) -> Vec<Tile> {
                 l1: CacheArray::new(l1_geom),
                 l2: CacheArray::new(l2_geom),
                 write_combine: WriteCombineTable::new(
-                    cfg.cache.write_table_entries,
-                    cfg.cache.write_combine_timeout,
-                    cfg.cache.words_per_line(),
+                    WRITE_TABLE_ENTRIES,
+                    WRITE_COMBINE_TIMEOUT,
+                    WORDS_PER_LINE,
                 ),
                 l2_bloom,
                 l1_bloom,
                 mc: if mc_tiles.contains(&id) {
-                    Some(MemoryController::new(cfg.dram.clone()))
+                    Some(MemoryController::new(DramConfig))
                 } else {
                     None
                 },

@@ -109,7 +109,7 @@ fn every_set_of_an_l2_slice_holds_lines_homed_there() {
     let reach = |scale: ScaleProfile| {
         let sys = scale.system();
         let c = &sys.cache;
-        let l2 = CacheGeometry::new(c.l2_slice_bytes, c.l2_ways, c.line_bytes);
+        let l2 = CacheGeometry::new(c.l2_slice_bytes, tw_types::config::L2_WAYS, c.line_bytes);
         let mut reached = vec![vec![false; l2.sets()]; sys.tiles()];
         for line in 0..1_000_000 {
             let byte = line * c.line_bytes;

@@ -22,6 +22,7 @@ use crate::sim::SimConfig;
 use crate::timing::{LaneBreakdowns, TimeClass};
 use tw_noc::{model_for, Mesh, NetworkModel, PacketSize};
 use tw_profiler::{CacheLevel, CacheWasteProfiler, MemoryWasteProfiler, TrafficBreakdown};
+use tw_types::config::{DRAM_ROW_BYTES, L1_HIT_CYCLES};
 use tw_types::{
     Addr, LineAddr, MessageClass, MessageKind, NetworkModelKind, NocConfig, ProtocolKind, RegionId,
     RegionTable, Stamp, SystemConfig, TileId, TrafficBucket, LANES, LINE_BYTES,
@@ -188,9 +189,6 @@ pub(crate) struct GeomCache {
     tiles: usize,
     tiles_pow2: bool,
     tiles_mask: usize,
-    row_bytes: u64,
-    row_pow2: bool,
-    row_shift: u32,
     /// The four corner memory controllers, in `memory_controller_tiles`
     /// order (row index modulo 4 picks the controller, exactly as
     /// `SystemConfig::mc_tile` does).
@@ -207,7 +205,6 @@ pub(crate) struct GeomCache {
 impl GeomCache {
     pub(crate) fn new(system: &SystemConfig, regions: &RegionTable) -> Self {
         let tiles = system.tiles();
-        let row_bytes = system.dram.row_bytes;
         let mcs_v = system.memory_controller_tiles();
         debug_assert_eq!(mcs_v.len(), 4, "controllers sit on the four corners");
 
@@ -233,9 +230,6 @@ impl GeomCache {
             tiles,
             tiles_pow2: tiles.is_power_of_two(),
             tiles_mask: tiles.wrapping_sub(1),
-            row_bytes,
-            row_pow2: row_bytes.is_power_of_two(),
-            row_shift: row_bytes.trailing_zeros(),
             mcs: [mcs_v[0], mcs_v[1], mcs_v[2], mcs_v[3]],
             region_parallel,
             region_bypass,
@@ -256,12 +250,7 @@ impl GeomCache {
     /// Same mapping as [`SystemConfig::mc_tile`].
     #[inline(always)]
     fn mc_of(&self, line: LineAddr) -> TileId {
-        let row = if self.row_pow2 {
-            line.byte() >> self.row_shift
-        } else {
-            line.byte() / self.row_bytes
-        };
-        self.mcs[(row as usize) & 3]
+        self.mcs[(line.byte() / DRAM_ROW_BYTES) as usize & 3]
     }
 
     /// Whether `region` may be written during parallel phases (`true` for
@@ -356,9 +345,8 @@ impl<'wl> Engine<'wl> {
     /// dispatched.
     pub(crate) fn load(&mut self, core: usize, addr: Addr, region: RegionId, now: Stamp) -> Stamp {
         let done = if self.l1_load_hit(core, addr) {
-            let l1_hit_cycles = self.system().timing.l1_hit_cycles;
-            self.time[core].add(TimeClass::Compute, l1_hit_cycles);
-            now + l1_hit_cycles
+            self.time[core].add(TimeClass::Compute, L1_HIT_CYCLES);
+            now + L1_HIT_CYCLES
         } else {
             match self.family {
                 Family::Mesi | Family::Dragon => self.directory_load(core, addr, region, now),
@@ -421,11 +409,6 @@ impl<'wl> Engine<'wl> {
     /// The protocol configuration being simulated.
     pub(crate) fn protocol(&self) -> ProtocolKind {
         self.cfg.protocol
-    }
-
-    /// The simulated system parameters.
-    pub(crate) fn system(&self) -> &SystemConfig {
-        &self.cfg.system
     }
 
     /// Home L2 slice of a line (cached [`SystemConfig::home_tile`]).

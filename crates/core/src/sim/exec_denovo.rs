@@ -13,6 +13,7 @@ use crate::timing::TimeClass;
 use tw_mem::LineEntry;
 use tw_protocols::denovo::{l1_self_invalidate, split_by_supplier};
 use tw_protocols::{flex_fetch_plan, DenovoL2Line, FlexPlan};
+use tw_types::config::{L2_HIT_CYCLES, L2_OCCUPANCY_CYCLES};
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
     LINE_BYTES, WORDS_PER_LINE,
@@ -165,14 +166,19 @@ impl Engine<'_> {
     /// supplied any, the timeline of that fetch.
     fn denovo_fetch(&mut self, req: LineRequest) -> (Stamp, Option<MemFetch>) {
         let (me, home) = (TileId(req.core), self.home_of(req.line));
-        let occupancy = self.system().timing.l2_occupancy_cycles;
         let (t_home, registry) = match req.route {
             Route::ToMc => (req.at, None),
             Route::Demand => {
                 let rq = self.net.send(me, home, MessageKind::LoadReq, 0, req.at);
-                (rq.arrival + occupancy, self.denovo_l2_meta(home, req.line))
+                (
+                    rq.arrival + L2_OCCUPANCY_CYCLES,
+                    self.denovo_l2_meta(home, req.line),
+                )
             }
-            Route::Rider => (req.at + occupancy, self.denovo_l2_meta(home, req.line)),
+            Route::Rider => (
+                req.at + L2_OCCUPANCY_CYCLES,
+                self.denovo_l2_meta(home, req.line),
+            ),
         };
         // `want` excludes what this L1 can read, and a registrant holds its
         // words valid and dirty (`assert_registrants_hold_their_words`).
@@ -206,11 +212,10 @@ impl Engine<'_> {
     /// Supplier 1 — the words the home L2 itself holds.
     fn denovo_serve_from_l2(&mut self, req: &LineRequest, words: WordMask, at: Stamp) -> Delivery {
         let home = self.home_of(req.line);
-        let l2_hit = self.system().timing.l2_hit_cycles;
         self.tiles[home.0].l2.get(req.line);
         self.l2_prof
             .loaded_words(req.line.word_addr(WordIdx(0)), words);
-        self.denovo_data_to_l1(req, home, words, at + l2_hit)
+        self.denovo_data_to_l1(req, home, words, at + L2_HIT_CYCLES)
     }
 
     /// Supplier 2 — words registered to another core: the L2 forwards the
@@ -251,7 +256,7 @@ impl Engine<'_> {
         if req.data == MemData::ThroughL2 {
             let leg = self.read_memory(req.line, sent, from, MemPeer::Home, t_home);
             self.denovo_fill_l2(home, req.line, sent, MessageClass::Load, leg.delivery);
-            let at_l1 = leg.delivery.arrival + self.system().timing.l2_hit_cycles;
+            let at_l1 = leg.delivery.arrival + L2_HIT_CYCLES;
             let delivery = self.denovo_data_to_l1(req, home, sent, at_l1);
             return MemFetch { delivery, ..leg };
         }
@@ -332,10 +337,9 @@ impl Engine<'_> {
         now: Stamp,
     ) {
         let (me, home) = (TileId(core), self.home_of(line));
-        let occupancy = self.system().timing.l2_occupancy_cycles;
 
         let rq = self.net.send(me, home, MessageKind::StoreReq, 0, now);
-        let t_home = rq.arrival + occupancy;
+        let t_home = rq.arrival + L2_OCCUPANCY_CYCLES;
 
         if self.denovo_ensure_l2(home, line, t_home) && !self.protocol().l2_write_validate() {
             // Fetch-on-write, the baseline L2 policy: a registration that

@@ -30,6 +30,7 @@ use super::engine::Engine;
 use crate::machine::L1Meta;
 use crate::timing::TimeClass;
 use tw_protocols::{dragon, Directory, LineState};
+use tw_types::config::L2_OCCUPANCY_CYCLES;
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordMask,
     LINE_BYTES, WORDS_PER_LINE,
@@ -49,7 +50,6 @@ impl Engine<'_> {
         let w = addr.word_in_line(LINE_BYTES);
         let me = TileId(core);
         let home = self.home_of(line);
-        let occupancy = self.system().timing.l2_occupancy_cycles;
         self.time[core].add(TimeClass::Compute, 1);
 
         let state = self.l1_state(core, line);
@@ -62,7 +62,7 @@ impl Engine<'_> {
             // invalidating upgrade. Announce the write to the home; the
             // home pushes the written word to every other sharer.
             let req = self.net.send(me, home, MessageKind::UpdateReq, 0, now);
-            let t_home = req.arrival + occupancy;
+            let t_home = req.arrival + L2_OCCUPANCY_CYCLES;
             let mut dir = self.dir(home, line);
             let (prev_owner, updated) = dragon::record_write(&mut dir, CoreId(core));
             if let Some(o) = prev_owner {
@@ -84,7 +84,7 @@ impl Engine<'_> {
             // Write miss: fetch the line (fetch-on-write, like MESI) — but
             // existing sharers are updated, never invalidated.
             let req = self.net.send(me, home, MessageKind::StoreReq, 0, now);
-            let t_home = req.arrival + occupancy;
+            let t_home = req.arrival + L2_OCCUPANCY_CYCLES;
 
             let delivery = if self.l2_has_data(home, line) {
                 let mut dir = self.dir(home, line);

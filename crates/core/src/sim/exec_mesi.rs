@@ -9,6 +9,7 @@ use super::engine::Engine;
 use super::home::MemPeer;
 use crate::timing::TimeClass;
 use tw_protocols::{mesi, Directory, LineState};
+use tw_types::config::L2_OCCUPANCY_CYCLES;
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
     LINE_BYTES, WORDS_PER_LINE,
@@ -27,14 +28,13 @@ impl Engine<'_> {
         let line = LineAddr::containing(addr, LINE_BYTES);
         let me = TileId(core);
         let home = self.home_of(line);
-        let occupancy = self.system().timing.l2_occupancy_cycles;
         self.time[core].add(TimeClass::Compute, 1);
 
         let state = self.l1_state(core, line);
         if state.is_shared() {
             // Upgrade: invalidate the other sharers, no data transfer.
             let req = self.net.send(me, home, MessageKind::UpgradeReq, 0, now);
-            let t_home = req.arrival + occupancy;
+            let t_home = req.arrival + L2_OCCUPANCY_CYCLES;
             let mut dir = self.dir(home, line);
             let (_prev_owner, invalidated) = mesi::record_write(&mut dir, CoreId(core));
             self.mesi_invalidate_sharers(home, line, &invalidated, t_home);
@@ -46,7 +46,7 @@ impl Engine<'_> {
         } else if !state.can_write_silently() {
             // GetM with a full-line data response (fetch-on-write).
             let req = self.net.send(me, home, MessageKind::StoreReq, 0, now);
-            let t_home = req.arrival + occupancy;
+            let t_home = req.arrival + L2_OCCUPANCY_CYCLES;
 
             let delivery = if self.l2_has_data(home, line) {
                 let mut dir = self.dir(home, line);

@@ -31,6 +31,7 @@ use crate::machine::{L1Meta, L2Meta};
 use crate::timing::TimeClass;
 use tw_mem::LineEntry;
 use tw_protocols::{dragon, mesi, Directory, LineState};
+use tw_types::config::{L2_HIT_CYCLES, L2_OCCUPANCY_CYCLES};
 use tw_types::{
     Addr, CoreId, LineAddr, MessageClass, MessageKind, RegionId, Stamp, TileId, WordIdx, WordMask,
     LINE_BYTES, WORDS_PER_LINE,
@@ -69,11 +70,9 @@ impl Engine<'_> {
         let line = LineAddr::containing(addr, LINE_BYTES);
         let me = TileId(core);
         let home = self.home_of(line);
-        let l2_hit = self.system().timing.l2_hit_cycles;
-        let occupancy = self.system().timing.l2_occupancy_cycles;
 
         let req = self.net.send(me, home, MessageKind::LoadReq, 0, now);
-        let t_home = req.arrival + occupancy;
+        let t_home = req.arrival + L2_OCCUPANCY_CYCLES;
 
         let (exclusive, delivery) = if self.l2_has_data(home, line) {
             // ---- served on chip -------------------------------------------
@@ -81,7 +80,7 @@ impl Engine<'_> {
             let (exclusive, supplier) = self.record_read(&mut dir, CoreId(core));
             let delivery = match supplier {
                 Some(owner) => self.owner_supplies_read(owner, me, line, t_home),
-                None => self.serve_from_l2(home, me, line, t_home + l2_hit),
+                None => self.serve_from_l2(home, me, line, t_home + L2_HIT_CYCLES),
             };
             self.set_dir(home, line, dir);
             self.net
@@ -111,7 +110,7 @@ impl Engine<'_> {
                 );
                 fetch
             } else {
-                self.fetch_through_l2(home, me, line, MessageClass::Load, t_home, l2_hit)
+                self.fetch_through_l2(home, me, line, MessageClass::Load, t_home, L2_HIT_CYCLES)
             };
             let mut dir = Directory::default();
             let (exclusive, _) = self.record_read(&mut dir, CoreId(core));

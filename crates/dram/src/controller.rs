@@ -1,5 +1,9 @@
 //! The per-channel memory controller.
 
+use tw_types::config::{
+    DRAM_BANKS, DRAM_BURST_CYCLES, DRAM_RANKS, DRAM_ROW_BYTES, DRAM_ROW_HIT_CYCLES,
+    DRAM_ROW_MISS_CYCLES,
+};
 use tw_types::{Cycle, DramConfig, LineAddr};
 
 /// Counters exposed by a [`MemoryController`].
@@ -30,40 +34,28 @@ struct Bank {
 /// FR-FCFS is approximated at transaction granularity: a request to a bank
 /// whose open row matches is serviced with the row-hit latency as soon as the
 /// bank and channel are free; otherwise it pays the activate+CAS penalty.
-/// The data burst occupies the channel for `burst_cycles`.
+/// The data burst occupies the channel for `DRAM_BURST_CYCLES`. Every
+/// parameter is a Table 4.1 constant of `tw_types::config`.
 #[derive(Debug, Clone)]
 pub struct MemoryController {
-    cfg: DramConfig,
-    banks: Vec<Bank>,
+    banks: [Bank; DRAM_BANKS * DRAM_RANKS],
     channel_free_at: Cycle,
     stats: DramStats,
 }
 
 impl MemoryController {
-    /// Creates an idle controller.
-    pub fn new(cfg: DramConfig) -> Self {
-        let banks = vec![Bank::default(); cfg.banks * cfg.ranks];
+    /// Creates an idle controller of the Table 4.1 DRAM.
+    pub fn new(_: DramConfig) -> Self {
         MemoryController {
-            cfg,
-            banks,
+            banks: [Bank::default(); DRAM_BANKS * DRAM_RANKS],
             channel_free_at: 0,
             stats: DramStats::default(),
         }
     }
 
-    /// The configuration this controller was built with.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> DramStats {
         self.stats
-    }
-
-    fn bank_of(&self, line: LineAddr) -> usize {
-        // Interleave lines across banks within a row's worth of address.
-        ((line.byte() / self.cfg.row_bytes) as usize) % self.banks.len()
     }
 
     /// Performs an access to `line` issued at cycle `now`.
@@ -72,21 +64,21 @@ impl MemoryController {
     /// when the critical line is available at the controller; for writes,
     /// when the write has been retired to the bank).
     pub fn access(&mut self, line: LineAddr, is_write: bool, now: Cycle) -> Cycle {
-        let row = line.dram_row(self.cfg.row_bytes);
-        let bank_idx = self.bank_of(line);
-        let bank = &mut self.banks[bank_idx];
+        let row = line.dram_row(DRAM_ROW_BYTES);
+        // Rows interleave across the banks.
+        let bank = &mut self.banks[row as usize % self.banks.len()];
 
         let ready = now.max(bank.free_at).max(self.channel_free_at);
         let queueing = ready - now;
 
         let (access_cycles, hit) = if bank.open_row == Some(row) {
-            (self.cfg.row_hit_cycles, true)
+            (DRAM_ROW_HIT_CYCLES, true)
         } else {
-            (self.cfg.row_miss_cycles, false)
+            (DRAM_ROW_MISS_CYCLES, false)
         };
         bank.open_row = Some(row);
 
-        let service = access_cycles + self.cfg.burst_cycles;
+        let service = access_cycles + DRAM_BURST_CYCLES;
         let done = ready + service;
         bank.free_at = done;
         // The channel is only occupied for the burst portion.
@@ -113,7 +105,7 @@ mod tests {
     use super::*;
 
     fn mc() -> MemoryController {
-        MemoryController::new(DramConfig::default())
+        MemoryController::new(DramConfig)
     }
 
     fn line(n: u64) -> LineAddr {
@@ -123,9 +115,8 @@ mod tests {
     #[test]
     fn first_access_is_a_row_miss() {
         let mut m = mc();
-        let cfg = m.config().clone();
         let done = m.access(line(0), false, 0);
-        assert_eq!(done, cfg.row_miss_cycles + cfg.burst_cycles);
+        assert_eq!(done, DRAM_ROW_MISS_CYCLES + DRAM_BURST_CYCLES);
         assert_eq!(m.stats().row_misses, 1);
         assert_eq!(m.stats().reads, 1);
     }
@@ -136,17 +127,15 @@ mod tests {
         let t1 = m.access(line(0), false, 0);
         // The next line is in the same 8 KB row.
         let t2 = m.access(line(1), false, t1);
-        let cfg = m.config().clone();
-        assert_eq!(t2 - t1, cfg.row_hit_cycles + cfg.burst_cycles);
+        assert_eq!(t2 - t1, DRAM_ROW_HIT_CYCLES + DRAM_BURST_CYCLES);
         assert_eq!((m.stats().row_hits, m.stats().row_misses), (1, 1));
     }
 
     #[test]
     fn different_row_same_bank_conflicts() {
         let mut m = mc();
-        let cfg = m.config().clone();
-        let banks = (cfg.banks * cfg.ranks) as u64;
-        let lines_per_row = cfg.row_bytes / 64;
+        let banks = (DRAM_BANKS * DRAM_RANKS) as u64;
+        let lines_per_row = DRAM_ROW_BYTES / 64;
         m.access(line(0), false, 0);
         // Same bank, different row: row index differs by `banks`.
         let conflicting = line(banks * lines_per_row);

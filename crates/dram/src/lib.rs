@@ -15,7 +15,7 @@
 //! use tw_dram::MemoryController;
 //! use tw_types::{DramConfig, LineAddr};
 //!
-//! let mut mc = MemoryController::new(DramConfig::default());
+//! let mut mc = MemoryController::new(DramConfig);
 //! let line = LineAddr::from_aligned(0x10_0000);
 //! let first = mc.access(line, false, 0);
 //! let second = mc.access(line.next(64, 1), false, first);

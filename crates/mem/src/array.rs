@@ -1,6 +1,6 @@
 //! Set-associative cache arrays with per-word valid/dirty state.
 
-use tw_types::{LineAddr, WordMask};
+use tw_types::{LineAddr, WordMask, LINE_BYTES};
 
 /// Geometry of a cache array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -9,7 +9,7 @@ pub struct CacheGeometry {
     pub capacity_bytes: u64,
     /// Associativity (ways per set).
     pub ways: usize,
-    /// Line size in bytes.
+    /// Line size in bytes: always [`LINE_BYTES`].
     pub line_bytes: u64,
 }
 
@@ -18,9 +18,11 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters do not describe a whole number of sets.
+    /// Panics if the line is not the 64-byte line the engine is built
+    /// around, or the parameters do not describe a whole number of sets.
     pub fn new(capacity_bytes: u64, ways: usize, line_bytes: u64) -> Self {
-        assert!(ways > 0 && line_bytes > 0);
+        assert_eq!(line_bytes, LINE_BYTES, "a cache line is 64 bytes");
+        assert!(ways > 0);
         assert_eq!(
             capacity_bytes % (ways as u64 * line_bytes),
             0,
@@ -87,9 +89,6 @@ impl<M> LineEntry<M> {
 #[derive(Debug, Clone)]
 pub struct CacheArray<M> {
     geom: CacheGeometry,
-    /// `log2(line_bytes)`, valid when `line_pow2`.
-    line_shift: u32,
-    line_pow2: bool,
     /// `sets - 1`, valid when `sets_pow2`.
     set_mask: usize,
     sets_pow2: bool,
@@ -113,8 +112,6 @@ impl<M> CacheArray<M> {
         let nsets = geom.sets();
         let ways = geom.ways;
         CacheArray {
-            line_shift: geom.line_bytes.trailing_zeros(),
-            line_pow2: geom.line_bytes.is_power_of_two(),
             set_mask: nsets.wrapping_sub(1),
             sets_pow2: nsets.is_power_of_two(),
             nsets,
@@ -131,14 +128,10 @@ impl<M> CacheArray<M> {
     }
 
     /// Set index of `line` — same mapping as [`CacheGeometry::set_of`], with
-    /// the divisions strength-reduced for power-of-two geometries.
+    /// the set division strength-reduced for a power-of-two set count.
     #[inline(always)]
     fn set_of(&self, line: LineAddr) -> usize {
-        let line_no = if self.line_pow2 {
-            (line.byte() >> self.line_shift) as usize
-        } else {
-            (line.byte() / self.geom.line_bytes) as usize
-        };
+        let line_no = (line.byte() / LINE_BYTES) as usize;
         if self.sets_pow2 {
             line_no & self.set_mask
         } else {
@@ -383,6 +376,12 @@ mod tests {
     #[should_panic(expected = "whole number of sets")]
     fn geometry_rejects_fractional_sets() {
         CacheGeometry::new(100, 3, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "a cache line is 64 bytes")]
+    fn geometry_refuses_any_other_line() {
+        CacheGeometry::new(32 * 1024, 8, 32);
     }
 
     #[test]

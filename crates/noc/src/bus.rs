@@ -74,13 +74,13 @@ impl NetworkModel for SnoopBus {
         let start = now.max(self.busy_until);
         self.stall_cycles += start - now;
         self.busy_until = start + size.total_flits() as Cycle;
-        start + unloaded_latency(&self.cfg, hops, size)
+        start + unloaded_latency(hops, size)
     }
 
     /// An idle bus has no arbitration wait: identical to the analytic
     /// mesh's unloaded latency.
     fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
-        unloaded_latency(&self.cfg, self.hops(src, dst), size)
+        unloaded_latency(self.hops(src, dst), size)
     }
 
     /// Total cycles transactions spent waiting for the bus.

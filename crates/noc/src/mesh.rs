@@ -3,6 +3,7 @@
 use crate::link::{dense_links, link_at, link_index, xy_step, LinkId, LinkState};
 use crate::model::NetworkModel;
 use crate::packet::PacketSize;
+use tw_types::config::{LINK_LATENCY, ROUTER_LATENCY};
 use tw_types::{Cycle, NocConfig, TileId};
 
 /// Dense indices (`link::link_index`) of the links a packet from `src` to
@@ -37,11 +38,11 @@ pub fn xy_route(cfg: &NocConfig, src: TileId, dst: TileId) -> Vec<LinkId> {
 /// Latency of a packet on an unloaded network: one router pipeline and one
 /// link traversal per hop, plus tail serialization. Both models collapse to
 /// exactly this on an idle mesh.
-pub fn unloaded_latency(cfg: &NocConfig, hops: usize, size: PacketSize) -> Cycle {
+pub fn unloaded_latency(hops: usize, size: PacketSize) -> Cycle {
     if hops == 0 {
-        return cfg.router_latency;
+        return ROUTER_LATENCY;
     }
-    hops as Cycle * (cfg.router_latency + cfg.link_latency) + (size.total_flits() as Cycle - 1)
+    hops as Cycle * (ROUTER_LATENCY + LINK_LATENCY) + (size.total_flits() as Cycle - 1)
 }
 
 /// Every XY route of a mesh, resolved when the mesh is built: under
@@ -169,15 +170,15 @@ impl Mesh {
         self.flit_hops += (hops * flits) as f64;
 
         if hops == 0 {
-            return (now + self.cfg.router_latency, 0);
+            return (now + ROUTER_LATENCY, 0);
         }
 
         let mut head_time = now;
         for &idx in route {
             let (start, _wait) = self.links[idx as usize].reserve(head_time, flits);
-            // Head flit leaves this router `router_latency` after winning the
-            // link, and spends `link_latency` on the wire.
-            head_time = start + self.cfg.router_latency + self.cfg.link_latency;
+            // Head flit leaves this router `ROUTER_LATENCY` after winning the
+            // link, and spends `LINK_LATENCY` on the wire.
+            head_time = start + ROUTER_LATENCY + LINK_LATENCY;
         }
         // The tail flit follows the head by (flits - 1) cycles of serialization.
         (head_time + (flits as Cycle - 1), hops)
@@ -206,7 +207,7 @@ impl NetworkModel for Mesh {
     }
 
     fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
-        unloaded_latency(&self.cfg, self.hops(src, dst), size)
+        unloaded_latency(self.hops(src, dst), size)
     }
 
     /// Aggregate queueing delay suffered at all links.
@@ -327,7 +328,7 @@ mod tests {
     fn local_delivery_takes_router_latency() {
         let mut m = mesh();
         let t = m.send(TileId(3), TileId(3), PacketSize::control_only(), 50);
-        assert_eq!(t, 50 + m.config().router_latency);
+        assert_eq!(t, 50 + ROUTER_LATENCY);
     }
 
     #[test]
@@ -393,7 +394,7 @@ mod tests {
         let mut next = move |n: usize| (stream.next_u64() % n as u64) as usize;
         for (cols, rows) in SHAPES {
             let cfg = shaped(cols, rows);
-            let (r, l) = (cfg.router_latency, cfg.link_latency);
+            let (r, l) = (ROUTER_LATENCY, LINK_LATENCY);
             let tiles = cols * rows;
             let mut m = Mesh::new(cfg.clone());
             let mut links = vec![LinkState::default(); dense_links(&cfg)];

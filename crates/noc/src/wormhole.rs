@@ -28,7 +28,7 @@
 //!
 //! A send resolves the head row first: a VC grant and a slot at every hop,
 //! `s_i` on link `i`. When no hop's head slot follows the previous one's by
-//! more than `depth + link_latency - 1` cycles (or the packet fits one
+//! more than `depth + LINK_LATENCY - 1` cycles (or the packet fits one
 //! buffer), constraints 1–3 are slack for every body flit, which crosses
 //! link `i` at exactly `s_i + f`: each port's body slots are claimed as one
 //! train and the send costs O(hops). Otherwise the rest of the `flits ×
@@ -48,6 +48,7 @@ use crate::mesh::{unloaded_latency, Routes};
 use crate::model::NetworkModel;
 use crate::packet::PacketSize;
 use crate::router::OutPorts;
+use tw_types::config::{LINK_LATENCY, ROUTER_LATENCY, VCS_PER_PORT, VC_BUFFER_FLITS};
 use tw_types::{Cycle, NocConfig, TileId};
 
 /// The flit-level wormhole-routed mesh.
@@ -70,14 +71,8 @@ pub struct WormholeMesh {
 impl WormholeMesh {
     /// Creates an idle wormhole mesh for the given network configuration.
     pub fn new(cfg: NocConfig) -> Self {
-        // The credit constraint reaches `depth` flits back; at zero a flit
-        // would wait on itself.
-        assert!(
-            cfg.vc_buffer_flits > 0,
-            "a VC buffer holds at least one flit"
-        );
         WormholeMesh {
-            ports: OutPorts::new(dense_links(&cfg), cfg.vcs_per_port),
+            ports: OutPorts::new(dense_links(&cfg), VCS_PER_PORT),
             routes: Routes::new(&cfg),
             cfg,
             packets: 0,
@@ -104,14 +99,12 @@ impl NetworkModel for WormholeMesh {
     fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
         self.packets += 1;
         let Self {
-            cfg,
             ports,
             routes,
             cross,
             ..
         } = self;
-        let (r, l) = (cfg.router_latency, cfg.link_latency);
-        let depth = cfg.vc_buffer_flits;
+        let (r, l, depth) = (ROUTER_LATENCY, LINK_LATENCY, VC_BUFFER_FLITS);
 
         let route = routes.get(src, dst);
         let hops = route.len();
@@ -184,13 +177,13 @@ impl NetworkModel for WormholeMesh {
             ports.release_vc(usize::from(port), freed);
         }
 
-        debug_assert!(arrival >= now + unloaded_latency(cfg, hops, size));
+        debug_assert!(arrival >= now + unloaded_latency(hops, size));
         arrival
     }
 
     fn unloaded_latency(&self, src: TileId, dst: TileId, size: PacketSize) -> Cycle {
         let cols = self.cfg.cols;
-        unloaded_latency(&self.cfg, src.coord(cols).hops_to(dst.coord(cols)), size)
+        unloaded_latency(src.coord(cols).hops_to(dst.coord(cols)), size)
     }
 
     /// Total cycles flits spent stalled on arbitration, channel slots or
@@ -240,7 +233,7 @@ mod tests {
             let arrival = fresh.send(TileId(src), TileId(dst), size, 100);
             assert_eq!(
                 arrival,
-                100 + unloaded_latency(&cfg, hops, size),
+                100 + unloaded_latency(hops, size),
                 "{src}->{dst} x{words} words"
             );
             m.send(TileId(src), TileId(dst), size, 100);
@@ -265,21 +258,27 @@ mod tests {
 
     #[test]
     fn vc_exhaustion_serializes_heads() {
-        let cfg = NocConfig {
-            vcs_per_port: 1,
-            ..NocConfig::default()
+        // Packets that fit one VC buffer cross 0->1 unstalled, then hold
+        // their VC there until their tails cross the congested 1->2. A
+        // one-hop probe on 0->1 behind `holders` of them finds a free VC
+        // while one is left, and waits for the first release once all
+        // `VCS_PER_PORT` are held.
+        let probe = |holders: usize| {
+            let mut m = mesh();
+            for _ in 0..10 {
+                m.send(TileId(1), TileId(2), full_line(), 0);
+            }
+            let fits = PacketSize::with_data_words(m.config(), 12);
+            assert_eq!(fits.total_flits(), VC_BUFFER_FLITS);
+            for _ in 0..holders {
+                m.send(TileId(0), TileId(2), fits, 0);
+            }
+            m.send(TileId(0), TileId(1), PacketSize::control_only(), 0)
         };
-        let mut single = WormholeMesh::new(cfg);
-        let mut multi = mesh();
-        let mut last_single = 0;
-        let mut last_multi = 0;
-        for _ in 0..4 {
-            last_single = single.send(TileId(0), TileId(3), full_line(), 0);
-            last_multi = multi.send(TileId(0), TileId(3), full_line(), 0);
-        }
+        let (free, exhausted) = (probe(VCS_PER_PORT - 1), probe(VCS_PER_PORT));
         assert!(
-            last_single > last_multi,
-            "one VC per port must backpressure harder ({last_single} vs {last_multi})"
+            exhausted > free + VC_BUFFER_FLITS as Cycle,
+            "the fifth head must wait for a VC, not only for slots ({exhausted} vs {free})"
         );
     }
 
@@ -352,20 +351,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a VC buffer holds at least one flit")]
-    fn zero_depth_vc_buffers_are_refused_at_construction() {
-        WormholeMesh::new(NocConfig {
-            vc_buffer_flits: 0,
-            ..NocConfig::default()
-        });
-    }
-
-    #[test]
     fn local_delivery_takes_router_latency() {
         let mut m = mesh();
         assert_eq!(
             m.send(TileId(7), TileId(7), PacketSize::control_only(), 42),
-            42 + m.config().router_latency
+            42 + ROUTER_LATENCY
         );
         assert_eq!(m.total_flits_forwarded(), 0);
     }

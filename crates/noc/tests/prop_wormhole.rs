@@ -8,14 +8,15 @@
 //! traversal from a global `(time, seq)` event queue and arbitrates with its
 //! own round-robin port bank over indexed VCs. `DESIGN.md` §11 argues the
 //! two cannot differ; this checks it after every single send of random
-//! sequences over random mesh shapes, VC counts, buffer depths and
-//! latencies.
+//! sequences over random mesh shapes, at Table 4.1's VC count, buffer
+//! depth and latencies.
 
 mod reference_wormhole;
 
 use proptest::prelude::*;
 use reference_wormhole::ReferenceWormhole;
 use tw_noc::{NetworkModel, PacketSize, WormholeMesh};
+use tw_types::config::{LINK_LATENCY, ROUTER_LATENCY, VC_BUFFER_FLITS};
 use tw_types::{Cycle, NocConfig, TileId};
 
 /// Sends `(src, dst, data words, now)` through both models, comparing the
@@ -47,21 +48,11 @@ fn check_sends(cfg: &NocConfig, sends: impl IntoIterator<Item = (u16, u16, usize
     }
 }
 
-/// The mesh a sampled `(cols, rows)`, VC count, buffer depth and
-/// `(router, link)` latency pair describe.
-fn config(
-    shape: (usize, usize),
-    vcs_per_port: usize,
-    vc_buffer_flits: usize,
-    latencies: (Cycle, Cycle),
-) -> NocConfig {
+/// The mesh a sampled `(cols, rows)` describes.
+fn config(shape: (usize, usize)) -> NocConfig {
     NocConfig {
         cols: shape.0,
         rows: shape.1,
-        router_latency: latencies.0,
-        link_latency: latencies.1,
-        vcs_per_port,
-        vc_buffer_flits,
         ..NocConfig::default()
     }
 }
@@ -70,9 +61,6 @@ proptest! {
     #[test]
     fn every_send_matches_the_event_driven_reference(
         shape in (1usize..=8, 1usize..=8),
-        vcs_per_port in 1usize..=4,
-        vc_buffer_flits in 1usize..=8,
-        latencies in (1u64..=3, 1u64..=3),
         // `now` is deliberately not sorted: a send that comes late finds
         // links claimed far ahead, so most heads stall and the grid loop
         // resolves the body flits.
@@ -81,15 +69,12 @@ proptest! {
             1..=300,
         ),
     ) {
-        check_sends(&config(shape, vcs_per_port, vc_buffer_flits, latencies), sends);
+        check_sends(&config(shape), sends);
     }
 
     #[test]
     fn every_send_in_clock_order_matches_the_event_driven_reference(
         shape in (1usize..=8, 1usize..=8),
-        vcs_per_port in 1usize..=4,
-        vc_buffer_flits in 1usize..=8,
-        latencies in (1u64..=3, 1u64..=3),
         // `now` never decreases, as an engine's clocks mostly advance:
         // that is where body flits run as a train.
         sends in prop::collection::vec(
@@ -102,7 +87,7 @@ proptest! {
             now += gap;
             (src, dst, words, now)
         });
-        check_sends(&config(shape, vcs_per_port, vc_buffer_flits, latencies), sends);
+        check_sends(&config(shape), sends);
     }
 }
 
@@ -113,53 +98,42 @@ proptest! {
 /// first link.
 #[test]
 fn both_sides_of_the_train_threshold_match_the_reference() {
-    // The threshold is below the unstalled gap `l + r` when `depth <= r`,
-    // so a one-flit buffer needs a zero-cycle router to train at all.
-    for (depth, r) in [(1, 0), (4, 1)] {
-        let cfg = NocConfig {
-            cols: 4,
-            rows: 1,
-            router_latency: r,
-            link_latency: 3,
-            vc_buffer_flits: depth,
-            ..NocConfig::default()
-        };
-        let l = cfg.link_latency;
-        let now = 10;
-        let mut next_packet_stalls = Vec::new();
-        for beyond in [0, 1] {
-            // The head's stall at hop 1 that puts its slot there
-            // `depth + l - 1 + beyond` cycles after its slot at hop 0.
-            let stall = depth as Cycle + l - 1 + beyond - (l + r);
-            let sends: [(u16, u16, usize, Cycle); 3] = [
-                // One flit on link 1->2 whose slot ends `stall` cycles after
-                // the probe's head is ready for it.
-                (1, 2, 0, now + r + l + stall - 1),
-                // The probe: `depth + 1` flits along 0->1->2->3.
-                (0, 3, 4 * depth, now),
-                // Ready for link 0->1 the cycle after the probe's tail
-                // crossed it as a train.
-                (0, 1, 0, now + depth as Cycle + 1),
-            ];
-            let mut model = WormholeMesh::new(cfg.clone());
-            let mut stalls = vec![0];
-            for (src, dst, words, at) in sends {
-                let size = PacketSize::with_data_words(&cfg, words);
-                model.send(TileId(src.into()), TileId(dst.into()), size, at);
-                stalls.push(model.total_queueing_cycles());
-            }
-            check_sends(&cfg, sends);
-            assert_eq!(
-                stalls[2] - stalls[1],
-                stall,
-                "the probe stalls at hop 1 only"
-            );
-            next_packet_stalls.push(stalls[3] - stalls[2]);
+    let cfg = config((4, 1));
+    let (depth, r, l) = (VC_BUFFER_FLITS, ROUTER_LATENCY, LINK_LATENCY);
+    let now = 10;
+    let mut next_packet_stalls = Vec::new();
+    for beyond in [0, 1] {
+        // The head's stall at hop 1 that puts its slot there
+        // `depth + l - 1 + beyond` cycles after its slot at hop 0.
+        let stall = depth as Cycle + l - 1 + beyond - (l + r);
+        let sends: [(u16, u16, usize, Cycle); 3] = [
+            // One flit on link 1->2 whose slot ends `stall` cycles after
+            // the probe's head is ready for it.
+            (1, 2, 0, now + r + l + stall - 1),
+            // The probe: `depth + 1` flits along 0->1->2->3.
+            (0, 3, 4 * depth, now),
+            // Ready for link 0->1 the cycle after the probe's tail
+            // crossed it as a train.
+            (0, 1, 0, now + depth as Cycle + 1),
+        ];
+        let mut model = WormholeMesh::new(cfg.clone());
+        let mut stalls = vec![0];
+        for (src, dst, words, at) in sends {
+            let size = PacketSize::with_data_words(&cfg, words);
+            model.send(TileId(src.into()), TileId(dst.into()), size, at);
+            stalls.push(model.total_queueing_cycles());
         }
+        check_sends(&cfg, sends);
         assert_eq!(
-            next_packet_stalls,
-            [0, 1],
-            "depth {depth}: the credit binds one cycle past the threshold"
+            stalls[2] - stalls[1],
+            stall,
+            "the probe stalls at hop 1 only"
         );
+        next_packet_stalls.push(stalls[3] - stalls[2]);
     }
+    assert_eq!(
+        next_packet_stalls,
+        [0, 1],
+        "the credit binds one cycle past the threshold"
+    );
 }

@@ -20,6 +20,7 @@ use events::EventQueue;
 use ports::OutPorts;
 use std::collections::HashMap;
 use tw_noc::{xy_route, LinkId, PacketSize};
+use tw_types::config::{LINK_LATENCY, ROUTER_LATENCY, VCS_PER_PORT, VC_BUFFER_FLITS};
 use tw_types::{Cycle, NocConfig, TileId};
 
 /// One flit traversal: (hop index on the route, flit index in the packet).
@@ -62,8 +63,8 @@ impl ReferenceWormhole {
         f: usize,
         hops: usize,
     ) -> Cycle {
-        let (r, l) = (self.cfg.router_latency, self.cfg.link_latency);
-        let depth = self.cfg.vc_buffer_flits;
+        let (r, l) = (ROUTER_LATENCY, LINK_LATENCY);
+        let depth = VC_BUFFER_FLITS;
         let mut ready = if i == 0 {
             inject + r
         } else {
@@ -86,12 +87,12 @@ impl ReferenceWormhole {
     pub fn send(&mut self, src: TileId, dst: TileId, size: PacketSize, now: Cycle) -> Cycle {
         let route = xy_route(&self.cfg, src, dst);
         if route.is_empty() {
-            return now + self.cfg.router_latency;
+            return now + ROUTER_LATENCY;
         }
         let hops = route.len();
         let flits = size.total_flits();
-        let depth = self.cfg.vc_buffer_flits;
-        let l = self.cfg.link_latency;
+        let depth = VC_BUFFER_FLITS;
+        let l = LINK_LATENCY;
 
         // cross[i][f]: cycle flit f starts crossing link i, once resolved.
         let mut cross = vec![vec![0 as Cycle; flits]; hops];
@@ -113,13 +114,13 @@ impl ReferenceWormhole {
             .collect();
 
         assert!(self.events.is_empty(), "a send starts on a drained queue");
-        self.events.push(now + self.cfg.router_latency, (0, 0));
+        self.events.push(now + ROUTER_LATENCY, (0, 0));
         while let Some((_, (i, f))) = self.events.pop() {
             let ready = self.ready_time(&cross, now, i, f, hops);
             let port = self
                 .ports
                 .entry(route[i])
-                .or_insert_with(|| OutPorts::new(1, self.cfg.vcs_per_port));
+                .or_insert_with(|| OutPorts::new(1, VCS_PER_PORT));
             let start = if f == 0 {
                 let (vc, grant) = port.alloc_vc(0, ready);
                 vc_of[i] = vc;

@@ -3,29 +3,72 @@
 use crate::addr::{LINE_BYTES, WORD_BYTES};
 use crate::error::ConfigError;
 use crate::geometry::TileId;
+use crate::stats::Cycle;
 
 /// Largest mesh [`SystemConfig::validate`] accepts: per-core state is
 /// encoded in 64-bit sharer sets and in one-byte word owners.
 pub const MAX_TILES: usize = 64;
 
-/// Cache geometry parameters for the private L1s and the shared L2 slices.
+// Paper Table 4.1: the machine every plan simulates. A parameter no scale,
+// spec variant or network sweep sets is one of these constants, not a
+// `SystemConfig` field; `digest_fields` writes each where its field stood.
+
+/// Core clock in MHz (reported only).
+pub const CORE_MHZ: u64 = 2000;
+/// L1 hit latency in cycles.
+pub const L1_HIT_CYCLES: Cycle = 1;
+/// L2 slice access latency in cycles (tag + data).
+pub const L2_HIT_CYCLES: Cycle = 10;
+/// Directory/L2 controller occupancy per request in cycles.
+pub const L2_OCCUPANCY_CYCLES: Cycle = 2;
+/// L1 associativity.
+pub const L1_WAYS: usize = 8;
+/// L2 associativity.
+pub const L2_WAYS: usize = 16;
+/// Entries of a core's non-blocking write / write-combining table.
+pub const WRITE_TABLE_ENTRIES: usize = 32;
+/// Write-combining timeout in cycles.
+pub const WRITE_COMBINE_TIMEOUT: Cycle = 10_000;
+/// Per-link latency in cycles.
+pub const LINK_LATENCY: Cycle = 3;
+/// Per-router pipeline latency in cycles.
+pub const ROUTER_LATENCY: Cycle = 1;
+/// Virtual channels per router output port (flit-level model).
+pub const VCS_PER_PORT: usize = 4;
+/// Per-VC downstream buffer depth in flits (flit-level model): how far a
+/// packet runs ahead before credit backpressure.
+pub const VC_BUFFER_FLITS: usize = 4;
+/// DRAM banks per rank.
+pub const DRAM_BANKS: usize = 8;
+/// DRAM ranks per channel.
+pub const DRAM_RANKS: usize = 2;
+/// DRAM row-buffer size in bytes (the open-page granularity).
+pub const DRAM_ROW_BYTES: u64 = 8 * 1024;
+// DDR3-1066 at a 2 GHz core clock: tCAS ~ 13 ns ≈ 26 cycles, precharge +
+// activate + CAS ~ 39 ns ≈ 78 cycles, and a 64-byte burst at 8.5 GB/s
+// ~ 7.5 ns ≈ 15 cycles.
+/// Row-buffer hit latency in core cycles.
+pub const DRAM_ROW_HIT_CYCLES: Cycle = 26;
+/// Row-buffer miss (precharge + activate + CAS) latency in core cycles.
+pub const DRAM_ROW_MISS_CYCLES: Cycle = 78;
+/// Cycles one cache line's data burst occupies the channel.
+pub const DRAM_BURST_CYCLES: Cycle = 15;
+
+/// Largest cache array, in bytes, [`SystemConfig::validate`] accepts for an
+/// L1 or an L2 slice: the paper's whole 4 MB L2 in one array, 16× the
+/// largest size a plan uses. Every tile allocates one of each up front.
+pub const MAX_CACHE_BYTES: u64 = 4 * 1024 * 1024;
+
+/// Cache sizes for the private L1s and the shared L2 slices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Cache line size in bytes (64 in the paper).
+    /// Cache line size in bytes (64 in the paper; the only size
+    /// [`SystemConfig::validate`] accepts).
     pub line_bytes: u64,
     /// Private L1 data cache size in bytes (32 KB).
     pub l1_bytes: u64,
-    /// L1 associativity (8-way).
-    pub l1_ways: usize,
     /// Per-tile shared L2 slice size in bytes (256 KB; 4 MB total).
     pub l2_slice_bytes: u64,
-    /// L2 associativity (16-way).
-    pub l2_ways: usize,
-    /// Number of entries in the non-blocking write / write-combining table
-    /// (32 pending writes per core).
-    pub write_table_entries: usize,
-    /// Write-combining timeout in cycles (10 000 in the paper).
-    pub write_combine_timeout: u64,
 }
 
 impl Default for CacheConfig {
@@ -33,19 +76,8 @@ impl Default for CacheConfig {
         CacheConfig {
             line_bytes: LINE_BYTES,
             l1_bytes: 32 * 1024,
-            l1_ways: 8,
             l2_slice_bytes: 256 * 1024,
-            l2_ways: 16,
-            write_table_entries: 32,
-            write_combine_timeout: 10_000,
         }
-    }
-}
-
-impl CacheConfig {
-    /// Number of words per cache line.
-    pub fn words_per_line(&self) -> usize {
-        (self.line_bytes / WORD_BYTES) as usize
     }
 }
 
@@ -126,17 +158,8 @@ pub struct NocConfig {
     pub rows: usize,
     /// Link width in bytes (16) — one flit per link per cycle.
     pub link_bytes: u64,
-    /// Per-link latency in cycles (3).
-    pub link_latency: u64,
-    /// Per-router pipeline latency in cycles.
-    pub router_latency: u64,
     /// Maximum number of data flits per packet (4 ⇒ at most 64 B of data).
     pub max_data_flits: usize,
-    /// Virtual channels per router output port (flit-level model only).
-    pub vcs_per_port: usize,
-    /// Per-VC downstream buffer depth in flits (flit-level model only;
-    /// bounds how far a packet can run ahead before credit backpressure).
-    pub vc_buffer_flits: usize,
 }
 
 impl Default for NocConfig {
@@ -145,11 +168,7 @@ impl Default for NocConfig {
             cols: 4,
             rows: 4,
             link_bytes: 16,
-            link_latency: 3,
-            router_latency: 1,
             max_data_flits: 4,
-            vcs_per_port: 4,
-            vc_buffer_flits: 4,
         }
     }
 }
@@ -171,74 +190,20 @@ impl NocConfig {
     }
 }
 
-/// DRAM and memory-controller parameters (DDR3-1066-like).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DramConfig {
-    /// Banks per channel.
-    pub banks: usize,
-    /// Ranks per channel.
-    pub ranks: usize,
-    /// Row-buffer size in bytes (open-page policy granularity).
-    pub row_bytes: u64,
-    /// Row-buffer hit latency in core cycles.
-    pub row_hit_cycles: u64,
-    /// Row-buffer miss (activate + CAS) latency in core cycles.
-    pub row_miss_cycles: u64,
-    /// Cycles per data burst transferring one cache line on the channel.
-    pub burst_cycles: u64,
-}
+/// The DRAM and its memory controllers (DDR3-1066-like). It carries no
+/// values: every DRAM parameter is a Table 4.1 constant (`DRAM_*`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DramConfig;
 
-impl Default for DramConfig {
-    fn default() -> Self {
-        // DDR3-1066 at a 2 GHz core clock: tCAS ~ 13 ns ≈ 26 cycles,
-        // activate+CAS ~ 26 ns ≈ 52 cycles, 64-byte burst ≈ 15 ns ≈ 30 cycles
-        // of channel occupancy at 8.5 GB/s.
-        DramConfig {
-            banks: 8,
-            ranks: 2,
-            row_bytes: 8 * 1024,
-            row_hit_cycles: 26,
-            row_miss_cycles: 78,
-            burst_cycles: 15,
-        }
-    }
-}
-
-/// Core and miscellaneous timing parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimingConfig {
-    /// Core clock in MHz (2000 — used only for reporting).
-    pub core_mhz: u64,
-    /// L1 hit latency in cycles.
-    pub l1_hit_cycles: u64,
-    /// L2 slice access latency in cycles (tag + data).
-    pub l2_hit_cycles: u64,
-    /// Directory/L2 controller occupancy per request in cycles.
-    pub l2_occupancy_cycles: u64,
-}
-
-impl Default for TimingConfig {
-    fn default() -> Self {
-        TimingConfig {
-            core_mhz: 2000,
-            l1_hit_cycles: 1,
-            l2_hit_cycles: 10,
-            l2_occupancy_cycles: 2,
-        }
-    }
-}
-
-/// Complete simulated-system configuration (paper Table 4.1).
+/// The simulated system: paper Table 4.1, with the values a scale, a spec
+/// variant or a network sweep sets as fields and every other parameter a
+/// constant of this module.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SystemConfig {
-    /// Cache hierarchy geometry.
+    /// Cache sizes.
     pub cache: CacheConfig,
     /// Mesh network parameters.
     pub noc: NocConfig,
-    /// DRAM parameters.
-    pub dram: DramConfig,
-    /// Core/cache timing parameters.
-    pub timing: TimingConfig,
     /// How network timing is modeled (analytic by default; traffic is
     /// identical under every model).
     pub network: NetworkModelKind,
@@ -270,8 +235,7 @@ impl SystemConfig {
     /// the corner controllers).
     pub fn mc_tile(&self, line_byte_addr: u64) -> TileId {
         let mcs = self.memory_controller_tiles();
-        let idx = ((line_byte_addr / self.dram.row_bytes) as usize) % mcs.len();
-        mcs[idx]
+        mcs[((line_byte_addr / DRAM_ROW_BYTES) as usize) % mcs.len()]
     }
 
     /// Validates internal consistency of the configuration.
@@ -279,9 +243,9 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if a parameter is zero, the line is not the
-    /// 64-byte line the engine is built around, or a parameter is
-    /// inconsistent with another (for example a cache size that is not a
-    /// whole number of ways).
+    /// 64-byte line the engine is built around, a cache array exceeds
+    /// [`MAX_CACHE_BYTES`], or a parameter is inconsistent with another (for
+    /// example a cache size that is not a whole number of ways).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let c = &self.cache;
         // `WordMask::FULL` and the waste profilers' chunking are a 16-word
@@ -289,20 +253,21 @@ impl SystemConfig {
         if c.line_bytes != LINE_BYTES {
             return Err(ConfigError::new("line_bytes must be 64 (a 16-word line)"));
         }
-        if c.l1_ways == 0 || c.l2_ways == 0 {
-            return Err(ConfigError::new("associativity must be non-zero"));
-        }
         // Zero is a multiple of every way size, and a cache of no sets.
         if c.l1_bytes == 0 || c.l2_slice_bytes == 0 {
             return Err(ConfigError::new("cache sizes must be non-zero"));
         }
-        if !c.l1_bytes.is_multiple_of(c.line_bytes * c.l1_ways as u64) {
+        // Every tile allocates its arrays when the machine is built, so an
+        // unbounded size from a spec would be an unbounded allocation.
+        if c.l1_bytes.max(c.l2_slice_bytes) > MAX_CACHE_BYTES {
+            return Err(ConfigError::new(format!(
+                "cache sizes must be at most {MAX_CACHE_BYTES} bytes per L1 or L2 slice"
+            )));
+        }
+        if !c.l1_bytes.is_multiple_of(LINE_BYTES * L1_WAYS as u64) {
             return Err(ConfigError::new("L1 size must be a multiple of way size"));
         }
-        if !c
-            .l2_slice_bytes
-            .is_multiple_of(c.line_bytes * c.l2_ways as u64)
-        {
+        if !c.l2_slice_bytes.is_multiple_of(LINE_BYTES * L2_WAYS as u64) {
             return Err(ConfigError::new(
                 "L2 slice size must be a multiple of way size",
             ));
@@ -326,17 +291,6 @@ impl SystemConfig {
                 "packets must allow at least one data flit",
             ));
         }
-        if self.noc.vcs_per_port == 0 || self.noc.vc_buffer_flits == 0 {
-            return Err(ConfigError::new(
-                "routers need at least one virtual channel and one buffer flit",
-            ));
-        }
-        if self.dram.banks == 0 {
-            return Err(ConfigError::new("DRAM must have banks"));
-        }
-        if self.dram.row_bytes < self.cache.line_bytes {
-            return Err(ConfigError::new("DRAM row must be at least one cache line"));
-        }
         Ok(())
     }
 
@@ -345,54 +299,41 @@ impl SystemConfig {
     /// canonical encoding the experiment layer's result-cache key is built
     /// from. Any new result-affecting field MUST be added here, or stale
     /// cache entries will be served for configurations that differ in it.
+    ///
+    /// Each Table 4.1 constant stands where its field was once written,
+    /// which keeps every cache key where it was.
     pub fn digest_fields(&self, d: &mut crate::digest::Digester) {
-        let c = &self.cache;
+        let (c, n) = (&self.cache, &self.noc);
+        // The literals 4 and 64 in the DRAM run stand where a controller
+        // count and a queue depth were once written, settings no code read.
         for v in [
             c.line_bytes,
             c.l1_bytes,
-            c.l1_ways as u64,
+            L1_WAYS as u64,
             c.l2_slice_bytes,
-            c.l2_ways as u64,
-            c.write_table_entries as u64,
-            c.write_combine_timeout,
-        ] {
-            d.write_u64(v);
-        }
-        let n = &self.noc;
-        for v in [
+            L2_WAYS as u64,
+            WRITE_TABLE_ENTRIES as u64,
+            WRITE_COMBINE_TIMEOUT,
             n.cols as u64,
             n.rows as u64,
             n.link_bytes,
-            n.link_latency,
-            n.router_latency,
+            LINK_LATENCY,
+            ROUTER_LATENCY,
             n.max_data_flits as u64,
-            n.vcs_per_port as u64,
-            n.vc_buffer_flits as u64,
-        ] {
-            d.write_u64(v);
-        }
-        let m = &self.dram;
-        // The literals 4 and 64 stand where a controller count and a queue
-        // depth were once written, settings no code read; they keep every
-        // cache key where it was.
-        for v in [
+            VCS_PER_PORT as u64,
+            VC_BUFFER_FLITS as u64,
             4,
-            m.banks as u64,
-            m.ranks as u64,
-            m.row_bytes,
-            m.row_hit_cycles,
-            m.row_miss_cycles,
-            m.burst_cycles,
+            DRAM_BANKS as u64,
+            DRAM_RANKS as u64,
+            DRAM_ROW_BYTES,
+            DRAM_ROW_HIT_CYCLES,
+            DRAM_ROW_MISS_CYCLES,
+            DRAM_BURST_CYCLES,
             64,
-        ] {
-            d.write_u64(v);
-        }
-        let t = &self.timing;
-        for v in [
-            t.core_mhz,
-            t.l1_hit_cycles,
-            t.l2_hit_cycles,
-            t.l2_occupancy_cycles,
+            CORE_MHZ,
+            L1_HIT_CYCLES,
+            L2_HIT_CYCLES,
+            L2_OCCUPANCY_CYCLES,
         ] {
             d.write_u64(v);
         }
@@ -404,38 +345,33 @@ impl SystemConfig {
 
     /// Renders the configuration as the rows of paper Table 4.1.
     pub fn table_rows(&self) -> Vec<(String, String)> {
+        let c = &self.cache;
         vec![
-            (
-                "Core".into(),
-                format!("{} MHz, in-order", self.timing.core_mhz),
-            ),
+            ("Core".into(), format!("{CORE_MHZ} MHz, in-order")),
             (
                 "L1D Cache (private)".into(),
                 format!(
-                    "{} KB, {}-way set associative, {} byte cache lines",
-                    self.cache.l1_bytes / 1024,
-                    self.cache.l1_ways,
-                    self.cache.line_bytes
+                    "{} KB, {L1_WAYS}-way set associative, {} byte cache lines",
+                    c.l1_bytes / 1024,
+                    c.line_bytes
                 ),
             ),
             (
                 "L2 Cache (shared)".into(),
                 format!(
-                    "{} KB slices ({} MB total), {}-way set associative, {} byte cache lines",
-                    self.cache.l2_slice_bytes / 1024,
-                    self.cache.l2_slice_bytes * self.tiles() as u64 / (1024 * 1024),
-                    self.cache.l2_ways,
-                    self.cache.line_bytes
+                    "{} KB slices ({} MB total), {L2_WAYS}-way set associative, {} byte cache lines",
+                    c.l2_slice_bytes / 1024,
+                    c.l2_slice_bytes * self.tiles() as u64 / (1024 * 1024),
+                    c.line_bytes
                 ),
             ),
             (
                 "Network".into(),
                 format!(
-                    "{}x{} mesh, {} byte links, {} cycle link latency{}",
+                    "{}x{} mesh, {} byte links, {LINK_LATENCY} cycle link latency{}",
                     self.noc.cols,
                     self.noc.rows,
                     self.noc.link_bytes,
-                    self.noc.link_latency,
                     // The analytic spelling is unchanged so default-model
                     // artifacts stay byte-identical across this axis' intro.
                     match self.network {
@@ -451,10 +387,7 @@ impl SystemConfig {
             ),
             (
                 "DRAM".into(),
-                format!(
-                    "DDR3-1066, {} banks, {} ranks",
-                    self.dram.banks, self.dram.ranks
-                ),
+                format!("DDR3-1066, {DRAM_BANKS} banks, {DRAM_RANKS} ranks"),
             ),
         ]
     }
@@ -469,22 +402,21 @@ mod tests {
         let cfg = SystemConfig::default();
         assert_eq!(cfg.tiles(), 16);
         assert_eq!(cfg.cache.l1_bytes, 32 * 1024);
-        assert_eq!(cfg.cache.l1_ways, 8);
+        assert_eq!(L1_WAYS, 8);
         assert_eq!(cfg.cache.l2_slice_bytes, 256 * 1024);
-        assert_eq!(cfg.cache.l2_ways, 16);
+        assert_eq!(L2_WAYS, 16);
         assert_eq!(cfg.cache.line_bytes, 64);
         assert_eq!(cfg.noc.link_bytes, 16);
-        assert_eq!(cfg.noc.link_latency, 3);
+        assert_eq!(LINK_LATENCY, 3);
         assert_eq!(cfg.noc.max_data_flits, 4);
-        assert_eq!(cfg.dram.banks, 8);
-        assert_eq!(cfg.dram.ranks, 2);
+        assert_eq!(DRAM_BANKS, 8);
+        assert_eq!(DRAM_RANKS, 2);
         assert!(cfg.validate().is_ok());
     }
 
     #[test]
     fn derived_geometry() {
         let cfg = SystemConfig::default();
-        assert_eq!(cfg.cache.words_per_line(), 16);
         assert_eq!(cfg.noc.words_per_flit(), 4);
         assert_eq!(cfg.noc.max_data_words(), 16);
     }
@@ -571,15 +503,7 @@ mod tests {
         assert!(cfg.validate().is_err());
 
         let mut cfg = SystemConfig::default();
-        cfg.cache.l1_ways = 0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SystemConfig::default();
         cfg.noc.cols = 1;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SystemConfig::default();
-        cfg.dram.row_bytes = 32;
         assert!(cfg.validate().is_err());
 
         // 8x8 is the largest mesh a 64-bit sharer set can name; 9x9 would
@@ -592,14 +516,30 @@ mod tests {
         assert!(err.to_string().contains("at most 64 tiles"), "{err}");
         (cfg.noc.cols, cfg.noc.rows) = (13, 5);
         assert!(cfg.validate().is_err());
+    }
 
+    #[test]
+    fn validation_bounds_every_cache_array() {
+        // The bound itself is a machine `validate` accepts, at either level.
         let mut cfg = SystemConfig::default();
-        cfg.noc.vcs_per_port = 0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SystemConfig::default();
-        cfg.noc.vc_buffer_flits = 0;
-        assert!(cfg.validate().is_err());
+        cfg.cache.l1_bytes = MAX_CACHE_BYTES;
+        cfg.cache.l2_slice_bytes = MAX_CACHE_BYTES;
+        assert!(cfg.validate().is_ok());
+        // One way more, or a terabyte, at either level is refused by name.
+        for (l1, l2) in [
+            (MAX_CACHE_BYTES + LINE_BYTES * L1_WAYS as u64, 32 * 1024),
+            (32 * 1024, MAX_CACHE_BYTES + LINE_BYTES * L2_WAYS as u64),
+            (32 * 1024, 1 << 40),
+            (1 << 40, 1 << 40),
+        ] {
+            let mut cfg = SystemConfig::default();
+            (cfg.cache.l1_bytes, cfg.cache.l2_slice_bytes) = (l1, l2);
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                err.to_string().contains("at most 4194304 bytes"),
+                "{l1}/{l2}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -617,13 +557,9 @@ mod tests {
             d.finish()
         };
         assert_eq!(base, digest_of(&|_| {}), "digest must be deterministic");
-        let mutations: [&dyn Fn(&mut SystemConfig); 8] = [
+        let mutations: [&dyn Fn(&mut SystemConfig); 4] = [
             &|c| c.cache.l2_slice_bytes = 128 * 1024,
             &|c| c.noc.cols = 2,
-            &|c| c.noc.vcs_per_port = 2,
-            &|c| c.noc.vc_buffer_flits = 8,
-            &|c| c.dram.banks = 4,
-            &|c| c.timing.l2_hit_cycles = 11,
             &|c| c.network = NetworkModelKind::FlitLevel,
             &|c| c.network = NetworkModelKind::SnoopBus,
         ];

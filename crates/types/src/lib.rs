@@ -37,9 +37,7 @@ pub mod stats;
 pub mod trace;
 
 pub use addr::{Addr, LineAddr, WordIdx, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
-pub use config::{
-    CacheConfig, DramConfig, NetworkModelKind, NocConfig, SystemConfig, TimingConfig, MAX_TILES,
-};
+pub use config::{CacheConfig, DramConfig, NetworkModelKind, NocConfig, SystemConfig, MAX_TILES};
 pub use digest::{Digest, Digester};
 pub use error::ConfigError;
 pub use fastmap::FastMap;
