@@ -188,6 +188,18 @@ fn specs_no_machine_can_run_exit_two_and_name_the_culprit() {
             r#"{"label":"ten","mesh":[5,2],"network":"bus"}"#,
             &["FFT", "among 10 cores"],
         ),
+        // Meshes whose tile count overflows: the product used to wrap, to
+        // 4 tiles (an out-of-bounds panic in the run) and to none.
+        (
+            "run",
+            r#"{"label":"wrap","mesh":[4611686018427387905,4]}"#,
+            &["`wrap`", "at most 64 tiles"],
+        ),
+        (
+            "run",
+            r#"{"label":"wrap","mesh":[4294967296,4294967296]}"#,
+            &["`wrap`", "at most 64 tiles"],
+        ),
         (
             "show",
             r#"{"label":"huge","l2_slice_bytes":1099511627776}"#,

@@ -20,9 +20,9 @@
 //!
 //! Each lookup hands out its own unbuilt copy of the entry, which copies
 //! the recipe (generator and core count) and no record, and the plan keeps
-//! it so: each `Session::execute` leases the workload to the runs that read
-//! it, the first of them builds a private copy's records, once across the
-//! pool's threads, the others share them, and they drop after the last of
+//! it so: each `Session::execute` hands the runs that read the workload one
+//! clone of it, the first of them builds that clone's records, once across
+//! the pool's threads, the others read them, and they drop with the last of
 //! those runs. The entry itself is never read, so it never holds a record,
 //! and the memo is bounded by its key space: benchmark × scale × core
 //! count, where `SystemConfig::validate` caps the core count at

@@ -736,13 +736,13 @@ impl ExperimentSpec {
         let (workloads, provided) = (self.workloads.clone(), provided.clone());
         let build_results: Vec<Result<BuiltEntry, ExperimentError>> =
             session.pool.map(wanted, move |(wi, tiles, variant_label)| {
-                let w = &workloads[*wi];
+                let w = &workloads[wi];
                 // A generated workload comes out of the memo with its
                 // digest; a trace file is read every time (it may have been
                 // rewritten) and a provided workload is digested as given.
                 let (wl, memoized) = match &w.source {
                     WorkloadSource::Bench(kind) => {
-                        let (wl, digest) = state.memo.get_or_build((*kind, scale, *tiles))?;
+                        let (wl, digest) = state.memo.get_or_build((*kind, scale, tiles))?;
                         (wl, Some(digest))
                     }
                     WorkloadSource::Trace(path) => {
@@ -762,12 +762,12 @@ impl ExperimentSpec {
                         (Arc::clone(wl), None)
                     }
                 };
-                if wl.cores() != *tiles {
+                if wl.cores() != tiles {
                     return Err(ExperimentError::CoreCountMismatch {
                         workload: w.name.clone(),
                         workload_cores: wl.cores(),
-                        variant: variant_label.clone(),
-                        tiles: *tiles,
+                        variant: variant_label,
+                        tiles,
                     });
                 }
                 let digest = match memoized {
@@ -776,7 +776,7 @@ impl ExperimentSpec {
                         .content_digest()
                         .map_err(|e| ExperimentError::Workload(e.to_string()))?,
                 };
-                Ok(((*wi, *tiles), (wl, digest)))
+                Ok(((wi, tiles), (wl, digest)))
             });
         let built: BTreeMap<(usize, usize), (Arc<Workload>, Digest)> = build_results
             .into_iter()

@@ -175,21 +175,23 @@ impl Pool {
     }
 
     /// Maps `f` over `items` behind every batch queued before this one and
-    /// returns the results in input order. An item that panics is resumed
-    /// here, with its own payload, once every item has finished.
+    /// returns the results in input order. Each item is moved into its call
+    /// and dropped when that call returns or panics, not when the batch
+    /// ends. An item that panics is resumed here, with its own payload, once
+    /// every item has finished.
     pub(crate) fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
-        T: Send + Sync + 'static,
+        T: Send + 'static,
         R: Send + 'static,
-        F: Fn(&T) -> R + Send + Sync + 'static,
+        F: Fn(T) -> R + Send + Sync + 'static,
     {
         let len = items.len();
         if len < 2 {
-            return items.iter().map(f).collect();
+            return items.into_iter().map(f).collect();
         }
         self.batches.fetch_add(1, Ordering::Relaxed);
         if ON_POOL.get() || !self.start(len) {
-            return items.iter().map(f).collect();
+            return items.into_iter().map(f).collect();
         }
         // Items report into one table, and only the last wakes the
         // submitter: a wake-up per item made two concurrent warm requests
@@ -198,12 +200,19 @@ impl Pool {
             slots: Mutex::new(((0..len).map(|_| None).collect(), len)),
             all_in: Condvar::new(),
         });
+        // The cursor hands out each index once, so each item is taken once.
+        let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let job: Job = Arc::new({
             let results = Arc::clone(&results);
             move |index| -> Box<dyn FnOnce() + Send> {
+                let item = items[index]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    .expect("each item is taken once");
                 // A panic is the item's result: the submitter resumes it, and
                 // this thread goes on to the next item.
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&items[index])));
+                let result = panic::catch_unwind(AssertUnwindSafe(|| f(item)));
                 let results = Arc::clone(&results);
                 Box::new(move || results.put(index, result))
             }
@@ -273,6 +282,7 @@ mod tests {
     use super::*;
     use crate::experiment::{ExperimentSpec, ScaleProfile, Session, WorkloadSet};
     use std::sync::mpsc::{self, Receiver};
+    use std::time::Duration;
     use tw_types::ProtocolKind;
     use tw_workloads::BenchmarkKind;
 
@@ -284,29 +294,29 @@ mod tests {
     #[test]
     fn map_preserves_order() {
         let pool = Pool::with_threads(4);
-        let out = pool.map((0..1000u64).collect(), |&x| x * 2);
+        let out = pool.map((0..1000u64).collect(), |x| x * 2);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn handles_empty_and_single() {
         let pool = Pool::with_threads(4);
-        assert!(pool.map(Vec::<u32>::new(), |&x| x).is_empty());
-        assert_eq!(pool.map(vec![7u32], |&x| x + 1), vec![8]);
+        assert!(pool.map(Vec::<u32>::new(), |x| x).is_empty());
+        assert_eq!(pool.map(vec![7u32], |x| x + 1), vec![8]);
         assert_eq!((pool.threads(), pool.batches()), (0, 0), "nothing to share");
     }
 
     #[test]
     fn one_core_runs_inline() {
         let pool = Pool::with_threads(1);
-        assert_eq!(pool.map(vec![1u32, 2, 3], |&x| x * 3), vec![3, 6, 9]);
+        assert_eq!(pool.map(vec![1u32, 2, 3], |x| x * 3), vec![3, 6, 9]);
         assert_eq!((pool.threads(), pool.batches()), (0, 1));
     }
 
     #[test]
     fn uneven_work_is_balanced() {
         let pool = Pool::with_threads(4);
-        let out = pool.map((0..64u64).collect(), |&x| {
+        let out = pool.map((0..64u64).collect(), |x| {
             // Vastly uneven per-item cost.
             let spins = if x % 8 == 0 { 100_000 } else { 10 };
             (0..spins).fold(x, |acc, _| std::hint::black_box(acc.wrapping_add(1)))
@@ -325,14 +335,14 @@ mod tests {
         for i in 0..4 {
             let (open, gate) = mpsc::channel::<()>();
             gates.push(open);
-            items.push((i, Mutex::new(gate)));
+            items.push((i, gate));
         }
         let a = thread::spawn({
             let (pool, log) = (Arc::clone(&pool), log.clone());
             move || {
-                pool.map(items, move |(i, gate): &(usize, Mutex<Receiver<()>>)| {
-                    log.send(('A', *i)).unwrap();
-                    gate.lock().unwrap().recv().unwrap();
+                pool.map(items, move |(i, gate): (usize, Receiver<()>)| {
+                    log.send(('A', i)).unwrap();
+                    gate.recv().unwrap();
                 })
             }
         });
@@ -342,7 +352,7 @@ mod tests {
         // Batch B, queued from another thread while A holds both threads.
         let b = thread::spawn({
             let pool = Arc::clone(&pool);
-            move || pool.map(vec![0usize, 1], move |&i| log.send(('B', i)).unwrap())
+            move || pool.map(vec![0usize, 1], move |i| log.send(('B', i)).unwrap())
         });
         while queued(&pool) < 2 {
             thread::yield_now();
@@ -367,8 +377,8 @@ mod tests {
     fn a_fan_out_inside_a_job_runs_inline() {
         let pool = Arc::new(Pool::with_threads(2));
         let inner = Arc::clone(&pool);
-        let out = pool.map(vec![1u64, 2, 3, 4], move |&x| {
-            inner.map(vec![x, x * 10], |&y| y + 1).iter().sum::<u64>()
+        let out = pool.map(vec![1u64, 2, 3, 4], move |x| {
+            inner.map(vec![x, x * 10], |y| y + 1).iter().sum::<u64>()
         });
         assert_eq!(out, vec![13, 24, 35, 46]);
         assert_eq!(pool.threads(), 2);
@@ -378,7 +388,7 @@ mod tests {
     fn a_panicking_item_is_resumed_on_the_submitter_and_the_pool_survives() {
         let pool = Pool::with_threads(2);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.map((0..8usize).collect(), |&i| {
+            pool.map((0..8usize).collect(), |i| {
                 if i == 5 {
                     panic!("item {i} refused");
                 }
@@ -396,6 +406,56 @@ mod tests {
         });
         assert_ne!(ids[0], ids[1]);
         assert_eq!(pool.threads(), 2);
+    }
+
+    /// Says which item it was when it drops.
+    struct Tell(usize, mpsc::Sender<usize>);
+
+    impl Drop for Tell {
+        fn drop(&mut self) {
+            let _ = self.1.send(self.0);
+        }
+    }
+
+    /// A two-item batch whose item 1 is parked on a gate while item 0
+    /// returns, or panics: item 0 is dropped before the batch ends.
+    fn item_zero_is_dropped_while_item_one_is_parked(panics: bool) {
+        let pool = Arc::new(Pool::with_threads(2));
+        let (tell, dropped) = mpsc::channel();
+        let (started, starts) = mpsc::channel();
+        let (open, gate) = mpsc::channel::<()>();
+        let items = vec![(Tell(0, tell.clone()), None), (Tell(1, tell), Some(gate))];
+        let batch = thread::spawn({
+            let pool = Arc::clone(&pool);
+            move || {
+                pool.map(items, move |(item, gate): (Tell, Option<Receiver<()>>)| {
+                    started.send(item.0).unwrap();
+                    match gate {
+                        Some(gate) => gate.recv().unwrap(),
+                        None if panics => panic!("item 0 refused"),
+                        None => {}
+                    }
+                })
+            }
+        });
+        let mut both: Vec<usize> = (0..2).map(|_| starts.recv().unwrap()).collect();
+        both.sort_unstable();
+        assert_eq!(both, [0, 1], "both items are running");
+        assert_eq!(dropped.recv_timeout(Duration::from_secs(60)), Ok(0));
+        assert!(dropped.try_recv().is_err(), "item 1 is still parked");
+        open.send(()).unwrap();
+        assert_eq!(batch.join().is_err(), panics);
+        assert_eq!(dropped.recv(), Ok(1));
+    }
+
+    #[test]
+    fn an_item_is_dropped_when_its_call_returns() {
+        item_zero_is_dropped_while_item_one_is_parked(false);
+    }
+
+    #[test]
+    fn a_panicking_item_is_dropped_too() {
+        item_zero_is_dropped_while_item_one_is_parked(true);
     }
 
     #[test]

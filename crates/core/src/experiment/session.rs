@@ -33,7 +33,7 @@ use crate::sim::{SimConfig, Simulator, BARRIER_OVERHEAD};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tw_obs::{Span, SpanSink};
 use tw_types::{Digest, Digester, ProtocolKind, SystemConfig};
@@ -166,11 +166,11 @@ pub(super) struct SessionState {
     /// Generated workloads' digests and recipes, shared by every plan this
     /// session compiles. Each plan gets its own unbuilt copy, and stays a
     /// recipe however often it runs: each `execute` builds the records its
-    /// runs read into a [`Lease`] of its own, and drops them after the
-    /// workload's last run.
+    /// runs read into a clone of its own, which the workload's last run
+    /// drops.
     pub(super) memo: WorkloadMemo,
-    /// Workload leases whose records a run of this session built: at most
-    /// one per distinct workload per `execute`.
+    /// Workload records that a run of this session built: at most one
+    /// build per distinct workload per `execute`.
     materialized: AtomicU64,
     /// Where compile's workload builds and execute's runs fan out: every
     /// request of a daemon queues behind the ones before it.
@@ -306,13 +306,13 @@ impl Session {
 
     /// Maps `f` over `items` on this session's thread pool, behind every
     /// fan-out its clones queued before, and returns the results in input
-    /// order. A fan-out from inside `f` runs inline, and a panic in `f` is
-    /// resumed here.
+    /// order. Each item is dropped when its call returns. A fan-out from
+    /// inside `f` runs inline, and a panic in `f` is resumed here.
     pub fn fan_out<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
-        T: Send + Sync + 'static,
+        T: Send + 'static,
         R: Send + 'static,
-        F: Fn(&T) -> R + Send + Sync + 'static,
+        F: Fn(T) -> R + Send + Sync + 'static,
     {
         self.state.pool.map(items, f)
     }
@@ -374,26 +374,27 @@ impl Session {
                 runs.entry(group.run).or_default().push(leader);
             }
         }
-        // Each workload is leased to the runs that read it, counted before
-        // they start, so that its records are built at most once per
-        // execute and dropped as soon as its last run ends. Plan order is
-        // workload-major and the pool is FIFO, so only the workloads of the
-        // runs in flight hold records.
-        let mut leases: BTreeMap<Digest, Arc<Lease>> = BTreeMap::new();
-        let runs: Vec<(Arc<Lease>, Vec<Leader>)> = runs
+        // The runs over one workload share one `Arc` of it per execute, so
+        // its records are built at most once per execute, and the pool
+        // drops each run when it returns, so the last of them drops the
+        // records. Plan order is workload-major and the pool is FIFO, so
+        // only the workloads of the runs in flight hold records.
+        let mut workloads: BTreeMap<Digest, Arc<Workload>> = BTreeMap::new();
+        let runs: Vec<(Arc<Workload>, Vec<Leader>)> = runs
             .into_values()
             .map(|leaders| {
                 let cell = &leaders[0].2;
-                let lease = leases
+                let workload = workloads
                     .entry(cell.workload_ref.digest)
-                    .or_insert_with(|| Arc::new(Lease::new(&cell.workload, plan.scale)));
-                lease.lend();
-                (Arc::clone(lease), leaders)
+                    .or_insert_with(|| runs_read(&cell.workload));
+                (Arc::clone(workload), leaders)
             })
             .collect();
-        let session = self.clone();
-        let results = self.fan_out(runs, move |(lease, leaders)| {
-            session.run_together(leaders, &lease.share())
+        // The runs hold the only handles.
+        drop(workloads);
+        let (session, scale) = (self.clone(), plan.scale);
+        let results = self.fan_out(runs, move |(workload, leaders)| {
+            session.run_together(&leaders, &workload, scale)
         });
         let mut led = BTreeMap::new();
         for result in results {
@@ -494,12 +495,13 @@ impl Session {
     /// Resolves the leaders of one run, returning each one's report and how
     /// it was obtained. Every leader takes its key's single-flight slot and
     /// probes the disk under its own key; the leaders that miss are
-    /// simulated together, a lane each, and stored under their own
-    /// keys.
+    /// simulated together, a lane each, on `workload`, and stored under
+    /// their own keys.
     fn run_together(
         &self,
         leaders: &[Leader],
-        lease: &Share<'_>,
+        workload: &Workload,
+        scale: ScaleProfile,
     ) -> Result<Vec<(usize, Led)>, ExperimentError> {
         // Timers exist only when a recorder is attached, so the unrecorded
         // path pays one Option probe per cell, nothing per op.
@@ -570,12 +572,21 @@ impl Session {
         }
         if let Some(&first) = missing.first() {
             let t = timer();
-            let workload = lease.records(&self.state.materialized)?;
+            // The first run to simulate builds the records, counted once,
+            // while any other waits for them; a refused build is every
+            // run's error.
+            let built = workload
+                .traces
+                .try_materialize()
+                .map_err(|e| ExperimentError::Workload(format!("{} scale: {e}", scale.name())))?;
+            if built {
+                self.state.materialized.fetch_add(1, Ordering::Relaxed);
+            }
             let lanes = missing
                 .iter()
                 .map(|&k| self.config(members[k].cell, members[k].sink.clone()))
                 .collect();
-            let reports = Simulator::try_new(lanes, &workload)
+            let reports = Simulator::try_new(lanes, workload)
                 .map_err(ExperimentError::Simulation)?
                 .run_lanes();
             // One run's wall time is counted once: every cell it simulated
@@ -682,84 +693,16 @@ impl Drop for Vacate<'_> {
     }
 }
 
-/// One workload's records while the runs of one [`Session::execute`] read
-/// them. The plan's own workload stays a recipe: the first run that
-/// simulates builds a private copy, the runs after it share that copy, and
-/// the last run to give its [`Share`] back drops it. A workload whose
-/// records are in memory already — read from a trace, provided, or
-/// dereferenced by someone — is shared, never copied.
-struct Lease {
-    /// The plan's workload.
-    workload: Arc<Workload>,
-    /// The plan's scale, for the error of a build that fails.
-    scale: ScaleProfile,
-    /// Runs that have not given their share back, and the copy they read
-    /// once one of them built it.
-    held: Mutex<(usize, Option<Arc<Workload>>)>,
-}
-
-impl Lease {
-    fn new(workload: &Arc<Workload>, scale: ScaleProfile) -> Self {
-        Lease {
-            workload: Arc::clone(workload),
-            scale,
-            held: Mutex::default(),
-        }
-    }
-
-    /// The count and the copy. A build that failed or panicked stored no
-    /// copy and a count changes whole, so a poisoned lease is still
-    /// consistent.
-    fn held(&self) -> MutexGuard<'_, (usize, Option<Arc<Workload>>)> {
-        self.held.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Counts one more run, which must take its [`Lease::share`].
-    fn lend(&self) {
-        self.held().0 += 1;
-    }
-
-    /// One counted run's share, given back when it drops.
-    fn share(&self) -> Share<'_> {
-        Share(self)
-    }
-}
-
-/// A run's share of a [`Lease`]; see [`Share::records`].
-struct Share<'l>(&'l Lease);
-
-impl Share<'_> {
-    /// The workload with its records in memory: the plan's own if they are
-    /// there, else the lease's copy, built by the first caller (counted on
-    /// `materialized`) while any other waits for it. Records that are not
-    /// the ones the workload's digest and counts name are an error, and
-    /// leave no copy: the next run builds again, and fails alike.
-    fn records(&self, materialized: &AtomicU64) -> Result<Arc<Workload>, ExperimentError> {
-        let lease = self.0;
-        if lease.workload.traces.is_built() {
-            return Ok(Arc::clone(&lease.workload));
-        }
-        let mut held = lease.held();
-        if let Some(copy) = &held.1 {
-            return Ok(Arc::clone(copy));
-        }
+/// The workload the runs of one [`Session::execute`] over `workload` read:
+/// `workload` itself if its records are in memory (a trace, a provided
+/// workload), else a clone of its recipe, which the first run to simulate
+/// builds, so that the plan's workload stays a recipe.
+fn runs_read(workload: &Arc<Workload>) -> Arc<Workload> {
+    if workload.traces.is_built() {
+        Arc::clone(workload)
+    } else {
         // A clone of unbuilt streams is the recipe alone.
-        let copy = Workload::clone(&lease.workload);
-        copy.traces
-            .try_materialize()
-            .map_err(|e| ExperimentError::Workload(format!("{} scale: {e}", lease.scale.name())))?;
-        materialized.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::clone(held.1.insert(Arc::new(copy))))
-    }
-}
-
-impl Drop for Share<'_> {
-    fn drop(&mut self) {
-        let mut held = self.0.held();
-        held.0 -= 1;
-        if held.0 == 0 {
-            held.1 = None;
-        }
+        Arc::new(Workload::clone(workload))
     }
 }
 
@@ -1072,71 +1015,17 @@ mod tests {
         Arc::new(workload)
     }
 
-    /// A lease counted for `runs` runs, as `execute` lends it.
-    fn lease_for(workload: &Arc<Workload>, runs: usize) -> Lease {
-        let lease = Lease::new(workload, ScaleProfile::Tiny);
-        for _ in 0..runs {
-            lease.lend();
-        }
-        lease
-    }
-
-    #[test]
-    fn the_last_share_given_back_drops_the_records() {
-        let plan = lazy_fft();
-        let lease = lease_for(&plan, 2);
-        let materialized = AtomicU64::new(0);
-        let (first, second) = (lease.share(), lease.share());
-        let copy = Arc::downgrade(&first.records(&materialized).unwrap());
-        let read = copy.upgrade().expect("the lease holds the copy");
-        assert!(read.traces.is_built() && !Arc::ptr_eq(&read, &plan));
-        assert!(Arc::ptr_eq(&second.records(&materialized).unwrap(), &read));
-        assert!(
-            !plan.traces.is_built(),
-            "the plan's workload stays a recipe"
-        );
-        assert_eq!(materialized.load(Ordering::Relaxed), 1, "built once");
-        drop(read);
-        drop(first);
-        assert!(copy.upgrade().is_some(), "a run still holds its share");
-        drop(second);
-        assert!(copy.upgrade().is_none(), "the last share dropped the copy");
-    }
-
-    #[test]
-    fn a_run_that_panics_still_gives_its_share_back() {
-        let plan = lazy_fft();
-        let lease = lease_for(&plan, 2);
-        let materialized = AtomicU64::new(0);
-        let mut copy = std::sync::Weak::new();
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let share = lease.share();
-            copy = Arc::downgrade(&share.records(&materialized).unwrap());
-            std::panic::resume_unwind(Box::new("the run fails"));
-        }));
-        assert!(panicked.is_err());
-        assert!(copy.upgrade().is_some(), "one run is still to come");
-        drop(lease.share());
-        assert!(copy.upgrade().is_none());
-        assert!(!plan.traces.is_built());
-    }
-
     #[test]
     fn a_provided_workload_is_shared_not_copied() {
         let workload = tw_workloads::build_tiny(tw_workloads::BenchmarkKind::Fft, 16).unwrap();
-        let lease = lease_for(&Arc::new(workload.clone()), 1);
-        let materialized = AtomicU64::new(0);
-        let share = lease.share();
-        assert!(Arc::ptr_eq(
-            &share.records(&materialized).unwrap(),
-            &lease.workload
-        ));
-        assert_eq!(materialized.load(Ordering::Relaxed), 0);
-        drop(share);
-        assert!(
-            lease.workload.traces.is_built(),
-            "the plan's records are the plan's"
-        );
+        let built = Arc::new(workload.clone());
+        assert!(Arc::ptr_eq(&runs_read(&built), &built));
+        // A recipe is not: its runs build a clone, and it stays a recipe.
+        let recipe = lazy_fft();
+        let read = runs_read(&recipe);
+        assert!(!Arc::ptr_eq(&read, &recipe));
+        assert_eq!(read.traces.try_materialize(), Ok(true));
+        assert!(!recipe.traces.is_built());
 
         // The same through `execute`: the plan's workload is the one the
         // runs read, and nothing is built.

@@ -242,7 +242,7 @@ impl DifferentialRunner {
         // input order, so summaries stay in registry order and the fuzz
         // output is deterministic.
         let (runner, workload) = (self.clone(), wl.clone());
-        let cells = Session::new().fan_out(self.protocols.clone(), move |&protocol| {
+        let cells = Session::new().fan_out(self.protocols.clone(), move |protocol| {
             runner.check_protocol(protocol, &workload, &system)
         });
 

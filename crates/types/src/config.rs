@@ -277,8 +277,10 @@ impl SystemConfig {
         }
         // Sharer sets are one `u64` bit per core and DeNovo's packed L2
         // owner byte holds core ids below 64: a larger mesh would alias
-        // cores instead of failing.
-        if self.tiles() > MAX_TILES {
+        // cores instead of failing. A product that overflows would wrap to
+        // a small count the mesh does not have.
+        let tiles = self.noc.cols.checked_mul(self.noc.rows);
+        if tiles.is_none_or(|tiles| tiles > MAX_TILES) {
             return Err(ConfigError::new("mesh must have at most 64 tiles"));
         }
         if self.noc.link_bytes == 0 || !self.noc.link_bytes.is_multiple_of(WORD_BYTES) {
@@ -516,6 +518,20 @@ mod tests {
         assert!(err.to_string().contains("at most 64 tiles"), "{err}");
         (cfg.noc.cols, cfg.noc.rows) = (13, 5);
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn a_mesh_whose_tile_count_overflows_is_refused() {
+        // Each product wraps: to 4 tiles, and to none.
+        for mesh in [(usize::MAX / 4 + 2, 4), (1 << 32, 1 << 32)] {
+            let mut cfg = SystemConfig::default();
+            (cfg.noc.cols, cfg.noc.rows) = mesh;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                err.to_string().contains("at most 64 tiles"),
+                "{mesh:?}: {err}"
+            );
+        }
     }
 
     #[test]

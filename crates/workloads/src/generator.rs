@@ -595,6 +595,45 @@ mod tests {
     }
 
     #[test]
+    fn racing_callers_build_once_and_share_the_outcome() {
+        let generator = Generator::new(BenchmarkKind::Fft, ScaleProfile::Tiny).unwrap();
+        let (lazy, digest) = generator.digested(16).unwrap();
+        let (records, mem_ops) = (lazy.traces.record_count(), lazy.traces.mem_ops());
+        let (stale, _) = generator
+            .committed(16, Digest(digest.0 ^ 1), records, mem_ops)
+            .unwrap();
+        // Each caller's outcome, and where the records it read are.
+        let race = |workload: &Workload| {
+            std::thread::scope(|s| {
+                let callers: Vec<_> = (0..8)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let outcome = workload.traces.try_materialize();
+                            let at = outcome.is_ok().then(|| workload.traces.as_ptr());
+                            (outcome, at.map(|p| p as usize))
+                        })
+                    })
+                    .collect();
+                callers
+                    .into_iter()
+                    .map(|c| c.join().unwrap())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let outcomes = race(&lazy);
+        let builders = outcomes.iter().filter(|(o, _)| *o == Ok(true)).count();
+        assert_eq!(builders, 1, "{outcomes:?}");
+        assert!(outcomes.iter().all(|(o, _)| o.is_ok()), "{outcomes:?}");
+        let at = lazy.traces.as_ptr() as usize;
+        assert!(outcomes.iter().all(|&(_, p)| p == Some(at)), "one copy");
+        assert_eq!(lazy.content_digest().unwrap(), digest);
+
+        let refused = Err("FFT on 16 cores built other records than it digested".to_string());
+        assert!(race(&stale).iter().all(|(o, _)| *o == refused));
+        assert!(!stale.traces.is_built());
+    }
+
+    #[test]
     fn scale_profiles_produce_distinct_systems() {
         assert_eq!(
             ScaleProfile::Paper.system().cache.l2_slice_bytes,

@@ -114,19 +114,21 @@ impl fmt::Display for BenchmarkKind {
 /// content digest and the counts of its digest pass, and builds the records
 /// the first time anything reads them — once, however many threads read at
 /// the same time — and then checks that they digest to that digest and
-/// count to those counts. Its core count, record count and
+/// count to those counts. A refused build keeps its error and is never run
+/// again. Its core count, record count and
 /// memory-op count never build it, nor does `Debug`, and cloning it while
 /// unbuilt copies the recipe alone.
 ///
 /// A compiled plan's streams stay unbuilt: the experiment session's
-/// `execute` builds a clone of the recipe for the runs that read it and
-/// drops that clone after the last of them. What still fills these streams
+/// `execute` builds a clone of the recipe for the runs that read it, and
+/// the clone is dropped with the last of them. What still fills these streams
 /// is a caller that reads a workload directly — a `Simulator` built on it,
 /// [`Workload::to_trace`], an edit through `DerefMut` — or that calls
 /// [`Streams::try_materialize`].
 #[derive(Clone)]
 pub struct Streams {
-    records: OnceLock<Vec<Vec<TraceOp>>>,
+    /// The build's outcome, once anything read the records.
+    records: OnceLock<Result<Vec<Vec<TraceOp>>, String>>,
     /// What builds `records`, for a workload that was only digested.
     recipe: Option<Recipe>,
 }
@@ -189,36 +191,33 @@ impl Streams {
 
     /// Whether the records are in memory.
     pub fn is_built(&self) -> bool {
-        self.records.get().is_some()
+        matches!(self.records.get(), Some(Ok(_)))
     }
 
-    /// Builds the records unless they are built already, and reports
-    /// whether this call built them. Records that are not the ones the
-    /// recipe names are an error, and nothing is kept; reading the streams
-    /// (`Deref`) panics instead. Unlike a read, two callers racing on
-    /// unbuilt streams may both build, and one of their copies is kept: a
-    /// caller that wants one build serializes its readers itself.
+    /// Builds the records unless a caller did already, and reports whether
+    /// this call built them: of any number of callers racing on unbuilt
+    /// streams, one builds while the rest wait for it. Records that are not
+    /// the ones the recipe names are an error, kept as the outcome of the
+    /// one build, so every caller gets it; reading the streams (`Deref`)
+    /// panics with it instead.
     ///
     /// # Errors
     ///
     /// The built records do not digest to the recipe's digest, or do not
     /// count to its record and memory-op counts.
     pub fn try_materialize(&self) -> Result<bool, String> {
-        if self.is_built() {
-            return Ok(false);
-        }
-        let records = self.recipe().build()?;
-        Ok(self.records.set(records).is_ok())
+        let mut built = false;
+        let outcome = self.records.get_or_init(|| {
+            built = true;
+            self.recipe().build()
+        });
+        outcome.as_ref().map(|_| built).map_err(Clone::clone)
     }
 
     fn recipe(&self) -> &Recipe {
         self.recipe
             .as_ref()
             .expect("streams without records have a recipe")
-    }
-
-    fn build(&self) -> Vec<Vec<TraceOp>> {
-        self.recipe().build().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -245,7 +244,7 @@ impl Recipe {
 impl From<Vec<Vec<TraceOp>>> for Streams {
     fn from(records: Vec<Vec<TraceOp>>) -> Self {
         Streams {
-            records: OnceLock::from(records),
+            records: OnceLock::from(Ok(records)),
             recipe: None,
         }
     }
@@ -261,7 +260,8 @@ impl Deref for Streams {
     type Target = Vec<Vec<TraceOp>>;
 
     fn deref(&self) -> &Self::Target {
-        self.records.get_or_init(|| self.build())
+        let outcome = self.records.get_or_init(|| self.recipe().build());
+        outcome.as_ref().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -271,7 +271,8 @@ impl DerefMut for Streams {
     fn deref_mut(&mut self) -> &mut Self::Target {
         let _ = Deref::deref(self);
         self.recipe = None;
-        self.records.get_mut().expect("materialized")
+        let built = self.records.get_mut().and_then(|r| r.as_mut().ok());
+        built.expect("deref built them")
     }
 }
 
@@ -293,8 +294,8 @@ impl PartialEq for Streams {
 impl fmt::Debug for Streams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.records.get() {
-            Some(records) => records.fmt(f),
-            None => f
+            Some(Ok(records)) => records.fmt(f),
+            _ => f
                 .debug_struct("Streams")
                 .field("cores", &self.cores())
                 .field("records", &self.record_count())
