@@ -225,6 +225,23 @@ fn specs_no_machine_can_run_exit_two_and_name_the_culprit() {
 }
 
 #[test]
+fn a_baseline_off_the_protocol_axis_is_refused_before_any_run() {
+    let dir = scratch("off-axis-baseline");
+    let spec = r#"{"schema":"denovo-waste/experiment-spec/v1","name":"off","scale":"tiny","baseline":"DeNovo","protocols":["MESI","DBypFull"],"workloads":[{"bench":"FFT"}]}"#;
+    std::fs::write(dir.join("off.json"), spec).unwrap();
+    for command in ["show", "run"] {
+        let (code, stdout, stderr) = run_in(&dir, &["plan", command, "off.json"]);
+        assert_eq!(code, 2, "plan {command} must exit 2; stderr:\n{stderr}");
+        assert!(
+            stderr.contains("baseline `DeNovo` is not on the protocol axis [MESI, DBypFull]"),
+            "plan {command} must name the baseline and the axis: {stderr}"
+        );
+        assert!(!stdout.contains("finished"), "nothing ran: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_trace_record_beyond_48_bits_is_a_bad_request() {
     let dir = scratch("wide-address");
     // One core, no regions, one load at 2^48: a zigzag delta of 2^49.

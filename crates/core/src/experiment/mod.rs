@@ -98,6 +98,53 @@ mod tests {
         assert!(matches!(err, ExperimentError::MissingProtocol(_)), "{err}");
     }
 
+    /// The headline checks every protocol it quotes before it reads a
+    /// cell, so a plan that lacks one is refused by name.
+    #[test]
+    fn the_headline_names_an_unswept_protocol_it_quotes() {
+        use ProtocolKind::{DBypFull, DFlexL1, DeNovo, MMemL1, Mesi};
+        for (protocols, missing) in [
+            (vec![Mesi, MMemL1, DeNovo, DFlexL1], DBypFull),
+            (vec![Mesi, MMemL1, DFlexL1, DBypFull], DeNovo),
+        ] {
+            let spec =
+                ExperimentSpec::subset(protocols, vec![BenchmarkKind::Fft], ScaleProfile::Tiny);
+            let out = Session::new().run(&spec, &WorkloadSet::new()).unwrap();
+            assert_eq!(
+                out.headline().unwrap_err(),
+                ExperimentError::MissingProtocol(missing)
+            );
+        }
+    }
+
+    /// Figures 5.3a-c draw an `Update Waste` column only when some cell
+    /// produced update waste at the figure's level. Dragon's updates land in
+    /// the L1s, so under it 5.3a draws the column and 5.3b-c do not.
+    #[test]
+    fn waste_figures_draw_the_update_column_only_for_update_waste() {
+        use tw_profiler::WasteCategory::Update;
+        let run = |p| {
+            let spec = ExperimentSpec::subset(
+                vec![ProtocolKind::Mesi, p],
+                vec![BenchmarkKind::Radix],
+                ScaleProfile::Tiny,
+            );
+            Session::new().run(&spec, &WorkloadSet::new()).unwrap()
+        };
+        let update_columns = |out: &PlanOutcome| {
+            [out.fig_5_3a(), out.fig_5_3b(), out.fig_5_3c()]
+                .map(|fig| fig.unwrap().columns().iter().any(|c| c == Update.label()))
+        };
+        assert_eq!(update_columns(&run(ProtocolKind::DeNovo)), [false; 3]);
+        let dragon = run(ProtocolKind::Dragon);
+        let r = dragon
+            .report(&row(BenchmarkKind::Radix), ProtocolKind::Dragon)
+            .unwrap();
+        let words = [&r.l1_waste, &r.l2_waste, &r.mem_waste].map(|w| w.words(Update));
+        assert!(words[0] > 0 && words[1] == 0 && words[2] == 0, "{words:?}");
+        assert_eq!(update_columns(&dragon), [true, false, false]);
+    }
+
     #[test]
     fn fig_5_1a_is_normalized_to_mesi() {
         let out = tiny_outcome();
@@ -318,6 +365,39 @@ mod tests {
             refused(doc("", "", r#", "l2_bytes": 1"#)),
             "unknown field `l2_bytes` in variant `v` (expected label | mesh | l1_bytes | \
              l2_slice_bytes | network)"
+        );
+    }
+
+    /// Every figure divides a row by its baseline cell, so a document
+    /// whose baseline (MESI when absent) is not swept is refused before
+    /// anything is simulated.
+    #[test]
+    fn spec_json_refuses_a_baseline_off_the_protocol_axis() {
+        let doc = |extra: &str| {
+            format!(
+                r#"{{"schema": "{SPEC_SCHEMA}", "name": "x", "scale": "tiny",
+                     "workloads": [{{"bench": "FFT"}}]{extra}}}"#
+            )
+        };
+        for (extra, msg) in [
+            (
+                r#", "baseline": "DeNovo", "protocols": ["MESI", "DBypFull"]"#,
+                "baseline `DeNovo` is not on the protocol axis [MESI, DBypFull]",
+            ),
+            (
+                r#", "protocols": ["DBypFull"]"#,
+                "baseline `MESI` is not on the protocol axis [DBypFull]",
+            ),
+        ] {
+            assert_eq!(
+                ExperimentSpec::from_json(&doc(extra)),
+                Err(ExperimentError::InvalidSpec(msg.to_string()))
+            );
+        }
+        let on_axis = r#", "baseline": "DeNovo", "protocols": ["DeNovo", "DBypFull"]"#;
+        assert_eq!(
+            ExperimentSpec::from_json(&doc(on_axis)).unwrap().baseline,
+            ProtocolKind::DeNovo
         );
     }
 

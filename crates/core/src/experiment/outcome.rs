@@ -97,31 +97,51 @@ impl PlanOutcome {
             })
     }
 
-    fn baseline_report(&self, row: &RowKey) -> Result<&SimReport, ExperimentError> {
-        self.report(row, self.baseline)
-    }
-
     /// `label/protocol`, concatenated rather than formatted: every bar of
     /// every figure takes one.
     fn row_label(&self, label: &str, protocol: ProtocolKind) -> String {
         [label, "/", protocol.name()].concat()
     }
 
-    /// Arithmetic mean over rows of `f(report, baseline)`, matching the
-    /// paper's "average of X%" statements.
-    fn mean_over_rows<F: Fn(&SimReport, &SimReport) -> f64>(
+    /// Draws one §5 figure: a bar row per cell, rows in plan order and
+    /// protocols in figure order, each bar `norm(value(cell, column),
+    /// base(baseline cell of the row))`. A row's baseline cell is looked up
+    /// before its protocol cells, so a missing one is the error reported.
+    fn normalized_figure(
         &self,
-        protocol: ProtocolKind,
-        f: F,
-    ) -> Result<f64, ExperimentError> {
-        if !self.protocols.contains(&protocol) {
-            return Err(ExperimentError::MissingProtocol(protocol));
+        title: &str,
+        columns: impl IntoIterator<Item = &'static str>,
+        base: impl Fn(&SimReport) -> f64,
+        value: impl Fn(&SimReport, usize) -> f64,
+    ) -> Result<FigureTable, ExperimentError> {
+        let series = columns.into_iter().map(String::from);
+        let mut t = FigureTable::with_series(title, "bench/protocol", series);
+        let width = t.columns().len() - 1;
+        for (row, label) in &self.rows {
+            let base = base(self.report(row, self.baseline)?);
+            for &p in &self.protocols {
+                let r = self.report(row, p)?;
+                let values = (0..width).map(|i| norm(value(r, i), base)).collect();
+                t.push_row(self.row_label(label, p), values);
+            }
         }
-        let mut sum = 0.0;
-        for (row, _) in &self.rows {
-            sum += f(self.report(row, protocol)?, self.baseline_report(row)?);
-        }
-        Ok(sum / self.rows.len().max(1) as f64)
+        Ok(t)
+    }
+
+    /// A §5.1 breakdown of one message class into `buckets`, normalized to
+    /// the baseline's traffic of that class (Figures 5.1b–d).
+    fn bucket_figure(
+        &self,
+        title: &str,
+        class: MessageClass,
+        buckets: &[TrafficBucket],
+    ) -> Result<FigureTable, ExperimentError> {
+        self.normalized_figure(
+            title,
+            buckets.iter().map(|b| b.label()),
+            |b| b.traffic.class_total(class),
+            |r, i| r.traffic.get(class, buckets[i]),
+        )
     }
 
     /// Table 4.1: simulated system parameters, one block per variant.
@@ -175,132 +195,67 @@ impl PlanOutcome {
     /// Figure 5.1a: overall network traffic normalized to the baseline,
     /// stacked by LD/ST/WB/Overhead.
     pub fn fig_5_1a(&self) -> Result<FigureTable, ExperimentError> {
-        let mut t = FigureTable::new(
+        let classes = MessageClass::ALL;
+        self.normalized_figure(
             "Figure 5.1a: Overall network traffic (flit-hops, normalized to MESI)",
-            vec![
-                "bench/protocol".into(),
-                "LD".into(),
-                "ST".into(),
-                "WB".into(),
-                "Overhead".into(),
-                "Total".into(),
-            ],
-        );
-        for (row, label) in &self.rows {
-            let base = self.baseline_report(row)?.traffic.total();
-            for &p in &self.protocols {
-                let r = self.report(row, p)?;
-                let v = |c: MessageClass| norm(r.traffic.class_total(c), base);
-                t.push_row(
-                    self.row_label(label, p),
-                    vec![
-                        v(MessageClass::Load),
-                        v(MessageClass::Store),
-                        v(MessageClass::Writeback),
-                        v(MessageClass::Overhead),
-                        norm(r.traffic.total(), base),
-                    ],
-                );
-            }
-        }
-        Ok(t)
-    }
-
-    fn request_response_figure(
-        &self,
-        title: &str,
-        class: MessageClass,
-    ) -> Result<FigureTable, ExperimentError> {
-        let buckets = TrafficBucket::REQUEST_RESPONSE;
-        let mut t = FigureTable::with_series(
-            title,
-            "bench/protocol",
-            buckets.iter().map(|b| b.label().to_string()),
-        );
-        for (row, label) in &self.rows {
-            let base = self.baseline_report(row)?.traffic.class_total(class);
-            for &p in &self.protocols {
-                let r = self.report(row, p)?;
-                let values = buckets
-                    .iter()
-                    .map(|bucket| norm(r.traffic.get(class, *bucket), base))
-                    .collect();
-                t.push_row(self.row_label(label, p), values);
-            }
-        }
-        Ok(t)
+            classes.iter().map(|c| c.label()).chain(["Total"]),
+            |b| b.traffic.total(),
+            |r, i| match classes.get(i) {
+                Some(&c) => r.traffic.class_total(c),
+                None => r.traffic.total(),
+            },
+        )
     }
 
     /// Figure 5.1b: load-traffic breakdown normalized to the baseline's load
     /// traffic.
     pub fn fig_5_1b(&self) -> Result<FigureTable, ExperimentError> {
-        self.request_response_figure(
+        self.bucket_figure(
             "Figure 5.1b: LD network traffic breakdown (normalized to MESI LD traffic)",
             MessageClass::Load,
+            &TrafficBucket::REQUEST_RESPONSE,
         )
     }
 
     /// Figure 5.1c: store-traffic breakdown normalized to the baseline's
     /// store traffic.
     pub fn fig_5_1c(&self) -> Result<FigureTable, ExperimentError> {
-        self.request_response_figure(
+        self.bucket_figure(
             "Figure 5.1c: ST network traffic breakdown (normalized to MESI ST traffic)",
             MessageClass::Store,
+            &TrafficBucket::REQUEST_RESPONSE,
         )
     }
 
     /// Figure 5.1d: writeback-traffic breakdown normalized to the baseline's
     /// writeback traffic.
     pub fn fig_5_1d(&self) -> Result<FigureTable, ExperimentError> {
-        let buckets = TrafficBucket::WRITEBACK;
-        let mut t = FigureTable::with_series(
+        self.bucket_figure(
             "Figure 5.1d: WB network traffic breakdown (normalized to MESI WB traffic)",
-            "bench/protocol",
-            buckets.iter().map(|b| b.label().to_string()),
-        );
-        for (row, label) in &self.rows {
-            let base = self
-                .baseline_report(row)?
-                .traffic
-                .class_total(MessageClass::Writeback);
-            for &p in &self.protocols {
-                let r = self.report(row, p)?;
-                let values = buckets
-                    .iter()
-                    .map(|bucket| norm(r.traffic.get(MessageClass::Writeback, *bucket), base))
-                    .collect();
-                t.push_row(self.row_label(label, p), values);
-            }
-        }
-        Ok(t)
+            MessageClass::Writeback,
+            &TrafficBucket::WRITEBACK,
+        )
     }
 
     /// Figure 5.2: execution time normalized to the baseline, stacked by
     /// component.
     pub fn fig_5_2(&self) -> Result<FigureTable, ExperimentError> {
-        let mut columns = vec!["bench/protocol".into()];
-        columns.extend(TimeClass::ALL.iter().map(|c| c.label().to_string()));
-        columns.push("Total".into());
-        let mut t = FigureTable::new("Figure 5.2: Execution time (normalized to MESI)", columns);
-        for (row, label) in &self.rows {
-            let base = self.baseline_report(row)?.time.total() as f64;
-            for &p in &self.protocols {
-                let r = self.report(row, p)?;
-                let mut values: Vec<f64> = TimeClass::ALL
-                    .iter()
-                    .map(|c| norm(r.time.get(*c) as f64, base))
-                    .collect();
-                values.push(norm(r.time.total() as f64, base));
-                t.push_row(self.row_label(label, p), values);
-            }
-        }
-        Ok(t)
+        let classes = TimeClass::ALL;
+        self.normalized_figure(
+            "Figure 5.2: Execution time (normalized to MESI)",
+            classes.iter().map(|c| c.label()).chain(["Total"]),
+            |b| b.time.total() as f64,
+            |r, i| match classes.get(i) {
+                Some(&c) => r.time.get(c) as f64,
+                None => r.time.total() as f64,
+            },
+        )
     }
 
-    fn waste_figure<F: Fn(&SimReport) -> &tw_profiler::WasteReport>(
+    fn waste_figure(
         &self,
         title: &str,
-        select: F,
+        select: impl Fn(&SimReport) -> &tw_profiler::WasteReport,
     ) -> Result<FigureTable, ExperimentError> {
         // Update waste is structurally zero under every invalidation protocol,
         // so the column only appears when some cell in the matrix actually
@@ -318,23 +273,12 @@ impl PlanOutcome {
             .into_iter()
             .filter(|c| update_seen || *c != WasteCategory::Update)
             .collect();
-        let mut t = FigureTable::with_series(
+        self.normalized_figure(
             title,
-            "bench/protocol",
-            cats.iter().map(|c| c.label().to_string()),
-        );
-        for (row, label) in &self.rows {
-            let base = select(self.baseline_report(row)?).total_words() as f64;
-            for &p in &self.protocols {
-                let r = select(self.report(row, p)?);
-                let values = cats
-                    .iter()
-                    .map(|c| norm(r.words(*c) as f64, base))
-                    .collect();
-                t.push_row(self.row_label(label, p), values);
-            }
-        }
-        Ok(t)
+            cats.iter().map(|c| c.label()),
+            |b| select(b).total_words() as f64,
+            |r, i| select(r).words(cats[i]) as f64,
+        )
     }
 
     /// Figure 5.3a: words fetched into the L1s by waste category.
@@ -362,6 +306,8 @@ impl PlanOutcome {
     }
 
     /// The headline cross-benchmark averages quoted in the abstract and §5.1.
+    /// Each is the arithmetic mean over rows, in plan order, of one ratio of
+    /// a row's cells, matching the paper's "average of X%" statements.
     ///
     /// # Errors
     ///
@@ -370,42 +316,33 @@ impl PlanOutcome {
     /// DBypFull), or [`ExperimentError::MissingCell`] if a quoted cell is
     /// absent.
     pub fn headline(&self) -> Result<HeadlineSummary, ExperimentError> {
-        let rel_traffic = |p: ProtocolKind, q: ProtocolKind| -> Result<f64, ExperimentError> {
-            if !self.protocols.contains(&q) {
-                return Err(ExperimentError::MissingProtocol(q));
-            }
+        use ProtocolKind::{DBypFull, DFlexL1, DeNovo, MMemL1, Mesi};
+        if let Some(&p) = [Mesi, MMemL1, DeNovo, DFlexL1, DBypFull]
+            .iter()
+            .find(|p| !self.protocols.contains(p))
+        {
+            return Err(ExperimentError::MissingProtocol(p));
+        }
+        let mean = |p, q, f: fn(&SimReport, &SimReport) -> f64| -> Result<f64, ExperimentError> {
             let mut sum = 0.0;
             for (row, _) in &self.rows {
-                sum += norm(
-                    self.report(row, p)?.total_flit_hops(),
-                    self.report(row, q)?.total_flit_hops(),
-                );
+                sum += f(self.report(row, p)?, self.report(row, q)?);
             }
             Ok(sum / self.rows.len().max(1) as f64)
         };
-        let rel_time = |p: ProtocolKind, q: ProtocolKind| -> Result<f64, ExperimentError> {
-            let mut sum = 0.0;
-            for (row, _) in &self.rows {
-                sum += norm(
-                    self.report(row, p)?.total_cycles as f64,
-                    self.report(row, q)?.total_cycles as f64,
-                );
-            }
-            Ok(sum / self.rows.len().max(1) as f64)
-        };
+        let traffic: fn(&SimReport, &SimReport) -> f64 =
+            |r, q| norm(r.total_flit_hops(), q.total_flit_hops());
+        let time: fn(&SimReport, &SimReport) -> f64 =
+            |r, q| norm(r.total_cycles as f64, q.total_cycles as f64);
         Ok(HeadlineSummary {
-            dbypfull_traffic_vs_mesi: rel_traffic(ProtocolKind::DBypFull, ProtocolKind::Mesi)?,
-            dbypfull_traffic_vs_mmeml1: rel_traffic(ProtocolKind::DBypFull, ProtocolKind::MMemL1)?,
-            dbypfull_traffic_vs_dflexl1: rel_traffic(
-                ProtocolKind::DBypFull,
-                ProtocolKind::DFlexL1,
-            )?,
-            denovo_traffic_vs_mesi: rel_traffic(ProtocolKind::DeNovo, ProtocolKind::Mesi)?,
-            dbypfull_time_vs_mesi: rel_time(ProtocolKind::DBypFull, ProtocolKind::Mesi)?,
-            mmeml1_time_vs_mesi: rel_time(ProtocolKind::MMemL1, ProtocolKind::Mesi)?,
-            dbypfull_waste_fraction: self
-                .mean_over_rows(ProtocolKind::DBypFull, |r, _| r.waste_traffic_fraction())?,
-            mesi_overhead_fraction: self.mean_over_rows(ProtocolKind::Mesi, |r, _| {
+            dbypfull_traffic_vs_mesi: mean(DBypFull, Mesi, traffic)?,
+            dbypfull_traffic_vs_mmeml1: mean(DBypFull, MMemL1, traffic)?,
+            dbypfull_traffic_vs_dflexl1: mean(DBypFull, DFlexL1, traffic)?,
+            denovo_traffic_vs_mesi: mean(DeNovo, Mesi, traffic)?,
+            dbypfull_time_vs_mesi: mean(DBypFull, Mesi, time)?,
+            mmeml1_time_vs_mesi: mean(MMemL1, Mesi, time)?,
+            dbypfull_waste_fraction: mean(DBypFull, DBypFull, |r, _| r.waste_traffic_fraction())?,
+            mesi_overhead_fraction: mean(Mesi, Mesi, |r, _| {
                 norm(
                     r.traffic.class_total(MessageClass::Overhead),
                     r.traffic.total(),

@@ -328,6 +328,7 @@ pub struct ExperimentSpec {
     pub networks: Vec<NetworkModelKind>,
     /// The protocol whose run of each (workload, variant) row the
     /// figures normalize that row to; the paper normalizes to MESI.
+    /// [`ExperimentSpec::from_json`] refuses one that is not in `protocols`.
     pub baseline: ProtocolKind,
 }
 
@@ -481,6 +482,16 @@ impl ExperimentSpec {
                 })
                 .collect::<Result<Vec<_>, _>>()?,
         };
+        // Every figure divides a row by its baseline cell: a document whose
+        // baseline is not swept would simulate its cells and then fail.
+        if !protocols.contains(&baseline) {
+            let axis: Vec<&str> = protocols.iter().map(|p| p.name()).collect();
+            return Err(bad(format!(
+                "baseline `{}` is not on the protocol axis [{}]",
+                baseline.name(),
+                axis.join(", ")
+            )));
+        }
         let workloads = doc
             .require("workloads")
             .and_then(Json::as_arr)

@@ -306,23 +306,6 @@ impl<M> CacheArray<M> {
         Some(removed)
     }
 
-    /// The line that would be evicted if `line` were inserted now, if any.
-    pub fn victim_for(&self, line: LineAddr) -> Option<&LineEntry<M>> {
-        if self.contains(line) {
-            return None;
-        }
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        let slen = self.set_len[set] as usize;
-        if slen < self.ways {
-            return None;
-        }
-        self.entries[base..base + slen]
-            .iter()
-            .map(|e| e.as_ref().expect("occupied"))
-            .min_by_key(|e| e.lru)
-    }
-
     /// Iterator over all resident lines (set-major, in-set residency order).
     pub fn iter(&self) -> impl Iterator<Item = &LineEntry<M>> {
         self.entries
@@ -424,23 +407,12 @@ mod tests {
         // A rejected predicate must leave LRU order untouched: line 0 stays
         // the victim candidate.
         assert!(c.get_where(line(0), |e| e.meta == 99).is_none());
-        assert_eq!(c.victim_for(line(4)).unwrap().line, line(0));
+        let victim = |c: &CacheArray<u32>| c.clone().insert(line(4), 0).1.unwrap().line;
+        assert_eq!(victim(&c), line(0));
         // An accepted predicate refreshes LRU exactly like `get`.
         assert!(c.get_where(line(0), |e| e.meta == 1).is_some());
-        assert_eq!(c.victim_for(line(4)).unwrap().line, line(2));
+        assert_eq!(victim(&c), line(2));
         assert!(c.get_where(line(4), |_| true).is_none(), "absent line");
-    }
-
-    #[test]
-    fn victim_for_predicts_eviction() {
-        let mut c = small();
-        c.insert(line(0), 0);
-        assert!(c.victim_for(line(2)).is_none(), "set not yet full");
-        c.insert(line(2), 0);
-        c.get(line(2));
-        let v = c.victim_for(line(4)).expect("full set");
-        assert_eq!(v.line, line(0));
-        assert!(c.victim_for(line(0)).is_none(), "already resident");
     }
 
     #[test]

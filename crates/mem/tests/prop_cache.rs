@@ -57,7 +57,7 @@ proptest! {
             cache.get(line);
             // Any new line mapping to the same set must not pick `line`.
             let probe = LineAddr::from_aligned((n + 4 * 64) * 64);
-            if let Some(victim) = cache.victim_for(probe) {
+            if let (_, Some(victim)) = cache.clone().insert(probe, 0) {
                 prop_assert_ne!(victim.line, line);
             }
         }

@@ -114,15 +114,6 @@ impl LinkState {
         self.queueing_cycles = self.queueing_cycles.saturating_add(wait);
         (start, wait)
     }
-
-    /// Utilization of the link over `elapsed` cycles (0.0–1.0+).
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.flits as f64 / elapsed as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,14 +139,6 @@ mod tests {
         l.reserve(10, 1);
         let (s, w) = l.reserve(1000, 4);
         assert_eq!((s, w), (1000, 0));
-    }
-
-    #[test]
-    fn utilization_is_flits_per_cycle() {
-        let mut l = LinkState::default();
-        l.reserve(0, 50);
-        assert!((l.utilization(100) - 0.5).abs() < 1e-12);
-        assert_eq!(LinkState::default().utilization(0), 0.0);
     }
 
     #[test]

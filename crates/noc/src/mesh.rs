@@ -133,16 +133,6 @@ impl Mesh {
         self.routes.get(src, dst).len()
     }
 
-    /// The sequence of links a packet from `src` to `dst` traverses
-    /// (X dimension first, then Y). Empty when `src == dst`.
-    pub fn route(&self, src: TileId, dst: TileId) -> Vec<LinkId> {
-        self.routes
-            .get(src, dst)
-            .iter()
-            .map(|&idx| link_at(self.cfg.cols, idx as usize))
-            .collect()
-    }
-
     /// Flit-hops generated by sending a packet of `size` from `src` to `dst`,
     /// without sending it (pure accounting helper).
     pub fn flit_hops(&self, src: TileId, dst: TileId, size: PacketSize) -> usize {
@@ -188,17 +178,6 @@ impl Mesh {
     pub fn total_flit_hops(&self) -> f64 {
         self.flit_hops
     }
-
-    /// Per-link occupancy states for links that carried traffic (for
-    /// utilization reporting), in tile/direction order.
-    pub fn link_states(&self) -> impl Iterator<Item = (LinkId, &LinkState)> + '_ {
-        let cols = self.cfg.cols;
-        self.links
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.flits > 0)
-            .map(move |(i, s)| (link_at(cols, i), s))
-    }
 }
 
 impl NetworkModel for Mesh {
@@ -233,7 +212,7 @@ mod tests {
     fn xy_route_goes_x_then_y() {
         let m = mesh();
         // Tile 1 = (1,0), tile 14 = (2,3): expect 1 X hop then 3 Y hops.
-        let route = m.route(TileId(1), TileId(14));
+        let route = xy_route(m.config(), TileId(1), TileId(14));
         assert_eq!(route.len(), 4);
         assert_eq!(
             route[0],
@@ -261,7 +240,7 @@ mod tests {
     #[test]
     fn route_westward_and_northward() {
         let m = mesh();
-        let route = m.route(TileId(15), TileId(0));
+        let route = xy_route(m.config(), TileId(15), TileId(0));
         assert_eq!(route.len(), 6);
         assert_eq!(
             route[0],
@@ -282,7 +261,7 @@ mod tests {
     #[test]
     fn self_route_is_empty() {
         let m = mesh();
-        assert!(m.route(TileId(5), TileId(5)).is_empty());
+        assert!(xy_route(m.config(), TileId(5), TileId(5)).is_empty());
         assert_eq!(m.hops(TileId(5), TileId(5)), 0);
     }
 
@@ -331,16 +310,6 @@ mod tests {
         assert_eq!(t, 50 + ROUTER_LATENCY);
     }
 
-    #[test]
-    fn link_states_expose_utilization() {
-        let mut m = mesh();
-        for _ in 0..10 {
-            m.send(TileId(0), TileId(1), PacketSize::control_only(), 0);
-        }
-        let (_, state) = m.link_states().next().expect("one link used");
-        assert_eq!(state.flits, 10);
-    }
-
     /// The shapes the route table is checked on: the paper's, both oblong
     /// orientations, a single column, and the 64-tile ceiling.
     const SHAPES: [(usize, usize); 5] = [(4, 4), (2, 8), (8, 2), (1, 4), (8, 8)];
@@ -366,7 +335,6 @@ mod tests {
                     assert_eq!(table, walked, "{cols}x{rows} {src}->{dst}");
                     assert_eq!(m.hops(src, dst), walked.len());
                     let named: Vec<LinkId> = walked.iter().map(|&i| link_at(cols, i)).collect();
-                    assert_eq!(m.route(src, dst), named);
                     assert_eq!(xy_route(m.config(), src, dst), named);
                 }
             }

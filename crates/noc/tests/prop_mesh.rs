@@ -1,7 +1,7 @@
 //! Property-based tests of mesh routing and flit-hop accounting.
 
 use proptest::prelude::*;
-use tw_noc::{model_for, Mesh, NetworkModel, PacketSize};
+use tw_noc::{model_for, xy_route, Mesh, NetworkModel, PacketSize};
 use tw_types::{Cycle, NetworkModelKind, NocConfig, TileId};
 
 fn mesh() -> Mesh {
@@ -63,7 +63,7 @@ proptest! {
     #[test]
     fn routes_are_minimal_and_connected(src in 0usize..16, dst in 0usize..16) {
         let m = mesh();
-        let route = m.route(TileId(src), TileId(dst));
+        let route = xy_route(m.config(), TileId(src), TileId(dst));
         prop_assert_eq!(route.len(), m.hops(TileId(src), TileId(dst)));
         if !route.is_empty() {
             prop_assert_eq!(route[0].from, TileId(src));
