@@ -106,13 +106,12 @@ pub static COMMANDS: &[Command] = &[
         .flags(&[
             opt("--seeds", "N"),
             opt("--start", "N"),
-            opt("--network", "NAME"),
             RECORD,
             switch("--self-test"),
         ])
         // Fuzzing wants breadth over fidelity: default to the tiny geometry.
         .scale(ScaleProfile::Tiny)
-        .summary("sweep synthesized workloads, race-checked by the golden model, across every protocol under the differential invariants; --self-test proves the oracle catches injected bugs"),
+        .summary("sweep synthesized workloads, race-checked by the golden model, across every protocol and network model under the differential invariants; --self-test proves the oracle catches injected bugs"),
     Command::new(&["workloads"], workloads::run)
         .flags(&[switch("--write"), switch("--check")])
         .summary("print the builtin workloads' digest table; --write records it as WORKLOADS.digests, --check exits 1 unless that file is what the generators make"),
@@ -525,7 +524,7 @@ trace roundtrip --tiny --bench LU --protocol Mesi => trace roundtrip |  | --benc
 fuzz --seeds 50 => fuzz |  | --seeds=50 | tiny
 fuzz --self-test => fuzz |  | --self-test | tiny
 fuzz --seeds 8 --start 1000 --tiny => fuzz |  | --seeds=8 --start=1000 | tiny
-fuzz --seeds 12 --tiny --network analytic --record f.jsonl => fuzz |  | --seeds=12 --network=analytic --record=f.jsonl | tiny
+fuzz --seeds 12 --tiny --record f.jsonl => fuzz |  | --seeds=12 --record=f.jsonl | tiny
 workloads --check => workloads |  | --check | -
 workloads --write => workloads |  | --write | -
 serve --socket /tmp/exp.sock --cache .exp-cache => serve |  | --socket=/tmp/exp.sock --cache=.exp-cache | -

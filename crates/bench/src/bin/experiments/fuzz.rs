@@ -7,36 +7,22 @@ use std::time::Instant;
 use tw_scenarios::{detect, golden_execute, synthesize, DifferentialRunner, Mutation, SynthConfig};
 use tw_types::NetworkModelKind;
 
-/// Order-sensitive digest of the per-protocol summaries, so the printed
-/// line (and therefore the byte-diffed fuzz transcript) is sensitive to any
-/// change in any protocol's cycles, traffic or waste accounting. Built on
-/// the oracle's fingerprint fold so there is exactly one mixer to maintain.
-fn summary_digest(summaries: &[tw_scenarios::ProtocolSummary]) -> u64 {
+/// Order-sensitive digest of the per-protocol summaries under one network
+/// model, so the printed line (and therefore the byte-diffed fuzz
+/// transcript) is sensitive to any change in any protocol's cycles under
+/// that model, traffic or waste accounting. Built on the oracle's
+/// fingerprint fold so there is exactly one mixer to maintain.
+fn summary_digest(summaries: &[tw_scenarios::ProtocolSummary], model: NetworkModelKind) -> u64 {
     let mut h: u64 = 0xd1f7_ed5c_e4a2_1097;
     for s in summaries {
         h = tw_scenarios::oracle::fold(
             h,
             [
-                s.total_cycles,
+                s.cycles[model.lane()],
                 s.flit_hops.to_bits(),
                 s.waste_fraction.to_bits(),
                 0,
             ],
-        );
-    }
-    h
-}
-
-/// Digest of the per-protocol *traffic* numbers only (flit-hops + waste
-/// fraction, no cycles) — the quantity that must be byte-identical across
-/// network models. CI runs the sweep once per model and diffs exactly these
-/// fields out of the transcripts.
-fn traffic_digest(summaries: &[tw_scenarios::ProtocolSummary]) -> u64 {
-    let mut h: u64 = 0x7aff_1c0d_1935_7a0b;
-    for s in summaries {
-        h = tw_scenarios::oracle::fold(
-            h,
-            [s.flit_hops.to_bits(), s.waste_fraction.to_bits(), 0, 0],
         );
     }
     h
@@ -52,11 +38,6 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     let seeds = args.number("--seeds", 20u64)?;
     // First seed, so CI shards and bisections can window the space.
     let start = args.number("--start", 0u64)?;
-    // The model the primary sweep runs under (the runner checks the
-    // cross-model identity against every other registered model either way).
-    let network = args
-        .value("--network")
-        .map_or(Ok(NetworkModelKind::default()), NetworkModelKind::by_name)?;
     // An empty window (degenerate shard arithmetic) or an overflowing one
     // (which would wrap to an empty range in release builds) would report a
     // false-green sweep of zero workloads.
@@ -69,7 +50,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     if args.has("--self-test") {
         return Ok(self_test());
     }
-    let mut runner = DifferentialRunner::new(args.scale()).with_network(network);
+    let mut runner = DifferentialRunner::new(args.scale());
     let flight = args
         .value("--record")
         .map(|out| (out, armed_recorder("fuzz")));
@@ -86,14 +67,16 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
             synthesize(seed)
         };
         let outcome = runner.check(&wl);
+        let digests: String = NetworkModelKind::ALL
+            .iter()
+            .map(|&m| format!(" {m}={:016x}", summary_digest(&outcome.summaries, m)))
+            .collect();
         outln!(
-            "seed={seed} {} ops={} phases={} fp={:016x} digest={:016x} traffic={:016x} {}",
+            "seed={seed} {} ops={} phases={} fp={:016x}{digests} {}",
             if streaming { "streaming" } else { "general" },
             outcome.oracle.mem_ops(),
             outcome.oracle.phases,
             outcome.oracle.fingerprint,
-            summary_digest(&outcome.summaries),
-            traffic_digest(&outcome.summaries),
             if outcome.ok() { "ok" } else { "VIOLATION" },
         );
         for v in &outcome.violations {

@@ -48,10 +48,7 @@ fn help_exits_zero_and_documents_the_contract() {
         ("trace info", "<in.trace>"),
         ("trace diff", "<a.trace> <b.trace>"),
         ("trace roundtrip", "--bench --protocol --tiny"),
-        (
-            "fuzz",
-            "--seeds --start --network --record --self-test --tiny",
-        ),
+        ("fuzz", "--seeds --start --record --self-test --tiny"),
         ("workloads", "--write --check"),
         ("serve", "--socket --cache --no-cache --record"),
         ("submit", "<spec.json> --socket --json"),
@@ -148,6 +145,14 @@ fn invalid_requests_exit_two() {
         }
         assert!(!stderr.contains("unknown flag"), "{args:?}: {stderr}");
     }
+    // Every fuzz line carries one digest per network model, so the sweep
+    // takes no flag that picks one.
+    let (code, _, stderr) = run_in(
+        &dir,
+        &["fuzz", "--seeds", "1", "--tiny", "--network", "flit"],
+    );
+    assert_eq!(code, 2, "stderr:\n{stderr}");
+    assert!(stderr.contains("unknown flag `--network`"), "{stderr}");
     // `--record --tiny` used to run the sweep and write a trace file
     // literally named `--tiny`.
     assert!(!dir.join("--tiny").exists(), "no file named --tiny");

@@ -158,6 +158,36 @@ mod tests {
         assert!(opt_total < 1.0, "optimized protocol must reduce traffic");
     }
 
+    /// Every normalized figure's title names the plan's baseline, the run
+    /// its bars are divided by.
+    #[test]
+    fn figure_titles_name_the_plan_baseline() {
+        let mut spec = ExperimentSpec::subset(
+            vec![ProtocolKind::Mesi, ProtocolKind::DeNovo],
+            vec![BenchmarkKind::Fft],
+            ScaleProfile::Tiny,
+        );
+        spec.baseline = ProtocolKind::DeNovo;
+        let out = Session::new().run(&spec, &WorkloadSet::new()).unwrap();
+        let figures = out.all_figures().unwrap();
+        let titles: Vec<&str> = figures
+            .iter()
+            .map(|f| f.title())
+            .filter(|t| t.starts_with("Figure"))
+            .collect();
+        assert_eq!(titles.len(), 8);
+        for title in titles {
+            assert!(title.contains("normalized to DeNovo"), "{title}");
+            assert!(!title.contains("MESI"), "{title}");
+        }
+        let denovo = out
+            .fig_5_1a()
+            .unwrap()
+            .value("FFT/DeNovo", "Total")
+            .unwrap();
+        assert!((denovo - 1.0).abs() < 1e-9);
+    }
+
     #[test]
     fn fig_5_2_mesi_components_sum_to_one() {
         let out = tiny_outcome();

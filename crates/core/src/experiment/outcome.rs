@@ -197,7 +197,10 @@ impl PlanOutcome {
     pub fn fig_5_1a(&self) -> Result<FigureTable, ExperimentError> {
         let classes = MessageClass::ALL;
         self.normalized_figure(
-            "Figure 5.1a: Overall network traffic (flit-hops, normalized to MESI)",
+            &format!(
+                "Figure 5.1a: Overall network traffic (flit-hops, normalized to {})",
+                self.baseline
+            ),
             classes.iter().map(|c| c.label()).chain(["Total"]),
             |b| b.traffic.total(),
             |r, i| match classes.get(i) {
@@ -211,7 +214,10 @@ impl PlanOutcome {
     /// traffic.
     pub fn fig_5_1b(&self) -> Result<FigureTable, ExperimentError> {
         self.bucket_figure(
-            "Figure 5.1b: LD network traffic breakdown (normalized to MESI LD traffic)",
+            &format!(
+                "Figure 5.1b: LD network traffic breakdown (normalized to {} LD traffic)",
+                self.baseline
+            ),
             MessageClass::Load,
             &TrafficBucket::REQUEST_RESPONSE,
         )
@@ -221,7 +227,10 @@ impl PlanOutcome {
     /// store traffic.
     pub fn fig_5_1c(&self) -> Result<FigureTable, ExperimentError> {
         self.bucket_figure(
-            "Figure 5.1c: ST network traffic breakdown (normalized to MESI ST traffic)",
+            &format!(
+                "Figure 5.1c: ST network traffic breakdown (normalized to {} ST traffic)",
+                self.baseline
+            ),
             MessageClass::Store,
             &TrafficBucket::REQUEST_RESPONSE,
         )
@@ -231,7 +240,10 @@ impl PlanOutcome {
     /// writeback traffic.
     pub fn fig_5_1d(&self) -> Result<FigureTable, ExperimentError> {
         self.bucket_figure(
-            "Figure 5.1d: WB network traffic breakdown (normalized to MESI WB traffic)",
+            &format!(
+                "Figure 5.1d: WB network traffic breakdown (normalized to {} WB traffic)",
+                self.baseline
+            ),
             MessageClass::Writeback,
             &TrafficBucket::WRITEBACK,
         )
@@ -242,7 +254,10 @@ impl PlanOutcome {
     pub fn fig_5_2(&self) -> Result<FigureTable, ExperimentError> {
         let classes = TimeClass::ALL;
         self.normalized_figure(
-            "Figure 5.2: Execution time (normalized to MESI)",
+            &format!(
+                "Figure 5.2: Execution time (normalized to {})",
+                self.baseline
+            ),
             classes.iter().map(|c| c.label()).chain(["Total"]),
             |b| b.time.total() as f64,
             |r, i| match classes.get(i) {
@@ -284,7 +299,10 @@ impl PlanOutcome {
     /// Figure 5.3a: words fetched into the L1s by waste category.
     pub fn fig_5_3a(&self) -> Result<FigureTable, ExperimentError> {
         self.waste_figure(
-            "Figure 5.3a: L1 fetch waste (words fetched into L1, normalized to MESI)",
+            &format!(
+                "Figure 5.3a: L1 fetch waste (words fetched into L1, normalized to {})",
+                self.baseline
+            ),
             |r| &r.l1_waste,
         )
     }
@@ -292,7 +310,10 @@ impl PlanOutcome {
     /// Figure 5.3b: words fetched into the L2 by waste category.
     pub fn fig_5_3b(&self) -> Result<FigureTable, ExperimentError> {
         self.waste_figure(
-            "Figure 5.3b: L2 fetch waste (words fetched into L2, normalized to MESI)",
+            &format!(
+                "Figure 5.3b: L2 fetch waste (words fetched into L2, normalized to {})",
+                self.baseline
+            ),
             |r| &r.l2_waste,
         )
     }
@@ -300,7 +321,10 @@ impl PlanOutcome {
     /// Figure 5.3c: words fetched from memory by waste category.
     pub fn fig_5_3c(&self) -> Result<FigureTable, ExperimentError> {
         self.waste_figure(
-            "Figure 5.3c: Memory fetch waste (words fetched from memory, normalized to MESI)",
+            &format!(
+                "Figure 5.3c: Memory fetch waste (words fetched from memory, normalized to {})",
+                self.baseline
+            ),
             |r| &r.mem_waste,
         )
     }

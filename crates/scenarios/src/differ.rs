@@ -16,12 +16,13 @@
 //!    update-based protocols (Dragon) deliberately trade extra update
 //!    traffic for sharer latency and are exempt from the dominance check
 //!    while still running every other invariant;
-//! 4. **Network-model identity** — re-running the cell under every *other*
-//!    registered network model (wormhole flit-level, snooping bus) must
-//!    reproduce every per-bucket flit-hop number, every waste
-//!    classification and the DRAM behavior bit for bit, and every timed
-//!    model's execution time must be at or above the analytic lower bound
+//! 4. **Network-model identity** — re-running the cell under every timed
+//!    network model (wormhole flit-level, snooping bus) must reproduce
+//!    every per-bucket flit-hop number, every waste classification and the
+//!    DRAM behavior of the analytic run bit for bit, and each timed model's
+//!    execution time must be at or above the analytic lower bound
 //!    (DESIGN.md §11: a network model may only move time, never traffic).
+//!    Every model's cycles land in the protocol's summary.
 //!
 //! Every protocol services the workload's own streams — the cores are in
 //! order and step each record once — so re-running the golden model on
@@ -35,7 +36,7 @@ use crate::synth::is_fully_bypass_streaming;
 use denovo_waste::{ScaleProfile, Session, SimConfig, Simulator};
 use std::fmt;
 use tw_obs::SpanSink;
-use tw_types::{NetworkModelKind, ProtocolKind, SystemConfig};
+use tw_types::{NetworkModelKind, ProtocolKind, SystemConfig, LANES};
 use tw_workloads::Workload;
 
 /// The protocols invariant 3 (streaming bypass dominance) compares, in
@@ -78,11 +79,13 @@ pub enum Violation {
         /// MESI's total flit-hops.
         mesi: f64,
     },
-    /// Re-running under the other network model changed something a network
+    /// Re-running under a timed network model changed something a network
     /// model is never allowed to touch.
     CrossModelDivergence {
         /// The offending protocol.
         protocol: ProtocolKind,
+        /// The timed model whose run diverged from the analytic one.
+        model: NetworkModelKind,
         /// Which model-invariant quantity moved.
         field: &'static str,
     },
@@ -90,8 +93,10 @@ pub enum Violation {
     LatencyBelowAnalyticBound {
         /// The offending protocol.
         protocol: ProtocolKind,
+        /// The timed model that undercut the bound.
+        model: NetworkModelKind,
         /// The timed model's total cycles.
-        flit_cycles: u64,
+        timed_cycles: u64,
         /// Analytic total cycles (the lower bound).
         analytic_cycles: u64,
     },
@@ -117,17 +122,22 @@ impl fmt::Display for Violation {
                 f,
                 "DBypFull moved more traffic ({dbypfull:.0}) than MESI ({mesi:.0}) on a fully-bypass streaming workload"
             ),
-            Violation::CrossModelDivergence { protocol, field } => write!(
+            Violation::CrossModelDivergence {
+                protocol,
+                model,
+                field,
+            } => write!(
                 f,
-                "{protocol}: {field} diverged across network models (the model may only move time)"
+                "{protocol}: {field} diverged under the {model} network model (the model may only move time)"
             ),
             Violation::LatencyBelowAnalyticBound {
                 protocol,
-                flit_cycles,
+                model,
+                timed_cycles,
                 analytic_cycles,
             } => write!(
                 f,
-                "{protocol}: timed run ({flit_cycles} cycles) undercut the analytic lower bound ({analytic_cycles})"
+                "{protocol}: {model} run ({timed_cycles} cycles) undercut the analytic lower bound ({analytic_cycles})"
             ),
         }
     }
@@ -138,8 +148,9 @@ impl fmt::Display for Violation {
 pub struct ProtocolSummary {
     /// The protocol.
     pub protocol: ProtocolKind,
-    /// Total execution cycles.
-    pub total_cycles: u64,
+    /// Total execution cycles under each network model, indexed by
+    /// [`NetworkModelKind::lane`] (the layout of a [`Stamp`](tw_types::Stamp)).
+    pub cycles: [u64; LANES],
     /// Total flit-hops.
     pub flit_hops: f64,
     /// Fraction of traffic classified as waste.
@@ -167,12 +178,10 @@ impl DiffOutcome {
 /// Sweeps one workload across a protocol set and checks the invariants.
 #[derive(Debug, Clone)]
 pub struct DifferentialRunner {
-    /// System scale simulated (geometry + cache sizes).
+    /// System scale simulated (geometry + cache sizes). The primary sweep
+    /// (first run and its replay) runs under the analytic network; invariant
+    /// 4 runs every timed model against it.
     pub scale: ScaleProfile,
-    /// Network model the primary sweep (first run and its replay) runs
-    /// under; the cross-model invariant always compares against every other
-    /// registered model.
-    pub network: NetworkModelKind,
     /// Protocols swept, in summary order.
     pub protocols: Vec<ProtocolKind>,
     /// Observer-lane flight recording for the primary sweep. Alt-model
@@ -184,20 +193,13 @@ pub struct DifferentialRunner {
 }
 
 impl DifferentialRunner {
-    /// The full ten-protocol registry at the given scale, analytic network.
+    /// The full ten-protocol registry at the given scale.
     pub fn new(scale: ScaleProfile) -> Self {
         DifferentialRunner {
             scale,
-            network: NetworkModelKind::default(),
             protocols: ProtocolKind::ALL.to_vec(),
             recorder: None,
         }
-    }
-
-    /// The same runner with the primary sweep under `network`.
-    pub fn with_network(mut self, network: NetworkModelKind) -> Self {
-        self.network = network;
-        self
     }
 
     /// The same runner with flight recording armed on the primary sweep.
@@ -221,8 +223,7 @@ impl DifferentialRunner {
         if let Err(msg) = wl.try_well_formed() {
             return empty(Violation::Malformed(msg));
         }
-        let mut system = self.scale.system();
-        system.network = self.network;
+        let system = self.scale.system();
         if wl.cores() != system.tiles() {
             return empty(Violation::Malformed(format!(
                 "workload has {} cores but the {:?} system has {} tiles",
@@ -311,17 +312,18 @@ impl DifferentialRunner {
             });
         }
 
-        // Invariant 4: every other registered network model must
-        // move the exact same flits and classify the exact same
-        // words; only time may differ, and timed-model time only
-        // upward from the analytic bound.
-        let mut cycles_by_model = vec![(self.network, report.total_cycles)];
-        for other in NetworkModelKind::ALL {
-            if other == self.network {
+        // Invariant 4: every timed network model must move the exact same
+        // flits and classify the exact same words; only time may differ,
+        // and only upward from the analytic bound.
+        // The analytic lane is the primary run; each timed lane is written
+        // by its own model's run below.
+        let mut cycles = [report.total_cycles; LANES];
+        for model in NetworkModelKind::ALL {
+            if model == NetworkModelKind::Analytic {
                 continue;
             }
             let mut other_sys = system.clone();
-            other_sys.network = other;
+            other_sys.network = model;
             let alt = Simulator::new(SimConfig::new(protocol).with_system(other_sys), wl).run();
             let diverged: [(&'static str, bool); 7] = [
                 ("per-bucket traffic", alt.traffic != report.traffic),
@@ -345,31 +347,28 @@ impl DifferentialRunner {
             ];
             for (field, moved) in diverged {
                 if moved {
-                    violations.push(Violation::CrossModelDivergence { protocol, field });
-                }
-            }
-            cycles_by_model.push((other, alt.total_cycles));
-        }
-        let analytic_cycles = cycles_by_model
-            .iter()
-            .find(|(k, _)| *k == NetworkModelKind::Analytic)
-            .map(|&(_, c)| c);
-        if let Some(analytic_cycles) = analytic_cycles {
-            for &(kind, flit_cycles) in &cycles_by_model {
-                if kind != NetworkModelKind::Analytic && flit_cycles < analytic_cycles {
-                    violations.push(Violation::LatencyBelowAnalyticBound {
+                    violations.push(Violation::CrossModelDivergence {
                         protocol,
-                        flit_cycles,
-                        analytic_cycles,
+                        model,
+                        field,
                     });
                 }
+            }
+            cycles[model.lane()] = alt.total_cycles;
+            if alt.total_cycles < report.total_cycles {
+                violations.push(Violation::LatencyBelowAnalyticBound {
+                    protocol,
+                    model,
+                    timed_cycles: alt.total_cycles,
+                    analytic_cycles: report.total_cycles,
+                });
             }
         }
 
         (
             ProtocolSummary {
                 protocol,
-                total_cycles: report.total_cycles,
+                cycles,
                 flit_hops: traffic,
                 waste_fraction: waste,
             },
@@ -402,42 +401,49 @@ mod tests {
     }
 
     #[test]
-    fn flit_level_primary_sweep_passes_every_invariant() {
-        // The same seeds, primary sweep under the wormhole model: run
-        // determinism and the cross-model identity must all hold with the
-        // roles of the two models swapped.
-        let runner =
-            DifferentialRunner::new(ScaleProfile::Tiny).with_network(NetworkModelKind::FlitLevel);
-        let out = runner.check(&synthesize(7));
-        assert!(
-            out.ok(),
-            "{:?}",
-            out.violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-        );
+    fn a_summary_holds_each_network_models_own_cycles() {
+        // Lane `m` of a protocol's summary is that protocol simulated alone
+        // under network model `m`, for every protocol and every model.
+        let wl = synthesize(1);
+        let out = DifferentialRunner::new(ScaleProfile::Tiny).check(&wl);
+        assert!(out.ok());
         assert_eq!(out.summaries.len(), 10);
+        for s in &out.summaries {
+            for model in NetworkModelKind::ALL {
+                let mut system = ScaleProfile::Tiny.system();
+                system.network = model;
+                let run = Simulator::new(SimConfig::new(s.protocol).with_system(system), &wl).run();
+                assert_eq!(
+                    s.cycles[model.lane()],
+                    run.total_cycles,
+                    "{} under {model}",
+                    s.protocol
+                );
+            }
+        }
     }
 
     #[test]
-    fn snoop_bus_primary_sweep_passes_every_invariant() {
-        // Primary sweep under the snooping bus: the broadcast medium may
-        // only serialize time; run determinism and the cross-model identity
-        // against both point-to-point fabrics must still hold for all ten
-        // protocols.
-        let runner =
-            DifferentialRunner::new(ScaleProfile::Tiny).with_network(NetworkModelKind::SnoopBus);
-        let out = runner.check(&synthesize(7));
-        assert!(
-            out.ok(),
-            "{:?}",
-            out.violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
+    fn a_cross_model_violation_names_its_network_model() {
+        let diverged = Violation::CrossModelDivergence {
+            protocol: ProtocolKind::Mesi,
+            model: NetworkModelKind::SnoopBus,
+            field: "L2 waste",
+        };
+        assert_eq!(
+            diverged.to_string(),
+            "MESI: L2 waste diverged under the bus network model (the model may only move time)"
         );
-        assert_eq!(out.summaries.len(), 10);
+        let undercut = Violation::LatencyBelowAnalyticBound {
+            protocol: ProtocolKind::Dragon,
+            model: NetworkModelKind::FlitLevel,
+            timed_cycles: 90,
+            analytic_cycles: 100,
+        };
+        assert_eq!(
+            undercut.to_string(),
+            "Dragon: flit run (90 cycles) undercut the analytic lower bound (100)"
+        );
     }
 
     #[test]

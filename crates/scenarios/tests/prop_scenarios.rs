@@ -14,7 +14,7 @@ use tw_scenarios::{
     SynthConfig,
 };
 use tw_trace::TraceDocument;
-use tw_types::{NetworkModelKind, ProtocolKind};
+use tw_types::ProtocolKind;
 use tw_workloads::{BenchmarkKind, Workload};
 
 proptest! {
@@ -118,7 +118,6 @@ proptest! {
         let wl = cfg.build();
         let runner = DifferentialRunner {
             scale: ScaleProfile::Tiny,
-            network: NetworkModelKind::default(),
             protocols: vec![ProtocolKind::Dragon],
             recorder: None,
         };
