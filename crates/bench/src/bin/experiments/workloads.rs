@@ -1,6 +1,6 @@
 //! `workloads`: the builtin workloads' digest table, regenerated from the
-//! generators; `--write` records it as `WORKLOADS.digests`, the file the
-//! workload memo compiles in, and `--check` compares it with that file
+//! generators; `--write` records it as `WORKLOADS.digests`, the file
+//! compile reads, and `--check` compares it with that file
 //! (DESIGN.md §10; one-line summary: `cli.rs`).
 
 use crate::cli::Args;

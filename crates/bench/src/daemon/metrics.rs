@@ -261,24 +261,12 @@ impl Row {
 }
 
 /// The shared session's reading, in `stats` order.
-fn session_rows(session: &SessionCounters) -> [Row; 7] {
+fn session_rows(session: &SessionCounters) -> [Row; 5] {
     [
-        Row::counter(
-            "workload_memo_hits_total",
-            "tw_daemon_workload_memo_hits_total",
-            "Workload lookups served from the session memo without generating",
-            session.memo_hits,
-        ),
-        Row::counter(
-            "workload_memo_builds_total",
-            "tw_daemon_workload_memo_builds_total",
-            "Workload lookups that made a memo entry, from a committed line or by the digest pass",
-            session.memo_builds,
-        ),
         Row::counter(
             "workload_digest_passes_total",
             "tw_daemon_workload_digest_passes_total",
-            "Memo entries made by running a workload's digest pass",
+            "Workloads that compile digested by running their digest pass",
             session.digest_passes,
         ),
         Row::counter(
@@ -323,8 +311,6 @@ mod tests {
     }
 
     const SESSION: SessionCounters = SessionCounters {
-        memo_hits: 6,
-        memo_builds: 12,
         digest_passes: 3,
         workloads_materialized: 5,
         flight_slots: 2,
@@ -376,8 +362,6 @@ mod tests {
         assert_eq!(field(&snap, "latency_max_us").as_u64(), Ok(1500));
         // (4 hits + 1 coalesced) / 8 cells = 0.625.
         assert_eq!(field(&snap, "hit_rate").as_str(), Ok("0.6250"));
-        assert_eq!(field(&snap, "workload_memo_hits_total").as_u64(), Ok(6));
-        assert_eq!(field(&snap, "workload_memo_builds_total").as_u64(), Ok(12));
         assert_eq!(field(&snap, "workload_digest_passes_total").as_u64(), Ok(3));
         assert_eq!(field(&snap, "workloads_materialized_total").as_u64(), Ok(5));
         assert_eq!(field(&snap, "flight_table_slots").as_u64(), Ok(2));
@@ -421,7 +405,7 @@ mod tests {
         let rows: Vec<Row> = (m.service_rows(2, 64, 4).into_iter())
             .chain(session_rows(&SESSION))
             .collect();
-        assert_eq!(rows.len(), 19);
+        assert_eq!(rows.len(), 17);
         for row in &rows {
             assert!(field(&snap, row.key).as_u64().is_ok(), "{}", row.key);
             let n = families.iter().filter(|f| **f == row.family).count();
@@ -448,8 +432,7 @@ mod tests {
         assert!(text.contains("# TYPE tw_daemon_requests_total counter\n"));
         assert!(text.contains("tw_daemon_requests_total 2\n"));
         assert!(text.contains("tw_daemon_cells_total 8\n"));
-        assert!(text.contains("# TYPE tw_daemon_workload_memo_hits_total counter\n"));
-        assert!(text.contains("tw_daemon_workload_memo_builds_total 12\n"));
+        assert!(text.contains("# TYPE tw_daemon_workload_digest_passes_total counter\n"));
         assert!(text.contains("tw_daemon_workload_digest_passes_total 3\n"));
         assert!(text.contains("# TYPE tw_daemon_flight_table_slots gauge\n"));
         assert!(text.contains("# TYPE tw_daemon_workloads_materialized_total counter\n"));

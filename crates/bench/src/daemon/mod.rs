@@ -31,8 +31,8 @@ pub mod metrics;
 pub mod wire;
 
 use denovo_waste::{
-    sweep_temp_files, CacheStats, ExperimentSpec, Json, Session, WorkloadSet, ENGINE_VERSION,
-    TEMP_SWEEP_AGE,
+    sweep_temp_files, CacheStats, ExperimentSpec, Json, Session, WorkloadSet, WorkloadSource,
+    ENGINE_VERSION, TEMP_SWEEP_AGE,
 };
 use metrics::Metrics;
 use std::io::BufReader;
@@ -443,15 +443,29 @@ struct Submitted {
     figures: Vec<u8>,
 }
 
-/// Compiles and executes a submit body through the shared session. The
-/// session's memo shares the workloads a repeated spec names, and its pool
-/// queues this plan's fan-outs behind those of earlier requests.
+/// Compiles and executes a submit body through the shared session. A spec
+/// that names a trace file is refused before anything is read. Compile
+/// runs on the handler's thread, and the session's pool queues this plan's
+/// runs behind those of earlier requests.
 fn execute(session: &Session, body: Vec<u8>) -> Result<Submitted, String> {
     let spec_text = String::from_utf8(body).map_err(|_| "submit body is not UTF-8")?;
     if spec_text.trim().is_empty() {
         return Err("submit requires an experiment-spec JSON body".to_string());
     }
     let spec = ExperimentSpec::from_json(&spec_text).map_err(|e| format!("bad spec: {e}"))?;
+    // A trace path would be read on the daemon's host: it would let a
+    // client probe the server's files, and one such as /dev/zero or a FIFO
+    // never finishes reading. The daemon opens none.
+    let trace = spec
+        .workloads
+        .iter()
+        .find(|w| matches!(w.source, WorkloadSource::Trace(_)));
+    if let Some(w) = trace {
+        return Err(format!(
+            "cannot compile plan: workload `{}` names a trace file, which the daemon does not read",
+            w.name
+        ));
+    }
     // Provided workloads have no wire representation: a spec naming one
     // fails compilation here with the usual unknown-workload error.
     let plan = session

@@ -7,7 +7,9 @@
 //! is service semantics: warm hits, coalesced concurrent submits, metrics,
 //! error responses, clean shutdown.
 
-use denovo_waste::{ExperimentSpec, Json, ScaleProfile, Session, SystemVariant, WorkloadSet};
+use denovo_waste::{
+    ExperimentSpec, Json, ScaleProfile, Session, SystemVariant, WorkloadSet, WorkloadSpec,
+};
 use std::io::BufReader;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -134,11 +136,10 @@ fn submit_is_byte_identical_to_a_direct_run_and_warm_hits() {
     assert_eq!(get("hits"), 4);
     assert_eq!(get("misses"), 4);
     assert_eq!(stats.get("hit_rate").unwrap().as_str().unwrap(), "0.5000");
-    // The second submit regenerated nothing: both of the spec's workloads
-    // came out of the session's memo. The cache directory has every entry,
-    // so the flight table has let go of all four slots.
-    assert_eq!(get("workload_memo_builds_total"), 2);
-    assert_eq!(get("workload_memo_hits_total"), 2);
+    // Both of the spec's workloads are committed lines: neither compile
+    // ran a digest pass. The cache directory has every entry, so the flight
+    // table has let go of all four slots.
+    assert_eq!(get("workload_digest_passes_total"), 0);
     assert_eq!(get("flight_table_slots"), 0);
 
     daemon.stop();
@@ -215,14 +216,9 @@ fn metrics_exposition_is_well_formed_and_monotone() {
         "the second submit added cells"
     );
     assert_eq!(scrape(&m2, "tw_daemon_latency_us_count"), 2);
-    assert_eq!(scrape(&m1, "tw_daemon_workload_memo_hits_total"), 0);
     // Both workloads' lines are committed: compile read their headers and
     // ran no digest pass.
     assert_eq!(scrape(&m2, "tw_daemon_workload_digest_passes_total"), 0);
-    assert_eq!(
-        scrape(&m2, "tw_daemon_workload_memo_hits_total"),
-        scrape(&m2, "tw_daemon_workload_memo_builds_total")
-    );
     // The cold submit's runs built the spec's two workloads; the warm one,
     // served from the cache, built none.
     assert_eq!(scrape(&m1, "tw_daemon_workloads_materialized_total"), 2);
@@ -366,6 +362,36 @@ fn bad_requests_get_error_responses_not_a_dead_daemon() {
     assert_eq!(get("requests"), 5);
     assert_eq!(get("requests"), get("completed") + get("failed"));
 
+    daemon.stop();
+}
+
+#[test]
+fn a_spec_naming_a_trace_file_is_refused_before_anything_is_read() {
+    let daemon = Daemon::start("trace-spec", false);
+    // A trace that would compile: the refusal is not the file's fault.
+    let path = daemon.config.socket.with_file_name("fft.trace");
+    let fft = ScaleProfile::Tiny
+        .try_workload(BenchmarkKind::Fft, 16)
+        .unwrap();
+    fft.to_trace().save(&path, false).unwrap();
+    let mut spec = ExperimentSpec::subset(vec![ProtocolKind::Mesi], vec![], ScaleProfile::Tiny);
+    spec.workloads = vec![
+        WorkloadSpec::bench(BenchmarkKind::Radix),
+        WorkloadSpec::trace("from-file", &path),
+    ];
+    assert!(spec.compile(&WorkloadSet::new()).is_ok());
+    let mut client = daemon.connect();
+    let err = client.submit(&spec.to_json()).unwrap_err();
+    assert_eq!(
+        err,
+        "cannot compile plan: workload `from-file` names a trace file, \
+         which the daemon does not read"
+    );
+    assert!(client.ping().is_ok());
+    let stats = client.stats().unwrap();
+    let get = |k: &str| stats.get(k).unwrap().as_u64().unwrap();
+    assert_eq!((get("requests"), get("failed")), (1, 1));
+    assert_eq!(get("requests"), get("completed") + get("failed"));
     daemon.stop();
 }
 

@@ -100,6 +100,57 @@ fn warm_rerun_of_the_full_tiny_matrix_is_bit_identical_and_never_simulates() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Tiny FFT under MESI with one L2 variant: one cell, one run.
+fn fft_with_l2(label: &str, l2_slice_bytes: u64) -> ExperimentSpec {
+    let mut spec = ExperimentSpec::subset(
+        vec![ProtocolKind::Mesi],
+        vec![tw_workloads::BenchmarkKind::Fft],
+        ScaleProfile::Tiny,
+    );
+    spec.variants = vec![SystemVariant::l2_slice(label, l2_slice_bytes)];
+    spec
+}
+
+#[test]
+fn a_later_plan_builds_its_own_records() {
+    // Every run reads its workload's records from a lease of its execute:
+    // after the Tiny matrix ran, no cell's workload holds a record.
+    let none = WorkloadSet::new();
+    let session = Session::new();
+    let matrix = session
+        .compile(&ExperimentSpec::full_matrix(ScaleProfile::Tiny), &none)
+        .unwrap();
+    session.execute(&matrix).unwrap();
+    assert!(matrix.cells.iter().all(|c| !c.workload.traces.is_built()));
+    assert_eq!(session.counters().workloads_materialized, 6);
+    assert_eq!(session.counters().digest_passes, 0);
+
+    // One plan executed twice builds its records twice, once per execute.
+    // The cache is emptied in between, so that the second execute
+    // simulates again rather than reading the entry the first one stored.
+    let cache = fresh_dir("rerun-builds");
+    let session = Session::new().with_cache_dir(&cache);
+    let plan = session
+        .compile(&fft_with_l2("l2-32k", 32 << 10), &none)
+        .unwrap();
+    for materialized in [1, 2] {
+        assert_eq!(session.execute(&plan).unwrap().cache.misses, 1);
+        assert!(!plan.cells[0].workload.traces.is_built());
+        assert_eq!(session.counters().workloads_materialized, materialized);
+        std::fs::remove_dir_all(&cache).unwrap();
+    }
+
+    // Same workload, other machine: the new plan's run builds the records
+    // again.
+    let other = session
+        .compile(&fft_with_l2("l2-16k", 16 << 10), &none)
+        .unwrap();
+    assert_eq!(plan.cells[0].workload_ref, other.cells[0].workload_ref);
+    session.execute(&other).unwrap();
+    assert_eq!(session.counters().workloads_materialized, 3);
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
 /// One-workload, one-protocol spec over a provided synthesized workload.
 fn synth_spec(protocol: ProtocolKind) -> ExperimentSpec {
     let mut spec = ExperimentSpec::subset(vec![protocol], vec![], ScaleProfile::Tiny);

@@ -156,6 +156,34 @@ fn core_count_sweep_rebuilds_generated_workloads_per_mesh() {
     }
 }
 
+/// A core count no builtin plan uses has no committed `WORKLOADS.digests`
+/// line: every compile runs its digest passes again, and makes the same
+/// plan.
+#[test]
+fn a_mesh_with_no_committed_lines_digests_on_every_compile() {
+    let mut spec = ExperimentSpec::full_matrix(ScaleProfile::Tiny);
+    spec.variants = vec![SystemVariant::base(), SystemVariant::mesh("2x2", 2, 2)];
+    let session = Session::new();
+    let first = session.compile(&spec, &WorkloadSet::new()).unwrap();
+    assert_eq!(session.counters().digest_passes, 6);
+    let second = session.compile(&spec, &WorkloadSet::new()).unwrap();
+    assert_eq!(session.counters().digest_passes, 12);
+    assert_eq!(first.cells.len(), 108);
+    assert_eq!(
+        (&first.rows, &first.variants),
+        (&second.rows, &second.variants)
+    );
+    for (a, b) in first.cells.iter().zip(&second.cells) {
+        assert_eq!(
+            (&a.row, &a.label, a.protocol),
+            (&b.row, &b.label, b.protocol)
+        );
+        assert_eq!((&a.workload_ref, &a.system), (&b.workload_ref, &b.system));
+        assert_eq!(session.key_of(a), session.key_of(b));
+        assert!(!a.workload.traces.is_built() && !b.workload.traces.is_built());
+    }
+}
+
 #[test]
 fn provided_workloads_reject_core_count_mismatch() {
     // Fixed-core workloads (traces, synthesized streams) cannot follow a

@@ -12,12 +12,14 @@
 //! restriction: two synthesized workloads are two distinct refs no matter
 //! what kind they carry.
 
-use super::session::{Session, SessionState};
+use super::memo::{self, Table};
+use super::session::Session;
 use super::ScaleProfile;
 use crate::sim::SimError;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use tw_obs::Json;
 use tw_types::{Digest, NetworkModelKind, ProtocolKind, SystemConfig};
@@ -629,20 +631,20 @@ impl ExperimentSpec {
     /// records for the runs that read them and drops them after the last,
     /// so a plan whose every cell is cached builds none.
     ///
-    /// This is [`Session::compile`] on a session made for the call, so every
-    /// call generates its benchmark workloads afresh, on threads of its own;
-    /// a [`Session`] that compiles many specs shares both.
+    /// This is [`Session::compile`] on a session made for the call: it runs
+    /// on the calling thread and starts none.
     pub fn compile(&self, provided: &WorkloadSet) -> Result<CompiledPlan, ExperimentError> {
         Session::new().compile(self, provided)
     }
 
-    /// [`compile`](Self::compile) on a session's state: generated workloads
-    /// are looked up in (and left behind in) its memo, and built on its
-    /// pool.
+    /// [`compile`](Self::compile) against a `WORKLOADS.digests` table:
+    /// generated workloads are read from its lines, and each digest pass a
+    /// key with no line runs is counted in `digest_passes`.
     pub(super) fn compile_with(
         &self,
         provided: &WorkloadSet,
-        session: &Arc<SessionState>,
+        digests: &Table,
+        digest_passes: &AtomicU64,
     ) -> Result<CompiledPlan, ExperimentError> {
         if self.protocols.is_empty() {
             return Err(ExperimentError::InvalidSpec(
@@ -728,78 +730,67 @@ impl ExperimentSpec {
 
         // Resolve each workload once per distinct core count it is needed
         // at (generators generate per core count; traces and provided
-        // workloads have a fixed one and error on mismatch). A generator's
-        // digest pass is the expensive part of compilation — and the whole
-        // cost of a fully-warm cached run unless the session's memo already
-        // holds their digests — so the distinct workloads fan out on the
-        // session's pool; errors surface in deterministic (workload,
-        // variant) order.
-        let mut wanted: Vec<(usize, usize, String)> = Vec::new();
-        for (wi, _) in self.workloads.iter().enumerate() {
-            for (variant_label, sys) in &systems {
-                if !wanted.iter().any(|(i, t, _)| *i == wi && *t == sys.tiles()) {
-                    wanted.push((wi, sys.tiles(), variant_label.clone()));
+        // workloads have a fixed one and error on mismatch), in (workload,
+        // variant) order, so the first error is the same every time. A
+        // generated workload comes from its committed line with its digest;
+        // a trace file is read every time (it may have been rewritten) and
+        // a provided workload is digested as given.
+        let resolve = |w: &WorkloadSpec, tiles: usize, variant: &str| {
+            let (wl, committed) = match &w.source {
+                WorkloadSource::Bench(kind) => {
+                    let (wl, digest) =
+                        memo::resolve(digests, (*kind, self.scale, tiles), digest_passes)?;
+                    (Arc::new(wl), Some(digest))
                 }
+                WorkloadSource::Trace(path) => {
+                    let doc = tw_trace::TraceDocument::load(path).map_err(|err| {
+                        ExperimentError::Io(format!("cannot read {}: {err}", path.display()))
+                    })?;
+                    let wl = Workload::from_trace(doc)
+                        .map_err(|err| ExperimentError::Workload(err.to_string()))?;
+                    (Arc::new(wl), None)
+                }
+                WorkloadSource::Provided(name) => {
+                    let wl = provided.get(name).ok_or_else(|| {
+                        ExperimentError::Workload(format!(
+                            "the plan references provided workload `{name}`, which was not registered"
+                        ))
+                    })?;
+                    (Arc::clone(wl), None)
+                }
+            };
+            if wl.cores() != tiles {
+                return Err(ExperimentError::CoreCountMismatch {
+                    workload: w.name.clone(),
+                    workload_cores: wl.cores(),
+                    variant: variant.to_string(),
+                    tiles,
+                });
             }
-        }
-        type BuiltEntry = ((usize, usize), (Arc<Workload>, Digest));
-        let (state, scale) = (Arc::clone(session), self.scale);
-        let (workloads, provided) = (self.workloads.clone(), provided.clone());
-        let build_results: Vec<Result<BuiltEntry, ExperimentError>> =
-            session.pool.map(wanted, move |(wi, tiles, variant_label)| {
-                let w = &workloads[wi];
-                // A generated workload comes out of the memo with its
-                // digest; a trace file is read every time (it may have been
-                // rewritten) and a provided workload is digested as given.
-                let (wl, memoized) = match &w.source {
-                    WorkloadSource::Bench(kind) => {
-                        let (wl, digest) = state.memo.get_or_build((*kind, scale, tiles))?;
-                        (wl, Some(digest))
-                    }
-                    WorkloadSource::Trace(path) => {
-                        let doc = tw_trace::TraceDocument::load(path).map_err(|err| {
-                            ExperimentError::Io(format!("cannot read {}: {err}", path.display()))
-                        })?;
-                        let wl = Workload::from_trace(doc)
-                            .map_err(|err| ExperimentError::Workload(err.to_string()))?;
-                        (Arc::new(wl), None)
-                    }
-                    WorkloadSource::Provided(name) => {
-                        let wl = provided.get(name).ok_or_else(|| {
-                            ExperimentError::Workload(format!(
-                                "the plan references provided workload `{name}`, which was not registered"
-                            ))
-                        })?;
-                        (Arc::clone(wl), None)
-                    }
-                };
-                if wl.cores() != tiles {
-                    return Err(ExperimentError::CoreCountMismatch {
-                        workload: w.name.clone(),
-                        workload_cores: wl.cores(),
-                        variant: variant_label,
-                        tiles,
-                    });
-                }
-                let digest = match memoized {
-                    Some(digest) => digest,
-                    None => wl
-                        .content_digest()
-                        .map_err(|e| ExperimentError::Workload(e.to_string()))?,
-                };
-                Ok(((wi, tiles), (wl, digest)))
-            });
-        let built: BTreeMap<(usize, usize), (Arc<Workload>, Digest)> = build_results
-            .into_iter()
-            .collect::<Result<_, ExperimentError>>(
-        )?;
+            let digest = match committed {
+                Some(digest) => digest,
+                None => wl
+                    .content_digest()
+                    .map_err(|e| ExperimentError::Workload(e.to_string()))?,
+            };
+            Ok((wl, digest))
+        };
 
         let multi = systems.len() > 1;
         let mut rows = Vec::new();
         let mut cells = Vec::new();
-        for (wi, w) in self.workloads.iter().enumerate() {
+        for w in &self.workloads {
+            let mut by_tiles: BTreeMap<usize, (Arc<Workload>, Digest)> = BTreeMap::new();
             for (variant_label, sys) in &systems {
-                let (workload, digest) = built[&(wi, sys.tiles())].clone();
+                let tiles = sys.tiles();
+                let (workload, digest) = match by_tiles.get(&tiles) {
+                    Some(resolved) => resolved.clone(),
+                    None => {
+                        let resolved = resolve(w, tiles, variant_label)?;
+                        by_tiles.insert(tiles, resolved.clone());
+                        resolved
+                    }
+                };
                 let row = RowKey {
                     workload: w.name.clone(),
                     variant: variant_label.clone(),

@@ -23,7 +23,7 @@
 //! cache can never poison a run — at worst it fails to speed one up.
 
 use super::codec;
-use super::memo::{self, WorkloadMemo};
+use super::memo::{self, Table};
 use super::outcome::PlanOutcome;
 use super::plan::{CompiledPlan, ExperimentError, ExperimentSpec, PlannedCell, WorkloadSet};
 use super::pool::Pool;
@@ -150,7 +150,7 @@ type Leader = (usize, Digest, PlannedCell);
 type Slot = Arc<Mutex<Option<SimReport>>>;
 
 /// State shared by every clone of a [`Session`]: the in-process
-/// single-flight table, the workload memo, the thread pool and the
+/// single-flight table, the workload counters, the thread pool and the
 /// once-per-session temp-file sweep marker.
 #[derive(Debug, Default)]
 pub(super) struct SessionState {
@@ -163,41 +163,31 @@ pub(super) struct SessionState {
     /// one drops a slot as soon as the leader has stored the entry, so a
     /// long-lived daemon's table holds only what is in flight.
     inflight: Mutex<BTreeMap<Digest, Slot>>,
-    /// Generated workloads' digests and recipes, shared by every plan this
-    /// session compiles. Each plan gets its own unbuilt copy, and stays a
-    /// recipe however often it runs: each `execute` builds the records its
-    /// runs read into a clone of its own, which the workload's last run
-    /// drops.
-    pub(super) memo: WorkloadMemo,
+    /// Workloads that compile digested by their digest pass: keys with no
+    /// committed line.
+    pub(super) digest_passes: AtomicU64,
     /// Workload records that a run of this session built: at most one
     /// build per distinct workload per `execute`.
     materialized: AtomicU64,
-    /// Where compile's workload builds and execute's runs fan out: every
-    /// request of a daemon queues behind the ones before it.
+    /// Where execute's runs fan out: every request of a daemon queues
+    /// behind the ones before it.
     pub(super) pool: Pool,
     /// Whether this session already swept stray temp files from its cache
     /// directory (done once, on first execute).
     swept: AtomicBool,
 }
 
-/// What a session holds in memory right now and how often its workload
-/// memo and thread pool were used, for service metrics. Which request
-/// builds a workload two of them need is a race, and how many threads a
-/// pool starts depends on the host, so none of this belongs in a recorded
-/// span.
+/// What a session holds in memory right now and how often its compiles
+/// digested a workload and its thread pool was used, for service metrics.
+/// How many threads a pool starts depends on the host, so none of this
+/// belongs in a recorded span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionCounters {
-    /// Workload lookups served without generating: a memo entry, or a
-    /// build another thread was already running.
-    pub memo_hits: u64,
-    /// Workload lookups that made a memo entry: from a committed
-    /// `WORKLOADS.digests` line, reading only the generator's header, or by
-    /// the digest pass.
-    pub memo_builds: u64,
-    /// Memo entries made by running a workload's digest pass: keys with no
-    /// committed line (a core count no builtin plan uses), or whose line's
-    /// header digest the generator no longer makes. A builtin plan counts
-    /// none, cold or warm.
+    /// Workloads that compile digested by running their digest pass, once
+    /// per compile that needs them: keys with no committed
+    /// `WORKLOADS.digests` line (a core count no builtin plan uses), or
+    /// whose line's header digest the generator no longer makes. A builtin
+    /// plan counts none, cold or warm.
     pub digest_passes: u64,
     /// Workload records that runs built: compile only digests a generated
     /// workload, and each `execute` builds a workload's records at most
@@ -215,11 +205,10 @@ pub struct SessionCounters {
 
 /// Executes experiment plans, optionally through a persistent result cache.
 ///
-/// Clones share one single-flight table, one workload memo and one thread
-/// pool, so a session handed to several threads (the daemon's handlers)
-/// never simulates the same cache key twice concurrently, digests each
-/// benchmark workload once, and runs the requests' simulations in the order
-/// the requests queued them. Within one plan the same holds by
+/// Clones share one single-flight table and one thread pool, so a session
+/// handed to several threads (the daemon's handlers) never simulates the
+/// same cache key twice concurrently, and runs the requests' simulations in
+/// the order the requests queued them. Within one plan the same holds by
 /// construction: `execute` runs one cell per distinct key. The pool's
 /// threads start on the first fan-out and are joined when the last clone
 /// drops, so a session made for one call keeps its threads for that call.
@@ -231,6 +220,9 @@ pub struct Session {
     /// same track for its phase/run spans. Never read back — recording on
     /// or off, every simulated number is identical.
     recorder: Option<SpanSink>,
+    /// The `WORKLOADS.digests` lines compile reads; the committed ones when
+    /// `None`.
+    digests: Option<Arc<Table>>,
     state: Arc<SessionState>,
 }
 
@@ -272,36 +264,32 @@ impl Session {
         self
     }
 
-    /// This session, its workload memo seeded from `table` (the format of
+    /// This session, compiling against `table` (the format of
     /// `WORKLOADS.digests`) instead of the committed table: a way to see
     /// what a stale or edited line does.
     ///
     /// # Errors
     ///
     /// A table that does not parse, naming its line.
-    ///
-    /// # Panics
-    ///
-    /// If the session was cloned already: its clones share one memo.
     pub fn with_workload_digests(mut self, table: &str) -> Result<Self, ExperimentError> {
         let table = memo::parse_table(table).map_err(ExperimentError::Workload)?;
-        Arc::get_mut(&mut self.state)
-            .expect("a session takes its workload digests before it is cloned")
-            .memo = WorkloadMemo::with_table(Arc::new(table));
+        self.digests = Some(Arc::new(table));
         Ok(self)
     }
 
-    /// Compiles a spec, taking generated workloads from (and leaving them
-    /// in) this session's memo: the second plan over a benchmark shares the
-    /// first one's entry instead of making it again. Its records are
-    /// built by each [`Session::execute`] whose runs read them.
+    /// Compiles a spec on the calling thread, reading each generated
+    /// workload's digest from this session's `WORKLOADS.digests` table, or
+    /// running its digest pass for a key with no line (counted in
+    /// [`SessionCounters::digest_passes`]). Its records are built by each
+    /// [`Session::execute`] whose runs read them.
     /// [`ExperimentSpec::compile`] is this, on a session made for the call.
     pub fn compile(
         &self,
         spec: &ExperimentSpec,
         provided: &WorkloadSet,
     ) -> Result<CompiledPlan, ExperimentError> {
-        spec.compile_with(provided, &self.state)
+        let digests = self.digests.as_deref().unwrap_or(&memo::BUILTIN);
+        spec.compile_with(provided, digests, &self.state.digest_passes)
     }
 
     /// Maps `f` over `items` on this session's thread pool, behind every
@@ -328,11 +316,8 @@ impl Session {
 
     /// A reading of this session's in-memory state (shared by its clones).
     pub fn counters(&self) -> SessionCounters {
-        let memo = self.state.memo.stats();
         SessionCounters {
-            memo_hits: memo.hits,
-            memo_builds: memo.builds,
-            digest_passes: memo.digest_passes,
+            digest_passes: self.state.digest_passes.load(Ordering::Relaxed),
             workloads_materialized: self.state.materialized.load(Ordering::Relaxed),
             flight_slots: self.state.inflight.lock().expect("inflight lock").len() as u64,
             pool_threads: self.state.pool.threads(),
@@ -1045,6 +1030,46 @@ mod tests {
         let session = Session::new();
         session.execute(&plan).unwrap();
         assert_eq!(session.counters().workloads_materialized, 0);
+    }
+
+    #[test]
+    fn compile_starts_no_thread() {
+        let session = Session::with_threads(4);
+        let plan = session
+            .compile(
+                &ExperimentSpec::full_matrix(ScaleProfile::Tiny),
+                &WorkloadSet::new(),
+            )
+            .unwrap();
+        assert_eq!(plan.cells.len(), 54);
+        let counters = session.counters();
+        assert_eq!((counters.pool_threads, counters.pool_batches), (0, 0));
+    }
+
+    #[test]
+    fn a_trace_file_is_read_on_every_compile() {
+        let dir = std::env::temp_dir().join("tw-session-trace-compile");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("w.trace");
+        let mut spec = ExperimentSpec::subset(vec![ProtocolKind::Mesi], vec![], ScaleProfile::Tiny);
+        spec.workloads = vec![super::super::WorkloadSpec::trace("from-file", &path)];
+        let session = Session::new();
+        let digest_after_writing = |kind| {
+            let workload = ScaleProfile::Tiny.try_workload(kind, 16).unwrap();
+            workload.to_trace().save(&path, false).unwrap();
+            let plan = session.compile(&spec, &WorkloadSet::new()).unwrap();
+            assert_eq!(
+                plan.cells[0].workload_ref.digest,
+                workload.content_digest().unwrap()
+            );
+            plan.cells[0].workload_ref.digest
+        };
+        // Same path, new content: the second compile follows the file.
+        let fft = digest_after_writing(tw_workloads::BenchmarkKind::Fft);
+        let lu = digest_after_writing(tw_workloads::BenchmarkKind::Lu);
+        assert_ne!(fft, lu);
+        assert_eq!(session.counters().digest_passes, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
