@@ -186,9 +186,7 @@ pub(super) fn resolve(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{ExperimentSpec, Session, WorkloadSet, WorkloadSource, WorkloadSpec};
     use super::*;
-    use tw_types::ProtocolKind;
 
     const FFT: Key = (BenchmarkKind::Fft, ScaleProfile::Tiny, 16);
     /// `tw_workloads`' pinned content digest of Tiny FFT at 16 cores. It
@@ -212,41 +210,6 @@ mod tests {
         assert!(matches!(first, ExperimentError::Workload(_)), "{first}");
         assert_eq!(passes, 0, "a kind with no generator reaches no pass");
         assert_eq!(resolved(&BUILTIN, key).0.unwrap_err(), first);
-        // Compile fails the same way, on a session or not, every time.
-        let mut spec = ExperimentSpec::subset(vec![ProtocolKind::Mesi], vec![], key.1);
-        spec.workloads = vec![WorkloadSpec {
-            name: "no-generator".into(),
-            source: WorkloadSource::Bench(key.0),
-        }];
-        let session = Session::new();
-        for _ in 0..2 {
-            let err = session.compile(&spec, &WorkloadSet::new()).unwrap_err();
-            assert_eq!(err, first);
-        }
-        assert_eq!(spec.compile(&WorkloadSet::new()).unwrap_err(), first);
-        assert_eq!(session.counters().digest_passes, 0);
-    }
-
-    /// Every builtin plan's workloads are committed lines: compiling the
-    /// Scaled matrix, the same with the network axis, or a Paper workload
-    /// whose records would fill 78 MiB generates no stream.
-    #[test]
-    fn a_builtin_scaled_plan_runs_no_digest_pass() {
-        let session = Session::new();
-        let mut spec = ExperimentSpec::full_matrix(ScaleProfile::Scaled);
-        let plan = session.compile(&spec, &WorkloadSet::new()).unwrap();
-        spec.networks = tw_types::NetworkModelKind::ALL.to_vec();
-        let networks = session.compile(&spec, &WorkloadSet::new()).unwrap();
-        assert_eq!((plan.cells.len(), networks.cells.len()), (54, 162));
-        let paper = ExperimentSpec::subset(
-            vec![ProtocolKind::Mesi],
-            vec![BenchmarkKind::Fluidanimate],
-            ScaleProfile::Paper,
-        );
-        let paper = session.compile(&paper, &WorkloadSet::new()).unwrap();
-        assert_eq!(session.counters().digest_passes, 0);
-        let cells = plan.cells.iter().chain(&networks.cells).chain(&paper.cells);
-        assert!(cells.into_iter().all(|c| !c.workload.traces.is_built()));
     }
 
     #[test]
